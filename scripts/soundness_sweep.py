@@ -3,6 +3,10 @@
 analyzer alarms, for all three analyzer/oracle pairings.
 
 Usage: soundness_sweep.py [N] [BASE_SEED]
+
+Prints one summary line, then one line of seconds per phase (analyzers,
+interleaving oracle, scheduled oracle) with the states each oracle
+explored.  Exits 1 on any inclusion violation.
 """
 
 import pathlib
@@ -26,19 +30,29 @@ def main() -> None:
     budget = OracleBudget()
     t0 = time.monotonic()
     stats = {"checked": 0, "truncated": 0, "violations": 0, "max_rounds": 0}
+    secs = {"analyzers": 0.0, "interleave": 0.0, "scheduled": 0.0}
+    states = {"interleave": 0, "scheduled": 0}
     for i in range(n):
         rng = random.Random(base + i)
         cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8, 12)))
         p = random_program(rng, cfg)
+        t = time.perf_counter()
         ri = analyze_program_I(p)
         rt = analyze_program_C(p, mono=True)
         rf = analyze_program_C(p, mono=False)
+        secs["analyzers"] += time.perf_counter() - t
         stats["max_rounds"] = max(stats["max_rounds"], ri.iterations,
                                   rt.iterations, rf.iterations)
+        t = time.perf_counter()
         oi = run_interleavings(p, unroll=3, budget=budget,
                                collect_witnesses=False)
+        secs["interleave"] += time.perf_counter() - t
+        t = time.perf_counter()
         os_ = run_scheduled(p, unroll=3, budget=budget,
                             collect_witnesses=False)
+        secs["scheduled"] += time.perf_counter() - t
+        states["interleave"] += oi.states
+        states["scheduled"] += os_.states
         for name, oracle, alarms in (
                 ("interleave/interference", oi, ri.omega),
                 ("interleave/scheduled-multi", oi, rf.omega),
@@ -58,6 +72,11 @@ def main() -> None:
           f" {stats['truncated']} truncated,"
           f" {stats['violations']} violations,"
           f" max {stats['max_rounds']} fixpoint rounds, {dt:.1f}s")
+    print(f"phases: analyzers {secs['analyzers']:.1f}s,"
+          f" interleaving oracle {secs['interleave']:.1f}s"
+          f" ({states['interleave']} states),"
+          f" scheduled oracle {secs['scheduled']:.1f}s"
+          f" ({states['scheduled']} states)")
     sys.exit(1 if stats["violations"] else 0)
 
 

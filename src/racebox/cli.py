@@ -121,7 +121,8 @@ def _parse_threads(text: str | None) -> tuple[int, ...]:
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(MODES), default="scheduled",
               show_default=True, help="analysis or oracle to run")
-@click.option("--unroll", type=int, default=3, show_default=True,
+@click.option("--unroll", type=click.IntRange(min=0), default=3,
+              show_default=True,
               help="loop unrolling bound for oracle control paths")
 @click.option("--mono/--no-mono", default=True, show_default=True,
               help="assume a mono-processor real-time scheduler"
@@ -133,8 +134,9 @@ def _parse_threads(text: str | None) -> tuple[int, ...]:
 @click.option("--self-interference", type=str, default="",
               help="comma-separated thread ids that may run as several"
                    " instances (interference mode)")
-@click.option("--budget-states", type=int, default=1_000_000,
-              show_default=True, help="oracle state budget")
+@click.option("--budget-states", type=click.IntRange(min=1),
+              default=1_000_000, show_default=True,
+              help="oracle state budget")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_output", is_flag=True, help="emit JSON")
 @click.option("--out", type=click.Path(writable=True), default=None,

@@ -14,6 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .syntax import (
     Assign,
@@ -92,18 +93,23 @@ class ConcreteState:
         }
 
 
-def cmp_holds(v: Rat, cmp: str) -> bool:
-    if cmp == "=":
-        return v == 0
-    if cmp == "!=":
-        return v != 0
-    if cmp == "<":
-        return v < 0
-    if cmp == ">":
-        return v > 0
-    if cmp == "<=":
-        return v <= 0
-    return v >= 0
+# guard tests on the value of e in `e cmp 0`
+_HOLDS = {
+    "=": lambda v: v == 0,
+    "!=": lambda v: v != 0,
+    "<": lambda v: v < 0,
+    ">": lambda v: v > 0,
+    "<=": lambda v: v <= 0,
+    ">=": lambda v: v >= 0,
+}
+
+_NOERR: frozenset[Location] = frozenset()
+
+_ARITH = {
+    "+": lambda v1, v2: frozenset(a + b for a in v1 for b in v2),
+    "-": lambda v1, v2: frozenset(a - b for a in v1 for b in v2),
+    "*": lambda v1, v2: frozenset(a * b for a in v1 for b in v2),
+}
 
 
 def const_points(lo, hi, mode: ValueMode) -> list[int]:
@@ -116,76 +122,114 @@ def const_points(lo, hi, mode: ValueMode) -> list[int]:
     return list(range(math.ceil(lo), math.floor(hi) + 1))
 
 
-def eval_env(e: Expr, env: Env, idx: VarIndex,
-             mode: ValueMode = ValueMode.INTEGER_POINTS,
-             interf=None, tid: int | None = None,
-             ) -> tuple[frozenset[Rat], frozenset[Location]]:
-    """Evaluate e in a single environment: a set of values and error labels.
+def _lift(combine, *subs):
+    """Apply combine to the sub-results now if they are all folded,
+    else once per environment."""
+    if not any(map(callable, subs)):
+        return combine(*subs)
+    evs = [s if callable(s) else (lambda env, c=s: c) for s in subs]
+    if len(evs) == 1:
+        (f,) = evs
+        return lambda env: combine(f(env))
+    f, g = evs
+    return lambda env: combine(f(env), g(env))
 
-    `interf`, when given, is a mapping var -> set of values written by
-    other threads; reads non-deterministically pick the environment value
-    or any interference value (used by the concrete interference oracle).
-    """
+
+def _compile(e: Expr, idx: VarIndex, mode: ValueMode, interf,
+             reads: set[int]):
+    """Compile e once into a closure env -> (set of values, error labels),
+    or, for an expression that reads no variable, that pair itself.
+
+    Constant points are enumerated here, so an unbounded constant raises
+    UnsupportedMode at compile time.  `interf`, when given, maps a variable
+    to the values other threads write to it; reads non-deterministically
+    pick the environment value or any of those (the concrete interference
+    oracle).  Adds the indices of the variables e reads to `reads`."""
     if isinstance(e, Var):
-        vals = {env[idx[e.name]]}
-        if interf is not None:
-            vals |= interf.get(e.name, frozenset())
-        return frozenset(vals), frozenset()
+        k = idx[e.name]
+        reads.add(k)
+        extra = interf.get(e.name) if interf is not None else None
+        if extra:
+            return lambda env: (extra | {env[k]}, _NOERR)
+        return lambda env: (frozenset((env[k],)), _NOERR)
     if isinstance(e, Const):
-        return frozenset(const_points(e.lo, e.hi, mode)), frozenset()
+        return frozenset(const_points(e.lo, e.hi, mode)), _NOERR
     if isinstance(e, Neg):
-        vals, errs = eval_env(e.sub, env, idx, mode, interf, tid)
-        return frozenset(-v for v in vals), errs
+        return _lift(lambda a: (frozenset(-v for v in a[0]), a[1]),
+                     _compile(e.sub, idx, mode, interf, reads))
     if isinstance(e, BinOp):
-        v1, o1 = eval_env(e.left, env, idx, mode, interf, tid)
-        v2, o2 = eval_env(e.right, env, idx, mode, interf, tid)
-        errs = o1 | o2
-        out: set[Rat] = set()
-        if e.op == "+":
-            out = {a + b for a in v1 for b in v2}
-        elif e.op == "-":
-            out = {a - b for a in v1 for b in v2}
-        elif e.op == "*":
-            out = {a * b for a in v1 for b in v2}
-        else:
-            if 0 in v2:
-                errs = errs | {e.loc}
-            out = {_ratdiv(a, b) for a in v1 for b in v2 if b != 0}
-        return frozenset(out), frozenset(errs)
+        left = _compile(e.left, idx, mode, interf, reads)
+        right = _compile(e.right, idx, mode, interf, reads)
+        if e.op in _ARITH:
+            arith = _ARITH[e.op]
+            return _lift(lambda a, b: (arith(a[0], b[0]), a[1] | b[1]),
+                         left, right)
+        div0 = frozenset({e.loc})
+
+        def div(a, b):
+            errs = a[1] | b[1]
+            if 0 in b[0]:
+                errs = errs | div0
+            return (frozenset(_ratdiv(x, y) for x in a[0] for y in b[0]
+                              if y != 0), errs)
+        return _lift(div, left, right)
     raise TypeError(e)
+
+
+def compile_prim(s: Stmt, idx: VarIndex,
+                 mode: ValueMode = ValueMode.INTEGER_POINTS, interf=None):
+    """Compile one Assign/Guard into a closure env -> (successor
+    environments in value order, error labels).  The closure memoizes the
+    expression's outcome per values of the variables it reads."""
+    if not isinstance(s, (Assign, Guard)):
+        raise TypeError(f"not an assign/guard: {s}")
+    reads: set[int] = set()
+    ev = _compile(s.expr, idx, mode, interf, reads)
+    if not callable(ev):
+        ev = (lambda env, c=ev: c)
+    key_of = itemgetter(*reads) if reads else (lambda env: ())
+    memo: dict = {}
+    if isinstance(s, Assign):
+        i = idx[s.var]
+
+        def assign(env: Env) -> tuple[list[Env], frozenset[Location]]:
+            key = key_of(env)
+            out = memo.get(key)
+            if out is None:
+                vals, errs = ev(env)
+                out = memo[key] = (sorted(vals), errs)
+            head, tail = env[:i], env[i + 1:]
+            return [head + (v,) + tail for v in out[0]], out[1]
+        return assign
+    holds = _HOLDS[s.cmp]
+
+    def guard(env: Env) -> tuple[list[Env], frozenset[Location]]:
+        key = key_of(env)
+        out = memo.get(key)
+        if out is None:
+            vals, errs = ev(env)
+            out = memo[key] = (any(map(holds, vals)), errs)
+        return ([env] if out[0] else []), out[1]
+    return guard
 
 
 def eval_concrete(e: Expr, rho: dict[str, Rat],
                   mode: ValueMode = ValueMode.INTEGER_POINTS,
                   ) -> tuple[frozenset[Rat], frozenset[Location]]:
-    """Public, dict-based wrapper around eval_env."""
+    """Values and error labels of e in one dict-based environment."""
     names = tuple(sorted(rho))
-    idx = {v: i for i, v in enumerate(names)}
-    env = tuple(rho[v] for v in names)
-    return eval_env(e, env, idx, mode)
-
-
-def prim_step_env(s: Stmt, env: Env, idx: VarIndex, mode: ValueMode,
-                  interf=None, tid: int | None = None,
-                  ) -> tuple[list[Env], frozenset[Location]]:
-    """Successor environments of one Assign/Guard on one environment."""
-    if isinstance(s, Assign):
-        vals, errs = eval_env(s.expr, env, idx, mode, interf, tid)
-        i = idx[s.var]
-        return [env[:i] + (v,) + env[i + 1:] for v in sorted(vals)], errs
-    if isinstance(s, Guard):
-        vals, errs = eval_env(s.expr, env, idx, mode, interf, tid)
-        keep = any(cmp_holds(v, s.cmp) for v in vals)
-        return ([env] if keep else []), errs
-    raise TypeError(f"not an assign/guard: {s}")
+    ev = _compile(e, {v: i for i, v in enumerate(names)}, mode, None, set())
+    return ev(tuple(rho[v] for v in names)) if callable(ev) else ev
 
 
 def _prim(s: Stmt, st: ConcreteState, mode: ValueMode) -> ConcreteState:
-    idx = st.index()
+    if not st.envs:
+        return st
+    step = compile_prim(s, st.index(), mode)
     envs: set[Env] = set()
     errors = set(st.errors)
     for env in st.envs:
-        succ, errs = prim_step_env(s, env, idx, mode)
+        succ, errs = step(env)
         envs.update(succ)
         errors |= errs
     return ConcreteState(st.vars, frozenset(envs), frozenset(errors))
@@ -265,7 +309,8 @@ class PathSet:
 def paths(s: Stmt, unroll: int) -> PathSet:
     """Control paths spawned by s, with loops unrolled at most `unroll`
     times.  truncated is set when some longer unrolling exists."""
-    assert unroll >= 0
+    if unroll < 0:
+        raise ValueError(f"unroll must be >= 0, got {unroll}")
     if isinstance(s, Seq):
         a = paths(s.first, unroll)
         b = paths(s.second, unroll)

@@ -1,7 +1,6 @@
 """Exhaustive concrete oracles for parallel executions.
 
-Three engines over integer-point environments, all explicit-state BFS with
-canonical deduplication (shortest witnesses first):
+Three engines over integer-point environments:
 
 - run_interleavings: free interleaving of per-thread control paths.  Mutex
   primitives keep their blocking/ownership meaning but no priority or
@@ -15,6 +14,24 @@ canonical deduplication (shortest witnesses first):
 - concrete_interference_fixpoint: per-thread path execution against a
   growing set of concrete interference triples (thread, var, value),
   iterated until the set stabilizes or a cap is reached.
+
+The first two share one BFS, `_explore`, whose `_Policy` lists the moves
+of a control point: (trie node, status, held mutexes) per thread.
+Environments and control points are interned into per-exploration
+tables, and a state is the int env_id * W + ctl_id, with W = 2**32.
+
+States pop in exactly the order of a plain BFS over (control point,
+environment) tuples: start states in sorted environment order, then the
+unseen successors of each popped state by thread, trie edge, successor
+environment in value order and scheduler outcome.  A scheduled thread
+whose path is complete may retire to DONE; that successor keeps its
+source's depth and parent but still joins the tail of the queue.  Budget
+and depth are checked at pop time, so states, truncation point, shortest
+witnesses and terminal_envs are those of that plain BFS.
+
+Cached for one exploration: each control point's moves, from its first
+pop; per Assign/Guard, a closure compiled when the first control point
+that can take it is expanded, and its successors per env_id.
 """
 
 from __future__ import annotations
@@ -23,15 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .concrete import (
-    PathSet,
-    ValueMode,
-    initial_state,
-    paths,
-    prim_step_env,
-)
-
-_MODE = ValueMode.INTEGER_POINTS
+from .concrete import compile_prim, initial_state, paths
 from .config import OracleBudget
 from .syntax import (
     Assign,
@@ -52,10 +61,6 @@ YIELDING = "yield"
 DONE = "done"  # path exhausted: a finished thread no longer occupies the
 # processor, so lower-priority threads can run (thread exit is outside the
 # formal scheduler model, whose examples end in yield)
-
-
-def _wait(m: str) -> tuple[str, str]:
-    return ("wait", m)
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +93,6 @@ class _Trie:
         return _Trie(edges, ends)
 
 
-def thread_tries(p: Program, unroll: int,
-                 thread_paths: Optional[dict[int, frozenset[ControlPath]]] = None,
-                 ) -> tuple[dict[int, _Trie], bool]:
-    tries: dict[int, _Trie] = {}
-    truncated = False
-    for t in p.threads:
-        if thread_paths is not None and t.tid in thread_paths:
-            ps: PathSet = PathSet(frozenset(thread_paths[t.tid]), False)
-        else:
-            ps = paths(t.body, unroll)
-        truncated = truncated or ps.truncated
-        tries[t.tid] = _Trie.build(ps.paths)
-    return tries, truncated
-
-
 # ---------------------------------------------------------------------------
 # Results
 
@@ -117,25 +107,273 @@ class ExploreResult:
     paths_truncated: bool
     witnesses: dict[Location, list[dict]] = field(default_factory=dict)
     sched_states: frozenset | None = None  # (status, held) pairs, on request
+    truncated_by: str | None = None  # "states" (budget), "depth" or None
 
     def terminal_values(self, var: str) -> frozenset:
         i = self.vars.index(var)
         return frozenset(env[i] for env in self.terminal_envs)
 
 
-def _witness_trace(parents, state, fmt) -> list[dict]:
-    steps = []
-    while state is not None:
-        prev, action = parents[state]
-        if action is not None:
-            steps.append(fmt(action))
-        state = prev
-    steps.reverse()
-    return steps
-
-
 # ---------------------------------------------------------------------------
-# Free (multiprocessor) interleavings
+# The explorer
+
+_PRIM = "prim"
+
+
+class _Policy:
+    """Moves of one control point (nodes, status, held), per thread.
+
+    Free interleavings: every thread may step, lock(m) takes m at once
+    unless another thread holds it.  Scheduled: only the highest-priority
+    ready thread steps, lock(m) parks it in wait(m), yield parks it as
+    yielding, and each move ends in `sched`."""
+
+    def __init__(self, tids: tuple[int, ...], tries: list[_Trie],
+                 scheduled: bool):
+        self.tids = tids
+        self.tries = tries
+        self.scheduled = scheduled
+
+    def sched(self, status: tuple, held: tuple) -> list[tuple[tuple, tuple]]:
+        """Grant free mutexes to their highest-priority waiters, then wake
+        any subset of the yielding threads."""
+        tids = self.tids
+        status2 = list(status)
+        held2 = list(held)
+        for i, t in enumerate(tids):
+            st = status[i]
+            if isinstance(st, tuple):  # ("wait", m)
+                m = st[1]
+                higher_waiter = any(st2 == st and t2 > t
+                                    for st2, t2 in zip(status, tids))
+                if m in held[i] or not (higher_waiter
+                                        or any(m in h for h in held)):
+                    status2[i] = READY
+                    held2[i] = held[i] | {m}
+        wakes: list[tuple[int, ...]] = [()]  # subsets, in binary order
+        for i in range(len(tids)):
+            if status2[i] == YIELDING:
+                wakes += [w + (i,) for w in wakes]
+        out = []
+        for wake in wakes:
+            st3 = list(status2)
+            for i in wake:
+                st3[i] = READY
+            out.append((tuple(st3), tuple(held2)))
+        return out
+
+    def expand(self, ctl: tuple, ctl_id, transition):
+        """(terminal, retire, moves): terminal when every thread may stop
+        here; retire holds the ids of control points reached without a
+        step; a move is (tid, stmt, cache, compute, target ids), where
+        (cache, compute) = transition(stmt, env_op), env_op being _PRIM,
+        (var, value) for islocked, or None for (None, None)."""
+        nodes, status, held = ctl
+        sched = self.scheduled
+        # enabled: scheduled, the highest-priority ready thread; else all
+        top = max((t for t, st in zip(self.tids, status) if st == READY),
+                  default=None) if sched else None
+        terminal = True
+        retire, moves = [], []
+        for i, t in enumerate(self.tids):
+            trie, node = self.tries[i], nodes[i]
+            if not trie.ends[node]:
+                terminal = False
+            elif sched and status[i] == READY:
+                # a ready thread whose path is complete may retire,
+                # letting lower-priority threads run
+                retire.append(ctl_id(
+                    (nodes, status[:i] + (DONE,) + status[i + 1:], held)))
+            if sched and t != top:
+                continue
+            for stmt, nxt in trie.edges[node]:
+                op, st2, hd2 = None, status, held
+                if isinstance(stmt, (Assign, Guard)):
+                    op = _PRIM
+                elif isinstance(stmt, Lock):
+                    m = stmt.mutex
+                    if sched:
+                        st2 = status[:i] + (("wait", m),) + status[i + 1:]
+                    elif any(m in h for j, h in enumerate(held) if j != i):
+                        continue
+                    else:
+                        hd2 = held[:i] + (held[i] | {m},) + held[i + 1:]
+                elif isinstance(stmt, Unlock):
+                    hd2 = held[:i] + (held[i] - {stmt.mutex},) + held[i + 1:]
+                elif isinstance(stmt, Yield):
+                    if sched:
+                        st2 = status[:i] + (YIELDING,) + status[i + 1:]
+                elif isinstance(stmt, IsLocked):
+                    op = (stmt.var,
+                          1 if any(stmt.mutex in h for h in held) else 0)
+                else:  # pragma: no cover
+                    raise TypeError(stmt)
+                new_nodes = nodes[:i] + (nxt,) + nodes[i + 1:]
+                cache, compute = ((None, None) if op is None
+                                  else transition(stmt, op))
+                moves.append((t, stmt, cache, compute, tuple(
+                    ctl_id((new_nodes,) + o) for o in self.sched(st2, hd2))
+                    if sched else (ctl_id((new_nodes, st2, hd2)),)))
+        return terminal, retire, moves
+
+    def step(self, t: int, stmt: Stmt, pre: tuple, post: tuple) -> dict:
+        """One witness step, from control point pre to post."""
+        out: dict = {"thread": t, "stmt-pretty": pretty_stmt(stmt).strip()}
+        if not self.scheduled:
+            return out
+        for key, (_, status, held) in (("pre-scheduler", pre),
+                                       ("post-scheduler", post)):
+            out[key] = {
+                "status": {t2: st if isinstance(st, str) else f"wait({st[1]})"
+                           for t2, st in zip(self.tids, status)},
+                "held": {t2: sorted(h) for t2, h in zip(self.tids, held)}}
+        return out
+
+
+_SHIFT = 32  # W = 2**_SHIFT
+_MASK = (1 << _SHIFT) - 1
+
+
+def _interner(shift: int):
+    """(items, code): code(x) is x's index in items, shifted left."""
+    items: list = []
+    codes: dict = {}
+
+    def code(x) -> int:
+        i = codes.get(x)
+        if i is None:
+            i = codes[x] = len(items) << shift
+            items.append(x)
+        return i
+    return items, code
+
+
+def _explore(p: Program, unroll: int, budget: OracleBudget,
+             thread_paths: Optional[dict[int, frozenset[ControlPath]]],
+             collect_witnesses: bool, scheduled: bool,
+             keep_sched_states: bool = False) -> ExploreResult:
+    """BFS over int-coded states; see the module docstring."""
+    tries, paths_trunc = [], False
+    for t in p.threads:
+        if thread_paths is not None and t.tid in thread_paths:
+            path_set = frozenset(thread_paths[t.tid])
+        else:
+            ps = paths(t.body, unroll)
+            path_set, paths_trunc = ps.paths, paths_trunc or ps.truncated
+        tries.append(_Trie.build(path_set))
+    policy = _Policy(p.tids, tries, scheduled)
+    init = initial_state(p)
+    idx = init.index()
+
+    env_list, env_code = _interner(_SHIFT)  # env code: env_id * W
+    ctl_list, ctl_id = _interner(0)
+    infos: dict[int, tuple] = {}  # ctl_id -> expanded moves, once popped
+
+    # env_op -> (cache: env code -> successor env codes, compute), where
+    # compute(env code) -> (successor env codes, errors)
+    transitions: dict = {}
+
+    def transition(stmt: Stmt, op):
+        key = id(stmt) if op is _PRIM else op
+        if key not in transitions:
+            if op is _PRIM:
+                step = compile_prim(stmt, idx)
+            else:
+                k, val = idx[op[0]], op[1]
+
+                def step(env):
+                    return [env[:k] + (val,) + env[k + 1:]], ()
+
+            def compute(e: int):
+                envs2, errs = step(env_list[e >> _SHIFT])
+                return tuple(map(env_code, envs2)), errs
+            transitions[key] = ({}, compute)
+        return transitions[key]
+
+    n = len(p.tids)
+    c0 = ctl_id(((0,) * n, (READY,) * n, (frozenset(),) * n))
+    start = [env_code(env) | c0 for env in sorted(init.envs)]
+    queue = deque((s, 0) for s in start)
+    parents: dict | None = ({s: (None, None) for s in start}
+                            if collect_witnesses else None)
+    seen = set(start)
+    errors: dict[Location, list[dict]] = {}
+    terminal: set[int] = set()
+    truncated_by = None
+
+    def trace(state: int) -> list[dict]:
+        steps = []
+        while state is not None:
+            prev, action = parents[state]
+            if action is not None:
+                t, stmt, c2 = action
+                steps.append(policy.step(t, stmt, ctl_list[prev & _MASK],
+                                         ctl_list[c2]))
+            state = prev
+        steps.reverse()
+        return steps
+
+    popleft, push = queue.popleft, queue.append
+    max_states, max_len = budget.max_states, budget.max_path_len
+    while queue:
+        state, depth = popleft()
+        if len(seen) > max_states or depth >= max_len:
+            truncated_by = "states" if len(seen) > max_states else "depth"
+            break
+        c = state & _MASK
+        info = infos.get(c)
+        if info is None:
+            info = infos[c] = policy.expand(ctl_list[c], ctl_id, transition)
+        is_terminal, retire, moves = info
+        e = state - c
+        if is_terminal:
+            terminal.add(e)
+        for c2 in retire:
+            s2 = e | c2
+            if s2 not in seen:
+                seen.add(s2)
+                if parents is not None:
+                    parents[s2] = parents[state]
+                push((s2, depth))
+        d1 = depth + 1
+        for t, stmt, cache, compute, targets in moves:
+            if cache is None:
+                succ = (e,)
+            else:
+                succ = cache.get(e)
+                if succ is None:
+                    # the first pop that meets (stmt, env) is the first
+                    # to meet its errors, so hits need no error check
+                    succ, errs = compute(e)
+                    cache[e] = succ
+                    for loc in errs:
+                        if loc not in errors:
+                            ctl = ctl_list[c]
+                            errors[loc] = (trace(state)
+                                           + [policy.step(t, stmt, ctl, ctl)]
+                                           if parents is not None else [])
+            for e2 in succ:
+                for c2 in targets:
+                    s2 = e2 | c2
+                    if s2 not in seen:
+                        seen.add(s2)
+                        if parents is not None:
+                            parents[s2] = (state, (t, stmt, c2))
+                        push((s2, d1))
+
+    return ExploreResult(
+        errors=frozenset(errors),
+        truncated=truncated_by is not None,
+        terminal_envs=frozenset(env_list[e >> _SHIFT] for e in terminal),
+        vars=p.variables,
+        states=len(seen),
+        paths_truncated=paths_trunc,
+        witnesses=errors,
+        sched_states=(frozenset(ctl_list[c][1:]
+                                for c in {s & _MASK for s in seen})
+                      if keep_sched_states else None),
+        truncated_by=truncated_by,
+    )
 
 
 def run_interleavings(p: Program, unroll: int = 3,
@@ -147,104 +385,8 @@ def run_interleavings(p: Program, unroll: int = 3,
     Mutexes block and exclude; islocked reads the actual mutex state;
     yield is a pause any interleaving can realize anyway.  Threads step in
     any order (no priorities)."""
-    tries, paths_trunc = thread_tries(p, unroll, thread_paths)
-    tids = p.tids
-    mutexes = p.mutexes
-    midx = {m: i for i, m in enumerate(mutexes)}
-    init = initial_state(p)
-    idx = init.index()
-
-    free_owner: tuple[Optional[int], ...] = (None,) * len(mutexes)
-    start = [(tuple(0 for _ in tids), free_owner, env)
-             for env in sorted(init.envs)]
-    queue = deque((s, 0) for s in start)
-    parents: dict = {s: (None, None) for s in start}
-    seen = set(start)
-    errors: dict[Location, list[dict]] = {}
-    terminal: set[tuple] = set()
-    truncated = False
-
-    def fmt(action) -> dict:
-        tid, stmt = action
-        return {"thread": tid, "stmt-pretty": pretty_stmt(stmt).strip()}
-
-    prim_cache: dict = {}
-
-    def prim(stmt, env):
-        key = (id(stmt), env)
-        hit = prim_cache.get(key)
-        if hit is None:
-            hit = prim_step_env(stmt, env, idx, _MODE)
-            prim_cache[key] = hit
-        return hit
-
-    while queue:
-        state, depth = queue.popleft()
-        nodes, owner, env = state
-        if len(seen) > budget.max_states or depth >= budget.max_path_len:
-            truncated = True
-            break
-        if all(tries[t].ends[nodes[i]] for i, t in enumerate(tids)):
-            terminal.add(env)
-        for i, t in enumerate(tids):
-            for stmt, nxt in tries[t].edges[nodes[i]]:
-                new_nodes = nodes[:i] + (nxt,) + nodes[i + 1:]
-                succ: list[tuple] = []
-                if isinstance(stmt, (Assign, Guard)):
-                    envs2, errs = prim(stmt, env)
-                    for loc in errs:
-                        if loc not in errors:
-                            errors[loc] = (_witness_trace(parents, state, fmt)
-                                           + [fmt((t, stmt))]
-                                           if collect_witnesses else [])
-                    succ = [(new_nodes, owner, e2) for e2 in envs2]
-                elif isinstance(stmt, Lock):
-                    j = midx[stmt.mutex]
-                    if owner[j] is None or owner[j] == t:
-                        succ = [(new_nodes, owner[:j] + (t,) + owner[j + 1:],
-                                 env)]
-                elif isinstance(stmt, Unlock):
-                    j = midx[stmt.mutex]
-                    owner2 = owner[:j] + (None,) + owner[j + 1:] \
-                        if owner[j] == t else owner
-                    succ = [(new_nodes, owner2, env)]
-                elif isinstance(stmt, Yield):
-                    succ = [(new_nodes, owner, env)]
-                elif isinstance(stmt, IsLocked):
-                    j = midx[stmt.mutex]
-                    val = 1 if owner[j] is not None else 0
-                    k = idx[stmt.var]
-                    succ = [(new_nodes, owner,
-                             env[:k] + (val,) + env[k + 1:])]
-                else:  # pragma: no cover
-                    raise TypeError(stmt)
-                for s2 in succ:
-                    if s2 not in seen:
-                        seen.add(s2)
-                        if collect_witnesses:
-                            parents[s2] = (state, (t, stmt))
-                        queue.append((s2, depth + 1))
-
-    return ExploreResult(
-        errors=frozenset(errors),
-        truncated=truncated,
-        terminal_envs=frozenset(terminal),
-        vars=p.variables,
-        states=len(seen),
-        paths_truncated=paths_trunc,
-        witnesses=errors,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Real-time scheduled interleavings
-
-
-def _subsets(xs: list[int]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for x in xs:
-        out += [s + (x,) for s in out]
-    return out
+    return _explore(p, unroll, budget, thread_paths, collect_witnesses,
+                    scheduled=False)
 
 
 def run_scheduled(p: Program, unroll: int = 3,
@@ -259,151 +401,8 @@ def run_scheduled(p: Program, unroll: int = 3,
     highest-priority waiter and wakes yielding threads non-deterministically
     (one branch per subset).  Errors reached along any feasible prefix are
     kept even if the path later blocks."""
-    tries, paths_trunc = thread_tries(p, unroll, thread_paths)
-    tids = p.tids
-    pos_of = {t: i for i, t in enumerate(tids)}
-    mutexes = p.mutexes
-    init = initial_state(p)
-    idx = init.index()
-
-    status0 = (READY,) * len(tids)
-    held0 = (frozenset(),) * len(tids)
-    start = [(tuple(0 for _ in tids), status0, held0, env)
-             for env in sorted(init.envs)]
-    queue = deque((s, 0) for s in start)
-    parents: dict = {s: (None, None) for s in start}
-    seen = set(start)
-    errors: dict[Location, list[dict]] = {}
-    terminal: set[tuple] = set()
-    truncated = False
-
-    def sched_key(status, held) -> dict:
-        return {
-            "status": {t: (status[pos_of[t]] if isinstance(status[pos_of[t]], str)
-                           else f"wait({status[pos_of[t]][1]})") for t in tids},
-            "held": {t: sorted(held[pos_of[t]]) for t in tids},
-        }
-
-    def fmt(action) -> dict:
-        tid, stmt, pre, post = action
-        return {"thread": tid, "stmt-pretty": pretty_stmt(stmt).strip(),
-                "pre-scheduler": sched_key(*pre),
-                "post-scheduler": sched_key(*post)}
-
-    def sched(status: tuple, held: tuple) -> list[tuple[tuple, tuple]]:
-        status2 = list(status)
-        held2 = list(held)
-        for i, t in enumerate(tids):
-            st = status[i]
-            if isinstance(st, tuple) and st[0] == "wait":
-                m = st[1]
-                holders = [t2 for j, t2 in enumerate(tids) if m in held[j]]
-                higher_waiter = any(
-                    isinstance(status[j], tuple) and status[j] == _wait(m)
-                    and t2 > t for j, t2 in enumerate(tids))
-                if m in held[i] or (not holders and not higher_waiter):
-                    status2[i] = READY
-                    held2[i] = held[i] | {m}
-        yielders = [i for i in range(len(tids)) if status2[i] == YIELDING]
-        out = []
-        for wake in _subsets(yielders):
-            st3 = list(status2)
-            for i in wake:
-                st3[i] = READY
-            out.append((tuple(st3), tuple(held2)))
-        return out
-
-    prim_cache: dict = {}
-
-    def prim(stmt, env):
-        key = (id(stmt), env)
-        hit = prim_cache.get(key)
-        if hit is None:
-            hit = prim_step_env(stmt, env, idx, _MODE)
-            prim_cache[key] = hit
-        return hit
-
-    while queue:
-        state, depth = queue.popleft()
-        nodes, status, held, env = state
-        if len(seen) > budget.max_states or depth >= budget.max_path_len:
-            truncated = True
-            break
-        if all(tries[t].ends[nodes[i]] for i, t in enumerate(tids)):
-            terminal.add(env)
-        for i, t in enumerate(tids):
-            # a ready thread whose path is complete may retire, letting
-            # lower-priority threads run
-            if status[i] == READY and tries[t].ends[nodes[i]]:
-                s2 = (nodes, status[:i] + (DONE,) + status[i + 1:], held, env)
-                if s2 not in seen:
-                    seen.add(s2)
-                    if collect_witnesses:
-                        parents[s2] = parents[state]
-                    queue.append((s2, depth))
-        for i, t in enumerate(tids):
-            # enabled_t: t is ready and no higher-priority thread is
-            if status[i] != READY:
-                continue
-            if any(status[j] == READY and t2 > t
-                   for j, t2 in enumerate(tids)):
-                continue
-            for stmt, nxt in tries[t].edges[nodes[i]]:
-                new_nodes = nodes[:i] + (nxt,) + nodes[i + 1:]
-                mids: list[tuple[tuple, tuple, tuple]] = []  # (status, held, env)
-                if isinstance(stmt, (Assign, Guard)):
-                    envs2, errs = prim(stmt, env)
-                    for loc in errs:
-                        if loc not in errors:
-                            step = {"thread": t,
-                                    "stmt-pretty": pretty_stmt(stmt).strip(),
-                                    "pre-scheduler": sched_key(status, held),
-                                    "post-scheduler": sched_key(status, held)}
-                            errors[loc] = (_witness_trace(parents, state, fmt)
-                                           + [step]
-                                           if collect_witnesses else [])
-                    mids = [(status, held, e2) for e2 in envs2]
-                elif isinstance(stmt, Yield):
-                    mids = [(status[:i] + (YIELDING,) + status[i + 1:],
-                             held, env)]
-                elif isinstance(stmt, Lock):
-                    mids = [(status[:i] + (_wait(stmt.mutex),) + status[i + 1:],
-                             held, env)]
-                elif isinstance(stmt, Unlock):
-                    mids = [(status,
-                             held[:i] + (held[i] - {stmt.mutex},) + held[i + 1:],
-                             env)]
-                elif isinstance(stmt, IsLocked):
-                    anyheld = any(stmt.mutex in h for h in held)
-                    val = 1 if anyheld else 0
-                    k = idx[stmt.var]
-                    mids = [(status, held, env[:k] + (val,) + env[k + 1:])]
-                else:  # pragma: no cover
-                    raise TypeError(stmt)
-                for st2, hd2, e2 in mids:
-                    for st3, hd3 in sched(st2, hd2):
-                        s2 = (new_nodes, st3, hd3, e2)
-                        if s2 not in seen:
-                            seen.add(s2)
-                            if collect_witnesses:
-                                parents[s2] = (state,
-                                               (t, stmt, (status, held),
-                                                (st3, hd3)))
-                            queue.append((s2, depth + 1))
-
-    sched_states = None
-    if keep_sched_states:
-        sched_states = frozenset((st, hd) for (_, st, hd, _) in seen)
-    return ExploreResult(
-        errors=frozenset(errors),
-        truncated=truncated,
-        terminal_envs=frozenset(terminal),
-        vars=p.variables,
-        states=len(seen),
-        paths_truncated=paths_trunc,
-        witnesses=errors,
-        sched_states=sched_states,
-    )
+    return _explore(p, unroll, budget, thread_paths, collect_witnesses,
+                    scheduled=True, keep_sched_states=keep_sched_states)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +432,20 @@ def _run_thread_paths(tid: int, path_set: frozenset[ControlPath],
     errors = set(omega)
     writes: set[tuple[int, str, object]] = set()
     truncated = False
+    compiled: dict[int, object] = {}  # id(stmt) -> compiled step
     for path in sorted(path_set, key=lambda q: (len(q),
                                                 [str(s.sid) for s in q])):
         envs = set(init.envs)
         for stmt in path:
+            if not envs:
+                break
             nxt: set = set()
             if isinstance(stmt, (Assign, Guard)):
+                if id(stmt) not in compiled:
+                    compiled[id(stmt)] = compile_prim(stmt, idx,
+                                                      interf=interf_view)
                 for env in envs:
-                    succ, errs = prim_step_env(stmt, env, idx, _MODE,
-                                               interf=interf_view, tid=tid)
+                    succ, errs = compiled[id(stmt)](env)
                     errors |= errs
                     nxt.update(succ)
                 if isinstance(stmt, Assign):
@@ -461,8 +465,6 @@ def _run_thread_paths(tid: int, path_set: frozenset[ControlPath],
                 truncated = True
                 nxt = set(sorted(nxt)[:budget.max_states])
             envs = nxt
-            if not envs:
-                break
     return frozenset(errors), writes, truncated
 
 
@@ -472,10 +474,7 @@ def concrete_interference_fixpoint(p: Program, unroll: int = 3,
     """Kleene iteration of the concrete interference semantics over
     per-thread control paths.  converged=False when the round cap or the
     interference-size cap is hit (e.g. unbounded parallel increments)."""
-    thread_paths: dict[int, frozenset[ControlPath]] = {}
-    for t in p.threads:
-        ps = paths(t.body, unroll)
-        thread_paths[t.tid] = ps.paths
+    thread_paths = {t.tid: paths(t.body, unroll).paths for t in p.threads}
     omega: frozenset[Location] = frozenset()
     interf: set[tuple[int, str, object]] = set()
     truncated = False

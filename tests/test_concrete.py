@@ -119,6 +119,12 @@ def test_paths_if_spawns_two():
     assert lens == [1, 2]  # negated guard alone, guard then assign
 
 
+def test_paths_rejects_negative_unroll():
+    p = parse_program("thread 1 { x <- 1; }")
+    with pytest.raises(ValueError):
+        paths(p.threads[0].body, -1)
+
+
 def test_paths_while_unroll_one():
     p = parse_program("thread 1 { while x = 0 do { x <- 1; } }")
     ps = paths(p.threads[0].body, 1)

@@ -2,7 +2,11 @@ import json
 import random
 from fractions import Fraction
 
-from racebox.concrete import paths
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racebox.concrete import UnsupportedMode, exec_stmt, initial_state, paths
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
 from racebox.oracle import (
@@ -12,7 +16,7 @@ from racebox.oracle import (
     run_scheduled,
 )
 from racebox.parser import parse_program
-from racebox.randgen import random_program
+from racebox.randgen import GeneratorConfig, random_program, random_seq_program
 
 F = Fraction
 
@@ -30,8 +34,6 @@ def test_increment_final_values(corpus):
 
 
 def test_single_thread_matches_exec(corpus):
-    from racebox.concrete import exec_stmt, initial_state
-
     p = parse_program("thread 1 { x <- [0,1]; y <- 1 / x; }")
     res = run_interleavings(p, unroll=0)
     seq = exec_stmt(p.threads[0].body, initial_state(p))
@@ -44,7 +46,48 @@ def test_interleaving_budget_truncates():
         "thread 1 { x <- [0,3]; y <- [0,3]; z <- [0,3]; }"
         "thread 2 { x <- [0,3]; y <- [0,3]; z <- [0,3]; }")
     res = run_interleavings(p, unroll=0, budget=OracleBudget(max_states=20))
-    assert res.truncated
+    assert res.truncated and res.truncated_by == "states"
+
+
+def test_truncation_cause_depth_or_none():
+    p = parse_program(
+        "thread 1 { x <- [0,1]; y <- [0,1]; } thread 2 { x <- [0,1]; }")
+    for run in (run_interleavings, run_scheduled):
+        deep = run(p, unroll=0, budget=OracleBudget(max_path_len=2))
+        assert deep.truncated and deep.truncated_by == "depth"
+        full = run(p, unroll=0)
+        assert not full.truncated and full.truncated_by is None
+    wide = run_scheduled(p, unroll=0, budget=OracleBudget(max_states=3))
+    assert wide.truncated_by == "states"
+
+
+def test_unbounded_constant_raises_only_when_reached():
+    blocked = parse_program(
+        "thread 1 { x <- 0; if x > 0 then { y <- [0,inf]; } }")
+    for run in (run_interleavings, run_scheduled):
+        assert run(blocked, unroll=0).errors == frozenset()
+    reached = parse_program("thread 1 { x <- 0; y <- [0,inf]; }")
+    for run in (run_interleavings, run_scheduled):
+        with pytest.raises(UnsupportedMode):
+            run(reached, unroll=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_explorer_matches_structural_semantics(seed):
+    """On loop-free single-thread programs the explorer reaches exactly
+    the errors and final environments of exec_stmt, by either route to
+    the thread's paths."""
+    p = random_seq_program(random.Random(seed), loop_free=True)
+    body = p.threads[0].body
+    seq = exec_stmt(body, initial_state(p))
+    res = run_interleavings(p, unroll=0, collect_witnesses=False)
+    assert (res.errors, res.terminal_envs) == (seq.errors, seq.envs)
+    explicit = run_interleavings(
+        p, unroll=0, thread_paths={p.tids[0]: paths(body, 0).paths},
+        collect_witnesses=False)
+    assert ((explicit.errors, explicit.terminal_envs, explicit.states)
+            == (res.errors, res.terminal_envs, res.states))
 
 
 def test_scheduled_priority_mutex_terminal(corpus):
@@ -147,8 +190,6 @@ def test_concrete_interference_single_thread():
     res = concrete_interference_fixpoint(p, unroll=0)
     assert res.converged
     assert {t for (t, _, _) in res.interference} == {1}
-    from racebox.concrete import exec_stmt, initial_state
-
     assert res.errors == exec_stmt(p.threads[0].body, initial_state(p)).errors
 
 
@@ -181,3 +222,100 @@ def test_inclusion_inconclusive_on_truncation():
         p, frozenset(), "interleave",
         budget=OracleBudget(max_states=5))
     assert rep.verdict == "INCONCLUSIVE"
+
+
+# -- golden explorations: digests recorded with the earlier explorer (two
+# BFS loops over tuple states), which the int-coded one must reproduce
+# exactly.  A truncated run pins the BFS pop order.
+
+def _sweep_program(seed):
+    rng = random.Random(seed)
+    cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8, 12)))
+    return random_program(rng, cfg)
+
+
+def _fuzz_style_case():
+    """A fuzz-block program with explicit paths for one thread: one path
+    dropped and one reversed, the other thread on the default route.
+    Returns (program, max_states, unroll, thread_paths)."""
+    rng = random.Random(88_005)
+    cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
+    p = random_program(rng, cfg, sync=rng.random() < 0.3)
+    t0 = p.threads[0]
+    pool = sorted(paths(t0.body, 2).paths,
+                  key=lambda q: (len(q), [str(s.sid) for s in q]))
+    return p, 1_000_000, 2, {t0.tid: frozenset(pool[1:])
+                             | {tuple(reversed(pool[-1]))}}
+
+
+def _result_doc(res) -> str:
+    doc = {
+        "states": res.states,
+        "truncated": res.truncated,
+        "errors": sorted(l.label for l in res.errors),
+        "witnesses": [[l.label, res.witnesses[l]]
+                      for l in sorted(res.witnesses, key=lambda l: l.sort_key())],
+        "terminal": [[str(v) for v in env] for env in sorted(res.terminal_envs)],
+        "sched": None if res.sched_states is None else sorted(
+            json.dumps([[s if isinstance(s, str) else list(s) for s in st],
+                        [sorted(h) for h in hd]])
+            for st, hd in res.sched_states),
+    }
+    return json.dumps(doc, sort_keys=True, default=str)
+
+
+def _golden_digest(p, max_states, unroll=3, thread_paths=None) -> str:
+    import hashlib
+
+    budget = OracleBudget(max_states=max_states)
+    docs = []
+    for witnesses in (False, True):
+        docs.append(_result_doc(run_interleavings(
+            p, unroll=unroll, budget=budget, thread_paths=thread_paths,
+            collect_witnesses=witnesses)))
+        docs.append(_result_doc(run_scheduled(
+            p, unroll=unroll, budget=budget, thread_paths=thread_paths,
+            collect_witnesses=witnesses, keep_sched_states=True)))
+    return hashlib.sha256("\n".join(docs).encode()).hexdigest()[:16]
+
+
+def _golden_cases():
+    for seed in range(31_200, 31_238):
+        yield str(seed), (lambda s=seed: (_sweep_program(s), 20_000, 3, None))
+    # truncated interleavings (5,000 of 1M+ states) and truncated schedules
+    yield "31238", lambda: (_sweep_program(31_238), 5_000, 3, None)
+    yield "31220@60", lambda: (_sweep_program(31_220), 60, 3, None)
+    yield "fuzz-88005", _fuzz_style_case
+
+
+GOLDEN = {
+    "31200": "5a2bee77da7e75d4", "31201": "f34cd1c708124d36",
+    "31202": "3cb8450f8e1d7b9f", "31203": "88fc1d952a7d48e6",
+    "31204": "d7fc0f5abcba2ea4", "31205": "3016149d218768ea",
+    "31206": "934fafdef4f84644", "31207": "1274f28dcbd5dbb9",
+    "31208": "6efb2e6aab25c8f0", "31209": "4d3c5f4003458bbc",
+    "31210": "1b622f22258f1a2d", "31211": "57c8d6c7f2cb1c43",
+    "31212": "35e673435bb5d226", "31213": "2771a0889c39f1b6",
+    "31214": "bfe4a71f00708eb4", "31215": "aec123920ff62519",
+    "31216": "483a676e2235dc47", "31217": "e6737b3d54070d4e",
+    "31218": "207a6a283ff1e162", "31219": "23d67e0ad9ed16ea",
+    "31220": "3af487a9824d4756", "31221": "53f7a050001fe4f8",
+    "31222": "ccd7e440dc1f0048", "31223": "bde7ecaf69462cb5",
+    "31224": "2300d6911eb51df6", "31225": "7b0bf2c863271b16",
+    "31226": "a20183e3dbf95a29", "31227": "d82c0f040cbe75f2",
+    "31228": "12769a86c8fb6187", "31229": "2227e08ae4449a3b",
+    "31230": "50b406286e9a17d5", "31231": "b5d48feea6cbe855",
+    "31232": "62e62f1a78adb136", "31233": "af182c016e8adc18",
+    "31234": "8e78f73d2b3c4720", "31235": "6699503dc1235d95",
+    "31236": "326184f32749a51e", "31237": "6e400bf1c3b4ed17",
+    "31238": "a23b53f55fc16a8c", "31220@60": "e7700a3fb6bb81b3",
+    "fuzz-88005": "68bab67b8960a158",
+}
+
+
+def test_golden_explorations():
+    got = {}
+    for name, case in _golden_cases():
+        p, max_states, unroll, tp = case()
+        got[name] = _golden_digest(p, max_states, unroll, tp)
+    assert got == GOLDEN

@@ -191,6 +191,18 @@ def test_cli_exit_three_on_budget_failure(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("flag,value", [("--unroll", "-1"),
+                                        ("--budget-states", "-5"),
+                                        ("--budget-states", "0")])
+def test_cli_rejects_out_of_range_bounds(tmp_path, corpus_source, flag,
+                                         value):
+    f = tmp_path / "p.conc"
+    f.write_text(corpus_source("dekker"))
+    r = run_cli(str(f), "--mode", "oracle-interleave", flag, value)
+    assert r.returncode == 2
+    assert "Usage:" in r.stderr and flag in r.stderr
+
+
 def test_cli_thresholds_flag(tmp_path, corpus_source):
     f = tmp_path / "p.conc"
     f.write_text(corpus_source("producer_consumer"))
