@@ -26,12 +26,7 @@ from .domains import (
     transfer_assign,
     transfer_guard,
 )
-from .interference import (
-    AbsStateI,
-    apply_interference,
-    analyze_program_I,
-    analyze_stmt_I,
-)
+from .interference import analyze_program_I
 from .oracle import (
     check_soundness_inclusion,
     concrete_interference_fixpoint,
@@ -42,6 +37,7 @@ from .parser import DuplicateThreadId, ParseError, UndeclaredVariable, parse_pro
 from .report import ProgramMismatch, RunConfig, analyze_source, build_report, diff_reports
 from .sched import (
     AbsStateC,
+    AnalysisDiverged,
     SchedConfig,
     analyze_program_C,
     apply_sched,
@@ -51,7 +47,7 @@ from .sched import (
     out_sharp,
     transfer_C,
 )
-from .seq import MultiThreadInput, analyze_program_seq, analyze_seq
+from .seq import MultiThreadInput, analyze_program_seq
 from .syntax import Program, classify_vars, collect_lock_sets, pretty_program
 from .transforms import (
     RuleId,

@@ -127,7 +127,8 @@ def _parse_threads(text: str | None) -> tuple[int, ...]:
 @click.option("--mono/--no-mono", default=True, show_default=True,
               help="assume a mono-processor real-time scheduler"
                    " (islocked is modeled precisely)")
-@click.option("--widening-delay", type=int, default=2, show_default=True,
+@click.option("--widening-delay", type=click.IntRange(min=0), default=2,
+              show_default=True,
               help="interference-fixpoint rounds joined before widening")
 @click.option("--thresholds", type=str, default=None,
               help="comma-separated widening thresholds, e.g. -1,0,1,10")

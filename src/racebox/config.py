@@ -20,7 +20,7 @@ class AnalysisSettings:
     interference_thresholds: tuple[Fraction, ...] = ()
     decreasing_pass: bool = False  # one loop re-execution after stabilization
     partition_cap: int = 256  # scheduled-env partitions before coarsening
-    loop_iter_cap: int = 10_000  # safety bound asserted on every loop lim
+    loop_iter_cap: int = 10_000  # safety bound on every loop lim
     outer_round_cap: int = 64  # safety bound on interference fixpoints
     self_interference: frozenset[int] = frozenset()  # multi-instance threads
 

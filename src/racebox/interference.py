@@ -4,218 +4,21 @@ Cross-thread effects are summarized as flow-insensitive, non-relational
 interferences: a map (thread, variable) -> interval of values that thread
 may write.  Each thread is re-analyzed against the current interferences
 until the outer fixpoint stabilizes (widened after a configurable delay).
-Synchronization primitives are ignored here (lock/unlock/yield are skips,
-islocked stores [0,1]); the scheduled analyzer handles them precisely.
+This is the engine of sched.py run scheduler-blind (synchronization
+erased), with its results unpartitioned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .concrete import body_guard, else_guard, exit_guard, then_guard
 from .config import AnalysisSettings
-from .domains import (
-    BOT,
-    BoxEnv,
-    Interval,
-    as_expr,
-    get,
-    transfer_assign,
-    transfer_guard,
-)
-from .seq import Recorder
-from .syntax import (
-    Assign,
-    BinOp,
-    Const,
-    Expr,
-    Fraction,
-    Guard,
-    If,
-    IsLocked,
-    Location,
-    Lock,
-    Neg,
-    Program,
-    Seq,
-    Sid,
-    Stmt,
-    Unlock,
-    Var,
-    While,
-    Yield,
-    sub_stmts as _sub_stmts,
-    vars_of_expr,
-)
+from .domains import BoxEnv, Interval
+from .sched import WEAK, outer_fixpoint, unpartitioned
+from .syntax import Location, Program, Sid
 
 InterfKey = tuple[int, str]  # (thread id, variable)
 InterferenceAbs = dict[InterfKey, Interval]  # absent key = bottom
-
-
-def taint_closure(p: Program, seed_vars: set[str]) -> frozenset[str]:
-    """Variables whose interference may still move once `seed_vars` do:
-    any thread reading a tainted variable taints everything it writes.
-    Used by the outer widening to cut cross-thread instability cascades."""
-    reads: dict[int, frozenset[str]] = {}
-    writes: dict[int, frozenset[str]] = {}
-    for t in p.threads:
-        r: set[str] = set()
-        w: set[str] = set()
-        for s in _sub_stmts(t.body):
-            if isinstance(s, (Assign, IsLocked)):
-                w.add(s.var)
-            if isinstance(s, (Assign, Guard, If, While)):
-                r |= vars_of_expr(s.expr)
-        reads[t.tid], writes[t.tid] = frozenset(r), frozenset(w)
-    tainted = set(seed_vars)
-    while True:
-        grow = set()
-        for t in p.threads:
-            if reads[t.tid] & tainted:
-                grow |= writes[t.tid] - tainted
-        if not grow:
-            return frozenset(tainted)
-        tainted |= grow
-
-
-def thread_writes(p: Program, tid: int) -> frozenset[str]:
-    return frozenset(s.var for s in _sub_stmts(p.thread(tid).body)
-                     if isinstance(s, (Assign, IsLocked)))
-
-
-def interf_join(a: InterferenceAbs, b: InterferenceAbs) -> InterferenceAbs:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out[k].join(v) if k in out else v
-    return out
-
-
-def interf_widen(a: InterferenceAbs, b: InterferenceAbs,
-                 thresholds) -> InterferenceAbs:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out[k].widen(v, thresholds) if k in out else v
-    return out
-
-
-def interf_leq(a: InterferenceAbs, b: InterferenceAbs) -> bool:
-    return all(v.leq(b.get(k, BOT)) for k, v in a.items())
-
-
-@dataclass(frozen=True)
-class AbsStateI:
-    env: BoxEnv
-    errors: frozenset[Location]
-    interf: InterferenceAbs
-
-    def join(self, other: "AbsStateI") -> "AbsStateI":
-        return AbsStateI(self.env.join(other.env),
-                         self.errors | other.errors,
-                         interf_join(self.interf, other.interf))
-
-    def widen(self, other: "AbsStateI", thresholds) -> "AbsStateI":
-        return AbsStateI(self.env.widen(other.env, thresholds),
-                         self.errors | other.errors,
-                         interf_widen(self.interf, other.interf, thresholds))
-
-    def same_as(self, other: "AbsStateI") -> bool:
-        return (self.env == other.env and self.errors == other.errors
-                and self.interf == other.interf)
-
-
-def apply_interference(t: int, env: BoxEnv, interf: InterferenceAbs,
-                       e: Expr,
-                       self_threads: frozenset[int] = frozenset()) -> Expr:
-    """Replace each variable carrying interference from other threads by a
-    constant interval covering both the environment and interference
-    values.  Variables without interference stay untouched, so guard
-    refinement keeps working on them."""
-
-    by_var: dict[str, Interval] = {}
-    for (t2, x), v in interf.items():
-        if t2 != t or t in self_threads:
-            by_var[x] = by_var.get(x, BOT).join(v)
-
-    def go(e: Expr) -> Expr:
-        if isinstance(e, Var):
-            v = by_var.get(e.name, BOT)
-            if v.is_bot:
-                return e
-            return as_expr(v.join(get(e.name, env)))
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Neg):
-            return Neg(e.loc, go(e.sub))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, e.loc, go(e.left), go(e.right))
-        raise TypeError(e)
-
-    return go(e)
-
-
-def analyze_stmt_I(s: Stmt, t: int, st: AbsStateI,
-                   settings: AnalysisSettings = AnalysisSettings(),
-                   recorder: Recorder | None = None) -> AbsStateI:
-    rec = recorder if recorder is not None else Recorder()
-    selfi = settings.self_interference
-
-    def assign(sid: Sid, var: str, e: Expr, x: AbsStateI) -> AbsStateI:
-        rec.at_primitive(sid, x.env)
-        e2 = apply_interference(t, x.env, x.interf, e, selfi)
-        env, errs = transfer_assign(var, e2, x.env, x.errors)
-        written = get(var, env)
-        interf = x.interf
-        if not written.is_bot:
-            interf = interf_join(interf, {(t, var): written})
-        return AbsStateI(env, errs, interf)
-
-    def guard(g: Guard, x: AbsStateI) -> AbsStateI:
-        rec.at_primitive(g.sid, x.env)
-        e2 = apply_interference(t, x.env, x.interf, g.expr, selfi)
-        env, errs = transfer_guard(e2, g.cmp, x.env, x.errors)
-        return AbsStateI(env, errs, x.interf)
-
-    def go(s: Stmt, x: AbsStateI) -> AbsStateI:
-        if isinstance(s, Assign):
-            return assign(s.sid, s.var, s.expr, x)
-        if isinstance(s, Guard):
-            return guard(s, x)
-        if isinstance(s, Seq):
-            return go(s.second, go(s.first, x))
-        if isinstance(s, If):
-            entered = guard(then_guard(s), x)
-            taken = go(s.body, entered)
-            skipped = guard(else_guard(s), x)
-            rec.at_branch(s.sid, entered.env, skipped.env)
-            return taken.join(skipped)
-        if isinstance(s, While):
-            acc = AbsStateI(BoxEnv.bot(), frozenset(), {})
-            steps = 0
-            while True:
-                nxt = acc.widen(x.join(go(s.body, guard(body_guard(s), acc))),
-                                settings.thresholds)
-                steps += 1
-                assert steps <= settings.loop_iter_cap, "loop lim diverged"
-                if nxt.same_as(acc):
-                    break
-                acc = nxt
-            if settings.decreasing_pass:
-                acc = x.join(go(s.body, guard(body_guard(s), acc)))
-            entered = guard(body_guard(s), acc)
-            exited = guard(exit_guard(s), acc)
-            rec.at_branch(s.sid, entered.env, exited.env)
-            return exited
-        if isinstance(s, (Lock, Unlock, Yield)):
-            rec.warn("synchronization primitives are no-ops in this analysis;"
-                     " use the scheduled analyzer for mutex precision")
-            return x
-        if isinstance(s, IsLocked):
-            rec.warn("islocked() degrades to [0,1] in this analysis;"
-                     " use the scheduled analyzer for mutex precision")
-            return assign(s.sid, s.var, Const(Fraction(0), Fraction(1)), x)
-        raise TypeError(s)
-
-    return go(s, st)
 
 
 @dataclass
@@ -247,48 +50,14 @@ def analyze_program_I(p: Program,
     if self_threads is not None:
         settings = replace(settings,
                            self_interference=frozenset(self_threads))
-    e0 = BoxEnv.initial(p)
-    omega: frozenset[Location] = frozenset()
-    interf: InterferenceAbs = {}
-    rounds = 0
-    per_thread: dict[int, ThreadOutcome] = {}
-    warnings: list[str] = []
-    while True:
-        rounds += 1
-        if rounds > settings.outer_round_cap:
-            raise RuntimeError("interference fixpoint failed to stabilize")
-        new_omega = omega
-        joined: InterferenceAbs = {}
-        per_thread = {}
-        warnings = []
-        for t in p.threads:
-            rec = Recorder()
-            out = analyze_stmt_I(t.body, t.tid,
-                                 AbsStateI(e0, omega, interf), settings, rec)
-            new_omega = new_omega | out.errors
-            joined = interf_join(joined, out.interf)
-            per_thread[t.tid] = ThreadOutcome(out.env, rec.invariants,
-                                              rec.branches)
-            for w in rec.warnings:
-                if w not in warnings:
-                    warnings.append(w)
-        if rounds <= settings.widening_delay:
-            new_interf = interf_join(interf, joined)
-        else:
-            new_interf = interf_widen(interf, joined,
-                                      settings.interference_thresholds)
-        if rounds == settings.widening_delay + 2 and new_interf != interf:
-            # still unstable after two widening rounds: a cross-thread
-            # cascade is propagating hop by hop.  Top every interference
-            # the cascade can still reach so the fixpoint lands within two
-            # more rounds (six total with the default delay).
-            seeds = {k[1] for k in new_interf
-                     if interf.get(k) != new_interf[k]}
-            for y in taint_closure(p, seeds):
-                for t in p.threads:
-                    if y in thread_writes(p, t.tid):
-                        new_interf[(t.tid, y)] = Interval.top()
-        if new_omega == omega and new_interf == interf:
-            break
-        omega, interf = new_omega, new_interf
-    return InterfResult(omega, interf, rounds, per_thread, warnings)
+    res = outer_fixpoint(p, settings, mono=False, blind=True)
+    per_thread = {
+        tid: ThreadOutcome(unpartitioned(o.final),
+                           {sid: unpartitioned(envs)
+                            for sid, envs in o.invariants.items()},
+                           o.branches)
+        for tid, o in res.per_thread.items()}
+    interf = {(t, x): v for (t, c, x), v in res.interf.items()
+              if c.tag == WEAK}
+    return InterfResult(res.omega, interf, res.iterations, per_thread,
+                        res.warnings)

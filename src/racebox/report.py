@@ -210,51 +210,8 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         "exit_code": 0,
     }
 
-    if cfg.mode == "seq":
-        res = analyze_program_seq(p, settings)
-        rep["alarms"] = _alarms(res.omega, p)
-        rep["var_ranges"] = {v: {"final": str(res.final.get(v)),
-                                 "hull": str(res.final.get(v))}
-                             for v in p.variables}
-        rep["invariants"] = {"t1": {str(s): str(e)
-                                    for s, e in sorted(res.invariants.items(),
-                                                       key=lambda kv: str(kv[0]))}}
-        rep["iterations"] = 1
-
-    elif cfg.mode == "interference":
-        res = analyze_program_I(p, settings)
-        rep["alarms"] = _alarms(res.omega, p)
-        rep["interferences"] = {f"t{t}/{x}": str(v)
-                                for (t, x), v in sorted(res.interf.items())}
-        rep["var_ranges"] = _var_ranges(p, res.per_thread)
-        rep["invariants"] = _invariant_dump(res.per_thread)
-        rep["iterations"] = res.iterations
-        rep["warnings"] = list(res.warnings)
-
-    elif cfg.mode == "scheduled":
-        res = analyze_program_C(p, settings, mono=cfg.mono)
-        rep["alarms"] = _alarms(res.omega, p)
-        rep["interferences"] = {
-            f"t{t}/{c}/{x}": str(v)
-            for (t, c, x), v in sorted(
-                res.interf.items(),
-                key=lambda kv: (kv[0][0], kv[0][1].sort_key(), kv[0][2]))}
-        rep["races"] = {
-            "ww": [{"kind": r.kind, "threads": list(r.threads), "var": r.var,
-                    "configs": [list(c) for c in r.configs]}
-                   for r in res.races_ww],
-            "rw": [{"kind": r.kind, "threads": list(r.threads), "var": r.var,
-                    "configs": [list(c) for c in r.configs]}
-                   for r in res.races_rw],
-        }
-        rep["var_ranges"] = _var_ranges(p, res.per_thread)
-        rep["invariants"] = _invariant_dump(res.per_thread)
-        rep["iterations"] = res.iterations
-        rep["partition_stats"] = {
-            "max_env_partitions": res.max_env_partitions,
-            "interference_entries": res.interference_entries,
-            "idempotent": res.idempotent,
-        }
+    if cfg.mode in ANALYZER_MODES:
+        rep.update(_analysis_fields(p, cfg))
 
     elif cfg.mode in ("oracle-interleave", "oracle-scheduled"):
         run = (run_interleavings if cfg.mode == "oracle-interleave"
@@ -327,19 +284,56 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
     return rep
 
 
-def _analyzer_alarms(p: Program, mode: str, cfg: RunConfig) -> frozenset:
+def _analysis_fields(p: Program, cfg: RunConfig) -> dict:
+    """The report fields an analyzer mode fills in."""
+    res = _analyze(p, cfg.mode, cfg)
+    out: dict = {"alarms": _alarms(res.omega, p)}
+    if cfg.mode == "seq":
+        out["var_ranges"] = {v: {"final": str(res.final.get(v)),
+                                 "hull": str(res.final.get(v))}
+                             for v in p.variables}
+        out["invariants"] = _invariant_dump({1: res})
+        out["iterations"] = 1
+        return out
+    out["var_ranges"] = _var_ranges(p, res.per_thread)
+    out["invariants"] = _invariant_dump(res.per_thread)
+    out["iterations"] = res.iterations
+    out["warnings"] = list(res.warnings)
+    if cfg.mode == "interference":
+        out["interferences"] = {f"t{t}/{x}": str(v)
+                                for (t, x), v in sorted(res.interf.items())}
+        return out
+    out["interferences"] = {
+        f"t{t}/{c}/{x}": str(v)
+        for (t, c, x), v in sorted(
+            res.interf.items(),
+            key=lambda kv: (kv[0][0], kv[0][1].sort_key(), kv[0][2]))}
+    out["races"] = {
+        kind: [{"kind": r.kind, "threads": list(r.threads), "var": r.var,
+                "configs": [list(c) for c in r.configs]}
+               for r in races]
+        for kind, races in (("ww", res.races_ww), ("rw", res.races_rw))}
+    out["partition_stats"] = {
+        "max_env_partitions": res.max_env_partitions,
+        "interference_entries": res.interference_entries,
+        "idempotent": res.idempotent,
+    }
+    return out
+
+
+def _analyze(p: Program, mode: str, cfg: RunConfig):
     settings = cfg.settings()
     if mode == "seq":
-        return frozenset(analyze_program_seq(p, settings).omega)
+        return analyze_program_seq(p, settings)
     if mode == "interference":
-        return frozenset(analyze_program_I(p, settings).omega)
+        return analyze_program_I(p, settings)
     if mode == "scheduled":
-        return frozenset(analyze_program_C(p, settings, mono=cfg.mono).omega)
+        return analyze_program_C(p, settings, mono=cfg.mono)
     raise ValueError(f"--check-against expects one of {ANALYZER_MODES}")
 
 
 def _run_check(p: Program, cfg: RunConfig, settings) -> dict:
-    alarms = _analyzer_alarms(p, cfg.check_against, cfg)
+    alarms = frozenset(_analyze(p, cfg.check_against, cfg).omega)
     oracle = "scheduled" if cfg.mode == "oracle-scheduled" else "interleave"
     inc = check_soundness_inclusion(p, alarms, oracle=oracle,
                                     unroll=cfg.unroll, budget=cfg.budget())

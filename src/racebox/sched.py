@@ -1,4 +1,5 @@
-"""Scheduler-aware thread-modular analysis.
+"""The abstract analyzer engine: one structural interpreter (recursive
+iteration, widening at loop heads) and one outer interference fixpoint.
 
 Environments and interferences are partitioned by scheduler configurations
 (l = mutexes held by the thread, u = mutexes known free system-wide, and a
@@ -9,15 +10,20 @@ protected by a mutex are exported at unlock (out) and imported at lock
 component, which is what recovers priority-based mutual exclusion on
 mono-processor real-time systems; with mono=False it degrades to the
 sound multiprocessor reading X <- [0,1].
+
+Scheduler-blind mode erases synchronization (lock/unlock/yield are skips,
+islocked() stores [0,1], every environment stays in configuration C0)
+and lets threads in settings.self_interference read their own
+interferences.  interference.py and seq.py are adapters over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .concrete import body_guard, else_guard, exit_guard, then_guard
-from .interference import taint_closure, thread_writes
 from .config import AnalysisSettings
 from .domains import (
     BOT,
@@ -48,18 +54,27 @@ from .syntax import (
     While,
     Yield,
     collect_lock_sets,
+    stmt_exprs,
+    sub_stmts,
+    vars_of_expr,
 )
 
 WEAK = "weak"
+
+
+class AnalysisDiverged(RuntimeError):
+    """A safety cap of the engine was hit: a loop lim or the outer
+    interference fixpoint did not stabilize, or its final round was not
+    idempotent."""
 
 
 def sync(m: str) -> tuple[str, str]:
     return ("sync", m)
 
 
-@dataclass(frozen=True)
-class SchedConfig:
-    """(held mutexes, known-free mutexes, weak/sync tag)."""
+class SchedConfig(NamedTuple):
+    """(held mutexes, known-free mutexes, weak/sync tag).  A tuple, so
+    that the interference keys holding it hash without Python calls."""
 
     held: frozenset[str]
     free: frozenset[str]
@@ -93,33 +108,29 @@ SchedKey = tuple[int, SchedConfig, str]  # (thread, config, variable)
 SchedInterferenceAbs = dict[SchedKey, Interval]
 
 ReadEvent = tuple[int, int, str, SchedConfig, SchedConfig]  # reader, writer
+# per variable: the joined interference a read may see, and its writers
+InterferenceView = tuple[dict[str, Interval],
+                         dict[str, set[tuple[int, SchedConfig]]]]
+
+SYNC_SKIPPED = ("synchronization primitives are no-ops in this analysis;"
+                " use the scheduled analyzer for mutex precision")
+ISLOCKED_DEGRADED = ("islocked() degrades to [0,1] in this analysis;"
+                     " use the scheduled analyzer for mutex precision")
 
 
-def envs_join(a: PartitionedEnv, b: PartitionedEnv) -> PartitionedEnv:
-    out = dict(a)
-    for c, env in b.items():
-        out[c] = out[c].join(env) if c in out else env
-    return out
+def put(m: dict, k, v) -> None:
+    """Join v into the sparse map m at key k, in place."""
+    m[k] = m[k].join(v) if k in m else v
 
 
-def envs_widen(a: PartitionedEnv, b: PartitionedEnv,
-               thresholds) -> PartitionedEnv:
-    out = dict(a)
-    for c, env in b.items():
-        out[c] = out[c].widen(env, thresholds) if c in out else env
-    return out
-
-
-def sinterf_join(a: SchedInterferenceAbs,
-                 b: SchedInterferenceAbs) -> SchedInterferenceAbs:
+def sparse_join(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
         out[k] = out[k].join(v) if k in out else v
     return out
 
 
-def sinterf_widen(a: SchedInterferenceAbs, b: SchedInterferenceAbs,
-                  thresholds) -> SchedInterferenceAbs:
+def sparse_widen(a: dict, b: dict, thresholds) -> dict:
     out = dict(a)
     for k, v in b.items():
         out[k] = out[k].widen(v, thresholds) if k in out else v
@@ -133,14 +144,14 @@ class AbsStateC:
     interf: SchedInterferenceAbs
 
     def join(self, other: "AbsStateC") -> "AbsStateC":
-        return AbsStateC(envs_join(self.envs, other.envs),
+        return AbsStateC(sparse_join(self.envs, other.envs),
                          self.errors | other.errors,
-                         sinterf_join(self.interf, other.interf))
+                         sparse_join(self.interf, other.interf))
 
     def widen(self, other: "AbsStateC", thresholds) -> "AbsStateC":
-        return AbsStateC(envs_widen(self.envs, other.envs, thresholds),
+        return AbsStateC(sparse_widen(self.envs, other.envs, thresholds),
                          self.errors | other.errors,
-                         sinterf_widen(self.interf, other.interf, thresholds))
+                         sparse_widen(self.interf, other.interf, thresholds))
 
     def same_as(self, other: "AbsStateC") -> bool:
         return (self.envs == other.envs and self.errors == other.errors
@@ -148,21 +159,37 @@ class AbsStateC:
 
 
 def sorted_configs(envs: PartitionedEnv) -> list[SchedConfig]:
+    if len(envs) < 2:  # no sort for the blind engine's one partition
+        return list(envs)
     return sorted(envs, key=SchedConfig.sort_key)
 
 
-def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,
-                interf: SchedInterferenceAbs, e: Expr,
-                read_log: list[ReadEvent] | None = None) -> Expr:
-    """Interference substitution restricted to configurations compatible
-    with c; optionally logs which cross-thread writes reached each read."""
-    env = envs[c]
+def unpartitioned(envs: PartitionedEnv) -> BoxEnv:
+    """The environment of a scheduler-blind state: its C0 partition."""
+    return envs.get(C0, BoxEnv.bot())
+
+
+def interference_view(t: int, c: SchedConfig, interf: SchedInterferenceAbs,
+                      self_threads: frozenset[int] = frozenset(),
+                      ) -> InterferenceView:
+    """What a read by thread t under c may see: the interferences of other
+    threads (and its own if t is in self_threads) at compatible configs."""
     by_var: dict[str, Interval] = {}
-    contributors: dict[str, set[tuple[int, SchedConfig]]] = {}
+    writers: dict[str, set[tuple[int, SchedConfig]]] = {}
+    own = t in self_threads
     for (t2, c2, x), v in interf.items():
-        if t2 != t and intf(c, c2):
+        if (own or t2 != t) and intf(c, c2):
             by_var[x] = by_var.get(x, BOT).join(v)
-            contributors.setdefault(x, set()).add((t2, c2))
+            writers.setdefault(x, set()).add((t2, c2))
+    return by_var, writers
+
+
+def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
+               e: Expr, read_log: set[ReadEvent] | None = None) -> Expr:
+    """Replace each variable carrying interference by a constant interval
+    covering its environment and interference values (others stay, so
+    guards still refine them); optionally log which writes each read saw."""
+    by_var, writers = view
 
     def go(e: Expr) -> Expr:
         if isinstance(e, Var):
@@ -170,8 +197,8 @@ def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,
             if v.is_bot:
                 return e
             if read_log is not None:
-                for t2, c2 in contributors[e.name]:
-                    read_log.append((t, t2, e.name, c, c2))
+                for t2, c2 in writers[e.name]:
+                    read_log.add((t, t2, e.name, c, c2))
             return as_expr(v.join(get(e.name, env)))
         if isinstance(e, Const):
             return e
@@ -184,19 +211,28 @@ def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,
     return go(e)
 
 
+def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,
+                interf: SchedInterferenceAbs, e: Expr,
+                read_log: set[ReadEvent] | None = None,
+                self_threads: frozenset[int] = frozenset()) -> Expr:
+    """Interference substitution restricted to configurations compatible
+    with c."""
+    return substitute(t, c, envs[c],
+                      interference_view(t, c, interf, self_threads), e,
+                      read_log)
+
+
 def in_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
              env: BoxEnv, interf: SchedInterferenceAbs) -> BoxEnv:
     """Entering a critical section on m: import well-synchronized values
-    written by other threads, unless mutual exclusion rules them out."""
+    written by other threads, unless mutual exclusion rules them out.
+    Each import joins one variable, so their order does not matter."""
     out = env
-    for (t2, c2, x), v in sorted(interf.items(),
-                                 key=lambda kv: (kv[0][0], kv[0][1].sort_key(),
-                                                 kv[0][2])):
+    for (t2, c2, x), v in interf.items():
         if (c2.tag == sync(m) and t2 != t
                 and not (l & c2.held) and not (l & c2.free)
                 and not (c2.held & u)):
-            updated, _ = transfer_assign(x, as_expr(v), env, frozenset())
-            out = out.join(updated)
+            out = out.set(x, out.get(x).join(v))
     return out
 
 
@@ -222,27 +258,24 @@ def out_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
 
 @dataclass
 class SchedRecorder:
+    """Collects the invariant before each primitive (partitioned envs are
+    never mutated, so they are kept as they are), the feasibility of each
+    branch, the reads that took interference, and diagnostics."""
+
     invariants: dict[Sid, PartitionedEnv] = field(default_factory=dict)
     branches: dict[Sid, tuple[bool, bool]] = field(default_factory=dict)
-    read_log: list[ReadEvent] | None = None
+    read_log: set[ReadEvent] | None = None
+    warnings: list[str] = field(default_factory=list)
     max_env_partitions: int = 0
 
-    def at_primitive(self, sid: Sid, envs: PartitionedEnv) -> None:
-        self.invariants[sid] = dict(envs)
-
-    def at_branch(self, sid: Sid, taken: PartitionedEnv,
-                  skipped: PartitionedEnv) -> None:
-        self.branches[sid] = (bool(taken), bool(skipped))
-
-    def see_partitions(self, envs: PartitionedEnv) -> None:
-        self.max_env_partitions = max(self.max_env_partitions, len(envs))
+    def warn(self, msg: str) -> None:
+        if msg not in self.warnings:
+            self.warnings.append(msg)
 
 
-def _coarsen(envs: PartitionedEnv, cap: int) -> PartitionedEnv:
+def _coarsen(envs: PartitionedEnv) -> PartitionedEnv:
     """Partition-explosion fallback: join partitions differing only in u,
     keeping the intersection of the u components (weaker knowledge)."""
-    if len(envs) <= cap:
-        return envs
     grouped: dict[frozenset[str], tuple[frozenset[str], BoxEnv]] = {}
     for c in sorted_configs(envs):
         if c.held in grouped:
@@ -258,108 +291,110 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                settings: AnalysisSettings = AnalysisSettings(),
                lock_sets: dict[int, frozenset[str]] | None = None,
                mono: bool = True,
-               recorder: SchedRecorder | None = None) -> AbsStateC:
-    """Abstract scheduled transfer for any statement form."""
+               recorder: SchedRecorder | None = None,
+               blind: bool = False) -> AbsStateC:
+    """Abstract transfer of thread t for any statement form; `blind`
+    erases synchronization (see the module docstring)."""
     rec = recorder if recorder is not None else SchedRecorder()
     locks = lock_sets if lock_sets is not None else {}
+    self_threads = settings.self_interference if blind else frozenset()
+    views: dict[SchedConfig, InterferenceView] = {}
+
+    def read(c: SchedConfig, x: AbsStateC, e: Expr) -> Expr:
+        # only t's own keys change during a pass, so the view of the other
+        # threads' interferences is computed once per configuration
+        if t in self_threads:
+            view = interference_view(t, c, x.interf, self_threads)
+        elif c in views:
+            view = views[c]
+        else:
+            view = views[c] = interference_view(t, c, st.interf)
+        return substitute(t, c, x.envs[c], view, e, rec.read_log)
 
     def seen(x: AbsStateC) -> AbsStateC:
         if len(x.envs) > settings.partition_cap:
-            x = AbsStateC(_coarsen(x.envs, settings.partition_cap),
-                          x.errors, x.interf)
-        rec.see_partitions(x.envs)
+            rec.warn(f"partition cap {settings.partition_cap} exceeded:"
+                     " partitions differing only in known-free mutexes"
+                     " were joined")
+            x = AbsStateC(_coarsen(x.envs), x.errors, x.interf)
+        rec.max_env_partitions = max(rec.max_env_partitions, len(x.envs))
         return x
 
     def assign(sid: Sid, var: str, e: Expr, x: AbsStateC) -> AbsStateC:
-        rec.at_primitive(sid, x.envs)
+        rec.invariants[sid] = x.envs
         envs: PartitionedEnv = {}
         errors = x.errors
         interf = dict(x.interf)
         for c in sorted_configs(x.envs):
-            e2 = apply_sched(t, c, x.envs, x.interf, e, rec.read_log)
-            env, errors = transfer_assign(var, e2, x.envs[c], errors)
+            env, errors = transfer_assign(var, read(c, x, e), x.envs[c],
+                                          errors)
             if env.is_bot:
                 continue
             envs[c] = env
-            k = (t, c, var)
-            written = get(var, env)
-            interf[k] = interf[k].join(written) if k in interf else written
+            put(interf, (t, c, var), get(var, env))
         return seen(AbsStateC(envs, errors, interf))
 
     def guard(g: Guard, x: AbsStateC) -> AbsStateC:
-        rec.at_primitive(g.sid, x.envs)
+        rec.invariants[g.sid] = x.envs
         envs: PartitionedEnv = {}
         errors = x.errors
         for c in sorted_configs(x.envs):
-            e2 = apply_sched(t, c, x.envs, x.interf, g.expr, rec.read_log)
-            env, errors = transfer_guard(e2, g.cmp, x.envs[c], errors)
+            env, errors = transfer_guard(read(c, x, g.expr), g.cmp,
+                                         x.envs[c], errors)
             if not env.is_bot:
                 envs[c] = env
         return seen(AbsStateC(envs, errors, x.interf))
 
-    def lock(sid: Sid, m: str, x: AbsStateC) -> AbsStateC:
-        rec.at_primitive(sid, x.envs)
+    def forget_free(sid: Sid, m: str | None, x: AbsStateC) -> AbsStateC:
+        # yield, or lock(m): the known-free set u is lost, so every
+        # mutex in it publishes first; lock then enters m's section
+        rec.invariants[sid] = x.envs
         envs: PartitionedEnv = {}
         interf = dict(x.interf)
         none: frozenset[str] = frozenset()
         for c in sorted_configs(x.envs):
             env = x.envs[c]
             for m2 in sorted(c.free):
-                interf = sinterf_join(
+                interf = sparse_join(
                     interf, out_sharp(t, c.held, none, m2, env, x.interf))
-            dest = SchedConfig(c.held | {m}, none, WEAK)
-            entered = in_sharp(t, c.held, none, m, env, x.interf)
-            envs[dest] = envs[dest].join(entered) if dest in envs else entered
+            if m is None:
+                put(envs, SchedConfig(c.held, none, WEAK), env)
+            else:
+                put(envs, SchedConfig(c.held | {m}, none, WEAK),
+                    in_sharp(t, c.held, none, m, env, x.interf))
         return seen(AbsStateC(envs, x.errors, interf))
 
     def unlock(sid: Sid, m: str, x: AbsStateC) -> AbsStateC:
-        rec.at_primitive(sid, x.envs)
+        rec.invariants[sid] = x.envs
         envs: PartitionedEnv = {}
         interf = dict(x.interf)
         for c in sorted_configs(x.envs):
             env = x.envs[c]
-            interf = sinterf_join(
+            interf = sparse_join(
                 interf, out_sharp(t, c.held - {m}, c.free, m, env, x.interf))
-            dest = SchedConfig(c.held - {m}, c.free, WEAK)
-            envs[dest] = envs[dest].join(env) if dest in envs else env
-        return seen(AbsStateC(envs, x.errors, interf))
-
-    def yield_(sid: Sid, x: AbsStateC) -> AbsStateC:
-        rec.at_primitive(sid, x.envs)
-        envs: PartitionedEnv = {}
-        interf = dict(x.interf)
-        none: frozenset[str] = frozenset()
-        for c in sorted_configs(x.envs):
-            env = x.envs[c]
-            for m2 in sorted(c.free):
-                interf = sinterf_join(
-                    interf, out_sharp(t, c.held, none, m2, env, x.interf))
-            dest = SchedConfig(c.held, none, WEAK)
-            envs[dest] = envs[dest].join(env) if dest in envs else env
+            put(envs, SchedConfig(c.held - {m}, c.free, WEAK), env)
         return seen(AbsStateC(envs, x.errors, interf))
 
     def islocked(sid: Sid, var: str, m: str, x: AbsStateC) -> AbsStateC:
         # the degraded route fixes the recorded interferences ({0,1}) and
         # the fallback environments
         degraded = assign(sid, var, Const(Fraction(0), Fraction(1)), x)
-        precise = mono and not any(
+        precise = mono and not blind and not any(
             m in locks.get(t2, frozenset()) for t2 in locks if t2 > t)
         if not precise:
             return degraded
         envs: PartitionedEnv = {}
         for c in sorted_configs(x.envs):
             env = x.envs[c]
-            d0 = SchedConfig(c.held, c.free | {m}, WEAK)
             env0, _ = transfer_assign(
                 var, Const(Fraction(0), Fraction(0)),
                 in_sharp(t, c.held, c.free, m, env, x.interf), frozenset())
             if not env0.is_bot:
-                envs[d0] = envs[d0].join(env0) if d0 in envs else env0
-            d1 = SchedConfig(c.held, c.free - {m}, WEAK)
+                put(envs, SchedConfig(c.held, c.free | {m}, WEAK), env0)
             env1, _ = transfer_assign(
                 var, Const(Fraction(1), Fraction(1)), env, frozenset())
             if not env1.is_bot:
-                envs[d1] = envs[d1].join(env1) if d1 in envs else env1
+                put(envs, SchedConfig(c.held, c.free - {m}, WEAK), env1)
         return seen(AbsStateC(envs, x.errors, degraded.interf))
 
     def go(s: Stmt, x: AbsStateC) -> AbsStateC:
@@ -373,7 +408,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             entered = guard(then_guard(s), x)
             taken = go(s.body, entered)
             skipped = guard(else_guard(s), x)
-            rec.at_branch(s.sid, entered.envs, skipped.envs)
+            rec.branches[s.sid] = (bool(entered.envs), bool(skipped.envs))
             return taken.join(skipped)
         if isinstance(s, While):
             acc = AbsStateC({}, frozenset(), {})
@@ -382,7 +417,10 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                 nxt = acc.widen(x.join(go(s.body, guard(body_guard(s), acc))),
                                 settings.thresholds)
                 steps += 1
-                assert steps <= settings.loop_iter_cap, "loop lim diverged"
+                if steps > settings.loop_iter_cap:
+                    raise AnalysisDiverged(
+                        f"loop {s.sid} did not stabilize within"
+                        f" {settings.loop_iter_cap} iterations")
                 if nxt.same_as(acc):
                     break
                 acc = nxt
@@ -390,15 +428,20 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                 acc = x.join(go(s.body, guard(body_guard(s), acc)))
             entered = guard(body_guard(s), acc)
             exited = guard(exit_guard(s), acc)
-            rec.at_branch(s.sid, entered.envs, exited.envs)
+            rec.branches[s.sid] = (bool(entered.envs), bool(exited.envs))
             return exited
+        if blind and isinstance(s, (Lock, Unlock, Yield)):
+            rec.warn(SYNC_SKIPPED)
+            return x
         if isinstance(s, Lock):
-            return lock(s.sid, s.mutex, x)
+            return forget_free(s.sid, s.mutex, x)
         if isinstance(s, Unlock):
             return unlock(s.sid, s.mutex, x)
         if isinstance(s, Yield):
-            return yield_(s.sid, x)
+            return forget_free(s.sid, None, x)
         if isinstance(s, IsLocked):
+            if blind:
+                rec.warn(ISLOCKED_DEGRADED)
             return islocked(s.sid, s.var, s.mutex, x)
         raise TypeError(s)
 
@@ -412,12 +455,9 @@ class Race:
     var: str
     configs: tuple[tuple[str, str], ...]
 
-    def sort_key(self) -> tuple:
-        return (self.kind, self.threads, self.var)
-
 
 def extract_races(p: Program, interf: SchedInterferenceAbs,
-                  read_log: list[ReadEvent]) -> tuple[list[Race], list[Race]]:
+                  read_log: set[ReadEvent]) -> tuple[list[Race], list[Race]]:
     """Write/write races straight from the interference map; read/write
     races from the reads the substitution actually applied."""
     ww: dict[tuple[int, int, str], set[tuple[str, str]]] = {}
@@ -439,6 +479,29 @@ def extract_races(p: Program, interf: SchedInterferenceAbs,
     return mk("ww", ww), mk("rw", rw)
 
 
+def taint_closure(p: Program, seed_vars: set[str]) -> frozenset[str]:
+    """Variables whose interference may still move once `seed_vars` do:
+    any thread reading a tainted variable taints everything it writes.
+    Used by the outer widening to cut cross-thread instability cascades."""
+    reads = {t.tid: frozenset().union(*map(vars_of_expr, stmt_exprs(t.body)))
+             for t in p.threads}
+    writes = {t.tid: thread_writes(p, t.tid) for t in p.threads}
+    tainted = set(seed_vars)
+    while True:
+        grow = set()
+        for t in p.threads:
+            if reads[t.tid] & tainted:
+                grow |= writes[t.tid] - tainted
+        if not grow:
+            return frozenset(tainted)
+        tainted |= grow
+
+
+def thread_writes(p: Program, tid: int) -> frozenset[str]:
+    return frozenset(s.var for s in sub_stmts(p.thread(tid).body)
+                     if isinstance(s, (Assign, IsLocked)))
+
+
 @dataclass
 class SchedThreadOutcome:
     final: PartitionedEnv
@@ -457,14 +520,16 @@ class SchedResult:
     max_env_partitions: int
     interference_entries: int
     idempotent: bool
+    warnings: list[str] = field(default_factory=list)
 
 
-def analyze_program_C(p: Program,
-                      settings: AnalysisSettings = AnalysisSettings(),
-                      mono: bool = True) -> SchedResult:
-    """Outer fixpoint over scheduled interferences, then one recording pass
-    (which doubles as an idempotence check) to collect invariants, races
-    and partition statistics."""
+def outer_fixpoint(p: Program,
+                   settings: AnalysisSettings = AnalysisSettings(),
+                   mono: bool = True, blind: bool = False) -> SchedResult:
+    """Re-analyze every thread from the same (errors, interferences) pair
+    until both stabilize.  Every round records invariants, reads and
+    partition statistics; the last one, run on the stable pair, is kept
+    and doubles as the idempotence check.  Blind results carry no races."""
     locks = collect_lock_sets(p)
     r0: PartitionedEnv = {C0: BoxEnv.initial(p)}
     omega: frozenset[Location] = frozenset()
@@ -473,56 +538,52 @@ def analyze_program_C(p: Program,
     while True:
         rounds += 1
         if rounds > settings.outer_round_cap:
-            raise RuntimeError("scheduled interference fixpoint failed to stabilize")
+            raise AnalysisDiverged(
+                f"interference fixpoint did not stabilize within"
+                f" {settings.outer_round_cap} rounds")
         new_omega = omega
         joined: SchedInterferenceAbs = {}
+        per_thread: dict[int, SchedThreadOutcome] = {}
+        read_log: set[ReadEvent] | None = None if blind else set()
+        warnings: list[str] = []
+        max_parts = 0
         for t in p.threads:
+            rec = SchedRecorder(read_log=read_log, warnings=warnings)
             out = transfer_C(t.body, t.tid, AbsStateC(r0, omega, interf),
-                             settings, locks, mono)
+                             settings, locks, mono, rec, blind)
+            per_thread[t.tid] = SchedThreadOutcome(out.envs, rec.invariants,
+                                                   rec.branches)
+            max_parts = max(max_parts, rec.max_env_partitions)
             new_omega = new_omega | out.errors
-            joined = sinterf_join(joined, out.interf)
+            joined = sparse_join(joined, out.interf)
         if rounds <= settings.widening_delay:
-            new_interf = sinterf_join(interf, joined)
+            new_interf = sparse_join(interf, joined)
         else:
-            new_interf = sinterf_widen(interf, joined,
-                                       settings.interference_thresholds)
+            new_interf = sparse_widen(interf, joined,
+                                      settings.interference_thresholds)
         if rounds == settings.widening_delay + 2 and new_interf != interf:
-            # cascade cutover, as in the non-scheduled analyzer: publish a
-            # top interference at the always-compatible empty configuration
-            # (weak and per-mutex sync) for everything the instability can
-            # still reach, absorbing any later per-configuration growth
+            # still unstable after two widening rounds: a cross-thread
+            # cascade is propagating hop by hop.  Publish a top
+            # interference at the always-compatible empty configuration
+            # (weak and per-mutex sync) for everything the cascade can
+            # still reach, absorbing any later per-configuration growth.
             seeds = {k[2] for k in new_interf
                      if interf.get(k) != new_interf[k]}
+            keys = [C0] + [SchedConfig(frozenset(), frozenset(), sync(m))
+                           for m in p.mutexes]
             for y in taint_closure(p, seeds):
                 for t in p.threads:
                     if y in thread_writes(p, t.tid):
-                        new_interf[(t.tid, C0, y)] = Interval.top()
-                        for m in p.mutexes:
-                            key = SchedConfig(frozenset(), frozenset(),
-                                              sync(m))
-                            new_interf[(t.tid, key, y)] = Interval.top()
+                        for c in keys:
+                            new_interf[(t.tid, c, y)] = Interval.top()
         if new_omega == omega and new_interf == interf:
             break
         omega, interf = new_omega, new_interf
 
-    # recording pass over the stable pair
-    per_thread: dict[int, SchedThreadOutcome] = {}
-    read_log: list[ReadEvent] = []
-    max_parts = 0
-    check_omega = omega
-    check_interf: SchedInterferenceAbs = {}
-    for t in p.threads:
-        rec = SchedRecorder(read_log=read_log)
-        out = transfer_C(t.body, t.tid, AbsStateC(r0, omega, interf),
-                         settings, locks, mono, rec)
-        per_thread[t.tid] = SchedThreadOutcome(out.envs, rec.invariants,
-                                               rec.branches)
-        max_parts = max(max_parts, rec.max_env_partitions)
-        check_omega = check_omega | out.errors
-        check_interf = sinterf_join(check_interf, out.interf)
-    idempotent = (check_omega == omega
-                  and sinterf_join(interf, check_interf) == interf)
-    ww, rw = extract_races(p, interf, read_log)
+    if sparse_join(interf, joined) != interf:
+        raise AnalysisDiverged("the last interference round was not"
+                               " idempotent")
+    ww, rw = ([], []) if blind else extract_races(p, interf, read_log)
     return SchedResult(
         omega=omega,
         interf=interf,
@@ -532,5 +593,13 @@ def analyze_program_C(p: Program,
         per_thread=per_thread,
         max_env_partitions=max_parts,
         interference_entries=len(interf),
-        idempotent=idempotent,
+        idempotent=True,
+        warnings=warnings,
     )
+
+
+def analyze_program_C(p: Program,
+                      settings: AnalysisSettings = AnalysisSettings(),
+                      mono: bool = True) -> SchedResult:
+    """The scheduler-aware analysis (adapters call outer_fixpoint)."""
+    return outer_fixpoint(p, settings, mono)

@@ -1,109 +1,18 @@
-"""Sequential abstract interpreter: structural induction with join and
-widening, following the recursive iteration strategy (no worklists)."""
+"""Sequential abstract interpreter: the engine of sched.py run
+scheduler-blind over a single thread, with no interference rounds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from .concrete import body_guard, else_guard, exit_guard, then_guard
 from .config import AnalysisSettings
-from .domains import BoxEnv, transfer_assign, transfer_guard
-from .syntax import (
-    Assign,
-    Guard,
-    If,
-    Location,
-    Program,
-    Seq,
-    Sid,
-    Stmt,
-    While,
-)
+from .domains import BoxEnv
+from .sched import C0, AbsStateC, SchedRecorder, transfer_C, unpartitioned
+from .syntax import SYNC_TYPES, Location, Program, Sid, sub_stmts
 
 
 class MultiThreadInput(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class AbsState:
-    env: BoxEnv
-    errors: frozenset[Location]
-
-    def join(self, other: "AbsState") -> "AbsState":
-        return AbsState(self.env.join(other.env), self.errors | other.errors)
-
-    def widen(self, other: "AbsState", thresholds) -> "AbsState":
-        return AbsState(self.env.widen(other.env, thresholds),
-                        self.errors | other.errors)
-
-
-@dataclass
-class Recorder:
-    """Collects per-statement invariants and branch feasibility."""
-
-    invariants: dict[Sid, BoxEnv] = field(default_factory=dict)
-    branches: dict[Sid, tuple[bool, bool]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-    def at_primitive(self, sid: Sid, env: BoxEnv) -> None:
-        self.invariants[sid] = env
-
-    def at_branch(self, sid: Sid, taken: BoxEnv, skipped: BoxEnv) -> None:
-        self.branches[sid] = (not taken.is_bot, not skipped.is_bot)
-
-    def warn(self, msg: str) -> None:
-        if msg not in self.warnings:
-            self.warnings.append(msg)
-
-
-def analyze_seq(s: Stmt, st: AbsState,
-                settings: AnalysisSettings = AnalysisSettings(),
-                recorder: Recorder | None = None) -> AbsState:
-    """Abstract semantics of the sequential fragment."""
-    rec = recorder if recorder is not None else Recorder()
-
-    def guard(g: Guard, x: AbsState) -> AbsState:
-        rec.at_primitive(g.sid, x.env)
-        env, errs = transfer_guard(g.expr, g.cmp, x.env, x.errors)
-        return AbsState(env, errs)
-
-    def go(s: Stmt, x: AbsState) -> AbsState:
-        if isinstance(s, Assign):
-            rec.at_primitive(s.sid, x.env)
-            env, errs = transfer_assign(s.var, s.expr, x.env, x.errors)
-            return AbsState(env, errs)
-        if isinstance(s, Guard):
-            return guard(s, x)
-        if isinstance(s, Seq):
-            return go(s.second, go(s.first, x))
-        if isinstance(s, If):
-            entered = guard(then_guard(s), x)
-            taken = go(s.body, entered)
-            skipped = guard(else_guard(s), x)
-            rec.at_branch(s.sid, entered.env, skipped.env)
-            return taken.join(skipped)
-        if isinstance(s, While):
-            acc = AbsState(BoxEnv.bot(), frozenset())
-            steps = 0
-            while True:
-                entered = guard(body_guard(s), acc)
-                nxt = acc.widen(x.join(go(s.body, entered)),
-                                settings.thresholds)
-                steps += 1
-                assert steps <= settings.loop_iter_cap, "loop lim diverged"
-                if nxt.env == acc.env and nxt.errors == acc.errors:
-                    break
-                acc = nxt
-            if settings.decreasing_pass:
-                acc = x.join(go(s.body, guard(body_guard(s), acc)))
-            entered = guard(body_guard(s), acc)
-            exited = guard(exit_guard(s), acc)
-            rec.at_branch(s.sid, entered.env, exited.env)
-            return exited
-        raise ValueError(f"synchronization primitive in sequential fragment: {s}")
-
-    return go(s, st)
 
 
 @dataclass
@@ -120,8 +29,17 @@ def analyze_program_seq(p: Program,
     if len(p.threads) != 1:
         raise MultiThreadInput(
             f"sequential analyzer expects one thread, got {len(p.threads)}")
-    rec = Recorder()
-    out = analyze_seq(p.threads[0].body,
-                      AbsState(BoxEnv.initial(p), frozenset()),
-                      settings, rec)
-    return SeqResult(out.errors, out.env, rec.invariants, rec.branches)
+    thread = p.threads[0]
+    for s in sub_stmts(thread.body):
+        if isinstance(s, SYNC_TYPES):
+            raise ValueError(
+                f"synchronization primitive in sequential fragment: {s}")
+    rec = SchedRecorder()
+    out = transfer_C(thread.body, thread.tid,
+                     AbsStateC({C0: BoxEnv.initial(p)}, frozenset(), {}),
+                     replace(settings, self_interference=frozenset()),
+                     recorder=rec, blind=True)
+    return SeqResult(out.errors, unpartitioned(out.envs),
+                     {sid: unpartitioned(envs)
+                      for sid, envs in rec.invariants.items()},
+                     rec.branches)

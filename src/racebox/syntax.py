@@ -228,12 +228,14 @@ def sub_exprs(e: Expr) -> Iterator[Expr]:
 
 
 def sub_stmts(s: Stmt) -> Iterator[Stmt]:
-    yield s
-    if isinstance(s, (If, While)):
-        yield from sub_stmts(s.body)
-    elif isinstance(s, Seq):
-        yield from sub_stmts(s.first)
-        yield from sub_stmts(s.second)
+    stack = [s]  # pre-order; a stack, not nested generators, keeps it O(n)
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, (If, While)):
+            stack.append(s.body)
+        elif isinstance(s, Seq):
+            stack += (s.second, s.first)
 
 
 def stmt_exprs(s: Stmt) -> Iterator[Expr]:

@@ -1,18 +1,23 @@
 from fractions import Fraction
 
 from racebox.config import AnalysisSettings
-from racebox.domains import BoxEnv, INF, Interval
-from racebox.interference import (
-    AbsStateI,
-    analyze_program_I,
-    analyze_stmt_I,
-    apply_interference,
-    interf_join,
-    interf_leq,
-)
+from racebox.domains import BOT, BoxEnv, INF, Interval
+from racebox.interference import analyze_program_I
 from racebox.parser import parse_program
+from racebox.sched import (
+    C0,
+    ISLOCKED_DEGRADED,
+    SYNC_SKIPPED,
+    AbsStateC,
+    SchedRecorder,
+    apply_sched,
+    outer_fixpoint,
+    sparse_join,
+    sparse_widen,
+    transfer_C,
+)
 from racebox.seq import analyze_program_seq
-from racebox.syntax import Const, Var
+from racebox.syntax import Const, Lock, Unlock, Var, Yield, sub_stmts
 
 F = Fraction
 
@@ -22,38 +27,80 @@ def iv(lo, hi):
                        F(hi) if hi != "inf" else INF)
 
 
+# the scheduler-blind engine keeps every environment and interference in
+# the single configuration C0
+
+
+def blind_state(env, interf):
+    return AbsStateC({C0: env}, frozenset(),
+                     {(t, C0, x): v for (t, x), v in interf.items()})
+
+
 def test_apply_replaces_with_join():
-    env = BoxEnv({"y": iv(0, 0)})
-    interf = {(2, "y"): iv(5, 5)}
-    out = apply_interference(1, env, interf, Var("y"))
+    envs = {C0: BoxEnv({"y": iv(0, 0)})}
+    interf = {(2, C0, "y"): iv(5, 5)}
+    out = apply_sched(1, C0, envs, interf, Var("y"))
     assert out == Const(F(0), F(5))
 
 
 def test_apply_identity_without_interference():
-    env = BoxEnv({"y": iv(0, 0), "z": iv(1, 2)})
+    envs = {C0: BoxEnv({"y": iv(0, 0), "z": iv(1, 2)})}
     p = parse_program("thread 1 { x <- y + z * 2; }")
     e = p.threads[0].body.expr
-    assert apply_interference(1, env, {}, e) is not e  # rebuilt ...
-    assert apply_interference(1, env, {}, e) == e  # ... but identical
+    assert apply_sched(1, C0, envs, {}, e) is not e  # rebuilt ...
+    assert apply_sched(1, C0, envs, {}, e) == e  # ... but identical
     # own-thread interference is ignored without self-interference
-    assert apply_interference(1, env, {(1, "y"): iv(9, 9)}, e) == e
+    assert apply_sched(1, C0, envs, {(1, C0, "y"): iv(9, 9)}, e) == e
 
 
 def test_apply_self_interference():
-    env = BoxEnv({"y": iv(0, 0)})
-    interf = {(1, "y"): iv(9, 9)}
-    out = apply_interference(1, env, interf, Var("y"),
-                             self_threads=frozenset({1}))
+    envs = {C0: BoxEnv({"y": iv(0, 0)})}
+    interf = {(1, C0, "y"): iv(9, 9)}
+    out = apply_sched(1, C0, envs, interf, Var("y"),
+                      self_threads=frozenset({1}))
     assert out == Const(F(0), F(9))
+
+
+def test_blind_self_interference_reads_own_writes_live():
+    # the last assignment reads the first one's write of the same pass;
+    # only blind mode reads the thread's own keys
+    p = parse_program("thread 1 { x <- 5; x <- 0; y <- x; }")
+    st = blind_state(BoxEnv({"x": iv(0, 0), "y": iv(0, 0)}), {})
+    selfi = AnalysisSettings(self_interference=frozenset({1}))
+    out = transfer_C(p.threads[0].body, 1, st, selfi, blind=True)
+    assert out.envs[C0].get("y") == iv(0, 5)
+    out = transfer_C(p.threads[0].body, 1, st, selfi)
+    assert out.envs[C0].get("y") == iv(0, 0)
 
 
 def test_assign_extends_interference():
     p = parse_program("thread 1 { x <- x + 1; }")
-    st = AbsStateI(BoxEnv({"x": iv(0, 0)}), frozenset(),
-                   {(2, "x"): iv(1, 1)})
-    out = analyze_stmt_I(p.threads[0].body, 1, st)
-    assert out.env.get("x") == iv(1, 2)
-    assert out.interf[(1, "x")] == iv(1, 2)
+    st = blind_state(BoxEnv({"x": iv(0, 0)}), {(2, "x"): iv(1, 1)})
+    out = transfer_C(p.threads[0].body, 1, st, blind=True)
+    assert out.envs[C0].get("x") == iv(1, 2)
+    assert out.interf[(1, C0, "x")] == iv(1, 2)
+
+
+def test_blind_sync_primitives_are_skips(corpus):
+    p = corpus("priority_mutex")
+    st = blind_state(BoxEnv.initial(p), {})
+    for t in p.threads:
+        rec = SchedRecorder()
+        out = transfer_C(t.body, t.tid, st, recorder=rec, blind=True)
+        assert set(out.envs) <= {C0}
+        assert not any(s.sid in rec.invariants for s in sub_stmts(t.body)
+                       if isinstance(s, (Lock, Unlock, Yield)))
+        assert all(set(envs) <= {C0} for envs in rec.invariants.values())
+        if any(isinstance(s, Lock) for s in sub_stmts(t.body)):
+            assert SYNC_SKIPPED in rec.warnings
+    # islocked takes the degraded [0,1] route, with a diagnostic
+    q = parse_program("mutex m; thread 1 { x <- islocked(m); }")
+    rec = SchedRecorder()
+    out = transfer_C(q.threads[0].body, 1, blind_state(BoxEnv.initial(q), {}),
+                     recorder=rec, blind=True)
+    assert out.envs == {C0: BoxEnv({"x": iv(0, 1)})}
+    assert out.interf == {(1, C0, "x"): iv(0, 1)}
+    assert rec.warnings == [ISLOCKED_DEGRADED]
 
 
 def test_self_interference_models_multiple_instances():
@@ -108,44 +155,38 @@ def test_single_thread_matches_seq_and_two_rounds():
     assert ri.iterations <= 2
 
 
+def blind_round(p, omega, interf, s):
+    """One outer round of the blind engine: (new errors, joined writes)."""
+    st = AbsStateC({C0: BoxEnv.initial(p)}, omega, interf)
+    new_omega, joined = omega, {}
+    for t in p.threads:
+        out = transfer_C(t.body, t.tid, st, s, mono=False, blind=True)
+        new_omega |= out.errors
+        joined = sparse_join(joined, out.interf)
+    return new_omega, joined
+
+
 def test_outer_fixpoint_idempotent(corpus):
     p = corpus("increment")
     s = AnalysisSettings()
-    r = analyze_program_I(p, s)
+    r = outer_fixpoint(p, s, mono=False, blind=True)
+    assert analyze_program_I(p, s).interf == {
+        (t, x): v for (t, c, x), v in r.interf.items()}
     # one more full round from the stable pair changes nothing
-    from racebox.domains import BoxEnv as BE
-    from racebox.interference import interf_widen
-
-    e0 = BE.initial(p)
-    omega, interf = r.omega, r.interf
-    new_omega = omega
-    joined = {}
-    for t in p.threads:
-        out = analyze_stmt_I(t.body, t.tid, AbsStateI(e0, omega, interf), s)
-        new_omega |= out.errors
-        joined = interf_join(joined, out.interf)
-    assert new_omega == omega
-    assert interf_widen(interf, joined, ()) == interf
+    new_omega, joined = blind_round(p, r.omega, r.interf, s)
+    assert new_omega == r.omega
+    assert sparse_widen(r.interf, joined, ()) == r.interf
 
 
 def test_interference_monotone_across_rounds(corpus):
     p = corpus("increment")
     s = AnalysisSettings()
-    e0 = BoxEnv.initial(p)
     omega, interf = frozenset(), {}
-    from racebox.interference import interf_widen
-
-    prev = {}
     for rounds in range(1, 8):
-        joined = {}
-        new_omega = omega
-        for t in p.threads:
-            out = analyze_stmt_I(t.body, t.tid, AbsStateI(e0, omega, interf), s)
-            new_omega |= out.errors
-            joined = interf_join(joined, out.interf)
-        new_interf = (interf_join(interf, joined) if rounds <= 2
-                      else interf_widen(interf, joined, ()))
-        assert interf_leq(interf, new_interf)
+        new_omega, joined = blind_round(p, omega, interf, s)
+        new_interf = (sparse_join(interf, joined) if rounds <= 2
+                      else sparse_widen(interf, joined, ()))
+        assert all(v.leq(new_interf.get(k, BOT)) for k, v in interf.items())
         if new_interf == interf and new_omega == omega:
             break
         omega, interf = new_omega, new_interf

@@ -193,7 +193,8 @@ def test_cli_exit_three_on_budget_failure(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--unroll", "-1"),
                                         ("--budget-states", "-5"),
-                                        ("--budget-states", "0")])
+                                        ("--budget-states", "0"),
+                                        ("--widening-delay", "-3")])
 def test_cli_rejects_out_of_range_bounds(tmp_path, corpus_source, flag,
                                          value):
     f = tmp_path / "p.conc"

@@ -1,12 +1,18 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 from racebox.config import AnalysisSettings
 from racebox.domains import BOT, BoxEnv, INF, Interval
 from racebox.interference import analyze_program_I
 from racebox.parser import parse_program
+from racebox.report import RunConfig, analyze_source
 from racebox.sched import (
     C0,
     AbsStateC,
+    AnalysisDiverged,
     SchedConfig,
     WEAK,
     analyze_program_C,
@@ -286,3 +292,44 @@ def test_partition_cap_coarsens():
     res = analyze_program_C(p, AnalysisSettings(partition_cap=2), mono=True)
     assert res.max_env_partitions <= 2
     assert joined_final(res, "w") == iv(1, 1)
+    # the lost precision is reported, and the uncapped run reports nothing
+    assert res.warnings == [
+        "partition cap 2 exceeded: partitions differing only in known-free"
+        " mutexes were joined"]
+    assert analyze_program_C(p, mono=True).warnings == []
+    rep = analyze_source(src, RunConfig(mode="scheduled"))
+    assert rep["warnings"] == []
+
+
+def test_diverging_analysis_raises_typed_error_under_optimize():
+    # the loop cap is a real exception, not an assert that -O strips
+    code = (
+        "from racebox.config import AnalysisSettings\n"
+        "from racebox.parser import parse_program\n"
+        "from racebox.sched import AnalysisDiverged, analyze_program_C\n"
+        "p = parse_program('thread 1 { x <- 0;"
+        " while x - 10 < 0 do { x <- x + 1; } }')\n"
+        "try:\n"
+        "    analyze_program_C(p, AnalysisSettings(loop_iter_cap=1))\n"
+        "except AnalysisDiverged as e:\n"
+        "    print('diverged:', e)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parents[1] / "src")]
+        + [x for x in [env.get("PYTHONPATH")] if x])
+    r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("diverged: loop")
+    assert issubclass(AnalysisDiverged, RuntimeError)
+
+
+def test_outer_round_cap_raises_typed_error(corpus):
+    capped = AnalysisSettings(outer_round_cap=1)
+    for analyze in (analyze_program_I, analyze_program_C):
+        try:
+            analyze(corpus("increment"), capped)
+        except AnalysisDiverged as e:
+            assert "within 1 rounds" in str(e)
+        else:
+            raise AssertionError("the round cap did not fire")
