@@ -5,7 +5,6 @@ from .concrete import (
     ConcreteState,
     FixpointBudgetExceeded,
     UnsupportedMode,
-    ValueMode,
     eval_concrete,
     exec_stmt,
     initial_state,

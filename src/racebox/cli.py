@@ -160,6 +160,9 @@ def main(file, mode, unroll, mono, widening_delay, thresholds,
     except (ParseError, OSError, UnicodeDecodeError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
+    except Exception as e:  # e.g. RecursionError on a very deep expression
+        click.echo(f"internal error: {e}", err=True)
+        sys.exit(3)
 
     cfg = RunConfig(
         mode=mode,

@@ -2,7 +2,7 @@
 
 States are finite sets of exact rational environments plus an error set.
 To keep the state sets finite, constant intervals enumerate only their
-integer points (ValueMode.INTEGER_POINTS) and must have finite endpoints;
+integer points and must have finite endpoints;
 division results stay exact rationals.  This restricted semantics
 under-approximates the real-valued one, which is the right direction for
 an oracle whose errors are compared against analyzer alarms.
@@ -10,15 +10,16 @@ an oracle whose errors are compared against analyzer alarms.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from operator import itemgetter
 
 from .syntax import (
     Assign,
     BinOp,
+    Block,
     Const,
     ControlPath,
     Expr,
@@ -27,17 +28,12 @@ from .syntax import (
     Location,
     Neg,
     Program,
-    Seq,
     Stmt,
     Var,
     While,
     is_finite,
     negate_cmp,
 )
-
-
-class ValueMode(enum.Enum):
-    INTEGER_POINTS = "integer-points"
 
 
 class UnsupportedMode(Exception):
@@ -112,10 +108,8 @@ _ARITH = {
 }
 
 
-def const_points(lo, hi, mode: ValueMode) -> list[int]:
+def const_points(lo, hi) -> list[int]:
     """Integer points of a constant interval."""
-    if mode is not ValueMode.INTEGER_POINTS:  # pragma: no cover
-        raise UnsupportedMode(str(mode))
     if not (is_finite(lo) and is_finite(hi)):
         raise UnsupportedMode(
             f"unbounded constant [{lo},{hi}] in integer-points mode")
@@ -135,8 +129,7 @@ def _lift(combine, *subs):
     return lambda env: combine(f(env), g(env))
 
 
-def _compile(e: Expr, idx: VarIndex, mode: ValueMode, interf,
-             reads: set[int]):
+def _compile(e: Expr, idx: VarIndex, interf, reads: set[int]):
     """Compile e once into a closure env -> (set of values, error labels),
     or, for an expression that reads no variable, that pair itself.
 
@@ -153,13 +146,13 @@ def _compile(e: Expr, idx: VarIndex, mode: ValueMode, interf,
             return lambda env: (extra | {env[k]}, _NOERR)
         return lambda env: (frozenset((env[k],)), _NOERR)
     if isinstance(e, Const):
-        return frozenset(const_points(e.lo, e.hi, mode)), _NOERR
+        return frozenset(const_points(e.lo, e.hi)), _NOERR
     if isinstance(e, Neg):
         return _lift(lambda a: (frozenset(-v for v in a[0]), a[1]),
-                     _compile(e.sub, idx, mode, interf, reads))
+                     _compile(e.sub, idx, interf, reads))
     if isinstance(e, BinOp):
-        left = _compile(e.left, idx, mode, interf, reads)
-        right = _compile(e.right, idx, mode, interf, reads)
+        left = _compile(e.left, idx, interf, reads)
+        right = _compile(e.right, idx, interf, reads)
         if e.op in _ARITH:
             arith = _ARITH[e.op]
             return _lift(lambda a, b: (arith(a[0], b[0]), a[1] | b[1]),
@@ -176,15 +169,14 @@ def _compile(e: Expr, idx: VarIndex, mode: ValueMode, interf,
     raise TypeError(e)
 
 
-def compile_prim(s: Stmt, idx: VarIndex,
-                 mode: ValueMode = ValueMode.INTEGER_POINTS, interf=None):
+def compile_prim(s: Stmt, idx: VarIndex, interf=None):
     """Compile one Assign/Guard into a closure env -> (successor
     environments in value order, error labels).  The closure memoizes the
     expression's outcome per values of the variables it reads."""
     if not isinstance(s, (Assign, Guard)):
         raise TypeError(f"not an assign/guard: {s}")
     reads: set[int] = set()
-    ev = _compile(s.expr, idx, mode, interf, reads)
+    ev = _compile(s.expr, idx, interf, reads)
     if not callable(ev):
         ev = (lambda env, c=ev: c)
     key_of = itemgetter(*reads) if reads else (lambda env: ())
@@ -213,19 +205,18 @@ def compile_prim(s: Stmt, idx: VarIndex,
     return guard
 
 
-def eval_concrete(e: Expr, rho: dict[str, Rat],
-                  mode: ValueMode = ValueMode.INTEGER_POINTS,
+def eval_concrete(e: Expr, rho: dict[str, Rat]
                   ) -> tuple[frozenset[Rat], frozenset[Location]]:
     """Values and error labels of e in one dict-based environment."""
     names = tuple(sorted(rho))
-    ev = _compile(e, {v: i for i, v in enumerate(names)}, mode, None, set())
+    ev = _compile(e, {v: i for i, v in enumerate(names)}, None, set())
     return ev(tuple(rho[v] for v in names)) if callable(ev) else ev
 
 
-def _prim(s: Stmt, st: ConcreteState, mode: ValueMode) -> ConcreteState:
+def _prim(s: Stmt, st: ConcreteState) -> ConcreteState:
     if not st.envs:
         return st
-    step = compile_prim(s, st.index(), mode)
+    step = compile_prim(s, st.index())
     envs: set[Env] = set()
     errors = set(st.errors)
     for env in st.envs:
@@ -252,7 +243,6 @@ def exit_guard(s) -> Guard:
 
 
 def exec_stmt(s: Stmt, st: ConcreteState,
-              mode: ValueMode = ValueMode.INTEGER_POINTS,
               budget: int = 10_000) -> ConcreteState:
     """Structured concrete semantics of the sequential fragment.
 
@@ -261,37 +251,36 @@ def exec_stmt(s: Stmt, st: ConcreteState,
     with FixpointBudgetExceeded carrying the partial state.
     """
     if isinstance(s, (Assign, Guard)):
-        return _prim(s, st, mode)
-    if isinstance(s, Seq):
-        return exec_stmt(s.second, exec_stmt(s.first, st, mode, budget),
-                         mode, budget)
+        return _prim(s, st)
+    if isinstance(s, Block):
+        for sub in s.body:
+            st = exec_stmt(sub, st, budget)
+        return st
     if isinstance(s, If):
-        taken = exec_stmt(s.body, _prim(then_guard(s), st, mode), mode, budget)
-        skipped = _prim(else_guard(s), st, mode)
+        taken = exec_stmt(s.body, _prim(then_guard(s), st), budget)
+        skipped = _prim(else_guard(s), st)
         return taken.join(skipped)
     if isinstance(s, While):
         acc = ConcreteState(st.vars, frozenset(), frozenset())
         while True:
-            step = exec_stmt(s.body, _prim(body_guard(s), acc, mode),
-                             mode, budget)
+            step = exec_stmt(s.body, _prim(body_guard(s), acc), budget)
             new = st.join(step)
             if new.envs == acc.envs and new.errors == acc.errors:
                 break
             acc = new
             if len(acc.envs) > budget:
                 raise FixpointBudgetExceeded(acc)
-        return _prim(exit_guard(s), acc, mode)
+        return _prim(exit_guard(s), acc)
     raise ValueError(f"synchronization primitive in sequential fragment: {s}")
 
 
-def initial_state(p: Program,
-                  mode: ValueMode = ValueMode.INTEGER_POINTS) -> ConcreteState:
+def initial_state(p: Program) -> ConcreteState:
     """All combinations of integer points of the declared initial intervals."""
     init = p.initial_map()
     envs: list[Env] = [()]
     for v in p.variables:
         lo, hi = init[v]
-        pts = const_points(lo, hi, mode)
+        pts = const_points(lo, hi)
         envs = [e + (pt,) for e in envs for pt in pts]
     return ConcreteState(p.variables, frozenset(envs), frozenset())
 
@@ -311,11 +300,14 @@ def paths(s: Stmt, unroll: int) -> PathSet:
     times.  truncated is set when some longer unrolling exists."""
     if unroll < 0:
         raise ValueError(f"unroll must be >= 0, got {unroll}")
-    if isinstance(s, Seq):
-        a = paths(s.first, unroll)
-        b = paths(s.second, unroll)
-        return PathSet(frozenset(p + q for p in a.paths for q in b.paths),
-                       a.truncated or b.truncated)
+    if isinstance(s, Block):
+        subs = [paths(sub, unroll) for sub in s.body]
+        # one product, each path concatenated once: a fold over the block
+        # would rebuild and re-hash every prefix
+        return PathSet(
+            frozenset(tuple(chain.from_iterable(combo))
+                      for combo in product(*(sub.paths for sub in subs))),
+            any(sub.truncated for sub in subs))
     if isinstance(s, If):
         body = paths(s.body, unroll)
         taken = frozenset(((then_guard(s),) + p) for p in body.paths)
@@ -334,8 +326,7 @@ def paths(s: Stmt, unroll: int) -> PathSet:
     return PathSet(frozenset({(s,)}), False)
 
 
-def run_paths(path_set, st: ConcreteState,
-              mode: ValueMode = ValueMode.INTEGER_POINTS) -> ConcreteState:
+def run_paths(path_set, st: ConcreteState) -> ConcreteState:
     """Join of the primitive transfer compositions over a set of paths."""
     ps = path_set.paths if isinstance(path_set, PathSet) else frozenset(path_set)
     out = ConcreteState(st.vars, frozenset(), st.errors)
@@ -344,6 +335,6 @@ def run_paths(path_set, st: ConcreteState,
         for prim in path:
             if not isinstance(prim, (Assign, Guard)):
                 raise ValueError(f"run_paths only handles assign/guard: {prim}")
-            cur = _prim(prim, cur, mode)
+            cur = _prim(prim, cur)
         out = out.join(cur)
     return out

@@ -33,4 +33,3 @@ class OracleBudget:
     max_path_len: int = 10_000
     max_interference: int = 200_000  # concrete interference set size
     max_rounds: int = 50  # concrete interference outer rounds
-    loop_budget: int = 10_000  # Kleene state budget inside exec_stmt

@@ -10,7 +10,7 @@ erased), with its results unpartitioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .config import AnalysisSettings
 from .domains import BoxEnv, Interval
@@ -39,17 +39,11 @@ class InterfResult:
 
 def analyze_program_I(p: Program,
                       settings: AnalysisSettings = AnalysisSettings(),
-                      self_threads: frozenset[int] | None = None,
                       ) -> InterfResult:
     """Outer interference fixpoint: re-analyze every thread from the same
-    (errors, interferences) pair until both stabilize.
-
-    `self_threads` marks threads that may run as several instances: they
-    additionally read their own interferences (uniform multi-instance
-    analysis).  It overrides settings.self_interference when given."""
-    if self_threads is not None:
-        settings = replace(settings,
-                           self_interference=frozenset(self_threads))
+    (errors, interferences) pair until both stabilize.  Threads in
+    settings.self_interference may run as several instances: they also
+    read their own interferences."""
     res = outer_fixpoint(p, settings, mono=False, blind=True)
     per_thread = {
         tid: ThreadOutcome(unpartitioned(o.final),

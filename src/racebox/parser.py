@@ -20,20 +20,19 @@ from .syntax import (
     Const,
     Expr,
     Ext,
-    Guard,
     If,
     IsLocked,
     Location,
     Lock,
     Neg,
     Program,
-    Seq,
     Stmt,
     Thread,
     Unlock,
     Var,
     While,
     Yield,
+    block,
     check_unique_labels,
     relabel_program,
     vars_of_stmt,
@@ -234,13 +233,7 @@ class _Parser:
         while not self.at("punct", "}"):
             stmts.append(self.stmt())
         self.expect("punct", "}")
-        if not stmts:
-            # empty block: an always-true internal guard acts as a no-op
-            return Guard(0, Const(Fraction(0), Fraction(0)), "=")
-        out = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            out = Seq(0, s, out)
-        return out
+        return block(stmts)
 
     def stmt(self) -> Stmt:
         if self.at("punct", "{"):

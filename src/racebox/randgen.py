@@ -23,13 +23,13 @@ from .syntax import (
     Location,
     Lock,
     Program,
-    Seq,
     Stmt,
     Thread,
     Unlock,
     Var,
     While,
     Yield,
+    block,
     relabel_program,
 )
 
@@ -96,13 +96,6 @@ def random_expr(rng: random.Random, names: list[str], cfg: GeneratorConfig,
                  random_expr(rng, names, cfg, depth - 1))
 
 
-def _seq(stmts: list[Stmt]) -> Stmt:
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = Seq(0, s, out)
-    return out
-
-
 def random_stmts(rng: random.Random, names: list[str],
                  mutexes: list[str], cfg: GeneratorConfig,
                  budget: int, branching: int, sync: bool) -> list[Stmt]:
@@ -114,9 +107,9 @@ def random_stmts(rng: random.Random, names: list[str],
             bound = rng.randint(1, 3)
             inner = random_stmts(rng, names, mutexes, cfg,
                                  min(budget - 3, 2), 0, sync)
-            body = _seq([Assign(0, v, BinOp("+", _loc(), Var(v),
-                                            Const(Fraction(1), Fraction(1))))]
-                        + inner)
+            body = block([Assign(0, v, BinOp("+", _loc(), Var(v),
+                                             Const(Fraction(1), Fraction(1))))]
+                         + inner)
             guard_expr = BinOp("-", _loc(), Var(v),
                                Const(Fraction(bound), Fraction(bound)))
             out.append(While(0, guard_expr, "<", body))
@@ -127,7 +120,7 @@ def random_stmts(rng: random.Random, names: list[str],
                                  min(budget - 1, 3), branching - 1, sync)
             cmp = rng.choice(["=", "!=", "<", ">", "<=", ">="])
             out.append(If(0, random_expr(rng, names, cfg, 1), cmp,
-                          _seq(inner)))
+                          block(inner)))
             budget -= 1 + len(inner)
             branching -= 1
         elif sync and mutexes and r > 1 - cfg.sync_prob:
@@ -160,8 +153,8 @@ def random_program(rng: random.Random,
     threads = []
     for tid in range(1, n_threads + 1):
         budget = rng.randint(1, cfg.max_stmts)
-        body = _seq(random_stmts(rng, names, mutexes, cfg, budget,
-                                 cfg.max_branching, sync))
+        body = block(random_stmts(rng, names, mutexes, cfg, budget,
+                                  cfg.max_branching, sync))
         threads.append(Thread(tid, body))
     variables = sorted(names + (["spare"] if cfg.spare_var else []))
     prog = Program(
@@ -176,7 +169,7 @@ def random_program(rng: random.Random,
 def random_seq_program(rng: random.Random,
                        cfg: GeneratorConfig = GeneratorConfig(),
                        loop_free: bool = True) -> Program:
-    """Single-thread program; with loop_free, only assigns/ifs/seqs."""
+    """Single-thread program; with loop_free, only assigns/ifs/blocks."""
     local = GeneratorConfig(
         max_threads=1,
         max_stmts=cfg.max_stmts,
@@ -193,8 +186,8 @@ def random_seq_program(rng: random.Random,
     n_vars = rng.randint(2, local.n_vars)
     names = [f"v{i}" for i in range(n_vars)]
     budget = rng.randint(1, local.max_stmts)
-    body = _seq(random_stmts(rng, names, [], local, budget,
-                             local.max_branching, False))
+    body = block(random_stmts(rng, names, [], local, budget,
+                              local.max_branching, False))
     prog = Program(
         threads=(Thread(1, body),),
         mutexes=(),

@@ -37,6 +37,7 @@ from .domains import (
 from .syntax import (
     Assign,
     BinOp,
+    Block,
     Const,
     Expr,
     Guard,
@@ -46,7 +47,6 @@ from .syntax import (
     Lock,
     Neg,
     Program,
-    Seq,
     Sid,
     Stmt,
     Unlock,
@@ -402,8 +402,10 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             return assign(s.sid, s.var, s.expr, x)
         if isinstance(s, Guard):
             return guard(s, x)
-        if isinstance(s, Seq):
-            return go(s.second, go(s.first, x))
+        if isinstance(s, Block):
+            for sub in s.body:
+                x = go(sub, x)
+            return x
         if isinstance(s, If):
             entered = guard(then_guard(s), x)
             taken = go(s.body, entered)

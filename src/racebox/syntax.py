@@ -141,10 +141,12 @@ class While(Stmt):
 
 
 @dataclass(frozen=True)
-class Seq(Stmt):
+class Block(Stmt):
+    """Statements run in order; recursion over a block follows nesting,
+    not length."""
+
     sid: Sid
-    first: Stmt
-    second: Stmt
+    body: tuple[Stmt, ...]
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,21 @@ class IsLocked(Stmt):
     sid: Sid
     var: str
     mutex: str
+
+
+# the body of an empty block: an always-true guard acts as a no-op
+SKIP = Guard(0, Const(Fraction(0), Fraction(0)), "=")
+
+
+def block(stmts: list[Stmt]) -> Stmt:
+    """stmts in order: SKIP for none, the statement itself for one."""
+    if not stmts:
+        return SKIP
+    return stmts[0] if len(stmts) == 1 else Block(0, tuple(stmts))
+
+
+def _is_skip(s: Stmt) -> bool:
+    return isinstance(s, Guard) and (s.expr, s.cmp) == (SKIP.expr, SKIP.cmp)
 
 
 PRIMITIVE_TYPES = (Assign, Guard, Lock, Unlock, Yield, IsLocked)
@@ -234,8 +251,8 @@ def sub_stmts(s: Stmt) -> Iterator[Stmt]:
         yield s
         if isinstance(s, (If, While)):
             stack.append(s.body)
-        elif isinstance(s, Seq):
-            stack += (s.second, s.first)
+        elif isinstance(s, Block):
+            stack += reversed(s.body)
 
 
 def stmt_exprs(s: Stmt) -> Iterator[Expr]:
@@ -323,8 +340,15 @@ class _Labeler:
             return If(sid, self.expr(s.expr), s.cmp, self.stmt(s.body))
         if isinstance(s, While):
             return While(sid, self.expr(s.expr), s.cmp, self.stmt(s.body))
-        if isinstance(s, Seq):
-            return Seq(sid, self.stmt(s.first), self.stmt(s.second))
+        if isinstance(s, Block):
+            # one sid before each statement but the last, the first being
+            # the block's own: the numbering of a right-nested binary chain
+            body = []
+            for i, sub in enumerate(s.body):
+                if 0 < i < len(s.body) - 1:
+                    self.next_sid += 1
+                body.append(self.stmt(sub))
+            return Block(sid, tuple(body))
         if isinstance(s, Lock):
             return Lock(sid, s.mutex)
         if isinstance(s, Unlock):
@@ -391,16 +415,19 @@ def pretty_stmt(s: Stmt, indent: int = 0) -> str:
     if isinstance(s, Assign):
         return f"{pad}{s.var} <- {pretty_expr(s.expr)};"
     if isinstance(s, Guard):
-        # internal form; printed only in traces and synthesized empty blocks
+        # internal form; printed only in traces (SKIP bodies print as `{ }`)
         return f"{pad}{pretty_expr(s.expr)} {s.cmp} 0 ?"
     if isinstance(s, If):
-        body = pretty_stmt(s.body, indent + 1)
-        return f"{pad}if {pretty_expr(s.expr)} {s.cmp} 0 then {{\n{body}\n{pad}}}"
+        return (f"{pad}if {pretty_expr(s.expr)} {s.cmp} 0 then "
+                + _braced(s.body, indent))
     if isinstance(s, While):
-        body = pretty_stmt(s.body, indent + 1)
-        return f"{pad}while {pretty_expr(s.expr)} {s.cmp} 0 do {{\n{body}\n{pad}}}"
-    if isinstance(s, Seq):
-        return pretty_stmt(s.first, indent) + "\n" + pretty_stmt(s.second, indent)
+        return (f"{pad}while {pretty_expr(s.expr)} {s.cmp} 0 do "
+                + _braced(s.body, indent))
+    if isinstance(s, Block):
+        return "\n".join(
+            pad + _braced(sub, indent)
+            if isinstance(sub, Block) or _is_skip(sub)
+            else pretty_stmt(sub, indent) for sub in s.body)
     if isinstance(s, Lock):
         return f"{pad}lock({s.mutex});"
     if isinstance(s, Unlock):
@@ -410,6 +437,13 @@ def pretty_stmt(s: Stmt, indent: int = 0) -> str:
     if isinstance(s, IsLocked):
         return f"{pad}{s.var} <- islocked({s.mutex});"
     raise TypeError(s)
+
+
+def _braced(s: Stmt, indent: int) -> str:
+    """s as a source block whose closing brace sits at `indent`."""
+    if _is_skip(s):
+        return "{ }"
+    return f"{{\n{pretty_stmt(s, indent + 1)}\n{'  ' * indent}}}"
 
 
 def pretty_program(p: Program) -> str:
@@ -424,9 +458,7 @@ def pretty_program(p: Program) -> str:
     for m in p.mutexes:
         lines.append(f"mutex {m};")
     for t in p.threads:
-        lines.append(f"thread {t.tid} {{")
-        lines.append(pretty_stmt(t.body, 1))
-        lines.append("}")
+        lines.append(f"thread {t.tid} " + _braced(t.body, 0))
     return "\n".join(lines) + "\n"
 
 

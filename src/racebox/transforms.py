@@ -57,38 +57,6 @@ class RuleId(enum.Enum):
     ExprSimplify = "expr-simplify"
 
 
-@dataclass(frozen=True)
-class TransformRule:
-    id: RuleId
-    window: int  # number of consecutive statements matched
-    side_conditions: tuple[str, ...]
-
-
-RULES: dict[RuleId, TransformRule] = {
-    RuleId.RedundantStore: TransformRule(
-        RuleId.RedundantStore, 2, ("X not in var(e2)", "nonblock(e1)")),
-    RuleId.IdentityStore: TransformRule(RuleId.IdentityStore, 1, ()),
-    RuleId.ReorderAssigns: TransformRule(
-        RuleId.ReorderAssigns, 2,
-        ("X1 not in var(e2)", "X2 not in var(e1)", "X1 != X2", "nonblock(e1)")),
-    RuleId.ReorderGuards: TransformRule(
-        RuleId.ReorderGuards, 2, ("noerror(e2)",)),
-    RuleId.GuardBeforeAssign: TransformRule(
-        RuleId.GuardBeforeAssign, 2,
-        ("X1 not in var(e2)", "nonblock(e1) or noerror(e2)")),
-    RuleId.AssignBeforeGuard: TransformRule(
-        RuleId.AssignBeforeGuard, 2,
-        ("X2 not in var(e1)", "X2 local", "noerror(e2)")),
-    RuleId.AssignPropagation: TransformRule(
-        RuleId.AssignPropagation, 2,
-        ("X not in var(e)", "var(e) local", "deterministic(e)")),
-    RuleId.SubexprElim: TransformRule(
-        RuleId.SubexprElim, 3,
-        ("X fresh", "var(e) disjoint from lvals", "noerror(e)")),
-    RuleId.ExprSimplify: TransformRule(
-        RuleId.ExprSimplify, 1, ("value containment", "variables local")),
-}
-
 _OCCURRENCE_CAP = 4  # occurrence-subset enumeration bound per statement
 
 

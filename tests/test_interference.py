@@ -109,7 +109,8 @@ def test_self_interference_models_multiple_instances():
     p = parse_program("thread 1 { x <- x + 1; }")
     single = analyze_program_I(p)
     assert single.interf[(1, "x")] == iv(1, 1)
-    multi = analyze_program_I(p, self_threads=frozenset({1}))
+    multi = analyze_program_I(
+        p, AnalysisSettings(self_interference=frozenset({1})))
     assert multi.interf[(1, "x")].hi == INF
     assert multi.interf[(1, "x")].lo == 1
 

@@ -11,11 +11,11 @@ from racebox.parser import (
 from racebox.syntax import (
     Assign,
     BinOp,
+    Block,
     Const,
     Guard,
     If,
     Neg,
-    Seq,
     Var,
     classify_vars,
     collect_lock_sets,
@@ -105,10 +105,14 @@ def test_roundtrip_identity():
     }
     thread 2 { if b != 0 then { b <- -b - 1/4; } }
     """
-    p = parse_program(src)
-    assert parse_program(pretty_program(p)) == p
-    # and pretty is a fixpoint
-    assert pretty_program(parse_program(pretty_program(p))) == pretty_program(p)
+    nested = "thread 1 { a <- 1; { b <- 2; c <- 3; } d <- 4; }"
+    empty = "thread 1 { } thread 2 { a <- 1; { } if a = 0 then { } }"
+    for text in (src, nested, empty):
+        p = parse_program(text)
+        assert parse_program(pretty_program(p)) == p
+        # and pretty is a fixpoint
+        assert pretty_program(parse_program(pretty_program(p))) \
+            == pretty_program(p)
 
 
 def test_labels_unique_and_count_operators():
@@ -175,7 +179,7 @@ def test_guard_never_parsed():
 
 def test_comments_and_blocks():
     p = parse_program("# header\nthread 1 { { x <- 1; y <- 2; } # tail\n }")
-    assert isinstance(p.threads[0].body, Seq)
+    assert isinstance(p.threads[0].body, Block)
 
 
 @pytest.mark.parametrize("seed", range(30))

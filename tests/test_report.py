@@ -191,6 +191,16 @@ def test_cli_exit_three_on_budget_failure(tmp_path):
     assert r.returncode == 3
 
 
+def test_cli_exit_three_on_internal_error(tmp_path):
+    # a 1,500-term sum nests its expression past the recursion limit
+    f = tmp_path / "p.conc"
+    f.write_text("thread 1 { x <- " + " + ".join(["1"] * 1500) + "; }")
+    r = run_cli(str(f), "--mode", "seq")
+    assert r.returncode == 3
+    assert "internal error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("flag,value", [("--unroll", "-1"),
                                         ("--budget-states", "-5"),
                                         ("--budget-states", "0"),

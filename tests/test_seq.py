@@ -74,7 +74,7 @@ def test_invariants_and_branches_recorded():
     p = parse_program("thread 1 { x <- [0,1]; if x = 0 then { y <- 1; } }")
     r = analyze_program_seq(p)
     body = p.threads[0].body
-    if_stmt = body.second
+    if_stmt = body.body[1]
     then_ok, else_ok = r.branches[if_stmt.sid]
     assert then_ok and else_ok
     # invariant at the then-branch assignment has x pinned to 0
@@ -85,7 +85,7 @@ def test_invariants_and_branches_recorded():
 def test_branch_infeasible_else():
     p = parse_program("thread 1 { x <- 1; if x > 0 then { y <- 1; } }")
     r = analyze_program_seq(p)
-    if_stmt = p.threads[0].body.second
+    if_stmt = p.threads[0].body.body[1]
     then_ok, else_ok = r.branches[if_stmt.sid]
     assert then_ok and not else_ok
 
