@@ -100,21 +100,24 @@ def _human(rep: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_thresholds(text: str | None):
+def _parse_thresholds(ctx, param, text: str | None):
     if not text:
         return None
-    return tuple(sorted(Fraction(x.strip()) for x in text.split(",") if x.strip()))
+    try:
+        return tuple(sorted(Fraction(x.strip())
+                            for x in text.split(",") if x.strip()))
+    except (ValueError, ZeroDivisionError):
+        raise click.BadParameter(f"{text!r} is not a comma-separated list"
+                                 " of rationals")
 
 
-def _parse_threads(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
-    out = []
-    for part in text.split(","):
-        part = part.strip().lstrip("t")
-        if part:
-            out.append(int(part))
-    return tuple(out)
+def _parse_threads(ctx, param, text: str) -> tuple[int, ...]:
+    parts = (part.strip().lstrip("t") for part in text.split(","))
+    try:
+        return tuple(int(part) for part in parts if part)
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a comma-separated list"
+                                 " of thread ids")
 
 
 @click.command(name="analyze")
@@ -131,8 +134,10 @@ def _parse_threads(text: str | None) -> tuple[int, ...]:
               show_default=True,
               help="interference-fixpoint rounds joined before widening")
 @click.option("--thresholds", type=str, default=None,
+              callback=_parse_thresholds,
               help="comma-separated widening thresholds, e.g. -1,0,1,10")
 @click.option("--self-interference", type=str, default="",
+              callback=_parse_threads,
               help="comma-separated thread ids that may run as several"
                    " instances (interference mode)")
 @click.option("--budget-states", type=click.IntRange(min=1),
@@ -168,9 +173,9 @@ def main(file, mode, unroll, mono, widening_delay, thresholds,
         mode=mode,
         unroll=unroll,
         widening_delay=widening_delay,
-        thresholds=_parse_thresholds(thresholds) or RunConfig.thresholds,
+        thresholds=thresholds or RunConfig.thresholds,
         mono=mono,
-        self_interference=_parse_threads(self_interference),
+        self_interference=self_interference,
         budget_states=budget_states,
         seed=seed,
         check_against=check_against,

@@ -77,9 +77,6 @@ class ConcreteState:
         return ConcreteState(self.vars, self.envs | other.envs,
                              self.errors | other.errors)
 
-    def env_dicts(self) -> list[dict[str, Rat]]:
-        return [dict(zip(self.vars, env)) for env in sorted(self.envs)]
-
     def to_json(self) -> dict:
         """Sorted, lexicographic-variable-order state dump."""
         return {

@@ -14,10 +14,6 @@ class AnalysisSettings:
 
     thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS
     widening_delay: int = 2  # outer interference rounds joined before widening
-    # the outer interference widening jumps straight to +/-inf: the loop
-    # lims inside each round already climb the threshold ladder, and a
-    # ladder-free outer widening keeps the round count small and flat
-    interference_thresholds: tuple[Fraction, ...] = ()
     decreasing_pass: bool = False  # one loop re-execution after stabilization
     partition_cap: int = 256  # scheduled-env partitions before coarsening
     loop_iter_cap: int = 10_000  # safety bound on every loop lim

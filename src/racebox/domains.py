@@ -318,11 +318,6 @@ class BoxEnv:
             return NotImplemented
         return self._m == other._m
 
-    def __hash__(self):
-        if self._m is None:
-            return hash(None)
-        return hash(tuple(sorted((k, v.lo, v.hi) for k, v in self._m.items())))
-
     def __str__(self) -> str:
         if self.is_bot:
             return "⊥"

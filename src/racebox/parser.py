@@ -33,9 +33,7 @@ from .syntax import (
     While,
     Yield,
     block,
-    check_unique_labels,
     relabel_program,
-    vars_of_stmt,
 )
 
 
@@ -72,6 +70,12 @@ class _Tok:
     col: int
 
 
+def _is_digit(c: str) -> bool:
+    """ASCII 0-9 only: str.isdigit() also accepts digits (such as a
+    superscript two) that Fraction and int refuse."""
+    return "0" <= c <= "9"
+
+
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     i, line, col = 0, 1, 1
@@ -101,13 +105,13 @@ def _tokenize(text: str) -> list[_Tok]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if _is_digit(c):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_digit(text[j]):
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j + 1 < n and text[j] == "." and _is_digit(text[j + 1]):
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and _is_digit(text[j]):
                     j += 1
             toks.append(_Tok("num", text[i:j], line, col))
             col += j - i
@@ -196,9 +200,7 @@ class _Parser:
             variables=tuple(variables),
             initial=initial,
         )
-        prog = relabel_program(prog)
-        check_unique_labels(prog)
-        return prog
+        return relabel_program(prog)
 
     def decl(self) -> None:
         if self.at("kw", "var"):
@@ -386,10 +388,4 @@ def parse_program(text: str, strict: bool = False) -> Program:
     With strict=True, any variable or mutex mentioned before its
     declaration is an error; otherwise names are collected implicitly.
     """
-    p = _Parser(_tokenize(text), strict)
-    prog = p.program()
-    # well-formedness: every referenced variable/mutex is in the program sets
-    for t in prog.threads:
-        for v in vars_of_stmt(t.body):
-            assert v in prog.variables
-    return prog
+    return _Parser(_tokenize(text), strict).program()

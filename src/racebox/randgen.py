@@ -10,7 +10,7 @@ zero, so alarm sets are routinely non-empty.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .syntax import (
@@ -170,19 +170,8 @@ def random_seq_program(rng: random.Random,
                        cfg: GeneratorConfig = GeneratorConfig(),
                        loop_free: bool = True) -> Program:
     """Single-thread program; with loop_free, only assigns/ifs/blocks."""
-    local = GeneratorConfig(
-        max_threads=1,
-        max_stmts=cfg.max_stmts,
-        const_lo=cfg.const_lo,
-        const_hi=cfg.const_hi,
-        wide_const_prob=cfg.wide_const_prob,
-        div_prob=cfg.div_prob,
-        sync_prob=0.0,
-        loop_prob=0.0 if loop_free else cfg.loop_prob,
-        max_branching=cfg.max_branching,
-        n_vars=cfg.n_vars,
-        spare_var=False,
-    )
+    local = replace(cfg, max_threads=1, sync_prob=0.0, spare_var=False,
+                    loop_prob=0.0 if loop_free else cfg.loop_prob)
     n_vars = rng.randint(2, local.n_vars)
     names = [f"v{i}" for i in range(n_vars)]
     budget = rng.randint(1, local.max_stmts)

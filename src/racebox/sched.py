@@ -153,16 +153,6 @@ class AbsStateC:
                          self.errors | other.errors,
                          sparse_widen(self.interf, other.interf, thresholds))
 
-    def same_as(self, other: "AbsStateC") -> bool:
-        return (self.envs == other.envs and self.errors == other.errors
-                and self.interf == other.interf)
-
-
-def sorted_configs(envs: PartitionedEnv) -> list[SchedConfig]:
-    if len(envs) < 2:  # no sort for the blind engine's one partition
-        return list(envs)
-    return sorted(envs, key=SchedConfig.sort_key)
-
 
 def unpartitioned(envs: PartitionedEnv) -> BoxEnv:
     """The environment of a scheduler-blind state: its C0 partition."""
@@ -244,9 +234,9 @@ def out_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
     interferences, a documented over-approximation)."""
     if env.is_bot:
         return {}
-    modified = sorted({
+    modified = {
         x for (t2, c2, x), v in interf.items()
-        if t2 == t and c2.tag == WEAK and m in c2.held and not v.is_bot})
+        if t2 == t and c2.tag == WEAK and m in c2.held and not v.is_bot}
     key_conf = SchedConfig(l, u, sync(m))
     out: SchedInterferenceAbs = {}
     for x in modified:
@@ -277,12 +267,12 @@ def _coarsen(envs: PartitionedEnv) -> PartitionedEnv:
     """Partition-explosion fallback: join partitions differing only in u,
     keeping the intersection of the u components (weaker knowledge)."""
     grouped: dict[frozenset[str], tuple[frozenset[str], BoxEnv]] = {}
-    for c in sorted_configs(envs):
+    for c, env in envs.items():
         if c.held in grouped:
-            u, env = grouped[c.held]
-            grouped[c.held] = (u & c.free, env.join(envs[c]))
+            u, env0 = grouped[c.held]
+            grouped[c.held] = (u & c.free, env0.join(env))
         else:
-            grouped[c.held] = (c.free, envs[c])
+            grouped[c.held] = (c.free, env)
     return {SchedConfig(l, u, WEAK): env
             for l, (u, env) in grouped.items()}
 
@@ -294,17 +284,22 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                recorder: SchedRecorder | None = None,
                blind: bool = False) -> AbsStateC:
     """Abstract transfer of thread t for any statement form; `blind`
-    erases synchronization (see the module docstring)."""
+    erases synchronization (see the module docstring).  st.interf is the
+    round's map and is only read; the pass carries, and returns, t's own
+    entries alone, the only ones it can change.  Reading the foreign
+    entries from st.interf is exact: the one state that never held them,
+    a loop's empty first accumulator, has no environment to read with."""
     rec = recorder if recorder is not None else SchedRecorder()
     locks = lock_sets if lock_sets is not None else {}
     self_threads = settings.self_interference if blind else frozenset()
     views: dict[SchedConfig, InterferenceView] = {}
 
     def read(c: SchedConfig, x: AbsStateC, e: Expr) -> Expr:
-        # only t's own keys change during a pass, so the view of the other
-        # threads' interferences is computed once per configuration
+        # foreign entries are fixed during a pass, so their view is
+        # computed once per configuration
         if t in self_threads:
-            view = interference_view(t, c, x.interf, self_threads)
+            view = interference_view(t, c, {**st.interf, **x.interf},
+                                     self_threads)
         elif c in views:
             view = views[c]
         else:
@@ -325,9 +320,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         envs: PartitionedEnv = {}
         errors = x.errors
         interf = dict(x.interf)
-        for c in sorted_configs(x.envs):
-            env, errors = transfer_assign(var, read(c, x, e), x.envs[c],
-                                          errors)
+        for c, env in x.envs.items():
+            env, errors = transfer_assign(var, read(c, x, e), env, errors)
             if env.is_bot:
                 continue
             envs[c] = env
@@ -338,9 +332,9 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         rec.invariants[g.sid] = x.envs
         envs: PartitionedEnv = {}
         errors = x.errors
-        for c in sorted_configs(x.envs):
-            env, errors = transfer_guard(read(c, x, g.expr), g.cmp,
-                                         x.envs[c], errors)
+        for c, env in x.envs.items():
+            env, errors = transfer_guard(read(c, x, g.expr), g.cmp, env,
+                                         errors)
             if not env.is_bot:
                 envs[c] = env
         return seen(AbsStateC(envs, errors, x.interf))
@@ -352,24 +346,22 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         envs: PartitionedEnv = {}
         interf = dict(x.interf)
         none: frozenset[str] = frozenset()
-        for c in sorted_configs(x.envs):
-            env = x.envs[c]
-            for m2 in sorted(c.free):
+        for c, env in x.envs.items():
+            for m2 in c.free:
                 interf = sparse_join(
                     interf, out_sharp(t, c.held, none, m2, env, x.interf))
             if m is None:
                 put(envs, SchedConfig(c.held, none, WEAK), env)
             else:
                 put(envs, SchedConfig(c.held | {m}, none, WEAK),
-                    in_sharp(t, c.held, none, m, env, x.interf))
+                    in_sharp(t, c.held, none, m, env, st.interf))
         return seen(AbsStateC(envs, x.errors, interf))
 
     def unlock(sid: Sid, m: str, x: AbsStateC) -> AbsStateC:
         rec.invariants[sid] = x.envs
         envs: PartitionedEnv = {}
         interf = dict(x.interf)
-        for c in sorted_configs(x.envs):
-            env = x.envs[c]
+        for c, env in x.envs.items():
             interf = sparse_join(
                 interf, out_sharp(t, c.held - {m}, c.free, m, env, x.interf))
             put(envs, SchedConfig(c.held - {m}, c.free, WEAK), env)
@@ -384,11 +376,10 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         if not precise:
             return degraded
         envs: PartitionedEnv = {}
-        for c in sorted_configs(x.envs):
-            env = x.envs[c]
+        for c, env in x.envs.items():
             env0, _ = transfer_assign(
                 var, Const(Fraction(0), Fraction(0)),
-                in_sharp(t, c.held, c.free, m, env, x.interf), frozenset())
+                in_sharp(t, c.held, c.free, m, env, st.interf), frozenset())
             if not env0.is_bot:
                 put(envs, SchedConfig(c.held, c.free | {m}, WEAK), env0)
             env1, _ = transfer_assign(
@@ -423,7 +414,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                     raise AnalysisDiverged(
                         f"loop {s.sid} did not stabilize within"
                         f" {settings.loop_iter_cap} iterations")
-                if nxt.same_as(acc):
+                if nxt == acc:
                     break
                 acc = nxt
             if settings.decreasing_pass:
@@ -447,7 +438,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             return islocked(s.sid, s.var, s.mutex, x)
         raise TypeError(s)
 
-    return go(s, st)
+    return go(s, AbsStateC(st.envs, st.errors,
+                           {k: v for k, v in st.interf.items() if k[0] == t}))
 
 
 @dataclass(frozen=True)
@@ -462,16 +454,16 @@ def extract_races(p: Program, interf: SchedInterferenceAbs,
                   read_log: set[ReadEvent]) -> tuple[list[Race], list[Race]]:
     """Write/write races straight from the interference map; read/write
     races from the reads the substitution actually applied."""
+    writes: dict[str, list[tuple[int, SchedConfig]]] = {}
+    for (t, c, x), v in interf.items():
+        if c.tag == WEAK and not v.is_bot:
+            writes.setdefault(x, []).append((t, c))
     ww: dict[tuple[int, int, str], set[tuple[str, str]]] = {}
-    items = sorted(interf.items(),
-                   key=lambda kv: (kv[0][0], kv[0][1].sort_key(), kv[0][2]))
-    for (t1, c1, x1), v1 in items:
-        if c1.tag != WEAK or v1.is_bot:
-            continue
-        for (t2, c2, x2), v2 in items:
-            if (c2.tag == WEAK and not v2.is_bot and x1 == x2 and t1 < t2
-                    and intf(c1, c2)):
-                ww.setdefault((t1, t2, x1), set()).add((str(c1), str(c2)))
+    for x, ws in writes.items():
+        for t1, c1 in ws:
+            for t2, c2 in ws:
+                if t1 < t2 and intf(c1, c2):
+                    ww.setdefault((t1, t2, x), set()).add((str(c1), str(c2)))
     rw: dict[tuple[int, int, str], set[tuple[str, str]]] = {}
     for (reader, writer, x, c, c2) in read_log:
         rw.setdefault((reader, writer, x), set()).add((str(c), str(c2)))
@@ -561,8 +553,10 @@ def outer_fixpoint(p: Program,
         if rounds <= settings.widening_delay:
             new_interf = sparse_join(interf, joined)
         else:
-            new_interf = sparse_widen(interf, joined,
-                                      settings.interference_thresholds)
+            # the outer widening jumps straight to +/-inf: the loop lims
+            # inside each round already climb the threshold ladder, and a
+            # ladder-free outer widening keeps the round count small and flat
+            new_interf = sparse_widen(interf, joined, ())
         if rounds == settings.widening_delay + 2 and new_interf != interf:
             # still unstable after two widening rounds: a cross-thread
             # cascade is propagating hop by hop.  Publish a top

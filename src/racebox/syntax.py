@@ -190,7 +190,6 @@ def _is_skip(s: Stmt) -> bool:
     return isinstance(s, Guard) and (s.expr, s.cmp) == (SKIP.expr, SKIP.cmp)
 
 
-PRIMITIVE_TYPES = (Assign, Guard, Lock, Unlock, Yield, IsLocked)
 SYNC_TYPES = (Lock, Unlock, Yield, IsLocked)
 
 # A control path is a finite sequence of primitive statements.
@@ -364,14 +363,6 @@ def relabel_program(p: Program) -> Program:
     lab = _Labeler()
     threads = tuple(Thread(t.tid, lab.stmt(t.body)) for t in p.threads)
     return replace(p, threads=threads)
-
-
-def check_unique_labels(p: Program) -> None:
-    locs = [x.loc for t in p.threads for e in stmt_exprs(t.body)
-            for x in sub_exprs(e) if isinstance(x, (Neg, BinOp))]
-    labels = [l.label for l in locs]
-    if len(labels) != len(set(labels)):
-        raise ValueError("duplicate operator labels in program")
 
 
 # ---------------------------------------------------------------------------

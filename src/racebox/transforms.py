@@ -183,14 +183,6 @@ def context_for(p: Program, tid: int,
     return TransformContext(tid, fresh, local.get(tid, frozenset()))
 
 
-def _is_assign(s: Stmt) -> bool:
-    return isinstance(s, Assign)
-
-
-def _is_guard(s: Stmt) -> bool:
-    return isinstance(s, Guard)
-
-
 def apply_rule(rule: RuleId, path: ControlPath,
                ctx: TransformContext) -> list[RuleApplication]:
     """All single applications of `rule` anywhere in `path` whose side
@@ -209,18 +201,20 @@ def apply_rule(rule: RuleId, path: ControlPath,
         b = path[i + 1] if i + 1 < n else None
 
         if rule is RuleId.RedundantStore and b is not None:
-            if (_is_assign(a) and _is_assign(b) and a.var == b.var
+            if (isinstance(a, Assign) and isinstance(b, Assign)
+                    and a.var == b.var
                     and a.var not in vars_of_expr(b.expr)
                     and check_nonblock(a.expr)):
                 emit(i, ("X not in var(e2)", "nonblock(e1)"), [b], 2)
 
         elif rule is RuleId.IdentityStore:
-            if (_is_assign(a) and isinstance(a.expr, Var)
+            if (isinstance(a, Assign) and isinstance(a.expr, Var)
                     and a.expr.name == a.var):
                 emit(i, (), [], 1)
 
         elif rule is RuleId.ReorderAssigns and b is not None:
-            if (_is_assign(a) and _is_assign(b) and a.var != b.var
+            if (isinstance(a, Assign) and isinstance(b, Assign)
+                    and a.var != b.var
                     and a.var not in vars_of_expr(b.expr)
                     and b.var not in vars_of_expr(a.expr)
                     and check_nonblock(a.expr)):
@@ -228,11 +222,12 @@ def apply_rule(rule: RuleId, path: ControlPath,
                          "X1 != X2", "nonblock(e1)"), [b, a], 2)
 
         elif rule is RuleId.ReorderGuards and b is not None:
-            if _is_guard(a) and _is_guard(b) and check_noerror(b.expr):
+            if (isinstance(a, Guard) and isinstance(b, Guard)
+                    and check_noerror(b.expr)):
                 emit(i, ("noerror(e2)",), [b, a], 2)
 
         elif rule is RuleId.GuardBeforeAssign and b is not None:
-            if (_is_assign(a) and _is_guard(b)
+            if (isinstance(a, Assign) and isinstance(b, Guard)
                     and a.var not in vars_of_expr(b.expr)):
                 if check_nonblock(a.expr):
                     emit(i, ("X1 not in var(e2)", "nonblock(e1)"), [b, a], 2)
@@ -240,7 +235,7 @@ def apply_rule(rule: RuleId, path: ControlPath,
                     emit(i, ("X1 not in var(e2)", "noerror(e2)"), [b, a], 2)
 
         elif rule is RuleId.AssignBeforeGuard and b is not None:
-            if (_is_guard(a) and _is_assign(b)
+            if (isinstance(a, Guard) and isinstance(b, Assign)
                     and b.var not in vars_of_expr(a.expr)
                     and b.var in ctx.local
                     and check_noerror(b.expr)):
@@ -248,7 +243,7 @@ def apply_rule(rule: RuleId, path: ControlPath,
                      [b, a], 2)
 
         elif rule is RuleId.AssignPropagation and b is not None:
-            if (_is_assign(a) and isinstance(b, (Assign, Guard))
+            if (isinstance(a, Assign) and isinstance(b, (Assign, Guard))
                     and a.var not in vars_of_expr(a.expr)
                     and vars_of_expr(a.expr) <= ctx.local
                     and check_deterministic(a.expr)):

@@ -4,7 +4,11 @@ the three separate structural interpreters that preceded the shared
 engine.  The engine and its adapters must reproduce them byte for byte."""
 
 import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 from racebox.randgen import GeneratorConfig, random_program, random_seq_program
 from racebox.report import RunConfig, build_report, report_to_json
@@ -120,3 +124,37 @@ GOLDEN = {
 
 def test_golden_analyzer_reports():
     assert golden_digests() == GOLDEN
+
+
+HASH_SEED_SCRIPT = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_golden_analyzers import _blocks
+from racebox.report import RunConfig, build_report, report_to_json
+from racebox.syntax import pretty_program
+for p in _blocks()["large"][::2]:  # the multi-thread programs
+    for mono in (True, False):
+        rep = build_report(p, pretty_program(p),
+                           RunConfig(mode="scheduled", mono=mono))
+        sys.stdout.write(report_to_json(rep))
+"""
+
+
+def test_scheduled_reports_independent_of_hash_seed():
+    """The engine keeps configurations and mutex sets in hash order; the
+    reports must not depend on it."""
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src")]
+        + [x for x in [env.get("PYTHONPATH")] if x])
+    outs = []
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        r = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT.format(tests=str(tests))],
+            env=env, capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count('"schema_version"') == 8

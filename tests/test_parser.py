@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racebox.parser import (
     DuplicateThreadId,
@@ -8,6 +11,7 @@ from racebox.parser import (
     UndeclaredVariable,
     parse_program,
 )
+from racebox.randgen import GeneratorConfig, random_program
 from racebox.syntax import (
     Assign,
     BinOp,
@@ -184,9 +188,25 @@ def test_comments_and_blocks():
 
 @pytest.mark.parametrize("seed", range(30))
 def test_roundtrip_random_programs(seed):
-    import random
-
-    from racebox.randgen import random_program
-
     p = random_program(random.Random(12_000 + seed))
     assert parse_program(pretty_program(p)) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([GeneratorConfig(),
+                        GeneratorConfig(max_threads=4, max_stmts=24,
+                                        n_vars=12, n_mutexes=4,
+                                        sync_prob=0.35, max_branching=4)]))
+def test_roundtrip_property(seed, cfg):
+    p = random_program(random.Random(seed), cfg)
+    assert parse_program(pretty_program(p)) == p
+
+
+@pytest.mark.parametrize("src", ["thread 1 { x <- \u00b2; }",
+                                 "thread \u00b2 { x <- 1; }",
+                                 "thread 1 { x <- \u0663; }",
+                                 "thread 1 { x <- 1.\u00b2; }"])
+def test_only_ascii_digits_are_numbers(src):
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_program(src)

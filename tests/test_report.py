@@ -5,6 +5,11 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racebox.cli import main
 
 from racebox.report import (
     REPORT_SCHEMA,
@@ -153,6 +158,16 @@ def test_cli_exit_two_on_parse_error(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("src", ["thread 1 { x <- \u00b2; }",
+                                 "thread \u00b2 { x <- 1; }"])
+def test_cli_exit_two_on_non_ascii_digit(tmp_path, src):
+    f = tmp_path / "p.conc"
+    f.write_text(src, encoding="utf-8")
+    r = run_cli(str(f))
+    assert r.returncode == 2
+    assert "unexpected character" in r.stderr
+
+
 def test_cli_json_output_and_out_file(tmp_path):
     f = tmp_path / "p.conc"
     f.write_text(SRC_ALARM)
@@ -204,7 +219,10 @@ def test_cli_exit_three_on_internal_error(tmp_path):
 @pytest.mark.parametrize("flag,value", [("--unroll", "-1"),
                                         ("--budget-states", "-5"),
                                         ("--budget-states", "0"),
-                                        ("--widening-delay", "-3")])
+                                        ("--widening-delay", "-3"),
+                                        ("--thresholds", "abc"),
+                                        ("--thresholds", "1/0"),
+                                        ("--self-interference", "foo")])
 def test_cli_rejects_out_of_range_bounds(tmp_path, corpus_source, flag,
                                          value):
     f = tmp_path / "p.conc"
@@ -221,3 +239,46 @@ def test_cli_thresholds_flag(tmp_path, corpus_source):
                 "--thresholds", "-10000,-1,0,1,10,10000", "--json")
     rep = json.loads(r.stdout)
     assert rep["var_ranges"]["x"]["hull"] == "[0,10]"
+
+
+TOKENS = ["var", "mutex", "m", "thread", "1", "2", "x", "{", "}", ";",
+          "<-", "if", "then", "while", "do", "=", ">=", "lock", "unlock",
+          "yield", "islocked", "[", "]", ",", "inf", "/", "+", "(", "#",
+          "\n", "\u00b2"]
+
+
+def _sources():
+    """Source bytes: free text, token soups, and two-thread programs
+    around random well-formed expressions."""
+    soup = st.lists(st.sampled_from(TOKENS), max_size=30).map(" ".join)
+    expr = st.recursive(
+        st.sampled_from(["x", "y", "0", "3", "[0,1]", "[1/2,inf]"]),
+        lambda e: st.one_of(
+            e.map(lambda a: f"-{a}"),
+            st.tuples(e, st.sampled_from("+-*/"), e).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})")),
+        max_leaves=6)
+    prog = st.tuples(expr, expr).map(
+        lambda ab: f"var x; var y; mutex m; thread 1 {{ x <- {ab[0]}; }}"
+                   f" thread 2 {{ lock(m); while y < 0 do {{ y <- {ab[1]};"
+                   " } unlock(m); }")
+    text = st.one_of(st.text(max_size=60), soup, prog)
+    return st.one_of(text.map(str.encode), st.binary(max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sources(), st.sampled_from(["seq", "interference", "scheduled",
+                                    "oracle-scheduled"]))
+def test_cli_any_source_exits_cleanly(source, mode):
+    """Whatever the file holds, the CLI ends with a documented exit code
+    and never lets an exception escape."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("p.conc", "wb") as fh:
+            fh.write(source)
+        r = runner.invoke(main, ["p.conc", "--mode", mode, "--unroll", "1",
+                                 "--budget-states", "2000"])
+    assert r.exit_code in (0, 1, 2, 3)
+    assert r.exception is None or isinstance(r.exception, SystemExit), \
+        r.exc_info
+    assert "Traceback" not in r.output

@@ -153,6 +153,23 @@ def test_lock_single_partition_moves_key():
     assert out.envs[cfg(l={"m"})].get("x") == iv(1, 1)
 
 
+def test_pass_returns_only_its_own_keys():
+    # the round's map holds thread 2's entries: a sync write of y, which
+    # lock(m) imports, and a weak write of z, which the loop reads
+    p = parse_program("mutex m; thread 1 { lock(m); x <- y + 1; unlock(m);"
+                      " while x > 0 do { x <- z; } }")
+    theirs = {(2, cfg(tag=sync("m")), "y"): iv(5, 5),
+              (2, C0, "z"): iv(-1, -1)}
+    mine = {(1, C0, "x"): iv(9, 9)}
+    st = AbsStateC({C0: BoxEnv.initial(p)}, frozenset(), {**theirs, **mine})
+    out = transfer_C(p.threads[0].body, 1, st,
+                     lock_sets=collect_lock_sets(p))
+    assert {k[0] for k in out.interf} == {1}
+    assert out.interf[(1, C0, "x")] == iv(-1, 9)
+    assert out.interf[(1, cfg(l={"m"}), "x")] == iv(1, 6)
+    assert out.interf[(1, cfg(tag=sync("m")), "x")] == iv(1, 6)
+
+
 def test_relock_is_noop_on_held_set():
     p = parse_program("mutex m; thread 1 { lock(m); lock(m); x <- 1; }")
     res = analyze_program_C(p)
