@@ -165,7 +165,7 @@ def main(file, mode, unroll, mono, widening_delay, thresholds,
     except (ParseError, OSError, UnicodeDecodeError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
-    except Exception as e:  # e.g. RecursionError on a very deep expression
+    except Exception as e:  # e.g. RecursionError on very deep if/while nesting
         click.echo(f"internal error: {e}", err=True)
         sys.exit(3)
 
@@ -190,8 +190,12 @@ def main(file, mode, unroll, mono, widening_delay, thresholds,
 
     text = report_to_json(rep) if json_output else _human(rep)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:  # a directory, a missing parent, no permission
+            click.echo(f"error: {e}", err=True)
+            sys.exit(2)
     else:
         click.echo(text, nl=False, color=_color_enabled())
 

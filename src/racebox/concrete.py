@@ -18,7 +18,6 @@ from operator import itemgetter
 
 from .syntax import (
     Assign,
-    BinOp,
     Block,
     Const,
     ControlPath,
@@ -31,6 +30,7 @@ from .syntax import (
     Stmt,
     Var,
     While,
+    fold_expr,
     is_finite,
     negate_cmp,
 )
@@ -113,57 +113,65 @@ def const_points(lo, hi) -> list[int]:
     return list(range(math.ceil(lo), math.floor(hi) + 1))
 
 
-def _lift(combine, *subs):
-    """Apply combine to the sub-results now if they are all folded,
-    else once per environment."""
-    if not any(map(callable, subs)):
-        return combine(*subs)
-    evs = [s if callable(s) else (lambda env, c=s: c) for s in subs]
-    if len(evs) == 1:
-        (f,) = evs
-        return lambda env: combine(f(env))
-    f, g = evs
-    return lambda env: combine(f(env), g(env))
+def _operator(x: Expr):
+    """x's outcome as a function of its operands' outcomes."""
+    if isinstance(x, Neg):
+        return lambda a: (frozenset(-v for v in a[0]), a[1])
+    if x.op in _ARITH:
+        arith = _ARITH[x.op]
+        return lambda a, b: (arith(a[0], b[0]), a[1] | b[1])
+    div0 = frozenset({x.loc})
+    return lambda a, b: (
+        frozenset(_ratdiv(u, v) for u in a[0] for v in b[0] if v != 0),
+        a[1] | b[1] | (div0 if 0 in b[0] else _NOERR))
 
 
 def _compile(e: Expr, idx: VarIndex, interf, reads: set[int]):
-    """Compile e once into a closure env -> (set of values, error labels),
-    or, for an expression that reads no variable, that pair itself.
+    """Compile e once into a closure env -> (set of values, error labels).
 
-    Constant points are enumerated here, so an unbounded constant raises
-    UnsupportedMode at compile time.  `interf`, when given, maps a variable
-    to the values other threads write to it; reads non-deterministically
-    pick the environment value or any of those (the concrete interference
-    oracle).  Adds the indices of the variables e reads to `reads`."""
-    if isinstance(e, Var):
-        k = idx[e.name]
-        reads.add(k)
-        extra = interf.get(e.name) if interf is not None else None
-        if extra:
-            return lambda env: (extra | {env[k]}, _NOERR)
-        return lambda env: (frozenset((env[k],)), _NOERR)
-    if isinstance(e, Const):
-        return frozenset(const_points(e.lo, e.hi)), _NOERR
-    if isinstance(e, Neg):
-        return _lift(lambda a: (frozenset(-v for v in a[0]), a[1]),
-                     _compile(e.sub, idx, interf, reads))
-    if isinstance(e, BinOp):
-        left = _compile(e.left, idx, interf, reads)
-        right = _compile(e.right, idx, interf, reads)
-        if e.op in _ARITH:
-            arith = _ARITH[e.op]
-            return _lift(lambda a, b: (arith(a[0], b[0]), a[1] | b[1]),
-                         left, right)
-        div0 = frozenset({e.loc})
+    The closure runs a flat tape of (arity, function) steps on a value
+    stack, so no expression depth makes it recurse.  Subtrees that read no
+    variable are folded into one constant step here, and constant points
+    are enumerated here, so an unbounded constant raises UnsupportedMode at
+    compile time.  `interf`, when given, maps a variable to the values
+    other threads write to it; reads non-deterministically pick the
+    environment value or any of those (the concrete interference oracle).
+    Adds the indices of the variables e reads to `reads`."""
+    tape: list = []  # in fold order: a right operand's steps come first
 
-        def div(a, b):
-            errs = a[1] | b[1]
-            if 0 in b[0]:
-                errs = errs | div0
-            return (frozenset(_ratdiv(x, y) for x in a[0] for y in b[0]
-                              if y != 0), errs)
-        return _lift(div, left, right)
-    raise TypeError(e)
+    def emit(x: Expr, *consts):
+        """Append x's step; return x's outcome if it reads no variable."""
+        if isinstance(x, Var):
+            k = idx[x.name]
+            reads.add(k)
+            extra = tuple(interf.get(x.name, ())) if interf is not None else ()
+            tape.append((0, lambda env: (frozenset((env[k], *extra)), _NOERR)))
+            return None
+        if isinstance(x, Const):
+            c = frozenset(const_points(x.lo, x.hi)), _NOERR
+        elif None in consts:
+            tape.append((len(consts), _operator(x)))
+            return None
+        else:
+            del tape[-len(consts):]  # the operands' constant steps
+            c = _operator(x)(*consts)
+        tape.append((0, lambda env: c))
+        return c
+
+    fold_expr(e, emit)
+
+    def run(env):
+        vals = []
+        for arity, f in tape:
+            if arity == 0:
+                vals.append(f(env))
+            elif arity == 1:
+                vals[-1] = f(vals[-1])
+            else:
+                left = vals.pop()
+                vals[-1] = f(left, vals[-1])
+        return vals[0]
+    return run
 
 
 def compile_prim(s: Stmt, idx: VarIndex, interf=None):
@@ -174,8 +182,6 @@ def compile_prim(s: Stmt, idx: VarIndex, interf=None):
         raise TypeError(f"not an assign/guard: {s}")
     reads: set[int] = set()
     ev = _compile(s.expr, idx, interf, reads)
-    if not callable(ev):
-        ev = (lambda env, c=ev: c)
     key_of = itemgetter(*reads) if reads else (lambda env: ())
     memo: dict = {}
     if isinstance(s, Assign):
@@ -207,7 +213,7 @@ def eval_concrete(e: Expr, rho: dict[str, Rat]
     """Values and error labels of e in one dict-based environment."""
     names = tuple(sorted(rho))
     ev = _compile(e, {v: i for i, v in enumerate(names)}, None, set())
-    return ev(tuple(rho[v] for v in names)) if callable(ev) else ev
+    return ev(tuple(rho[v] for v in names))
 
 
 def _prim(s: Stmt, st: ConcreteState) -> ConcreteState:

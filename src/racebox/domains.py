@@ -24,6 +24,7 @@ from .syntax import (
     Neg,
     Program,
     Var,
+    fold_expr,
     is_finite,
 )
 
@@ -42,6 +43,8 @@ DEFAULT_THRESHOLDS: tuple[Fraction, ...] = (
 
 
 def _add(a: Ext, b: Ext) -> Ext:
+    if is_finite(a) and is_finite(b):
+        return a + b
     if a == NEG_INF or b == NEG_INF:
         return NEG_INF
     if a == INF or b == INF:
@@ -134,8 +137,7 @@ class Interval:
     def __neg__(self) -> "Interval":
         if self.is_bot:
             return BOT
-        return Interval(-self.hi if self.hi != INF else NEG_INF,
-                        -self.lo if self.lo != NEG_INF else INF)
+        return Interval(-self.hi, -self.lo)  # float negation maps inf to -inf
 
     def add(self, other: "Interval") -> "Interval":
         if self.is_bot or other.is_bot:
@@ -343,77 +345,70 @@ def eval_abs(e: Expr, env: BoxEnv,
     backward guard sweep."""
     errs: set[Location] = set()
 
-    def go(e: Expr) -> Interval:
-        if isinstance(e, Var):
-            v = env.get(e.name)
-        elif isinstance(e, Const):
-            v = Interval.of(e.lo, e.hi)
-        elif isinstance(e, Neg):
-            v = -go(e.sub)
-        elif isinstance(e, BinOp):
-            l = go(e.left)
-            r = go(e.right)
-            if e.op == "+":
+    def ev(x: Expr, *subs: Interval) -> Interval:
+        if isinstance(x, Var):
+            v = env.get(x.name)
+        elif isinstance(x, Const):
+            v = Interval.of(x.lo, x.hi)
+        elif isinstance(x, Neg):
+            v = -subs[0]
+        else:
+            l, r = subs
+            if x.op == "+":
                 v = l.add(r)
-            elif e.op == "-":
+            elif x.op == "-":
                 v = l.sub(r)
-            elif e.op == "*":
+            elif x.op == "*":
                 v = l.mul(r)
             else:
                 v, had_zero = l.div(r)
                 if had_zero and not l.is_bot:
-                    errs.add(e.loc)
-        else:
-            raise TypeError(e)
+                    errs.add(x.loc)
         if memo is not None:
-            memo[id(e)] = v
+            memo[id(x)] = v
         return v
 
-    out = go(e)
-    return out, frozenset(errs)
+    return fold_expr(e, ev), frozenset(errs)
 
 
 def _refine(e: Expr, target: Interval, memo: dict[int, Interval],
             bounds: dict[str, Interval]) -> bool:
-    """One backward HC4 pass; narrows `bounds` in place.  Returns False on
-    contradiction (the guard is unsatisfiable through this node)."""
-    target = target.meet(memo[id(e)])
-    if target.is_bot:
-        return False
-    if isinstance(e, Var):
-        newv = bounds[e.name].meet(target)
-        if newv.is_bot:
+    """One backward HC4 sweep from the root, narrowing `bounds` in place,
+    over a stack of (node, target) pairs.  Returns False on contradiction
+    (the guard is unsatisfiable through some node)."""
+    stack = [(e, target)]
+    while stack:
+        e, target = stack.pop()
+        target = target.meet(memo[id(e)])
+        if target.is_bot:
             return False
-        bounds[e.name] = newv
-        return True
-    if isinstance(e, Const):
-        return True  # non-empty intersection already checked above
-    if isinstance(e, Neg):
-        return _refine(e.sub, -target, memo, bounds)
-    if isinstance(e, BinOp):
-        l, r = memo[id(e.left)], memo[id(e.right)]
-        if e.op == "+":
-            return (_refine(e.left, target.sub(r), memo, bounds)
-                    and _refine(e.right, target.sub(l), memo, bounds))
-        if e.op == "-":
-            return (_refine(e.left, target.add(r), memo, bounds)
-                    and _refine(e.right, l.sub(target), memo, bounds))
-        if e.op == "*":
-            ok = True
-            if not r.contains(0):
-                q, _ = target.div(r)
-                ok = _refine(e.left, q, memo, bounds)
-            if ok and not l.contains(0):
-                q, _ = target.div(l)
-                ok = _refine(e.right, q, memo, bounds)
-            return ok
-        # division: left = target * right is exact for the contributing pairs
-        ok = _refine(e.left, target.mul(r), memo, bounds)
-        if ok and not target.contains(0):
-            q, _ = l.div(target)
-            ok = _refine(e.right, q, memo, bounds)
-        return ok
-    raise TypeError(e)
+        if isinstance(e, Var):
+            newv = bounds[e.name].meet(target)
+            if newv.is_bot:
+                return False
+            bounds[e.name] = newv
+        elif isinstance(e, Neg):
+            stack.append((e.sub, -target))
+        elif isinstance(e, BinOp):
+            # push the right operand first: the left one is narrowed first
+            l, r = memo[id(e.left)], memo[id(e.right)]
+            if e.op == "+":
+                stack += ((e.right, target.sub(l)), (e.left, target.sub(r)))
+            elif e.op == "-":
+                stack += ((e.right, l.sub(target)), (e.left, target.add(r)))
+            elif e.op == "*":
+                if not l.contains(0):
+                    stack.append((e.right, target.div(l)[0]))
+                if not r.contains(0):
+                    stack.append((e.left, target.div(r)[0]))
+            else:
+                # division: left = target * right is exact for the
+                # contributing pairs
+                if not target.contains(0):
+                    stack.append((e.right, l.div(target)[0]))
+                stack.append((e.left, target.mul(r)))
+        # a Const needs nothing: its non-empty meet was checked above
+    return True
 
 
 def transfer_assign(var: str, e: Expr, env: BoxEnv,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .syntax import (
+    BIN_PREC,
     INF,
     NEG_INF,
     Assign,
@@ -306,40 +307,39 @@ class _Parser:
     # -- expressions
 
     def expr(self) -> Expr:
-        e = self.term()
-        while self.at("punct", "+") or self.at("punct", "-"):
-            t = self.next()
-            loc = Location(0, t.line, t.col, t.text)
-            e = BinOp(t.text, loc, e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.at("punct", "*") or self.at("punct", "/"):
-            t = self.next()
-            loc = Location(0, t.line, t.col, t.text)
-            e = BinOp(t.text, loc, e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
-        if self.at("punct", "-"):
-            t = self.next()
-            loc = Location(0, t.line, t.col, "-u")
-            return Neg(loc, self.factor())
-        return self.atom()
+        """Operator precedence over explicit stacks, so that no nesting of
+        prefix `-` or parentheses makes the parser recurse: `-` binds
+        tightest, then `*` `/`, then `+` `-`, all left-associative."""
+        ops: list[tuple[int, _Tok] | None] = []  # None marks an open `(`
+        vals: list[Expr] = []
+        while True:
+            while self.at("punct", "-") or self.at("punct", "("):
+                t = self.next()
+                ops.append((3, t) if t.text == "-" else None)
+            vals.append(self.atom())
+            while True:  # after an operand: reduce, then close a `(`
+                t = self.peek()
+                prec = BIN_PREC.get(t.text, 0) if t.kind == "punct" else 0
+                while ops and ops[-1] is not None and ops[-1][0] >= prec:
+                    p, op = ops.pop()
+                    if p == 3:
+                        loc = Location(0, op.line, op.col, "-u")
+                        vals[-1] = Neg(loc, vals[-1])
+                    else:
+                        loc = Location(0, op.line, op.col, op.text)
+                        right = vals.pop()
+                        vals[-1] = BinOp(op.text, loc, vals[-1], right)
+                if prec or not ops:
+                    break
+                self.expect("punct", ")")
+                ops.pop()
+            if not prec:
+                return vals[0]
+            ops.append((prec, self.next()))
 
     def atom(self) -> Expr:
-        if self.at("punct", "("):
-            self.next()
-            e = self.expr()
-            self.expect("punct", ")")
-            return e
         if self.at("punct", "["):
-            lo, hi = self.interval_literal()
-            tok = self.toks[self.pos - 1]
-            if lo > hi:
-                raise ParseError(f"empty interval [{lo},{hi}]", tok.line, tok.col)
-            return Const(lo, hi)
+            return Const(*self.interval_literal())
         if self.at("num"):
             c = self.number()
             return Const(c, c)
@@ -377,7 +377,8 @@ class _Parser:
         self.expect("punct", ",")
         hi = self.endpoint()
         self.expect("punct", "]")
-        if lo > hi:
+        # [inf,inf] and [-inf,-inf] hold no real number either
+        if lo > hi or lo == INF or hi == NEG_INF:
             raise ParseError(f"empty interval [{lo},{hi}]", tok.line, tok.col)
         return lo, hi
 

@@ -54,6 +54,7 @@ from .syntax import (
     While,
     Yield,
     collect_lock_sets,
+    fold_expr,
     stmt_exprs,
     sub_stmts,
     vars_of_expr,
@@ -180,25 +181,27 @@ def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
     covering its environment and interference values (others stay, so
     guards still refine them); optionally log which writes each read saw."""
     by_var, writers = view
+    consts: dict[str, Expr] = {}  # per variable, made at its first read
 
-    def go(e: Expr) -> Expr:
-        if isinstance(e, Var):
-            v = by_var.get(e.name, BOT)
+    def go(x: Expr, *subs: Expr) -> Expr:
+        if isinstance(x, Var):
+            if x.name in consts:
+                return consts[x.name]
+            v = by_var.get(x.name, BOT)
             if v.is_bot:
-                return e
+                return x
             if read_log is not None:
-                for t2, c2 in writers[e.name]:
-                    read_log.add((t, t2, e.name, c, c2))
-            return as_expr(v.join(get(e.name, env)))
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Neg):
-            return Neg(e.loc, go(e.sub))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, e.loc, go(e.left), go(e.right))
-        raise TypeError(e)
+                for t2, c2 in writers[x.name]:
+                    read_log.add((t, t2, x.name, c, c2))
+            consts[x.name] = as_expr(v.join(get(x.name, env)))
+            return consts[x.name]
+        if isinstance(x, Const):
+            return x
+        if isinstance(x, Neg):
+            return Neg(x.loc, *subs)
+        return BinOp(x.op, x.loc, *subs)
 
-    return go(e)
+    return fold_expr(e, go)
 
 
 def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,

@@ -12,16 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 # Interval endpoints: exact rationals, or +/-inf floats.
 Ext = Union[Fraction, float]
+T = TypeVar("T")
 
 INF = math.inf
 NEG_INF = -math.inf
 
 CMP_OPS = ("=", "!=", "<", ">", "<=", ">=")
-BIN_OPS = ("+", "-", "*", "/")
+BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}  # a unary - binds at 3
 
 # negation table: =, !=, <, >, <=, >= negate to !=, =, >=, <=, >, <
 _NEGATE = {"=": "!=", "!=": "=", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
@@ -84,14 +85,41 @@ class Const(Expr):
         return self.lo == self.hi
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
+class _Op(Expr):
+    """An operator node.  It hashes once, at construction, from its fields
+    and its operands' cached hashes, and compares node by node along
+    sub_exprs: neither recurses, however deep the expression."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and all(
+            map(_same_node, sub_exprs(self), sub_exprs(other)))
+
+
+def _same_node(x: Expr, y: Expr) -> bool:
+    """x and y are equal apart from their operands."""
+    if x.__class__ is not y.__class__:
+        return False
+    if isinstance(x, BinOp):
+        return x.op == y.op and x.loc == y.loc
+    return x.loc == y.loc if isinstance(x, Neg) else x == y
+
+
+@dataclass(frozen=True, eq=False)
+class Neg(_Op):
     loc: Location
     sub: Expr
 
 
-@dataclass(frozen=True)
-class BinOp(Expr):
+@dataclass(frozen=True, eq=False)
+class BinOp(_Op):
     op: str
     loc: Location
     left: Expr
@@ -233,14 +261,38 @@ class Program:
 # Traversals
 
 
-def sub_exprs(e: Expr) -> Iterator[Expr]:
-    """All sub-expressions of e, including e itself, depth-first."""
-    yield e
-    if isinstance(e, Neg):
-        yield from sub_exprs(e.sub)
-    elif isinstance(e, BinOp):
-        yield from sub_exprs(e.left)
-        yield from sub_exprs(e.right)
+def sub_exprs(e: Expr) -> list[Expr]:
+    """All sub-expressions of e, including e itself, in pre-order (each
+    node before its operands, left before right).  This and fold_expr are
+    the one expression walk: an explicit stack, so no expression depth
+    makes a walker recurse."""
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        if isinstance(e, BinOp):
+            stack.append(e.right)
+            stack.append(e.left)
+        elif isinstance(e, Neg):
+            stack.append(e.sub)
+    return out
+
+
+def fold_expr(e: Expr, f: Callable[..., T]) -> T:
+    """Bottom-up fold: f(x) at a Var or Const, f(x, sub) at a Neg and
+    f(x, left, right) at a BinOp, given the folds of its operands.  Nodes
+    are visited in reverse pre-order, so the right operand's subtree comes
+    before the left one's."""
+    vals: list[T] = []
+    for x in reversed(sub_exprs(e)):
+        if isinstance(x, BinOp):
+            left = vals.pop()
+            vals[-1] = f(x, left, vals[-1])
+        elif isinstance(x, Neg):
+            vals[-1] = f(x, vals[-1])
+        else:
+            vals.append(f(x))
+    return vals[0]
 
 
 def sub_stmts(s: Stmt) -> Iterator[Stmt]:
@@ -316,17 +368,20 @@ class _Labeler:
         self.next_sid = 1
 
     def expr(self, e: Expr) -> Expr:
-        if isinstance(e, (Var, Const)):
-            return e
-        if isinstance(e, Neg):
-            loc = replace(e.loc, label=self.next_label)
-            self.next_label += 1
-            return Neg(loc, self.expr(e.sub))
-        if isinstance(e, BinOp):
-            loc = replace(e.loc, label=self.next_label)
-            self.next_label += 1
-            return BinOp(e.op, loc, self.expr(e.left), self.expr(e.right))
-        raise TypeError(e)
+        # labels go in pre-order, and the fold meets operators in reverse
+        # pre-order: count down
+        self.next_label += sum(isinstance(x, _Op) for x in sub_exprs(e))
+        label = self.next_label
+
+        def relabel(x: Expr, *subs: Expr) -> Expr:
+            nonlocal label
+            if not subs:
+                return x
+            label -= 1
+            loc = Location(label, x.loc.line, x.loc.col, x.loc.op)
+            return (Neg(loc, *subs) if isinstance(x, Neg)
+                    else BinOp(x.op, loc, *subs))
+        return fold_expr(e, relabel)
 
     def stmt(self, s: Stmt) -> Stmt:
         sid = self.next_sid
@@ -370,35 +425,33 @@ def relabel_program(p: Program) -> Program:
 
 
 def fmt_ext(x: Ext) -> str:
-    if x == INF:
-        return "inf"
-    if x == NEG_INF:
-        return "-inf"
-    return str(x)
+    if is_finite(x):
+        return str(x)
+    return "inf" if x == INF else "-inf" if x == NEG_INF else str(x)
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def pretty_expr(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        if e.is_singleton and is_finite(e.lo) and e.lo.denominator == 1 and e.lo >= 0:
-            return str(e.lo)
-        return f"[{fmt_ext(e.lo)},{fmt_ext(e.hi)}]"
-    if isinstance(e, Neg):
-        s = "-" + pretty_expr(e.sub, 3)
-        return f"({s})" if parent_prec > 0 else s
-    if isinstance(e, BinOp):
-        prec = _PREC[e.op]
-        s = (pretty_expr(e.left, prec) + f" {e.op} "
-             + pretty_expr(e.right, prec, right_side=True))
+def pretty_expr(e: Expr) -> str:
+    def show(x: Expr, *subs: tuple[str, int]) -> tuple[str, int]:
+        """x's text, and how tightly it binds as an operand: 4 for a leaf,
+        0 for a negation, which any operator parenthesizes."""
+        if isinstance(x, Var):
+            return x.name, 4
+        if isinstance(x, Const):
+            if (x.is_singleton and is_finite(x.lo) and x.lo.denominator == 1
+                    and x.lo >= 0):
+                return str(x.lo), 4
+            return f"[{fmt_ext(x.lo)},{fmt_ext(x.hi)}]", 4
+        if isinstance(x, Neg):
+            (s, p), = subs
+            return "-" + (f"({s})" if p < 3 else s), 0
+        (ls, lp), (rs, rp) = subs
+        prec = BIN_PREC[x.op]
         # left associativity: a right operand at equal precedence needs parens
-        if prec < parent_prec or (prec == parent_prec and right_side):
-            return f"({s})"
-        return s
-    raise TypeError(e)
+        left = f"({ls})" if lp < prec else ls
+        right = f"({rs})" if rp <= prec else rs
+        return f"{left} {x.op} {right}", prec
+
+    return fold_expr(e, show)[0]
 
 
 def pretty_stmt(s: Stmt, indent: int = 0) -> str:

@@ -35,6 +35,7 @@ from .syntax import (
     Stmt,
     Var,
     classify_vars,
+    fold_expr,
     lvals_of_stmt,
     sub_exprs,
     vars_of_expr,
@@ -104,37 +105,43 @@ def check_deterministic(e: Expr) -> bool:
 # Occurrence matching and substitution (modulo operator labels)
 
 
-def strip(e: Expr):
-    if isinstance(e, Var):
-        return ("var", e.name)
-    if isinstance(e, Const):
-        return ("const", e.lo, e.hi)
-    if isinstance(e, Neg):
-        return ("neg", strip(e.sub))
-    return (e.op, strip(e.left), strip(e.right))
+def strip(e: Expr) -> tuple:
+    """e modulo operator labels, as a flat pre-order key."""
+    return tuple(x.op if isinstance(x, BinOp) else "neg" if isinstance(x, Neg)
+                 else ("var", x.name) if isinstance(x, Var)
+                 else ("const", x.lo, x.hi) for x in sub_exprs(e))
 
 
-def _count(e: Expr, key) -> int:
-    return sum(1 for x in sub_exprs(e) if strip(x) == key)
+def _matches(e: Expr, key) -> list[bool]:
+    """Per node of e, in pre-order: whether it matches key.  A flat
+    pre-order key spans exactly its own subtree, so a slice of e's key
+    decides a match."""
+    flat = strip(e)
+    return [flat[i:i + len(key)] == key for i in range(len(flat))]
 
 
 def _replace(e: Expr, key, chosen: frozenset[int], replacement: Expr,
              counter: list[int]) -> Expr:
-    if strip(e) == key:
-        i = counter[0]
-        counter[0] += 1
-        if i in chosen:
-            return replacement
-        # still recurse: an occurrence may contain nested matches only if
-        # key matches a strict sub-expression of itself, which it cannot
+    """e with the occurrences of key whose numbers are in `chosen` replaced.
+    counter[0] numbers the occurrences in pre-order, across calls; they
+    never nest, since key cannot match a strict sub-expression of itself."""
+    hits = _matches(e, key)
+    if not any(hits):
         return e
-    if isinstance(e, (Var, Const)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(e.loc, _replace(e.sub, key, chosen, replacement, counter))
-    return BinOp(e.op, e.loc,
-                 _replace(e.left, key, chosen, replacement, counter),
-                 _replace(e.right, key, chosen, replacement, counter))
+    occ: list[int | None] = []  # per pre-order node: its occurrence number
+    for hit in hits:
+        occ.append(counter[0] if hit else None)
+        counter[0] += hit
+
+    def go(x: Expr, *subs: Expr) -> Expr:
+        i = occ.pop()  # the fold visits nodes in reverse pre-order
+        if i is not None:
+            return replacement if i in chosen else x
+        if isinstance(x, Neg):
+            return Neg(x.loc, *subs)
+        return BinOp(x.op, x.loc, *subs) if isinstance(x, BinOp) else x
+
+    return fold_expr(e, go)
 
 
 def _subst_stmt(s: Stmt, key, chosen: frozenset[int], replacement: Expr,
@@ -247,9 +254,9 @@ def apply_rule(rule: RuleId, path: ControlPath,
                     and a.var not in vars_of_expr(a.expr)
                     and vars_of_expr(a.expr) <= ctx.local
                     and check_deterministic(a.expr)):
-                key = ("var", a.var)
+                key = strip(Var(a.var))
                 target = b.expr
-                cnt = _count(target, key)
+                cnt = sum(_matches(target, key))
                 for chosen in _occurrence_subsets(cnt):
                     s2 = _subst_stmt(b, key, chosen, a.expr, [0])
                     emit(i, ("X not in var(e)", "var(e) local",
@@ -296,7 +303,7 @@ def apply_rule(rule: RuleId, path: ControlPath,
             if isinstance(a, (Assign, Guard)):
                 for e_old, e_new, why in _simplify_candidates(a.expr, ctx):
                     key = strip(e_old)
-                    cnt = _count(a.expr, key)
+                    cnt = sum(_matches(a.expr, key))
                     for chosen in _occurrence_subsets(cnt):
                         s2 = _subst_stmt(a, key, chosen, e_new, [0])
                         if s2 != a:

@@ -1,5 +1,7 @@
+import operator
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from racebox.domains import (
 )
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_expr
-from racebox.syntax import INF, NEG_INF, Const, Var
+from racebox.syntax import CMP_OPS, INF, NEG_INF, Const, Var
 
 F = Fraction
 
@@ -219,3 +221,36 @@ def test_abstract_soundness_bulk():
             assert aval.contains(v), (e, rho, v, str(aval))
         assert cerrs <= aerrs, (e, rho)
         checked += 1
+
+
+_HOLDS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+          ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
+def test_guard_refinement_soundness_bulk():
+    """The backward HC4 sweep drops no integer point of the box at which
+    some concrete value of e satisfies `e cmp 0`; so a bottom result means
+    no such point exists."""
+    rng = random.Random(20261018)
+    cfg = GeneratorConfig(div_prob=0.5, wide_const_prob=0.4)
+    names = ["a", "b", "c"]
+    kept = 0
+    for _ in range(300):
+        e = random_expr(rng, names, cfg, depth=3)
+        box = {}
+        for n in names:
+            lo = rng.randint(-3, 3)
+            box[n] = (lo, lo + rng.randint(0, 3))
+        env = BoxEnv({n: iv(lo, hi) for n, (lo, hi) in box.items()})
+        points = [dict(zip(names, map(F, pt))) for pt in
+                  product(*(range(lo, hi + 1) for lo, hi in box.values()))]
+        values = [eval_concrete(e, rho)[0] for rho in points]
+        for cmp in CMP_OPS:
+            out, _ = transfer_guard(e, cmp, env, frozenset())
+            for rho, vals in zip(points, values):
+                if any(_HOLDS[cmp](v, 0) for v in vals):
+                    assert not out.is_bot, (e, cmp, rho)
+                    assert all(out.get(n).contains(rho[n]) for n in names), \
+                        (e, cmp, rho, str(out))
+                    kept += 1
+    assert kept > 10_000

@@ -1,11 +1,17 @@
-"""A long straight-line thread passes through every statement walker.
+"""Long threads and deep expressions pass through every walker.
 
 Blocks are n-ary, so recursion depth follows if/while nesting, not the
-number of statements: this runs under the default recursion limit.
+number of statements, and every expression walker keeps an explicit stack:
+these run under the default recursion limit.
 """
 
+import ast
+import pathlib
 import subprocess
 import sys
+from dataclasses import replace
+
+import pytest
 
 from racebox.concrete import exec_stmt, initial_state, paths
 from racebox.domains import Interval
@@ -17,6 +23,7 @@ from racebox.seq import analyze_program_seq
 from racebox.syntax import pretty_program
 
 N = 3_000
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_three_thousand_statement_thread(tmp_path):
@@ -48,3 +55,52 @@ def test_three_thousand_statement_thread(tmp_path):
                         "--mode", "seq"], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert "no alarms" in r.stdout
+
+
+# thread 1's deep expression reads x, which thread 2 writes; y is the
+# expression's value once x reads 1
+DEEP = {
+    "sum": (" + ".join(["x"] * 20_000), 20_000),
+    "neg": ("- " * 5_000 + "x", 1),
+    "paren": ("x - (" * 5_000 + "x" + ")" * 5_000, 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_deep_expression(tmp_path, shape):
+    expr, y1 = DEEP[shape]
+    src = f"thread 1 {{ y <- {expr}; }}\nthread 2 {{ x <- 1; }}\n"
+    p = parse_program(src)
+    q = parse_program(pretty_program(p))
+    assert q == p and hash(q) == hash(p)
+
+    seq = analyze_program_seq(replace(p, threads=p.threads[:1]))
+    assert not seq.omega and seq.final.get("y") == Interval.const(0)
+    for analyze in (analyze_program_I, analyze_program_C):
+        res = analyze(p)
+        assert not res.omega
+
+    # (x, y): thread 1 reads x before or after thread 2 writes it; the
+    # higher-priority thread 2 runs first under the scheduler
+    assert run_interleavings(p, unroll=0).terminal_envs == {(1, 0), (1, y1)}
+    assert run_scheduled(p, unroll=0).terminal_envs == {(1, y1)}
+
+    f = tmp_path / "deep.conc"
+    f.write_text(src)
+    r = subprocess.run([sys.executable, "-m", "racebox.cli", str(f),
+                        "--mode", "scheduled"], capture_output=True, text=True)
+    assert r.returncode in (0, 1), r.stderr
+
+
+def test_no_recursion_limit_raised():
+    """Depth tests mean "at the default recursion limit" only while
+    nothing raises the limit."""
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for top in ("src/racebox", "tests", "scripts")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        == "setrecursionlimit"]
+    assert not calls

@@ -86,8 +86,12 @@ def test_rational_and_decimal_literals():
 
 
 def test_empty_interval_rejected():
-    with pytest.raises(ParseError):
-        parse_program("thread 1 { x <- [2,1]; }")
+    # [inf,inf] and [-inf,-inf] hold no real number either
+    for lit in ("[2,1]", "[inf,inf]", "[-inf,-inf]"):
+        for src in (f"thread 1 {{ x <- {lit}; }}",
+                    f"var x = {lit}; thread 1 {{ x <- 1; }}"):
+            with pytest.raises(ParseError, match="empty interval"):
+                parse_program(src)
 
 
 def test_precedence_and_associativity():

@@ -206,10 +206,21 @@ def test_cli_exit_three_on_budget_failure(tmp_path):
     assert r.returncode == 3
 
 
-def test_cli_exit_three_on_internal_error(tmp_path):
-    # a 1,500-term sum nests its expression past the recursion limit
+@pytest.mark.parametrize("out", [".", "missing/rep.json"])
+def test_cli_exit_two_on_unwritable_out(tmp_path, out):
     f = tmp_path / "p.conc"
-    f.write_text("thread 1 { x <- " + " + ".join(["1"] * 1500) + "; }")
+    f.write_text(SRC_CLEAN)
+    r = run_cli(str(f), "--out", str(tmp_path / out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_exit_three_on_internal_error(tmp_path):
+    # statement walkers still recurse once per if/while nesting level
+    f = tmp_path / "p.conc"
+    f.write_text("thread 1 { " + "if x < 0 then { " * 1000 + "x <- 1;"
+                 + " }" * 1000 + " }")
     r = run_cli(str(f), "--mode", "seq")
     assert r.returncode == 3
     assert "internal error" in r.stderr
