@@ -100,12 +100,11 @@ def _human(rep: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_thresholds(ctx, param, text: str | None):
-    if not text:
-        return None
+def _parse_thresholds(ctx, param, text: str) -> tuple[Fraction, ...]:
+    """An empty list means the default thresholds."""
     try:
-        return tuple(sorted(Fraction(x.strip())
-                            for x in text.split(",") if x.strip()))
+        return tuple(sorted(Fraction(x.strip()) for x in text.split(",")
+                            if x.strip())) or RunConfig.thresholds
     except (ValueError, ZeroDivisionError):
         raise click.BadParameter(f"{text!r} is not a comma-separated list"
                                  " of rationals")
@@ -122,18 +121,18 @@ def _parse_threads(ctx, param, text: str) -> tuple[int, ...]:
 
 @click.command(name="analyze")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(MODES), default="scheduled",
+@click.option("--mode", type=click.Choice(MODES), default=RunConfig.mode,
               show_default=True, help="analysis or oracle to run")
-@click.option("--unroll", type=click.IntRange(min=0), default=3,
-              show_default=True,
+@click.option("--unroll", type=click.IntRange(min=0),
+              default=RunConfig.unroll, show_default=True,
               help="loop unrolling bound for oracle control paths")
-@click.option("--mono/--no-mono", default=True, show_default=True,
+@click.option("--mono/--no-mono", default=RunConfig.mono, show_default=True,
               help="assume a mono-processor real-time scheduler"
                    " (islocked is modeled precisely)")
-@click.option("--widening-delay", type=click.IntRange(min=0), default=2,
-              show_default=True,
+@click.option("--widening-delay", type=click.IntRange(min=0),
+              default=RunConfig.widening_delay, show_default=True,
               help="interference-fixpoint rounds joined before widening")
-@click.option("--thresholds", type=str, default=None,
+@click.option("--thresholds", type=str, default="",
               callback=_parse_thresholds,
               help="comma-separated widening thresholds, e.g. -1,0,1,10")
 @click.option("--self-interference", type=str, default="",
@@ -141,9 +140,9 @@ def _parse_threads(ctx, param, text: str) -> tuple[int, ...]:
               help="comma-separated thread ids that may run as several"
                    " instances (interference mode)")
 @click.option("--budget-states", type=click.IntRange(min=1),
-              default=1_000_000, show_default=True,
+              default=RunConfig.budget_states, show_default=True,
               help="oracle state budget")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--json", "json_output", is_flag=True, help="emit JSON")
 @click.option("--out", type=click.Path(writable=True), default=None,
               help="write the report to a file instead of stdout")
@@ -155,9 +154,7 @@ def _parse_threads(ctx, param, text: str) -> tuple[int, ...]:
 @click.option("--timing", is_flag=True,
               help="include wall-clock time in the report"
                    " (breaks byte-determinism)")
-def main(file, mode, unroll, mono, widening_delay, thresholds,
-         self_interference, budget_states, seed, json_output, out,
-         check_against, decreasing_pass, timing):
+def main(file, json_output, out, **opts):
     """Analyze a concurrent program or run a concrete oracle on it."""
     try:
         source = open(file, encoding="utf-8").read()
@@ -169,19 +166,7 @@ def main(file, mode, unroll, mono, widening_delay, thresholds,
         click.echo(f"internal error: {e}", err=True)
         sys.exit(3)
 
-    cfg = RunConfig(
-        mode=mode,
-        unroll=unroll,
-        widening_delay=widening_delay,
-        thresholds=thresholds or RunConfig.thresholds,
-        mono=mono,
-        self_interference=self_interference,
-        budget_states=budget_states,
-        seed=seed,
-        check_against=check_against,
-        decreasing_pass=decreasing_pass,
-        timing=timing,
-    )
+    cfg = RunConfig(**opts)  # every other option is a RunConfig field
     try:
         rep = build_report(program, source, cfg)
     except Exception as e:  # analyzer/oracle internal failure

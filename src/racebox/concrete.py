@@ -329,6 +329,12 @@ def paths(s: Stmt, unroll: int) -> PathSet:
     return PathSet(frozenset({(s,)}), False)
 
 
+def sorted_paths(path_set) -> list[ControlPath]:
+    """The canonical order of a path set: shorter paths first, then by
+    statement ids."""
+    return sorted(path_set, key=lambda p: (len(p), [str(s.sid) for s in p]))
+
+
 def run_paths(path_set, st: ConcreteState) -> ConcreteState:
     """Join of the primitive transfer compositions over a set of paths."""
     ps = path_set.paths if isinstance(path_set, PathSet) else frozenset(path_set)

@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .concrete import compile_prim, initial_state, paths
+from .concrete import compile_prim, initial_state, paths, sorted_paths
 from .config import OracleBudget
 from .syntax import (
     Assign,
@@ -76,8 +76,7 @@ class _Trie:
     def build(path_set: frozenset[ControlPath]) -> "_Trie":
         edges: list[list[tuple[Stmt, int]]] = [[]]
         ends = [False]
-        for path in sorted(path_set, key=lambda p: (len(p),
-                                                    [str(s.sid) for s in p])):
+        for path in sorted_paths(path_set):
             node = 0
             for s in path:
                 for s2, nxt in edges[node]:
@@ -433,8 +432,7 @@ def _run_thread_paths(tid: int, path_set: frozenset[ControlPath],
     writes: set[tuple[int, str, object]] = set()
     truncated = False
     compiled: dict[int, object] = {}  # id(stmt) -> compiled step
-    for path in sorted(path_set, key=lambda q: (len(q),
-                                                [str(s.sid) for s in q])):
+    for path in sorted_paths(path_set):
         envs = set(init.envs)
         for stmt in path:
             if not envs:

@@ -9,8 +9,9 @@ reparse to identical ASTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .syntax import (
     BIN_PREC,
@@ -59,74 +60,45 @@ _KEYWORDS = {
     "lock", "unlock", "yield", "islocked", "inf",
 }
 
-_PUNCT = ["<-", "<=", ">=", "!=", "{", "}", "(", ")", "[", "]",
-          ",", ";", "=", "<", ">", "+", "-", "*", "/"]
+# one alternation, tried left to right at each position: runs of
+# whitespace and `#` comments, ASCII-only numbers (str.isdigit also accepts
+# digits that Fraction refuses), words, punctuation longest first, and
+# any other character
+_TOKEN = re.compile("|".join([
+    r"(?P<space>(?:\s|#[^\n]*)+)",
+    r"(?P<num>[0-9]+(?:\.[0-9]+)?)",
+    r"(?P<word>\w+)",
+    r"(?P<punct><-|<=|>=|!=|[{}()\[\],;=<>+*/-])",
+    r"(?P<bad>.)",
+]), re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # 'ident' | 'num' | 'punct' | 'kw' | 'eof'
     text: str
     line: int
     col: int
 
 
-def _is_digit(c: str) -> bool:
-    """ASCII 0-9 only: str.isdigit() also accepts digits (such as a
-    superscript two) that Fraction and int refuse."""
-    return "0" <= c <= "9"
-
-
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, bol = 1, 0  # bol: offset of the current line's first character
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "space":
+            if "\n" in word:
+                line += word.count("\n")
+                bol = m.start() + word.rindex("\n") + 1
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        col = m.start() - bol + 1
+        # a word may only start with a letter or `_`; \w also holds digits
+        if kind == "bad" or (kind == "word" and not (
+                word[0].isalpha() or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", line, col)
+        if kind == "word":
             kind = "kw" if word in _KEYWORDS else "ident"
-            toks.append(_Tok(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if _is_digit(c):
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            if j + 1 < n and text[j] == "." and _is_digit(text[j + 1]):
-                j += 1
-                while j < n and _is_digit(text[j]):
-                    j += 1
-            toks.append(_Tok("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+        toks.append(_Tok(kind, word, line, col))
+    toks.append(_Tok("eof", "", line, len(text) - bol + 1))
     return toks
 
 

@@ -6,6 +6,7 @@ sets are emitted sorted and timing is only populated on request.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -15,17 +16,13 @@ from fractions import Fraction
 from .config import AnalysisSettings, OracleBudget
 from .domains import BOT, DEFAULT_THRESHOLDS, BoxEnv, Interval
 from .interference import analyze_program_I
-from .oracle import (
-    check_soundness_inclusion,
-    concrete_interference_fixpoint,
-    run_interleavings,
-    run_scheduled,
-)
 from .parser import parse_program
 from .sched import analyze_program_C
 from .seq import analyze_program_seq
 from .syntax import Location, Program, location_thread
-from .transforms import fuzz_weakmem, negative_controls
+
+# `oracle` and `transforms` are imported by the modes that run them, so an
+# analyzer run, such as a cold CLI call, does not load them
 
 ANALYZER_MODES = ("seq", "interference", "scheduled")
 ORACLE_MODES = ("oracle-interleave", "oracle-scheduled", "oracle-interference")
@@ -105,18 +102,11 @@ class RunConfig:
         return OracleBudget(max_states=self.budget_states)
 
     def echo(self) -> dict:
-        return {
-            "mode": self.mode,
-            "unroll": self.unroll,
-            "widening_delay": self.widening_delay,
-            "thresholds": [str(t) for t in self.thresholds],
-            "mono": self.mono,
-            "self_interference": list(self.self_interference),
-            "budget_states": self.budget_states,
-            "seed": self.seed,
-            "check_against": self.check_against,
-            "decreasing_pass": self.decreasing_pass,
-        }
+        """The report's `config`: every field that can change the result."""
+        out = dataclasses.asdict(self)
+        del out["timing"]
+        out["thresholds"] = [str(t) for t in self.thresholds]
+        return out
 
 
 class ProgramMismatch(Exception):
@@ -214,6 +204,8 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         rep.update(_analysis_fields(p, cfg))
 
     elif cfg.mode in ("oracle-interleave", "oracle-scheduled"):
+        from .oracle import run_interleavings, run_scheduled
+
         run = (run_interleavings if cfg.mode == "oracle-interleave"
                else run_scheduled)
         res = run(p, unroll=cfg.unroll, budget=budget)
@@ -234,6 +226,8 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
             rep["check"] = _run_check(p, cfg, settings)
 
     elif cfg.mode == "oracle-interference":
+        from .oracle import concrete_interference_fixpoint
+
         res = concrete_interference_fixpoint(p, unroll=cfg.unroll,
                                              budget=budget)
         rep["alarms"] = _alarms(res.errors, p)
@@ -255,6 +249,8 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
             rep["exit_code"] = 3
 
     elif cfg.mode == "fuzz":
+        from .transforms import fuzz_weakmem, negative_controls
+
         fz = fuzz_weakmem(p, trials=50, seed=cfg.seed, unroll=cfg.unroll,
                           budget=budget, settings=settings)
         controls = negative_controls(budget=budget)
@@ -333,6 +329,8 @@ def _analyze(p: Program, mode: str, cfg: RunConfig):
 
 
 def _run_check(p: Program, cfg: RunConfig, settings) -> dict:
+    from .oracle import check_soundness_inclusion
+
     alarms = frozenset(_analyze(p, cfg.check_against, cfg).omega)
     oracle = "scheduled" if cfg.mode == "oracle-scheduled" else "interleave"
     inc = check_soundness_inclusion(p, alarms, oracle=oracle,

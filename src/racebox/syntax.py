@@ -87,8 +87,9 @@ class Const(Expr):
 
 class _Op(Expr):
     """An operator node.  It hashes once, at construction, from its fields
-    and its operands' cached hashes, and compares node by node along
-    sub_exprs: neither recurses, however deep the expression."""
+    and its operands' cached hashes, compares node by node along sub_exprs,
+    and shows as its source text: none of these recurses, however deep the
+    expression."""
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
@@ -102,6 +103,9 @@ class _Op(Expr):
         return self._hash == other._hash and all(
             map(_same_node, sub_exprs(self), sub_exprs(other)))
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({pretty_expr(self)!r})"
+
 
 def _same_node(x: Expr, y: Expr) -> bool:
     """x and y are equal apart from their operands."""
@@ -112,13 +116,13 @@ def _same_node(x: Expr, y: Expr) -> bool:
     return x.loc == y.loc if isinstance(x, Neg) else x == y
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Op):
     loc: Location
     sub: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Op):
     op: str
     loc: Location

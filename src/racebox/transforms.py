@@ -417,7 +417,7 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     """Transform per-thread paths under verified side conditions, run the
     concrete oracle on the transformed paths, and require its errors to be
     covered by the untransformed program's analysis."""
-    from .concrete import paths as mk_paths
+    from .concrete import paths as mk_paths, sorted_paths
 
     rng = random.Random(seed)
     if oracle == "scheduled":
@@ -428,9 +428,8 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
         runner = run_interleavings
     alarm_set = frozenset(alarms)
 
-    base: dict[int, frozenset[ControlPath]] = {}
-    for t in p.threads:
-        base[t.tid] = mk_paths(t.body, unroll).paths
+    base = {t.tid: mk_paths(t.body, unroll).paths for t in p.threads}
+    pools = {tid: sorted_paths(ps) for tid, ps in base.items()}
 
     per_rule = {r.value: {"applied": 0, "skipped": 0, "violations": 0}
                 for r in RuleId}
@@ -440,8 +439,7 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 
     for _ in range(trials):
         tid = rng.choice(p.tids)
-        pool = sorted(base[tid], key=lambda q: (len(q),
-                                                [str(s.sid) for s in q]))
+        pool = pools[tid]
         if not pool:
             continue
         path0 = pool[rng.randrange(len(pool))]

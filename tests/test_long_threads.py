@@ -20,7 +20,7 @@ from racebox.oracle import run_interleavings, run_scheduled
 from racebox.parser import parse_program
 from racebox.sched import analyze_program_C
 from racebox.seq import analyze_program_seq
-from racebox.syntax import pretty_program
+from racebox.syntax import pretty_expr, pretty_program
 
 N = 3_000
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -90,6 +90,17 @@ def test_deep_expression(tmp_path, shape):
     r = subprocess.run([sys.executable, "-m", "racebox.cli", str(f),
                         "--mode", "scheduled"], capture_output=True, text=True)
     assert r.returncode in (0, 1), r.stderr
+
+
+def test_repr_of_deep_expression():
+    """An error message or a failed assertion may show a deep expression."""
+    neg = DEEP["neg"][0]
+    p = parse_program(f"thread 1 {{ y <- {neg}; z <- (x + 1) / -x; }}")
+    neg, div = p.threads[0].body.body
+    assert pretty_expr(neg.expr) == "-(" * 4_999 + "-x" + ")" * 4_999
+    assert repr(neg) == (f"Assign(sid={neg.sid!r}, var='y',"
+                         f" expr=Neg({pretty_expr(neg.expr)!r}))")
+    assert repr(div.expr) == "BinOp('(x + 1) / (-x)')"
 
 
 def test_no_recursion_limit_raised():

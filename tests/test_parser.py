@@ -9,6 +9,7 @@ from racebox.parser import (
     DuplicateThreadId,
     ParseError,
     UndeclaredVariable,
+    _tokenize,
     parse_program,
 )
 from racebox.randgen import GeneratorConfig, random_program
@@ -214,3 +215,32 @@ def test_roundtrip_property(seed, cfg):
 def test_only_ascii_digits_are_numbers(src):
     with pytest.raises(ParseError, match="unexpected character"):
         parse_program(src)
+
+
+@pytest.mark.parametrize("src, toks", [
+    # a tab, \r, \x0b and a no-break space each take one column; only \n
+    # starts a line
+    ("x\t<-\r\n\x0b y\u00a0+ \u00e9_1;",
+     [("ident", "x", 1, 1), ("punct", "<-", 1, 3), ("ident", "y", 2, 3),
+      ("punct", "+", 2, 5), ("ident", "\u00e9_1", 2, 7), ("punct", ";", 2, 10),
+      ("eof", "", 2, 11)]),
+    # a digit that is not ASCII may go on a word, not start a number
+    ("a\u00b2 <= 1.5", [("ident", "a\u00b2", 1, 1), ("punct", "<=", 1, 4),
+                       ("num", "1.5", 1, 7), ("eof", "", 1, 10)]),
+    ("x # end", [("ident", "x", 1, 1), ("eof", "", 1, 8)]),
+])
+def test_token_positions(src, toks):
+    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(src)] == toks
+
+
+@pytest.mark.parametrize("src, msg, line, col", [
+    ("thread 1 {\n\tx <- \u00b2; }", "unexpected character '\u00b2'", 2, 7),
+    ("thread 1 {\r\n x <- \u0663; }", "unexpected character '\u0663'",
+     2, 7),
+    ("thread 1 { x <- 1.; }", "unexpected character '.'", 1, 18),
+    ("thread 1 { x <- 1; # end", "expected a statement", 1, 25),
+])
+def test_parse_error_positions(src, msg, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_program(src)
+    assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)

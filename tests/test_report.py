@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import jsonschema
@@ -133,6 +134,34 @@ def run_cli(*args, color=None):
     return subprocess.run(
         [sys.executable, "-m", "racebox.cli", *args],
         capture_output=True, text=True, env=env)
+
+
+def test_imports_only_what_the_mode_runs(tmp_path):
+    """`import racebox` loads no submodule, and the analyzer modes load
+    neither the oracle nor the fuzzer."""
+    f = tmp_path / "p.conc"
+    f.write_text(SRC_ALARM)
+    code = textwrap.dedent("""
+        import json, sys
+        import racebox
+        bare = [m for m in sys.modules if m.startswith("racebox.")]
+        from racebox.cli import main
+        codes = []
+        for mode in ("seq", "interference", "scheduled"):
+            try:
+                main([sys.argv[1], "--mode", mode], standalone_mode=False)
+            except SystemExit as e:
+                codes.append(e.code)
+        print(json.dumps([bare, codes, sorted(sys.modules)]))
+    """)
+    r = subprocess.run([sys.executable, "-c", code, str(f)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    bare, codes, loaded = json.loads(r.stdout.splitlines()[-1])
+    assert bare == [] and codes == [1, 1, 1]
+    assert "racebox.sched" in loaded and "racebox.seq" in loaded
+    assert "racebox.oracle" not in loaded
+    assert "racebox.transforms" not in loaded
 
 
 def test_cli_exit_zero_no_alarms(tmp_path):
