@@ -4,9 +4,10 @@ analyzer alarms, for all three analyzer/oracle pairings.
 
 Usage: soundness_sweep.py [N] [BASE_SEED]
 
-Prints one summary line, then one line of seconds per phase (analyzers,
-interleaving oracle, scheduled oracle) with the states each oracle
-explored.  Exits 1 on any inclusion violation.
+Prints one summary line, one line per pairing with its checked and
+truncated (inconclusive) comparisons, then one line of seconds per phase
+(analyzers, interleaving oracle, scheduled oracle) with the states each
+oracle explored.  Exits 1 on any inclusion violation.
 """
 
 import pathlib
@@ -18,7 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
-from racebox.oracle import run_interleavings, run_scheduled
+from racebox.oracle import inclusion, run_interleavings, run_scheduled
 from racebox.randgen import GeneratorConfig, random_program
 from racebox.sched import analyze_program_C
 from racebox.syntax import pretty_program
@@ -29,7 +30,11 @@ def main() -> None:
     base = int(sys.argv[2]) if len(sys.argv) > 2 else 31_000
     budget = OracleBudget()
     t0 = time.monotonic()
-    stats = {"checked": 0, "truncated": 0, "violations": 0, "max_rounds": 0}
+    pairings = ("interleave/interference", "interleave/scheduled-multi",
+                "scheduled/scheduled-mono")
+    verdicts = {name: {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
+                for name in pairings}
+    max_rounds = 0
     secs = {"analyzers": 0.0, "interleave": 0.0, "scheduled": 0.0}
     states = {"interleave": 0, "scheduled": 0}
     for i in range(n):
@@ -41,8 +46,8 @@ def main() -> None:
         rt = analyze_program_C(p, mono=True)
         rf = analyze_program_C(p, mono=False)
         secs["analyzers"] += time.perf_counter() - t
-        stats["max_rounds"] = max(stats["max_rounds"], ri.iterations,
-                                  rt.iterations, rf.iterations)
+        max_rounds = max(max_rounds, ri.iterations, rt.iterations,
+                         rf.iterations)
         t = time.perf_counter()
         oi = run_interleavings(p, unroll=3, budget=budget,
                                collect_witnesses=False)
@@ -53,31 +58,30 @@ def main() -> None:
         secs["scheduled"] += time.perf_counter() - t
         states["interleave"] += oi.states
         states["scheduled"] += os_.states
-        for name, oracle, alarms in (
-                ("interleave/interference", oi, ri.omega),
-                ("interleave/scheduled-multi", oi, rf.omega),
-                ("scheduled/scheduled-mono", os_, rt.omega)):
-            if oracle.truncated:
-                stats["truncated"] += 1
-                continue
-            stats["checked"] += 1
-            missing = oracle.errors - alarms
-            if missing:
-                stats["violations"] += 1
+        for name, res, alarms in zip(pairings, (oi, oi, os_),
+                                     (ri.omega, rf.omega, rt.omega)):
+            inc = inclusion(res, alarms)
+            verdicts[name][inc.verdict] += 1
+            if inc.verdict == "FAIL":
                 print(f"VIOLATION seed={base + i} pairing={name}"
-                      f" labels={sorted(l.label for l in missing)}")
+                      f" labels={sorted(l.label for l in inc.missing)}")
                 print(pretty_program(p))
     dt = time.monotonic() - t0
-    print(f"{n} programs, {stats['checked']} comparisons,"
-          f" {stats['truncated']} truncated,"
-          f" {stats['violations']} violations,"
-          f" max {stats['max_rounds']} fixpoint rounds, {dt:.1f}s")
+    total = {v: sum(d[v] for d in verdicts.values())
+             for v in ("PASS", "FAIL", "INCONCLUSIVE")}
+    print(f"{n} programs, {total['PASS'] + total['FAIL']} comparisons,"
+          f" {total['INCONCLUSIVE']} truncated,"
+          f" {total['FAIL']} violations,"
+          f" max {max_rounds} fixpoint rounds, {dt:.1f}s")
+    for name, d in verdicts.items():
+        print(f"  {name}: {d['PASS'] + d['FAIL']} checked,"
+              f" {d['INCONCLUSIVE']} truncated, {d['FAIL']} violations")
     print(f"phases: analyzers {secs['analyzers']:.1f}s,"
           f" interleaving oracle {secs['interleave']:.1f}s"
           f" ({states['interleave']} states),"
           f" scheduled oracle {secs['scheduled']:.1f}s"
           f" ({states['scheduled']} states)")
-    sys.exit(1 if stats["violations"] else 0)
+    sys.exit(1 if total["FAIL"] else 0)
 
 
 if __name__ == "__main__":

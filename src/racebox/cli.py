@@ -2,7 +2,8 @@
 
 Exit codes: 0 analyzed with no alarms (or PASS), 1 alarms or violations
 found (or FAIL), 2 usage/parse error, 3 internal or budget failure.
-Set THESEE_MINI_COLOR=0|1 to force colored human output off or on.
+Set THESEE_MINI_COLOR=0|1 to force colored human output off or on; by
+default only output to a terminal is colored.
 """
 
 from __future__ import annotations
@@ -23,22 +24,19 @@ from .report import (
 )
 
 
-def _color_enabled() -> bool:
+def _color_enabled(out: str | None) -> bool:
     env = os.environ.get("THESEE_MINI_COLOR")
     if env == "0":
         return False
     if env == "1":
         return True
-    return sys.stdout.isatty()
+    return out is None and sys.stdout.isatty()
 
 
-def _c(text: str, code: str) -> str:
-    if _color_enabled():
-        return f"\033[{code}m{text}\033[0m"
-    return text
+def _human(rep: dict, color: bool) -> str:
+    def _c(text: str, code: str) -> str:
+        return f"\033[{code}m{text}\033[0m" if color else text
 
-
-def _human(rep: dict) -> str:
     lines = [f"mode: {rep['mode']}"]
     if rep["iterations"] is not None:
         lines.append(f"interference iterations: {rep['iterations']}")
@@ -157,6 +155,10 @@ def _parse_threads(ctx, param, text: str) -> tuple[int, ...]:
 def main(file, json_output, out, **opts):
     """Analyze a concurrent program or run a concrete oracle on it."""
     try:
+        cfg = RunConfig(**opts)  # every other option is a RunConfig field
+    except ValueError as e:
+        raise click.UsageError(str(e))
+    try:
         source = open(file, encoding="utf-8").read()
         program = parse_program(source)
     except (ParseError, OSError, UnicodeDecodeError) as e:
@@ -166,14 +168,14 @@ def main(file, json_output, out, **opts):
         click.echo(f"internal error: {e}", err=True)
         sys.exit(3)
 
-    cfg = RunConfig(**opts)  # every other option is a RunConfig field
     try:
         rep = build_report(program, source, cfg)
     except Exception as e:  # analyzer/oracle internal failure
         click.echo(f"internal error: {e}", err=True)
         sys.exit(3)
 
-    text = report_to_json(rep) if json_output else _human(rep)
+    color = _color_enabled(out)
+    text = report_to_json(rep) if json_output else _human(rep, color)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -182,7 +184,7 @@ def main(file, json_output, out, **opts):
             click.echo(f"error: {e}", err=True)
             sys.exit(2)
     else:
-        click.echo(text, nl=False, color=_color_enabled())
+        click.echo(text, nl=False, color=color)
 
     code = rep["exit_code"]
     if rep["check"]:

@@ -30,9 +30,12 @@ from .syntax import (
     Stmt,
     Var,
     While,
+    body_guard,
+    else_guard,
+    exit_guard,
     fold_expr,
     is_finite,
-    negate_cmp,
+    then_guard,
 )
 
 
@@ -227,22 +230,6 @@ def _prim(s: Stmt, st: ConcreteState) -> ConcreteState:
         envs.update(succ)
         errors |= errs
     return ConcreteState(st.vars, frozenset(envs), frozenset(errors))
-
-
-def then_guard(s) -> Guard:
-    return Guard(f"{s.sid}:then", s.expr, s.cmp)
-
-
-def else_guard(s) -> Guard:
-    return Guard(f"{s.sid}:else", s.expr, negate_cmp(s.cmp))
-
-
-def body_guard(s) -> Guard:
-    return Guard(f"{s.sid}:body", s.expr, s.cmp)
-
-
-def exit_guard(s) -> Guard:
-    return Guard(f"{s.sid}:exit", s.expr, negate_cmp(s.cmp))
 
 
 def exec_stmt(s: Stmt, st: ConcreteState,

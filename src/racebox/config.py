@@ -1,18 +1,18 @@
-"""Dataclass configuration shared by the analyzers and the CLI."""
+"""Dataclass configuration shared by the analyzers and the CLI: the one
+home of the run defaults."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domains import DEFAULT_THRESHOLDS
-
 
 @dataclass(frozen=True)
 class AnalysisSettings:
     """Tuning knobs of the abstract analyzers."""
 
-    thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS
+    thresholds: tuple[Fraction, ...] = tuple(  # widening thresholds
+        map(Fraction, (-10_000, -1, 0, 1, 10_000)))
     widening_delay: int = 2  # outer interference rounds joined before widening
     decreasing_pass: bool = False  # one loop re-execution after stabilization
     partition_cap: int = 256  # scheduled-env partitions before coarsening

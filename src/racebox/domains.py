@@ -33,11 +33,6 @@ class BotNotRepresentable(Exception):
     pass
 
 
-DEFAULT_THRESHOLDS: tuple[Fraction, ...] = (
-    Fraction(-10_000), Fraction(-1), Fraction(0), Fraction(1), Fraction(10_000),
-)
-
-
 # ---------------------------------------------------------------------------
 # Extended-rational helpers (Fraction plus +/-inf floats)
 
@@ -227,19 +222,6 @@ class Interval:
 BOT = Interval(None, None)
 
 
-def ival_join(a: Interval, b: Interval) -> Interval:
-    return a.join(b)
-
-
-def ival_widen(a: Interval, b: Interval,
-               thresholds: tuple[Fraction, ...] = ()) -> Interval:
-    return a.widen(b, thresholds)
-
-
-def ival_leq(a: Interval, b: Interval) -> bool:
-    return a.leq(b)
-
-
 def as_expr(v: Interval) -> Expr:
     """Constant expression whose evaluation covers the interval exactly."""
     if v.is_bot:
@@ -328,10 +310,6 @@ class BoxEnv:
 
 
 _BOT_ENV = BoxEnv(None)
-
-
-def get(var: str, env: BoxEnv) -> Interval:
-    return env.get(var)
 
 
 # ---------------------------------------------------------------------------

@@ -515,24 +515,35 @@ class InclusionReport:
     oracle_truncated: bool
 
 
+def inclusion(res: ExploreResult,
+              alarms: frozenset[Location]) -> InclusionReport:
+    """The one soundness verdict of an oracle run against an analyzer's
+    alarms: INCONCLUSIVE when the run was truncated; FAIL when some error
+    it reached is not an alarm, with the witness of the first missing
+    label ([] if the run kept no witnesses); PASS otherwise."""
+    if res.truncated:
+        return InclusionReport("INCONCLUSIVE", frozenset(), None,
+                               res.states, True)
+    missing = res.errors - alarms
+    if not missing:
+        return InclusionReport("PASS", frozenset(), None, res.states, False)
+    first = min(missing, key=lambda l: l.sort_key())
+    return InclusionReport("FAIL", missing, res.witnesses.get(first, []),
+                           res.states, False)
+
+
 def check_soundness_inclusion(p: Program,
                               analyzer_errors: frozenset[Location],
                               oracle: str = "interleave",
                               unroll: int = 3,
                               budget: OracleBudget = OracleBudget(),
                               ) -> InclusionReport:
-    """PASS iff every oracle-reachable error is an analyzer alarm;
-    INCONCLUSIVE when the oracle hit its exploration budget."""
+    """`inclusion` of a fresh oracle run; PASS iff every oracle-reachable
+    error is an analyzer alarm."""
     run = run_scheduled if oracle == "scheduled" else run_interleavings
-    res = run(p, unroll=unroll, budget=budget, collect_witnesses=False)
-    if res.truncated:
-        return InclusionReport("INCONCLUSIVE", frozenset(), None,
-                               res.states, True)
-    missing = res.errors - analyzer_errors
-    if not missing:
-        return InclusionReport("PASS", frozenset(), None, res.states, False)
-    # re-run with parent tracking only to materialize a witness trace
-    res = run(p, unroll=unroll, budget=budget, collect_witnesses=True)
-    first = min(missing, key=lambda l: l.sort_key())
-    return InclusionReport("FAIL", frozenset(missing),
-                           res.witnesses.get(first, []), res.states, False)
+    inc = inclusion(run(p, unroll=unroll, budget=budget,
+                        collect_witnesses=False), analyzer_errors)
+    if inc.verdict == "FAIL":
+        # re-run with parent tracking only to materialize a witness trace
+        inc = inclusion(run(p, unroll=unroll, budget=budget), analyzer_errors)
+    return inc

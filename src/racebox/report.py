@@ -1,7 +1,8 @@
 """Run orchestration and machine/human report emission.
 
-Reports are byte-deterministic for a given (program, config, seed): all
-sets are emitted sorted and timing is only populated on request.
+Reports are byte-deterministic for a given (program, config, seed): sets
+are emitted as sorted lists, `report_to_json` alone orders dict keys, and
+timing is only populated on request.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import AnalysisSettings, OracleBudget
-from .domains import BOT, DEFAULT_THRESHOLDS, BoxEnv, Interval
+from .domains import BOT, BoxEnv, Interval
 from .interference import analyze_program_I
 from .parser import parse_program
 from .sched import analyze_program_C
@@ -25,7 +26,8 @@ from .syntax import Location, Program, location_thread
 # analyzer run, such as a cold CLI call, does not load them
 
 ANALYZER_MODES = ("seq", "interference", "scheduled")
-ORACLE_MODES = ("oracle-interleave", "oracle-scheduled", "oracle-interference")
+CHECK_MODES = ("oracle-interleave", "oracle-scheduled")  # the explorers
+ORACLE_MODES = CHECK_MODES + ("oracle-interference",)
 MODES = ANALYZER_MODES + ORACLE_MODES + ("fuzz",)
 
 SCHEMA_VERSION = 1
@@ -80,15 +82,20 @@ REPORT_SCHEMA = {
 class RunConfig:
     mode: str = "scheduled"
     unroll: int = 3
-    widening_delay: int = 2
-    thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS
+    widening_delay: int = AnalysisSettings.widening_delay
+    thresholds: tuple[Fraction, ...] = AnalysisSettings.thresholds
     mono: bool = True
     self_interference: tuple[int, ...] = ()
-    budget_states: int = 1_000_000
+    budget_states: int = OracleBudget.max_states
     seed: int = 0
     check_against: str | None = None
-    decreasing_pass: bool = False
+    decreasing_pass: bool = AnalysisSettings.decreasing_pass
     timing: bool = False
+
+    def __post_init__(self):
+        if self.check_against and self.mode not in CHECK_MODES:
+            raise ValueError("--check-against needs --mode "
+                             + " or ".join(CHECK_MODES))
 
     def settings(self) -> AnalysisSettings:
         return AnalysisSettings(
@@ -154,17 +161,10 @@ def _var_ranges(p: Program, per_thread) -> dict:
 
 
 def _invariant_dump(per_thread) -> dict:
-    out = {}
-    for tid, res in sorted(per_thread.items()):
-        entry = {}
-        for sid, env in sorted(res.invariants.items(), key=lambda kv: str(kv[0])):
-            if isinstance(env, BoxEnv):
-                entry[str(sid)] = str(env)
-            else:
-                entry[str(sid)] = {str(c): str(env[c])
-                                   for c in sorted(env, key=lambda c: c.sort_key())}
-        out[f"t{tid}"] = entry
-    return out
+    return {f"t{tid}": {str(sid): str(env) if isinstance(env, BoxEnv)
+                        else {str(c): str(env[c]) for c in env}
+                        for sid, env in res.invariants.items()}
+            for tid, res in per_thread.items()}
 
 
 def _terminal_summary(res, limit: int = 64) -> dict:
@@ -178,7 +178,6 @@ def _terminal_summary(res, limit: int = 64) -> dict:
 def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
     """Run the requested mode and assemble the report dictionary."""
     t0 = time.monotonic()
-    settings = cfg.settings()
     budget = cfg.budget()
     rep: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -203,8 +202,8 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
     if cfg.mode in ANALYZER_MODES:
         rep.update(_analysis_fields(p, cfg))
 
-    elif cfg.mode in ("oracle-interleave", "oracle-scheduled"):
-        from .oracle import run_interleavings, run_scheduled
+    elif cfg.mode in CHECK_MODES:
+        from .oracle import inclusion, run_interleavings, run_scheduled
 
         run = (run_interleavings if cfg.mode == "oracle-interleave"
                else run_scheduled)
@@ -216,14 +215,19 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
             "paths_truncated": res.paths_truncated,
             "terminal_env_count": len(res.terminal_envs),
             "terminal_values": _terminal_summary(res),
-            "witnesses": {str(l.label): res.witnesses[l]
-                          for l in sorted(res.witnesses,
-                                          key=lambda l: l.sort_key())},
+            "witnesses": {str(l.label): w for l, w in res.witnesses.items()},
         }
         if res.truncated:
             rep["exit_code"] = 3
         if cfg.check_against:
-            rep["check"] = _run_check(p, cfg, settings)
+            inc = inclusion(res, _analyze(p, cfg.check_against, cfg).omega)
+            rep["check"] = {
+                "against": cfg.check_against,
+                "verdict": inc.verdict,
+                "missing": sorted(l.label for l in inc.missing),
+                "witness": inc.witness,
+                "oracle_states": inc.oracle_states,
+            }
 
     elif cfg.mode == "oracle-interference":
         from .oracle import concrete_interference_fixpoint
@@ -231,14 +235,12 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         res = concrete_interference_fixpoint(p, unroll=cfg.unroll,
                                              budget=budget)
         rep["alarms"] = _alarms(res.errors, p)
-        summary: dict[str, dict] = {}
+        values: dict[str, list] = {}
         for (t, x, v) in res.interference:
-            k = f"t{t}/{x}"
-            e = summary.setdefault(k, {"count": 0, "min": None, "max": None})
-            e["count"] += 1
-            e["min"] = str(v) if e["min"] is None else str(min(Fraction(e["min"]), Fraction(v)))
-            e["max"] = str(v) if e["max"] is None else str(max(Fraction(e["max"]), Fraction(v)))
-        rep["interferences"] = dict(sorted(summary.items()))
+            values.setdefault(f"t{t}/{x}", []).append(v)
+        rep["interferences"] = {
+            k: {"count": len(vs), "min": str(min(vs)), "max": str(max(vs))}
+            for k, vs in values.items()}
         rep["oracle"] = {
             "converged": res.converged,
             "rounds": res.rounds,
@@ -252,7 +254,7 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         from .transforms import fuzz_weakmem, negative_controls
 
         fz = fuzz_weakmem(p, trials=50, seed=cfg.seed, unroll=cfg.unroll,
-                          budget=budget, settings=settings)
+                          budget=budget, settings=cfg.settings())
         controls = negative_controls(budget=budget)
         rep["fuzz"] = {
             "trials": fz.trials,
@@ -297,13 +299,10 @@ def _analysis_fields(p: Program, cfg: RunConfig) -> dict:
     out["warnings"] = list(res.warnings)
     if cfg.mode == "interference":
         out["interferences"] = {f"t{t}/{x}": str(v)
-                                for (t, x), v in sorted(res.interf.items())}
+                                for (t, x), v in res.interf.items()}
         return out
-    out["interferences"] = {
-        f"t{t}/{c}/{x}": str(v)
-        for (t, c, x), v in sorted(
-            res.interf.items(),
-            key=lambda kv: (kv[0][0], kv[0][1].sort_key(), kv[0][2]))}
+    out["interferences"] = {f"t{t}/{c}/{x}": str(v)
+                            for (t, c, x), v in res.interf.items()}
     out["races"] = {
         kind: [{"kind": r.kind, "threads": list(r.threads), "var": r.var,
                 "configs": [list(c) for c in r.configs]}
@@ -326,22 +325,6 @@ def _analyze(p: Program, mode: str, cfg: RunConfig):
     if mode == "scheduled":
         return analyze_program_C(p, settings, mono=cfg.mono)
     raise ValueError(f"--check-against expects one of {ANALYZER_MODES}")
-
-
-def _run_check(p: Program, cfg: RunConfig, settings) -> dict:
-    from .oracle import check_soundness_inclusion
-
-    alarms = frozenset(_analyze(p, cfg.check_against, cfg).omega)
-    oracle = "scheduled" if cfg.mode == "oracle-scheduled" else "interleave"
-    inc = check_soundness_inclusion(p, alarms, oracle=oracle,
-                                    unroll=cfg.unroll, budget=cfg.budget())
-    return {
-        "against": cfg.check_against,
-        "verdict": inc.verdict,
-        "missing": sorted(l.label for l in inc.missing),
-        "witness": inc.witness,
-        "oracle_states": inc.oracle_states,
-    }
 
 
 def report_to_json(rep: dict) -> str:

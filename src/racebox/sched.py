@@ -23,14 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .concrete import body_guard, else_guard, exit_guard, then_guard
 from .config import AnalysisSettings
 from .domains import (
     BOT,
     BoxEnv,
     Interval,
     as_expr,
-    get,
     transfer_assign,
     transfer_guard,
 )
@@ -53,10 +51,14 @@ from .syntax import (
     Var,
     While,
     Yield,
+    body_guard,
     collect_lock_sets,
+    else_guard,
+    exit_guard,
     fold_expr,
     stmt_exprs,
     sub_stmts,
+    then_guard,
     vars_of_expr,
 )
 
@@ -80,10 +82,6 @@ class SchedConfig(NamedTuple):
     held: frozenset[str]
     free: frozenset[str]
     tag: object = WEAK
-
-    def sort_key(self) -> tuple:
-        return (tuple(sorted(self.held)), tuple(sorted(self.free)),
-                str(self.tag))
 
     def __str__(self) -> str:
         l = ",".join(sorted(self.held))
@@ -193,7 +191,7 @@ def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
             if read_log is not None:
                 for t2, c2 in writers[x.name]:
                     read_log.add((t, t2, x.name, c, c2))
-            consts[x.name] = as_expr(v.join(get(x.name, env)))
+            consts[x.name] = as_expr(v.join(env.get(x.name)))
             return consts[x.name]
         if isinstance(x, Const):
             return x
@@ -243,7 +241,7 @@ def out_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
     key_conf = SchedConfig(l, u, sync(m))
     out: SchedInterferenceAbs = {}
     for x in modified:
-        v = get(x, env)
+        v = env.get(x)
         if not v.is_bot:
             out[(t, key_conf, x)] = v
     return out
@@ -328,7 +326,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             if env.is_bot:
                 continue
             envs[c] = env
-            put(interf, (t, c, var), get(var, env))
+            put(interf, (t, c, var), env.get(var))
         return seen(AbsStateC(envs, errors, interf))
 
     def guard(g: Guard, x: AbsStateC) -> AbsStateC:

@@ -32,6 +32,25 @@ def negate_cmp(cmp: str) -> str:
     return _NEGATE[cmp]
 
 
+# the guards an If (then/else) or a While (body/exit) desugars into
+
+
+def then_guard(s: If) -> Guard:
+    return Guard(f"{s.sid}:then", s.expr, s.cmp)
+
+
+def else_guard(s: If) -> Guard:
+    return Guard(f"{s.sid}:else", s.expr, negate_cmp(s.cmp))
+
+
+def body_guard(s: While) -> Guard:
+    return Guard(f"{s.sid}:body", s.expr, s.cmp)
+
+
+def exit_guard(s: While) -> Guard:
+    return Guard(f"{s.sid}:exit", s.expr, negate_cmp(s.cmp))
+
+
 def is_finite(x: Ext) -> bool:
     return isinstance(x, Fraction)
 

@@ -15,10 +15,6 @@ from racebox.domains import (
     Interval,
     as_expr,
     eval_abs,
-    get,
-    ival_join,
-    ival_leq,
-    ival_widen,
     transfer_assign,
     transfer_guard,
 )
@@ -39,24 +35,24 @@ def iv(lo, hi):
 
 
 def test_join_is_hull():
-    assert ival_join(iv(0, 1), iv(2, 3)) == iv(0, 3)
+    assert iv(0, 1).join(iv(2, 3)) == iv(0, 3)
 
 
 def test_widen_unstable_upper_no_thresholds():
-    assert ival_widen(iv(0, 1), iv(0, 2)) == iv(0, "inf")
+    assert iv(0, 1).widen(iv(0, 2)) == iv(0, "inf")
 
 
 def test_widen_bottom_identity():
     x = iv(3, 4)
-    assert ival_widen(BOT, x) == x
-    assert ival_widen(x, BOT) == x
+    assert BOT.widen(x) == x
+    assert x.widen(BOT) == x
 
 
 def test_widen_threshold_ladder():
     thr = (F(-1), F(0), F(10))
-    assert ival_widen(iv(0, 1), iv(0, 5), thr) == iv(0, 10)
-    assert ival_widen(iv(0, 1), iv(-3, 1), thr) == iv("-inf", 1)
-    assert ival_widen(iv(0, 1), iv(-1, 11), thr) == iv(-1, "inf")
+    assert iv(0, 1).widen(iv(0, 5), thr) == iv(0, 10)
+    assert iv(0, 1).widen(iv(-3, 1), thr) == iv("-inf", 1)
+    assert iv(0, 1).widen(iv(-1, 11), thr) == iv(-1, "inf")
 
 
 def test_widening_stabilizes_within_thresholds_plus_two():
@@ -67,7 +63,7 @@ def test_widening_stabilizes_within_thresholds_plus_two():
         steps = 0
         while True:
             y = iv(rng.randint(-20, 0), rng.randint(0, 20))
-            nxt = ival_widen(x, y, thr)
+            nxt = x.widen(y, thr)
             steps += 1
             if nxt == x:
                 break
@@ -87,9 +83,9 @@ def test_printing_formats():
 
 def test_leq_partial_order():
     a, b, c = iv(0, 1), iv(0, 2), iv(-1, 2)
-    assert ival_leq(a, b) and ival_leq(b, c) and ival_leq(a, c)
-    assert not ival_leq(b, a)
-    assert ival_leq(BOT, a) and not ival_leq(a, BOT)
+    assert a.leq(b) and b.leq(c) and a.leq(c)
+    assert not b.leq(a)
+    assert BOT.leq(a) and not a.leq(BOT)
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20),
@@ -126,13 +122,13 @@ def test_interval_arithmetic_sound_hypothesis(a, b, c, d, u, v):
 
 def test_get_on_box():
     env = BoxEnv({"x": iv(1, 2), "y": iv(0, 0)})
-    assert get("x", env) == iv(1, 2)
-    assert get("x", BoxEnv.bot()) == BOT
+    assert env.get("x") == iv(1, 2)
+    assert BoxEnv.bot().get("x") == BOT
 
 
 def test_get_initial_defaults_to_zero():
     p = parse_program("thread 1 { x <- 1; }")
-    assert get("x", BoxEnv.initial(p)) == iv(0, 0)
+    assert BoxEnv.initial(p).get("x") == iv(0, 0)
 
 
 def test_as_expr_roundtrip():
@@ -156,7 +152,7 @@ def test_assign_interval_sum():
     p = parse_program("thread 1 { x <- [1,2] + [3,4]; }")
     env0 = BoxEnv.initial(p)
     env, errs = transfer_assign("x", p.threads[0].body.expr, env0, frozenset())
-    assert get("x", env) == iv(4, 6)
+    assert env.get("x") == iv(4, 6)
     assert errs == frozenset()
 
 
@@ -164,7 +160,7 @@ def test_assign_division_split_at_zero():
     p = parse_program("thread 1 { x <- 1 / [-1,1]; }")
     env0 = BoxEnv.initial(p)
     env, errs = transfer_assign("x", p.threads[0].body.expr, env0, frozenset())
-    assert get("x", env) == iv("-inf", "inf")
+    assert env.get("x") == iv("-inf", "inf")
     assert len(errs) == 1
 
 
@@ -179,7 +175,7 @@ def test_assign_definite_zero_divisor_blocks():
 def test_guard_clamps_bound():
     env = BoxEnv({"x": iv(-5, 10)})
     out, errs = transfer_guard(Var("x"), "<=", env, frozenset())
-    assert get("x", out) == iv(-5, 0)
+    assert out.get("x") == iv(-5, 0)
 
 
 def test_guard_unsat_gives_bottom():
@@ -192,7 +188,7 @@ def test_guard_refines_through_arithmetic():
     p = parse_program("thread 1 { if x - 10 < 0 then { x <- x; } }")
     env = BoxEnv({"x": iv(0, 100)})
     out, _ = transfer_guard(p.threads[0].body.expr, "<", env, frozenset())
-    assert get("x", out) == iv(0, 10)
+    assert out.get("x") == iv(0, 10)
 
 
 def test_guard_on_bottom_is_bottom():

@@ -12,6 +12,7 @@ from racebox.interference import analyze_program_I
 from racebox.oracle import (
     check_soundness_inclusion,
     concrete_interference_fixpoint,
+    inclusion,
     run_interleavings,
     run_scheduled,
 )
@@ -213,6 +214,13 @@ def test_inclusion_fail_with_witness():
     assert rep.verdict == "FAIL"
     assert rep.missing
     assert rep.witness and rep.witness[-1]["stmt-pretty"].startswith("x <-")
+    # `inclusion` judges the run it is given: the same verdict on a run
+    # with witnesses, an empty witness on a run without
+    assert inclusion(run_interleavings(p), frozenset()) == rep
+    bare = inclusion(run_interleavings(p, collect_witnesses=False),
+                     frozenset())
+    assert (bare.verdict, bare.missing, bare.witness) == ("FAIL",
+                                                          rep.missing, [])
 
 
 def test_inclusion_inconclusive_on_truncation():

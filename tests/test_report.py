@@ -107,6 +107,33 @@ def test_check_against_verdicts():
     assert rep["check"]["verdict"] == "PASS"
 
 
+# the high-priority test of `m` excludes the two sections only on a
+# mono-processor: free interleavings reach y = 1, z = 2 and divide by zero
+SRC_MONO_ONLY = """var x; var y; var z; var t; mutex m;
+thread 1 { lock(m); y <- 1; z <- 1; t <- 1 / (y - z + 1); unlock(m); }
+thread 2 { x <- islocked(m); if x = 0 then { z <- 2; y <- 2; yield; } }
+"""
+
+
+@pytest.mark.parametrize("src,verdict", [(SRC_ALARM, "PASS"),
+                                         (SRC_MONO_ONLY, "FAIL")])
+def test_check_against_explores_once(monkeypatch, src, verdict):
+    """The check judges the oracle run the mode has already made."""
+    import racebox.oracle as oracle
+
+    calls = []
+    explore = oracle._explore
+    monkeypatch.setattr(oracle, "_explore",
+                        lambda *a, **k: calls.append(1) or explore(*a, **k))
+    rep = analyze_source(src, RunConfig(mode="oracle-interleave",
+                                        check_against="scheduled"))
+    assert rep["check"]["verdict"] == verdict
+    assert len(calls) == 1
+    if verdict == "FAIL":
+        assert rep["check"]["missing"] == [1]
+        assert rep["check"]["witness"][-1]["stmt-pretty"].startswith("t <-")
+
+
 def test_oracle_interference_divergence_is_budget_failure(corpus_source):
     rep = analyze_source(corpus_source("increment"),
                          RunConfig(mode="oracle-interference"))
@@ -138,7 +165,7 @@ def run_cli(*args, color=None):
 
 def test_imports_only_what_the_mode_runs(tmp_path):
     """`import racebox` loads no submodule, and the analyzer modes load
-    neither the oracle nor the fuzzer."""
+    neither the oracles, nor the fuzzer, nor the concrete semantics."""
     f = tmp_path / "p.conc"
     f.write_text(SRC_ALARM)
     code = textwrap.dedent("""
@@ -162,6 +189,7 @@ def test_imports_only_what_the_mode_runs(tmp_path):
     assert "racebox.sched" in loaded and "racebox.seq" in loaded
     assert "racebox.oracle" not in loaded
     assert "racebox.transforms" not in loaded
+    assert "racebox.concrete" not in loaded
 
 
 def test_cli_exit_zero_no_alarms(tmp_path):
@@ -225,6 +253,56 @@ def test_cli_color_env_var(tmp_path):
     colored = run_cli(str(f), color="1").stdout
     assert "\033[" not in plain
     assert "\033[" in colored
+
+
+@pytest.mark.parametrize("mode", ["scheduled", "oracle-interference", "fuzz"])
+def test_cli_check_against_needs_an_explorer(tmp_path, mode):
+    """Only the two explorers can run the check: elsewhere it is a usage
+    error, not a silently skipped check."""
+    f = tmp_path / "p.conc"
+    f.write_text(SRC_ALARM)
+    r = run_cli(str(f), "--mode", mode, "--check-against", "interference")
+    assert r.returncode == 2
+    assert "Usage:" in r.stderr and "--check-against" in r.stderr
+
+
+def test_cli_color_only_on_a_terminal(tmp_path):
+    """With THESEE_MINI_COLOR unset, human output to a terminal is colored,
+    and the same report written with --out is not."""
+    pty = pytest.importorskip("pty")
+    import os
+
+    f = tmp_path / "p.conc"
+    f.write_text(SRC_ALARM)
+    out = tmp_path / "rep.txt"
+    env = {k: v for k, v in os.environ.items() if k != "THESEE_MINI_COLOR"}
+
+    def on_terminal(*args) -> bytes:
+        master, slave = pty.openpty()
+        try:
+            r = subprocess.run([sys.executable, "-m", "racebox.cli", str(f),
+                                *args], stdin=subprocess.DEVNULL,
+                               stdout=slave, stderr=subprocess.PIPE,
+                               env=env, timeout=120)
+        finally:
+            os.close(slave)
+        assert r.returncode == 1, r.stderr
+        text = b""
+        while True:
+            try:
+                chunk = os.read(master, 4096)
+            except OSError:  # EIO: every slave end is closed
+                break
+            if not chunk:
+                break
+            text += chunk
+        os.close(master)
+        return text
+
+    assert b"\033[31m1 alarm(s)" in on_terminal()
+    assert on_terminal("--out", str(out)) == b""
+    assert "1 alarm(s)" in out.read_text()
+    assert "\033[" not in out.read_text()
 
 
 def test_cli_exit_three_on_budget_failure(tmp_path):
