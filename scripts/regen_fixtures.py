@@ -8,7 +8,6 @@ documentation of the expected output and as a regression fixture.
 
 import pathlib
 import sys
-from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -17,9 +16,10 @@ from racebox.report import RunConfig, analyze_source, report_to_json
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
-LADDER_10 = tuple(sorted(Fraction(t) for t in
-                         (-10_000, -1, 0, 1, 10, 10_000)))
+LADDER_10 = (-10_000, -1, 0, 1, 10, 10_000)
 
+# the one table of fixture configs: the corpus test and run_corpus.py
+# read it too
 FIXTURES: dict[str, RunConfig] = {
     "dekker": RunConfig(mode="interference"),
     "increment": RunConfig(mode="interference"),

@@ -4,28 +4,21 @@ of alarms, key variable ranges, iteration counts, and oracle agreement."""
 
 import pathlib
 import sys
-from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from racebox.config import AnalysisSettings
 from racebox.interference import analyze_program_I
 from racebox.oracle import run_interleavings, run_scheduled
 from racebox.parser import parse_program
 from racebox.sched import analyze_program_C
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-LADDER_10 = tuple(sorted(Fraction(t) for t in
-                         (-10_000, -1, 0, 1, 10, 10_000)))
+from regen_fixtures import CORPUS, FIXTURES  # this script's directory
 
 
 def main() -> None:
-    for path in sorted((ROOT / "corpus").glob("*.conc")):
+    for name in sorted(FIXTURES):
+        path = CORPUS / f"{name}.conc"
         p = parse_program(path.read_text())
-        settings = (AnalysisSettings(thresholds=LADDER_10)
-                    if path.stem == "producer_consumer"
-                    else AnalysisSettings())
+        settings = FIXTURES[name].settings()
         ri = analyze_program_I(p, settings)
         rt = analyze_program_C(p, settings, mono=True)
         rf = analyze_program_C(p, settings, mono=False)

@@ -4,10 +4,11 @@ analyzer alarms, for all three analyzer/oracle pairings.
 
 Usage: soundness_sweep.py [N] [BASE_SEED]
 
-Prints one summary line, one line per pairing with its checked and
-truncated (inconclusive) comparisons, then one line of seconds per phase
-(analyzers, interleaving oracle, scheduled oracle) with the states each
-oracle explored.  Exits 1 on any inclusion violation.
+Prints one summary line, one line per pairing with its checked
+comparisons (a completed oracle run) and partial ones (a truncated run,
+whose errors are checked all the same), then one line of seconds per
+phase (analyzers, interleaving oracle, scheduled oracle) with the states
+each oracle explored.  Exits 1 on any inclusion violation.
 """
 
 import pathlib
@@ -32,8 +33,8 @@ def main() -> None:
     t0 = time.monotonic()
     pairings = ("interleave/interference", "interleave/scheduled-multi",
                 "scheduled/scheduled-mono")
-    verdicts = {name: {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
-                for name in pairings}
+    counts = {name: {"checked": 0, "partial": 0, "violations": 0}
+              for name in pairings}
     max_rounds = 0
     secs = {"analyzers": 0.0, "interleave": 0.0, "scheduled": 0.0}
     states = {"interleave": 0, "scheduled": 0}
@@ -61,27 +62,28 @@ def main() -> None:
         for name, res, alarms in zip(pairings, (oi, oi, os_),
                                      (ri.omega, rf.omega, rt.omega)):
             inc = inclusion(res, alarms)
-            verdicts[name][inc.verdict] += 1
+            counts[name]["partial" if res.truncated else "checked"] += 1
             if inc.verdict == "FAIL":
+                counts[name]["violations"] += 1
                 print(f"VIOLATION seed={base + i} pairing={name}"
                       f" labels={sorted(l.label for l in inc.missing)}")
                 print(pretty_program(p))
     dt = time.monotonic() - t0
-    total = {v: sum(d[v] for d in verdicts.values())
-             for v in ("PASS", "FAIL", "INCONCLUSIVE")}
-    print(f"{n} programs, {total['PASS'] + total['FAIL']} comparisons,"
-          f" {total['INCONCLUSIVE']} truncated,"
-          f" {total['FAIL']} violations,"
+    total = {k: sum(d[k] for d in counts.values())
+             for k in ("checked", "partial", "violations")}
+    print(f"{n} programs, {total['checked']} comparisons,"
+          f" {total['partial']} partial (truncated),"
+          f" {total['violations']} violations,"
           f" max {max_rounds} fixpoint rounds, {dt:.1f}s")
-    for name, d in verdicts.items():
-        print(f"  {name}: {d['PASS'] + d['FAIL']} checked,"
-              f" {d['INCONCLUSIVE']} truncated, {d['FAIL']} violations")
+    for name, d in counts.items():
+        print(f"  {name}: {d['checked']} checked, {d['partial']} partial,"
+              f" {d['violations']} violations")
     print(f"phases: analyzers {secs['analyzers']:.1f}s,"
           f" interleaving oracle {secs['interleave']:.1f}s"
           f" ({states['interleave']} states),"
           f" scheduled oracle {secs['scheduled']:.1f}s"
           f" ({states['scheduled']} states)")
-    sys.exit(1 if total["FAIL"] else 0)
+    sys.exit(1 if total["violations"] else 0)
 
 
 if __name__ == "__main__":

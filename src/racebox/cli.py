@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 
 import click
 
@@ -22,6 +21,7 @@ from .report import (
     build_report,
     report_to_json,
 )
+from .syntax import Num, num
 
 
 def _color_enabled(out: str | None) -> bool:
@@ -98,10 +98,10 @@ def _human(rep: dict, color: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_thresholds(ctx, param, text: str) -> tuple[Fraction, ...]:
+def _parse_thresholds(ctx, param, text: str) -> tuple[Num, ...]:
     """An empty list means the default thresholds."""
     try:
-        return tuple(sorted(Fraction(x.strip()) for x in text.split(",")
+        return tuple(sorted(num(x.strip()) for x in text.split(",")
                             if x.strip())) or RunConfig.thresholds
     except (ValueError, ZeroDivisionError):
         raise click.BadParameter(f"{text!r} is not a comma-separated list"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, product
 from operator import itemgetter
 
@@ -26,6 +25,7 @@ from .syntax import (
     If,
     Location,
     Neg,
+    Num,
     Program,
     Stmt,
     Var,
@@ -35,6 +35,7 @@ from .syntax import (
     exit_guard,
     fold_expr,
     is_finite,
+    ratdiv,
     then_guard,
 )
 
@@ -52,18 +53,8 @@ class FixpointBudgetExceeded(Exception):
         self.partial = partial
 
 
-# Concrete values are exact rationals, kept as plain ints whenever they
-# are integral (ints and equal Fractions hash identically, and int
-# arithmetic keeps the state sets cheap to deduplicate).
-Rat = Fraction | int
-Env = tuple[Rat, ...]  # values in the order of ConcreteState.vars
+Env = tuple[Num, ...]  # values in the order of ConcreteState.vars
 VarIndex = dict[str, int]
-
-
-def _ratdiv(a: Rat, b: Rat) -> Rat:
-    q = Fraction(a, b) if (isinstance(a, int) and isinstance(b, int)) \
-        else Fraction(a) / Fraction(b)
-    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,7 @@ def _operator(x: Expr):
         return lambda a, b: (arith(a[0], b[0]), a[1] | b[1])
     div0 = frozenset({x.loc})
     return lambda a, b: (
-        frozenset(_ratdiv(u, v) for u in a[0] for v in b[0] if v != 0),
+        frozenset(ratdiv(u, v) for u in a[0] for v in b[0] if v != 0),
         a[1] | b[1] | (div0 if 0 in b[0] else _NOERR))
 
 
@@ -211,8 +202,8 @@ def compile_prim(s: Stmt, idx: VarIndex, interf=None):
     return guard
 
 
-def eval_concrete(e: Expr, rho: dict[str, Rat]
-                  ) -> tuple[frozenset[Rat], frozenset[Location]]:
+def eval_concrete(e: Expr, rho: dict[str, Num]
+                  ) -> tuple[frozenset[Num], frozenset[Location]]:
     """Values and error labels of e in one dict-based environment."""
     names = tuple(sorted(rho))
     ev = _compile(e, {v: i for i, v in enumerate(names)}, None, set())

@@ -4,15 +4,15 @@ home of the run defaults."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .syntax import Num
 
 
 @dataclass(frozen=True)
 class AnalysisSettings:
     """Tuning knobs of the abstract analyzers."""
 
-    thresholds: tuple[Fraction, ...] = tuple(  # widening thresholds
-        map(Fraction, (-10_000, -1, 0, 1, 10_000)))
+    thresholds: tuple[Num, ...] = (-10_000, -1, 0, 1, 10_000)  # widening
     widening_delay: int = 2  # outer interference rounds joined before widening
     decreasing_pass: bool = False  # one loop re-execution after stabilization
     partition_cap: int = 256  # scheduled-env partitions before coarsening

@@ -10,7 +10,6 @@ single HC4-style backward sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -22,10 +21,14 @@ from .syntax import (
     Ext,
     Location,
     Neg,
+    Num,
     Program,
     Var,
+    fmt_ext,
     fold_expr,
     is_finite,
+    num,
+    ratdiv,
 )
 
 
@@ -34,7 +37,7 @@ class BotNotRepresentable(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Extended-rational helpers (Fraction plus +/-inf floats)
+# Extended-rational helpers (Num plus +/-inf floats)
 
 
 def _add(a: Ext, b: Ext) -> Ext:
@@ -49,7 +52,7 @@ def _add(a: Ext, b: Ext) -> Ext:
 
 def _mul(a: Ext, b: Ext) -> Ext:
     if a == 0 or b == 0:
-        return Fraction(0)
+        return 0
     if is_finite(a) and is_finite(b):
         return a * b
     neg = (a < 0) != (b < 0)
@@ -75,7 +78,7 @@ class Interval:
 
     @staticmethod
     def const(v) -> "Interval":
-        v = Fraction(v)
+        v = num(v)
         return Interval(v, v)
 
     @staticmethod
@@ -109,7 +112,7 @@ class Interval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     def widen(self, other: "Interval",
-              thresholds: tuple[Fraction, ...] = ()) -> "Interval":
+              thresholds: tuple[Num, ...] = ()) -> "Interval":
         """Unstable bounds jump to the nearest covering threshold, then to
         infinity; guarantees stabilization in #thresholds + 2 steps per
         bound."""
@@ -157,10 +160,9 @@ class Interval:
         had_zero = other.contains(0)
         parts: list[Interval] = []
         if other.hi > 0:  # positive part (max(lo,0), hi], open at zero
-            parts.append(self._div_pos(max(other.lo, Fraction(0)), other.hi))
+            parts.append(self._div_pos(max(other.lo, 0), other.hi))
         if other.lo < 0:  # negative part [lo, min(hi,0)), mirrored
-            parts.append(-(self._div_pos(max(-other.hi, Fraction(0)),
-                                         -other.lo)))
+            parts.append(-self._div_pos(max(-other.hi, 0), -other.lo))
         out = BOT
         for q in parts:
             out = out.join(q)
@@ -171,14 +173,14 @@ class Interval:
 
         def f(x: Ext, d: Ext) -> Ext:
             if x == 0:
-                return Fraction(0)
+                return 0
             if d == 0:  # limit towards the open zero endpoint
                 return INF if x > 0 else NEG_INF
             if d == INF:
-                return Fraction(0)
+                return 0
             if not is_finite(x):
                 return x  # sign of x / positive d
-            return x / d
+            return ratdiv(x, d)
 
         corners = [f(x, d) for x in (self.lo, self.hi) for d in (dlo, dhi)]
         return Interval(min(corners), max(corners))
@@ -204,19 +206,17 @@ class Interval:
     def refine_cmp(self, cmp: str) -> "Interval":
         """Hull of the subset satisfying `cmp 0` (assumes sat(cmp))."""
         if cmp == "=":
-            return self.meet(Interval(Fraction(0), Fraction(0)))
+            return self.meet(Interval(0, 0))
         if cmp in ("<", "<="):
-            return self.meet(Interval(NEG_INF, Fraction(0)))
+            return self.meet(Interval(NEG_INF, 0))
         if cmp in (">", ">="):
-            return self.meet(Interval(Fraction(0), INF))
+            return self.meet(Interval(0, INF))
         return self  # != : holes are not representable
 
     def __str__(self) -> str:
         if self.is_bot:
             return "⊥"
-        lo = "-inf" if self.lo == NEG_INF else str(self.lo)
-        hi = "inf" if self.hi == INF else str(self.hi)
-        return f"[{lo},{hi}]"
+        return f"[{fmt_ext(self.lo)},{fmt_ext(self.hi)}]"
 
 
 BOT = Interval(None, None)
@@ -282,7 +282,7 @@ class BoxEnv:
         return BoxEnv({v: self._m[v].join(other._m[v]) for v in self._m})
 
     def widen(self, other: "BoxEnv",
-              thresholds: tuple[Fraction, ...] = ()) -> "BoxEnv":
+              thresholds: tuple[Num, ...] = ()) -> "BoxEnv":
         if self.is_bot:
             return other
         if other.is_bot:

@@ -512,24 +512,22 @@ class InclusionReport:
     missing: frozenset[Location]
     witness: list[dict] | None
     oracle_states: int
-    oracle_truncated: bool
 
 
 def inclusion(res: ExploreResult,
               alarms: frozenset[Location]) -> InclusionReport:
     """The one soundness verdict of an oracle run against an analyzer's
-    alarms: INCONCLUSIVE when the run was truncated; FAIL when some error
-    it reached is not an alarm, with the witness of the first missing
-    label ([] if the run kept no witnesses); PASS otherwise."""
-    if res.truncated:
-        return InclusionReport("INCONCLUSIVE", frozenset(), None,
-                               res.states, True)
+    alarms: FAIL when some error it reached is not an alarm, with the
+    witness of the first missing label ([] if the run kept no witnesses),
+    even if the run was truncated, since a truncated run reaches only
+    reachable errors; else INCONCLUSIVE when it was truncated; else PASS."""
     missing = res.errors - alarms
-    if not missing:
-        return InclusionReport("PASS", frozenset(), None, res.states, False)
-    first = min(missing, key=lambda l: l.sort_key())
-    return InclusionReport("FAIL", missing, res.witnesses.get(first, []),
-                           res.states, False)
+    if missing:
+        first = min(missing, key=lambda l: l.sort_key())
+        return InclusionReport("FAIL", missing, res.witnesses.get(first, []),
+                               res.states)
+    return InclusionReport("INCONCLUSIVE" if res.truncated else "PASS",
+                           frozenset(), None, res.states)
 
 
 def check_soundness_inclusion(p: Program,

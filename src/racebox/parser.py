@@ -10,11 +10,11 @@ reparse to identical ASTs.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .syntax import (
     BIN_PREC,
+    CMP_OPS,
     INF,
     NEG_INF,
     Assign,
@@ -27,6 +27,7 @@ from .syntax import (
     Location,
     Lock,
     Neg,
+    Num,
     Program,
     Stmt,
     Thread,
@@ -35,6 +36,8 @@ from .syntax import (
     While,
     Yield,
     block,
+    num,
+    ratdiv,
     relabel_program,
 )
 
@@ -62,7 +65,7 @@ _KEYWORDS = {
 
 # one alternation, tried left to right at each position: runs of
 # whitespace and `#` comments, ASCII-only numbers (str.isdigit also accepts
-# digits that Fraction refuses), words, punctuation longest first, and
+# digits that num refuses), words, punctuation longest first, and
 # any other character
 _TOKEN = re.compile("|".join([
     r"(?P<space>(?:\s|#[^\n]*)+)",
@@ -252,7 +255,7 @@ class _Parser:
     def condition(self) -> tuple[Expr, str]:
         e = self.expr()
         t = self.peek()
-        if t.kind == "punct" and t.text in ("=", "!=", "<", ">", "<=", ">="):
+        if t.kind == "punct" and t.text in CMP_OPS:
             self.next()
         else:
             raise self.err("expected a comparison operator")
@@ -319,9 +322,8 @@ class _Parser:
             return Var(self.var_name())
         raise self.err("expected an expression")
 
-    def number(self) -> Fraction:
-        t = self.expect("num")
-        return Fraction(t.text)
+    def number(self) -> Num:
+        return num(self.expect("num").text)
 
     def endpoint(self) -> Ext:
         neg = False
@@ -340,7 +342,7 @@ class _Parser:
                 t = self.toks[self.pos - 1]
                 raise ParseError("zero denominator in rational literal",
                                  t.line, t.col)
-            c = c / d
+            c = ratdiv(c, d)
         return -c if neg else c
 
     def interval_literal(self) -> tuple[Ext, Ext]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .syntax import (
+    CMP_OPS,
     Assign,
     BinOp,
     Const,
@@ -22,6 +22,7 @@ from .syntax import (
     IsLocked,
     Location,
     Lock,
+    Neg,
     Program,
     Stmt,
     Thread,
@@ -58,8 +59,8 @@ def random_const(rng: random.Random, cfg: GeneratorConfig) -> Const:
     a = rng.randint(cfg.const_lo, cfg.const_hi)
     if rng.random() < cfg.wide_const_prob:
         b = rng.randint(a, min(a + 2, cfg.const_hi))
-        return Const(Fraction(a), Fraction(b))
-    return Const(Fraction(a), Fraction(a))
+        return Const(a, b)
+    return Const(a, a)
 
 
 def _divisor(rng: random.Random, names: list[str],
@@ -68,11 +69,11 @@ def _divisor(rng: random.Random, names: list[str],
     if r < 0.5:
         return Var(rng.choice(names))
     if r < 0.8:
-        return Const(*(Fraction(rng.choice((-2, -1, 1, 2))),) * 2)
+        return Const(*(rng.choice((-2, -1, 1, 2)),) * 2)
     if r < 0.95:
         lo = rng.choice((-1, 0))
-        return Const(Fraction(lo), Fraction(lo + 1))
-    return Const(Fraction(0), Fraction(0))
+        return Const(lo, lo + 1)
+    return Const(0, 0)
 
 
 def random_expr(rng: random.Random, names: list[str], cfg: GeneratorConfig,
@@ -88,8 +89,6 @@ def random_expr(rng: random.Random, names: list[str], cfg: GeneratorConfig,
             if rng.random() < cfg.div_prob else \
             Var(rng.choice(names))
     if r < 0.24:
-        from .syntax import Neg
-
         return Neg(_loc(), random_expr(rng, names, cfg, depth - 1))
     op = rng.choice(["+", "+", "-", "-", "*"])
     return BinOp(op, _loc(), random_expr(rng, names, cfg, depth - 1),
@@ -108,17 +107,17 @@ def random_stmts(rng: random.Random, names: list[str],
             inner = random_stmts(rng, names, mutexes, cfg,
                                  min(budget - 3, 2), 0, sync)
             body = block([Assign(0, v, BinOp("+", _loc(), Var(v),
-                                             Const(Fraction(1), Fraction(1))))]
+                                             Const(1, 1)))]
                          + inner)
             guard_expr = BinOp("-", _loc(), Var(v),
-                               Const(Fraction(bound), Fraction(bound)))
+                               Const(bound, bound))
             out.append(While(0, guard_expr, "<", body))
             budget -= 2 + len(inner) + 1
             branching -= 1
         elif branching > 0 and r < cfg.loop_prob + 0.2 and budget >= 2:
             inner = random_stmts(rng, names, mutexes, cfg,
                                  min(budget - 1, 3), branching - 1, sync)
-            cmp = rng.choice(["=", "!=", "<", ">", "<=", ">="])
+            cmp = rng.choice(CMP_OPS)
             out.append(If(0, random_expr(rng, names, cfg, 1), cmp,
                           block(inner)))
             budget -= 1 + len(inner)

@@ -12,7 +12,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .config import AnalysisSettings, OracleBudget
 from .domains import BOT, BoxEnv, Interval
@@ -20,7 +19,7 @@ from .interference import analyze_program_I
 from .parser import parse_program
 from .sched import analyze_program_C
 from .seq import analyze_program_seq
-from .syntax import Location, Program, location_thread
+from .syntax import Location, Num, Program, location_thread
 
 # `oracle` and `transforms` are imported by the modes that run them, so an
 # analyzer run, such as a cold CLI call, does not load them
@@ -83,7 +82,7 @@ class RunConfig:
     mode: str = "scheduled"
     unroll: int = 3
     widening_delay: int = AnalysisSettings.widening_delay
-    thresholds: tuple[Fraction, ...] = AnalysisSettings.thresholds
+    thresholds: tuple[Num, ...] = AnalysisSettings.thresholds
     mono: bool = True
     self_interference: tuple[int, ...] = ()
     budget_states: int = OracleBudget.max_states

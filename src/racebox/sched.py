@@ -20,7 +20,6 @@ interferences.  interference.py and seq.py are adapters over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .config import AnalysisSettings
@@ -371,7 +370,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     def islocked(sid: Sid, var: str, m: str, x: AbsStateC) -> AbsStateC:
         # the degraded route fixes the recorded interferences ({0,1}) and
         # the fallback environments
-        degraded = assign(sid, var, Const(Fraction(0), Fraction(1)), x)
+        degraded = assign(sid, var, Const(0, 1), x)
         precise = mono and not blind and not any(
             m in locks.get(t2, frozenset()) for t2 in locks if t2 > t)
         if not precise:
@@ -379,12 +378,11 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         envs: PartitionedEnv = {}
         for c, env in x.envs.items():
             env0, _ = transfer_assign(
-                var, Const(Fraction(0), Fraction(0)),
+                var, Const(0, 0),
                 in_sharp(t, c.held, c.free, m, env, st.interf), frozenset())
             if not env0.is_bot:
                 put(envs, SchedConfig(c.held, c.free | {m}, WEAK), env0)
-            env1, _ = transfer_assign(
-                var, Const(Fraction(1), Fraction(1)), env, frozenset())
+            env1, _ = transfer_assign(var, Const(1, 1), env, frozenset())
             if not env1.is_bot:
                 put(envs, SchedConfig(c.held, c.free - {m}, WEAK), env1)
         return seen(AbsStateC(envs, x.errors, degraded.interf))

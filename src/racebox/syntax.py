@@ -14,8 +14,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
-# Interval endpoints: exact rationals, or +/-inf floats.
-Ext = Union[Fraction, float]
+# The one number format: exact rationals, written as an int whenever the
+# value is integral and as a Fraction otherwise (Fraction arithmetic may
+# still give an integral Fraction, which prints, hashes, compares and sorts
+# as the equal int).  Interval endpoints (Ext) may also be the floats
+# +/-inf, the only floats there are.
+Num = Union[int, Fraction]
+Ext = Union[Num, float]
 T = TypeVar("T")
 
 INF = math.inf
@@ -51,8 +56,21 @@ def exit_guard(s: While) -> Guard:
     return Guard(f"{s.sid}:exit", s.expr, negate_cmp(s.cmp))
 
 
+def num(x) -> Num:
+    """The one number constructor: an int, a Fraction, or a decimal or
+    p/q string, as a Num."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def ratdiv(a: Num, b: Num) -> Num:
+    """The one division: a / b (b != 0) as a Num, never a float."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
 def is_finite(x: Ext) -> bool:
-    return isinstance(x, Fraction)
+    return x.__class__ is not float
 
 
 @dataclass(frozen=True)
@@ -227,7 +245,7 @@ class IsLocked(Stmt):
 
 
 # the body of an empty block: an always-true guard acts as a no-op
-SKIP = Guard(0, Const(Fraction(0), Fraction(0)), "=")
+SKIP = Guard(0, Const(0, 0), "=")
 
 
 def block(stmts: list[Stmt]) -> Stmt:
@@ -275,7 +293,7 @@ class Program:
         return tuple(t.tid for t in self.threads)
 
     def initial_map(self) -> dict[str, tuple[Ext, Ext]]:
-        init = {v: (Fraction(0), Fraction(0)) for v in self.variables}
+        init = {v: (0, 0) for v in self.variables}
         init.update(dict(self.initial))
         return init
 
@@ -448,9 +466,8 @@ def relabel_program(p: Program) -> Program:
 
 
 def fmt_ext(x: Ext) -> str:
-    if is_finite(x):
-        return str(x)
-    return "inf" if x == INF else "-inf" if x == NEG_INF else str(x)
+    """x as the parser reads it back: 3, 1/2, inf or -inf."""
+    return str(x)
 
 
 def pretty_expr(e: Expr) -> str:

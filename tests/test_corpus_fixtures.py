@@ -1,31 +1,33 @@
 """The shipped corpus programs must keep producing their expected reports
 byte for byte (the fixtures double as documentation of each example)."""
 
+import importlib.util
 import json
 import pathlib
 import random
-from fractions import Fraction
 
 import pytest
 
 from racebox.oracle import run_scheduled
 from racebox.randgen import random_program
-from racebox.report import RunConfig, analyze_source, report_to_json
+from racebox.report import analyze_source, report_to_json
 from racebox.syntax import collect_lock_sets
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
-LADDER_10 = tuple(sorted(Fraction(t) for t in
-                         (-10_000, -1, 0, 1, 10, 10_000)))
 
-CONFIGS = {
-    "dekker": RunConfig(mode="interference"),
-    "increment": RunConfig(mode="interference"),
-    "priority_mutex": RunConfig(mode="scheduled", mono=True),
-    "producer_consumer": RunConfig(mode="scheduled", mono=True,
-                                   thresholds=LADDER_10),
-    "priority_flow": RunConfig(mode="scheduled", mono=True),
-}
+def _fixture_configs():
+    """scripts/regen_fixtures.py's FIXTURES, the configs the fixtures
+    were written with (scripts/ is not a package: load it by path)."""
+    spec = importlib.util.spec_from_file_location(
+        "regen_fixtures", ROOT / "scripts" / "regen_fixtures.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.FIXTURES
+
+
+CONFIGS = _fixture_configs()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

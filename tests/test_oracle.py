@@ -232,6 +232,18 @@ def test_inclusion_inconclusive_on_truncation():
     assert rep.verdict == "INCONCLUSIVE"
 
 
+def test_inclusion_fails_on_a_truncated_run_that_missed_an_error():
+    # a truncated run is an under-approximation: what it reached is
+    # reachable, so an error no alarm covers is a soundness bug
+    p = parse_program("thread 1 { y <- 1 / [0,1]; x <- [0,3]; }"
+                      " thread 2 { x <- [0,3]; y <- x; }")
+    res = run_interleavings(p, budget=OracleBudget(max_states=1))
+    assert res.truncated and res.errors
+    rep = inclusion(res, frozenset())
+    assert rep.verdict == "FAIL" and [l.label for l in rep.missing] == [1]
+    assert rep.witness and rep.witness[-1]["stmt-pretty"].startswith("y <-")
+
+
 # -- golden explorations: digests recorded with the earlier explorer (two
 # BFS loops over tuple states), which the int-coded one must reproduce
 # exactly.  A truncated run pins the BFS pop order.
