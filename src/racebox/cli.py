@@ -167,6 +167,10 @@ def main(file, json_output, out, **opts):
     except Exception as e:  # e.g. RecursionError on very deep if/while nesting
         click.echo(f"internal error: {e}", err=True)
         sys.exit(3)
+    unknown = set(cfg.self_interference) - {t.tid for t in program.threads}
+    if unknown:
+        raise click.BadParameter(f"{file} has no thread {min(unknown)}",
+                                 param_hint="'--self-interference'")
 
     try:
         rep = build_report(program, source, cfg)

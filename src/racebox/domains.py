@@ -9,8 +9,7 @@ single HC4-style backward sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .syntax import (
     INF,
@@ -63,9 +62,9 @@ def _mul(a: Ext, b: Ext) -> Ext:
 # Intervals
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Either bottom (lo is None) or [lo, hi] with lo <= hi."""
+class Interval(NamedTuple):
+    """Either bottom (lo is None) or [lo, hi] with lo <= hi.  A tuple, so
+    that equality and hashing run without Python calls."""
 
     lo: Optional[Ext]
     hi: Optional[Ext]
@@ -93,11 +92,13 @@ class Interval:
         return not self.is_bot and self.lo <= v <= self.hi
 
     def join(self, other: "Interval") -> "Interval":
-        if self.is_bot:
+        lo, hi = self
+        olo, ohi = other
+        if olo is None or lo is not None and lo <= olo and ohi <= hi:
+            return self  # other is bottom or lies inside self
+        if lo is None:
             return other
-        if other.is_bot:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return Interval(olo if olo < lo else lo, ohi if ohi > hi else hi)
 
     def meet(self, other: "Interval") -> "Interval":
         if self.is_bot or other.is_bot:

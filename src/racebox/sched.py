@@ -135,8 +135,9 @@ def sparse_widen(a: dict, b: dict, thresholds) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class AbsStateC:
+class AbsStateC(NamedTuple):
+    """A thread pass's state; a tuple, so that each step builds it cheaply."""
+
     envs: PartitionedEnv
     errors: frozenset[Location]
     interf: SchedInterferenceAbs
@@ -178,6 +179,8 @@ def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
     covering its environment and interference values (others stay, so
     guards still refine them); optionally log which writes each read saw."""
     by_var, writers = view
+    if not by_var:
+        return e
     consts: dict[str, Expr] = {}  # per variable, made at its first read
 
     def go(x: Expr, *subs: Expr) -> Expr:
@@ -194,8 +197,11 @@ def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
             return consts[x.name]
         if isinstance(x, Const):
             return x
+        # an operator whose operands came back unchanged is kept as it is
         if isinstance(x, Neg):
-            return Neg(x.loc, *subs)
+            return x if subs[0] is x.sub else Neg(x.loc, *subs)
+        if subs[0] is x.left and subs[1] is x.right:
+            return x
         return BinOp(x.op, x.loc, *subs)
 
     return fold_expr(e, go)
@@ -293,6 +299,11 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     locks = lock_sets if lock_sets is not None else {}
     self_threads = settings.self_interference if blind else frozenset()
     views: dict[SchedConfig, InterferenceView] = {}
+    # st.interf's sync entries per mutex, all that in_sharp reads of it
+    syncs: dict[str, SchedInterferenceAbs] = {}
+    for k, v in st.interf.items():
+        if k[1].tag != WEAK:
+            syncs.setdefault(k[1].tag[1], {})[k] = v
 
     def read(c: SchedConfig, x: AbsStateC, e: Expr) -> Expr:
         # foreign entries are fixed during a pass, so their view is
@@ -354,7 +365,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                 put(envs, SchedConfig(c.held, none, WEAK), env)
             else:
                 put(envs, SchedConfig(c.held | {m}, none, WEAK),
-                    in_sharp(t, c.held, none, m, env, st.interf))
+                    in_sharp(t, c.held, none, m, env, syncs.get(m, {})))
         return seen(AbsStateC(envs, x.errors, interf))
 
     def unlock(sid: Sid, m: str, x: AbsStateC) -> AbsStateC:
@@ -379,7 +390,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         for c, env in x.envs.items():
             env0, _ = transfer_assign(
                 var, Const(0, 0),
-                in_sharp(t, c.held, c.free, m, env, st.interf), frozenset())
+                in_sharp(t, c.held, c.free, m, env, syncs.get(m, {})),
+                frozenset())
             if not env0.is_bot:
                 put(envs, SchedConfig(c.held, c.free | {m}, WEAK), env0)
             env1, _ = transfer_assign(var, Const(1, 1), env, frozenset())

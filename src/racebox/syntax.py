@@ -324,6 +324,8 @@ def fold_expr(e: Expr, f: Callable[..., T]) -> T:
     f(x, left, right) at a BinOp, given the folds of its operands.  Nodes
     are visited in reverse pre-order, so the right operand's subtree comes
     before the left one's."""
+    if not isinstance(e, (BinOp, Neg)):
+        return f(e)
     vals: list[T] = []
     for x in reversed(sub_exprs(e)):
         if isinstance(x, BinOp):

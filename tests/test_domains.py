@@ -36,6 +36,16 @@ def iv(lo, hi):
 
 def test_join_is_hull():
     assert iv(0, 1).join(iv(2, 3)) == iv(0, 3)
+    a = iv(0, 3)
+    assert a.join(iv(1, 2)) is a
+
+
+def test_interval_is_an_immutable_value():
+    # the (lo, hi) tuple hash keeps set and dict orders as they were
+    assert hash(Interval(1, 2)) == hash((1, 2))
+    assert Interval(1, 2) == Interval(F(2, 2), 2)
+    with pytest.raises(AttributeError):
+        iv(0, 1).lo = 5
 
 
 def test_widen_unstable_upper_no_thresholds():

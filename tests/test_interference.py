@@ -47,10 +47,14 @@ def test_apply_identity_without_interference():
     envs = {C0: BoxEnv({"y": iv(0, 0), "z": iv(1, 2)})}
     p = parse_program("thread 1 { x <- y + z * 2; }")
     e = p.threads[0].body.expr
-    assert apply_sched(1, C0, envs, {}, e) is not e  # rebuilt ...
-    assert apply_sched(1, C0, envs, {}, e) == e  # ... but identical
+    assert apply_sched(1, C0, envs, {}, e) is e
     # own-thread interference is ignored without self-interference
-    assert apply_sched(1, C0, envs, {(1, C0, "y"): iv(9, 9)}, e) == e
+    assert apply_sched(1, C0, envs, {(1, C0, "y"): iv(9, 9)}, e) is e
+    # a subtree that reads no interference is kept, not rebuilt
+    e = parse_program("thread 1 { x <- (y + z) * w; }").threads[0].body.expr
+    envs = {C0: BoxEnv({"y": iv(0, 0), "z": iv(1, 2), "w": iv(0, 0)})}
+    out = apply_sched(1, C0, envs, {(2, C0, "w"): iv(3, 3)}, e)
+    assert out.left is e.left and out.right == Const(0, 3)
 
 
 def test_apply_self_interference():

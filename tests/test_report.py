@@ -340,7 +340,10 @@ def test_cli_exit_three_on_internal_error(tmp_path):
                                         ("--widening-delay", "-3"),
                                         ("--thresholds", "abc"),
                                         ("--thresholds", "1/0"),
-                                        ("--self-interference", "foo")])
+                                        ("--self-interference", "foo"),
+                                        ("--self-interference", "9"),
+                                        ("--self-interference", "0"),
+                                        ("--self-interference", "-1")])
 def test_cli_rejects_out_of_range_bounds(tmp_path, corpus_source, flag,
                                          value):
     f = tmp_path / "p.conc"

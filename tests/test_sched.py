@@ -1,5 +1,6 @@
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +24,8 @@ from racebox.sched import (
     sync,
     transfer_C,
 )
-from racebox.syntax import Const, Var, collect_lock_sets
+from racebox.randgen import GeneratorConfig, random_program
+from racebox.syntax import Const, Lock, Var, collect_lock_sets, sub_stmts
 
 F = Fraction
 
@@ -125,6 +127,31 @@ def test_in_ignores_own_thread():
     env = BoxEnv({"x": iv(0, 0)})
     interf = {(2, cfg(tag=sync("m")), "x"): iv(5, 5)}
     assert in_sharp(2, frozenset(), frozenset(), "m", env, interf) == env
+
+
+def test_in_reads_only_the_sync_index_of_its_mutex():
+    # at every lock of analyze-large programs 0-3, a mutex's sync entries
+    # alone give in_sharp exactly what the full round map gives
+    locks = 0
+    for i in range(4):
+        rng = random.Random(i)
+        gcfg = GeneratorConfig(max_stmts=rng.choice((12, 24, 48, 96)),
+                               max_threads=4, n_vars=12, n_mutexes=4,
+                               sync_prob=0.35, max_branching=4)
+        p = random_program(rng, gcfg)
+        res = analyze_program_C(p, mono=True)
+        for t in p.threads:
+            inv = res.per_thread[t.tid].invariants
+            for s in sub_stmts(t.body):
+                if isinstance(s, Lock):
+                    for c, env in inv.get(s.sid, {}).items():
+                        locks += 1
+                        args = (t.tid, c.held, c.free, s.mutex, env)
+                        mine = {k: v for k, v in res.interf.items()
+                                if k[1].tag == sync(s.mutex)}
+                        assert (in_sharp(*args, res.interf)
+                                == in_sharp(*args, mine))
+    assert locks > 0
 
 
 def test_out_requires_weak_write_under_mutex():
