@@ -18,6 +18,7 @@ from .report import (
     ANALYZER_MODES,
     MODES,
     RunConfig,
+    UnknownThread,
     build_report,
     report_to_json,
 )
@@ -65,13 +66,8 @@ def _human(rep: dict, color: bool) -> str:
                      f" {ps['interference_entries']} interference entries")
     if rep["oracle"]:
         o = rep["oracle"]
-        if "states" in o:
-            lines.append(f"oracle: {o['states']} states explored"
-                         + (", truncated" if o["truncated"] else ""))
-        if "converged" in o:
-            lines.append(f"oracle: {'converged' if o['converged'] else 'diverged'}"
-                         f" after {o['rounds']} rounds,"
-                         f" {o['interference_size']} interference triples")
+        lines.append(f"oracle: {o['states']} states explored"
+                     + (", truncated" if o["truncated"] else ""))
     if rep["check"]:
         c = rep["check"]
         verdict = c["verdict"]
@@ -167,13 +163,11 @@ def main(file, json_output, out, **opts):
     except Exception as e:  # e.g. RecursionError on very deep if/while nesting
         click.echo(f"internal error: {e}", err=True)
         sys.exit(3)
-    unknown = set(cfg.self_interference) - {t.tid for t in program.threads}
-    if unknown:
-        raise click.BadParameter(f"{file} has no thread {min(unknown)}",
-                                 param_hint="'--self-interference'")
 
     try:
         rep = build_report(program, source, cfg)
+    except UnknownThread as e:
+        raise click.BadParameter(str(e), param_hint="'--self-interference'")
     except Exception as e:  # analyzer/oracle internal failure
         click.echo(f"internal error: {e}", err=True)
         sys.exit(3)

@@ -67,7 +67,6 @@ class ConcreteState:
         return {v: i for i, v in enumerate(self.vars)}
 
     def join(self, other: "ConcreteState") -> "ConcreteState":
-        assert self.vars == other.vars
         return ConcreteState(self.vars, self.envs | other.envs,
                              self.errors | other.errors)
 
@@ -120,17 +119,14 @@ def _operator(x: Expr):
         a[1] | b[1] | (div0 if 0 in b[0] else _NOERR))
 
 
-def _compile(e: Expr, idx: VarIndex, interf, reads: set[int]):
+def _compile(e: Expr, idx: VarIndex, reads: set[int]):
     """Compile e once into a closure env -> (set of values, error labels).
 
     The closure runs a flat tape of (arity, function) steps on a value
     stack, so no expression depth makes it recurse.  Subtrees that read no
     variable are folded into one constant step here, and constant points
     are enumerated here, so an unbounded constant raises UnsupportedMode at
-    compile time.  `interf`, when given, maps a variable to the values
-    other threads write to it; reads non-deterministically pick the
-    environment value or any of those (the concrete interference oracle).
-    Adds the indices of the variables e reads to `reads`."""
+    compile time.  Adds the indices of the variables e reads to `reads`."""
     tape: list = []  # in fold order: a right operand's steps come first
 
     def emit(x: Expr, *consts):
@@ -138,8 +134,7 @@ def _compile(e: Expr, idx: VarIndex, interf, reads: set[int]):
         if isinstance(x, Var):
             k = idx[x.name]
             reads.add(k)
-            extra = tuple(interf.get(x.name, ())) if interf is not None else ()
-            tape.append((0, lambda env: (frozenset((env[k], *extra)), _NOERR)))
+            tape.append((0, lambda env: (frozenset((env[k],)), _NOERR)))
             return None
         if isinstance(x, Const):
             c = frozenset(const_points(x.lo, x.hi)), _NOERR
@@ -168,14 +163,14 @@ def _compile(e: Expr, idx: VarIndex, interf, reads: set[int]):
     return run
 
 
-def compile_prim(s: Stmt, idx: VarIndex, interf=None):
+def compile_prim(s: Stmt, idx: VarIndex):
     """Compile one Assign/Guard into a closure env -> (successor
     environments in value order, error labels).  The closure memoizes the
     expression's outcome per values of the variables it reads."""
     if not isinstance(s, (Assign, Guard)):
         raise TypeError(f"not an assign/guard: {s}")
     reads: set[int] = set()
-    ev = _compile(s.expr, idx, interf, reads)
+    ev = _compile(s.expr, idx, reads)
     key_of = itemgetter(*reads) if reads else (lambda env: ())
     memo: dict = {}
     if isinstance(s, Assign):
@@ -206,7 +201,7 @@ def eval_concrete(e: Expr, rho: dict[str, Num]
                   ) -> tuple[frozenset[Num], frozenset[Location]]:
     """Values and error labels of e in one dict-based environment."""
     names = tuple(sorted(rho))
-    ev = _compile(e, {v: i for i, v in enumerate(names)}, None, set())
+    ev = _compile(e, {v: i for i, v in enumerate(names)}, set())
     return ev(tuple(rho[v] for v in names))
 
 

@@ -27,5 +27,3 @@ class OracleBudget:
 
     max_states: int = 1_000_000
     max_path_len: int = 10_000
-    max_interference: int = 200_000  # concrete interference set size
-    max_rounds: int = 50  # concrete interference outer rounds

@@ -1,6 +1,6 @@
 """Exhaustive concrete oracles for parallel executions.
 
-Three engines over integer-point environments:
+Two engines over integer-point environments:
 
 - run_interleavings: free interleaving of per-thread control paths.  Mutex
   primitives keep their blocking/ownership meaning but no priority or
@@ -11,12 +11,9 @@ Three engines over integer-point environments:
   highest-priority ready thread steps, lock() parks the thread until the
   scheduler grants the mutex (highest-priority waiter first), yield blocks
   for a non-deterministic time.
-- concrete_interference_fixpoint: per-thread path execution against a
-  growing set of concrete interference triples (thread, var, value),
-  iterated until the set stabilizes or a cap is reached.
 
-The first two share one BFS, `_explore`, whose `_Policy` lists the moves
-of a control point: (trie node, status, held mutexes) per thread.
+Both share one BFS, `_explore`, whose `_Policy` lists the moves of a
+control point: (trie node, status, held mutexes) per thread.
 Environments and control points are interned into per-exploration
 tables, and a state is the int env_id * W + ctl_id, with W = 2**32.
 
@@ -402,104 +399,6 @@ def run_scheduled(p: Program, unroll: int = 3,
     kept even if the path later blocks."""
     return _explore(p, unroll, budget, thread_paths, collect_witnesses,
                     scheduled=True, keep_sched_states=keep_sched_states)
-
-
-# ---------------------------------------------------------------------------
-# Concrete interference fixpoint
-
-
-ConcreteInterference = frozenset[tuple[int, str, object]]
-
-
-@dataclass
-class ConcInterfResult:
-    errors: frozenset[Location]
-    interference: ConcreteInterference
-    converged: bool
-    rounds: int
-    truncated: bool
-
-
-def _run_thread_paths(tid: int, path_set: frozenset[ControlPath],
-                      p: Program, interf_view: dict[str, frozenset],
-                      omega: frozenset[Location], budget: OracleBudget,
-                      ) -> tuple[frozenset[Location], set, bool]:
-    """Execute every path of one thread against an interference view;
-    returns (errors, writes, truncated)."""
-    init = initial_state(p)
-    idx = init.index()
-    errors = set(omega)
-    writes: set[tuple[int, str, object]] = set()
-    truncated = False
-    compiled: dict[int, object] = {}  # id(stmt) -> compiled step
-    for path in sorted_paths(path_set):
-        envs = set(init.envs)
-        for stmt in path:
-            if not envs:
-                break
-            nxt: set = set()
-            if isinstance(stmt, (Assign, Guard)):
-                if id(stmt) not in compiled:
-                    compiled[id(stmt)] = compile_prim(stmt, idx,
-                                                      interf=interf_view)
-                for env in envs:
-                    succ, errs = compiled[id(stmt)](env)
-                    errors |= errs
-                    nxt.update(succ)
-                if isinstance(stmt, Assign):
-                    k = idx[stmt.var]
-                    writes.update((tid, stmt.var, e[k]) for e in nxt)
-            elif isinstance(stmt, (Lock, Unlock, Yield)):
-                nxt = envs
-            elif isinstance(stmt, IsLocked):
-                k = idx[stmt.var]
-                for env in envs:
-                    for val in (0, 1):
-                        nxt.add(env[:k] + (val,) + env[k + 1:])
-                        writes.add((tid, stmt.var, val))
-            else:  # pragma: no cover
-                raise TypeError(stmt)
-            if len(nxt) > budget.max_states:
-                truncated = True
-                nxt = set(sorted(nxt)[:budget.max_states])
-            envs = nxt
-    return frozenset(errors), writes, truncated
-
-
-def concrete_interference_fixpoint(p: Program, unroll: int = 3,
-                                   budget: OracleBudget = OracleBudget(),
-                                   ) -> ConcInterfResult:
-    """Kleene iteration of the concrete interference semantics over
-    per-thread control paths.  converged=False when the round cap or the
-    interference-size cap is hit (e.g. unbounded parallel increments)."""
-    thread_paths = {t.tid: paths(t.body, unroll).paths for t in p.threads}
-    omega: frozenset[Location] = frozenset()
-    interf: set[tuple[int, str, object]] = set()
-    truncated = False
-    rounds = 0
-    while True:
-        rounds += 1
-        new_omega = omega
-        new_writes: set[tuple[int, str, object]] = set()
-        for t in p.threads:
-            view: dict[str, frozenset] = {}
-            for (t2, x, v) in interf:
-                if t2 != t.tid:
-                    view.setdefault(x, set()).add(v)  # type: ignore[arg-type]
-            view = {x: frozenset(vs) for x, vs in view.items()}
-            errs, writes, trunc = _run_thread_paths(
-                t.tid, thread_paths[t.tid], p, view, omega, budget)
-            new_omega = new_omega | errs
-            new_writes |= writes
-            truncated = truncated or trunc
-        new_interf = interf | new_writes
-        if new_omega == omega and new_interf == interf:
-            return ConcInterfResult(omega, frozenset(interf), not truncated,
-                                    rounds, truncated)
-        omega, interf = new_omega, new_interf
-        if rounds >= budget.max_rounds or len(interf) > budget.max_interference:
-            return ConcInterfResult(omega, frozenset(interf), False, rounds,
-                                    truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from .syntax import Location, Num, Program, location_thread
 
 ANALYZER_MODES = ("seq", "interference", "scheduled")
 CHECK_MODES = ("oracle-interleave", "oracle-scheduled")  # the explorers
-ORACLE_MODES = CHECK_MODES + ("oracle-interference",)
-MODES = ANALYZER_MODES + ORACLE_MODES + ("fuzz",)
+MODES = ANALYZER_MODES + CHECK_MODES + ("fuzz",)
 
 SCHEMA_VERSION = 1
 
@@ -119,6 +118,10 @@ class ProgramMismatch(Exception):
     pass
 
 
+class UnknownThread(Exception):
+    """The config names a thread the program does not have."""
+
+
 def _alarm(loc: Location, p: Program) -> dict:
     tid = location_thread(p, loc)
     return {
@@ -176,6 +179,9 @@ def _terminal_summary(res, limit: int = 64) -> dict:
 
 def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
     """Run the requested mode and assemble the report dictionary."""
+    unknown = set(cfg.self_interference) - set(p.tids)
+    if unknown:
+        raise UnknownThread(f"the program has no thread {min(unknown)}")
     t0 = time.monotonic()
     budget = cfg.budget()
     rep: dict = {
@@ -227,27 +233,6 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
                 "witness": inc.witness,
                 "oracle_states": inc.oracle_states,
             }
-
-    elif cfg.mode == "oracle-interference":
-        from .oracle import concrete_interference_fixpoint
-
-        res = concrete_interference_fixpoint(p, unroll=cfg.unroll,
-                                             budget=budget)
-        rep["alarms"] = _alarms(res.errors, p)
-        values: dict[str, list] = {}
-        for (t, x, v) in res.interference:
-            values.setdefault(f"t{t}/{x}", []).append(v)
-        rep["interferences"] = {
-            k: {"count": len(vs), "min": str(min(vs)), "max": str(max(vs))}
-            for k, vs in values.items()}
-        rep["oracle"] = {
-            "converged": res.converged,
-            "rounds": res.rounds,
-            "interference_size": len(res.interference),
-            "truncated": res.truncated,
-        }
-        if not res.converged:
-            rep["exit_code"] = 3
 
     elif cfg.mode == "fuzz":
         from .transforms import fuzz_weakmem, negative_controls

@@ -223,13 +223,16 @@ def in_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
     """Entering a critical section on m: import well-synchronized values
     written by other threads, unless mutual exclusion rules them out.
     Each import joins one variable, so their order does not matter."""
-    out = env
-    for (t2, c2, x), v in interf.items():
-        if (c2.tag == sync(m) and t2 != t
-                and not (l & c2.held) and not (l & c2.free)
-                and not (c2.held & u)):
-            out = out.set(x, out.get(x).join(v))
-    return out
+    imports = [(x, v) for (t2, c2, x), v in interf.items()
+               if (c2.tag == sync(m) and t2 != t
+                   and not (l & c2.held) and not (l & c2.free)
+                   and not (c2.held & u))]
+    if not imports or env.is_bot:
+        return env
+    bounds = {x: env.get(x) for x in env.variables}
+    for x, v in imports:
+        bounds[x] = bounds[x].join(v)
+    return BoxEnv(bounds)
 
 
 def out_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,

@@ -11,7 +11,6 @@ from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
 from racebox.oracle import (
     check_soundness_inclusion,
-    concrete_interference_fixpoint,
     inclusion,
     run_interleavings,
     run_scheduled,
@@ -167,31 +166,6 @@ def test_witnesses_serialize_as_json(corpus):
     steps = json.loads(text)
     assert steps[-1]["thread"] == 1
     assert "pre-scheduler" in steps[-1] and "post-scheduler" in steps[-1]
-
-
-def test_concrete_interference_dekker_exact(corpus):
-    res = concrete_interference_fixpoint(corpus("dekker"), unroll=0)
-    assert res.converged
-    flags = {(t, x, v) for (t, x, v) in res.interference
-             if x.startswith("flag")}
-    assert flags == {(1, "flag1", 1), (2, "flag2", 1)}
-
-
-def test_concrete_interference_increment_diverges(corpus):
-    res = concrete_interference_fixpoint(
-        corpus("increment"), unroll=0,
-        budget=OracleBudget(max_rounds=12))
-    assert not res.converged
-    xs = sorted(v for (t, x, v) in res.interference if x == "x")
-    assert xs[:3] == [1, 1, 2]  # growing 1, 2, 3, ... per thread
-
-
-def test_concrete_interference_single_thread():
-    p = parse_program("thread 1 { x <- [0,1]; y <- 1 / x; }")
-    res = concrete_interference_fixpoint(p, unroll=0)
-    assert res.converged
-    assert {t for (t, _, _) in res.interference} == {1}
-    assert res.errors == exec_stmt(p.threads[0].body, initial_state(p)).errors
 
 
 def test_inclusion_pass(corpus):

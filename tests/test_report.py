@@ -16,6 +16,7 @@ from racebox.report import (
     REPORT_SCHEMA,
     ProgramMismatch,
     RunConfig,
+    UnknownThread,
     analyze_source,
     diff_reports,
     report_to_json,
@@ -29,7 +30,7 @@ SRC_CLEAN = "var x;\nthread 1 { x <- 1 / [1,2]; }\n"
 
 @pytest.mark.parametrize("mode", ["seq", "interference", "scheduled",
                                   "oracle-interleave", "oracle-scheduled",
-                                  "oracle-interference", "fuzz"])
+                                  "fuzz"])
 def test_schema_valid_all_modes(mode):
     rep = analyze_source(SRC_ALARM, RunConfig(mode=mode, unroll=1))
     jsonschema.validate(json.loads(report_to_json(rep)), REPORT_SCHEMA)
@@ -134,13 +135,6 @@ def test_check_against_explores_once(monkeypatch, src, verdict):
         assert rep["check"]["witness"][-1]["stmt-pretty"].startswith("t <-")
 
 
-def test_oracle_interference_divergence_is_budget_failure(corpus_source):
-    rep = analyze_source(corpus_source("increment"),
-                         RunConfig(mode="oracle-interference"))
-    assert not rep["oracle"]["converged"]
-    assert rep["exit_code"] == 3
-
-
 def test_self_interference_flag_changes_result():
     src = "var x;\nthread 1 { x <- x + 1; }\n"
     plain = analyze_source(src, RunConfig(mode="interference"))
@@ -148,6 +142,12 @@ def test_self_interference_flag_changes_result():
                                           self_interference=(1,)))
     assert plain["interferences"]["t1/x"] == "[1,1]"
     assert multi["interferences"]["t1/x"] == "[1,inf]"
+
+
+def test_self_interference_must_name_a_thread(corpus_source):
+    with pytest.raises(UnknownThread, match="no thread 9"):
+        analyze_source(corpus_source("dekker"),
+                       RunConfig(mode="interference", self_interference=(9,)))
 
 
 # -- command line
@@ -255,7 +255,7 @@ def test_cli_color_env_var(tmp_path):
     assert "\033[" in colored
 
 
-@pytest.mark.parametrize("mode", ["scheduled", "oracle-interference", "fuzz"])
+@pytest.mark.parametrize("mode", ["scheduled", "fuzz"])
 def test_cli_check_against_needs_an_explorer(tmp_path, mode):
     """Only the two explorers can run the check: elsewhere it is a usage
     error, not a silently skipped check."""
@@ -343,7 +343,8 @@ def test_cli_exit_three_on_internal_error(tmp_path):
                                         ("--self-interference", "foo"),
                                         ("--self-interference", "9"),
                                         ("--self-interference", "0"),
-                                        ("--self-interference", "-1")])
+                                        ("--self-interference", "-1"),
+                                        ("--mode", "oracle-interference")])
 def test_cli_rejects_out_of_range_bounds(tmp_path, corpus_source, flag,
                                          value):
     f = tmp_path / "p.conc"
