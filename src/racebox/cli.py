@@ -8,10 +8,9 @@ default only output to a terminal is colored.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
-
-import click
 
 from .parser import ParseError, parse_program
 from .report import (
@@ -94,82 +93,121 @@ def _human(rep: dict, color: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_thresholds(ctx, param, text: str) -> tuple[Num, ...]:
+def _parse_thresholds(text: str) -> tuple[Num, ...]:
     """An empty list means the default thresholds."""
     try:
         return tuple(sorted(num(x.strip()) for x in text.split(",")
                             if x.strip())) or RunConfig.thresholds
     except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(f"{text!r} is not a comma-separated list"
-                                 " of rationals")
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of rationals")
 
 
-def _parse_threads(ctx, param, text: str) -> tuple[int, ...]:
+def _parse_threads(text: str) -> tuple[int, ...]:
     parts = (part.strip().lstrip("t") for part in text.split(","))
     try:
         return tuple(int(part) for part in parts if part)
     except ValueError:
-        raise click.BadParameter(f"{text!r} is not a comma-separated list"
-                                 " of thread ids")
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of thread ids")
 
 
-@click.command(name="analyze")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(MODES), default=RunConfig.mode,
-              show_default=True, help="analysis or oracle to run")
-@click.option("--unroll", type=click.IntRange(min=0),
-              default=RunConfig.unroll, show_default=True,
-              help="loop unrolling bound for oracle control paths")
-@click.option("--mono/--no-mono", default=RunConfig.mono, show_default=True,
-              help="assume a mono-processor real-time scheduler"
-                   " (islocked is modeled precisely)")
-@click.option("--widening-delay", type=click.IntRange(min=0),
-              default=RunConfig.widening_delay, show_default=True,
-              help="interference-fixpoint rounds joined before widening")
-@click.option("--thresholds", type=str, default="",
-              callback=_parse_thresholds,
-              help="comma-separated widening thresholds, e.g. -1,0,1,10")
-@click.option("--self-interference", type=str, default="",
-              callback=_parse_threads,
-              help="comma-separated thread ids that may run as several"
-                   " instances (interference mode)")
-@click.option("--budget-states", type=click.IntRange(min=1),
-              default=RunConfig.budget_states, show_default=True,
-              help="oracle state budget")
-@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
-@click.option("--json", "json_output", is_flag=True, help="emit JSON")
-@click.option("--out", type=click.Path(writable=True), default=None,
-              help="write the report to a file instead of stdout")
-@click.option("--check-against", type=click.Choice(ANALYZER_MODES),
-              default=None, help="compare oracle errors against an"
-                                 " analyzer's alarms")
-@click.option("--decreasing-pass", is_flag=True,
-              help="one decreasing loop re-execution after stabilization")
-@click.option("--timing", is_flag=True,
-              help="include wall-clock time in the report"
-                   " (breaks byte-determinism)")
-def main(file, json_output, out, **opts):
-    """Analyze a concurrent program or run a concrete oracle on it."""
+class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: ")
+
+
+def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, and the options that take a value."""
+    ap = argparse.ArgumentParser(
+        prog=prog, usage="%(prog)s [OPTIONS] FILE", allow_abbrev=False,
+        formatter_class=_Formatter,
+        description="Analyze a concurrent program or run a concrete oracle"
+                    " on it.")
+    valued: set[str] = set()
+
+    def value(flag: str, **kw) -> None:
+        valued.add(flag)
+        ap.add_argument(flag, **kw)
+
+    ap.add_argument("file", metavar="FILE")
+    value("--mode", choices=MODES, default=RunConfig.mode,
+          help="analysis or oracle to run")
+    value("--unroll", type=int, default=RunConfig.unroll,
+          help="loop unrolling bound for oracle control paths")
+    ap.add_argument("--mono", action=argparse.BooleanOptionalAction,
+                    default=RunConfig.mono,
+                    help="assume a mono-processor real-time scheduler"
+                         " (islocked is modeled precisely)")
+    value("--widening-delay", type=int,
+          default=RunConfig.widening_delay,
+          help="interference-fixpoint rounds joined before widening")
+    value("--thresholds", type=_parse_thresholds,
+          default=RunConfig.thresholds,
+          help="comma-separated widening thresholds, e.g. -1,0,1,10")
+    value("--self-interference", type=_parse_threads,
+          default=RunConfig.self_interference,
+          help="comma-separated thread ids that may run as several"
+               " instances (interference mode)")
+    value("--budget-states", type=int,
+          default=RunConfig.budget_states, help="oracle state budget")
+    value("--seed", type=int, default=RunConfig.seed, help="fuzzing seed")
+    ap.add_argument("--json", dest="json_output", action="store_true",
+                    help="emit JSON")
+    value("--out", default=None,
+          help="write the report to a file instead of stdout")
+    value("--check-against", choices=ANALYZER_MODES,
+          default=RunConfig.check_against,
+          help="compare oracle errors against an analyzer's alarms")
+    ap.add_argument("--decreasing-pass", action="store_true",
+                    help="one decreasing loop re-execution after"
+                         " stabilization")
+    ap.add_argument("--timing", action="store_true",
+                    help="include wall-clock time in the report"
+                         " (breaks byte-determinism)")
+    return ap, valued
+
+
+def _attach_values(argv: list[str], valued: set[str]) -> list[str]:
+    """argparse reads a value that starts with `-`, such as -1,0,1, as an
+    option of its own; `--opt value` becomes `--opt=value`, so that an
+    option takes the next word whatever it is."""
+    out: list[str] = []
+    words = iter(argv)
+    for word in words:
+        out.append(f"{word}={next(words, '')}" if word in valued else word)
+    return out
+
+
+def main(argv: list[str] | None = None, prog_name: str = "analyze") -> None:
+    """Run the analyze command on argv (default: the process's arguments)
+    and exit with its code."""
+    ap, valued = _parser(prog_name)
+    args = vars(ap.parse_args(_attach_values(
+        sys.argv[1:] if argv is None else argv, valued)))
+    file, json_output, out = (args.pop(k) for k in ("file", "json_output",
+                                                      "out"))
     try:
-        cfg = RunConfig(**opts)  # every other option is a RunConfig field
+        cfg = RunConfig(**args)  # every other option is a RunConfig field
     except ValueError as e:
-        raise click.UsageError(str(e))
+        ap.error(str(e))
     try:
-        source = open(file, encoding="utf-8").read()
+        with open(file, encoding="utf-8") as fh:
+            source = fh.read()
         program = parse_program(source)
     except (ParseError, OSError, UnicodeDecodeError) as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         sys.exit(2)
-    except Exception as e:  # e.g. RecursionError on very deep if/while nesting
-        click.echo(f"internal error: {e}", err=True)
+    except Exception as e:  # a parser defect: a message, not a traceback
+        print(f"internal error: {e}", file=sys.stderr)
         sys.exit(3)
 
     try:
         rep = build_report(program, source, cfg)
     except UnknownThread as e:
-        raise click.BadParameter(str(e), param_hint="'--self-interference'")
+        ap.error(f"argument --self-interference: {e}")
     except Exception as e:  # analyzer/oracle internal failure
-        click.echo(f"internal error: {e}", err=True)
+        print(f"internal error: {e}", file=sys.stderr)
         sys.exit(3)
 
     color = _color_enabled(out)
@@ -179,10 +217,11 @@ def main(file, json_output, out, **opts):
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:  # a directory, a missing parent, no permission
-            click.echo(f"error: {e}", err=True)
+            print(f"error: {e}", file=sys.stderr)
             sys.exit(2)
     else:
-        click.echo(text, nl=False, color=color)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
     code = rep["exit_code"]
     if rep["check"]:

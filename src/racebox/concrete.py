@@ -11,7 +11,6 @@ an oracle whose errors are compared against analyzer alarms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
 
@@ -27,6 +26,7 @@ from .syntax import (
     Neg,
     Num,
     Program,
+    Record,
     Stmt,
     Var,
     While,
@@ -57,8 +57,7 @@ Env = tuple[Num, ...]  # values in the order of ConcreteState.vars
 VarIndex = dict[str, int]
 
 
-@dataclass(frozen=True)
-class ConcreteState:
+class ConcreteState(Record):
     vars: tuple[str, ...]
     envs: frozenset[Env]
     errors: frozenset[Location]
@@ -265,8 +264,7 @@ def initial_state(p: Program) -> ConcreteState:
 # Control paths
 
 
-@dataclass(frozen=True)
-class PathSet:
+class PathSet(Record):
     paths: frozenset[ControlPath]
     truncated: bool
 

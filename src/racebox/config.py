@@ -1,15 +1,12 @@
-"""Dataclass configuration shared by the analyzers and the CLI: the one
+"""Configuration records shared by the analyzers and the CLI: the one
 home of the run defaults."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .syntax import Num
+from .syntax import Num, Record
 
 
-@dataclass(frozen=True)
-class AnalysisSettings:
+class AnalysisSettings(Record):
     """Tuning knobs of the abstract analyzers."""
 
     thresholds: tuple[Num, ...] = (-10_000, -1, 0, 1, 10_000)  # widening
@@ -21,8 +18,7 @@ class AnalysisSettings:
     self_interference: frozenset[int] = frozenset()  # multi-instance threads
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(Record):
     """Exploration limits for the concrete oracles."""
 
     max_states: int = 1_000_000

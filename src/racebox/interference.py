@@ -10,31 +10,27 @@ erased), with its results unpartitioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .config import AnalysisSettings
 from .domains import BoxEnv, Interval
 from .sched import WEAK, outer_fixpoint, unpartitioned
-from .syntax import Location, Program, Sid
+from .syntax import Location, Program, Record, Sid
 
 InterfKey = tuple[int, str]  # (thread id, variable)
 InterferenceAbs = dict[InterfKey, Interval]  # absent key = bottom
 
 
-@dataclass
-class ThreadOutcome:
+class ThreadOutcome(Record):
     final: BoxEnv
     invariants: dict[Sid, BoxEnv]
     branches: dict[Sid, tuple[bool, bool]]
 
 
-@dataclass
-class InterfResult:
+class InterfResult(Record):
     omega: frozenset[Location]
     interf: InterferenceAbs
     iterations: int
     per_thread: dict[int, ThreadOutcome]
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def analyze_program_I(p: Program,

@@ -34,7 +34,6 @@ that can take it is expanded, and its successors per env_id.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .concrete import compile_prim, initial_state, paths, sorted_paths
@@ -47,6 +46,7 @@ from .syntax import (
     Location,
     Lock,
     Program,
+    Record,
     Stmt,
     Unlock,
     Yield,
@@ -64,8 +64,7 @@ DONE = "done"  # path exhausted: a finished thread no longer occupies the
 # Per-thread path tries
 
 
-@dataclass
-class _Trie:
+class _Trie(Record):
     edges: list[list[tuple[Stmt, int]]]  # node -> [(stmt, next node)]
     ends: list[bool]  # node -> some complete path stops here
 
@@ -93,15 +92,14 @@ class _Trie:
 # Results
 
 
-@dataclass
-class ExploreResult:
+class ExploreResult(Record):
     errors: frozenset[Location]
     truncated: bool
     terminal_envs: frozenset[tuple]
     vars: tuple[str, ...]
     states: int
     paths_truncated: bool
-    witnesses: dict[Location, list[dict]] = field(default_factory=dict)
+    witnesses: dict[Location, list[dict]]
     sched_states: frozenset | None = None  # (status, held) pairs, on request
     truncated_by: str | None = None  # "states" (budget), "depth" or None
 
@@ -405,8 +403,7 @@ def run_scheduled(p: Program, unroll: int = 3,
 # Soundness comparison
 
 
-@dataclass
-class InclusionReport:
+class InclusionReport(Record):
     verdict: str  # PASS | FAIL | INCONCLUSIVE
     missing: frozenset[Location]
     witness: list[dict] | None

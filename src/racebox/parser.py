@@ -42,6 +42,13 @@ from .syntax import (
 )
 
 
+# The deepest nesting of blocks inside a thread's body.  The statement
+# walkers of a run (parser, labeler, engine, path builder) recurse once or
+# twice per level, so this keeps every mode within the default recursion
+# limit.
+MAX_NESTING = 256
+
+
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")
@@ -110,6 +117,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.strict = strict
+        self.depth = 0  # blocks open around the current position
         self.declared_vars: dict[str, tuple[Ext, Ext] | None] = {}
         self.declared_mutexes: list[str] = []
         self.used_vars: list[str] = []
@@ -206,11 +214,16 @@ class _Parser:
         return Thread(tid, body)
 
     def block(self) -> Stmt:
-        self.expect("punct", "{")
+        tok = self.expect("punct", "{")
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"blocks nested more than {MAX_NESTING} deep",
+                             tok.line, tok.col)
+        self.depth += 1
         stmts: list[Stmt] = []
         while not self.at("punct", "}"):
             stmts.append(self.stmt())
         self.expect("punct", "}")
+        self.depth -= 1
         return block(stmts)
 
     def stmt(self) -> Stmt:

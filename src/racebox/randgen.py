@@ -10,7 +10,6 @@ zero, so alarm sets are routinely non-empty.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 
 from .syntax import (
     CMP_OPS,
@@ -24,6 +23,7 @@ from .syntax import (
     Lock,
     Neg,
     Program,
+    Record,
     Stmt,
     Thread,
     Unlock,
@@ -35,8 +35,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     max_threads: int = 3
     max_stmts: int = 12  # per thread
     const_lo: int = -3
@@ -169,7 +168,7 @@ def random_seq_program(rng: random.Random,
                        cfg: GeneratorConfig = GeneratorConfig(),
                        loop_free: bool = True) -> Program:
     """Single-thread program; with loop_free, only assigns/ifs/blocks."""
-    local = replace(cfg, max_threads=1, sync_prob=0.0, spare_var=False,
+    local = cfg._replace(max_threads=1, sync_prob=0.0, spare_var=False,
                     loop_prob=0.0 if loop_free else cfg.loop_prob)
     n_vars = rng.randint(2, local.n_vars)
     names = [f"v{i}" for i in range(n_vars)]

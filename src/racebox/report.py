@@ -7,11 +7,9 @@ timing is only populated on request.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 
 from .config import AnalysisSettings, OracleBudget
 from .domains import BOT, BoxEnv, Interval
@@ -19,7 +17,7 @@ from .interference import analyze_program_I
 from .parser import parse_program
 from .sched import analyze_program_C
 from .seq import analyze_program_seq
-from .syntax import Location, Num, Program, location_thread
+from .syntax import Location, Num, Program, Record, location_thread
 
 # `oracle` and `transforms` are imported by the modes that run them, so an
 # analyzer run, such as a cold CLI call, does not load them
@@ -76,8 +74,7 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     mode: str = "scheduled"
     unroll: int = 3
     widening_delay: int = AnalysisSettings.widening_delay
@@ -94,6 +91,11 @@ class RunConfig:
         if self.check_against and self.mode not in CHECK_MODES:
             raise ValueError("--check-against needs --mode "
                              + " or ".join(CHECK_MODES))
+        for name, low in (("unroll", 0), ("widening_delay", 0),
+                          ("budget_states", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"--{name.replace('_', '-')} must be at"
+                                 f" least {low}")
 
     def settings(self) -> AnalysisSettings:
         return AnalysisSettings(
@@ -108,8 +110,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         """The report's `config`: every field that can change the result."""
-        out = dataclasses.asdict(self)
-        del out["timing"]
+        out = {n: getattr(self, n) for n in self._fields if n != "timing"}
         out["thresholds"] = [str(t) for t in self.thresholds]
         return out
 

@@ -19,7 +19,6 @@ interferences.  interference.py and seq.py are adapters over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .config import AnalysisSettings
@@ -44,6 +43,7 @@ from .syntax import (
     Lock,
     Neg,
     Program,
+    Record,
     Sid,
     Stmt,
     Unlock,
@@ -255,17 +255,18 @@ def out_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
     return out
 
 
-@dataclass
 class SchedRecorder:
     """Collects the invariant before each primitive (partitioned envs are
     never mutated, so they are kept as they are), the feasibility of each
     branch, the reads that took interference, and diagnostics."""
 
-    invariants: dict[Sid, PartitionedEnv] = field(default_factory=dict)
-    branches: dict[Sid, tuple[bool, bool]] = field(default_factory=dict)
-    read_log: set[ReadEvent] | None = None
-    warnings: list[str] = field(default_factory=list)
-    max_env_partitions: int = 0
+    def __init__(self, read_log: set[ReadEvent] | None = None,
+                 warnings: list[str] | None = None):
+        self.invariants: dict[Sid, PartitionedEnv] = {}
+        self.branches: dict[Sid, tuple[bool, bool]] = {}
+        self.read_log = read_log
+        self.warnings = [] if warnings is None else warnings
+        self.max_env_partitions = 0
 
     def warn(self, msg: str) -> None:
         if msg not in self.warnings:
@@ -291,9 +292,11 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                lock_sets: dict[int, frozenset[str]] | None = None,
                mono: bool = True,
                recorder: SchedRecorder | None = None,
-               blind: bool = False) -> AbsStateC:
+               blind: bool = False, publish: bool = True) -> AbsStateC:
     """Abstract transfer of thread t for any statement form; `blind`
-    erases synchronization (see the module docstring).  st.interf is the
+    erases synchronization (see the module docstring), and `publish`
+    records t's writes as interferences (seq, with no other thread to
+    read them, turns it off and keeps the map empty).  st.interf is the
     round's map and is only read; the pass carries, and returns, t's own
     entries alone, the only ones it can change.  Reading the foreign
     entries from st.interf is exact: the one state that never held them,
@@ -333,13 +336,14 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         rec.invariants[sid] = x.envs
         envs: PartitionedEnv = {}
         errors = x.errors
-        interf = dict(x.interf)
+        interf = dict(x.interf) if publish else x.interf
         for c, env in x.envs.items():
             env, errors = transfer_assign(var, read(c, x, e), env, errors)
             if env.is_bot:
                 continue
             envs[c] = env
-            put(interf, (t, c, var), env.get(var))
+            if publish:
+                put(interf, (t, c, var), env.get(var))
         return seen(AbsStateC(envs, errors, interf))
 
     def guard(g: Guard, x: AbsStateC) -> AbsStateC:
@@ -456,8 +460,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                            {k: v for k, v in st.interf.items() if k[0] == t}))
 
 
-@dataclass(frozen=True)
-class Race:
+class Race(Record):
     kind: str  # "ww" | "rw"
     threads: tuple[int, int]  # rw: (reader, writer); ww: (min, max)
     var: str
@@ -510,15 +513,13 @@ def thread_writes(p: Program, tid: int) -> frozenset[str]:
                      if isinstance(s, (Assign, IsLocked)))
 
 
-@dataclass
-class SchedThreadOutcome:
+class SchedThreadOutcome(Record):
     final: PartitionedEnv
     invariants: dict[Sid, PartitionedEnv]
     branches: dict[Sid, tuple[bool, bool]]
 
 
-@dataclass
-class SchedResult:
+class SchedResult(Record):
     omega: frozenset[Location]
     interf: SchedInterferenceAbs
     races_ww: list[Race]
@@ -528,7 +529,7 @@ class SchedResult:
     max_env_partitions: int
     interference_entries: int
     idempotent: bool
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def outer_fixpoint(p: Program,

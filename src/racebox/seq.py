@@ -3,20 +3,17 @@ scheduler-blind over a single thread, with no interference rounds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .config import AnalysisSettings
 from .domains import BoxEnv
 from .sched import C0, AbsStateC, SchedRecorder, transfer_C, unpartitioned
-from .syntax import SYNC_TYPES, Location, Program, Sid, sub_stmts
+from .syntax import SYNC_TYPES, Location, Program, Record, Sid, sub_stmts
 
 
 class MultiThreadInput(Exception):
     pass
 
 
-@dataclass
-class SeqResult:
+class SeqResult(Record):
     omega: frozenset[Location]
     final: BoxEnv
     invariants: dict[Sid, BoxEnv]
@@ -37,8 +34,8 @@ def analyze_program_seq(p: Program,
     rec = SchedRecorder()
     out = transfer_C(thread.body, thread.tid,
                      AbsStateC({C0: BoxEnv.initial(p)}, frozenset(), {}),
-                     replace(settings, self_interference=frozenset()),
-                     recorder=rec, blind=True)
+                     settings._replace(self_interference=frozenset()),
+                     recorder=rec, blind=True, publish=False)
     return SeqResult(out.errors, unpartitioned(out.envs),
                      {sid: unpartitioned(envs)
                       for sid, envs in rec.invariants.items()},

@@ -10,8 +10,8 @@ conditionals and loops are desugared and when control paths are extracted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 # The one number format: exact rationals, written as an int whenever the
@@ -73,8 +73,76 @@ def is_finite(x: Ext) -> bool:
     return x.__class__ is not float
 
 
-@dataclass(frozen=True)
-class Location:
+# instance attributes are set with object's __setattr__, which keeps
+# them in the object's compact layout; Record's own refuses assignment
+_set = object.__setattr__
+
+
+class Record:
+    """The base of the AST nodes, the program, and the configuration and
+    result records.  A subclass's fields are its own annotations, in
+    order, and its class-level values are their defaults.  One __init__
+    takes the fields by position or by name (then calls __post_init__ if
+    the class has one).  Records are immutable, equal when of the same
+    class with equal compared fields (all of them unless the class names
+    them with `compare=`), and hash as the tuple of those fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, compare: tuple[str, ...] = (), **kw):
+        super().__init_subclass__(**kw)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{
+            n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        names = compare or cls._fields
+        get = attrgetter(*names) if names else lambda x: ()
+        # a tuple even for one field, so that hashes are tuple hashes
+        cls._key = staticmethod(get if len(names) != 1
+                                else lambda x: (get(x),))
+        cls._post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            # the fields after args, from kwargs or else the defaults
+            rest = fields[len(args):]
+            values = {**self._defaults, **kwargs}
+            if (len(args) > len(fields) or not kwargs.keys() <= set(rest)
+                    or not values.keys() >= set(rest)):
+                raise TypeError(f"{self.__class__.__name__} takes the"
+                                f" fields {fields}")
+            args = [*args, *(values[n] for n in rest)]
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        if self._post_init:
+            self.__post_init__()
+
+    def _replace(self, **changes) -> Record:
+        return self.__class__(**{**{n: getattr(self, n)
+                                    for n in self._fields}, **changes})
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = (f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+
+class Location(Record, compare=("label",)):
     """Unique syntactic label of an operator, plus source position.
 
     Identity is the label alone; the position is reporting metadata and
@@ -82,9 +150,9 @@ class Location:
     change its AST)."""
 
     label: int
-    line: int = field(compare=False)
-    col: int = field(compare=False)
-    op: str = field(compare=False)
+    line: int
+    col: int
+    op: str
 
     def sort_key(self) -> tuple:
         return (self.line, self.col, self.label)
@@ -97,16 +165,14 @@ class Location:
 # Expressions
 
 
-class Expr:
+class Expr(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     """Constant interval [lo, hi]; evaluates to a fresh value each time."""
 
@@ -129,7 +195,7 @@ class _Op(Expr):
     expression."""
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+        _set(self, "_hash", Record.__hash__(self))
 
     def __hash__(self) -> int:
         return self._hash
@@ -153,13 +219,11 @@ def _same_node(x: Expr, y: Expr) -> bool:
     return x.loc == y.loc if isinstance(x, Neg) else x == y
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Op):
     loc: Location
     sub: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Op):
     op: str
     loc: Location
@@ -173,18 +237,16 @@ class BinOp(_Op):
 Sid = Union[int, str]
 
 
-class Stmt:
+class Stmt(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Assign(Stmt):
     sid: Sid
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
 class Guard(Stmt):
     """Internal filter statement `e cmp 0 ?`; never parsed from source."""
 
@@ -193,7 +255,6 @@ class Guard(Stmt):
     cmp: str
 
 
-@dataclass(frozen=True)
 class If(Stmt):
     sid: Sid
     expr: Expr
@@ -201,7 +262,6 @@ class If(Stmt):
     body: Stmt
 
 
-@dataclass(frozen=True)
 class While(Stmt):
     sid: Sid
     expr: Expr
@@ -209,7 +269,6 @@ class While(Stmt):
     body: Stmt
 
 
-@dataclass(frozen=True)
 class Block(Stmt):
     """Statements run in order; recursion over a block follows nesting,
     not length."""
@@ -218,24 +277,20 @@ class Block(Stmt):
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
 class Lock(Stmt):
     sid: Sid
     mutex: str
 
 
-@dataclass(frozen=True)
 class Unlock(Stmt):
     sid: Sid
     mutex: str
 
 
-@dataclass(frozen=True)
 class Yield(Stmt):
     sid: Sid
 
 
-@dataclass(frozen=True)
 class IsLocked(Stmt):
     """X <- islocked(m): stores 1 if some thread holds m, else 0."""
 
@@ -269,14 +324,12 @@ ControlPath = tuple[Stmt, ...]
 # Programs
 
 
-@dataclass(frozen=True)
-class Thread:
+class Thread(Record):
     tid: int  # doubles as the priority: higher tid = higher priority
     body: Stmt
 
 
-@dataclass(frozen=True, eq=True)
-class Program:
+class Program(Record):
     threads: tuple[Thread, ...]
     mutexes: tuple[str, ...]
     variables: tuple[str, ...]  # sorted lexicographically
@@ -460,7 +513,7 @@ class _Labeler:
 def relabel_program(p: Program) -> Program:
     lab = _Labeler()
     threads = tuple(Thread(t.tid, lab.stmt(t.body)) for t in p.threads)
-    return replace(p, threads=threads)
+    return p._replace(threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 
 from .config import AnalysisSettings, OracleBudget
 from .domains import BoxEnv, Interval, eval_abs
@@ -30,6 +29,7 @@ from .syntax import (
     Guard,
     Neg,
     Program,
+    Record,
     Stmt,
     Var,
     classify_vars,
@@ -166,15 +166,13 @@ def _occurrence_subsets(n: int) -> list[frozenset[int]]:
 # Rule application
 
 
-@dataclass(frozen=True)
-class TransformContext:
+class TransformContext(Record):
     tid: int
     fresh: frozenset[str]
     local: frozenset[str]
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(Record):
     rule: RuleId
     position: int
     verified: tuple[str, ...]
@@ -377,8 +375,7 @@ def apply_rule_at(rule: RuleId, path: ControlPath, pos: int,
 # The differential fuzzer
 
 
-@dataclass
-class FuzzViolation:
+class FuzzViolation(Record):
     thread: int
     rules: list[str]
     missing: list[int]  # labels the analyzer failed to cover
@@ -386,8 +383,7 @@ class FuzzViolation:
     path_after: list[str]
 
 
-@dataclass
-class FuzzReport:
+class FuzzReport(Record):
     trials: int
     effective: int  # trials where at least one rule application ran
     seed: int
@@ -483,8 +479,7 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 # Negative controls: break a side condition on purpose, expect detection
 
 
-@dataclass
-class NegativeControl:
+class NegativeControl(Record):
     name: str
     detected: bool
     missing: list[int]

@@ -9,7 +9,6 @@ import ast
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -17,7 +16,14 @@ from racebox.concrete import exec_stmt, initial_state, paths
 from racebox.domains import Interval
 from racebox.interference import analyze_program_I
 from racebox.oracle import run_interleavings, run_scheduled
-from racebox.parser import parse_program
+from racebox.parser import MAX_NESTING, ParseError, parse_program
+from racebox.report import (
+    ANALYZER_MODES,
+    CHECK_MODES,
+    RunConfig,
+    analyze_source,
+    report_to_json,
+)
 from racebox.sched import analyze_program_C
 from racebox.seq import analyze_program_seq
 from racebox.syntax import pretty_expr, pretty_program
@@ -74,7 +80,7 @@ def test_deep_expression(tmp_path, shape):
     q = parse_program(pretty_program(p))
     assert q == p and hash(q) == hash(p)
 
-    seq = analyze_program_seq(replace(p, threads=p.threads[:1]))
+    seq = analyze_program_seq(p._replace(threads=p.threads[:1]))
     assert not seq.omega and seq.final.get("y") == Interval.const(0)
     for analyze in (analyze_program_I, analyze_program_C):
         res = analyze(p)
@@ -90,6 +96,35 @@ def test_deep_expression(tmp_path, shape):
     r = subprocess.run([sys.executable, "-m", "racebox.cli", str(f),
                         "--mode", "scheduled"], capture_output=True, text=True)
     assert r.returncode in (0, 1), r.stderr
+
+
+NESTED = {  # one nesting level, holding two statements
+    "if": "if x - 1 < 0 then { x <- x + 1; ",
+    "while": "while x - 3 < 0 do { x <- x + 1; ",
+    "block": "{ x <- x + 1; ",
+}
+
+
+def _nested(shape: str, depth: int) -> str:
+    return ("var x = [0,1]; thread 1 { " + NESTED[shape] * depth
+            + "x <- 1 / x;" + " }" * depth + " }")
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_deep_nesting(shape):
+    """Blocks nested MAX_NESTING deep run through every analyzer (and, for
+    plain blocks, whose paths stay few, every oracle and the fuzzer); one
+    level more is a parse error that names the limit."""
+    with pytest.raises(ParseError,
+                       match=f"blocks nested more than {MAX_NESTING} deep"):
+        parse_program(_nested(shape, MAX_NESTING + 1))
+    src = _nested(shape, MAX_NESTING)
+    modes = ANALYZER_MODES + (CHECK_MODES + ("fuzz",) if shape == "block"
+                              else ())
+    for mode in modes:
+        rep = analyze_source(src, RunConfig(mode=mode, unroll=1))
+        assert rep["exit_code"] in (0, 1)
+        report_to_json(rep)
 
 
 def test_repr_of_deep_expression():

@@ -5,6 +5,7 @@ without failing any analyzer test."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -33,3 +34,17 @@ def test_replay_probes_call_shapes(corpus, monkeypatch):
                                       corpus("producer_consumer")])
     assert out["apply_sched"] > 0 and out["in_sharp"] > 0
     assert all(v > 0 for v in out.values())
+
+
+def test_cli_call_shape(capsys):
+    """The paced and traced cli-cold wrappers call main(argv, prog_name=...)
+    in process and read the exit code from SystemExit."""
+    import racebox.cli
+
+    corpus = PERFBENCH.parent / "corpus"
+    expected = (corpus / "priority_mutex.expected.json").read_bytes()
+    with pytest.raises(SystemExit) as done:
+        racebox.cli.main([str(corpus / "priority_mutex.conc"), "--mode",
+                          "scheduled", "--json"], prog_name="analyze")
+    assert done.value.code == json.loads(expected)["exit_code"]
+    assert capsys.readouterr().out.encode() == expected

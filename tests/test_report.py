@@ -1,16 +1,20 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racebox.cli import main
+from racebox.parser import MAX_NESTING
 
 from racebox.report import (
     REPORT_SCHEMA,
@@ -165,7 +169,9 @@ def run_cli(*args, color=None):
 
 def test_imports_only_what_the_mode_runs(tmp_path):
     """`import racebox` loads no submodule, and the analyzer modes load
-    neither the oracles, nor the fuzzer, nor the concrete semantics."""
+    neither the oracles, nor the fuzzer, nor the concrete semantics, nor
+    the two libraries whose import cost a cold run most: click and
+    dataclasses."""
     f = tmp_path / "p.conc"
     f.write_text(SRC_ALARM)
     code = textwrap.dedent("""
@@ -176,7 +182,7 @@ def test_imports_only_what_the_mode_runs(tmp_path):
         codes = []
         for mode in ("seq", "interference", "scheduled"):
             try:
-                main([sys.argv[1], "--mode", mode], standalone_mode=False)
+                main([sys.argv[1], "--mode", mode])
             except SystemExit as e:
                 codes.append(e.code)
         print(json.dumps([bare, codes, sorted(sys.modules)]))
@@ -190,6 +196,7 @@ def test_imports_only_what_the_mode_runs(tmp_path):
     assert "racebox.oracle" not in loaded
     assert "racebox.transforms" not in loaded
     assert "racebox.concrete" not in loaded
+    assert "click" not in loaded and "dataclasses" not in loaded
 
 
 def test_cli_exit_zero_no_alarms(tmp_path):
@@ -323,14 +330,15 @@ def test_cli_exit_two_on_unwritable_out(tmp_path, out):
     assert "Traceback" not in r.stderr
 
 
-def test_cli_exit_three_on_internal_error(tmp_path):
-    # statement walkers still recurse once per if/while nesting level
+def test_cli_exit_two_on_deep_nesting(tmp_path):
+    # the statement walkers recurse per if/while nesting level, so the
+    # parser refuses nesting past MAX_NESTING
     f = tmp_path / "p.conc"
     f.write_text("thread 1 { " + "if x < 0 then { " * 1000 + "x <- 1;"
                  + " }" * 1000 + " }")
     r = run_cli(str(f), "--mode", "seq")
-    assert r.returncode == 3
-    assert "internal error" in r.stderr
+    assert r.returncode == 2
+    assert f"blocks nested more than {MAX_NESTING} deep" in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -394,13 +402,15 @@ def _sources():
 def test_cli_any_source_exits_cleanly(source, mode):
     """Whatever the file holds, the CLI ends with a documented exit code
     and never lets an exception escape."""
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        with open("p.conc", "wb") as fh:
+    output = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "p.conc")
+        with open(path, "wb") as fh:
             fh.write(source)
-        r = runner.invoke(main, ["p.conc", "--mode", mode, "--unroll", "1",
-                                 "--budget-states", "2000"])
-    assert r.exit_code in (0, 1, 2, 3)
-    assert r.exception is None or isinstance(r.exception, SystemExit), \
-        r.exc_info
-    assert "Traceback" not in r.output
+        # any exception but SystemExit escapes and fails the test
+        with pytest.raises(SystemExit) as done, redirect_stdout(output), \
+                redirect_stderr(output):
+            main([path, "--mode", mode, "--unroll", "1",
+                  "--budget-states", "2000"])
+    assert done.value.code in (0, 1, 2, 3)
+    assert "Traceback" not in output.getvalue()
