@@ -169,7 +169,7 @@ def random_seq_program(rng: random.Random,
                        loop_free: bool = True) -> Program:
     """Single-thread program; with loop_free, only assigns/ifs/blocks."""
     local = cfg._replace(max_threads=1, sync_prob=0.0, spare_var=False,
-                    loop_prob=0.0 if loop_free else cfg.loop_prob)
+                         loop_prob=0.0 if loop_free else cfg.loop_prob)
     n_vars = rng.randint(2, local.n_vars)
     names = [f"v{i}" for i in range(n_vars)]
     budget = rng.randint(1, local.max_stmts)
