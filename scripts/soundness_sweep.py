@@ -4,9 +4,9 @@ analyzer alarms, for all three analyzer/oracle pairings.
 
 Usage: soundness_sweep.py [N] [BASE_SEED]
 
-Prints one PARTIAL line per truncated comparison, with the seed, the
-pairing and what truncated the oracle run (its state budget or its depth
-bound), then one summary line, one line per pairing with its checked
+Prints one PARTIAL line per truncated comparison (an oracle run that
+reached its state budget), with the seed and the pairing, then one
+summary line, one line per pairing with its checked
 comparisons (a completed oracle run) and partial ones (a truncated run,
 whose errors are checked all the same), then one line of seconds per
 phase (analyzers, interleaving oracle, scheduled oracle) with the states
@@ -66,8 +66,7 @@ def main() -> None:
             inc = inclusion(res, alarms)
             counts[name]["partial" if res.truncated else "checked"] += 1
             if res.truncated:
-                print(f"PARTIAL seed={base + i} pairing={name}"
-                      f" truncated_by={res.truncated_by}")
+                print(f"PARTIAL seed={base + i} pairing={name}")
             if inc.verdict == "FAIL":
                 counts[name]["violations"] += 1
                 print(f"VIOLATION seed={base + i} pairing={name}"

@@ -223,10 +223,7 @@ def main(argv: list[str] | None = None, prog_name: str = "analyze") -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
 
-    code = rep["exit_code"]
-    if rep["check"]:
-        code = {"PASS": 0, "FAIL": 1}.get(rep["check"]["verdict"], 3)
-    sys.exit(code)
+    sys.exit(rep["exit_code"])
 
 
 if __name__ == "__main__":

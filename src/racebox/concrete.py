@@ -36,6 +36,7 @@ from .syntax import (
     fold_expr,
     is_finite,
     ratdiv,
+    sub_stmts,
     then_guard,
 )
 
@@ -271,33 +272,34 @@ class PathSet(Record):
 
 def paths(s: Stmt, unroll: int) -> PathSet:
     """Control paths spawned by s, with loops unrolled at most `unroll`
-    times.  truncated is set when some longer unrolling exists."""
+    times.  truncated is set when some longer unrolling exists, that is,
+    when s holds a loop."""
     if unroll < 0:
         raise ValueError(f"unroll must be >= 0, got {unroll}")
+    return PathSet(frozenset(_paths(s, unroll)),
+                   any(isinstance(x, While) for x in sub_stmts(s)))
+
+
+def _paths(s: Stmt, unroll: int) -> list[ControlPath]:
+    """paths(s, unroll) as a list: the structure spawns each path once."""
     if isinstance(s, Block):
-        subs = [paths(sub, unroll) for sub in s.body]
-        # one product, each path concatenated once: a fold over the block
-        # would rebuild and re-hash every prefix
-        return PathSet(
-            frozenset(tuple(chain.from_iterable(combo))
-                      for combo in product(*(sub.paths for sub in subs))),
-            any(sub.truncated for sub in subs))
+        subs = [_paths(sub, unroll) for sub in s.body]
+        # one product: a fold over the block would rebuild every prefix
+        return [tuple(chain.from_iterable(combo)) for combo in product(*subs)]
     if isinstance(s, If):
-        body = paths(s.body, unroll)
-        taken = frozenset(((then_guard(s),) + p) for p in body.paths)
-        return PathSet(taken | {(else_guard(s),)}, body.truncated)
+        g = then_guard(s)
+        return [(g,) + p for p in _paths(s.body, unroll)] + [(else_guard(s),)]
     if isinstance(s, While):
-        body = paths(s.body, unroll)
+        body = _paths(s.body, unroll)
         g, x = body_guard(s), exit_guard(s)
-        loops: frozenset[ControlPath] = frozenset({()})
-        out: set[ControlPath] = {(x,)}
+        loops, out = [()], [(x,)]
         for _ in range(unroll):
-            loops = frozenset(p + (g,) + q for p in loops for q in body.paths)
-            out.update(p + (x,) for p in loops)
+            loops = [p + (g,) + q for p in loops for q in body]
+            out += [p + (x,) for p in loops]
         # some (unroll+1)-iteration path always exists syntactically
-        return PathSet(frozenset(out), True)
+        return out
     # primitive statements, including synchronization
-    return PathSet(frozenset({(s,)}), False)
+    return [(s,)]
 
 
 def sorted_paths(path_set) -> list[ControlPath]:
@@ -308,9 +310,9 @@ def sorted_paths(path_set) -> list[ControlPath]:
 
 def run_paths(path_set, st: ConcreteState) -> ConcreteState:
     """Join of the primitive transfer compositions over a set of paths."""
-    ps = path_set.paths if isinstance(path_set, PathSet) else frozenset(path_set)
+    ps = path_set.paths if isinstance(path_set, PathSet) else path_set
     out = ConcreteState(st.vars, frozenset(), st.errors)
-    for path in sorted(ps, key=lambda p: tuple(str(x.sid) for x in p)):
+    for path in ps:
         cur = st
         for prim in path:
             if not isinstance(prim, (Assign, Guard)):

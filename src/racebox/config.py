@@ -19,7 +19,6 @@ class AnalysisSettings(Record):
 
 
 class OracleBudget(Record):
-    """Exploration limits for the concrete oracles."""
+    """The concrete oracles' one exploration limit."""
 
     max_states: int = 1_000_000
-    max_path_len: int = 10_000

@@ -22,9 +22,9 @@ environment) tuples: start states in sorted environment order, then the
 unseen successors of each popped state by thread, trie edge, successor
 environment in value order and scheduler outcome.  A scheduled thread
 whose path is complete may retire to DONE; that successor keeps its
-source's depth and parent but still joins the tail of the queue.  Budget
-and depth are checked at pop time, so states, truncation point, shortest
-witnesses and terminal_envs are those of that plain BFS.
+source's parent but still joins the tail of the queue.  The state budget
+is checked at pop time, so states, truncation point, shortest witnesses
+and terminal_envs are those of that plain BFS.
 
 Cached for one exploration: each control point's moves, from its first
 pop; per Assign/Guard, a closure compiled when the first control point
@@ -101,7 +101,6 @@ class ExploreResult(Record):
     paths_truncated: bool
     witnesses: dict[Location, list[dict]]
     sched_states: frozenset | None = None  # (status, held) pairs, on request
-    truncated_by: str | None = None  # "states" (budget), "depth" or None
 
     def terminal_values(self, var: str) -> frozenset:
         i = self.vars.index(var)
@@ -287,13 +286,12 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
     n = len(p.tids)
     c0 = ctl_id(((0,) * n, (READY,) * n, (frozenset(),) * n))
     start = [env_code(env) | c0 for env in sorted(init.envs)]
-    queue = deque((s, 0) for s in start)
+    queue = deque(start)
     parents: dict | None = ({s: (None, None) for s in start}
                             if collect_witnesses else None)
     seen = set(start)
     errors: dict[Location, list[dict]] = {}
     terminal: set[int] = set()
-    truncated_by = None
 
     def trace(state: int) -> list[dict]:
         steps = []
@@ -308,12 +306,9 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
         return steps
 
     popleft, push = queue.popleft, queue.append
-    max_states, max_len = budget.max_states, budget.max_path_len
-    while queue:
-        state, depth = popleft()
-        if len(seen) > max_states or depth >= max_len:
-            truncated_by = "states" if len(seen) > max_states else "depth"
-            break
+    max_states = budget.max_states
+    while queue and len(seen) <= max_states:
+        state = popleft()
         c = state & _MASK
         info = infos.get(c)
         if info is None:
@@ -328,8 +323,7 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
                 seen.add(s2)
                 if parents is not None:
                     parents[s2] = parents[state]
-                push((s2, depth))
-        d1 = depth + 1
+                push(s2)
         for t, stmt, cache, compute, targets in moves:
             if cache is None:
                 succ = (e,)
@@ -353,11 +347,11 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
                         seen.add(s2)
                         if parents is not None:
                             parents[s2] = (state, (t, stmt, c2))
-                        push((s2, d1))
+                        push(s2)
 
     return ExploreResult(
         errors=frozenset(errors),
-        truncated=truncated_by is not None,
+        truncated=bool(queue),  # stopped by the budget
         terminal_envs=frozenset(env_list[e >> _SHIFT] for e in terminal),
         vars=p.variables,
         states=len(seen),
@@ -366,7 +360,6 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
         sched_states=(frozenset(ctl_list[c][1:]
                                 for c in {s & _MASK for s in seen})
                       if keep_sched_states else None),
-        truncated_by=truncated_by,
     )
 
 
@@ -425,19 +418,3 @@ def inclusion(res: ExploreResult,
     return InclusionReport("INCONCLUSIVE" if res.truncated else "PASS",
                            frozenset(), None, res.states)
 
-
-def check_soundness_inclusion(p: Program,
-                              analyzer_errors: frozenset[Location],
-                              oracle: str = "interleave",
-                              unroll: int = 3,
-                              budget: OracleBudget = OracleBudget(),
-                              ) -> InclusionReport:
-    """`inclusion` of a fresh oracle run; PASS iff every oracle-reachable
-    error is an analyzer alarm."""
-    run = run_scheduled if oracle == "scheduled" else run_interleavings
-    inc = inclusion(run(p, unroll=unroll, budget=budget,
-                        collect_witnesses=False), analyzer_errors)
-    if inc.verdict == "FAIL":
-        # re-run with parent tracking only to materialize a witness trace
-        inc = inclusion(run(p, unroll=unroll, budget=budget), analyzer_errors)
-    return inc

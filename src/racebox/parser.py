@@ -61,10 +61,6 @@ class DuplicateThreadId(ParseError):
     pass
 
 
-class UndeclaredVariable(ParseError):
-    pass
-
-
 _KEYWORDS = {
     "var", "mutex", "thread", "if", "then", "while", "do",
     "lock", "unlock", "yield", "islocked", "inf",
@@ -113,10 +109,9 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], strict: bool):
+    def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.pos = 0
-        self.strict = strict
         self.depth = 0  # blocks open around the current position
         self.declared_vars: dict[str, tuple[Ext, Ext] | None] = {}
         self.declared_mutexes: list[str] = []
@@ -279,16 +274,11 @@ class _Parser:
 
     def var_name(self) -> str:
         t = self.expect("ident")
-        if self.strict and t.text not in self.declared_vars:
-            raise UndeclaredVariable(f"undeclared variable {t.text!r}",
-                                     t.line, t.col)
         self.used_vars.append(t.text)
         return t.text
 
     def mutex_name(self) -> str:
         t = self.expect("ident")
-        if self.strict and t.text not in self.declared_mutexes:
-            raise ParseError(f"undeclared mutex {t.text!r}", t.line, t.col)
         self.used_mutexes.append(t.text)
         return t.text
 
@@ -370,10 +360,7 @@ class _Parser:
         return lo, hi
 
 
-def parse_program(text: str, strict: bool = False) -> Program:
-    """Parse source text into a labeled Program.
-
-    With strict=True, any variable or mutex mentioned before its
-    declaration is an error; otherwise names are collected implicitly.
-    """
-    return _Parser(_tokenize(text), strict).program()
+def parse_program(text: str) -> Program:
+    """Parse source text into a labeled Program.  Undeclared variables and
+    mutexes are collected implicitly."""
+    return _Parser(_tokenize(text)).program()

@@ -115,10 +115,6 @@ class RunConfig(Record):
         return out
 
 
-class ProgramMismatch(Exception):
-    pass
-
-
 class UnknownThread(Exception):
     """The config names a thread the program does not have."""
 
@@ -234,6 +230,7 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
                 "witness": inc.witness,
                 "oracle_states": inc.oracle_states,
             }
+            rep["exit_code"] = {"PASS": 0, "FAIL": 1}.get(inc.verdict, 3)
 
     elif cfg.mode == "fuzz":
         from .transforms import fuzz_weakmem, negative_controls
@@ -320,26 +317,3 @@ def analyze_source(source: str, cfg: RunConfig) -> dict:
     p = parse_program(source)
     return build_report(p, source, cfg)
 
-
-def diff_reports(a: dict, b: dict) -> dict:
-    """Alarm-set and race-set inclusion verdicts, both ways."""
-    if a["program_sha256"] != b["program_sha256"]:
-        raise ProgramMismatch("reports are about different programs")
-
-    def alarm_set(r):
-        return {x["label"] for x in r["alarms"]}
-
-    def race_set(r):
-        return {(x["kind"], tuple(x["threads"]), x["var"])
-                for kind in ("ww", "rw") for x in r["races"][kind]}
-
-    aa, bb = alarm_set(a), alarm_set(b)
-    ra, rb = race_set(a), race_set(b)
-    return {
-        "alarms_a_in_b": aa <= bb,
-        "alarms_b_in_a": bb <= aa,
-        "races_a_in_b": ra <= rb,
-        "races_b_in_a": rb <= ra,
-        "alarms_only_a": sorted(aa - bb),
-        "alarms_only_b": sorted(bb - aa),
-    }

@@ -422,10 +422,11 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             rec.branches[s.sid] = (bool(entered.envs), bool(skipped.envs))
             return taken.join(skipped)
         if isinstance(s, While):
+            g = body_guard(s)
             acc = AbsStateC({}, frozenset(), {})
             steps = 0
             while True:
-                nxt = acc.widen(x.join(go(s.body, guard(body_guard(s), acc))),
+                nxt = acc.widen(x.join(go(s.body, guard(g, acc))),
                                 settings.thresholds)
                 steps += 1
                 if steps > settings.loop_iter_cap:
@@ -436,8 +437,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                     break
                 acc = nxt
             if settings.decreasing_pass:
-                acc = x.join(go(s.body, guard(body_guard(s), acc)))
-            entered = guard(body_guard(s), acc)
+                acc = x.join(go(s.body, guard(g, acc)))
+            entered = guard(g, acc)
             exited = guard(exit_guard(s), acc)
             rec.branches[s.sid] = (bool(entered.envs), bool(exited.envs))
             return exited

@@ -556,17 +556,8 @@ def pretty_stmt(s: Stmt, indent: int = 0) -> str:
     if isinstance(s, Guard):
         # internal form; printed only in traces (SKIP bodies print as `{ }`)
         return f"{pad}{pretty_expr(s.expr)} {s.cmp} 0 ?"
-    if isinstance(s, If):
-        return (f"{pad}if {pretty_expr(s.expr)} {s.cmp} 0 then "
-                + _braced(s.body, indent))
-    if isinstance(s, While):
-        return (f"{pad}while {pretty_expr(s.expr)} {s.cmp} 0 do "
-                + _braced(s.body, indent))
-    if isinstance(s, Block):
-        return "\n".join(
-            pad + _braced(sub, indent)
-            if isinstance(sub, Block) or _is_skip(sub)
-            else pretty_stmt(sub, indent) for sub in s.body)
+    if isinstance(s, (If, While, Block)):
+        return _pretty([(s, indent, False)])
     if isinstance(s, Lock):
         return f"{pad}lock({s.mutex});"
     if isinstance(s, Unlock):
@@ -578,11 +569,32 @@ def pretty_stmt(s: Stmt, indent: int = 0) -> str:
     raise TypeError(s)
 
 
-def _braced(s: Stmt, indent: int) -> str:
-    """s as a source block whose closing brace sits at `indent`."""
-    if _is_skip(s):
-        return "{ }"
-    return f"{{\n{pretty_stmt(s, indent + 1)}\n{'  ' * indent}}}"
+def _pretty(todo: list) -> str:
+    """The text of a stack of items, printed without recursion: an item is
+    a string, or (statement, indent, braced), braced closing at indent."""
+    out: list[str] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        s, indent, braced = item
+        pad = "  " * indent
+        if braced:
+            todo += (["{ }"] if _is_skip(s)
+                     else [f"\n{pad}}}", (s, indent + 1, False), "{\n"])
+        elif isinstance(s, (If, While)):
+            head = "if {} then " if isinstance(s, If) else "while {} do "
+            todo += [(s.body, indent, True),
+                     pad + head.format(f"{pretty_expr(s.expr)} {s.cmp} 0")]
+        elif isinstance(s, Block):
+            for k, sub in enumerate(reversed(s.body)):  # the last one first
+                nest = isinstance(sub, Block) or _is_skip(sub)
+                todo += [(sub, indent, nest), pad if nest else "",
+                         "\n" if k < len(s.body) - 1 else ""]
+        else:
+            out.append(pretty_stmt(s, indent))
+    return "".join(out)
 
 
 def pretty_program(p: Program) -> str:
@@ -597,7 +609,7 @@ def pretty_program(p: Program) -> str:
     for m in p.mutexes:
         lines.append(f"mutex {m};")
     for t in p.threads:
-        lines.append(f"thread {t.tid} " + _braced(t.body, 0))
+        lines.append(f"thread {t.tid} " + _pretty([(t.body, 0, True)]))
     return "\n".join(lines) + "\n"
 
 

@@ -40,10 +40,6 @@ from .syntax import (
 )
 
 
-class SideConditionUnverifiable(Exception):
-    pass
-
-
 class RuleId(enum.Enum):
     RedundantStore = "redundant-store"
     IdentityStore = "identity-store"
@@ -172,13 +168,6 @@ class TransformContext(Record):
     local: frozenset[str]
 
 
-class RuleApplication(Record):
-    rule: RuleId
-    position: int
-    verified: tuple[str, ...]
-    result: ControlPath
-
-
 def context_for(p: Program, tid: int,
                 extra_paths: dict[int, list[ControlPath]] | None = None,
                 ) -> TransformContext:
@@ -187,16 +176,15 @@ def context_for(p: Program, tid: int,
 
 
 def apply_rule(rule: RuleId, path: ControlPath,
-               ctx: TransformContext) -> list[RuleApplication]:
-    """All single applications of `rule` anywhere in `path` whose side
-    conditions verify.  Windows never contain synchronization primitives
-    (the statement shapes only match assignments and guards)."""
-    out: list[RuleApplication] = []
+               ctx: TransformContext) -> list[ControlPath]:
+    """The paths made by each single application of `rule` anywhere in
+    `path` whose side conditions verify, in position order.  Windows never
+    contain synchronization primitives (the statement shapes only match
+    assignments and guards)."""
+    out: list[ControlPath] = []
 
-    def emit(pos: int, verified: tuple[str, ...],
-             replaced: list[Stmt], span: int) -> None:
-        result = path[:pos] + tuple(replaced) + path[pos + span:]
-        out.append(RuleApplication(rule, pos, verified, result))
+    def emit(pos: int, replaced: list[Stmt], span: int) -> None:
+        out.append(path[:pos] + tuple(replaced) + path[pos + span:])
 
     n = len(path)
     for i in range(n):
@@ -208,12 +196,12 @@ def apply_rule(rule: RuleId, path: ControlPath,
                     and a.var == b.var
                     and a.var not in vars_of_expr(b.expr)
                     and check_nonblock(a.expr)):
-                emit(i, ("X not in var(e2)", "nonblock(e1)"), [b], 2)
+                emit(i, [b], 2)
 
         elif rule is RuleId.IdentityStore:
             if (isinstance(a, Assign) and isinstance(a.expr, Var)
                     and a.expr.name == a.var):
-                emit(i, (), [], 1)
+                emit(i, [], 1)
 
         elif rule is RuleId.ReorderAssigns and b is not None:
             if (isinstance(a, Assign) and isinstance(b, Assign)
@@ -221,29 +209,25 @@ def apply_rule(rule: RuleId, path: ControlPath,
                     and a.var not in vars_of_expr(b.expr)
                     and b.var not in vars_of_expr(a.expr)
                     and check_nonblock(a.expr)):
-                emit(i, ("X1 not in var(e2)", "X2 not in var(e1)",
-                         "X1 != X2", "nonblock(e1)"), [b, a], 2)
+                emit(i, [b, a], 2)
 
         elif rule is RuleId.ReorderGuards and b is not None:
             if (isinstance(a, Guard) and isinstance(b, Guard)
                     and check_noerror(b.expr)):
-                emit(i, ("noerror(e2)",), [b, a], 2)
+                emit(i, [b, a], 2)
 
         elif rule is RuleId.GuardBeforeAssign and b is not None:
             if (isinstance(a, Assign) and isinstance(b, Guard)
-                    and a.var not in vars_of_expr(b.expr)):
-                if check_nonblock(a.expr):
-                    emit(i, ("X1 not in var(e2)", "nonblock(e1)"), [b, a], 2)
-                elif check_noerror(b.expr):
-                    emit(i, ("X1 not in var(e2)", "noerror(e2)"), [b, a], 2)
+                    and a.var not in vars_of_expr(b.expr)
+                    and (check_nonblock(a.expr) or check_noerror(b.expr))):
+                emit(i, [b, a], 2)
 
         elif rule is RuleId.AssignBeforeGuard and b is not None:
             if (isinstance(a, Guard) and isinstance(b, Assign)
                     and b.var not in vars_of_expr(a.expr)
                     and b.var in ctx.local
                     and check_noerror(b.expr)):
-                emit(i, ("X2 not in var(e1)", "X2 local", "noerror(e2)"),
-                     [b, a], 2)
+                emit(i, [b, a], 2)
 
         elif rule is RuleId.AssignPropagation and b is not None:
             if (isinstance(a, Assign) and isinstance(b, (Assign, Guard))
@@ -255,8 +239,7 @@ def apply_rule(rule: RuleId, path: ControlPath,
                 cnt = sum(_matches(target, key))
                 for chosen in _occurrence_subsets(cnt):
                     s2 = _subst_stmt(b, key, chosen, a.expr, [0])
-                    emit(i, ("X not in var(e)", "var(e) local",
-                             "deterministic(e)"), [a, s2], 2)
+                    emit(i, [a, s2], 2)
 
         elif rule is RuleId.SubexprElim:
             for span in (1, 2, 3):
@@ -291,25 +274,24 @@ def apply_rule(rule: RuleId, path: ControlPath,
                             new_window.append(
                                 _subst_stmt(s, key, frozenset(
                                     range(_OCCURRENCE_CAP)), repl, counters))
-                        emit(i, ("X fresh", "var(e) disjoint from lvals",
-                                 "noerror(e)"), new_window, span)
+                        emit(i, new_window, span)
                         break  # one fresh variable is as good as another
 
         elif rule is RuleId.ExprSimplify:
             if isinstance(a, (Assign, Guard)):
-                for e_old, e_new, why in _simplify_candidates(a.expr, ctx):
+                for e_old, e_new in _simplify_candidates(a.expr, ctx):
                     key = strip(e_old)
                     cnt = sum(_matches(a.expr, key))
                     for chosen in _occurrence_subsets(cnt):
                         s2 = _subst_stmt(a, key, chosen, e_new, [0])
                         if s2 != a:
-                            emit(i, why, [s2], 1)
+                            emit(i, [s2], 1)
 
     return out
 
 
 def _simplify_candidates(e: Expr, ctx: TransformContext,
-                         ) -> list[tuple[Expr, Expr, tuple[str, ...]]]:
+                         ) -> list[tuple[Expr, Expr]]:
     """Catalog of value-containment-safe rewrites found inside e."""
     out = []
     seen = set()
@@ -318,24 +300,23 @@ def _simplify_candidates(e: Expr, ctx: TransformContext,
         if k in seen:
             continue
         seen.add(k)
-        cand: tuple[Expr, tuple[str, ...]] | None = None
+        cand: Expr | None = None
         if isinstance(x, BinOp):
             l, r = x.left, x.right
             zero = lambda c: isinstance(c, Const) and c.lo == 0 and c.hi == 0
             one = lambda c: isinstance(c, Const) and c.lo == 1 and c.hi == 1
             if x.op == "+" and zero(r):
-                cand = (l, ("identity: e+0 -> e",))
+                cand = l  # identity: e+0 -> e
             elif x.op == "+" and zero(l):
-                cand = (r, ("identity: 0+e -> e",))
+                cand = r  # identity: 0+e -> e
             elif x.op == "-" and zero(r):
-                cand = (l, ("identity: e-0 -> e",))
+                cand = l  # identity: e-0 -> e
             elif x.op == "*" and one(r):
-                cand = (l, ("identity: e*1 -> e",))
+                cand = l  # identity: e*1 -> e
             elif x.op == "*" and one(l):
-                cand = (r, ("identity: 1*e -> e",))
-            elif (x.op == "*" and zero(r) and check_nonblock(l)):
-                cand = (Const(0, 0),
-                        ("annihilation: e*0 -> 0", "nonblock(e)"))
+                cand = r  # identity: 1*e -> e
+            elif x.op == "*" and zero(r) and check_nonblock(l):
+                cand = Const(0, 0)  # annihilation: e*0 -> 0
             elif (x.op in ("+", "-", "*") and isinstance(l, Const)
                   and isinstance(r, Const)):
                 li = Interval.of(l.lo, l.hi)
@@ -343,32 +324,18 @@ def _simplify_candidates(e: Expr, ctx: TransformContext,
                 v = (li.add(ri) if x.op == "+"
                      else li.sub(ri) if x.op == "-" else li.mul(ri))
                 if not v.is_bot:
-                    cand = (Const(v.lo, v.hi), ("constant folding",))
+                    cand = Const(v.lo, v.hi)  # constant folding
         elif isinstance(x, Neg):
             if isinstance(x.sub, Const):
                 v = -Interval.of(x.sub.lo, x.sub.hi)
                 if not v.is_bot:
-                    cand = (Const(v.lo, v.hi), ("constant folding",))
+                    cand = Const(v.lo, v.hi)  # constant folding
             elif isinstance(x.sub, Neg):
-                cand = (x.sub.sub, ("involution: --e -> e",))
-        if cand is None:
-            continue
-        e_new, why = cand
-        if not (vars_of_expr(x) | vars_of_expr(e_new)) <= ctx.local:
-            continue
-        out.append((x, e_new, why + ("variables local",)))
+                cand = x.sub.sub  # involution: --e -> e
+        if cand is not None and (vars_of_expr(x)
+                                 | vars_of_expr(cand)) <= ctx.local:
+            out.append((x, cand))
     return out
-
-
-def apply_rule_at(rule: RuleId, path: ControlPath, pos: int,
-                  ctx: TransformContext) -> list[RuleApplication]:
-    """Applications of `rule` at one position; raises when the window
-    matches no verified instance."""
-    apps = [a for a in apply_rule(rule, path, ctx) if a.position == pos]
-    if not apps:
-        raise SideConditionUnverifiable(
-            f"{rule.value} at position {pos} has no verified application")
-    return apps
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +404,7 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
             ctx = context_for(p, tid, {tid: [path]})
             order = list(RuleId)
             rng.shuffle(order)
-            apps: list[RuleApplication] = []
+            apps: list[ControlPath] = []
             for rule in order:
                 apps = apply_rule(rule, path, ctx)
                 if apps:
@@ -445,10 +412,9 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
                 per_rule[rule.value]["skipped"] += 1
             if not apps:
                 break  # nothing applies anywhere on this path
-            app = apps[rng.randrange(len(apps))]
+            path = apps[rng.randrange(len(apps))]
             per_rule[rule.value]["applied"] += 1
             used.append(rule.value)
-            path = app.result
         if not used:
             continue
         effective += 1

@@ -26,7 +26,7 @@ from racebox.report import (
 )
 from racebox.sched import analyze_program_C
 from racebox.seq import analyze_program_seq
-from racebox.syntax import pretty_expr, pretty_program
+from racebox.syntax import Block, pretty_expr, pretty_program, sub_stmts
 
 N = 3_000
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -110,21 +110,40 @@ def _nested(shape: str, depth: int) -> str:
             + "x <- 1 / x;" + " }" * depth + " }")
 
 
+def _nodes(p) -> list:
+    """p == q node by node: == on statements recurses several frames a
+    nesting level.  A pre-order list of each statement's class, child
+    count and other fields fixes the tree."""
+    return [p._replace(threads=()), p.tids] + [
+        (type(s), len(s.body) if isinstance(s, Block) else None,
+         tuple(getattr(s, n) for n in s._fields if n != "body"))
+        for t in p.threads for s in sub_stmts(t.body)]
+
+
 @pytest.mark.parametrize("shape", NESTED)
 def test_deep_nesting(shape):
-    """Blocks nested MAX_NESTING deep run through every analyzer (and, for
-    plain blocks, whose paths stay few, every oracle and the fuzzer); one
-    level more is a parse error that names the limit."""
+    """Blocks nested MAX_NESTING deep print back to the same program and
+    run through every analyzer, every oracle and the fuzzer; one level
+    more is a parse error that names the limit."""
     with pytest.raises(ParseError,
                        match=f"blocks nested more than {MAX_NESTING} deep"):
         parse_program(_nested(shape, MAX_NESTING + 1))
     src = _nested(shape, MAX_NESTING)
-    modes = ANALYZER_MODES + (CHECK_MODES + ("fuzz",) if shape == "block"
-                              else ())
-    for mode in modes:
+    p = parse_program(src)
+    assert _nodes(parse_program(pretty_program(p))) == _nodes(p)
+    for mode in ANALYZER_MODES + CHECK_MODES + ("fuzz",):
         rep = analyze_source(src, RunConfig(mode=mode, unroll=1))
         assert rep["exit_code"] in (0, 1)
         report_to_json(rep)
+
+
+def test_long_thread_is_bounded_by_states_alone():
+    """The oracles' one bound is their state budget: a straight-line
+    thread takes one state a statement, however long it is."""
+    p = parse_program("thread 1 { " + "x <- 1; " * 10_001 + "}")
+    for run, states in ((run_interleavings, 10_002), (run_scheduled, 10_003)):
+        res = run(p, unroll=0)
+        assert not res.truncated and res.states == states
 
 
 def test_repr_of_deep_expression():

@@ -10,7 +10,6 @@ from racebox.concrete import UnsupportedMode, exec_stmt, initial_state, paths
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
 from racebox.oracle import (
-    check_soundness_inclusion,
     inclusion,
     run_interleavings,
     run_scheduled,
@@ -46,19 +45,7 @@ def test_interleaving_budget_truncates():
         "thread 1 { x <- [0,3]; y <- [0,3]; z <- [0,3]; }"
         "thread 2 { x <- [0,3]; y <- [0,3]; z <- [0,3]; }")
     res = run_interleavings(p, unroll=0, budget=OracleBudget(max_states=20))
-    assert res.truncated and res.truncated_by == "states"
-
-
-def test_truncation_cause_depth_or_none():
-    p = parse_program(
-        "thread 1 { x <- [0,1]; y <- [0,1]; } thread 2 { x <- [0,1]; }")
-    for run in (run_interleavings, run_scheduled):
-        deep = run(p, unroll=0, budget=OracleBudget(max_path_len=2))
-        assert deep.truncated and deep.truncated_by == "depth"
-        full = run(p, unroll=0)
-        assert not full.truncated and full.truncated_by is None
-    wide = run_scheduled(p, unroll=0, budget=OracleBudget(max_states=3))
-    assert wide.truncated_by == "states"
+    assert res.truncated
 
 
 def test_unbounded_constant_raises_only_when_reached():
@@ -171,26 +158,25 @@ def test_witnesses_serialize_as_json(corpus):
 def test_inclusion_pass(corpus):
     p = corpus("increment")
     alarms = analyze_program_I(p).omega
-    rep = check_soundness_inclusion(p, alarms, "interleave", unroll=0)
+    rep = inclusion(run_interleavings(p, unroll=0), alarms)
     assert rep.verdict == "PASS"
 
 
 def test_inclusion_vacuous_on_trivial_program():
     p = parse_program("thread 1 { x <- 0; }")
-    rep = check_soundness_inclusion(p, frozenset(), "interleave")
+    rep = inclusion(run_interleavings(p), frozenset())
     assert rep.verdict == "PASS"
 
 
 def test_inclusion_fail_with_witness():
     # adversarially drop one alarm from the analyzer's output
     p = parse_program("thread 1 { x <- 1 / [0,0]; }")
-    rep = check_soundness_inclusion(p, frozenset(), "interleave")
+    rep = inclusion(run_interleavings(p), frozenset())
     assert rep.verdict == "FAIL"
     assert rep.missing
     assert rep.witness and rep.witness[-1]["stmt-pretty"].startswith("x <-")
-    # `inclusion` judges the run it is given: the same verdict on a run
-    # with witnesses, an empty witness on a run without
-    assert inclusion(run_interleavings(p), frozenset()) == rep
+    # `inclusion` judges the run it is given: an empty witness on a run
+    # without witnesses
     bare = inclusion(run_interleavings(p, collect_witnesses=False),
                      frozenset())
     assert (bare.verdict, bare.missing, bare.witness) == ("FAIL",
@@ -200,9 +186,8 @@ def test_inclusion_fail_with_witness():
 def test_inclusion_inconclusive_on_truncation():
     p = parse_program(
         "thread 1 { x <- [0,3]; y <- [0,3]; } thread 2 { x <- [0,3]; }")
-    rep = check_soundness_inclusion(
-        p, frozenset(), "interleave",
-        budget=OracleBudget(max_states=5))
+    rep = inclusion(run_interleavings(
+        p, budget=OracleBudget(max_states=5)), frozenset())
     assert rep.verdict == "INCONCLUSIVE"
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from racebox.parser import (
     DuplicateThreadId,
     ParseError,
-    UndeclaredVariable,
     _tokenize,
     parse_program,
 )
@@ -64,13 +63,6 @@ def test_duplicate_thread_id():
 def test_thread_ids_must_be_dense():
     with pytest.raises(ParseError):
         parse_program("thread 1 { x <- 1; } thread 3 { y <- 1; }")
-
-
-def test_strict_mode_undeclared():
-    with pytest.raises(UndeclaredVariable):
-        parse_program("thread 1 { x <- 1; }", strict=True)
-    p = parse_program("var x; thread 1 { x <- 1; }", strict=True)
-    assert p.variables == ("x",)
 
 
 def test_scalar_desugars_to_interval():

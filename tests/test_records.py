@@ -78,8 +78,8 @@ def test_keyword_default_and_positional_construction():
     assert AnalysisSettings() == AnalysisSettings(
         *(AnalysisSettings._defaults[n] for n in AnalysisSettings._fields))
     assert OracleBudget().max_states == 1_000_000
-    assert OracleBudget(max_states=5)._replace(max_path_len=7) == \
-        OracleBudget(5, 7)
+    assert OracleBudget(max_states=5)._replace(max_states=7) == \
+        OracleBudget(7)
     with pytest.raises(TypeError):
         OracleBudget(max_sates=5)
     with pytest.raises(TypeError):

@@ -18,11 +18,9 @@ from racebox.parser import MAX_NESTING
 
 from racebox.report import (
     REPORT_SCHEMA,
-    ProgramMismatch,
     RunConfig,
     UnknownThread,
     analyze_source,
-    diff_reports,
     report_to_json,
 )
 
@@ -79,33 +77,6 @@ def test_timing_null_by_default():
     assert isinstance(rep2["timing_s"], float)
 
 
-def test_diff_reports_identical():
-    a = analyze_source(SRC_ALARM, RunConfig(mode="interference"))
-    b = analyze_source(SRC_ALARM, RunConfig(mode="interference"))
-    d = diff_reports(a, b)
-    assert d["alarms_a_in_b"] and d["alarms_b_in_a"]
-    assert d["races_a_in_b"] and d["races_b_in_a"]
-
-
-def test_diff_reports_scheduled_vs_interference(corpus_source):
-    src = corpus_source("priority_mutex")
-    # make the spurious interference value reach a division so the two
-    # modes produce different alarm sets
-    src = src.replace("t <- y - z;", "t <- y - z; w <- 1 / (1 - (y - z));")
-    sched = analyze_source(src, RunConfig(mode="scheduled"))
-    interf = analyze_source(src, RunConfig(mode="interference"))
-    d = diff_reports(sched, interf)
-    assert d["alarms_a_in_b"]
-    assert not d["alarms_b_in_a"]
-
-
-def test_diff_reports_mismatch():
-    a = analyze_source(SRC_ALARM, RunConfig(mode="seq"))
-    b = analyze_source(SRC_CLEAN, RunConfig(mode="seq"))
-    with pytest.raises(ProgramMismatch):
-        diff_reports(a, b)
-
-
 def test_check_against_verdicts():
     rep = analyze_source(SRC_ALARM, RunConfig(mode="oracle-interleave",
                                               check_against="interference"))
@@ -137,6 +108,25 @@ def test_check_against_explores_once(monkeypatch, src, verdict):
     if verdict == "FAIL":
         assert rep["check"]["missing"] == [1]
         assert rep["check"]["witness"][-1]["stmt-pretty"].startswith("t <-")
+
+
+@pytest.mark.parametrize("src,budget,verdict,code", [
+    (SRC_ALARM, "1000000", "PASS", 0),
+    (SRC_MONO_ONLY, "1000000", "FAIL", 1),
+    (SRC_MONO_ONLY, "40", "FAIL", 1),  # truncated after reaching the error
+    (SRC_MONO_ONLY, "5", "INCONCLUSIVE", 3)],
+    ids=["pass", "fail", "fail-truncated", "inconclusive"])
+def test_check_verdict_is_the_exit_code(tmp_path, src, budget, verdict,
+                                        code):
+    """The report's exit_code is the process's, and the check verdict
+    decides both."""
+    f = tmp_path / "p.conc"
+    f.write_text(src)
+    r = run_cli(str(f), "--mode", "oracle-interleave", "--check-against",
+                "scheduled", "--budget-states", budget, "--json")
+    rep = json.loads(r.stdout)
+    assert rep["check"]["verdict"] == verdict
+    assert (r.returncode, rep["exit_code"]) == (code, code)
 
 
 def test_self_interference_flag_changes_result():

@@ -18,10 +18,8 @@ from racebox.syntax import (
 )
 from racebox.transforms import (
     RuleId,
-    SideConditionUnverifiable,
     TransformContext,
     apply_rule,
-    apply_rule_at,
     check_deterministic,
     check_noerror,
     check_nonblock,
@@ -80,26 +78,24 @@ def test_deterministic():
 def test_redundant_store():
     _, path = path_of("thread 1 { x <- 1; x <- 2; }")
     (app,) = apply_rule(RuleId.RedundantStore, path, ctx())
-    assert [pretty_stmt(s).strip() for s in app.result] == ["x <- 2;"]
+    assert [pretty_stmt(s).strip() for s in app] == ["x <- 2;"]
 
 
 def test_redundant_store_blocked_by_nonblock():
     _, path = path_of("thread 1 { x <- 1 / [0,0]; x <- 2; }")
     assert apply_rule(RuleId.RedundantStore, path, ctx()) == []
-    with pytest.raises(SideConditionUnverifiable):
-        apply_rule_at(RuleId.RedundantStore, path, 0, ctx())
 
 
 def test_identity_store():
     _, path = path_of("thread 1 { x <- x; }")
     (app,) = apply_rule(RuleId.IdentityStore, path, ctx())
-    assert app.result == ()
+    assert app == ()
 
 
 def test_reorder_assigns():
     _, path = path_of("thread 1 { x <- 1; y <- 2; }")
     (app,) = apply_rule(RuleId.ReorderAssigns, path, ctx())
-    assert [pretty_stmt(s).strip() for s in app.result] == \
+    assert [pretty_stmt(s).strip() for s in app] == \
         ["y <- 2;", "x <- 1;"]
 
 
@@ -111,14 +107,14 @@ def test_reorder_assigns_dependency_blocks():
 def test_reorder_guards():
     p, path = path_of("thread 1 { if x = 0 then { if y > 0 then { z <- 1; } } }")
     apps = apply_rule(RuleId.ReorderGuards, path, ctx())
-    assert apps and isinstance(apps[0].result[0], Guard)
-    assert apps[0].result[0].cmp == ">"
+    assert apps and isinstance(apps[0][0], Guard)
+    assert apps[0][0].cmp == ">"
 
 
 def test_guard_before_assign():
     _, path = path_of("thread 1 { x <- 1; if y = 0 then { z <- 1; } }")
     apps = apply_rule(RuleId.GuardBeforeAssign, path, ctx())
-    swapped = [a for a in apps if isinstance(a.result[0], Guard)]
+    swapped = [a for a in apps if isinstance(a[0], Guard)]
     assert swapped
 
 
@@ -129,13 +125,13 @@ def test_assign_before_guard_requires_local():
     assert apply_rule(RuleId.AssignBeforeGuard, path, ctx(local=())) == []
     apps = apply_rule(RuleId.AssignBeforeGuard, path, ctx(local=("x",)))
     (app,) = apps
-    assert isinstance(app.result[0], Assign)
+    assert isinstance(app[0], Assign)
 
 
 def test_assign_propagation_subsets():
     _, path = path_of("thread 1 { x <- y + 1; z <- x + x; }")
     apps = apply_rule(RuleId.AssignPropagation, path, ctx(local=("y",)))
-    results = {tuple(pretty_stmt(s).strip() for s in a.result) for a in apps}
+    results = {tuple(pretty_stmt(s).strip() for s in a) for a in apps}
     # one, the other, or both occurrences replaced
     assert ("x <- y + 1;", "z <- y + 1 + x;") in results
     assert ("x <- y + 1;", "z <- x + (y + 1);") in results
@@ -150,9 +146,9 @@ def test_assign_propagation_needs_deterministic():
 def test_subexpr_elim_uses_fresh_var():
     _, path = path_of("thread 1 { a <- y + 1; b <- y + 1; }")
     apps = apply_rule(RuleId.SubexprElim, path, ctx(fresh=("tmp",)))
-    best = [a for a in apps if len(a.result) == 3]
+    best = [a for a in apps if len(a) == 3]
     assert any(
-        tuple(pretty_stmt(s).strip() for s in a.result) ==
+        tuple(pretty_stmt(s).strip() for s in a) ==
         ("tmp <- y + 1;", "a <- tmp;", "b <- tmp;")
         for a in best)
 
@@ -165,7 +161,7 @@ def test_subexpr_elim_requires_fresh():
 def test_expr_simplify_identities():
     _, path = path_of("thread 1 { a <- y + 0; }")
     apps = apply_rule(RuleId.ExprSimplify, path, ctx(local=("y",)))
-    assert any(pretty_stmt(a.result[0]).strip() == "a <- y;" for a in apps)
+    assert any(pretty_stmt(a[0]).strip() == "a <- y;" for a in apps)
     # non-local variable: no rewrite
     assert apply_rule(RuleId.ExprSimplify, path, ctx(local=())) == []
 
@@ -173,7 +169,7 @@ def test_expr_simplify_identities():
 def test_expr_simplify_constant_folding():
     _, path = path_of("thread 1 { a <- [1,2] + [3,4]; }")
     apps = apply_rule(RuleId.ExprSimplify, path, ctx())
-    assert any(pretty_stmt(a.result[0]).strip() == "a <- [4,6];"
+    assert any(pretty_stmt(a[0]).strip() == "a <- [4,6];"
                for a in apps)
 
 
@@ -183,7 +179,7 @@ def test_windows_never_cross_sync():
     # the two stores are separated by lock(m): no rule window may span it
     for rule in RuleId:
         for app in apply_rule(rule, path, context_for(parse_program(src), 1)):
-            assert sum(isinstance(s, Lock) for s in app.result) == 1
+            assert sum(isinstance(s, Lock) for s in app) == 1
 
 
 # -- fuzzing harness
