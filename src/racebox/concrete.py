@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from itertools import chain, product
-from operator import itemgetter
 
 from .syntax import (
     Assign,
@@ -119,21 +118,22 @@ def _operator(x: Expr):
         a[1] | b[1] | (div0 if 0 in b[0] else _NOERR))
 
 
-def _compile(e: Expr, idx: VarIndex, reads: set[int]):
-    """Compile e once into a closure env -> (set of values, error labels).
+def _compile(e: Expr, slots: VarIndex):
+    """Compile e once into a closure env -> (set of values, error labels),
+    where env[slots[v]] is v's value.  A variable that slots lacks gets
+    the next slot.
 
     The closure runs a flat tape of (arity, function) steps on a value
     stack, so no expression depth makes it recurse.  Subtrees that read no
     variable are folded into one constant step here, and constant points
     are enumerated here, so an unbounded constant raises UnsupportedMode at
-    compile time.  Adds the indices of the variables e reads to `reads`."""
+    compile time."""
     tape: list = []  # in fold order: a right operand's steps come first
 
     def emit(x: Expr, *consts):
         """Append x's step; return x's outcome if it reads no variable."""
         if isinstance(x, Var):
-            k = idx[x.name]
-            reads.add(k)
+            k = slots.setdefault(x.name, len(slots))
             tape.append((0, lambda env: (frozenset((env[k],)), _NOERR)))
             return None
         if isinstance(x, Const):
@@ -164,57 +164,55 @@ def _compile(e: Expr, idx: VarIndex, reads: set[int]):
 
 
 def compile_prim(s: Stmt, idx: VarIndex):
-    """Compile one Assign/Guard into a closure env -> (successor
-    environments in value order, error labels).  The closure memoizes the
-    expression's outcome per values of the variables it reads."""
+    """Compile one Assign/Guard into (reads, written, outcome): the indices
+    of the variables it reads; the index of the variable it writes, None
+    for a Guard; and outcome(values of reads), which is (the written
+    values in value order, error labels) for an Assign and (whether the
+    guard holds, error labels) for a Guard."""
     if not isinstance(s, (Assign, Guard)):
         raise TypeError(f"not an assign/guard: {s}")
-    reads: set[int] = set()
-    ev = _compile(s.expr, idx, reads)
-    key_of = itemgetter(*reads) if reads else (lambda env: ())
-    memo: dict = {}
+    slots: VarIndex = {}
+    ev = _compile(s.expr, slots)
+    reads = tuple(map(idx.__getitem__, slots))
     if isinstance(s, Assign):
-        i = idx[s.var]
-
-        def assign(env: Env) -> tuple[list[Env], frozenset[Location]]:
-            key = key_of(env)
-            out = memo.get(key)
-            if out is None:
-                vals, errs = ev(env)
-                out = memo[key] = (sorted(vals), errs)
-            head, tail = env[:i], env[i + 1:]
-            return [head + (v,) + tail for v in out[0]], out[1]
-        return assign
+        def assign(vals: tuple) -> tuple[list[Num], frozenset[Location]]:
+            out, errs = ev(vals)
+            return sorted(out), errs
+        return reads, idx[s.var], assign
     holds = _HOLDS[s.cmp]
 
-    def guard(env: Env) -> tuple[list[Env], frozenset[Location]]:
-        key = key_of(env)
-        out = memo.get(key)
-        if out is None:
-            vals, errs = ev(env)
-            out = memo[key] = (any(map(holds, vals)), errs)
-        return ([env] if out[0] else []), out[1]
-    return guard
+    def guard(vals: tuple) -> tuple[bool, frozenset[Location]]:
+        out, errs = ev(vals)
+        return any(map(holds, out)), errs
+    return reads, None, guard
 
 
 def eval_concrete(e: Expr, rho: dict[str, Num]
                   ) -> tuple[frozenset[Num], frozenset[Location]]:
     """Values and error labels of e in one dict-based environment."""
     names = tuple(sorted(rho))
-    ev = _compile(e, {v: i for i, v in enumerate(names)}, set())
+    ev = _compile(e, {v: i for i, v in enumerate(names)})
     return ev(tuple(rho[v] for v in names))
 
 
 def _prim(s: Stmt, st: ConcreteState) -> ConcreteState:
     if not st.envs:
         return st
-    step = compile_prim(s, st.index())
+    reads, w, outcome = compile_prim(s, st.index())
+    memo: dict = {}  # outcome per values of the variables s reads
     envs: set[Env] = set()
     errors = set(st.errors)
     for env in st.envs:
-        succ, errs = step(env)
-        envs.update(succ)
-        errors |= errs
+        key = tuple(env[k] for k in reads)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = outcome(key)
+        errors |= out[1]
+        if w is None:
+            if out[0]:
+                envs.add(env)
+        else:
+            envs.update(env[:w] + (v,) + env[w + 1:] for v in out[0])
     return ConcreteState(st.vars, frozenset(envs), frozenset(errors))
 
 
@@ -253,12 +251,8 @@ def exec_stmt(s: Stmt, st: ConcreteState,
 def initial_state(p: Program) -> ConcreteState:
     """All combinations of integer points of the declared initial intervals."""
     init = p.initial_map()
-    envs: list[Env] = [()]
-    for v in p.variables:
-        lo, hi = init[v]
-        pts = const_points(lo, hi)
-        envs = [e + (pt,) for e in envs for pt in pts]
-    return ConcreteState(p.variables, frozenset(envs), frozenset())
+    return ConcreteState(p.variables, frozenset(product(
+        *[const_points(*init[v]) for v in p.variables])), frozenset())
 
 
 # ---------------------------------------------------------------------------

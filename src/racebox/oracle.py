@@ -13,9 +13,13 @@ Two engines over integer-point environments:
   for a non-deterministic time.
 
 Both share one BFS, `_explore`, whose `_Policy` lists the moves of a
-control point: (trie node, status, held mutexes) per thread.
-Environments and control points are interned into per-exploration
-tables, and a state is the int env_id * W + ctl_id, with W = 2**32.
+control point: (trie node, status, held mutexes) per thread.  A state is
+one int.  Its low 32 bits hold the control point's id in a
+per-exploration table.  Variable k has a value field of _FIELD (32) bits
+at bit 32 + _FIELD * k, which holds the index of its value in a
+per-exploration value table of that variable, in first-seen order; a
+variable with more values than its field can number raises
+ValueTableFull.  Environments are decoded only for terminal_envs.
 
 States pop in exactly the order of a plain BFS over (control point,
 environment) tuples: start states in sorted environment order, then the
@@ -27,8 +31,14 @@ is checked at pop time, so states, truncation point, shortest witnesses
 and terminal_envs are those of that plain BFS.
 
 Cached for one exploration: each control point's moves, from its first
-pop; per Assign/Guard, a closure compiled when the first control point
-that can take it is expanded, and its successors per env_id.
+pop, and one memo per statement, keyed by the fields of the variables it
+reads (state & read mask).  An Assign's memo holds the written
+variable's field codes in value order, a Guard's (0,) when it holds and
+() when not, and islocked's one prefilled code; the successor
+environments are (env & keep) | code.  An Assign/Guard is compiled when
+the first control point that can take it is expanded, and its errors
+are recorded on a memo miss: they depend only on the values it reads, so
+the first pop to meet them is the miss.
 """
 
 from __future__ import annotations
@@ -158,9 +168,8 @@ class _Policy:
     def expand(self, ctl: tuple, ctl_id, transition):
         """(terminal, retire, moves): terminal when every thread may stop
         here; retire holds the ids of control points reached without a
-        step; a move is (tid, stmt, cache, compute, target ids), where
-        (cache, compute) = transition(stmt, env_op), env_op being _PRIM,
-        (var, value) for islocked, or None for (None, None)."""
+        step; a move is (tid, stmt, transition(stmt, env_op), target
+        ids), env_op being _PRIM, (var, value) for islocked, or None."""
         nodes, status, held = ctl
         sched = self.scheduled
         # enabled: scheduled, the highest-priority ready thread; else all
@@ -202,10 +211,8 @@ class _Policy:
                 else:  # pragma: no cover
                     raise TypeError(stmt)
                 new_nodes = nodes[:i] + (nxt,) + nodes[i + 1:]
-                cache, compute = ((None, None) if op is None
-                                  else transition(stmt, op))
-                moves.append((t, stmt, cache, compute, tuple(
-                    ctl_id((new_nodes,) + o) for o in self.sched(st2, hd2))
+                moves.append((t, stmt, transition(stmt, op), tuple([
+                    ctl_id((new_nodes,) + o) for o in self.sched(st2, hd2)])
                     if sched else (ctl_id((new_nodes, st2, hd2)),)))
         return terminal, retire, moves
 
@@ -223,22 +230,14 @@ class _Policy:
         return out
 
 
-_SHIFT = 32  # W = 2**_SHIFT
+_SHIFT = 32  # a state's low _SHIFT bits hold its ctl_id
 _MASK = (1 << _SHIFT) - 1
+_FIELD = 32  # bits of one variable's value field, read per exploration
 
 
-def _interner(shift: int):
-    """(items, code): code(x) is x's index in items, shifted left."""
-    items: list = []
-    codes: dict = {}
-
-    def code(x) -> int:
-        i = codes.get(x)
-        if i is None:
-            i = codes[x] = len(items) << shift
-            items.append(x)
-        return i
-    return items, code
+class ValueTableFull(RuntimeError):
+    """A variable took more values in one exploration than its value
+    field can number."""
 
 
 def _explore(p: Program, unroll: int, budget: OracleBudget,
@@ -258,34 +257,58 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
     init = initial_state(p)
     idx = init.index()
 
-    env_list, env_code = _interner(_SHIFT)  # env code: env_id * W
-    ctl_list, ctl_id = _interner(0)
+    full = 1 << _FIELD
+    fmask = full - 1
+    shifts = range(_SHIFT, _SHIFT + _FIELD * len(p.variables), _FIELD)
+    values: list[list] = [[] for _ in shifts]  # k -> values, first seen first
+    codes: list[dict] = [{} for _ in shifts]  # k -> value -> field code
+
+    def code(k: int, v) -> int:
+        """v's index in variable k's value table, shifted into k's field."""
+        c = codes[k].get(v)
+        if c is None:
+            if len(values[k]) == full:
+                raise ValueTableFull(f"variable {p.variables[k]} took more"
+                                     f" than {full} values")
+            c = codes[k][v] = len(values[k]) << shifts[k]
+            values[k].append(v)
+        return c
+
+    ctl_list: list = []
+    ctl_codes: dict = {}
+
+    def ctl_id(ctl: tuple) -> int:
+        i = ctl_codes.get(ctl)
+        if i is None:
+            i = ctl_codes[ctl] = len(ctl_list)
+            ctl_list.append(ctl)
+        return i
+
     infos: dict[int, tuple] = {}  # ctl_id -> expanded moves, once popped
+    # env_op -> (memo, read mask, keep mask, compiled Assign/Guard or None);
+    # keep, the fields a write leaves, is positive (& is slower on negative
+    # ints) and 0 when nothing is written
+    every = (1 << shifts.stop) - 1
+    transitions: dict = {None: ({0: (0,)}, 0, 0, None)}
 
-    # env_op -> (cache: env code -> successor env codes, compute), where
-    # compute(env code) -> (successor env codes, errors)
-    transitions: dict = {}
-
-    def transition(stmt: Stmt, op):
+    def transition(stmt: Stmt, op) -> tuple:
         key = id(stmt) if op is _PRIM else op
         if key not in transitions:
             if op is _PRIM:
-                step = compile_prim(stmt, idx)
-            else:
-                k, val = idx[op[0]], op[1]
-
-                def step(env):
-                    return [env[:k] + (val,) + env[k + 1:]], ()
-
-            def compute(e: int):
-                envs2, errs = step(env_list[e >> _SHIFT])
-                return tuple(map(env_code, envs2)), errs
-            transitions[key] = ({}, compute)
+                prim = reads, w, _ = compile_prim(stmt, idx)
+                transitions[key] = (
+                    {}, sum([fmask << shifts[k] for k in reads]),
+                    0 if w is None else every ^ fmask << shifts[w], prim)
+            else:  # islocked: one outcome, whatever the env
+                k = idx[op[0]]
+                transitions[key] = ({0: (code(k, op[1]),)}, 0,
+                                    every ^ fmask << shifts[k], None)
         return transitions[key]
 
     n = len(p.tids)
     c0 = ctl_id(((0,) * n, (READY,) * n, (frozenset(),) * n))
-    start = [env_code(env) | c0 for env in sorted(init.envs)]
+    start = [sum(map(code, idx.values(), env)) | c0
+             for env in sorted(init.envs)]
     queue = deque(start)
     parents: dict | None = ({s: (None, None) for s in start}
                             if collect_witnesses else None)
@@ -324,23 +347,26 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
                 if parents is not None:
                     parents[s2] = parents[state]
                 push(s2)
-        for t, stmt, cache, compute, targets in moves:
-            if cache is None:
-                succ = (e,)
-            else:
-                succ = cache.get(e)
-                if succ is None:
-                    # the first pop that meets (stmt, env) is the first
-                    # to meet its errors, so hits need no error check
-                    succ, errs = compute(e)
-                    cache[e] = succ
-                    for loc in errs:
-                        if loc not in errors:
-                            ctl = ctl_list[c]
-                            errors[loc] = (trace(state)
-                                           + [policy.step(t, stmt, ctl, ctl)]
-                                           if parents is not None else [])
-            for e2 in succ:
+        for t, stmt, (memo, rmask, keep, prim), targets in moves:
+            key = e & rmask
+            fields = memo.get(key)
+            if fields is None:
+                # the first pop that meets (stmt, read values) is the first
+                # to meet its errors, so hits need no error check
+                reads, w, outcome = prim
+                out, errs = outcome(tuple([values[k][e >> shifts[k] & fmask]
+                                           for k in reads]))
+                fields = memo[key] = (((0,) if out else ()) if w is None
+                                      else tuple([code(w, v) for v in out]))
+                for loc in errs:
+                    if loc not in errors:
+                        ctl = ctl_list[c]
+                        errors[loc] = (trace(state)
+                                       + [policy.step(t, stmt, ctl, ctl)]
+                                       if parents is not None else [])
+            base = e & keep if keep else e
+            for f in fields:
+                e2 = base | f if f else base
                 for c2 in targets:
                     s2 = e2 | c2
                     if s2 not in seen:
@@ -349,18 +375,14 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
                             parents[s2] = (state, (t, stmt, c2))
                         push(s2)
 
+    # positional: a Record built by keyword costs three times as much
     return ExploreResult(
-        errors=frozenset(errors),
-        truncated=bool(queue),  # stopped by the budget
-        terminal_envs=frozenset(env_list[e >> _SHIFT] for e in terminal),
-        vars=p.variables,
-        states=len(seen),
-        paths_truncated=paths_trunc,
-        witnesses=errors,
-        sched_states=(frozenset(ctl_list[c][1:]
-                                for c in {s & _MASK for s in seen})
-                      if keep_sched_states else None),
-    )
+        frozenset(errors), bool(queue),  # truncated: stopped by the budget
+        frozenset(tuple([vs[e >> k & fmask] for vs, k in zip(values, shifts)])
+                  for e in terminal),
+        p.variables, len(seen), paths_trunc, errors,
+        frozenset(ctl_list[c][1:] for c in {s & _MASK for s in seen})
+        if keep_sched_states else None)
 
 
 def run_interleavings(p: Program, unroll: int = 3,

@@ -188,11 +188,11 @@ class Const(Expr):
         return self.lo == self.hi
 
 
-class _Op(Expr):
-    """An operator node.  It hashes once, at construction, from its fields
-    and its operands' cached hashes, compares node by node along sub_exprs,
-    and shows as its source text: none of these recurses, however deep the
-    expression."""
+class _Tree:
+    """A node with children: an operator, or an if, while or block.  It
+    hashes once, at construction, from its fields and its children's
+    cached hashes, and compares node by node along sub_exprs or sub_stmts:
+    neither recurses, however deep the tree."""
 
     def __post_init__(self):
         _set(self, "_hash", Record.__hash__(self))
@@ -203,20 +203,30 @@ class _Op(Expr):
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        walk = sub_exprs if isinstance(self, Expr) else sub_stmts
         return self._hash == other._hash and all(
-            map(_same_node, sub_exprs(self), sub_exprs(other)))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({pretty_expr(self)!r})"
+            map(_same_node, walk(self), walk(other)))
 
 
-def _same_node(x: Expr, y: Expr) -> bool:
-    """x and y are equal apart from their operands."""
+def _same_node(x: Record, y: Record) -> bool:
+    """x and y are equal apart from their children."""
     if x.__class__ is not y.__class__:
         return False
     if isinstance(x, BinOp):
         return x.op == y.op and x.loc == y.loc
+    if isinstance(x, (If, While)):
+        return (x.sid, x.expr, x.cmp) == (y.sid, y.expr, y.cmp)
+    if isinstance(x, Block):
+        return x.sid == y.sid and len(x.body) == len(y.body)
     return x.loc == y.loc if isinstance(x, Neg) else x == y
+
+
+class _Op(_Tree, Expr):
+    """An operator node; it shows as its source text, which does not
+    recurse either."""
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({pretty_expr(self)!r})"
 
 
 class Neg(_Op):
@@ -255,21 +265,21 @@ class Guard(Stmt):
     cmp: str
 
 
-class If(Stmt):
+class If(_Tree, Stmt):
     sid: Sid
     expr: Expr
     cmp: str
     body: Stmt
 
 
-class While(Stmt):
+class While(_Tree, Stmt):
     sid: Sid
     expr: Expr
     cmp: str
     body: Stmt
 
 
-class Block(Stmt):
+class Block(_Tree, Stmt):
     """Statements run in order; recursion over a block follows nesting,
     not length."""
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racebox import oracle
+from racebox.cli import main
 from racebox.concrete import UnsupportedMode, exec_stmt, initial_state, paths
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
@@ -57,6 +59,44 @@ def test_unbounded_constant_raises_only_when_reached():
     for run in (run_interleavings, run_scheduled):
         with pytest.raises(UnsupportedMode):
             run(reached, unroll=0)
+
+
+def test_rational_values_decode_from_their_fields():
+    p = parse_program("var x = [1,3]; thread 1 { y <- 1 / x; }")
+    res = run_interleavings(p, unroll=0)
+    seq = exec_stmt(p.threads[0].body, initial_state(p))
+    assert res.terminal_envs == seq.envs
+    assert res.terminal_values("y") == {1, F(1, 2), F(1, 3)}
+
+
+def test_islocked_writes_a_field_no_assign_touches():
+    """b is written by islocked alone; spare is declared and untouched."""
+    p = parse_program("var spare = [2,3]; mutex m;"
+                      " thread 1 { lock(m); x <- 1; unlock(m); }"
+                      " thread 2 { b <- islocked(m); }")
+    assert p.variables == ("b", "spare", "x")
+    assert run_interleavings(p, unroll=0).terminal_envs == {
+        (b, spare, 1) for b in (0, 1) for spare in (2, 3)}
+    # thread 2 has the higher priority, so it reads m before any lock
+    assert run_scheduled(p, unroll=0).terminal_envs == {(0, 2, 1), (0, 3, 1)}
+
+
+def test_a_full_value_field_raises(monkeypatch, tmp_path):
+    """With 2-bit fields a variable has room for four values: x takes 0
+    and [1,3], or 0 and [1,4], one too many, which the CLI reports as
+    an internal error."""
+    monkeypatch.setattr(oracle, "_FIELD", 2)
+    fits = parse_program("thread 1 { x <- [1,3]; }")
+    assert run_interleavings(fits, unroll=0).terminal_values("x") == {1, 2, 3}
+    src = "thread 1 { x <- [1,4]; }"
+    for run in (run_interleavings, run_scheduled):
+        with pytest.raises(oracle.ValueTableFull):
+            run(parse_program(src), unroll=0)
+    f = tmp_path / "p.conc"
+    f.write_text(src)
+    with pytest.raises(SystemExit) as exit_:
+        main([str(f), "--mode", "oracle-interleave"])
+    assert exit_.value.code == 3
 
 
 @settings(max_examples=30, deadline=None)
