@@ -11,6 +11,7 @@ from racebox.interference import analyze_program_I
 from racebox.oracle import run_interleavings, run_scheduled
 from racebox.parser import parse_program
 from racebox.sched import analyze_program_C
+from racebox.syntax import While, sub_stmts
 from regen_fixtures import CORPUS, FIXTURES  # this script's directory
 
 
@@ -30,8 +31,8 @@ def main() -> None:
               f" {len(rt.races_ww)}+{len(rt.races_rw)} race(s),"
               f" max {rt.max_env_partitions} env partition(s)")
         print(f"   scheduled (multi): {len(rf.omega)} alarm(s)")
-        has_loop = "while" in path.read_text()
-        if not has_loop:
+        if not any(isinstance(s, While)
+                   for t in p.threads for s in sub_stmts(t.body)):
             oi = run_interleavings(p, unroll=0, collect_witnesses=False)
             os_ = run_scheduled(p, unroll=0, collect_witnesses=False)
             print(f"   oracles: interleave {len(oi.errors)} error(s)"

@@ -2,7 +2,7 @@
 
 States are finite sets of exact rational environments plus an error set.
 To keep the state sets finite, constant intervals enumerate only their
-integer points and must have finite endpoints;
+integer points and their endpoints, which must be finite;
 division results stay exact rationals.  This restricted semantics
 under-approximates the real-valued one, which is the right direction for
 an oracle whose errors are compared against analyzer alarms.
@@ -97,12 +97,15 @@ _ARITH = {
 }
 
 
-def const_points(lo, hi) -> list[int]:
-    """Integer points of a constant interval."""
+def const_points(lo, hi) -> list[Num]:
+    """The integer points and the endpoints of a constant interval, in
+    ascending order."""
     if not (is_finite(lo) and is_finite(hi)):
         raise UnsupportedMode(
-            f"unbounded constant [{lo},{hi}] in integer-points mode")
-    return list(range(math.ceil(lo), math.floor(hi) + 1))
+            f"unbounded constant [{lo},{hi}] has no finite set of points")
+    if lo.__class__ is int and hi.__class__ is int:
+        return list(range(lo, hi + 1))
+    return sorted({lo, hi, *range(math.ceil(lo), math.floor(hi) + 1)})
 
 
 def _operator(x: Expr):
@@ -249,7 +252,7 @@ def exec_stmt(s: Stmt, st: ConcreteState,
 
 
 def initial_state(p: Program) -> ConcreteState:
-    """All combinations of integer points of the declared initial intervals."""
+    """All combinations of the points of the declared initial intervals."""
     init = p.initial_map()
     return ConcreteState(p.variables, frozenset(product(
         *[const_points(*init[v]) for v in p.variables])), frozenset())

@@ -4,8 +4,8 @@ Cross-thread effects are summarized as flow-insensitive, non-relational
 interferences: a map (thread, variable) -> interval of values that thread
 may write.  Each thread is re-analyzed against the current interferences
 until the outer fixpoint stabilizes (widened after a configurable delay).
-This is the engine of sched.py run scheduler-blind (synchronization
-erased), with its results unpartitioned.
+This is the engine of sched.py in its "interference" mode
+(synchronization erased), with its results unpartitioned.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ def analyze_program_I(p: Program,
                       settings: AnalysisSettings = AnalysisSettings(),
                       ) -> InterfResult:
     """Outer interference fixpoint: re-analyze every thread from the same
-    (errors, interferences) pair until both stabilize.  Threads in
+    interferences until they and the errors stabilize.  Threads in
     settings.self_interference may run as several instances: they also
     read their own interferences."""
-    res = outer_fixpoint(p, settings, mono=False, blind=True)
+    res = outer_fixpoint(p, settings, "interference")
     per_thread = {
         tid: ThreadOutcome(unpartitioned(o.final),
                            {sid: unpartitioned(envs)

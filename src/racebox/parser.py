@@ -184,13 +184,16 @@ class _Parser:
     def decl(self) -> None:
         if self.at("kw", "var"):
             self.next()
-            name = self.expect("ident").text
+            tok = self.expect("ident")
+            if tok.text in self.declared_vars:
+                raise ParseError(f"variable {tok.text} declared twice",
+                                 tok.line, tok.col)
             init: tuple[Ext, Ext] | None = None
             if self.at("punct", "="):
                 self.next()
                 init = self.interval_literal()
             self.expect("punct", ";")
-            self.declared_vars[name] = init
+            self.declared_vars[tok.text] = init
         else:
             self.expect("kw", "mutex")
             name = self.expect("ident").text

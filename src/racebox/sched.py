@@ -8,13 +8,14 @@ interferences filtered by a mutual-exclusion predicate; communications
 protected by a mutex are exported at unlock (out) and imported at lock
 (in) as sync-tagged interferences.  islocked() splits partitions on the u
 component, which is what recovers priority-based mutual exclusion on
-mono-processor real-time systems; with mono=False it degrades to the
-sound multiprocessor reading X <- [0,1].
+mono-processor real-time systems ("scheduled-mono"); "scheduled-multi"
+degrades it to the sound multiprocessor reading X <- [0,1].
 
-Scheduler-blind mode erases synchronization (lock/unlock/yield are skips,
-islocked() stores [0,1], every environment stays in configuration C0)
-and lets threads in settings.self_interference read their own
-interferences.  interference.py and seq.py are adapters over it.
+The scheduler-blind modes erase synchronization (lock/unlock/yield are
+skips, islocked() stores [0,1], every environment stays in configuration
+C0).  "interference" lets threads in settings.self_interference read
+their own interferences; "seq" records no interferences at all.
+interference.py and seq.py are adapters over it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .syntax import (
     else_guard,
     exit_guard,
     fold_expr,
+    lvals_of_stmt,
     stmt_exprs,
     sub_stmts,
     then_guard,
@@ -62,6 +64,7 @@ from .syntax import (
 )
 
 WEAK = "weak"
+ENGINE_MODES = ("scheduled-mono", "scheduled-multi", "interference", "seq")
 
 
 class AnalysisDiverged(RuntimeError):
@@ -139,17 +142,14 @@ class AbsStateC(NamedTuple):
     """A thread pass's state; a tuple, so that each step builds it cheaply."""
 
     envs: PartitionedEnv
-    errors: frozenset[Location]
     interf: SchedInterferenceAbs
 
     def join(self, other: "AbsStateC") -> "AbsStateC":
         return AbsStateC(sparse_join(self.envs, other.envs),
-                         self.errors | other.errors,
                          sparse_join(self.interf, other.interf))
 
     def widen(self, other: "AbsStateC", thresholds) -> "AbsStateC":
         return AbsStateC(sparse_widen(self.envs, other.envs, thresholds),
-                         self.errors | other.errors,
                          sparse_widen(self.interf, other.interf, thresholds))
 
 
@@ -257,13 +257,14 @@ def out_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
 
 class SchedRecorder:
     """Collects the invariant before each primitive (partitioned envs are
-    never mutated, so they are kept as they are), the feasibility of each
-    branch, the reads that took interference, and diagnostics."""
+    never mutated, so they are kept as they are), branch feasibility, the
+    errors (Ω), the reads that took interference, and diagnostics."""
 
     def __init__(self, read_log: set[ReadEvent] | None = None,
                  warnings: list[str] | None = None):
         self.invariants: dict[Sid, PartitionedEnv] = {}
         self.branches: dict[Sid, tuple[bool, bool]] = {}
+        self.errors: frozenset[Location] = frozenset()
         self.read_log = read_log
         self.warnings = [] if warnings is None else warnings
         self.max_env_partitions = 0
@@ -290,20 +291,22 @@ def _coarsen(envs: PartitionedEnv) -> PartitionedEnv:
 def transfer_C(s: Stmt, t: int, st: AbsStateC,
                settings: AnalysisSettings = AnalysisSettings(),
                lock_sets: dict[int, frozenset[str]] | None = None,
-               mono: bool = True,
-               recorder: SchedRecorder | None = None,
-               blind: bool = False, publish: bool = True) -> AbsStateC:
-    """Abstract transfer of thread t for any statement form; `blind`
-    erases synchronization (see the module docstring), and `publish`
-    records t's writes as interferences (seq, with no other thread to
-    read them, turns it off and keeps the map empty).  st.interf is the
-    round's map and is only read; the pass carries, and returns, t's own
-    entries alone, the only ones it can change.  Reading the foreign
-    entries from st.interf is exact: the one state that never held them,
-    a loop's empty first accumulator, has no environment to read with."""
+               mode: str = "scheduled-mono",
+               recorder: SchedRecorder | None = None) -> AbsStateC:
+    """Abstract transfer of thread t for any statement form in `mode`, one
+    of ENGINE_MODES (see the module docstring).  st.interf is the round's
+    map and is only read; the pass carries, and returns, t's own entries
+    alone, the only ones it can change.  Reading the foreign entries from
+    st.interf is exact: the one state that never held them, a loop's
+    empty first accumulator, has no environment to read with.  The error
+    labels the pass meets are collected in recorder.errors."""
+    if mode not in ENGINE_MODES:
+        raise ValueError(f"unknown engine mode {mode!r}")
+    blind = mode in ("interference", "seq")
+    publish = mode != "seq"
     rec = recorder if recorder is not None else SchedRecorder()
     locks = lock_sets if lock_sets is not None else {}
-    self_threads = settings.self_interference if blind else frozenset()
+    own = mode == "interference" and t in settings.self_interference
     views: dict[SchedConfig, InterferenceView] = {}
     # st.interf's sync entries per mutex, all that in_sharp reads of it
     syncs: dict[str, SchedInterferenceAbs] = {}
@@ -314,9 +317,9 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     def read(c: SchedConfig, x: AbsStateC, e: Expr) -> Expr:
         # foreign entries are fixed during a pass, so their view is
         # computed once per configuration
-        if t in self_threads:
+        if own:  # t reads its own live entries too
             view = interference_view(t, c, {**st.interf, **x.interf},
-                                     self_threads)
+                                     frozenset({t}))
         elif c in views:
             view = views[c]
         else:
@@ -328,34 +331,33 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             rec.warn(f"partition cap {settings.partition_cap} exceeded:"
                      " partitions differing only in known-free mutexes"
                      " were joined")
-            x = AbsStateC(_coarsen(x.envs), x.errors, x.interf)
+            x = AbsStateC(_coarsen(x.envs), x.interf)
         rec.max_env_partitions = max(rec.max_env_partitions, len(x.envs))
         return x
 
     def assign(sid: Sid, var: str, e: Expr, x: AbsStateC) -> AbsStateC:
         rec.invariants[sid] = x.envs
         envs: PartitionedEnv = {}
-        errors = x.errors
         interf = dict(x.interf) if publish else x.interf
         for c, env in x.envs.items():
-            env, errors = transfer_assign(var, read(c, x, e), env, errors)
+            env, rec.errors = transfer_assign(var, read(c, x, e), env,
+                                              rec.errors)
             if env.is_bot:
                 continue
             envs[c] = env
             if publish:
                 put(interf, (t, c, var), env.get(var))
-        return seen(AbsStateC(envs, errors, interf))
+        return seen(AbsStateC(envs, interf))
 
     def guard(g: Guard, x: AbsStateC) -> AbsStateC:
         rec.invariants[g.sid] = x.envs
         envs: PartitionedEnv = {}
-        errors = x.errors
         for c, env in x.envs.items():
-            env, errors = transfer_guard(read(c, x, g.expr), g.cmp, env,
-                                         errors)
+            env, rec.errors = transfer_guard(read(c, x, g.expr), g.cmp, env,
+                                             rec.errors)
             if not env.is_bot:
                 envs[c] = env
-        return seen(AbsStateC(envs, errors, x.interf))
+        return seen(AbsStateC(envs, x.interf))
 
     def forget_free(sid: Sid, m: str | None, x: AbsStateC) -> AbsStateC:
         # yield, or lock(m): the known-free set u is lost, so every
@@ -373,7 +375,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             else:
                 put(envs, SchedConfig(c.held | {m}, none, WEAK),
                     in_sharp(t, c.held, none, m, env, syncs.get(m, {})))
-        return seen(AbsStateC(envs, x.errors, interf))
+        return seen(AbsStateC(envs, interf))
 
     def unlock(sid: Sid, m: str, x: AbsStateC) -> AbsStateC:
         rec.invariants[sid] = x.envs
@@ -383,13 +385,13 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             interf = sparse_join(
                 interf, out_sharp(t, c.held - {m}, c.free, m, env, x.interf))
             put(envs, SchedConfig(c.held - {m}, c.free, WEAK), env)
-        return seen(AbsStateC(envs, x.errors, interf))
+        return seen(AbsStateC(envs, interf))
 
     def islocked(sid: Sid, var: str, m: str, x: AbsStateC) -> AbsStateC:
         # the degraded route fixes the recorded interferences ({0,1}) and
         # the fallback environments
         degraded = assign(sid, var, Const(0, 1), x)
-        precise = mono and not blind and not any(
+        precise = mode == "scheduled-mono" and not any(
             m in locks.get(t2, frozenset()) for t2 in locks if t2 > t)
         if not precise:
             return degraded
@@ -404,7 +406,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             env1, _ = transfer_assign(var, Const(1, 1), env, frozenset())
             if not env1.is_bot:
                 put(envs, SchedConfig(c.held, c.free - {m}, WEAK), env1)
-        return seen(AbsStateC(envs, x.errors, degraded.interf))
+        return seen(AbsStateC(envs, degraded.interf))
 
     def go(s: Stmt, x: AbsStateC) -> AbsStateC:
         if isinstance(s, Assign):
@@ -423,19 +425,17 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             return taken.join(skipped)
         if isinstance(s, While):
             g = body_guard(s)
-            acc = AbsStateC({}, frozenset(), {})
-            steps = 0
-            while True:
+            acc = AbsStateC({}, {})
+            for _ in range(settings.loop_iter_cap):
                 nxt = acc.widen(x.join(go(s.body, guard(g, acc))),
                                 settings.thresholds)
-                steps += 1
-                if steps > settings.loop_iter_cap:
-                    raise AnalysisDiverged(
-                        f"loop {s.sid} did not stabilize within"
-                        f" {settings.loop_iter_cap} iterations")
                 if nxt == acc:
                     break
                 acc = nxt
+            else:
+                raise AnalysisDiverged(
+                    f"loop {s.sid} did not stabilize within"
+                    f" {settings.loop_iter_cap} iterations")
             if settings.decreasing_pass:
                 acc = x.join(go(s.body, guard(g, acc)))
             entered = guard(g, acc)
@@ -457,7 +457,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             return islocked(s.sid, s.var, s.mutex, x)
         raise TypeError(s)
 
-    return go(s, AbsStateC(st.envs, st.errors,
+    return go(s, AbsStateC(st.envs,
                            {k: v for k, v in st.interf.items() if k[0] == t}))
 
 
@@ -491,27 +491,22 @@ def extract_races(p: Program, interf: SchedInterferenceAbs,
     return mk("ww", ww), mk("rw", rw)
 
 
-def taint_closure(p: Program, seed_vars: set[str]) -> frozenset[str]:
+def taint_closure(reads: dict[int, frozenset[str]],
+                  writes: dict[int, frozenset[str]],
+                  seed_vars: set[str]) -> frozenset[str]:
     """Variables whose interference may still move once `seed_vars` do:
-    any thread reading a tainted variable taints everything it writes.
-    Used by the outer widening to cut cross-thread instability cascades."""
-    reads = {t.tid: frozenset().union(*map(vars_of_expr, stmt_exprs(t.body)))
-             for t in p.threads}
-    writes = {t.tid: thread_writes(p, t.tid) for t in p.threads}
+    any thread reading a tainted variable taints everything it writes
+    (`reads` and `writes` map each thread to its variables).  Used by the
+    outer widening to cut cross-thread instability cascades."""
     tainted = set(seed_vars)
     while True:
         grow = set()
-        for t in p.threads:
-            if reads[t.tid] & tainted:
-                grow |= writes[t.tid] - tainted
+        for tid, rs in reads.items():
+            if rs & tainted:
+                grow |= writes[tid] - tainted
         if not grow:
             return frozenset(tainted)
         tainted |= grow
-
-
-def thread_writes(p: Program, tid: int) -> frozenset[str]:
-    return frozenset(s.var for s in sub_stmts(p.thread(tid).body)
-                     if isinstance(s, (Assign, IsLocked)))
 
 
 class SchedThreadOutcome(Record):
@@ -535,11 +530,12 @@ class SchedResult(Record):
 
 def outer_fixpoint(p: Program,
                    settings: AnalysisSettings = AnalysisSettings(),
-                   mono: bool = True, blind: bool = False) -> SchedResult:
-    """Re-analyze every thread from the same (errors, interferences) pair
-    until both stabilize.  Every round records invariants, reads and
-    partition statistics; the last one, run on the stable pair, is kept
-    and doubles as the idempotence check.  Blind results carry no races."""
+                   mode: str = "scheduled-mono") -> SchedResult:
+    """Re-analyze every thread in `mode` (see ENGINE_MODES) against the
+    round's interferences until they and the errors stabilize.  A round
+    records invariants, reads, errors and partition statistics; the last,
+    run on the stable pair, is kept and is the idempotence check."""
+    blind = mode in ("interference", "seq")
     locks = collect_lock_sets(p)
     r0: PartitionedEnv = {C0: BoxEnv.initial(p)}
     omega: frozenset[Location] = frozenset()
@@ -559,13 +555,13 @@ def outer_fixpoint(p: Program,
         max_parts = 0
         for t in p.threads:
             rec = SchedRecorder(read_log=read_log, warnings=warnings)
-            out = transfer_C(t.body, t.tid, AbsStateC(r0, omega, interf),
-                             settings, locks, mono, rec, blind)
+            out = transfer_C(t.body, t.tid, AbsStateC(r0, interf),
+                             settings, locks, mode, rec)
             per_thread[t.tid] = SchedThreadOutcome(out.envs, rec.invariants,
                                                    rec.branches)
             max_parts = max(max_parts, rec.max_env_partitions)
-            new_omega = new_omega | out.errors
-            joined = sparse_join(joined, out.interf)
+            new_omega = new_omega | rec.errors
+            joined.update(out.interf)  # a pass returns only its own keys
         if rounds <= settings.widening_delay:
             new_interf = sparse_join(interf, joined)
         else:
@@ -583,11 +579,15 @@ def outer_fixpoint(p: Program,
                      if interf.get(k) != new_interf[k]}
             keys = [C0] + [SchedConfig(frozenset(), frozenset(), sync(m))
                            for m in p.mutexes]
-            for y in taint_closure(p, seeds):
-                for t in p.threads:
-                    if y in thread_writes(p, t.tid):
+            reads = {t.tid: frozenset().union(
+                *map(vars_of_expr, stmt_exprs(t.body))) for t in p.threads}
+            writes = {t.tid: frozenset().union(
+                *map(lvals_of_stmt, sub_stmts(t.body))) for t in p.threads}
+            for y in taint_closure(reads, writes, seeds):
+                for tid, ws in writes.items():
+                    if y in ws:
                         for c in keys:
-                            new_interf[(t.tid, c, y)] = Interval.top()
+                            new_interf[(tid, c, y)] = Interval.top()
         if new_omega == omega and new_interf == interf:
             break
         omega, interf = new_omega, new_interf
@@ -614,4 +614,5 @@ def analyze_program_C(p: Program,
                       settings: AnalysisSettings = AnalysisSettings(),
                       mono: bool = True) -> SchedResult:
     """The scheduler-aware analysis (adapters call outer_fixpoint)."""
-    return outer_fixpoint(p, settings, mono)
+    return outer_fixpoint(p, settings,
+                          "scheduled-mono" if mono else "scheduled-multi")

@@ -1,5 +1,5 @@
-"""Sequential abstract interpreter: the engine of sched.py run
-scheduler-blind over a single thread, with no interference rounds."""
+"""Sequential abstract interpreter: one pass of the engine of sched.py in
+its "seq" mode over a single thread, with no interference rounds."""
 
 from __future__ import annotations
 
@@ -33,10 +33,9 @@ def analyze_program_seq(p: Program,
                 f"synchronization primitive in sequential fragment: {s}")
     rec = SchedRecorder()
     out = transfer_C(thread.body, thread.tid,
-                     AbsStateC({C0: BoxEnv.initial(p)}, frozenset(), {}),
-                     settings._replace(self_interference=frozenset()),
-                     recorder=rec, blind=True, publish=False)
-    return SeqResult(out.errors, unpartitioned(out.envs),
+                     AbsStateC({C0: BoxEnv.initial(p)}, {}), settings,
+                     mode="seq", recorder=rec)
+    return SeqResult(rec.errors, unpartitioned(out.envs),
                      {sid: unpartitioned(envs)
                       for sid, envs in rec.invariants.items()},
                      rec.branches)

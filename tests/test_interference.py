@@ -32,7 +32,7 @@ def iv(lo, hi):
 
 
 def blind_state(env, interf):
-    return AbsStateC({C0: env}, frozenset(),
+    return AbsStateC({C0: env},
                      {(t, C0, x): v for (t, x), v in interf.items()})
 
 
@@ -71,7 +71,7 @@ def test_blind_self_interference_reads_own_writes_live():
     p = parse_program("thread 1 { x <- 5; x <- 0; y <- x; }")
     st = blind_state(BoxEnv({"x": iv(0, 0), "y": iv(0, 0)}), {})
     selfi = AnalysisSettings(self_interference=frozenset({1}))
-    out = transfer_C(p.threads[0].body, 1, st, selfi, blind=True)
+    out = transfer_C(p.threads[0].body, 1, st, selfi, mode="interference")
     assert out.envs[C0].get("y") == iv(0, 5)
     out = transfer_C(p.threads[0].body, 1, st, selfi)
     assert out.envs[C0].get("y") == iv(0, 0)
@@ -80,7 +80,7 @@ def test_blind_self_interference_reads_own_writes_live():
 def test_assign_extends_interference():
     p = parse_program("thread 1 { x <- x + 1; }")
     st = blind_state(BoxEnv({"x": iv(0, 0)}), {(2, "x"): iv(1, 1)})
-    out = transfer_C(p.threads[0].body, 1, st, blind=True)
+    out = transfer_C(p.threads[0].body, 1, st, mode="interference")
     assert out.envs[C0].get("x") == iv(1, 2)
     assert out.interf[(1, C0, "x")] == iv(1, 2)
 
@@ -90,7 +90,7 @@ def test_blind_sync_primitives_are_skips(corpus):
     st = blind_state(BoxEnv.initial(p), {})
     for t in p.threads:
         rec = SchedRecorder()
-        out = transfer_C(t.body, t.tid, st, recorder=rec, blind=True)
+        out = transfer_C(t.body, t.tid, st, recorder=rec, mode="interference")
         assert set(out.envs) <= {C0}
         assert not any(s.sid in rec.invariants for s in sub_stmts(t.body)
                        if isinstance(s, (Lock, Unlock, Yield)))
@@ -101,7 +101,7 @@ def test_blind_sync_primitives_are_skips(corpus):
     q = parse_program("mutex m; thread 1 { x <- islocked(m); }")
     rec = SchedRecorder()
     out = transfer_C(q.threads[0].body, 1, blind_state(BoxEnv.initial(q), {}),
-                     recorder=rec, blind=True)
+                     recorder=rec, mode="interference")
     assert out.envs == {C0: BoxEnv({"x": iv(0, 1)})}
     assert out.interf == {(1, C0, "x"): iv(0, 1)}
     assert rec.warnings == [ISLOCKED_DEGRADED]
@@ -162,11 +162,12 @@ def test_single_thread_matches_seq_and_two_rounds():
 
 def blind_round(p, omega, interf, s):
     """One outer round of the blind engine: (new errors, joined writes)."""
-    st = AbsStateC({C0: BoxEnv.initial(p)}, omega, interf)
+    st = AbsStateC({C0: BoxEnv.initial(p)}, interf)
     new_omega, joined = omega, {}
     for t in p.threads:
-        out = transfer_C(t.body, t.tid, st, s, mono=False, blind=True)
-        new_omega |= out.errors
+        rec = SchedRecorder()
+        out = transfer_C(t.body, t.tid, st, s, None, "interference", rec)
+        new_omega |= rec.errors
         joined = sparse_join(joined, out.interf)
     return new_omega, joined
 
@@ -174,7 +175,7 @@ def blind_round(p, omega, interf, s):
 def test_outer_fixpoint_idempotent(corpus):
     p = corpus("increment")
     s = AnalysisSettings()
-    r = outer_fixpoint(p, s, mono=False, blind=True)
+    r = outer_fixpoint(p, s, "interference")
     assert analyze_program_I(p, s).interf == {
         (t, x): v for (t, c, x), v in r.interf.items()}
     # one more full round from the stable pair changes nothing

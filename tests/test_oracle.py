@@ -69,6 +69,24 @@ def test_rational_values_decode_from_their_fields():
     assert res.terminal_values("y") == {1, F(1, 2), F(1, 3)}
 
 
+def test_non_integer_constants_offer_their_endpoints():
+    """A constant's points are its integer points and its finite
+    endpoints, so x <- 0.5 runs on and reaches the division by zero."""
+    p = parse_program("thread 1 { x <- 0.5; y <- 1 / (x - 0.5); }")
+    seq = exec_stmt(p.threads[0].body, initial_state(p))
+    alarms = analyze_program_I(p).omega
+    assert seq.errors and seq.errors == alarms
+    for run in (run_interleavings, run_scheduled):
+        res = run(p, unroll=0)
+        assert res.errors == seq.errors
+        assert res.terminal_envs == seq.envs
+    # a declared start interval with no integer point has two start values
+    q = parse_program("var x = [1/3,2/3]; thread 1 { y <- x; }")
+    assert initial_state(q).envs == {(F(1, 3), 0), (F(2, 3), 0)}
+    assert run_interleavings(q, unroll=0).terminal_values("y") == {
+        F(1, 3), F(2, 3)}
+
+
 def test_islocked_writes_a_field_no_assign_touches():
     """b is written by islocked alone; spare is declared and untouched."""
     p = parse_program("var spare = [2,3]; mutex m;"

@@ -231,6 +231,8 @@ def test_token_positions(src, toks):
      2, 7),
     ("thread 1 { x <- 1.; }", "unexpected character '.'", 1, 18),
     ("thread 1 { x <- 1; # end", "expected a statement", 1, 25),
+    ("var x = [1,2]; var x;\nthread 1 { y <- x; }",
+     "variable x declared twice", 1, 20),
 ])
 def test_parse_error_positions(src, msg, line, col):
     with pytest.raises(ParseError) as e:

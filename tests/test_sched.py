@@ -5,6 +5,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from racebox.config import AnalysisSettings
 from racebox.domains import BOT, BoxEnv, INF, Interval
 from racebox.interference import analyze_program_I
@@ -25,7 +27,15 @@ from racebox.sched import (
     transfer_C,
 )
 from racebox.randgen import GeneratorConfig, random_program
-from racebox.syntax import Const, Lock, Var, collect_lock_sets, sub_stmts
+from racebox.seq import analyze_program_seq
+from racebox.syntax import (
+    Const,
+    Guard,
+    Lock,
+    Var,
+    collect_lock_sets,
+    sub_stmts,
+)
 
 F = Fraction
 
@@ -173,7 +183,7 @@ def test_unlock_emits_sync_with_post_removal_lockset():
 
 def test_lock_single_partition_moves_key():
     p = parse_program("mutex m; thread 1 { lock(m); x <- 1; }")
-    st = AbsStateC({C0: BoxEnv.initial(p)}, frozenset(), {})
+    st = AbsStateC({C0: BoxEnv.initial(p)}, {})
     out = transfer_C(p.threads[0].body, 1, st,
                      lock_sets=collect_lock_sets(p))
     assert set(out.envs) == {cfg(l={"m"})}
@@ -188,7 +198,7 @@ def test_pass_returns_only_its_own_keys():
     theirs = {(2, cfg(tag=sync("m")), "y"): iv(5, 5),
               (2, C0, "z"): iv(-1, -1)}
     mine = {(1, C0, "x"): iv(9, 9)}
-    st = AbsStateC({C0: BoxEnv.initial(p)}, frozenset(), {**theirs, **mine})
+    st = AbsStateC({C0: BoxEnv.initial(p)}, {**theirs, **mine})
     out = transfer_C(p.threads[0].body, 1, st,
                      lock_sets=collect_lock_sets(p))
     assert {k[0] for k in out.interf} == {1}
@@ -203,6 +213,36 @@ def test_relock_is_noop_on_held_set():
     assert res.omega == frozenset()
     (final,) = res.per_thread[1].final.keys()
     assert final == cfg(l={"m"})
+
+
+def test_empty_blocks_in_every_mode():
+    """An empty block is an always-true guard: each one gets an invariant
+    in every analyzer mode, and the alarms cover both oracles' errors."""
+    from racebox.oracle import run_interleavings, run_scheduled
+
+    p = parse_program("var x = [-1,1]; thread 1 { if x > 0 then { }"
+                      " while x < 0 do { } { } x <- 1 / x; }")
+    skips = {s.sid for s in sub_stmts(p.threads[0].body)
+             if isinstance(s, Guard)}
+    assert len(skips) == 3
+    errors = (run_interleavings(p, unroll=2).errors
+              | run_scheduled(p, unroll=2).errors)
+    assert errors
+    seq = analyze_program_seq(p)
+    runs = [(seq, seq.invariants)] + [
+        (r, r.per_thread[1].invariants) for r in (
+            analyze_program_I(p), analyze_program_C(p, mono=True),
+            analyze_program_C(p, mono=False))]
+    for res, invariants in runs:
+        assert skips <= set(invariants)
+        assert errors <= res.omega
+
+
+def test_transfer_rejects_an_unknown_mode():
+    p = parse_program("thread 1 { x <- 1; }")
+    st = AbsStateC({C0: BoxEnv.initial(p)}, {})
+    with pytest.raises(ValueError, match="unknown engine mode 'blind'"):
+        transfer_C(p.threads[0].body, 1, st, mode="blind")
 
 
 # -- whole-program behavior on the corpus
