@@ -21,6 +21,7 @@ from .report import (
     build_report,
     report_to_json,
 )
+from .seq import outside_fragment
 from .syntax import Num, num
 
 
@@ -202,6 +203,10 @@ def main(argv: list[str] | None = None, prog_name: str = "analyze") -> None:
         print(f"internal error: {e}", file=sys.stderr)
         sys.exit(3)
 
+    for flag in ("mode", "check_against"):  # before any analysis or oracle
+        reason = getattr(cfg, flag) == "seq" and outside_fragment(program)
+        if reason:
+            ap.error(f"argument --{flag.replace('_', '-')}: {reason}")
     try:
         rep = build_report(program, source, cfg)
     except UnknownThread as e:

@@ -1,5 +1,7 @@
 """The abstract analyzer engine: one structural interpreter (recursive
 iteration, widening at loop heads) and one outer interference fixpoint.
+A loop iterates from its input, and a loop reached again in a pass with
+the same input returns its last result.
 
 Environments and interferences are partitioned by scheduler configurations
 (l = mutexes held by the thread, u = mutexes known free system-wide, and a
@@ -296,10 +298,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     """Abstract transfer of thread t for any statement form in `mode`, one
     of ENGINE_MODES (see the module docstring).  st.interf is the round's
     map and is only read; the pass carries, and returns, t's own entries
-    alone, the only ones it can change.  Reading the foreign entries from
-    st.interf is exact: the one state that never held them, a loop's
-    empty first accumulator, has no environment to read with.  The error
-    labels the pass meets are collected in recorder.errors."""
+    alone, the only ones it can change.  The error labels the pass meets
+    are collected in recorder.errors."""
     if mode not in ENGINE_MODES:
         raise ValueError(f"unknown engine mode {mode!r}")
     blind = mode in ("interference", "seq")
@@ -308,6 +308,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     locks = lock_sets if lock_sets is not None else {}
     own = mode == "interference" and t in settings.self_interference
     views: dict[SchedConfig, InterferenceView] = {}
+    # each loop's last (input, result), per node: hand-built sids repeat
+    last_run: dict[While, tuple[AbsStateC, AbsStateC]] = {}
     # st.interf's sync entries per mutex, all that in_sharp reads of it
     syncs: dict[str, SchedInterferenceAbs] = {}
     for k, v in st.interf.items():
@@ -424,11 +426,13 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             rec.branches[s.sid] = (bool(entered.envs), bool(skipped.envs))
             return taken.join(skipped)
         if isinstance(s, While):
+            if s in last_run and last_run[s][0] == x:
+                return last_run[s][1]  # the recorder already holds its run
             g = body_guard(s)
-            acc = AbsStateC({}, {})
+            acc = x  # the first iterate from bottom is the input itself
             for _ in range(settings.loop_iter_cap):
-                nxt = acc.widen(x.join(go(s.body, guard(g, acc))),
-                                settings.thresholds)
+                entered = guard(g, acc)
+                nxt = acc.widen(go(s.body, entered), settings.thresholds)
                 if nxt == acc:
                     break
                 acc = nxt
@@ -437,10 +441,11 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                     f"loop {s.sid} did not stabilize within"
                     f" {settings.loop_iter_cap} iterations")
             if settings.decreasing_pass:
-                acc = x.join(go(s.body, guard(g, acc)))
-            entered = guard(g, acc)
+                acc = x.join(go(s.body, entered))
+                entered = guard(g, acc)
             exited = guard(exit_guard(s), acc)
             rec.branches[s.sid] = (bool(entered.envs), bool(exited.envs))
+            last_run[s] = (x, exited)
             return exited
         if blind and isinstance(s, (Lock, Unlock, Yield)):
             rec.warn(SYNC_SKIPPED)

@@ -20,17 +20,25 @@ class SeqResult(Record):
     branches: dict[Sid, tuple[bool, bool]]
 
 
+def outside_fragment(p: Program) -> str | None:
+    """Why p is outside the sequential fragment (one thread, no
+    synchronization), or None if it is inside."""
+    if len(p.threads) != 1:
+        return f"sequential analyzer expects one thread, got {len(p.threads)}"
+    for s in sub_stmts(p.threads[0].body):
+        if isinstance(s, SYNC_TYPES):
+            return f"synchronization primitive in sequential fragment: {s}"
+    return None
+
+
 def analyze_program_seq(p: Program,
                         settings: AnalysisSettings = AnalysisSettings(),
                         ) -> SeqResult:
-    if len(p.threads) != 1:
-        raise MultiThreadInput(
-            f"sequential analyzer expects one thread, got {len(p.threads)}")
+    reason = outside_fragment(p)
+    if reason is not None:
+        raise (MultiThreadInput if len(p.threads) != 1 else ValueError)(
+            reason)
     thread = p.threads[0]
-    for s in sub_stmts(thread.body):
-        if isinstance(s, SYNC_TYPES):
-            raise ValueError(
-                f"synchronization primitive in sequential fragment: {s}")
     rec = SchedRecorder()
     out = transfer_C(thread.body, thread.tid,
                      AbsStateC({C0: BoxEnv.initial(p)}, {}), settings,

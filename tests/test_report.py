@@ -352,6 +352,29 @@ def test_cli_rejects_out_of_range_bounds(tmp_path, corpus_source, flag,
     assert "Usage:" in r.stderr and flag in r.stderr
 
 
+@pytest.mark.parametrize("source,reason", [
+    ("thread 1 { x <- 1; } thread 2 { x <- 2; }",
+     "sequential analyzer expects one thread, got 2"),
+    ("mutex m; thread 1 { lock(m); x <- 1; unlock(m); }",
+     "synchronization primitive in sequential fragment"),
+])
+@pytest.mark.parametrize("args,flag", [
+    (("--mode", "seq"), "--mode"),
+    (("--mode", "oracle-interleave", "--check-against", "seq"),
+     "--check-against"),
+])
+def test_cli_seq_outside_its_fragment_is_usage_error(tmp_path, source,
+                                                     reason, args, flag):
+    # found before any analysis or oracle runs
+    f = tmp_path / "p.conc"
+    f.write_text(source)
+    r = run_cli(str(f), *args)
+    assert r.returncode == 2
+    assert r.stderr.startswith("Usage:")
+    assert f"argument {flag}: {reason}" in r.stderr
+    assert r.stdout == ""
+
+
 def test_cli_thresholds_flag(tmp_path, corpus_source):
     f = tmp_path / "p.conc"
     f.write_text(corpus_source("producer_consumer"))
