@@ -3,8 +3,13 @@
 negative controls that prove the harness detects broken side conditions.
 
 Usage: fuzz_transforms.py [TRIALS] [BASE_SEED]
+
+stdout ends with one sha256 over the repr of every FuzzReport, in order,
+so two checkouts can be compared with `diff`; the run time goes to
+stderr.
 """
 
+import hashlib
 import pathlib
 import random
 import sys
@@ -22,12 +27,14 @@ def main() -> None:
     t0 = time.monotonic()
     totals = {r.value: {"applied": 0, "skipped": 0} for r in RuleId}
     effective = violations = 0
+    digest = hashlib.sha256()
     i = 0
     while effective < want:
         rng = random.Random(base + i)
         cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
         p = random_program(rng, cfg, sync=rng.random() < 0.3)
         rep = fuzz_weakmem(p, trials=8, chain=4, seed=i, unroll=2)
+        digest.update(repr(rep).encode())
         effective += rep.effective - rep.inconclusive
         violations += len(rep.violations)
         for name, d in rep.per_rule.items():
@@ -41,12 +48,14 @@ def main() -> None:
         d = totals[name]
         print(f"{name:24s} applied {d['applied']:5d}  skipped {d['skipped']:5d}")
     print(f"{effective} effective trials, {violations} violations,"
-          f" {time.monotonic() - t0:.1f}s")
+          f" {i} programs")
+    print(f"{time.monotonic() - t0:.1f}s", file=sys.stderr)
     ok = violations == 0
     print("negative controls:")
     for c in negative_controls():
         print(f"  {c.name}: {'detected' if c.detected else 'MISSED'}")
         ok = ok and c.detected
+    print(f"reports sha256 {digest.hexdigest()}")
     sys.exit(0 if ok else 1)
 
 

@@ -78,6 +78,7 @@ def _human(rep: dict, color: bool) -> str:
     if rep["fuzz"]:
         f = rep["fuzz"]
         lines.append(f"fuzz: {f['trials']} trials,"
+                     f" {f['effective']} effective,"
                      f" {len(f['violations'])} violation(s),"
                      f" {f['inconclusive']} inconclusive")
         for name in sorted(f["per_rule"]):

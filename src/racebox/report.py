@@ -240,6 +240,7 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         controls = negative_controls(budget=budget)
         rep["fuzz"] = {
             "trials": fz.trials,
+            "effective": fz.effective,
             "seed": fz.seed,
             "oracle": fz.oracle,
             "per_rule": fz.per_rule,
@@ -253,6 +254,8 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         }
         if fz.violations or not all(c.detected for c in controls):
             rep["exit_code"] = 1
+        elif fz.inconclusive:
+            rep["exit_code"] = 3
 
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")

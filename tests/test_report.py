@@ -205,6 +205,46 @@ def test_cli_exit_one_on_alarms(tmp_path):
     assert "alarm" in r.stdout
 
 
+def test_cli_fuzz_reports_effective_trials(tmp_path):
+    """A fuzz run says how many of its trials applied a rule, and so were
+    checked: here none of the 50."""
+    f = tmp_path / "p.conc"
+    f.write_text("var x; thread 1 { } thread 2 { x <- 1 / x; }\n")
+    r = run_cli(str(f), "--mode", "fuzz")
+    assert r.returncode == 0, r.stderr
+    assert "fuzz: 50 trials, 0 effective, 0 violation(s)," in r.stdout
+    r = run_cli(str(f), "--mode", "fuzz", "--json")
+    assert json.loads(r.stdout)["fuzz"]["effective"] == 0
+
+
+def test_cli_fuzz_inconclusive_exits_three(tmp_path, corpus_source):
+    """Inconclusive trials are a budget failure, exit 3, as truncation is
+    in the oracle modes."""
+    f = tmp_path / "dekker.conc"
+    f.write_text(corpus_source("dekker"))
+    r = run_cli(str(f), "--mode", "fuzz", "--unroll", "1",
+                "--budget-states", "5")
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert " 0 violation(s), 50 inconclusive" in r.stdout
+
+
+def test_fuzz_violation_exits_one_before_inconclusive(monkeypatch):
+    """A violation is exit 1 even when other trials were inconclusive."""
+    from racebox import transforms
+
+    real = transforms.fuzz_weakmem
+
+    def one_violation(p, **kw):
+        rep = real(p, **kw)
+        v = transforms.FuzzViolation(1, ["identity-store"], [1], [], [])
+        return rep._replace(violations=[v], inconclusive=1)
+
+    monkeypatch.setattr(transforms, "fuzz_weakmem", one_violation)
+    rep = analyze_source(SRC_CLEAN, RunConfig(mode="fuzz", unroll=1))
+    assert rep["fuzz"]["inconclusive"] == 1
+    assert rep["exit_code"] == 1
+
+
 def test_cli_exit_two_on_parse_error(tmp_path):
     f = tmp_path / "p.conc"
     f.write_text("thread 1 { x <- ; }")

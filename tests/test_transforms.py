@@ -1,9 +1,12 @@
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from racebox.concrete import paths
+from racebox import transforms
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_program
 from racebox.syntax import (
@@ -218,3 +221,213 @@ def test_negative_controls_all_detected():
     controls = negative_controls()
     assert len(controls) >= 3
     assert all(c.detected for c in controls)
+
+
+# -- checking trials in forked children
+
+
+def _block_program(n):
+    """Program n of the criterion-8 block (generator seed 88000 + n)."""
+    rng = random.Random(88_000 + n)
+    cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
+    return random_program(rng, cfg, sync=rng.random() < 0.3)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes k CPUs usable; returns the list os.fork appends its
+    pids to."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def use(k):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(k)))
+        forks.clear()
+        return forks
+
+    return use
+
+
+def _assert_no_children():
+    """Every child was reaped: waitpid finds none."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fuzz_both_ways(cpus, p, **kw):
+    cpus(1)
+    alone = fuzz_weakmem(p, **kw)
+    forks = cpus(2)
+    shared = fuzz_weakmem(p, **kw)
+    assert forks
+    _assert_no_children()
+    return alone, shared
+
+
+@pytest.mark.parametrize("n", [11, 12, 25])
+def test_fuzz_report_equal_with_children(cpus, n):
+    """The block programs whose first trial crosses FORK_MIN_STATES give
+    the same report checked in one process and with a child."""
+    alone, shared = _fuzz_both_ways(cpus, _block_program(n), trials=8,
+                                    chain=4, seed=n, unroll=2)
+    assert shared == alone and alone.effective > 1
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_fuzz_report_equal_with_children_below_threshold(cpus, monkeypatch,
+                                                         n):
+    monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
+    alone, shared = _fuzz_both_ways(cpus, _block_program(n), trials=8,
+                                    chain=4, seed=n, unroll=2)
+    assert shared == alone and alone.effective > 1
+
+
+def test_fuzz_violations_in_trial_order_with_children(cpus, monkeypatch,
+                                                     corpus):
+    """With no alarms to cover them, the oracle's errors are violations:
+    the same ones, in the same order, whichever process found them."""
+
+    class NoAlarms:
+        omega = frozenset()
+
+    monkeypatch.setattr(transforms, "analyze_program_I",
+                        lambda p, settings=None: NoAlarms)
+    monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
+    alone, shared = _fuzz_both_ways(cpus, corpus("dekker"), trials=12,
+                                    chain=4, seed=3, unroll=1)
+    assert [v.missing for v in alone.violations] == [[1, 3], [3]]
+    assert shared.violations == alone.violations and shared == alone
+
+
+class _Local(Exception):
+    """An error that does not pickle once its module attribute is gone."""
+
+
+def _raise_on(cpus, monkeypatch, raising, exc=ValueError):
+    """Make the oracle runs of the trials numbered in `raising` (in trial
+    order, counted in a first untouched run) raise exc("trial i").  A
+    trial is recognised by its thread paths, so the same trials raise in
+    every process."""
+    seen = []
+    real = transforms.run_interleavings
+
+    def record(p, **kw):
+        seen.append(kw["thread_paths"])
+        return real(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", record)
+    p = _block_program(1)
+    cpus(1)
+    fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
+    assert len(seen) == 8 and all(seen[i] not in seen[:i] for i in raising)
+    marked = {i: seen[i] for i in raising}
+
+    def run(p, **kw):
+        for i, paths in marked.items():
+            if kw["thread_paths"] == paths:
+                raise exc(f"trial {i}")
+        return real(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", run)
+    monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
+    return p
+
+
+@pytest.mark.parametrize("raising", [[3], [2, 3], [3, 4], [5, 7], [6]])
+def test_fuzz_raises_the_first_trial_error_with_children(cpus, monkeypatch,
+                                                         raising):
+    """A trial that raises, in a child (odd trials) or in this process
+    (even ones), raises what the sequential check raises: the error of
+    the first such trial in order."""
+    p = _raise_on(cpus, monkeypatch, raising)
+    errors = []
+    for k in (1, 2):
+        forks = cpus(k)
+        with pytest.raises(ValueError) as e:
+            fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
+        assert bool(forks) == (k == 2)
+        _assert_no_children()
+        errors.append(str(e.value))
+    assert errors == [f"trial {raising[0]}"] * 2
+
+
+def test_fuzz_child_error_that_does_not_pickle(cpus, monkeypatch):
+    p = _raise_on(cpus, monkeypatch, [3], exc=_Local)
+    monkeypatch.setattr(sys.modules[__name__], "_Local", None)
+    cpus(2)
+    with pytest.raises(RuntimeError, match=r"_Local\('trial 3'\)"):
+        fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
+    _assert_no_children()
+
+
+def test_fuzz_child_that_dies_is_an_error(cpus, monkeypatch):
+    parent = os.getpid()
+    real = transforms.run_interleavings
+
+    def die_in_child(p, **kw):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", die_in_child)
+    monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
+    cpus(2)
+    with pytest.raises(RuntimeError, match="exited without its result"):
+        fuzz_weakmem(_block_program(12), trials=8, chain=4, seed=12,
+                     unroll=2)
+    _assert_no_children()
+
+
+def test_fuzz_draw_error_waits_for_earlier_checks(cpus, monkeypatch):
+    """An error while drawing a trial is raised after the trials drawn
+    before it were checked, unless one of those checks raised first."""
+    p = _block_program(1)  # all 8 trials effective
+    real_run = transforms.run_interleavings
+    runs = []
+
+    def run(p, **kw):
+        runs.append(1)
+        return real_run(p, **kw)
+
+    class FailsAtTrial5(random.Random):
+        started = 0
+
+        def choice(self, seq):  # once, as each trial starts
+            self.started += 1
+            if self.started == 6:
+                raise KeyError("draw")
+            return super().choice(seq)
+
+    cpus(1)
+    monkeypatch.setattr(transforms, "run_interleavings", run)
+    monkeypatch.setattr(transforms.random, "Random", FailsAtTrial5)
+    with pytest.raises(KeyError, match="draw"):
+        fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
+    assert len(runs) == 5
+
+    def fail(p, **kw):
+        raise ValueError("check")
+
+    monkeypatch.setattr(transforms, "run_interleavings", fail)
+    with pytest.raises(ValueError, match="check"):
+        fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
+
+
+def test_fuzz_one_cpu_never_forks(cpus, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    cpus(1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
+    rep = fuzz_weakmem(_block_program(12), trials=8, chain=4, seed=12,
+                       unroll=2)
+    assert rep.effective > 1
