@@ -235,9 +235,14 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
     elif cfg.mode == "fuzz":
         from .transforms import fuzz_weakmem, negative_controls
 
+        # the alarms the trials are judged against
+        omega = _analyze(p, "interference", cfg).omega
+        rep["alarms"] = _alarms(omega, p)
         fz = fuzz_weakmem(p, trials=50, seed=cfg.seed, unroll=cfg.unroll,
-                          budget=budget, settings=cfg.settings())
-        controls = negative_controls(budget=budget)
+                          budget=budget, settings=cfg.settings(),
+                          alarms=omega)
+        # fixed harness programs, not the user's: their own default budget
+        controls = negative_controls()
         rep["fuzz"] = {
             "trials": fz.trials,
             "effective": fz.effective,

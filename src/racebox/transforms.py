@@ -23,7 +23,7 @@ import threading
 from .config import AnalysisSettings, OracleBudget
 from .domains import BoxEnv, Interval, eval_abs
 from .interference import analyze_program_I
-from .oracle import InclusionReport, inclusion, run_interleavings
+from .oracle import ExploreResult, inclusion, run_interleavings
 from .syntax import (
     Assign,
     BinOp,
@@ -31,6 +31,7 @@ from .syntax import (
     ControlPath,
     Expr,
     Guard,
+    Location,
     Neg,
     Program,
     Record,
@@ -378,10 +379,12 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
                  unroll: int = 3,
                  budget: OracleBudget = OracleBudget(),
                  settings: AnalysisSettings = AnalysisSettings(),
+                 alarms: frozenset[Location] | None = None,
                  ) -> FuzzReport:
     """Transform per-thread paths under verified side conditions, run the
     interleaving oracle on the transformed paths, and require its errors to
-    be covered by the untransformed program's interference analysis.
+    be covered by the untransformed program's interference analysis: its
+    alarms, computed here unless the caller passes them.
 
     Every trial is drawn before any is checked.  Checking never touches the
     random generator, so the report does not depend on where the checks
@@ -389,7 +392,8 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     from .concrete import paths as mk_paths, sorted_paths
 
     rng = random.Random(seed)
-    alarms = frozenset(analyze_program_I(p, settings).omega)
+    if alarms is None:
+        alarms = frozenset(analyze_program_I(p, settings).omega)
 
     base = {t.tid: mk_paths(t.body, unroll).paths for t in p.threads}
     pools = {tid: sorted_paths(ps) for tid, ps in base.items()}
@@ -429,15 +433,15 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     except Exception as e:
         draw_error = e  # raised after the trials drawn before it are checked
 
-    def check(trial) -> InclusionReport:
+    def explore(trial, budget: OracleBudget) -> ExploreResult:
         tid, path0, path, _ = trial
         thread_paths = dict(base)
         thread_paths[tid] = (base[tid] - {path0}) | {path}
-        return inclusion(run_interleavings(p, unroll=unroll, budget=budget,
-                                           thread_paths=thread_paths,
-                                           collect_witnesses=False), alarms)
+        return run_interleavings(p, unroll=unroll, budget=budget,
+                                 thread_paths=thread_paths,
+                                 collect_witnesses=False)
 
-    outcomes = _check_trials(check, drawn)
+    outcomes = _check_trials(explore, alarms, drawn, budget)
     if draw_error is not None:
         raise draw_error
 
@@ -465,13 +469,16 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Checking trials on every usable CPU
 
-# A first trial that explored fewer states predicts trials too small to
-# repay a child: on a 2-vCPU virtual machine with Python 3.11, a fork
-# round trip costs about 4 ms for a 70 MB process, and the interleaving
-# oracle 2-10 us per state.
+# The probe's budget: a first trial that ends within it predicts trials
+# too small to repay a child (on a 2-vCPU virtual machine with Python
+# 3.11, a fork round trip costs about 4 ms for a 70 MB process, and the
+# interleaving oracle 2-10 us per state), and it is then that trial's
+# full run, so the probe repeats no work.
 FORK_MIN_STATES = 1_000
 
 Outcome = tuple[str, list[int]]  # a trial's verdict, its uncovered labels
+
+_INDEX_BYTES = 4  # one trial index on the pipe the children pull from
 
 
 def _usable_cpus() -> int:
@@ -483,21 +490,9 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _outcome(inc: InclusionReport) -> Outcome:
+def _outcome(res: ExploreResult, alarms: frozenset[Location]) -> Outcome:
+    inc = inclusion(res, alarms)
     return inc.verdict, sorted(l.label for l in inc.missing)
-
-
-def _check_share(check, trials: list, share: range,
-                 ) -> tuple[list[Outcome], tuple[int, Exception] | None]:
-    """The outcomes of the trials in `share`, checked in order up to the
-    first that raises, and that trial's index and exception (or None)."""
-    out: list[Outcome] = []
-    for i in share:
-        try:
-            out.append(_outcome(check(trials[i])))
-        except Exception as e:
-            return out, (i, e)
-    return out, None
 
 
 def _picklable(e: Exception) -> Exception:
@@ -510,11 +505,15 @@ def _picklable(e: Exception) -> Exception:
     return e
 
 
-def _fork_share(check, trials: list, share: range) -> tuple[int, int]:
-    """Fork a child that checks `share` and writes _check_share's result,
-    as one pickle, to a pipe; returns its pid and the pipe's read end.
-    The child leaves by os._exit, so it never flushes the parent's stdio
-    buffers or runs its exit handlers."""
+def _fork_puller(check, indices: int, feed: int) -> tuple[int, int]:
+    """Fork a child that reads trial indices from the pipe `indices`, one
+    record a read, and runs check(i) on each until the pipe ends or a
+    check raises; it then writes its (index, outcome) list and its error,
+    as (index, exception) or None, as one pickle to a pipe of its own.
+    Returns the child's pid and that pipe's read end.  The child closes
+    its copy of `feed`, the write end of `indices`, so that the pipe ends
+    once this process closes its own; it leaves by os._exit, so it never
+    flushes the parent's stdio buffers or runs its exit handlers."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -526,9 +525,17 @@ def _fork_share(check, trials: list, share: range) -> tuple[int, int]:
         status = 1
         try:
             os.close(r)
-            out, err = _check_share(check, trials, share)
-            if err is not None:
-                err = (err[0], _picklable(err[1]))
+            os.close(feed)
+            out: list[tuple[int, Outcome]] = []
+            err = None
+            # the pipe holds whole records only, so a read of one record
+            # returns one whole record, or nothing once the pipe has ended
+            while err is None and (rec := os.read(indices, _INDEX_BYTES)):
+                i = int.from_bytes(rec, "little")
+                try:
+                    out.append((i, check(i)))
+                except Exception as e:
+                    err = (i, _picklable(e))
             with open(w, "wb") as f:
                 f.write(pickle.dumps((out, err)))
             status = 0
@@ -538,39 +545,31 @@ def _fork_share(check, trials: list, share: range) -> tuple[int, int]:
     return pid, r
 
 
-def _check_trials(check, trials: list) -> list[Outcome]:
-    """check(t) for every trial t, as (verdict, sorted uncovered labels),
-    in trial order.  This process checks the first trial.  If that oracle
-    run explored FORK_MIN_STATES states or more and several CPUs are
-    usable, the rest are dealt round-robin to forked children, one CPU
-    each, and last to this process, which has already checked one; else
-    this process checks them all.  Raises the exception of the first
-    trial, in order, whose check raised.  No child outlives the call: on
-    any exception the children are killed and reaped."""
-    if not trials:
-        return []
-    first = check(trials[0])
-    rest = range(1, len(trials))
-    workers = 1
-    if first.oracle_states >= FORK_MIN_STATES:
-        workers = max(1, min(_usable_cpus(), len(rest)))
-    shares = [rest[w::workers] for w in range(workers)]
-
-    done: dict[int, Outcome] = {0: _outcome(first)}
+def _check_in_children(check, n: int, workers: int) -> list[Outcome]:
+    """check(i) for i in range(n), in order, run by `workers` forked
+    children that each pull the next index as they finish one; this
+    process only hands out the indices, waits and merges."""
+    indices, feed = os.pipe()
+    children: list[tuple[int, int]] = []  # pid, result pipe's read end
+    done: dict[int, Outcome] = {}
     errors: list[tuple[int, Exception]] = []
-
-    def merge(share: range, out: list[Outcome], err) -> None:
-        done.update(zip(share, out))
-        if err is not None:
-            errors.append(err)
-
-    children: list[tuple[int, int, range]] = []  # pid, read end, share
+    lost = None  # the pid of a child that exited without its result
     try:
-        for share in shares[:-1]:
-            children.append((*_fork_share(check, trials, share), share))
-        merge(shares[-1], *_check_share(check, trials, shares[-1]))
+        with open(feed, "wb", buffering=0) as f:
+            try:
+                for _ in range(workers):
+                    children.append(_fork_puller(check, indices, feed))
+            finally:
+                # once no child reads, a write fails instead of blocking
+                os.close(indices)
+            try:
+                for i in range(n):
+                    # one record a write: at most PIPE_BUF bytes, so atomic
+                    f.write(i.to_bytes(_INDEX_BYTES, "little"))
+            except BrokenPipeError:
+                pass  # every child has exited; the merge reports the loss
         while children:
-            pid, fd, share = children[0]
+            pid, fd = children[0]
             with open(fd, "rb", closefd=False) as f:
                 data = f.read()
             os.waitpid(pid, 0)
@@ -579,17 +578,65 @@ def _check_trials(check, trials: list) -> list[Outcome]:
             try:
                 out, err = pickle.loads(data)
             except (EOFError, pickle.UnpicklingError):
-                out, err = [], (share[0], RuntimeError(
-                    f"fuzz checker process {pid} exited without its result"))
-            merge(share, out, err)
+                lost = pid
+                continue
+            done.update(out)
+            if err is not None:
+                errors.append(err)
     finally:
-        for pid, fd, _ in children:
+        for pid, fd in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
+    if lost is not None:
+        raised = {i for i, _ in errors}
+        unchecked = [i for i in range(n) if i not in done and i not in raised]
+        if unchecked:
+            errors.append((unchecked[0], RuntimeError(
+                f"fuzz checker process {lost} exited without its result")))
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    return [done[i] for i in range(len(trials))]
+    return [done[i] for i in range(n)]
+
+
+def _check_trials(explore, alarms: frozenset[Location], trials: list,
+                  budget: OracleBudget) -> list[Outcome]:
+    """The inclusion outcome of explore(t, budget) against `alarms` for
+    every trial t, as (verdict, sorted uncovered labels), in trial order.
+
+    With one trial, one usable CPU, or a budget of at most
+    FORK_MIN_STATES states, this process checks every trial in order.
+    Otherwise it first probes the first trial under a budget of
+    FORK_MIN_STATES: a probe that ends within it is that trial's full run
+    (the same search, stopped only by an empty queue), and this process
+    checks the rest in order.  A probe cut off by its budget, or one that
+    raises, means large trials: then forked children, one per usable CPU
+    and at most one per trial, check every trial, the first included,
+    each pulling the next trial as it finishes one, and this process
+    checks none.
+
+    Raises the exception of the first trial, in order, whose check
+    raised.  No child outlives the call: on any exception the children
+    are killed and reaped."""
+
+    def check(i: int) -> Outcome:
+        return _outcome(explore(trials[i], budget), alarms)
+
+    out: list[Outcome] = []
+    cpus = _usable_cpus()
+    if (len(trials) > 1 and cpus > 1
+            and budget.max_states > FORK_MIN_STATES):
+        try:
+            probe = explore(trials[0],
+                            budget._replace(max_states=FORK_MIN_STATES))
+        except Exception:
+            probe = None  # a child raises the full run's error
+        if probe is None or probe.truncated:
+            return _check_in_children(check, len(trials),
+                                      min(cpus, len(trials)))
+        out.append(_outcome(probe, alarms))
+    out += map(check, range(len(out), len(trials)))
+    return out
 
 
 # ---------------------------------------------------------------------------

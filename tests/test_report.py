@@ -228,6 +228,36 @@ def test_cli_fuzz_inconclusive_exits_three(tmp_path, corpus_source):
     assert " 0 violation(s), 50 inconclusive" in r.stdout
 
 
+def test_cli_fuzz_controls_keep_their_own_budget(tmp_path, corpus_source):
+    """--budget-states bounds the user's trials, not the negative
+    controls, which are fixed harness programs: they are all detected,
+    and the cut-off trials make the run inconclusive, exit 3."""
+    f = tmp_path / "dekker.conc"
+    f.write_text(corpus_source("dekker"))
+    r = run_cli(str(f), "--mode", "fuzz", "--unroll", "1",
+                "--budget-states", "4", "--json")
+    assert r.returncode == 3, r.stdout + r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["fuzz"]["inconclusive"] == 50
+    assert [c["detected"] for c in rep["fuzz"]["negative_controls"]] == [
+        True] * 4
+
+
+def test_cli_fuzz_reports_the_alarms_trials_are_judged_against(tmp_path):
+    """A fuzz report's alarms are the untransformed program's interference
+    alarms; they do not change its exit code."""
+    f = tmp_path / "p.conc"
+    f.write_text("var x; thread 1 { } thread 2 { x <- 1 / x; }\n")
+    fuzz = run_cli(str(f), "--mode", "fuzz", "--json")
+    interference = run_cli(str(f), "--mode", "interference", "--json")
+    assert (fuzz.returncode, interference.returncode) == (0, 1)
+    alarms = json.loads(fuzz.stdout)["alarms"]
+    assert alarms == json.loads(interference.stdout)["alarms"]
+    assert [a["label"] for a in alarms] == [1]
+    r = run_cli(str(f), "--mode", "fuzz")
+    assert "1 alarm(s)" in r.stdout and "no alarms" not in r.stdout
+
+
 def test_fuzz_violation_exits_one_before_inconclusive(monkeypatch):
     """A violation is exit 1 even when other trials were inconclusive."""
     from racebox import transforms

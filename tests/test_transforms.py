@@ -7,6 +7,7 @@ import pytest
 
 from racebox.concrete import paths
 from racebox import transforms
+from racebox.config import OracleBudget
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_program
 from racebox.syntax import (
@@ -341,12 +342,13 @@ def _raise_on(cpus, monkeypatch, raising, exc=ValueError):
     return p
 
 
-@pytest.mark.parametrize("raising", [[3], [2, 3], [3, 4], [5, 7], [6]])
+@pytest.mark.parametrize("raising", [[3], [2, 3], [3, 4], [5, 7], [6], [0],
+                                     [0, 3]])
 def test_fuzz_raises_the_first_trial_error_with_children(cpus, monkeypatch,
                                                          raising):
-    """A trial that raises, in a child (odd trials) or in this process
-    (even ones), raises what the sequential check raises: the error of
-    the first such trial in order."""
+    """A trial that raises, in the probe or in a child, raises what the
+    sequential check raises: the error of the first such trial in
+    order."""
     p = _raise_on(cpus, monkeypatch, raising)
     errors = []
     for k in (1, 2):
@@ -431,3 +433,195 @@ def test_fuzz_one_cpu_never_forks(cpus, monkeypatch):
     rep = fuzz_weakmem(_block_program(12), trials=8, chain=4, seed=12,
                        unroll=2)
     assert rep.effective > 1
+
+
+def _trial_paths(cpus, monkeypatch, p, **kw):
+    """The thread paths of each trial of fuzz_weakmem(p, **kw), in trial
+    order, from a run with one CPU."""
+    seen = []
+    real = transforms.run_interleavings
+
+    def record(p, **kw):
+        seen.append(kw["thread_paths"])
+        return real(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", record)
+    cpus(1)
+    fuzz_weakmem(p, **kw)
+    monkeypatch.setattr(transforms, "run_interleavings", real)
+    return seen
+
+
+def _log_runs(cpus, monkeypatch, log, p, **kw):
+    """Make every oracle run of a trial of fuzz_weakmem(p, **kw), in any
+    process, append a line `pid trial max_states` to the file `log`.
+    Returns the number of trials."""
+    seen = _trial_paths(cpus, monkeypatch, p, **kw)
+    real = transforms.run_interleavings
+
+    def logged(p, **kw):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {seen.index(kw['thread_paths'])}"
+                    f" {kw['budget'].max_states}\n")
+        return real(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", logged)
+    log.write_text("")
+    return len(seen)
+
+
+def _runs(log):
+    """The (trial, max_states) of each logged run of this process, in
+    order, and those of the other processes, sorted."""
+    runs = [line.split() for line in log.read_text().splitlines()]
+    me = str(os.getpid())
+    return ([(int(t), int(m)) for pid, t, m in runs if pid == me],
+            sorted((int(t), int(m)) for pid, t, m in runs if pid != me))
+
+
+FULL = OracleBudget().max_states
+
+
+def test_fuzz_children_check_every_trial_once(cpus, monkeypatch, tmp_path):
+    """With two CPUs and a first trial larger than FORK_MIN_STATES, this
+    process runs only the probe of the first trial, and the children
+    check every trial, the first included, exactly once, under the full
+    budget."""
+    log = tmp_path / "runs"
+    p, kw = _block_program(11), dict(trials=8, chain=4, seed=11, unroll=2)
+    n = _log_runs(cpus, monkeypatch, log, p, **kw)
+    forks = cpus(2)
+    rep = fuzz_weakmem(p, **kw)
+    _assert_no_children()
+    assert len(forks) == 2 and rep.effective == n > 2
+    assert _runs(log) == ([(0, transforms.FORK_MIN_STATES)],
+                          [(t, FULL) for t in range(n)])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fuzz_small_trials_are_checked_once_in_process(cpus, monkeypatch,
+                                                       tmp_path, k):
+    """With one CPU there is no probe; with two, a first trial that ends
+    within FORK_MIN_STATES states is its own probe.  Either way each
+    trial is checked once, in this process, and nothing forks."""
+    log = tmp_path / "runs"
+    p, kw = _block_program(1), dict(trials=8, chain=4, seed=1, unroll=2)
+    n = _log_runs(cpus, monkeypatch, log, p, **kw)
+    forks = cpus(k)
+    rep = fuzz_weakmem(p, **kw)
+    _assert_no_children()
+    assert not forks and rep.effective == n > 1
+    probe = transforms.FORK_MIN_STATES if k == 2 else FULL
+    assert _runs(log) == ([(0, probe)] + [(t, FULL) for t in range(1, n)],
+                          [])
+
+
+def test_fuzz_one_cpu_checks_each_trial_once(cpus, monkeypatch, tmp_path):
+    """With one CPU even large trials are checked in order in process,
+    with no probe: `effective` oracle runs and no fork."""
+    log = tmp_path / "runs"
+    p, kw = _block_program(11), dict(trials=8, chain=4, seed=11, unroll=2)
+    n = _log_runs(cpus, monkeypatch, log, p, **kw)
+    forks = cpus(1)
+    rep = fuzz_weakmem(p, **kw)
+    _assert_no_children()
+    assert not forks and rep.effective == n
+    assert _runs(log) == ([(t, FULL) for t in range(n)], [])
+
+
+def test_fuzz_one_trial_is_checked_in_process(cpus, monkeypatch, tmp_path):
+    """A lone trial is checked in this process, with no probe, however
+    large it is: a child would only add a fork."""
+    monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
+    log = tmp_path / "runs"
+    p, kw = _block_program(11), dict(trials=1, chain=4, seed=0, unroll=2)
+    n = _log_runs(cpus, monkeypatch, log, p, **kw)
+    forks = cpus(2)
+    rep = fuzz_weakmem(p, **kw)
+    _assert_no_children()
+    assert not forks and rep.effective == n == 1
+    assert _runs(log) == ([(0, FULL)], [])
+
+
+@pytest.mark.parametrize("extra", [0, -1, -500])
+def test_fuzz_budget_within_the_probe_never_forks(cpus, monkeypatch,
+                                                  tmp_path, extra):
+    """A budget of at most FORK_MIN_STATES states is no larger than the
+    probe's: every trial is checked in order in process, with no probe,
+    and the report is the one a single CPU gives."""
+    log = tmp_path / "runs"
+    budget = OracleBudget(transforms.FORK_MIN_STATES + extra)
+    p = _block_program(11)
+    kw = dict(trials=8, chain=4, seed=11, unroll=2, budget=budget)
+    n = _log_runs(cpus, monkeypatch, log, p, **kw)
+    cpus(1)
+    alone = fuzz_weakmem(p, **kw)
+    log.write_text("")
+    forks = cpus(2)
+    shared = fuzz_weakmem(p, **kw)
+    _assert_no_children()
+    assert not forks and shared == alone and alone.inconclusive > 0
+    assert _runs(log) == ([(t, budget.max_states) for t in range(n)], [])
+
+
+def test_fuzz_child_that_dies_mid_run_is_an_error(cpus, monkeypatch):
+    """A child that dies while checking trial 5 loses its result, while
+    the other child checks the rest: the call raises, without waiting on
+    the lost trial, and leaves no child."""
+    p, kw = _block_program(11), dict(trials=8, chain=4, seed=11, unroll=2)
+    seen = _trial_paths(cpus, monkeypatch, p, **kw)
+    real = transforms.run_interleavings
+    parent = os.getpid()
+
+    def die_on_trial_5(p, **kw):
+        if os.getpid() != parent and kw["thread_paths"] == seen[5]:
+            os._exit(7)
+        return real(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", die_on_trial_5)
+    forks = cpus(2)
+    with pytest.raises(RuntimeError, match="exited without its result"):
+        fuzz_weakmem(p, **kw)
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+# more trial indices than a pipe holds (64 KiB on Linux), so that
+# writing them all needs the children to read
+MANY = 20_000
+
+
+def test_children_pull_every_index_once(cpus):
+    """Three children on two CPUs pull many indices through the pipe, one
+    whole record a read: every index is checked once, in its place."""
+    forks = cpus(2)
+    out = transforms._check_in_children(lambda i: ("PASS", [i]), MANY, 3)
+    _assert_no_children()
+    assert len(forks) == 3 and out == [("PASS", [i]) for i in range(MANY)]
+
+
+def test_children_gone_before_any_index_is_read(cpus, monkeypatch):
+    """Children that exit before reading an index make the writes of the
+    indices fail with a broken pipe instead of blocking: the call raises
+    the lost result, not BrokenPipeError, and leaves no child."""
+    parent = os.getpid()
+    real_read, forking = os.read, os.fork
+
+    def read(fd, n):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real_read(fd, n)
+
+    def fork_and_await_exit():
+        pid = forking()
+        if pid:  # wait for the exit, but leave the child to be reaped
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
+
+    forks = cpus(2)
+    monkeypatch.setattr(os, "read", read)
+    monkeypatch.setattr(os, "fork", fork_and_await_exit)
+    with pytest.raises(RuntimeError, match="exited without its result"):
+        transforms._check_in_children(lambda i: ("PASS", []), MANY, 2)
+    assert len(forks) == 2
+    _assert_no_children()
