@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Digests of analyzer reports, for checking that a change to the
-analyzers keeps every report byte for byte.
+"""Digests of analyzer and oracle reports, for checking that a change to
+the analyzers or the oracles keeps every report byte for byte.
 
 Usage: report_digests.py OUT.json [N] [BASE_SEED]
 
@@ -8,9 +8,10 @@ Writes {program/config: sha256 of report_to_json} as JSON to OUT.json,
 over the corpus, the nested loop shapes of SHAPES at depths 1-7, N
 (default 300) seeded random multi-thread programs and N // 3 random
 single-thread programs, all with loops, in every analyzer configuration
-of CONFIGS.  A program that a configuration rejects digests to the name
-of the exception.  To compare two versions, run the script in a
-checkout of each and `cmp` the two files.
+of CONFIGS and every oracle configuration of ORACLE_CONFIGS.  A program
+that a configuration rejects digests to the name of the exception.  To
+compare two versions, run the script in a checkout of each and `cmp` the
+two files.
 """
 
 import hashlib
@@ -42,6 +43,20 @@ CONFIGS: dict[str, RunConfig] = {
     "scheduled-no-mono": RunConfig(mode="scheduled", mono=False),
     "scheduled-decreasing": RunConfig(mode="scheduled", decreasing_pass=True),
     "scheduled-delay0": RunConfig(mode="scheduled", widening_delay=0),
+}
+
+# the oracles at unroll 1, where the nested shapes have few paths
+ORACLE_CONFIGS: dict[str, RunConfig] = {
+    "oracle-interleave": RunConfig(mode="oracle-interleave", unroll=1,
+                                   budget_states=20_000),
+    "oracle-scheduled": RunConfig(mode="oracle-scheduled", unroll=1,
+                                  budget_states=20_000),
+    "oracle-interleave-check": RunConfig(
+        mode="oracle-interleave", unroll=1, budget_states=20_000,
+        check_against="interference"),
+    # cut off by the budget on about a fifth of the programs
+    "oracle-interleave-200": RunConfig(mode="oracle-interleave", unroll=1,
+                                       budget_states=200),
 }
 
 # nested loops: (declarations, a level's opening, the innermost
@@ -111,7 +126,7 @@ def main() -> None:
     digests = {
         f"{name}/{cname}": hashlib.sha256(report_bytes(src, cfg)).hexdigest()
         for name, src in programs(n, base).items()
-        for cname, cfg in CONFIGS.items()}
+        for cname, cfg in {**CONFIGS, **ORACLE_CONFIGS}.items()}
     pathlib.Path(out).write_text(json.dumps(digests, indent=1) + "\n")
     print(f"wrote {len(digests)} digests to {out}")
 

@@ -1,11 +1,15 @@
-"""Executable concrete semantics of the sequential fragment.
+"""Concrete semantics for the oracles: compiled primitives, start states
+and control paths.
 
 States are finite sets of exact rational environments plus an error set.
 To keep the state sets finite, constant intervals enumerate only their
 integer points and their endpoints, which must be finite;
 division results stay exact rationals.  This restricted semantics
 under-approximates the real-valued one, which is the right direction for
-an oracle whose errors are compared against analyzer alarms.
+an oracle whose errors are compared against analyzer alarms.  The
+structured semantics of the sequential fragment, which the tests check
+the path semantics and the analyzers against, is in
+tests/reference_semantics.py.
 """
 
 from __future__ import annotations
@@ -44,15 +48,6 @@ class UnsupportedMode(Exception):
     pass
 
 
-class FixpointBudgetExceeded(Exception):
-    """Loop iteration exceeded the state budget; .partial holds the
-    accumulated (non-converged) state."""
-
-    def __init__(self, partial: "ConcreteState"):
-        super().__init__("concrete loop fixpoint exceeded its state budget")
-        self.partial = partial
-
-
 Env = tuple[Num, ...]  # values in the order of ConcreteState.vars
 VarIndex = dict[str, int]
 
@@ -64,18 +59,6 @@ class ConcreteState(Record):
 
     def index(self) -> VarIndex:
         return {v: i for i, v in enumerate(self.vars)}
-
-    def join(self, other: "ConcreteState") -> "ConcreteState":
-        return ConcreteState(self.vars, self.envs | other.envs,
-                             self.errors | other.errors)
-
-    def to_json(self) -> dict:
-        """Sorted, lexicographic-variable-order state dump."""
-        return {
-            "vars": list(self.vars),
-            "envs": [[str(v) for v in env] for env in sorted(self.envs)],
-            "errors": sorted(l.label for l in self.errors),
-        }
 
 
 # guard tests on the value of e in `e cmp 0`
@@ -190,67 +173,6 @@ def compile_prim(s: Stmt, idx: VarIndex):
     return reads, None, guard
 
 
-def eval_concrete(e: Expr, rho: dict[str, Num]
-                  ) -> tuple[frozenset[Num], frozenset[Location]]:
-    """Values and error labels of e in one dict-based environment."""
-    names = tuple(sorted(rho))
-    ev = _compile(e, {v: i for i, v in enumerate(names)})
-    return ev(tuple(rho[v] for v in names))
-
-
-def _prim(s: Stmt, st: ConcreteState) -> ConcreteState:
-    if not st.envs:
-        return st
-    reads, w, outcome = compile_prim(s, st.index())
-    memo: dict = {}  # outcome per values of the variables s reads
-    envs: set[Env] = set()
-    errors = set(st.errors)
-    for env in st.envs:
-        key = tuple(env[k] for k in reads)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = outcome(key)
-        errors |= out[1]
-        if w is None:
-            if out[0]:
-                envs.add(env)
-        else:
-            envs.update(env[:w] + (v,) + env[w + 1:] for v in out[0])
-    return ConcreteState(st.vars, frozenset(envs), frozenset(errors))
-
-
-def exec_stmt(s: Stmt, st: ConcreteState,
-              budget: int = 10_000) -> ConcreteState:
-    """Structured concrete semantics of the sequential fragment.
-
-    Loops are computed as Kleene iterations of their least fixpoint; if the
-    accumulated state grows past `budget` environments the iteration aborts
-    with FixpointBudgetExceeded carrying the partial state.
-    """
-    if isinstance(s, (Assign, Guard)):
-        return _prim(s, st)
-    if isinstance(s, Block):
-        for sub in s.body:
-            st = exec_stmt(sub, st, budget)
-        return st
-    if isinstance(s, If):
-        taken = exec_stmt(s.body, _prim(then_guard(s), st), budget)
-        skipped = _prim(else_guard(s), st)
-        return taken.join(skipped)
-    if isinstance(s, While):
-        acc = ConcreteState(st.vars, frozenset(), frozenset())
-        while True:
-            step = exec_stmt(s.body, _prim(body_guard(s), acc), budget)
-            new = st.join(step)
-            if new.envs == acc.envs and new.errors == acc.errors:
-                break
-            acc = new
-            if len(acc.envs) > budget:
-                raise FixpointBudgetExceeded(acc)
-        return _prim(exit_guard(s), acc)
-    raise ValueError(f"synchronization primitive in sequential fragment: {s}")
-
-
 def initial_state(p: Program) -> ConcreteState:
     """All combinations of the points of the declared initial intervals."""
     init = p.initial_map()
@@ -303,17 +225,3 @@ def sorted_paths(path_set) -> list[ControlPath]:
     """The canonical order of a path set: shorter paths first, then by
     statement ids."""
     return sorted(path_set, key=lambda p: (len(p), [str(s.sid) for s in p]))
-
-
-def run_paths(path_set, st: ConcreteState) -> ConcreteState:
-    """Join of the primitive transfer compositions over a set of paths."""
-    ps = path_set.paths if isinstance(path_set, PathSet) else path_set
-    out = ConcreteState(st.vars, frozenset(), st.errors)
-    for path in ps:
-        cur = st
-        for prim in path:
-            if not isinstance(prim, (Assign, Guard)):
-                raise ValueError(f"run_paths only handles assign/guard: {prim}")
-            cur = _prim(prim, cur)
-        out = out.join(cur)
-    return out

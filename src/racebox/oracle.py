@@ -25,10 +25,25 @@ States pop in exactly the order of a plain BFS over (control point,
 environment) tuples: start states in sorted environment order, then the
 unseen successors of each popped state by thread, trie edge, successor
 environment in value order and scheduler outcome.  A scheduled thread
-whose path is complete may retire to DONE; that successor keeps its
-source's parent but still joins the tail of the queue.  The state budget
-is checked at pop time, so states, truncation point, shortest witnesses
-and terminal_envs are those of that plain BFS.
+whose path is complete may retire to DONE; that successor joins the
+tail of the queue too.  The state budget is checked at pop time, so
+states, truncation point, shortest witnesses and terminal_envs are those
+of that plain BFS.
+
+A state's level is the summed trie depth of its threads plus the number
+of DONE threads.  A move advances one thread by one trie edge, and a
+retire makes one more thread DONE, which no step undoes; so each step
+goes one level down, all paths to a state have the same length, and a
+state found again is in the level being built.  The explorer therefore
+keeps, to drop repeats, only the set of that level, started afresh when
+the first state of the level before it pops, and counts the states of
+the older levels in an int.  Without witnesses a state is then held
+only while it is queued or in the set of the level being built.  With
+witnesses, one dict maps each state found to the state that found it;
+a witness step is rebuilt by re-running the parent's moves in order up
+to the first that reaches the child, and a retire adds no step.
+sched_states are the control points expanded and those of the states
+still queued.
 
 Cached for one exploration: each control point's moves, from its first
 pop, and one memo per statement, keyed by the fields of the variables it
@@ -310,78 +325,100 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
     start = [sum(map(code, idx.values(), env)) | c0
              for env in sorted(init.envs)]
     queue = deque(start)
-    parents: dict | None = ({s: (None, None) for s in start}
-                            if collect_witnesses else None)
-    seen = set(start)
+    # state -> the state that first found it (None for a start state)
+    parents: dict | None = dict.fromkeys(start) if collect_witnesses else None
     errors: dict[Location, list[dict]] = {}
     terminal: set[int] = set()
 
     def trace(state: int) -> list[dict]:
+        """The witness steps to state.  Each parent's moves are re-run in
+        order up to the first that reaches its child, which is the move
+        that found it; a retire keeps the trie nodes and adds no step."""
         steps = []
-        while state is not None:
-            prev, action = parents[state]
-            if action is not None:
-                t, stmt, c2 = action
-                steps.append(policy.step(t, stmt, ctl_list[prev & _MASK],
-                                         ctl_list[c2]))
-            state = prev
+        prev = parents[state]
+        while prev is not None:
+            c, c2 = prev & _MASK, state & _MASK
+            pre, post = ctl_list[c], ctl_list[c2]
+            if pre[0] != post[0]:
+                e, e2 = prev - c, state - c2
+                for t, stmt, (memo, rmask, keep, _), targets in infos[c][2]:
+                    base = e & keep if keep else e
+                    if c2 in targets and any(base | f == e2
+                                             for f in memo[e & rmask]):
+                        steps.append(policy.step(t, stmt, pre, post))
+                        break
+            state, prev = prev, parents[prev]
         steps.reverse()
         return steps
 
     popleft, push = queue.popleft, queue.append
     max_states = budget.max_states
-    while queue and len(seen) <= max_states:
-        state = popleft()
-        c = state & _MASK
-        info = infos.get(c)
-        if info is None:
-            info = infos[c] = policy.expand(ctl_list[c], ctl_id, transition)
-        is_terminal, retire, moves = info
-        e = state - c
-        if is_terminal:
-            terminal.add(e)
-        for c2 in retire:
-            s2 = e | c2
-            if s2 not in seen:
-                seen.add(s2)
-                if parents is not None:
-                    parents[s2] = parents[state]
-                push(s2)
-        for t, stmt, (memo, rmask, keep, prim), targets in moves:
-            key = e & rmask
-            fields = memo.get(key)
-            if fields is None:
-                # the first pop that meets (stmt, read values) is the first
-                # to meet its errors, so hits need no error check
-                reads, w, outcome = prim
-                out, errs = outcome(tuple([values[k][e >> shifts[k] & fmask]
-                                           for k in reads]))
-                fields = memo[key] = (((0,) if out else ()) if w is None
-                                      else tuple([code(w, v) for v in out]))
-                for loc in errs:
-                    if loc not in errors:
-                        ctl = ctl_list[c]
-                        errors[loc] = (trace(state)
-                                       + [policy.step(t, stmt, ctl, ctl)]
-                                       if parents is not None else [])
-            base = e & keep if keep else e
-            for f in fields:
-                e2 = base | f if f else base
-                for c2 in targets:
-                    s2 = e2 | c2
-                    if s2 not in seen:
-                        seen.add(s2)
-                        if parents is not None:
-                            parents[s2] = (state, (t, stmt, c2))
-                        push(s2)
+    found = 0  # states in the levels before the one being built
+    seen = set(start)  # the level being built
+    while queue and found + len(seen) <= max_states:
+        # the queue holds one level, whose successors make the next
+        found += len(seen)
+        room = max_states - found
+        seen = set()
+        add = seen.add
+        for _ in range(len(queue)):
+            if len(seen) > room:
+                break
+            state = popleft()
+            c = state & _MASK
+            info = infos.get(c)
+            if info is None:
+                info = infos[c] = policy.expand(ctl_list[c], ctl_id,
+                                                transition)
+            is_terminal, retire, moves = info
+            e = state - c
+            if is_terminal:
+                terminal.add(e)
+            for c2 in retire:
+                s2 = e | c2
+                if s2 not in seen:
+                    add(s2)
+                    if parents is not None:
+                        parents[s2] = state
+                    push(s2)
+            for t, stmt, (memo, rmask, keep, prim), targets in moves:
+                key = e & rmask
+                fields = memo.get(key)
+                if fields is None:
+                    # the first pop that meets (stmt, read values) is the first
+                    # to meet its errors, so hits need no error check
+                    reads, w, outcome = prim
+                    out, errs = outcome(tuple([
+                        values[k][e >> shifts[k] & fmask] for k in reads]))
+                    fields = memo[key] = (
+                        ((0,) if out else ()) if w is None
+                        else tuple([code(w, v) for v in out]))
+                    for loc in errs:
+                        if loc not in errors:
+                            ctl = ctl_list[c]
+                            errors[loc] = (trace(state)
+                                           + [policy.step(t, stmt, ctl, ctl)]
+                                           if parents is not None else [])
+                base = e & keep if keep else e
+                for f in fields:
+                    e2 = base | f if f else base
+                    for c2 in targets:
+                        s2 = e2 | c2
+                        if s2 not in seen:
+                            add(s2)
+                            if parents is not None:
+                                parents[s2] = state
+                            push(s2)
 
     # positional: a Record built by keyword costs three times as much
     return ExploreResult(
         frozenset(errors), bool(queue),  # truncated: stopped by the budget
         frozenset(tuple([vs[e >> k & fmask] for vs, k in zip(values, shifts)])
                   for e in terminal),
-        p.variables, len(seen), paths_trunc, errors,
-        frozenset(ctl_list[c][1:] for c in {s & _MASK for s in seen})
+        p.variables, found + len(seen), paths_trunc, errors,
+        # the control points expanded and those of the states still queued
+        frozenset(ctl_list[c][1:]
+                  for c in infos.keys() | {s & _MASK for s in queue})
         if keep_sched_states else None)
 
 

@@ -444,14 +444,6 @@ def expr_locations(e: Expr) -> frozenset[Location]:
     return frozenset(x.loc for x in sub_exprs(e) if isinstance(x, (Neg, BinOp)))
 
 
-def program_locations(p: Program) -> frozenset[Location]:
-    out: set[Location] = set()
-    for t in p.threads:
-        for e in stmt_exprs(t.body):
-            out |= expr_locations(e)
-    return frozenset(out)
-
-
 def location_thread(p: Program, loc: Location) -> Optional[int]:
     for t in p.threads:
         for e in stmt_exprs(t.body):

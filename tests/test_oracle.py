@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from racebox import oracle
 from racebox.cli import main
-from racebox.concrete import UnsupportedMode, exec_stmt, initial_state, paths
+from racebox.concrete import UnsupportedMode, initial_state, paths
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
 from racebox.oracle import (
@@ -18,6 +18,7 @@ from racebox.oracle import (
 )
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_program, random_seq_program
+from reference_semantics import exec_stmt
 
 F = Fraction
 

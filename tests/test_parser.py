@@ -24,11 +24,11 @@ from racebox.syntax import (
     classify_vars,
     collect_lock_sets,
     pretty_program,
-    program_locations,
     sub_exprs,
     sub_stmts,
     stmt_exprs,
 )
+from reference_semantics import program_locations
 
 
 def test_single_assignment():
