@@ -219,8 +219,6 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
             "terminal_values": _terminal_summary(res),
             "witnesses": {str(l.label): w for l, w in res.witnesses.items()},
         }
-        if res.truncated:
-            rep["exit_code"] = 3
         if cfg.check_against:
             inc = inclusion(res, _analyze(p, cfg.check_against, cfg).omega)
             rep["check"] = {
@@ -231,6 +229,8 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
                 "oracle_states": inc.oracle_states,
             }
             rep["exit_code"] = {"PASS": 0, "FAIL": 1}.get(inc.verdict, 3)
+        else:  # an error reached is an error, however far the run got
+            rep["exit_code"] = 1 if res.errors else 3 if res.truncated else 0
 
     elif cfg.mode == "fuzz":
         from .transforms import fuzz_weakmem, negative_controls

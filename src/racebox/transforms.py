@@ -17,7 +17,6 @@ import itertools
 import os
 import pickle
 import random
-import signal
 import threading
 
 from .config import AnalysisSettings, OracleBudget
@@ -470,15 +469,14 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 # Checking trials on every usable CPU
 
 # The probe's budget: a first trial that ends within it predicts trials
-# too small to repay a child (on a 2-vCPU virtual machine with Python
-# 3.11, a fork round trip costs about 4 ms for a 70 MB process, and the
-# interleaving oracle 2-10 us per state), and it is then that trial's
-# full run, so the probe repeats no work.
+# too small to repay a pool of children (on a 2-vCPU virtual machine
+# with Python 3.11, a fork pool of two workers that check two trivial
+# trials costs about 15 ms from start to shutdown in a 65 MB process,
+# two bare forks 7 ms, and the interleaving oracle 2-10 us per state),
+# and it is then that trial's full run, so the probe repeats no work.
 FORK_MIN_STATES = 1_000
 
 Outcome = tuple[str, list[int]]  # a trial's verdict, its uncovered labels
-
-_INDEX_BYTES = 4  # one trial index on the pipe the children pull from
 
 
 def _usable_cpus() -> int:
@@ -505,98 +503,43 @@ def _picklable(e: Exception) -> Exception:
     return e
 
 
-def _fork_puller(check, indices: int, feed: int) -> tuple[int, int]:
-    """Fork a child that reads trial indices from the pipe `indices`, one
-    record a read, and runs check(i) on each until the pipe ends or a
-    check raises; it then writes its (index, outcome) list and its error,
-    as (index, exception) or None, as one pickle to a pipe of its own.
-    Returns the child's pid and that pipe's read end.  The child closes
-    its copy of `feed`, the write end of `indices`, so that the pipe ends
-    once this process closes its own; it leaves by os._exit, so it never
-    flushes the parent's stdio buffers or runs its exit handlers."""
-    r, w = os.pipe()
+def _run_check(i: int) -> Outcome:
+    """The check a forked worker inherited from _check_in_children, on
+    trial i; an error that would not reach this process intact comes as
+    _picklable makes it."""
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            os.close(feed)
-            out: list[tuple[int, Outcome]] = []
-            err = None
-            # the pipe holds whole records only, so a read of one record
-            # returns one whole record, or nothing once the pipe has ended
-            while err is None and (rec := os.read(indices, _INDEX_BYTES)):
-                i = int.from_bytes(rec, "little")
-                try:
-                    out.append((i, check(i)))
-                except Exception as e:
-                    err = (i, _picklable(e))
-            with open(w, "wb") as f:
-                f.write(pickle.dumps((out, err)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
+        return _worker_check(i)
+    except Exception as e:
+        raise _picklable(e)
+
+
+def _inherit_check(check) -> None:
+    global _worker_check
+    _worker_check = check
 
 
 def _check_in_children(check, n: int, workers: int) -> list[Outcome]:
-    """check(i) for i in range(n), in order, run by `workers` forked
-    children that each pull the next index as they finish one; this
-    process only hands out the indices, waits and merges."""
-    indices, feed = os.pipe()
-    children: list[tuple[int, int]] = []  # pid, result pipe's read end
-    done: dict[int, Outcome] = {}
-    errors: list[tuple[int, Exception]] = []
-    lost = None  # the pid of a child that exited without its result
+    """check(i) for i in range(n), in order, run by a pool of `workers`
+    forked processes that each take the next index as they finish one;
+    this process only hands out the indices and collects the outcomes.
+    The workers inherit `check` by the fork, so it is never pickled."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_inherit_check, initargs=(check,))
     try:
-        with open(feed, "wb", buffering=0) as f:
-            try:
-                for _ in range(workers):
-                    children.append(_fork_puller(check, indices, feed))
-            finally:
-                # once no child reads, a write fails instead of blocking
-                os.close(indices)
-            try:
-                for i in range(n):
-                    # one record a write: at most PIPE_BUF bytes, so atomic
-                    f.write(i.to_bytes(_INDEX_BYTES, "little"))
-            except BrokenPipeError:
-                pass  # every child has exited; the merge reports the loss
-        while children:
-            pid, fd = children[0]
-            with open(fd, "rb", closefd=False) as f:
-                data = f.read()
-            os.waitpid(pid, 0)
-            os.close(fd)
-            del children[0]
-            try:
-                out, err = pickle.loads(data)
-            except (EOFError, pickle.UnpicklingError):
-                lost = pid
-                continue
-            done.update(out)
-            if err is not None:
-                errors.append(err)
+        # not pool.map: on an error its iterator cancels the futures
+        # itself, which races the pool's own handling of a dead worker
+        # (Python 3.11.7's pool thread then dies and leaves the workers)
+        futures = [pool.submit(_run_check, i) for i in range(n)]
+        return [f.result() for f in futures]
+    except BrokenProcessPool as e:
+        raise RuntimeError(
+            "a fuzz checker process exited without its result") from e
     finally:
-        for pid, fd in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-    if lost is not None:
-        raised = {i for i, _ in errors}
-        unchecked = [i for i in range(n) if i not in done and i not in raised]
-        if unchecked:
-            errors.append((unchecked[0], RuntimeError(
-                f"fuzz checker process {lost} exited without its result")))
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return [done[i] for i in range(n)]
+        pool.shutdown(cancel_futures=True)
 
 
 def _check_trials(explore, alarms: frozenset[Location], trials: list,
@@ -616,8 +559,11 @@ def _check_trials(explore, alarms: frozenset[Location], trials: list,
     checks none.
 
     Raises the exception of the first trial, in order, whose check
-    raised.  No child outlives the call: on any exception the children
-    are killed and reaped."""
+    raised, or a RuntimeError at the first trial whose result a dead
+    child lost.  No child outlives the call: on any exception the trials
+    not yet handed to a child are cancelled, the few handed out are
+    finished (after a death the pool terminates every child instead), and
+    every child is joined."""
 
     def check(i: int) -> Outcome:
         return _outcome(explore(trials[i], budget), alarms)

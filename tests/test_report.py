@@ -129,6 +129,30 @@ def test_check_verdict_is_the_exit_code(tmp_path, src, budget, verdict,
     assert (r.returncode, rep["exit_code"]) == (code, code)
 
 
+# divides by zero at x = 3, then widens to 10,010 interleaving states
+SRC_ERROR_THEN_WIDE = ("var x;\nthread 1 { x <- [0,9]; y <- 1 / (x - 3);"
+                       " a <- [0,9]; b <- [0,9]; c <- [0,9]; }\n")
+
+
+@pytest.mark.parametrize("mode", ["oracle-interleave", "oracle-scheduled"])
+@pytest.mark.parametrize("src,budget,code", [
+    (SRC_CLEAN, "1000000", 0),
+    (SRC_ERROR_THEN_WIDE, "1000000", 1),
+    (SRC_ERROR_THEN_WIDE, "40", 1),  # truncated after reaching the error
+    (SRC_ERROR_THEN_WIDE, "5", 3)],  # truncated before it
+    ids=["clean", "error", "error-truncated", "truncated"])
+def test_oracle_exit_code_without_check(tmp_path, mode, src, budget, code):
+    """Without --check-against, an oracle run that reached an error exits
+    1, truncated or not; else a truncated run exits 3 and a complete one
+    0."""
+    f = tmp_path / "p.conc"
+    f.write_text(src)
+    r = run_cli(str(f), "--mode", mode, "--budget-states", budget, "--json")
+    rep = json.loads(r.stdout)
+    assert bool(rep["alarms"]) == (code == 1)
+    assert (r.returncode, rep["exit_code"]) == (code, code)
+
+
 def test_self_interference_flag_changes_result():
     src = "var x;\nthread 1 { x <- x + 1; }\n"
     plain = analyze_source(src, RunConfig(mode="interference"))

@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -236,15 +237,14 @@ def _block_program(n):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(k) makes k CPUs usable; returns the list os.fork appends its
-    pids to."""
+    """cpus(k) makes k CPUs usable; returns the list to which os.fork
+    appends, at each call, the number of threads this process had."""
     forks = []
     real_fork = os.fork
 
     def fork():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
+        forks.append(threading.active_count())
+        return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
 
@@ -586,42 +586,75 @@ def test_fuzz_child_that_dies_mid_run_is_an_error(cpus, monkeypatch):
     _assert_no_children()
 
 
-# more trial indices than a pipe holds (64 KiB on Linux), so that
-# writing them all needs the children to read
 MANY = 20_000
 
 
 def test_children_pull_every_index_once(cpus):
-    """Three children on two CPUs pull many indices through the pipe, one
-    whole record a read: every index is checked once, in its place."""
+    """Three children on two CPUs pull many indices, one at a time:
+    every index is checked once, in its place."""
     forks = cpus(2)
     out = transforms._check_in_children(lambda i: ("PASS", [i]), MANY, 3)
     _assert_no_children()
     assert len(forks) == 3 and out == [("PASS", [i]) for i in range(MANY)]
 
 
-def test_children_gone_before_any_index_is_read(cpus, monkeypatch):
-    """Children that exit before reading an index make the writes of the
-    indices fail with a broken pipe instead of blocking: the call raises
-    the lost result, not BrokenPipeError, and leaves no child."""
-    parent = os.getpid()
-    real_read, forking = os.read, os.fork
-
-    def read(fd, n):
-        if os.getpid() != parent:
-            os._exit(7)
-        return real_read(fd, n)
-
-    def fork_and_await_exit():
-        pid = forking()
-        if pid:  # wait for the exit, but leave the child to be reaped
-            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        return pid
-
+def test_children_gone_before_any_index_is_read(cpus):
+    """Children that exit at their first check, before any result comes
+    back, make the call raise the lost result instead of blocking, and
+    leave no child."""
     forks = cpus(2)
-    monkeypatch.setattr(os, "read", read)
-    monkeypatch.setattr(os, "fork", fork_and_await_exit)
     with pytest.raises(RuntimeError, match="exited without its result"):
-        transforms._check_in_children(lambda i: ("PASS", []), MANY, 2)
+        transforms._check_in_children(lambda i: os._exit(7), MANY, 2)
     assert len(forks) == 2
     _assert_no_children()
+
+
+@pytest.mark.parametrize("dies", [False, True], ids=["raises", "dies"])
+def test_fuzz_forks_only_with_one_thread(cpus, monkeypatch, dies):
+    """Every child is forked while this process has one thread, and a
+    forked check that raises, by a trial error or by a dead child, leaves
+    no thread behind: the next call forks again.  A pool that forked a
+    child on demand, once its own threads run, fails the first check."""
+    p, kw = _block_program(11), dict(trials=8, chain=4, seed=11, unroll=2)
+    seen = _trial_paths(cpus, monkeypatch, p, **kw)
+    real = transforms.run_interleavings
+    parent = os.getpid()
+
+    def fail_on_trial_5(p, **kw):
+        if os.getpid() != parent and kw["thread_paths"] == seen[5]:
+            if dies:
+                os._exit(7)
+            raise ValueError("trial 5")
+        return real(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", fail_on_trial_5)
+    forks = cpus(2)
+    with pytest.raises(RuntimeError if dies else ValueError,
+                       match="exited without" if dies else "trial 5"):
+        fuzz_weakmem(p, **kw)
+    assert forks == [1, 1] and threading.active_count() == 1
+    _assert_no_children()
+    monkeypatch.setattr(transforms, "run_interleavings", real)
+    forks = cpus(2)
+    fuzz_weakmem(p, **kw)
+    assert forks == [1, 1] and threading.active_count() == 1
+    _assert_no_children()
+
+
+def test_error_cancels_the_pending_indices(cpus, tmp_path):
+    """A check that raises cancels the indices no child has taken: the
+    call raises long before the children could check them all."""
+    log = tmp_path / "runs"
+
+    def check(i):
+        with open(log, "a") as f:
+            f.write(f"{i}\n")
+        if i == 0:
+            raise ValueError("index 0")
+        return ("PASS", [])
+
+    cpus(2)
+    with pytest.raises(ValueError, match="index 0"):
+        transforms._check_in_children(check, MANY, 2)
+    _assert_no_children()
+    assert len(log.read_text().split()) < MANY // 2
