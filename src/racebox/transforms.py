@@ -503,19 +503,17 @@ def _picklable(e: Exception) -> Exception:
     return e
 
 
+# The check _check_in_children's workers run, set before they are forked
+_worker_check = None
+
+
 def _run_check(i: int) -> Outcome:
-    """The check a forked worker inherited from _check_in_children, on
-    trial i; an error that would not reach this process intact comes as
-    _picklable makes it."""
+    """_worker_check(i), in a forked worker; an error that would not
+    reach this process intact comes as _picklable makes it."""
     try:
         return _worker_check(i)
     except Exception as e:
         raise _picklable(e)
-
-
-def _inherit_check(check) -> None:
-    global _worker_check
-    _worker_check = check
 
 
 def _check_in_children(check, n: int, workers: int) -> list[Outcome]:
@@ -523,12 +521,15 @@ def _check_in_children(check, n: int, workers: int) -> list[Outcome]:
     forked processes that each take the next index as they finish one;
     this process only hands out the indices and collects the outcomes.
     The workers inherit `check` by the fork, so it is never pickled."""
+    global _worker_check
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_inherit_check, initargs=(check,))
+    # from Python 3.11 on, a fork pool forks every worker at the first
+    # submit, before its own thread starts (hence requires-python)
+    _worker_check = check
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
         # not pool.map: on an error its iterator cancels the futures
         # itself, which races the pool's own handling of a dead worker
@@ -540,6 +541,7 @@ def _check_in_children(check, n: int, workers: int) -> list[Outcome]:
             "a fuzz checker process exited without its result") from e
     finally:
         pool.shutdown(cancel_futures=True)
+        _worker_check = None
 
 
 def _check_trials(explore, alarms: frozenset[Location], trials: list,
@@ -558,12 +560,13 @@ def _check_trials(explore, alarms: frozenset[Location], trials: list,
     each pulling the next trial as it finishes one, and this process
     checks none.
 
-    Raises the exception of the first trial, in order, whose check
-    raised, or a RuntimeError at the first trial whose result a dead
-    child lost.  No child outlives the call: on any exception the trials
-    not yet handed to a child are cancelled, the few handed out are
-    finished (after a death the pool terminates every child instead), and
-    every child is joined."""
+    Raises at the first trial, in order, that has no outcome: its own
+    exception if its check raised, or a RuntimeError if a child died
+    before it finished (a child's death loses the result of every trial
+    not finished by then, in any child).  No child outlives the call: on
+    any exception the trials not yet handed to a child are cancelled,
+    the few handed out are finished (after a death the pool terminates
+    every child instead), and every child is joined."""
 
     def check(i: int) -> Outcome:
         return _outcome(explore(trials[i], budget), alarms)
