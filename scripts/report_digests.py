@@ -8,10 +8,11 @@ Writes {program/config: sha256 of report_to_json} as JSON to OUT.json,
 over the corpus, the nested loop shapes of SHAPES at depths 1-7, N
 (default 300) seeded random multi-thread programs and N // 3 random
 single-thread programs, all with loops, in every analyzer configuration
-of CONFIGS and every oracle configuration of ORACLE_CONFIGS.  A program
-that a configuration rejects digests to the name of the exception.  To
-compare two versions, run the script in a checkout of each and `cmp` the
-two files.
+of CONFIGS and every oracle configuration of ORACLE_CONFIGS, and over
+the corpus and the nested shapes alone in the fuzzer's configuration
+FUZZ.  A program that a configuration rejects digests to the name of the
+exception.  To compare two versions, run the script in a checkout of
+each and `cmp` the two files.
 """
 
 import hashlib
@@ -58,6 +59,10 @@ ORACLE_CONFIGS: dict[str, RunConfig] = {
     "oracle-interleave-200": RunConfig(mode="oracle-interleave", unroll=1,
                                        budget_states=200),
 }
+
+# the weak-memory fuzzer (50 trials from seed 0) with its negative
+# controls; not over the random programs, to keep the run short
+FUZZ = RunConfig(mode="fuzz", unroll=1)
 
 # nested loops: (declarations, a level's opening, the innermost
 # statements, a level's closing, the threads after thread 1)
@@ -119,6 +124,14 @@ def programs(n: int, base: int) -> dict[str, str]:
     return out
 
 
+def configs(name: str) -> dict[str, RunConfig]:
+    """The configurations in which program `name` is digested."""
+    out = {**CONFIGS, **ORACLE_CONFIGS}
+    if not name.startswith("random"):
+        out["fuzz"] = FUZZ
+    return out
+
+
 def main() -> None:
     out = sys.argv[1]
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 300
@@ -126,7 +139,7 @@ def main() -> None:
     digests = {
         f"{name}/{cname}": hashlib.sha256(report_bytes(src, cfg)).hexdigest()
         for name, src in programs(n, base).items()
-        for cname, cfg in {**CONFIGS, **ORACLE_CONFIGS}.items()}
+        for cname, cfg in configs(name).items()}
     pathlib.Path(out).write_text(json.dumps(digests, indent=1) + "\n")
     print(f"wrote {len(digests)} digests to {out}")
 

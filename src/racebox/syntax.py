@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 # The one number format: exact rationals, written as an int whenever the
 # value is integral and as a Fraction otherwise (Fraction arithmetic may
@@ -632,27 +632,33 @@ def collect_lock_sets(p: Program) -> dict[int, frozenset[str]]:
     return out
 
 
-def classify_vars(
-    p: Program,
-    extra_paths: Optional[dict[int, list[ControlPath]]] = None,
-) -> tuple[frozenset[str], dict[int, frozenset[str]]]:
-    """Split declared variables into fresh and thread-local sets.
-
-    A variable is fresh if it occurs in no thread, and local to t if it
-    occurs only in thread t.  `extra_paths` adds occurrences from already
-    transformed control paths (keyed by thread id), so freshness stays
-    correct while chaining path transformations.
-    """
+def var_threads(p: Program) -> dict[str, set[int]]:
+    """Per declared variable, the ids of the threads in which it occurs."""
     occ: dict[str, set[int]] = {v: set() for v in p.variables}
     for t in p.threads:
         for v in vars_of_stmt(t.body):
             occ[v].add(t.tid)
-    if extra_paths:
-        for tid, paths in extra_paths.items():
-            for path in paths:
-                for s in path:
-                    for v in vars_of_stmt(s):
-                        occ.setdefault(v, set()).add(tid)
+    return occ
+
+
+def classify_vars(
+    p: Program,
+    extra_vars: Optional[dict[int, Iterable[str]]] = None,
+    occ: Optional[dict[str, set[int]]] = None,
+) -> tuple[frozenset[str], dict[int, frozenset[str]]]:
+    """Split declared variables into fresh and thread-local sets.
+
+    A variable is fresh if it occurs in no thread, and local to t if it
+    occurs only in thread t.  `extra_vars` adds, per thread id, the
+    variables of already transformed control paths, so freshness stays
+    correct while chaining path transformations.  A caller that classifies
+    p many times passes var_threads(p) as `occ`, which is not modified.
+    """
+    occ = (var_threads(p) if occ is None
+           else {v: set(ts) for v, ts in occ.items()})
+    for tid, vs in (extra_vars or {}).items():
+        for v in vs:
+            occ.setdefault(v, set()).add(tid)
     fresh = frozenset(v for v, ts in occ.items() if not ts)
     local = {
         t.tid: frozenset(v for v, ts in occ.items() if ts == {t.tid})

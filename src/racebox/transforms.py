@@ -18,6 +18,8 @@ import os
 import pickle
 import random
 import threading
+from collections import defaultdict
+from functools import partial
 
 from .config import AnalysisSettings, OracleBudget
 from .domains import BoxEnv, Interval, eval_abs
@@ -40,7 +42,9 @@ from .syntax import (
     fold_expr,
     lvals_of_stmt,
     sub_exprs,
+    var_threads,
     vars_of_expr,
+    vars_of_stmt,
 )
 
 
@@ -99,6 +103,25 @@ def check_deterministic(e: Expr) -> bool:
     return check_nonblock(e)
 
 
+class _Facts:
+    """A memo of what the rules ask of expression and statement nodes:
+    fact(e) for a fact such as vars_of_expr, strip or a side-condition
+    check, computed once per node.  Entries are keyed by node identity,
+    not by structure, whose equality walks the tree, and each holds its
+    node, so no id is reused while the memo lives.  One memo serves one
+    apply_rule or fuzz_weakmem call."""
+
+    def __init__(self) -> None:
+        self.memos: dict = defaultdict(dict)  # fact -> id -> (node, value)
+
+    def __call__(self, fact, e):
+        memo = self.memos[fact]
+        hit = memo.get(id(e))
+        if hit is None:
+            hit = memo[id(e)] = (e, fact(e))
+        return hit[1]
+
+
 # ---------------------------------------------------------------------------
 # Occurrence matching and substitution (modulo operator labels)
 
@@ -110,20 +133,20 @@ def strip(e: Expr) -> tuple:
                  else ("const", x.lo, x.hi) for x in sub_exprs(e))
 
 
-def _matches(e: Expr, key) -> list[bool]:
+def _matches(e: Expr, key, facts: _Facts) -> list[bool]:
     """Per node of e, in pre-order: whether it matches key.  A flat
     pre-order key spans exactly its own subtree, so a slice of e's key
     decides a match."""
-    flat = strip(e)
+    flat = facts(strip, e)
     return [flat[i:i + len(key)] == key for i in range(len(flat))]
 
 
 def _replace(e: Expr, key, chosen: frozenset[int], replacement: Expr,
-             counter: list[int]) -> Expr:
+             counter: list[int], facts: _Facts) -> Expr:
     """e with the occurrences of key whose numbers are in `chosen` replaced.
     counter[0] numbers the occurrences in pre-order, across calls; they
     never nest, since key cannot match a strict sub-expression of itself."""
-    hits = _matches(e, key)
+    hits = _matches(e, key, facts)
     if not any(hits):
         return e
     occ: list[int | None] = []  # per pre-order node: its occurrence number
@@ -143,14 +166,13 @@ def _replace(e: Expr, key, chosen: frozenset[int], replacement: Expr,
 
 
 def _subst_stmt(s: Stmt, key, chosen: frozenset[int], replacement: Expr,
-                counter: list[int]) -> Stmt:
+                counter: list[int], facts: _Facts) -> Stmt:
     if isinstance(s, Assign):
-        return Assign(s.sid, s.var,
-                      _replace(s.expr, key, chosen, replacement, counter))
+        return Assign(s.sid, s.var, _replace(s.expr, key, chosen,
+                                             replacement, counter, facts))
     if isinstance(s, Guard):
-        return Guard(s.sid,
-                     _replace(s.expr, key, chosen, replacement, counter),
-                     s.cmp)
+        return Guard(s.sid, _replace(s.expr, key, chosen, replacement,
+                                     counter, facts), s.cmp)
     return s
 
 
@@ -175,7 +197,9 @@ class TransformContext(Record):
 def context_for(p: Program, tid: int,
                 extra_paths: dict[int, list[ControlPath]] | None = None,
                 ) -> TransformContext:
-    fresh, local = classify_vars(p, extra_paths)
+    fresh, local = classify_vars(p, {
+        t: [v for path in ps for s in path for v in vars_of_stmt(s)]
+        for t, ps in (extra_paths or {}).items()})
     return TransformContext(tid, fresh, local.get(tid, frozenset()))
 
 
@@ -185,10 +209,46 @@ def apply_rule(rule: RuleId, path: ControlPath,
     `path` whose side conditions verify, in position order.  Windows never
     contain synchronization primitives (the statement shapes only match
     assignments and guards)."""
-    out: list[ControlPath] = []
+    return [build() for build in _applications(rule, path, ctx, _Facts())]
 
-    def emit(pos: int, replaced: list[Stmt], span: int) -> None:
-        out.append(path[:pos] + tuple(replaced) + path[pos + span:])
+
+def _splice(path: ControlPath, pos: int, span: int, make, *args,
+            ) -> ControlPath:
+    """path with its `span` statements from `pos` on replaced by
+    make(*args)."""
+    return path[:pos] + make(*args) + path[pos + span:]
+
+
+def _stmts(*stmts: Stmt) -> tuple[Stmt, ...]:
+    return stmts
+
+
+def _propagate(a: Assign, b: Stmt, key, chosen: frozenset[int],
+               facts: _Facts) -> tuple[Stmt, ...]:
+    """a, then b with the chosen occurrences of a's variable replaced by
+    a's expression."""
+    return a, _subst_stmt(b, key, chosen, a.expr, [0], facts)
+
+
+def _eliminate(window: ControlPath, x: str, pos: int, epat: Expr,
+               facts: _Facts) -> tuple[Stmt, ...]:
+    """x <- epat, then the window with the first _OCCURRENCE_CAP
+    occurrences of epat replaced by x."""
+    key, repl, counter = facts(strip, epat), Var(x), [0]
+    every = frozenset(range(_OCCURRENCE_CAP))
+    return (Assign(f"cse:{x}:{pos}", x, epat),) + tuple(
+        _subst_stmt(s, key, every, repl, counter, facts) for s in window)
+
+
+def _applications(rule: RuleId, path: ControlPath, ctx: TransformContext,
+                  facts: _Facts) -> list:
+    """apply_rule's applications, in its order, as builders: calling one
+    makes its path.  ExprSimplify's are built here, since whether one
+    exists depends on its result."""
+    out: list = []
+
+    def emit(pos: int, span: int, make, *args) -> None:
+        out.append(partial(_splice, path, pos, span, make, *args))
 
     n = len(path)
     for i in range(n):
@@ -198,105 +258,93 @@ def apply_rule(rule: RuleId, path: ControlPath,
         if rule is RuleId.RedundantStore and b is not None:
             if (isinstance(a, Assign) and isinstance(b, Assign)
                     and a.var == b.var
-                    and a.var not in vars_of_expr(b.expr)
-                    and check_nonblock(a.expr)):
-                emit(i, [b], 2)
+                    and a.var not in facts(vars_of_expr, b.expr)
+                    and facts(check_nonblock, a.expr)):
+                emit(i, 2, _stmts, b)
 
         elif rule is RuleId.IdentityStore:
             if (isinstance(a, Assign) and isinstance(a.expr, Var)
                     and a.expr.name == a.var):
-                emit(i, [], 1)
+                emit(i, 1, _stmts)
 
         elif rule is RuleId.ReorderAssigns and b is not None:
             if (isinstance(a, Assign) and isinstance(b, Assign)
                     and a.var != b.var
-                    and a.var not in vars_of_expr(b.expr)
-                    and b.var not in vars_of_expr(a.expr)
-                    and check_nonblock(a.expr)):
-                emit(i, [b, a], 2)
+                    and a.var not in facts(vars_of_expr, b.expr)
+                    and b.var not in facts(vars_of_expr, a.expr)
+                    and facts(check_nonblock, a.expr)):
+                emit(i, 2, _stmts, b, a)
 
         elif rule is RuleId.ReorderGuards and b is not None:
             if (isinstance(a, Guard) and isinstance(b, Guard)
-                    and check_noerror(b.expr)):
-                emit(i, [b, a], 2)
+                    and facts(check_noerror, b.expr)):
+                emit(i, 2, _stmts, b, a)
 
         elif rule is RuleId.GuardBeforeAssign and b is not None:
             if (isinstance(a, Assign) and isinstance(b, Guard)
-                    and a.var not in vars_of_expr(b.expr)
-                    and (check_nonblock(a.expr) or check_noerror(b.expr))):
-                emit(i, [b, a], 2)
+                    and a.var not in facts(vars_of_expr, b.expr)
+                    and (facts(check_nonblock, a.expr)
+                         or facts(check_noerror, b.expr))):
+                emit(i, 2, _stmts, b, a)
 
         elif rule is RuleId.AssignBeforeGuard and b is not None:
             if (isinstance(a, Guard) and isinstance(b, Assign)
-                    and b.var not in vars_of_expr(a.expr)
+                    and b.var not in facts(vars_of_expr, a.expr)
                     and b.var in ctx.local
-                    and check_noerror(b.expr)):
-                emit(i, [b, a], 2)
+                    and facts(check_noerror, b.expr)):
+                emit(i, 2, _stmts, b, a)
 
         elif rule is RuleId.AssignPropagation and b is not None:
             if (isinstance(a, Assign) and isinstance(b, (Assign, Guard))
-                    and a.var not in vars_of_expr(a.expr)
-                    and vars_of_expr(a.expr) <= ctx.local
-                    and check_deterministic(a.expr)):
+                    and a.var not in facts(vars_of_expr, a.expr)
+                    and facts(vars_of_expr, a.expr) <= ctx.local
+                    and facts(check_deterministic, a.expr)):
                 key = strip(Var(a.var))
-                target = b.expr
-                cnt = sum(_matches(target, key))
+                cnt = sum(_matches(b.expr, key, facts))
                 for chosen in _occurrence_subsets(cnt):
-                    s2 = _subst_stmt(b, key, chosen, a.expr, [0])
-                    emit(i, [a, s2], 2)
+                    emit(i, 2, _propagate, a, b, key, chosen, facts)
 
-        elif rule is RuleId.SubexprElim:
-            for span in (1, 2, 3):
-                if i + span > n:
-                    break
-                window = path[i:i + span]
-                if not all(isinstance(s, (Assign, Guard)) for s in window):
+        elif rule is RuleId.SubexprElim and ctx.fresh:
+            fresh = min(ctx.fresh)  # one fresh variable is as good as another
+            lvals: frozenset[str] = frozenset()
+            cands: list[Expr] = []  # the window's operators, one per key
+            seen_keys = set()
+            for span, s in enumerate(path[i:i + 3], 1):
+                if not isinstance(s, (Assign, Guard)):
                     break  # a sync primitive would enter the window
-                lvals = frozenset().union(
-                    *(lvals_of_stmt(s) for s in window))
-                cands = []
-                seen_keys = set()
-                for s in window:
-                    for x in sub_exprs(s.expr):
-                        if isinstance(x, (Neg, BinOp)):
-                            k = strip(x)
-                            if k not in seen_keys:
-                                seen_keys.add(k)
-                                cands.append(x)
+                lvals |= lvals_of_stmt(s)
+                for x in facts(sub_exprs, s.expr):
+                    if isinstance(x, (Neg, BinOp)):
+                        k = facts(strip, x)
+                        if k not in seen_keys:
+                            seen_keys.add(k)
+                            cands.append(x)
                 for epat in cands:
-                    if vars_of_expr(epat) & lvals:
-                        continue
-                    if not check_noerror(epat):
-                        continue
-                    for x in sorted(ctx.fresh):
-                        key = strip(epat)
-                        repl = Var(x)
-                        new_window: list[Stmt] = [
-                            Assign(f"cse:{x}:{i}", x, epat)]
-                        counters = [0]
-                        for s in window:
-                            new_window.append(
-                                _subst_stmt(s, key, frozenset(
-                                    range(_OCCURRENCE_CAP)), repl, counters))
-                        emit(i, new_window, span)
-                        break  # one fresh variable is as good as another
+                    if (not facts(vars_of_expr, epat) & lvals
+                            and facts(check_noerror, epat)):
+                        emit(i, span, _eliminate, path[i:i + span], fresh,
+                             i, epat, facts)
 
         elif rule is RuleId.ExprSimplify:
             if isinstance(a, (Assign, Guard)):
-                for e_old, e_new in _simplify_candidates(a.expr, ctx):
-                    key = strip(e_old)
-                    cnt = sum(_matches(a.expr, key))
+                for e_old, e_new in facts(_simplifications, a.expr):
+                    if not (facts(vars_of_expr, e_old)
+                            | facts(vars_of_expr, e_new)) <= ctx.local:
+                        continue
+                    key = facts(strip, e_old)
+                    cnt = sum(_matches(a.expr, key, facts))
                     for chosen in _occurrence_subsets(cnt):
-                        s2 = _subst_stmt(a, key, chosen, e_new, [0])
+                        s2 = _subst_stmt(a, key, chosen, e_new, [0], facts)
                         if s2 != a:
-                            emit(i, [s2], 1)
+                            emit(i, 1, _stmts, s2)
 
     return out
 
 
-def _simplify_candidates(e: Expr, ctx: TransformContext,
-                         ) -> list[tuple[Expr, Expr]]:
-    """Catalog of value-containment-safe rewrites found inside e."""
+def _simplifications(e: Expr) -> list[tuple[Expr, Expr]]:
+    """Catalog of value-containment-safe rewrites found inside e, one per
+    distinct sub-expression; the rule applies those whose variables are
+    all local."""
     out = []
     seen = set()
     for x in sub_exprs(e):
@@ -336,8 +384,7 @@ def _simplify_candidates(e: Expr, ctx: TransformContext,
                     cand = Const(v.lo, v.hi)  # constant folding
             elif isinstance(x.sub, Neg):
                 cand = x.sub.sub  # involution: --e -> e
-        if cand is not None and (vars_of_expr(x)
-                                 | vars_of_expr(cand)) <= ctx.local:
+        if cand is not None:
             out.append((x, cand))
     return out
 
@@ -387,9 +434,17 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 
     Every trial is drawn before any is checked.  Checking never touches the
     random generator, so the report does not depend on where the checks
-    run (see _check_trials)."""
+    run (see _check_trials).  The draw computes each expression node's
+    variables, key and side conditions once per call, and the program's
+    variable occurrences once, and of the applications a chain step finds
+    it builds only the one it picks (see _applications); its memo is
+    emptied before the checks."""
     from .concrete import paths as mk_paths, sorted_paths
 
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if chain < 1:
+        raise ValueError(f"chain must be >= 1, got {chain}")
     rng = random.Random(seed)
     if alarms is None:
         alarms = frozenset(analyze_program_I(p, settings).omega)
@@ -402,6 +457,8 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     # per effective trial: thread, original path, transformed path, rules
     drawn: list[tuple[int, ControlPath, ControlPath, list[str]]] = []
     draw_error: Exception | None = None
+    facts = _Facts()
+    occ = var_threads(p)
 
     try:
         for _ in range(trials):
@@ -413,24 +470,29 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
             path = path0
             used: list[str] = []
             for _ in range(rng.randint(1, chain)):
-                ctx = context_for(p, tid, {tid: [path]})
+                fresh, local = classify_vars(p, {tid: [
+                    v for s in path for v in facts(vars_of_stmt, s)]}, occ)
+                ctx = TransformContext(tid, fresh,
+                                       local.get(tid, frozenset()))
                 order = list(RuleId)
                 rng.shuffle(order)
-                apps: list[ControlPath] = []
+                apps: list = []
                 for rule in order:
-                    apps = apply_rule(rule, path, ctx)
+                    apps = _applications(rule, path, ctx, facts)
                     if apps:
                         break
                     per_rule[rule.value]["skipped"] += 1
                 if not apps:
                     break  # nothing applies anywhere on this path
-                path = apps[rng.randrange(len(apps))]
+                path = apps[rng.randrange(len(apps))]()
                 per_rule[rule.value]["applied"] += 1
                 used.append(rule.value)
             if used:
                 drawn.append((tid, path0, path, used))
     except Exception as e:
         draw_error = e  # raised after the trials drawn before it are checked
+    finally:
+        facts.memos.clear()  # `apps` still holds builders that reference it
 
     def explore(trial, budget: OracleBudget) -> ExploreResult:
         tid, path0, path, _ = trial

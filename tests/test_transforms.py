@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import os
 import random
 import sys
@@ -6,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from racebox.concrete import paths
+from racebox.concrete import paths, sorted_paths
 from racebox import transforms
 from racebox.config import OracleBudget
 from racebox.parser import parse_program
@@ -178,6 +180,19 @@ def test_expr_simplify_constant_folding():
                for a in apps)
 
 
+def test_expr_simplify_occurrence_subsets_in_order():
+    _, path = path_of("thread 1 { a <- (y + 0) * (y + 0) - --[1,1] * 1; }")
+    apps = apply_rule(RuleId.ExprSimplify, path, ctx(local=("y",)))
+    assert [pretty_stmt(a[0]).strip() for a in apps] == [
+        "a <- y * (y + 0) - (-(-1)) * 1;",
+        "a <- (y + 0) * y - (-(-1)) * 1;",
+        "a <- y * y - (-(-1)) * 1;",
+        "a <- (y + 0) * (y + 0) - (-(-1));",
+        "a <- (y + 0) * (y + 0) - 1 * 1;",
+        "a <- (y + 0) * (y + 0) - (-[-1,-1]) * 1;",
+    ]
+
+
 def test_windows_never_cross_sync():
     src = "mutex m; thread 1 { x <- 1; lock(m); x <- 2; }"
     _, path = path_of(src)
@@ -217,6 +232,37 @@ def test_fuzz_randomized_programs():
         applied += sum(d["applied"] for d in rep.per_rule.values())
     assert violations == 0
     assert applied > 20
+
+
+@pytest.mark.parametrize("kw", [{"trials": -1}, {"chain": 0}],
+                         ids=["trials", "chain"])
+def test_fuzz_rejects_negative_trials_and_empty_chains(corpus, monkeypatch,
+                                                       kw):
+    """Checked at entry, before the alarms are computed."""
+    def no_analysis(*a, **k):
+        raise AssertionError("analyzed a rejected call")
+
+    monkeypatch.setattr(transforms, "analyze_program_I", no_analysis)
+    (name, value), = kw.items()
+    with pytest.raises(ValueError, match=f"{name} must be .*got {value}"):
+        fuzz_weakmem(corpus("increment"), **kw)
+
+
+def test_fuzz_memo_is_empty_before_the_checks(monkeypatch):
+    """The draw's memo of expression facts does not reach the checks,
+    which may fork."""
+    real = transforms._check_trials
+    live = []
+
+    def check_trials(*a):
+        live.extend(o for o in gc.get_objects()
+                    if isinstance(o, transforms._Facts) and o.memos)
+        return real(*a)
+
+    monkeypatch.setattr(transforms, "_check_trials", check_trials)
+    rep = fuzz_weakmem(_block_program(0), trials=8, chain=4, seed=0,
+                       unroll=2)
+    assert rep.effective and not live
 
 
 def test_negative_controls_all_detected():
@@ -658,3 +704,49 @@ def test_error_cancels_the_pending_indices(cpus, tmp_path):
         transforms._check_in_children(check, MANY, 2)
     _assert_no_children()
     assert len(log.read_text().split()) < MANY // 2
+
+
+# -- pinned outputs: a change to how rules are applied or trials drawn
+# must keep every application and every fuzz report
+
+
+def test_apply_rule_applications_pinned():
+    """One sha256 over every application of every rule, in order, on every
+    base path of criterion-8 programs 88000-88011 at unroll 2."""
+    h = hashlib.sha256()
+    for n in range(12):
+        p = _block_program(n)
+        for t in p.threads:
+            for path in sorted_paths(paths(t.body, 2).paths):
+                ctx = context_for(p, t.tid, {t.tid: [path]})
+                for rule in RuleId:
+                    h.update(repr([[f"{s.sid} {pretty_stmt(s)}" for s in app]
+                                   for app in apply_rule(rule, path, ctx)]
+                                  ).encode())
+    assert h.hexdigest() == (
+        "58c60e7921c59d1527491503517c28331487b76bae5c50a67a2b7f098edd511e")
+
+
+def test_fuzz_reports_pinned():
+    """One sha256 over the reports of criterion-8 programs 88000-88009 at
+    the block's settings and of random programs 90100-90139 with longer
+    chains at unroll 1.  Every rule applies somewhere in the set, so
+    SubexprElim's windows, AssignPropagation's occurrence subsets and
+    ExprSimplify's rewrites are pinned too."""
+    runs = [(_block_program(n), dict(trials=8, chain=4, seed=n, unroll=2))
+            for n in range(10)]
+    for seed in range(90_100, 90_140):
+        rng = random.Random(seed)
+        cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
+        runs.append((random_program(rng, cfg, sync=rng.random() < 0.3),
+                     dict(trials=20, chain=6, seed=seed, unroll=1)))
+    h = hashlib.sha256()
+    applied = dict.fromkeys((r.value for r in RuleId), 0)
+    for p, kw in runs:
+        rep = fuzz_weakmem(p, **kw)
+        h.update(repr(rep).encode())
+        for rule, d in rep.per_rule.items():
+            applied[rule] += d["applied"]
+    assert all(applied.values()), applied
+    assert h.hexdigest() == (
+        "a52ab039ee572d0e82aff350987626c1cb76a6051d607c95abae14d10f36bfe1")
