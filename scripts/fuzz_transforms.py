@@ -7,48 +7,61 @@ Usage: fuzz_transforms.py [TRIALS] [BASE_SEED]
 stdout ends with one sha256 over the repr of every FuzzReport, in order,
 so two checkouts can be compared with `diff`; the run time goes to
 stderr.
+
+Acceptance criterion 8 runs its block through fuzz_block(want, base).
 """
 
 import hashlib
 import pathlib
-import random
 import sys
 import time
+from collections import Counter
+from typing import Iterator
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from racebox.randgen import GeneratorConfig, random_program
-from racebox.transforms import RuleId, fuzz_weakmem, negative_controls
+from racebox.interference import analyze_program_I
+from racebox.randgen import fuzz_program
+from racebox.transforms import (
+    FuzzReport, RuleId, fuzz_weakmem, negative_controls)
+
+
+def fuzz_block(want: int, base: int) -> Iterator[tuple[int, int, FuzzReport]]:
+    """(seed, interference fixpoint rounds, report) of fuzz programs base,
+    base + 1, ..., in order, until `want` trials were effective and not
+    inconclusive.  Program base + i is fuzzed with seed i."""
+    done = i = 0
+    while done < want:
+        p = fuzz_program(base + i)
+        ri = analyze_program_I(p)
+        rep = fuzz_weakmem(p, trials=8, chain=4, seed=i, unroll=2,
+                           alarms=frozenset(ri.omega))
+        done += rep.effective - rep.inconclusive
+        yield base + i, ri.iterations, rep
+        i += 1
 
 
 def main() -> None:
     want = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     base = int(sys.argv[2]) if len(sys.argv) > 2 else 88_000
     t0 = time.monotonic()
-    totals = {r.value: {"applied": 0, "skipped": 0} for r in RuleId}
-    effective = violations = 0
+    totals = {r.value: Counter() for r in RuleId}
+    effective = violations = programs = 0
     digest = hashlib.sha256()
-    i = 0
-    while effective < want:
-        rng = random.Random(base + i)
-        cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
-        p = random_program(rng, cfg, sync=rng.random() < 0.3)
-        rep = fuzz_weakmem(p, trials=8, chain=4, seed=i, unroll=2)
+    for seed, _, rep in fuzz_block(want, base):
         digest.update(repr(rep).encode())
         effective += rep.effective - rep.inconclusive
         violations += len(rep.violations)
+        programs += 1
         for name, d in rep.per_rule.items():
-            totals[name]["applied"] += d["applied"]
-            totals[name]["skipped"] += d["skipped"]
+            totals[name].update(d)
         for v in rep.violations:
-            print(f"VIOLATION seed={base + i} thread={v.thread}"
+            print(f"VIOLATION seed={seed} thread={v.thread}"
                   f" rules={v.rules} missing={v.missing}")
-        i += 1
-    for name in sorted(totals):
-        d = totals[name]
+    for name, d in sorted(totals.items()):
         print(f"{name:24s} applied {d['applied']:5d}  skipped {d['skipped']:5d}")
     print(f"{effective} effective trials, {violations} violations,"
-          f" {i} programs")
+          f" {programs} programs")
     print(f"{time.monotonic() - t0:.1f}s", file=sys.stderr)
     ok = violations == 0
     print("negative controls:")

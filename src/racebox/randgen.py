@@ -182,3 +182,17 @@ def random_seq_program(rng: random.Random,
         initial=(),
     )
     return relabel_program(prog)
+
+
+def sweep_program(seed: int) -> Program:
+    """The program the soundness sweep checks at generator seed `seed`."""
+    rng = random.Random(seed)
+    return random_program(
+        rng, GeneratorConfig(max_stmts=rng.choice((4, 6, 8, 12))))
+
+
+def fuzz_program(seed: int) -> Program:
+    """The program the weak-memory fuzz block transforms at seed `seed`."""
+    rng = random.Random(seed)
+    cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
+    return random_program(rng, cfg, sync=rng.random() < 0.3)

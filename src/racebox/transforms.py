@@ -223,11 +223,10 @@ def _stmts(*stmts: Stmt) -> tuple[Stmt, ...]:
     return stmts
 
 
-def _propagate(a: Assign, b: Stmt, key, chosen: frozenset[int],
-               facts: _Facts) -> tuple[Stmt, ...]:
-    """a, then b with the chosen occurrences of a's variable replaced by
-    a's expression."""
-    return a, _subst_stmt(b, key, chosen, a.expr, [0], facts)
+def _rewrite(s: Stmt, key, chosen: frozenset[int], replacement: Expr,
+             facts: _Facts) -> tuple[Stmt, ...]:
+    """s with the chosen occurrences of key replaced by `replacement`."""
+    return (_subst_stmt(s, key, chosen, replacement, [0], facts),)
 
 
 def _eliminate(window: ControlPath, x: str, pos: int, epat: Expr,
@@ -243,8 +242,8 @@ def _eliminate(window: ControlPath, x: str, pos: int, epat: Expr,
 def _applications(rule: RuleId, path: ControlPath, ctx: TransformContext,
                   facts: _Facts) -> list:
     """apply_rule's applications, in its order, as builders: calling one
-    makes its path.  ExprSimplify's are built here, since whether one
-    exists depends on its result."""
+    makes its path.  Each changes its path: even an ExprSimplify rewrite
+    replaces an operator node by a strict subterm or a constant."""
     out: list = []
 
     def emit(pos: int, span: int, make, *args) -> None:
@@ -302,7 +301,7 @@ def _applications(rule: RuleId, path: ControlPath, ctx: TransformContext,
                 key = strip(Var(a.var))
                 cnt = sum(_matches(b.expr, key, facts))
                 for chosen in _occurrence_subsets(cnt):
-                    emit(i, 2, _propagate, a, b, key, chosen, facts)
+                    emit(i + 1, 1, _rewrite, b, key, chosen, a.expr, facts)
 
         elif rule is RuleId.SubexprElim and ctx.fresh:
             fresh = min(ctx.fresh)  # one fresh variable is as good as another
@@ -334,9 +333,7 @@ def _applications(rule: RuleId, path: ControlPath, ctx: TransformContext,
                     key = facts(strip, e_old)
                     cnt = sum(_matches(a.expr, key, facts))
                     for chosen in _occurrence_subsets(cnt):
-                        s2 = _subst_stmt(a, key, chosen, e_new, [0], facts)
-                        if s2 != a:
-                            emit(i, 1, _stmts, s2)
+                        emit(i, 1, _rewrite, a, key, chosen, e_new, facts)
 
     return out
 

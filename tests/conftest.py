@@ -1,10 +1,13 @@
 import pathlib
+import sys
 
 import pytest
 
 from racebox.parser import parse_program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+# the scripts import as plain modules, as run_corpus.py imports regen_fixtures
+sys.path.insert(0, str(CORPUS.parent / "scripts"))
 
 
 @pytest.fixture

@@ -10,16 +10,17 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from fuzz_transforms import fuzz_block
 from racebox.concrete import initial_state, paths
-from racebox.config import AnalysisSettings, OracleBudget
+from racebox.config import AnalysisSettings
 from racebox.domains import BOT, INF, Interval
 from racebox.interference import analyze_program_I
-from racebox.oracle import inclusion, run_interleavings, run_scheduled
-from racebox.randgen import GeneratorConfig, random_program, random_seq_program
+from racebox.oracle import run_interleavings, run_scheduled
+from racebox.randgen import GeneratorConfig, random_seq_program
 from racebox.sched import analyze_program_C
-from racebox.syntax import pretty_program
-from racebox.transforms import fuzz_weakmem, negative_controls
+from racebox.transforms import negative_controls
 from reference_semantics import exec_stmt, program_locations, run_paths
+from soundness_sweep import PAIRINGS, sweep
 
 F = Fraction
 
@@ -133,39 +134,15 @@ SWEEP_ITERATIONS: list[int] = []
 def test_criterion_6_soundness_sweep():
     with criterion(6, "soundness inclusion sweep over 500 randomized"
                       " programs, three analyzer/oracle pairings", 300.0):
-        budget = OracleBudget(max_states=1_000_000)
-        n_programs = 500
-        checked = {"interleave/interference": 0,
-                   "scheduled/scheduled-mono": 0,
-                   "interleave/scheduled-multi": 0}
+        checked = dict.fromkeys(PAIRINGS, 0)  # comparisons not truncated
         violations = []
-        for i in range(n_programs):
-            seed = 31_000 + i
-            rng = random.Random(seed)
-            cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8, 12)))
-            p = random_program(rng, cfg)
-            ri = analyze_program_I(p)
-            rt = analyze_program_C(p, mono=True)
-            rf = analyze_program_C(p, mono=False)
-            SWEEP_ITERATIONS.extend(
-                (ri.iterations, rt.iterations, rf.iterations))
-            oi = run_interleavings(p, unroll=3, budget=budget,
-                                   collect_witnesses=False)
-            os_ = run_scheduled(p, unroll=3, budget=budget,
-                                collect_witnesses=False)
-            for name, res, alarms in (
-                    ("interleave/interference", oi, ri.omega),
-                    ("interleave/scheduled-multi", oi, rf.omega),
-                    ("scheduled/scheduled-mono", os_, rt.omega)):
-                verdict = inclusion(res, alarms).verdict
-                if verdict != "INCONCLUSIVE":
-                    checked[name] += 1
-                if verdict == "FAIL":
-                    violations.append((seed, name, p))
-        for v in violations:
-            print("VIOLATION", v[0], v[1], file=sys.stderr)
-            print(pretty_program(v[2]), file=sys.stderr)
-        assert not violations
+        for o in sweep(500, 31_000):
+            SWEEP_ITERATIONS.append(o.rounds)
+            for name, (truncated, missing) in o.pairings.items():
+                checked[name] += not truncated
+                if missing:  # soundness_sweep.py 1 SEED prints the program
+                    violations.append((o.seed, name, missing))
+        assert not violations, violations
         assert all(n >= 450 for n in checked.values()), checked
 
 
@@ -187,22 +164,12 @@ def test_criterion_7_path_equivalence():
 def test_criterion_8_weak_memory_fuzzer():
     with criterion(8, "weak-memory fuzzer: 200 verified transformation"
                       " trials covered, negative controls detected", 180.0):
-        trials_done = 0
         applied = 0
         all_violations = []
-        i = 0
-        while trials_done < 200:
-            rng = random.Random(88_000 + i)
-            cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
-            p = random_program(rng, cfg, sync=rng.random() < 0.3)
-            rep = fuzz_weakmem(p, trials=8, chain=4, seed=i, unroll=2,
-                               settings=AnalysisSettings())
-            SWEEP_ITERATIONS.append(
-                analyze_program_I(p).iterations)
-            trials_done += rep.effective - rep.inconclusive
+        for _, rounds, rep in fuzz_block(200, 88_000):
+            SWEEP_ITERATIONS.append(rounds)
             applied += sum(d["applied"] for d in rep.per_rule.values())
             all_violations.extend(rep.violations)
-            i += 1
         assert not all_violations
         assert applied >= 200  # the chains actually transformed paths
         controls = negative_controls()

@@ -1,9 +1,7 @@
 """The shipped corpus programs must keep producing their expected reports
 byte for byte (the fixtures double as documentation of each example)."""
 
-import importlib.util
 import json
-import pathlib
 import random
 
 import pytest
@@ -12,28 +10,13 @@ from racebox.oracle import run_scheduled
 from racebox.randgen import random_program
 from racebox.report import analyze_source, report_to_json
 from racebox.syntax import collect_lock_sets
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "corpus"
+from regen_fixtures import CORPUS, FIXTURES
 
 
-def _fixture_configs():
-    """scripts/regen_fixtures.py's FIXTURES, the configs the fixtures
-    were written with (scripts/ is not a package: load it by path)."""
-    spec = importlib.util.spec_from_file_location(
-        "regen_fixtures", ROOT / "scripts" / "regen_fixtures.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.FIXTURES
-
-
-CONFIGS = _fixture_configs()
-
-
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_expected_report(name):
     src = (CORPUS / f"{name}.conc").read_text()
-    produced = report_to_json(analyze_source(src, CONFIGS[name]))
+    produced = report_to_json(analyze_source(src, FIXTURES[name]))
     expected = (CORPUS / f"{name}.expected.json").read_text()
     assert json.loads(produced) == json.loads(expected)
     assert produced == expected  # byte-deterministic

@@ -11,19 +11,12 @@ import pytest
 import reference_explorer
 from racebox import oracle
 from racebox.config import OracleBudget
-from racebox.randgen import GeneratorConfig, random_program
+from racebox.randgen import GeneratorConfig, random_program, sweep_program
 from racebox.syntax import IsLocked, Lock, Unlock, Yield
 
 FIELDS = ("errors", "truncated", "terminal_envs", "vars", "states",
           "paths_truncated", "witnesses", "sched_states")
 BUDGETS = (50, 300, 2_000, OracleBudget().max_states)
-
-
-def sweep_program(seed: int):
-    """The program the soundness sweep checks at seed."""
-    rng = random.Random(seed)
-    return random_program(
-        rng, GeneratorConfig(max_stmts=rng.choice((4, 6, 8, 12))))
 
 
 @pytest.mark.parametrize("scheduled", [False, True])

@@ -10,7 +10,8 @@ import random
 import subprocess
 import sys
 
-from racebox.randgen import GeneratorConfig, random_program, random_seq_program
+from racebox.randgen import (
+    GeneratorConfig, random_program, random_seq_program, sweep_program)
 from racebox.report import RunConfig, build_report, report_to_json
 from racebox.seq import MultiThreadInput
 from racebox.syntax import pretty_program
@@ -28,11 +29,7 @@ LARGE_CFG = dict(max_threads=4, n_vars=12, n_mutexes=4, sync_prob=0.35,
 
 def _blocks():
     """(block name, programs): the sweep, seq and analyze-large inputs."""
-    sweep = []
-    for seed in range(31_200, 31_240):
-        rng = random.Random(seed)
-        sweep.append(random_program(
-            rng, GeneratorConfig(max_stmts=rng.choice((4, 6, 8, 12)))))
+    sweep = [sweep_program(seed) for seed in range(31_200, 31_240)]
     seq = [random_seq_program(random.Random(9_000 + i),
                               GeneratorConfig(div_prob=0.45), loop_free=False)
            for i in range(40)]

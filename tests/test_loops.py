@@ -4,29 +4,13 @@ seconds, and the reports of scripts/report_digests.py's nested shapes
 stay byte for byte as recorded before loops iterated from their input."""
 
 import hashlib
-import importlib.util
-import pathlib
 
 import pytest
 
 import racebox.sched
 from racebox.parser import MAX_NESTING
 from racebox.report import RunConfig, analyze_source
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _digest_script():
-    """scripts/report_digests.py, loaded by path (scripts/ is not a
-    package): its SHAPES, DEPTHS, CONFIGS, nested() and report_bytes()."""
-    spec = importlib.util.spec_from_file_location(
-        "report_digests", ROOT / "scripts" / "report_digests.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-DIGESTS = _digest_script()
+from report_digests import CONFIGS, DEPTHS, SHAPES, nested, report_bytes
 
 ANALYZERS = {
     "seq": RunConfig(mode="seq"),
@@ -39,9 +23,9 @@ ANALYZERS = {
 def shape_digest(shape: str) -> str:
     """One digest over the shape's reports at every depth and config."""
     h = hashlib.sha256()
-    for d in DIGESTS.DEPTHS:
-        for cfg in DIGESTS.CONFIGS.values():
-            h.update(DIGESTS.report_bytes(DIGESTS.nested(shape, d), cfg))
+    for d in DEPTHS:
+        for cfg in CONFIGS.values():
+            h.update(report_bytes(nested(shape, d), cfg))
     return h.hexdigest()[:16]
 
 
@@ -56,7 +40,7 @@ NESTED_DIGESTS = {  # recorded with each loop iterating from bottom
 }
 
 
-@pytest.mark.parametrize("shape", sorted(DIGESTS.SHAPES))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_nested_shape_reports(shape):
     assert shape_digest(shape) == NESTED_DIGESTS[shape]
 
@@ -75,7 +59,7 @@ def test_loop_runs_linear_in_nesting(monkeypatch, shape, depth, config):
         return body_guard(s)
 
     monkeypatch.setattr(racebox.sched, "body_guard", counted)
-    analyze_source(DIGESTS.nested(shape, depth), ANALYZERS[config])
+    analyze_source(nested(shape, depth), ANALYZERS[config])
     assert 0 < runs <= 8 * depth
 
 
@@ -83,7 +67,7 @@ def test_loop_runs_linear_in_nesting(monkeypatch, shape, depth, config):
 def test_reachable_loops_at_nesting_limit(config):
     """Every level of the reachable shape divides by zero; the analysis
     takes seconds, not time exponential in the depth."""
-    rep = analyze_source(DIGESTS.nested("reach", MAX_NESTING),
+    rep = analyze_source(nested("reach", MAX_NESTING),
                          ANALYZERS[config])
     assert rep["exit_code"] == 1
     assert len(rep["alarms"]) == MAX_NESTING

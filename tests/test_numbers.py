@@ -11,7 +11,8 @@ from racebox.concrete import const_points
 from racebox.domains import BoxEnv, Interval, eval_abs
 from racebox.interference import analyze_program_I
 from racebox.parser import parse_program
-from racebox.randgen import GeneratorConfig, random_program, random_seq_program
+from racebox.randgen import (
+    GeneratorConfig, random_program, random_seq_program, sweep_program)
 from racebox.sched import analyze_program_C
 from racebox.seq import analyze_program_seq
 from racebox.syntax import (
@@ -98,9 +99,7 @@ def _analyzer_bounds(p, seq):
 
 def _programs():
     for seed in range(31_000, 31_100):  # the soundness sweep's programs
-        rng = random.Random(seed)
-        yield random_program(
-            rng, GeneratorConfig(max_stmts=rng.choice((4, 6, 8, 12)))), False
+        yield sweep_program(seed), False
     for seed in range(6):  # perfbench analyze-large's, at their smallest
         rng = random.Random(seed)
         cfg = GeneratorConfig(max_stmts=rng.choice((12, 24)), max_threads=4,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from racebox import oracle
 from racebox.cli import main
-from racebox.concrete import UnsupportedMode, initial_state, paths
+from racebox.concrete import UnsupportedMode, initial_state, paths, sorted_paths
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
 from racebox.oracle import (
@@ -17,7 +17,8 @@ from racebox.oracle import (
     run_scheduled,
 )
 from racebox.parser import parse_program
-from racebox.randgen import GeneratorConfig, random_program, random_seq_program
+from racebox.randgen import (
+    fuzz_program, random_program, random_seq_program, sweep_program)
 from reference_semantics import exec_stmt
 
 F = Fraction
@@ -266,22 +267,13 @@ def test_inclusion_fails_on_a_truncated_run_that_missed_an_error():
 # BFS loops over tuple states), which the int-coded one must reproduce
 # exactly.  A truncated run pins the BFS pop order.
 
-def _sweep_program(seed):
-    rng = random.Random(seed)
-    cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8, 12)))
-    return random_program(rng, cfg)
-
-
 def _fuzz_style_case():
     """A fuzz-block program with explicit paths for one thread: one path
     dropped and one reversed, the other thread on the default route.
     Returns (program, max_states, unroll, thread_paths)."""
-    rng = random.Random(88_005)
-    cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
-    p = random_program(rng, cfg, sync=rng.random() < 0.3)
+    p = fuzz_program(88_005)
     t0 = p.threads[0]
-    pool = sorted(paths(t0.body, 2).paths,
-                  key=lambda q: (len(q), [str(s.sid) for s in q]))
+    pool = sorted_paths(paths(t0.body, 2).paths)
     return p, 1_000_000, 2, {t0.tid: frozenset(pool[1:])
                              | {tuple(reversed(pool[-1]))}}
 
@@ -319,10 +311,10 @@ def _golden_digest(p, max_states, unroll=3, thread_paths=None) -> str:
 
 def _golden_cases():
     for seed in range(31_200, 31_238):
-        yield str(seed), (lambda s=seed: (_sweep_program(s), 20_000, 3, None))
+        yield str(seed), (lambda s=seed: (sweep_program(s), 20_000, 3, None))
     # truncated interleavings (5,000 of 1M+ states) and truncated schedules
-    yield "31238", lambda: (_sweep_program(31_238), 5_000, 3, None)
-    yield "31220@60", lambda: (_sweep_program(31_220), 60, 3, None)
+    yield "31238", lambda: (sweep_program(31_238), 5_000, 3, None)
+    yield "31220@60", lambda: (sweep_program(31_220), 60, 3, None)
     yield "fuzz-88005", _fuzz_style_case
 
 

@@ -12,7 +12,7 @@ from racebox.concrete import paths, sorted_paths
 from racebox import transforms
 from racebox.config import OracleBudget
 from racebox.parser import parse_program
-from racebox.randgen import GeneratorConfig, random_program
+from racebox.randgen import GeneratorConfig, fuzz_program, random_program
 from racebox.syntax import (
     Assign,
     BinOp,
@@ -260,7 +260,7 @@ def test_fuzz_memo_is_empty_before_the_checks(monkeypatch):
         return real(*a)
 
     monkeypatch.setattr(transforms, "_check_trials", check_trials)
-    rep = fuzz_weakmem(_block_program(0), trials=8, chain=4, seed=0,
+    rep = fuzz_weakmem(fuzz_program(88_000), trials=8, chain=4, seed=0,
                        unroll=2)
     assert rep.effective and not live
 
@@ -272,13 +272,6 @@ def test_negative_controls_all_detected():
 
 
 # -- checking trials in forked children
-
-
-def _block_program(n):
-    """Program n of the criterion-8 block (generator seed 88000 + n)."""
-    rng = random.Random(88_000 + n)
-    cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
-    return random_program(rng, cfg, sync=rng.random() < 0.3)
 
 
 @pytest.fixture
@@ -323,7 +316,7 @@ def _fuzz_both_ways(cpus, p, **kw):
 def test_fuzz_report_equal_with_children(cpus, n):
     """The block programs whose first trial crosses FORK_MIN_STATES give
     the same report checked in one process and with a child."""
-    alone, shared = _fuzz_both_ways(cpus, _block_program(n), trials=8,
+    alone, shared = _fuzz_both_ways(cpus, fuzz_program(88_000 + n), trials=8,
                                     chain=4, seed=n, unroll=2)
     assert shared == alone and alone.effective > 1
 
@@ -332,7 +325,7 @@ def test_fuzz_report_equal_with_children(cpus, n):
 def test_fuzz_report_equal_with_children_below_threshold(cpus, monkeypatch,
                                                          n):
     monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
-    alone, shared = _fuzz_both_ways(cpus, _block_program(n), trials=8,
+    alone, shared = _fuzz_both_ways(cpus, fuzz_program(88_000 + n), trials=8,
                                     chain=4, seed=n, unroll=2)
     assert shared == alone and alone.effective > 1
 
@@ -371,7 +364,7 @@ def _raise_on(cpus, monkeypatch, raising, exc=ValueError):
         return real(p, **kw)
 
     monkeypatch.setattr(transforms, "run_interleavings", record)
-    p = _block_program(1)
+    p = fuzz_program(88_001)
     cpus(1)
     fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
     assert len(seen) == 8 and all(seen[i] not in seen[:i] for i in raising)
@@ -429,7 +422,7 @@ def test_fuzz_child_that_dies_is_an_error(cpus, monkeypatch):
     monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
     cpus(2)
     with pytest.raises(RuntimeError, match="exited without its result"):
-        fuzz_weakmem(_block_program(12), trials=8, chain=4, seed=12,
+        fuzz_weakmem(fuzz_program(88_012), trials=8, chain=4, seed=12,
                      unroll=2)
     _assert_no_children()
 
@@ -437,7 +430,7 @@ def test_fuzz_child_that_dies_is_an_error(cpus, monkeypatch):
 def test_fuzz_draw_error_waits_for_earlier_checks(cpus, monkeypatch):
     """An error while drawing a trial is raised after the trials drawn
     before it were checked, unless one of those checks raised first."""
-    p = _block_program(1)  # all 8 trials effective
+    p = fuzz_program(88_001)  # all 8 trials effective
     real_run = transforms.run_interleavings
     runs = []
 
@@ -476,7 +469,7 @@ def test_fuzz_one_cpu_never_forks(cpus, monkeypatch):
     cpus(1)
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
-    rep = fuzz_weakmem(_block_program(12), trials=8, chain=4, seed=12,
+    rep = fuzz_weakmem(fuzz_program(88_012), trials=8, chain=4, seed=12,
                        unroll=2)
     assert rep.effective > 1
 
@@ -534,7 +527,7 @@ def test_fuzz_children_check_every_trial_once(cpus, monkeypatch, tmp_path):
     check every trial, the first included, exactly once, under the full
     budget."""
     log = tmp_path / "runs"
-    p, kw = _block_program(11), dict(trials=8, chain=4, seed=11, unroll=2)
+    p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
     forks = cpus(2)
     rep = fuzz_weakmem(p, **kw)
@@ -551,7 +544,7 @@ def test_fuzz_small_trials_are_checked_once_in_process(cpus, monkeypatch,
     within FORK_MIN_STATES states is its own probe.  Either way each
     trial is checked once, in this process, and nothing forks."""
     log = tmp_path / "runs"
-    p, kw = _block_program(1), dict(trials=8, chain=4, seed=1, unroll=2)
+    p, kw = fuzz_program(88_001), dict(trials=8, chain=4, seed=1, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
     forks = cpus(k)
     rep = fuzz_weakmem(p, **kw)
@@ -566,7 +559,7 @@ def test_fuzz_one_cpu_checks_each_trial_once(cpus, monkeypatch, tmp_path):
     """With one CPU even large trials are checked in order in process,
     with no probe: `effective` oracle runs and no fork."""
     log = tmp_path / "runs"
-    p, kw = _block_program(11), dict(trials=8, chain=4, seed=11, unroll=2)
+    p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
     forks = cpus(1)
     rep = fuzz_weakmem(p, **kw)
@@ -580,7 +573,7 @@ def test_fuzz_one_trial_is_checked_in_process(cpus, monkeypatch, tmp_path):
     large it is: a child would only add a fork."""
     monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
     log = tmp_path / "runs"
-    p, kw = _block_program(11), dict(trials=1, chain=4, seed=0, unroll=2)
+    p, kw = fuzz_program(88_011), dict(trials=1, chain=4, seed=0, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
     forks = cpus(2)
     rep = fuzz_weakmem(p, **kw)
@@ -597,7 +590,7 @@ def test_fuzz_budget_within_the_probe_never_forks(cpus, monkeypatch,
     and the report is the one a single CPU gives."""
     log = tmp_path / "runs"
     budget = OracleBudget(transforms.FORK_MIN_STATES + extra)
-    p = _block_program(11)
+    p = fuzz_program(88_011)
     kw = dict(trials=8, chain=4, seed=11, unroll=2, budget=budget)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
     cpus(1)
@@ -614,7 +607,7 @@ def test_fuzz_child_that_dies_mid_run_is_an_error(cpus, monkeypatch):
     """A child that dies while checking trial 5 loses its result, while
     the other child checks the rest: the call raises, without waiting on
     the lost trial, and leaves no child."""
-    p, kw = _block_program(11), dict(trials=8, chain=4, seed=11, unroll=2)
+    p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
     seen = _trial_paths(cpus, monkeypatch, p, **kw)
     real = transforms.run_interleavings
     parent = os.getpid()
@@ -661,7 +654,7 @@ def test_fuzz_forks_only_with_one_thread(cpus, monkeypatch, dies):
     forked check that raises, by a trial error or by a dead child, leaves
     no thread behind: the next call forks again.  A pool that forked a
     child on demand, once its own threads run, fails the first check."""
-    p, kw = _block_program(11), dict(trials=8, chain=4, seed=11, unroll=2)
+    p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
     seen = _trial_paths(cpus, monkeypatch, p, **kw)
     real = transforms.run_interleavings
     parent = os.getpid()
@@ -715,7 +708,7 @@ def test_apply_rule_applications_pinned():
     base path of criterion-8 programs 88000-88011 at unroll 2."""
     h = hashlib.sha256()
     for n in range(12):
-        p = _block_program(n)
+        p = fuzz_program(88_000 + n)
         for t in p.threads:
             for path in sorted_paths(paths(t.body, 2).paths):
                 ctx = context_for(p, t.tid, {t.tid: [path]})
@@ -733,12 +726,10 @@ def test_fuzz_reports_pinned():
     chains at unroll 1.  Every rule applies somewhere in the set, so
     SubexprElim's windows, AssignPropagation's occurrence subsets and
     ExprSimplify's rewrites are pinned too."""
-    runs = [(_block_program(n), dict(trials=8, chain=4, seed=n, unroll=2))
-            for n in range(10)]
+    runs = [(fuzz_program(88_000 + n),
+             dict(trials=8, chain=4, seed=n, unroll=2)) for n in range(10)]
     for seed in range(90_100, 90_140):
-        rng = random.Random(seed)
-        cfg = GeneratorConfig(max_stmts=rng.choice((4, 6, 8)))
-        runs.append((random_program(rng, cfg, sync=rng.random() < 0.3),
+        runs.append((fuzz_program(seed),
                      dict(trials=20, chain=6, seed=seed, unroll=1)))
     h = hashlib.sha256()
     applied = dict.fromkeys((r.value for r in RuleId), 0)
