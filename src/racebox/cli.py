@@ -150,7 +150,8 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str]]:
     value("--self-interference", type=_parse_threads,
           default=RunConfig.self_interference,
           help="comma-separated thread ids that may run as several"
-               " instances (interference mode)")
+               " instances (--mode interference or fuzz, or"
+               " --check-against interference)")
     value("--budget-states", type=int,
           default=RunConfig.budget_states, help="oracle state budget")
     value("--seed", type=int, default=RunConfig.seed, help="fuzzing seed")
@@ -204,7 +205,12 @@ def main(argv: list[str] | None = None, prog_name: str = "analyze") -> None:
         print(f"internal error: {e}", file=sys.stderr)
         sys.exit(3)
 
-    for flag in ("mode", "check_against"):  # before any analysis or oracle
+    # before any analysis or oracle; fuzz judges trials by its alarms
+    if cfg.self_interference and not (cfg.mode in ("interference", "fuzz")
+                                      or cfg.check_against == "interference"):
+        ap.error("argument --self-interference: only the interference"
+                 " analyzer reads it")
+    for flag in ("mode", "check_against"):
         reason = getattr(cfg, flag) == "seq" and outside_fragment(program)
         if reason:
             ap.error(f"argument --{flag.replace('_', '-')}: {reason}")

@@ -15,6 +15,7 @@ tests/reference_semantics.py.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import chain, product
 
 from .syntax import (
@@ -48,17 +49,8 @@ class UnsupportedMode(Exception):
     pass
 
 
-Env = tuple[Num, ...]  # values in the order of ConcreteState.vars
+Env = tuple[Num, ...]  # values in the order of Program.variables
 VarIndex = dict[str, int]
-
-
-class ConcreteState(Record):
-    vars: tuple[str, ...]
-    envs: frozenset[Env]
-    errors: frozenset[Location]
-
-    def index(self) -> VarIndex:
-        return {v: i for i, v in enumerate(self.vars)}
 
 
 # guard tests on the value of e in `e cmp 0`
@@ -173,11 +165,11 @@ def compile_prim(s: Stmt, idx: VarIndex):
     return reads, None, guard
 
 
-def initial_state(p: Program) -> ConcreteState:
-    """All combinations of the points of the declared initial intervals."""
+def start_envs(p: Program) -> Iterator[Env]:
+    """Every combination of the points of the declared initial
+    intervals, made one at a time in ascending order."""
     init = p.initial_map()
-    return ConcreteState(p.variables, frozenset(product(
-        *[const_points(*init[v]) for v in p.variables])), frozenset())
+    return product(*[const_points(*init[v]) for v in p.variables])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Configuration records shared by the analyzers and the CLI: the one
-home of the run defaults."""
+"""Configuration records shared by the analyzers and the CLI, and the
+constants no run varies: the one home of the run defaults."""
 
 from __future__ import annotations
 
 from .syntax import Num, Record
+
+UNROLL = 3  # loop unrolling bound of the oracles' control paths
+PARTITION_CAP = 256  # scheduled-env partitions before coarsening
+LOOP_ITER_CAP = 10_000  # safety bound on every loop lim
+OUTER_ROUND_CAP = 64  # safety bound on interference fixpoints
 
 
 class AnalysisSettings(Record):
@@ -12,9 +17,6 @@ class AnalysisSettings(Record):
     thresholds: tuple[Num, ...] = (-10_000, -1, 0, 1, 10_000)  # widening
     widening_delay: int = 2  # outer interference rounds joined before widening
     decreasing_pass: bool = False  # one loop re-execution after stabilization
-    partition_cap: int = 256  # scheduled-env partitions before coarsening
-    loop_iter_cap: int = 10_000  # safety bound on every loop lim
-    outer_round_cap: int = 64  # safety bound on interference fixpoints
     self_interference: frozenset[int] = frozenset()  # multi-instance threads
 
 

@@ -28,7 +28,8 @@ environment in value order and scheduler outcome.  A scheduled thread
 whose path is complete may retire to DONE; that successor joins the
 tail of the queue too.  The state budget is checked at pop time, so
 states, truncation point, shortest witnesses and terminal_envs are those
-of that plain BFS.
+of that plain BFS, except that at most max_states + 1 start states are
+made: one past the budget already truncates the run.
 
 A state's level is the summed trie depth of its threads plus the number
 of DONE threads.  A move advances one thread by one trie edge, and a
@@ -59,10 +60,11 @@ the first pop to meet them is the miss.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Optional
 
-from .concrete import compile_prim, initial_state, paths, sorted_paths
-from .config import OracleBudget
+from .concrete import compile_prim, paths, sorted_paths, start_envs
+from .config import UNROLL, OracleBudget
 from .syntax import (
     Assign,
     ControlPath,
@@ -269,8 +271,7 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
             path_set, paths_trunc = ps.paths, paths_trunc or ps.truncated
         tries.append(_Trie.build(path_set))
     policy = _Policy(p.tids, tries, scheduled)
-    init = initial_state(p)
-    idx = init.index()
+    idx = {v: i for i, v in enumerate(p.variables)}
 
     full = 1 << _FIELD
     fmask = full - 1
@@ -323,7 +324,7 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
     n = len(p.tids)
     c0 = ctl_id(((0,) * n, (READY,) * n, (frozenset(),) * n))
     start = [sum(map(code, idx.values(), env)) | c0
-             for env in sorted(init.envs)]
+             for env in islice(start_envs(p), budget.max_states + 1)]
     queue = deque(start)
     # state -> the state that first found it (None for a start state)
     parents: dict | None = dict.fromkeys(start) if collect_witnesses else None
@@ -422,7 +423,7 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
         if keep_sched_states else None)
 
 
-def run_interleavings(p: Program, unroll: int = 3,
+def run_interleavings(p: Program, unroll: int = UNROLL,
                       budget: OracleBudget = OracleBudget(),
                       thread_paths: Optional[dict[int, frozenset[ControlPath]]] = None,
                       collect_witnesses: bool = True) -> ExploreResult:
@@ -435,7 +436,7 @@ def run_interleavings(p: Program, unroll: int = 3,
                     scheduled=False)
 
 
-def run_scheduled(p: Program, unroll: int = 3,
+def run_scheduled(p: Program, unroll: int = UNROLL,
                   budget: OracleBudget = OracleBudget(),
                   thread_paths: Optional[dict[int, frozenset[ControlPath]]] = None,
                   collect_witnesses: bool = True,

@@ -34,12 +34,12 @@ from .syntax import (
     relabel_program,
 )
 
+CONST_LO, CONST_HI = -3, 3  # the range of constant endpoints
+
 
 class GeneratorConfig(Record):
     max_threads: int = 3
     max_stmts: int = 12  # per thread
-    const_lo: int = -3
-    const_hi: int = 3
     wide_const_prob: float = 0.25
     div_prob: float = 0.3
     sync_prob: float = 0.25
@@ -47,7 +47,6 @@ class GeneratorConfig(Record):
     max_branching: int = 2  # if/while statements per thread
     n_vars: int = 4
     n_mutexes: int = 2
-    spare_var: bool = True  # one declared-but-unused variable (fresh)
 
 
 def _loc() -> Location:
@@ -55,9 +54,9 @@ def _loc() -> Location:
 
 
 def random_const(rng: random.Random, cfg: GeneratorConfig) -> Const:
-    a = rng.randint(cfg.const_lo, cfg.const_hi)
+    a = rng.randint(CONST_LO, CONST_HI)
     if rng.random() < cfg.wide_const_prob:
-        b = rng.randint(a, min(a + 2, cfg.const_hi))
+        b = rng.randint(a, min(a + 2, CONST_HI))
         return Const(a, b)
     return Const(a, a)
 
@@ -154,7 +153,7 @@ def random_program(rng: random.Random,
         body = block(random_stmts(rng, names, mutexes, cfg, budget,
                                   cfg.max_branching, sync))
         threads.append(Thread(tid, body))
-    variables = sorted(names + (["spare"] if cfg.spare_var else []))
+    variables = sorted(names + ["spare"])  # unused: fresh for the fuzzer
     prog = Program(
         threads=tuple(threads),
         mutexes=tuple(sorted(mutexes)),
@@ -168,8 +167,7 @@ def random_seq_program(rng: random.Random,
                        cfg: GeneratorConfig = GeneratorConfig(),
                        loop_free: bool = True) -> Program:
     """Single-thread program; with loop_free, only assigns/ifs/blocks."""
-    local = cfg._replace(max_threads=1, sync_prob=0.0, spare_var=False,
-                         loop_prob=0.0 if loop_free else cfg.loop_prob)
+    local = cfg._replace(loop_prob=0.0) if loop_free else cfg
     n_vars = rng.randint(2, local.n_vars)
     names = [f"v{i}" for i in range(n_vars)]
     budget = rng.randint(1, local.max_stmts)

@@ -11,7 +11,7 @@ import hashlib
 import json
 import time
 
-from .config import AnalysisSettings, OracleBudget
+from .config import UNROLL, AnalysisSettings, OracleBudget
 from .domains import BOT, BoxEnv, Interval
 from .interference import analyze_program_I
 from .parser import parse_program
@@ -27,6 +27,7 @@ CHECK_MODES = ("oracle-interleave", "oracle-scheduled")  # the explorers
 MODES = ANALYZER_MODES + CHECK_MODES + ("fuzz",)
 
 SCHEMA_VERSION = 1
+TERMINAL_VALUES_SHOWN = 64  # per variable in an oracle report, least first
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -76,7 +77,7 @@ REPORT_SCHEMA = {
 
 class RunConfig(Record):
     mode: str = "scheduled"
-    unroll: int = 3
+    unroll: int = UNROLL
     widening_delay: int = AnalysisSettings.widening_delay
     thresholds: tuple[Num, ...] = AnalysisSettings.thresholds
     mono: bool = True
@@ -166,11 +167,11 @@ def _invariant_dump(per_thread) -> dict:
             for tid, res in per_thread.items()}
 
 
-def _terminal_summary(res, limit: int = 64) -> dict:
+def _terminal_summary(res) -> dict:
     vals: dict[str, list[str]] = {}
     for i, v in enumerate(res.vars):
-        seen = sorted({env[i] for env in res.terminal_envs})[:limit]
-        vals[v] = [str(x) for x in seen]
+        seen = sorted({env[i] for env in res.terminal_envs})
+        vals[v] = [str(x) for x in seen[:TERMINAL_VALUES_SHOWN]]
     return vals
 
 
@@ -238,7 +239,7 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         # the alarms the trials are judged against
         omega = _analyze(p, "interference", cfg).omega
         rep["alarms"] = _alarms(omega, p)
-        fz = fuzz_weakmem(p, trials=50, seed=cfg.seed, unroll=cfg.unroll,
+        fz = fuzz_weakmem(p, seed=cfg.seed, unroll=cfg.unroll,
                           budget=budget, settings=cfg.settings(),
                           alarms=omega)
         # fixed harness programs, not the user's: their own default budget
@@ -301,7 +302,7 @@ def _analysis_fields(p: Program, cfg: RunConfig) -> dict:
     out["partition_stats"] = {
         "max_env_partitions": res.max_env_partitions,
         "interference_entries": res.interference_entries,
-        "idempotent": res.idempotent,
+        "idempotent": True,  # else outer_fixpoint raised AnalysisDiverged
     }
     return out
 

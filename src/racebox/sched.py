@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import config
 from .config import AnalysisSettings
 from .domains import (
     BOT,
@@ -329,8 +330,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         return substitute(t, c, x.envs[c], view, e, rec.read_log)
 
     def seen(x: AbsStateC) -> AbsStateC:
-        if len(x.envs) > settings.partition_cap:
-            rec.warn(f"partition cap {settings.partition_cap} exceeded:"
+        if len(x.envs) > config.PARTITION_CAP:
+            rec.warn(f"partition cap {config.PARTITION_CAP} exceeded:"
                      " partitions differing only in known-free mutexes"
                      " were joined")
             x = AbsStateC(_coarsen(x.envs), x.interf)
@@ -430,7 +431,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                 return last_run[s][1]  # the recorder already holds its run
             g = body_guard(s)
             acc = x  # the first iterate from bottom is the input itself
-            for _ in range(settings.loop_iter_cap):
+            for _ in range(config.LOOP_ITER_CAP):
                 entered = guard(g, acc)
                 nxt = acc.widen(go(s.body, entered), settings.thresholds)
                 if nxt == acc:
@@ -439,7 +440,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             else:
                 raise AnalysisDiverged(
                     f"loop {s.sid} did not stabilize within"
-                    f" {settings.loop_iter_cap} iterations")
+                    f" {config.LOOP_ITER_CAP} iterations")
             if settings.decreasing_pass:
                 acc = x.join(go(s.body, entered))
                 entered = guard(g, acc)
@@ -529,7 +530,6 @@ class SchedResult(Record):
     per_thread: dict[int, SchedThreadOutcome]
     max_env_partitions: int
     interference_entries: int
-    idempotent: bool
     warnings: list[str]
 
 
@@ -548,10 +548,10 @@ def outer_fixpoint(p: Program,
     rounds = 0
     while True:
         rounds += 1
-        if rounds > settings.outer_round_cap:
+        if rounds > config.OUTER_ROUND_CAP:
             raise AnalysisDiverged(
                 f"interference fixpoint did not stabilize within"
-                f" {settings.outer_round_cap} rounds")
+                f" {config.OUTER_ROUND_CAP} rounds")
         new_omega = omega
         joined: SchedInterferenceAbs = {}
         per_thread: dict[int, SchedThreadOutcome] = {}
@@ -610,7 +610,6 @@ def outer_fixpoint(p: Program,
         per_thread=per_thread,
         max_env_partitions=max_parts,
         interference_entries=len(interf),
-        idempotent=True,
         warnings=warnings,
     )
 

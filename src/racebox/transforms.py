@@ -21,7 +21,7 @@ import threading
 from collections import defaultdict
 from functools import partial
 
-from .config import AnalysisSettings, OracleBudget
+from .config import UNROLL, AnalysisSettings, OracleBudget
 from .domains import BoxEnv, Interval, eval_abs
 from .interference import analyze_program_I
 from .oracle import ExploreResult, inclusion, run_interleavings
@@ -189,7 +189,6 @@ def _occurrence_subsets(n: int) -> list[frozenset[int]]:
 
 
 class TransformContext(Record):
-    tid: int
     fresh: frozenset[str]
     local: frozenset[str]
 
@@ -200,7 +199,7 @@ def context_for(p: Program, tid: int,
     fresh, local = classify_vars(p, {
         t: [v for path in ps for s in path for v in vars_of_stmt(s)]
         for t, ps in (extra_paths or {}).items()})
-    return TransformContext(tid, fresh, local.get(tid, frozenset()))
+    return TransformContext(fresh, local.get(tid, frozenset()))
 
 
 def apply_rule(rule: RuleId, path: ControlPath,
@@ -419,7 +418,7 @@ def _pretty_path(path: ControlPath) -> list[str]:
 
 
 def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
-                 unroll: int = 3,
+                 unroll: int = UNROLL,
                  budget: OracleBudget = OracleBudget(),
                  settings: AnalysisSettings = AnalysisSettings(),
                  alarms: frozenset[Location] | None = None,
@@ -469,8 +468,7 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
             for _ in range(rng.randint(1, chain)):
                 fresh, local = classify_vars(p, {tid: [
                     v for s in path for v in facts(vars_of_stmt, s)]}, occ)
-                ctx = TransformContext(tid, fresh,
-                                       local.get(tid, frozenset()))
+                ctx = TransformContext(fresh, local.get(tid, frozenset()))
                 order = list(RuleId)
                 rng.shuffle(order)
                 apps: list = []
@@ -492,12 +490,7 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
         facts.memos.clear()  # `apps` still holds builders that reference it
 
     def explore(trial, budget: OracleBudget) -> ExploreResult:
-        tid, path0, path, _ = trial
-        thread_paths = dict(base)
-        thread_paths[tid] = (base[tid] - {path0}) | {path}
-        return run_interleavings(p, unroll=unroll, budget=budget,
-                                 thread_paths=thread_paths,
-                                 collect_witnesses=False)
+        return _run_swapped(p, base, *trial[:3], budget)  # tid, path0, path
 
     outcomes = _check_trials(explore, alarms, drawn, budget)
     if draw_error is not None:
@@ -545,6 +538,17 @@ def _usable_cpus() -> int:
             or threading.active_count() != 1):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _run_swapped(p: Program, base: dict[int, frozenset[ControlPath]],
+                 tid: int, old: ControlPath, new: ControlPath,
+                 budget: OracleBudget) -> ExploreResult:
+    """The interleaving oracle, without witnesses, on the `base` paths
+    of every thread, with thread tid's path `old` replaced by `new`."""
+    thread_paths = dict(base)
+    thread_paths[tid] = (base[tid] - {old}) | {new}
+    return run_interleavings(p, budget=budget, thread_paths=thread_paths,
+                             collect_witnesses=False)
 
 
 def _outcome(res: ExploreResult, alarms: frozenset[Location]) -> Outcome:
@@ -657,9 +661,7 @@ class NegativeControl(Record):
     missing: list[int]
 
 
-def negative_controls(unroll: int = 2,
-                      budget: OracleBudget = OracleBudget(),
-                      ) -> list[NegativeControl]:
+def negative_controls() -> list[NegativeControl]:
     """Hand-built violations of Def-style side conditions.  Each one must
     produce at least one oracle error not covered by the original
     program's interference analysis, proving the harness has teeth."""
@@ -671,15 +673,11 @@ def negative_controls(unroll: int = 2,
     def check(name: str, src: str, rewrite) -> None:
         p = parse_program(src)
         alarms = analyze_program_I(p).omega
-        base = {t.tid: mk_paths(t.body, unroll).paths for t in p.threads}
-        tid, old, new = rewrite(p, base)
-        thread_paths = dict(base)
-        thread_paths[tid] = (base[tid] - {old}) | {new}
-        inc = inclusion(run_interleavings(p, unroll=unroll, budget=budget,
-                                          thread_paths=thread_paths,
-                                          collect_witnesses=False), alarms)
-        out.append(NegativeControl(name, inc.verdict == "FAIL",
-                                   sorted(l.label for l in inc.missing)))
+        # the control programs have no loops, so no unrolling
+        base = {t.tid: mk_paths(t.body, 0).paths for t in p.threads}
+        verdict, missing = _outcome(
+            _run_swapped(p, base, *rewrite(p, base), OracleBudget()), alarms)
+        out.append(NegativeControl(name, verdict == "FAIL", missing))
 
     # (a) reorder assignments without nonblock(e1): the blocking 1/[0,0]
     # masked the second division's error in the original program

@@ -1,6 +1,7 @@
 """The oracle explorer as it was before it kept only one BFS level for
 deduplication: a global visited set and tuple witness links.  Tests
-compare racebox.oracle._explore with it field for field.
+compare racebox.oracle._explore with it field for field.  Like
+_explore, it makes at most max_states + 1 start states.
 
 explore(p, unroll, budget, thread_paths, collect_witnesses, scheduled,
 keep_sched_states) takes the arguments of racebox.oracle._explore."""
@@ -11,7 +12,7 @@ from collections import deque
 from typing import Optional
 
 from racebox import oracle
-from racebox.concrete import compile_prim, initial_state, paths
+from racebox.concrete import compile_prim, paths
 from racebox.config import OracleBudget
 from racebox.oracle import (
     _MASK,
@@ -24,6 +25,7 @@ from racebox.oracle import (
     _Trie,
 )
 from racebox.syntax import ControlPath, Location, Program, Stmt
+from reference_semantics import initial_state
 
 
 def explore(p: Program, unroll: int, budget: OracleBudget,
@@ -96,7 +98,7 @@ def explore(p: Program, unroll: int, budget: OracleBudget,
     n = len(p.tids)
     c0 = ctl_id(((0,) * n, (READY,) * n, (frozenset(),) * n))
     start = [sum(map(code, idx.values(), env)) | c0
-             for env in sorted(init.envs)]
+             for env in sorted(init.envs)[:budget.max_states + 1]]
     queue = deque(start)
     parents: dict | None = ({s: (None, None) for s in start}
                             if collect_witnesses else None)

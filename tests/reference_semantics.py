@@ -5,11 +5,12 @@ and the analyzers are checked against.  No racebox run uses it."""
 from __future__ import annotations
 
 from racebox.concrete import (
-    ConcreteState,
     Env,
     PathSet,
+    VarIndex,
     _compile,
     compile_prim,
+    start_envs,
 )
 from racebox.syntax import (
     Assign,
@@ -20,6 +21,7 @@ from racebox.syntax import (
     Location,
     Num,
     Program,
+    Record,
     Stmt,
     While,
     body_guard,
@@ -29,6 +31,20 @@ from racebox.syntax import (
     stmt_exprs,
     then_guard,
 )
+
+
+class ConcreteState(Record):
+    vars: tuple[str, ...]
+    envs: frozenset[Env]
+    errors: frozenset[Location]
+
+    def index(self) -> VarIndex:
+        return {v: i for i, v in enumerate(self.vars)}
+
+
+def initial_state(p: Program) -> ConcreteState:
+    """All combinations of the points of the declared initial intervals."""
+    return ConcreteState(p.variables, frozenset(start_envs(p)), frozenset())
 
 
 class FixpointBudgetExceeded(Exception):

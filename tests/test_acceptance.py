@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from fuzz_transforms import fuzz_block
-from racebox.concrete import initial_state, paths
+from racebox.concrete import paths
 from racebox.config import AnalysisSettings
 from racebox.domains import BOT, INF, Interval
 from racebox.interference import analyze_program_I
@@ -19,7 +19,8 @@ from racebox.oracle import run_interleavings, run_scheduled
 from racebox.randgen import GeneratorConfig, random_seq_program
 from racebox.sched import analyze_program_C
 from racebox.transforms import negative_controls
-from reference_semantics import exec_stmt, program_locations, run_paths
+from reference_semantics import (
+    exec_stmt, initial_state, program_locations, run_paths)
 from soundness_sweep import PAIRINGS, sweep
 
 F = Fraction

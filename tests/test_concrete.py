@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from racebox.concrete import ConcreteState, UnsupportedMode, initial_state, paths
+from racebox.concrete import UnsupportedMode, paths
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_seq_program
 from racebox.syntax import Assign, Guard, sub_exprs
 from reference_semantics import (
+    ConcreteState,
     FixpointBudgetExceeded,
     eval_concrete,
     exec_stmt,
+    initial_state,
     join,
     run_paths,
     to_json,

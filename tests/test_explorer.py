@@ -11,21 +11,28 @@ import pytest
 import reference_explorer
 from racebox import oracle
 from racebox.config import OracleBudget
+from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_program, sweep_program
 from racebox.syntax import IsLocked, Lock, Unlock, Yield
 
 FIELDS = ("errors", "truncated", "terminal_envs", "vars", "states",
           "paths_truncated", "witnesses", "sched_states")
 BUDGETS = (50, 300, 2_000, OracleBudget().max_states)
+# 121 start states: more than the least budget, which makes only 51
+WIDE_START = ("var a = [0,10]; var b = [0,10];"
+              " thread 1 { y <- 1 / a; } thread 2 { b <- a - b; }")
 
 
 @pytest.mark.parametrize("scheduled", [False, True])
 def test_explorer_equals_the_global_visited_set_reference(scheduled):
-    """100 random programs with sync, four budgets, with and without
-    witnesses: every ExploreResult field equals the reference's."""
+    """100 random programs with sync and WIDE_START, four budgets, with
+    and without witnesses: every ExploreResult field equals the
+    reference's."""
     runs = truncated = witnessed = after_retire = 0
-    for seed in range(31_000, 31_100):
-        p = random_program(random.Random(seed), GeneratorConfig(max_stmts=6))
+    cases = [(seed, random_program(random.Random(seed),
+                                   GeneratorConfig(max_stmts=6)))
+             for seed in range(31_000, 31_100)]
+    for seed, p in cases + [("WIDE_START", parse_program(WIDE_START))]:
         for max_states in BUDGETS:
             for witnesses in (False, True):
                 args = (p, 3, OracleBudget(max_states=max_states), None,
@@ -43,7 +50,7 @@ def test_explorer_equals_the_global_visited_set_reference(scheduled):
                     for s in steps if scheduled)
     # the comparisons cover truncation and witnesses, and in the scheduled
     # oracle witnesses that run past a retire
-    assert runs == 800 and 0 < truncated < runs and witnessed
+    assert runs == 808 and 0 < truncated < runs and witnessed
     assert after_retire or not scheduled
 
 

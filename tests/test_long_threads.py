@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from racebox.concrete import initial_state, paths
+from racebox.concrete import paths
 from racebox.domains import Interval
 from racebox.interference import analyze_program_I
 from racebox.oracle import run_interleavings, run_scheduled
@@ -27,7 +27,7 @@ from racebox.report import (
 from racebox.sched import analyze_program_C
 from racebox.seq import analyze_program_seq
 from racebox.syntax import pretty_expr, pretty_program
-from reference_semantics import exec_stmt
+from reference_semantics import exec_stmt, initial_state
 
 N = 3_000
 ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from racebox import oracle
 from racebox.cli import main
-from racebox.concrete import UnsupportedMode, initial_state, paths, sorted_paths
+from racebox.concrete import UnsupportedMode, paths, sorted_paths
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
 from racebox.oracle import (
@@ -19,7 +20,7 @@ from racebox.oracle import (
 from racebox.parser import parse_program
 from racebox.randgen import (
     fuzz_program, random_program, random_seq_program, sweep_program)
-from reference_semantics import exec_stmt
+from reference_semantics import exec_stmt, initial_state
 
 F = Fraction
 
@@ -50,6 +51,17 @@ def test_interleaving_budget_truncates():
         "thread 2 { x <- [0,3]; y <- [0,3]; z <- [0,3]; }")
     res = run_interleavings(p, unroll=0, budget=OracleBudget(max_states=20))
     assert res.truncated
+
+
+def test_budget_bounds_the_start_states():
+    # a million start states, of which a budget of 10 makes only 11
+    p = parse_program("var a = [0,1000]; var b = [0,1000];"
+                      " thread 1 { y <- 1 / a; }")
+    t0 = time.monotonic()
+    for run in (run_interleavings, run_scheduled):
+        res = run(p, budget=OracleBudget(10), collect_witnesses=False)
+        assert (res.states, res.truncated) == (11, True)
+    assert time.monotonic() - t0 < 1
 
 
 def test_unbounded_constant_raises_only_when_reached():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racebox.cli import main
+from racebox.config import AnalysisSettings
 from racebox.parser import MAX_NESTING
 
 from racebox.report import (
@@ -166,6 +167,14 @@ def test_self_interference_must_name_a_thread(corpus_source):
     with pytest.raises(UnknownThread, match="no thread 9"):
         analyze_source(corpus_source("dekker"),
                        RunConfig(mode="interference", self_interference=(9,)))
+
+
+def test_every_analysis_setting_is_echoed():
+    """A setting that can change an analyzer's result is a RunConfig
+    field, so the report's `config` names it."""
+    echo = RunConfig().echo()
+    for name in AnalysisSettings._fields:
+        assert name in RunConfig._fields and name in echo, name
 
 
 # -- command line
@@ -467,6 +476,46 @@ def test_cli_seq_outside_its_fragment_is_usage_error(tmp_path, source,
     assert r.stderr.startswith("Usage:")
     assert f"argument {flag}: {reason}" in r.stderr
     assert r.stdout == ""
+
+
+# thread 1 reads its own store x <- 0 only as one of several instances
+SRC_SELF = "var x; thread 1 { x <- 0; x <- 1; y <- 1 / x; }\n"
+
+
+@pytest.mark.parametrize("args,reason", [
+    (("--mode", "scheduled"), "only the interference analyzer reads it"),
+    (("--mode", "seq"), "only the interference analyzer reads it"),
+    (("--mode", "oracle-scheduled", "--check-against", "scheduled"),
+     "only the interference analyzer reads it"),
+    (("--mode", "interference", "--self-interference", "9"),
+     "the program has no thread 9"),
+])
+def test_cli_self_interference_needs_the_interference_analyzer(
+        tmp_path, args, reason):
+    f = tmp_path / "p.conc"
+    f.write_text(SRC_SELF)
+    r = run_cli(str(f), "--self-interference", "1", *args)
+    assert r.returncode == 2
+    assert r.stderr.startswith("Usage:")
+    assert f"argument --self-interference: {reason}" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args,code", [
+    (("--mode", "interference"), 1),
+    (("--mode", "fuzz", "--unroll", "1"), 0),
+    (("--mode", "oracle-interleave", "--check-against", "interference"), 0),
+])
+def test_cli_self_interference_runs_with_the_interference_analyzer(
+        tmp_path, args, code):
+    f = tmp_path / "p.conc"
+    f.write_text(SRC_SELF)
+    r = run_cli(str(f), "--self-interference", "1", *args, "--json")
+    rep = json.loads(r.stdout)
+    assert (r.returncode, rep["exit_code"]) == (code, code)
+    assert rep["config"]["self_interference"] == [1]
+    if rep["mode"] != "oracle-interleave":  # the alarm the flag makes
+        assert [a["label"] for a in rep["alarms"]] == [1]
 
 
 def test_cli_thresholds_flag(tmp_path, corpus_source):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from racebox import config
 from racebox.config import AnalysisSettings
 from racebox.domains import BOT, BoxEnv, INF, Interval
 from racebox.interference import analyze_program_I
@@ -361,19 +362,22 @@ def test_partition_invariant_l_u_disjoint(corpus):
                 assert c.tag == WEAK
 
 
-def test_idempotence_flag(corpus):
+def test_idempotence_flag(corpus_source):
     for name in ("dekker", "increment", "priority_mutex", "priority_flow"):
-        assert analyze_program_C(corpus(name), mono=True).idempotent
+        rep = analyze_source(corpus_source(name), RunConfig(mode="scheduled"))
+        assert rep["partition_stats"]["idempotent"] is True
 
 
-def test_partition_cap_coarsens():
+def test_partition_cap_coarsens(monkeypatch):
     # three islocked tests in a row would make 2^3 u-partitions; a cap of 2
     # forces joins that only weaken the u component
     src = """mutex a; mutex b; mutex c;
     thread 1 { x <- islocked(a); y <- islocked(b); z <- islocked(c); w <- 1; }
     """
     p = parse_program(src)
-    res = analyze_program_C(p, AnalysisSettings(partition_cap=2), mono=True)
+    with monkeypatch.context() as m:
+        m.setattr(config, "PARTITION_CAP", 2)
+        res = analyze_program_C(p, mono=True)
     assert res.max_env_partitions <= 2
     assert joined_final(res, "w") == iv(1, 1)
     # the lost precision is reported, and the uncapped run reports nothing
@@ -388,13 +392,14 @@ def test_partition_cap_coarsens():
 def test_diverging_analysis_raises_typed_error_under_optimize():
     # the loop cap is a real exception, not an assert that -O strips
     code = (
-        "from racebox.config import AnalysisSettings\n"
+        "from racebox import config\n"
         "from racebox.parser import parse_program\n"
         "from racebox.sched import AnalysisDiverged, analyze_program_C\n"
         "p = parse_program('thread 1 { x <- 0;"
         " while x - 10 < 0 do { x <- x + 1; } }')\n"
+        "config.LOOP_ITER_CAP = 1\n"
         "try:\n"
-        "    analyze_program_C(p, AnalysisSettings(loop_iter_cap=1))\n"
+        "    analyze_program_C(p)\n"
         "except AnalysisDiverged as e:\n"
         "    print('diverged:', e)\n")
     env = dict(os.environ)
@@ -408,11 +413,11 @@ def test_diverging_analysis_raises_typed_error_under_optimize():
     assert issubclass(AnalysisDiverged, RuntimeError)
 
 
-def test_outer_round_cap_raises_typed_error(corpus):
-    capped = AnalysisSettings(outer_round_cap=1)
+def test_outer_round_cap_raises_typed_error(corpus, monkeypatch):
+    monkeypatch.setattr(config, "OUTER_ROUND_CAP", 1)
     for analyze in (analyze_program_I, analyze_program_C):
         try:
-            analyze(corpus("increment"), capped)
+            analyze(corpus("increment"))
         except AnalysisDiverged as e:
             assert "within 1 rounds" in str(e)
         else:

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from racebox.concrete import initial_state
 from racebox.config import AnalysisSettings
 from racebox.domains import INF, Interval
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_seq_program
 from racebox.seq import MultiThreadInput, analyze_program_seq
-from reference_semantics import exec_stmt
+from reference_semantics import exec_stmt, initial_state
 
 F = Fraction
 

@@ -42,8 +42,8 @@ def loc():
     return Location(0, 0, 0, "?")
 
 
-def ctx(tid=1, fresh=(), local=()):
-    return TransformContext(tid, frozenset(fresh), frozenset(local))
+def ctx(fresh=(), local=()):
+    return TransformContext(frozenset(fresh), frozenset(local))
 
 
 def path_of(src, tid=1, unroll=0):
