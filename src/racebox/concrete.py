@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import chain, product
+from itertools import chain, islice, product
 
 from .syntax import (
     Assign,
@@ -72,15 +72,17 @@ _ARITH = {
 }
 
 
-def const_points(lo, hi) -> list[Num]:
+def const_points(lo, hi, n: int | None = None) -> list[Num]:
     """The integer points and the endpoints of a constant interval, in
-    ascending order."""
+    ascending order; with n, only the first n, made without the rest
+    (past its first n integers, no point can be among the first n)."""
     if not (is_finite(lo) and is_finite(hi)):
         raise UnsupportedMode(
             f"unbounded constant [{lo},{hi}] has no finite set of points")
     if lo.__class__ is int and hi.__class__ is int:
-        return list(range(lo, hi + 1))
-    return sorted({lo, hi, *range(math.ceil(lo), math.floor(hi) + 1)})
+        return list(range(lo, hi + 1)[:n])
+    ints = range(math.ceil(lo), math.floor(hi) + 1)[:n]
+    return sorted({lo, hi, *ints})[:n]
 
 
 def _operator(x: Expr):
@@ -165,11 +167,14 @@ def compile_prim(s: Stmt, idx: VarIndex):
     return reads, None, guard
 
 
-def start_envs(p: Program) -> Iterator[Env]:
-    """Every combination of the points of the declared initial
-    intervals, made one at a time in ascending order."""
+def start_envs(p: Program, n: int | None = None) -> Iterator[Env]:
+    """The combinations of the points of the declared initial intervals,
+    made one at a time in ascending order: all of them, or the first n.
+    The k-th combination takes no variable's point past its k-th, so for
+    the first n each variable makes only its first n points."""
     init = p.initial_map()
-    return product(*[const_points(*init[v]) for v in p.variables])
+    return islice(product(*[const_points(*init[v], n) for v in p.variables]),
+                  n)
 
 
 # ---------------------------------------------------------------------------

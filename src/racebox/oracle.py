@@ -43,8 +43,9 @@ only while it is queued or in the set of the level being built.  With
 witnesses, one dict maps each state found to the state that found it;
 a witness step is rebuilt by re-running the parent's moves in order up
 to the first that reaches the child, and a retire adds no step.
-sched_states are the control points expanded and those of the states
-still queued.
+A scheduled run's sched_states are the (status, held) pairs of the
+control points expanded and of the states still queued; an interleaving
+run has None.
 
 Cached for one exploration: each control point's moves, from its first
 pop, and one memo per statement, keyed by the fields of the variables it
@@ -60,7 +61,6 @@ the first pop to meet them is the miss.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Optional
 
 from .concrete import compile_prim, paths, sorted_paths, start_envs
@@ -127,7 +127,7 @@ class ExploreResult(Record):
     states: int
     paths_truncated: bool
     witnesses: dict[Location, list[dict]]
-    sched_states: frozenset | None = None  # (status, held) pairs, on request
+    sched_states: frozenset | None  # (status, held) pairs; None unscheduled
 
     def terminal_values(self, var: str) -> frozenset:
         i = self.vars.index(var)
@@ -259,8 +259,7 @@ class ValueTableFull(RuntimeError):
 
 def _explore(p: Program, unroll: int, budget: OracleBudget,
              thread_paths: Optional[dict[int, frozenset[ControlPath]]],
-             collect_witnesses: bool, scheduled: bool,
-             keep_sched_states: bool = False) -> ExploreResult:
+             collect_witnesses: bool, scheduled: bool) -> ExploreResult:
     """BFS over int-coded states; see the module docstring."""
     tries, paths_trunc = [], False
     for t in p.threads:
@@ -324,7 +323,7 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
     n = len(p.tids)
     c0 = ctl_id(((0,) * n, (READY,) * n, (frozenset(),) * n))
     start = [sum(map(code, idx.values(), env)) | c0
-             for env in islice(start_envs(p), budget.max_states + 1)]
+             for env in start_envs(p, budget.max_states + 1)]
     queue = deque(start)
     # state -> the state that first found it (None for a start state)
     parents: dict | None = dict.fromkeys(start) if collect_witnesses else None
@@ -420,7 +419,7 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
         # the control points expanded and those of the states still queued
         frozenset(ctl_list[c][1:]
                   for c in infos.keys() | {s & _MASK for s in queue})
-        if keep_sched_states else None)
+        if scheduled else None)
 
 
 def run_interleavings(p: Program, unroll: int = UNROLL,
@@ -439,17 +438,17 @@ def run_interleavings(p: Program, unroll: int = UNROLL,
 def run_scheduled(p: Program, unroll: int = UNROLL,
                   budget: OracleBudget = OracleBudget(),
                   thread_paths: Optional[dict[int, frozenset[ControlPath]]] = None,
-                  collect_witnesses: bool = True,
-                  keep_sched_states: bool = False) -> ExploreResult:
+                  collect_witnesses: bool = True) -> ExploreResult:
     """Explicit-state scheduled semantics: enabled -> statement -> sched.
 
     Only the highest-priority ready thread may step.  lock(m) parks the
     thread in wait(m); the scheduler grants a free mutex to its
     highest-priority waiter and wakes yielding threads non-deterministically
     (one branch per subset).  Errors reached along any feasible prefix are
-    kept even if the path later blocks."""
+    kept even if the path later blocks.  sched_states holds the (status,
+    held) pairs of the configurations reached."""
     return _explore(p, unroll, budget, thread_paths, collect_witnesses,
-                    scheduled=True, keep_sched_states=keep_sched_states)
+                    scheduled=True)
 
 
 # ---------------------------------------------------------------------------

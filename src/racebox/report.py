@@ -168,11 +168,8 @@ def _invariant_dump(per_thread) -> dict:
 
 
 def _terminal_summary(res) -> dict:
-    vals: dict[str, list[str]] = {}
-    for i, v in enumerate(res.vars):
-        seen = sorted({env[i] for env in res.terminal_envs})
-        vals[v] = [str(x) for x in seen[:TERMINAL_VALUES_SHOWN]]
-    return vals
+    shown = lambda v: sorted(res.terminal_values(v))[:TERMINAL_VALUES_SHOWN]
+    return {v: [str(x) for x in shown(v)] for v in res.vars}
 
 
 def build_report(p: Program, source: str, cfg: RunConfig) -> dict:

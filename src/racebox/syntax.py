@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 # The one number format: exact rationals, written as an int whenever the
 # value is integral and as a Fraction otherwise (Fraction arithmetic may
@@ -639,29 +639,3 @@ def var_threads(p: Program) -> dict[str, set[int]]:
         for v in vars_of_stmt(t.body):
             occ[v].add(t.tid)
     return occ
-
-
-def classify_vars(
-    p: Program,
-    extra_vars: Optional[dict[int, Iterable[str]]] = None,
-    occ: Optional[dict[str, set[int]]] = None,
-) -> tuple[frozenset[str], dict[int, frozenset[str]]]:
-    """Split declared variables into fresh and thread-local sets.
-
-    A variable is fresh if it occurs in no thread, and local to t if it
-    occurs only in thread t.  `extra_vars` adds, per thread id, the
-    variables of already transformed control paths, so freshness stays
-    correct while chaining path transformations.  A caller that classifies
-    p many times passes var_threads(p) as `occ`, which is not modified.
-    """
-    occ = (var_threads(p) if occ is None
-           else {v: set(ts) for v, ts in occ.items()})
-    for tid, vs in (extra_vars or {}).items():
-        for v in vs:
-            occ.setdefault(v, set()).add(tid)
-    fresh = frozenset(v for v, ts in occ.items() if not ts)
-    local = {
-        t.tid: frozenset(v for v, ts in occ.items() if ts == {t.tid})
-        for t in p.threads
-    }
-    return fresh, local

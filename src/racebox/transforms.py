@@ -38,7 +38,6 @@ from .syntax import (
     Record,
     Stmt,
     Var,
-    classify_vars,
     fold_expr,
     lvals_of_stmt,
     sub_exprs,
@@ -194,12 +193,19 @@ class TransformContext(Record):
 
 
 def context_for(p: Program, tid: int,
-                extra_paths: dict[int, list[ControlPath]] | None = None,
-                ) -> TransformContext:
-    fresh, local = classify_vars(p, {
-        t: [v for path in ps for s in path for v in vars_of_stmt(s)]
-        for t, ps in (extra_paths or {}).items()})
-    return TransformContext(fresh, local.get(tid, frozenset()))
+                path_vars: set[str] | frozenset[str] = frozenset(),
+                occ: dict[str, set[int]] | None = None) -> TransformContext:
+    """Thread tid's rule context: the declared variables that occur in no
+    thread (fresh) and those that occur in tid alone (local), counting
+    `path_vars`, the variables of tid's transformed path, as tid's.  A
+    caller that asks many times passes var_threads(p) as `occ`."""
+    occ = var_threads(p) if occ is None else occ
+    me = {tid}
+    return TransformContext(
+        frozenset(v for v, ts in occ.items()
+                  if not ts and v not in path_vars),
+        frozenset(v for v, ts in occ.items()
+                  if ts == me or not ts and v in path_vars))
 
 
 def apply_rule(rule: RuleId, path: ControlPath,
@@ -460,15 +466,12 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
         for _ in range(trials):
             tid = rng.choice(p.tids)
             pool = pools[tid]
-            if not pool:
-                continue
             path0 = pool[rng.randrange(len(pool))]
             path = path0
             used: list[str] = []
             for _ in range(rng.randint(1, chain)):
-                fresh, local = classify_vars(p, {tid: [
-                    v for s in path for v in facts(vars_of_stmt, s)]}, occ)
-                ctx = TransformContext(fresh, local.get(tid, frozenset()))
+                ctx = context_for(p, tid, {
+                    v for s in path for v in facts(vars_of_stmt, s)}, occ)
                 order = list(RuleId)
                 rng.shuffle(order)
                 apps: list = []
@@ -661,73 +664,52 @@ class NegativeControl(Record):
     missing: list[int]
 
 
+# Per control: its name, a loop-free program, and a rewrite of thread 1's
+# longest path that breaks the named rule's side condition
+_CONTROLS = (
+    # (a) reorder assignments without nonblock(e1): the blocking 1/[0,0]
+    # masked the second division's error in the original program
+    ("reorder-assigns without nonblock(e1)",
+     "var a; var b; var c;\nthread 1 { a <- 1 / [0,0]; b <- 1 / c; }\n",
+     lambda path: (path[1], path[0]) + path[2:]),
+    # (b) redundant-store elimination without nonblock(e1): removing the
+    # blocking store unmasks the later division by zero
+    ("redundant-store without nonblock(e1)",
+     "var x; var z; var y;\n"
+     "thread 1 { x <- 1 / [0,0]; x <- 1; z <- 1 / y; }\n",
+     lambda path: path[1:]),
+    # (c) assign-before-guard with a non-local variable: hoisting the
+    # store above its guard publishes a value other threads must not see
+    ("assign-before-guard with shared X2",
+     "var flag = [1,1]; var x; var w;\n"
+     "thread 1 { if flag = 0 then { x <- 1; } }\n"
+     "thread 2 { w <- 1 / (1 - x); }\n",
+     lambda path: (path[1], path[0])),  # (guard, assign) -> (assign, guard)
+    # (d) expression simplification without value containment: widening a
+    # constant breaks the replaced-by-subset requirement
+    ("expr-simplify without containment",
+     "var b;\nthread 1 { b <- 1 / [1,1]; }\n",
+     lambda path: (Assign(path[0].sid, path[0].var, BinOp(
+         "/", path[0].expr.loc, Const(1, 1), Const(0, 1))),) + path[1:]),
+)
+
+
 def negative_controls() -> list[NegativeControl]:
-    """Hand-built violations of Def-style side conditions.  Each one must
-    produce at least one oracle error not covered by the original
-    program's interference analysis, proving the harness has teeth."""
+    """Hand-built violations of Def-style side conditions, one per row of
+    _CONTROLS.  Each one must produce at least one oracle error not
+    covered by the original program's interference analysis, proving the
+    harness has teeth."""
     from .concrete import paths as mk_paths
     from .parser import parse_program
 
     out: list[NegativeControl] = []
-
-    def check(name: str, src: str, rewrite) -> None:
+    for name, src, rewrite in _CONTROLS:
         p = parse_program(src)
         alarms = analyze_program_I(p).omega
         # the control programs have no loops, so no unrolling
         base = {t.tid: mk_paths(t.body, 0).paths for t in p.threads}
-        verdict, missing = _outcome(
-            _run_swapped(p, base, *rewrite(p, base), OracleBudget()), alarms)
+        path = max(base[1], key=len)
+        verdict, missing = _outcome(_run_swapped(
+            p, base, 1, path, rewrite(path), OracleBudget()), alarms)
         out.append(NegativeControl(name, verdict == "FAIL", missing))
-
-    # (a) reorder assignments without nonblock(e1): the blocking 1/[0,0]
-    # masked the second division's error in the original program
-    def swap_first_two(p, base):
-        tid = 1
-        path = next(iter(base[tid]))
-        return tid, path, (path[1], path[0]) + path[2:]
-
-    check("reorder-assigns without nonblock(e1)",
-          "var a; var b; var c;\n"
-          "thread 1 { a <- 1 / [0,0]; b <- 1 / c; }\n",
-          swap_first_two)
-
-    # (b) redundant-store elimination without nonblock(e1): removing the
-    # blocking store unmasks the later division by zero
-    def drop_first(p, base):
-        tid = 1
-        path = next(iter(base[tid]))
-        return tid, path, path[1:]
-
-    check("redundant-store without nonblock(e1)",
-          "var x; var z; var y;\n"
-          "thread 1 { x <- 1 / [0,0]; x <- 1; z <- 1 / y; }\n",
-          drop_first)
-
-    # (c) assign-before-guard with a non-local variable: hoisting the
-    # store above its guard publishes a value other threads must not see
-    def hoist_store(p, base):
-        tid = 1
-        path = next(p for p in base[tid] if len(p) == 2)  # (guard, assign)
-        return tid, path, (path[1], path[0])
-
-    check("assign-before-guard with shared X2",
-          "var flag = [1,1]; var x; var w;\n"
-          "thread 1 { if flag = 0 then { x <- 1; } }\n"
-          "thread 2 { w <- 1 / (1 - x); }\n",
-          hoist_store)
-
-    # (d) expression simplification without value containment: widening a
-    # constant breaks the replaced-by-subset requirement
-    def widen_const(p, base):
-        tid = 1
-        path = next(iter(base[tid]))
-        stmt = path[0]
-        wide = Assign(stmt.sid, stmt.var,
-                      BinOp("/", stmt.expr.loc, Const(1, 1), Const(0, 1)))
-        return tid, path, (wide,) + path[1:]
-
-    check("expr-simplify without containment",
-          "var b;\nthread 1 { b <- 1 / [1,1]; }\n",
-          widen_const)
-
     return out

@@ -3,8 +3,8 @@ deduplication: a global visited set and tuple witness links.  Tests
 compare racebox.oracle._explore with it field for field.  Like
 _explore, it makes at most max_states + 1 start states.
 
-explore(p, unroll, budget, thread_paths, collect_witnesses, scheduled,
-keep_sched_states) takes the arguments of racebox.oracle._explore."""
+explore(p, unroll, budget, thread_paths, collect_witnesses, scheduled)
+takes the arguments of racebox.oracle._explore."""
 
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ from reference_semantics import initial_state
 
 def explore(p: Program, unroll: int, budget: OracleBudget,
             thread_paths: Optional[dict[int, frozenset[ControlPath]]],
-            collect_witnesses: bool, scheduled: bool,
-            keep_sched_states: bool = False) -> ExploreResult:
+            collect_witnesses: bool, scheduled: bool) -> ExploreResult:
     """The BFS of racebox.oracle._explore with one visited set of every
     state found and (parent, (thread, stmt, target)) witness links."""
     tries, paths_trunc = [], False
@@ -172,4 +171,4 @@ def explore(p: Program, unroll: int, budget: OracleBudget,
                   for e in terminal),
         p.variables, len(seen), paths_trunc, errors,
         frozenset(ctl_list[c][1:] for c in {s & _MASK for s in seen})
-        if keep_sched_states else None)
+        if scheduled else None)

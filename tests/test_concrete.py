@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from racebox.concrete import UnsupportedMode, paths
+from racebox.concrete import UnsupportedMode, paths, start_envs
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_seq_program
 from racebox.syntax import Assign, Guard, sub_exprs
@@ -197,3 +197,12 @@ def test_join_morphism_randomized(seed):
     rhs = join(exec_stmt(p.threads[0].body, st1),
                exec_stmt(p.threads[0].body, st2))
     assert lhs.envs == rhs.envs and lhs.errors == rhs.errors
+
+
+def test_start_envs_first_n_are_their_prefix():
+    p = parse_program("var a = [1/2,4]; var b = [0,1/3]; var c = [-1,1];"
+                      " thread 1 { y <- a - b + c; }")
+    every = list(start_envs(p))
+    assert every == sorted(initial_state(p).envs)
+    for n in range(len(every) + 2):
+        assert list(start_envs(p, n)) == every[:n]

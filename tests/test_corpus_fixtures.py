@@ -31,8 +31,7 @@ def test_lock_sets_cover_oracle_acquisitions():
         if not p.mutexes:
             continue
         ls = collect_lock_sets(p)
-        res = run_scheduled(p, unroll=2, collect_witnesses=False,
-                            keep_sched_states=True)
+        res = run_scheduled(p, unroll=2, collect_witnesses=False)
         tids = p.tids
         for status, held in res.sched_states:
             for i, t in enumerate(tids):

@@ -36,7 +36,7 @@ def test_explorer_equals_the_global_visited_set_reference(scheduled):
         for max_states in BUDGETS:
             for witnesses in (False, True):
                 args = (p, 3, OracleBudget(max_states=max_states), None,
-                        witnesses, scheduled, scheduled)
+                        witnesses, scheduled)
                 got = oracle._explore(*args)
                 want = reference_explorer.explore(*args)
                 assert got == want, (seed, max_states, witnesses, [
@@ -128,7 +128,7 @@ def test_explorer_peak_memory_is_below_the_reference(witnesses):
     traced peak is at most 0.7 of the reference's (measured 0.66 without
     witnesses and 0.51 with them)."""
     args = (sweep_program(31_238), 3, OracleBudget(max_states=10_000), None,
-            witnesses, False, False)
+            witnesses, False)
     ref = _peak(reference_explorer.explore, *args)
     new = _peak(oracle._explore, *args)
     assert new <= 0.7 * ref, (new, ref)

@@ -60,6 +60,17 @@ def test_int_constants_are_finite():
     assert str(Interval.of(NEG_INF, F(1, 2))) == "[-inf,1/2]"
 
 
+@pytest.mark.parametrize("lo,hi", [(0, 6), (-2, 2), (F(1, 2), 5), (2, F(7)),
+                                   (F(-7, 3), F(5, 2)), (F(3), F(9, 2)),
+                                   (F(1, 3), F(2, 3)), (F(4), F(4))])
+def test_const_points_first_n_are_their_prefix(lo, hi):
+    every = const_points(lo, hi)
+    for n in range(len(every) + 2):
+        first = const_points(lo, hi, n)
+        assert first == every[:n]
+        assert list(map(type, first)) == list(map(type, every[:n]))
+
+
 @pytest.mark.parametrize("text, value", [
     ("3", 3), ("[6/3,6/3]", 2), ("1.5", F(3, 2)), ("[-4/6,-4/6]", F(-2, 3)),
 ])

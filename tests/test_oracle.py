@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,32 @@ def test_budget_bounds_the_start_states():
         res = run(p, budget=OracleBudget(10), collect_witnesses=False)
         assert (res.states, res.truncated) == (11, True)
     assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("src", [
+    "var a = [0,3000000]; thread 1 { y <- 1 / a; }",
+    "var a = [1/2,3000000]; var b = [0,1/3];"
+    " thread 1 { y <- 1 / (a - b); }"])
+def test_budget_bounds_the_points_of_a_wide_interval(src):
+    # a has three million points, of which a budget of 10 lists only 11
+    p = parse_program(src)
+    t0 = time.monotonic()
+    tracemalloc.start()
+    try:
+        for run in (run_interleavings, run_scheduled):
+            res = run(p, budget=OracleBudget(10), collect_witnesses=False)
+            assert (res.states, res.truncated) == (11, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    assert time.monotonic() - t0 < 1
+
+
+def test_sched_states_come_from_scheduled_runs_alone(corpus):
+    p = corpus("priority_mutex")
+    assert run_interleavings(p, unroll=0).sched_states is None
+    assert run_scheduled(p, unroll=0).sched_states
 
 
 def test_unbounded_constant_raises_only_when_reached():
@@ -169,8 +196,7 @@ def test_scheduled_relock_noop():
 
 
 def test_scheduled_mutex_exclusivity_and_wait_consistency(corpus):
-    res = run_scheduled(corpus("priority_mutex"), unroll=0,
-                        keep_sched_states=True)
+    res = run_scheduled(corpus("priority_mutex"), unroll=0)
     for status, held in res.sched_states:
         for m in ("m",):
             holders = [i for i, h in enumerate(held) if m in h]
@@ -317,7 +343,7 @@ def _golden_digest(p, max_states, unroll=3, thread_paths=None) -> str:
             collect_witnesses=witnesses)))
         docs.append(_result_doc(run_scheduled(
             p, unroll=unroll, budget=budget, thread_paths=thread_paths,
-            collect_witnesses=witnesses, keep_sched_states=True)))
+            collect_witnesses=witnesses)))
     return hashlib.sha256("\n".join(docs).encode()).hexdigest()[:16]
 
 

@@ -21,13 +21,13 @@ from racebox.syntax import (
     If,
     Neg,
     Var,
-    classify_vars,
     collect_lock_sets,
     pretty_program,
     sub_exprs,
     sub_stmts,
     stmt_exprs,
 )
+from racebox.transforms import context_for
 from reference_semantics import program_locations
 
 
@@ -155,20 +155,20 @@ def test_collect_lock_sets_empty():
     assert collect_lock_sets(p)[1] == frozenset()
 
 
-def test_classify_vars_dekker(corpus):
+def test_context_for_dekker(corpus):
     p = corpus("dekker")
-    fresh, local = classify_vars(p)
-    assert "flag1" not in local[1] and "flag1" not in local[2]
-    assert "flag2" not in local[1] and "flag2" not in local[2]
-    assert fresh == frozenset()
+    c1, c2 = context_for(p, 1), context_for(p, 2)
+    assert "flag1" not in c1.local and "flag1" not in c2.local
+    assert "flag2" not in c1.local and "flag2" not in c2.local
+    assert c1.fresh == c2.fresh == frozenset()
 
 
-def test_classify_vars_fresh_and_local():
+def test_context_for_fresh_and_local():
     p = parse_program("var z; var w; thread 1 { w <- 1; } thread 2 { x <- w; }")
-    fresh, local = classify_vars(p)
-    assert "z" in fresh
-    assert local[2] == frozenset({"x"})
-    assert "w" not in local[1]  # read by thread 2
+    c1, c2 = context_for(p, 1), context_for(p, 2)
+    assert "z" in c1.fresh and "z" in c2.fresh
+    assert c2.local == frozenset({"x"})
+    assert "w" not in c1.local  # read by thread 2
 
 
 def test_guard_never_parsed():

@@ -22,6 +22,7 @@ from racebox.syntax import (
     Lock,
     Var,
     pretty_stmt,
+    vars_of_stmt,
 )
 from racebox.transforms import (
     RuleId,
@@ -269,6 +270,16 @@ def test_negative_controls_all_detected():
     controls = negative_controls()
     assert len(controls) >= 3
     assert all(c.detected for c in controls)
+
+
+def test_negative_controls_pinned():
+    assert [(c.name, c.detected, c.missing)
+            for c in negative_controls()] == [
+        ("reorder-assigns without nonblock(e1)", True, [2]),
+        ("redundant-store without nonblock(e1)", True, [2]),
+        ("assign-before-guard with shared X2", True, [1]),
+        ("expr-simplify without containment", True, [1]),
+    ]
 
 
 # -- checking trials in forked children
@@ -711,7 +722,8 @@ def test_apply_rule_applications_pinned():
         p = fuzz_program(88_000 + n)
         for t in p.threads:
             for path in sorted_paths(paths(t.body, 2).paths):
-                ctx = context_for(p, t.tid, {t.tid: [path]})
+                ctx = context_for(p, t.tid, {
+                    v for s in path for v in vars_of_stmt(s)})
                 for rule in RuleId:
                     h.update(repr([[f"{s.sid} {pretty_stmt(s)}" for s in app]
                                    for app in apply_rule(rule, path, ctx)]
