@@ -15,7 +15,7 @@ from .config import UNROLL, AnalysisSettings, OracleBudget
 from .domains import BOT, BoxEnv, Interval
 from .interference import analyze_program_I
 from .parser import parse_program
-from .sched import analyze_program_C
+from .sched import analyze_program_C, unpartitioned
 from .seq import analyze_program_seq
 from .syntax import Location, Num, Program, Record, location_thread
 
@@ -89,6 +89,11 @@ class RunConfig(Record):
     timing: bool = False
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError("--mode must be one of " + ", ".join(MODES))
+        if self.check_against and self.check_against not in ANALYZER_MODES:
+            raise ValueError("--check-against must be one of "
+                             + ", ".join(ANALYZER_MODES))
         if self.check_against and self.mode not in CHECK_MODES:
             raise ValueError("--check-against needs --mode "
                              + " or ".join(CHECK_MODES))
@@ -136,34 +141,28 @@ def _alarms(omega, p: Program) -> list[dict]:
             for l in sorted(omega, key=lambda l: l.sort_key())]
 
 
-def _join_env_var(env, var: str) -> Interval:
-    if isinstance(env, BoxEnv):
-        return env.get(var)
+def _join_var(envs: list[BoxEnv], var: str) -> Interval:
     out = BOT
-    for c in env:  # partitioned env
-        out = out.join(env[c].get(var))
+    for env in envs:
+        out = out.join(env.get(var))
     return out
 
 
-def _var_ranges(p: Program, per_thread) -> dict:
-    out = {}
-    for v in p.variables:
-        final = BOT
-        hull = BOT
-        for tid, res in per_thread.items():
-            fv = _join_env_var(res.final, v)
-            final = final.join(fv)
-            hull = hull.join(fv)
-            for sid, env in res.invariants.items():
-                hull = hull.join(_join_env_var(env, v))
-        out[v] = {"final": str(final), "hull": str(hull)}
-    return out
+def _var_ranges(p: Program, per_thread, hull_of_invariants: bool) -> dict:
+    finals = [env for res in per_thread.values() for env in res.final.values()]
+    reached = finals + [
+        env for res in per_thread.values() if hull_of_invariants
+        for envs in res.invariants.values() for env in envs.values()]
+    return {v: {"final": str(_join_var(finals, v)),
+                "hull": str(_join_var(reached, v))} for v in p.variables}
 
 
-def _invariant_dump(per_thread) -> dict:
-    return {f"t{tid}": {str(sid): str(env) if isinstance(env, BoxEnv)
-                        else {str(c): str(env[c]) for c in env}
-                        for sid, env in res.invariants.items()}
+def _invariant_dump(per_thread, blind: bool) -> dict:
+    """A blind mode's environments are in C0 alone and print as one."""
+    show = ((lambda envs: str(unpartitioned(envs))) if blind else
+            (lambda envs: {str(c): str(env) for c, env in envs.items()}))
+    return {f"t{tid}": {str(sid): show(envs)
+                        for sid, envs in res.invariants.items()}
             for tid, res in per_thread.items()}
 
 
@@ -230,7 +229,7 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         else:  # an error reached is an error, however far the run got
             rep["exit_code"] = 1 if res.errors else 3 if res.truncated else 0
 
-    elif cfg.mode == "fuzz":
+    else:  # fuzz
         from .transforms import fuzz_weakmem, negative_controls
 
         # the alarms the trials are judged against
@@ -260,9 +259,6 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
         elif fz.inconclusive:
             rep["exit_code"] = 3
 
-    else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
-
     if cfg.mode in ANALYZER_MODES and rep["alarms"]:
         rep["exit_code"] = 1
     if cfg.timing:
@@ -273,21 +269,18 @@ def build_report(p: Program, source: str, cfg: RunConfig) -> dict:
 def _analysis_fields(p: Program, cfg: RunConfig) -> dict:
     """The report fields an analyzer mode fills in."""
     res = _analyze(p, cfg.mode, cfg)
-    out: dict = {"alarms": _alarms(res.omega, p)}
-    if cfg.mode == "seq":
-        out["var_ranges"] = {v: {"final": str(res.final.get(v)),
-                                 "hull": str(res.final.get(v))}
-                             for v in p.variables}
-        out["invariants"] = _invariant_dump({1: res})
-        out["iterations"] = 1
-        return out
-    out["var_ranges"] = _var_ranges(p, res.per_thread)
-    out["invariants"] = _invariant_dump(res.per_thread)
-    out["iterations"] = res.iterations
-    out["warnings"] = list(res.warnings)
-    if cfg.mode == "interference":
+    blind = cfg.mode != "scheduled"
+    out: dict = {
+        "alarms": _alarms(res.omega, p),
+        # seq reports its final range as its hull
+        "var_ranges": _var_ranges(p, res.per_thread, cfg.mode != "seq"),
+        "invariants": _invariant_dump(res.per_thread, blind),
+        "iterations": res.iterations,
+        "warnings": list(res.warnings),
+    }
+    if blind:  # every interference is in C0
         out["interferences"] = {f"t{t}/{x}": str(v)
-                                for (t, x), v in res.interf.items()}
+                                for (t, _, x), v in res.interf.items()}
         return out
     out["interferences"] = {f"t{t}/{c}/{x}": str(v)
                             for (t, c, x), v in res.interf.items()}
@@ -310,9 +303,7 @@ def _analyze(p: Program, mode: str, cfg: RunConfig):
         return analyze_program_seq(p, settings)
     if mode == "interference":
         return analyze_program_I(p, settings)
-    if mode == "scheduled":
-        return analyze_program_C(p, settings, mono=cfg.mono)
-    raise ValueError(f"--check-against expects one of {ANALYZER_MODES}")
+    return analyze_program_C(p, settings, mono=cfg.mono)
 
 
 def report_to_json(rep: dict) -> str:

@@ -17,7 +17,8 @@ The scheduler-blind modes erase synchronization (lock/unlock/yield are
 skips, islocked() stores [0,1], every environment stays in configuration
 C0).  "interference" lets threads in settings.self_interference read
 their own interferences; "seq" records no interferences at all.
-interference.py and seq.py are adapters over it.
+interference.py returns outer_fixpoint's SchedResult as it is, and seq.py
+builds one from a single pass.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def intf(c: SchedConfig, c2: SchedConfig) -> bool:
 # sparse maps: absent key = bottom
 PartitionedEnv = dict[SchedConfig, BoxEnv]
 SchedKey = tuple[int, SchedConfig, str]  # (thread, config, variable)
-SchedInterferenceAbs = dict[SchedKey, Interval]
+InterferenceMap = dict[SchedKey, Interval]
 
 ReadEvent = tuple[int, int, str, SchedConfig, SchedConfig]  # reader, writer
 # per variable: the joined interference a read may see, and its writers
@@ -145,7 +146,7 @@ class AbsStateC(NamedTuple):
     """A thread pass's state; a tuple, so that each step builds it cheaply."""
 
     envs: PartitionedEnv
-    interf: SchedInterferenceAbs
+    interf: InterferenceMap
 
     def join(self, other: "AbsStateC") -> "AbsStateC":
         return AbsStateC(sparse_join(self.envs, other.envs),
@@ -161,7 +162,7 @@ def unpartitioned(envs: PartitionedEnv) -> BoxEnv:
     return envs.get(C0, BoxEnv.bot())
 
 
-def interference_view(t: int, c: SchedConfig, interf: SchedInterferenceAbs,
+def interference_view(t: int, c: SchedConfig, interf: InterferenceMap,
                       self_threads: frozenset[int] = frozenset(),
                       ) -> InterferenceView:
     """What a read by thread t under c may see: the interferences of other
@@ -211,7 +212,7 @@ def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
 
 
 def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,
-                interf: SchedInterferenceAbs, e: Expr,
+                interf: InterferenceMap, e: Expr,
                 read_log: set[ReadEvent] | None = None,
                 self_threads: frozenset[int] = frozenset()) -> Expr:
     """Interference substitution restricted to configurations compatible
@@ -222,7 +223,7 @@ def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,
 
 
 def in_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
-             env: BoxEnv, interf: SchedInterferenceAbs) -> BoxEnv:
+             env: BoxEnv, interf: InterferenceMap) -> BoxEnv:
     """Entering a critical section on m: import well-synchronized values
     written by other threads, unless mutual exclusion rules them out.
     Each import joins one variable, so their order does not matter."""
@@ -240,7 +241,7 @@ def in_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
 
 def out_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
               env: BoxEnv,
-              interf: SchedInterferenceAbs) -> SchedInterferenceAbs:
+              interf: InterferenceMap) -> InterferenceMap:
     """Leaving a critical section on m: publish the current value of every
     variable this thread wrote while holding m (read off the recorded weak
     interferences, a documented over-approximation)."""
@@ -250,7 +251,7 @@ def out_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,
         x for (t2, c2, x), v in interf.items()
         if t2 == t and c2.tag == WEAK and m in c2.held and not v.is_bot}
     key_conf = SchedConfig(l, u, sync(m))
-    out: SchedInterferenceAbs = {}
+    out: InterferenceMap = {}
     for x in modified:
         v = env.get(x)
         if not v.is_bot:
@@ -312,7 +313,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     # each loop's last (input, result), per node: hand-built sids repeat
     last_run: dict[While, tuple[AbsStateC, AbsStateC]] = {}
     # st.interf's sync entries per mutex, all that in_sharp reads of it
-    syncs: dict[str, SchedInterferenceAbs] = {}
+    syncs: dict[str, InterferenceMap] = {}
     for k, v in st.interf.items():
         if k[1].tag != WEAK:
             syncs.setdefault(k[1].tag[1], {})[k] = v
@@ -474,7 +475,7 @@ class Race(Record):
     configs: tuple[tuple[str, str], ...]
 
 
-def extract_races(p: Program, interf: SchedInterferenceAbs,
+def extract_races(p: Program, interf: InterferenceMap,
                   read_log: set[ReadEvent]) -> tuple[list[Race], list[Race]]:
     """Write/write races straight from the interference map; read/write
     races from the reads the substitution actually applied."""
@@ -523,7 +524,7 @@ class SchedThreadOutcome(Record):
 
 class SchedResult(Record):
     omega: frozenset[Location]
-    interf: SchedInterferenceAbs
+    interf: InterferenceMap
     races_ww: list[Race]
     races_rw: list[Race]
     iterations: int
@@ -544,7 +545,7 @@ def outer_fixpoint(p: Program,
     locks = collect_lock_sets(p)
     r0: PartitionedEnv = {C0: BoxEnv.initial(p)}
     omega: frozenset[Location] = frozenset()
-    interf: SchedInterferenceAbs = {}
+    interf: InterferenceMap = {}
     rounds = 0
     while True:
         rounds += 1
@@ -553,7 +554,7 @@ def outer_fixpoint(p: Program,
                 f"interference fixpoint did not stabilize within"
                 f" {config.OUTER_ROUND_CAP} rounds")
         new_omega = omega
-        joined: SchedInterferenceAbs = {}
+        joined: InterferenceMap = {}
         per_thread: dict[int, SchedThreadOutcome] = {}
         read_log: set[ReadEvent] | None = None if blind else set()
         warnings: list[str] = []
@@ -578,12 +579,12 @@ def outer_fixpoint(p: Program,
             # still unstable after two widening rounds: a cross-thread
             # cascade is propagating hop by hop.  Publish a top
             # interference at the always-compatible empty configuration
-            # (weak and per-mutex sync) for everything the cascade can
-            # still reach, absorbing any later per-configuration growth.
+            # (weak, and per-mutex sync unless blind) for everything the
+            # cascade can still reach, absorbing any later growth.
             seeds = {k[2] for k in new_interf
                      if interf.get(k) != new_interf[k]}
             keys = [C0] + [SchedConfig(frozenset(), frozenset(), sync(m))
-                           for m in p.mutexes]
+                           for m in p.mutexes if not blind]
             reads = {t.tid: frozenset().union(
                 *map(vars_of_expr, stmt_exprs(t.body))) for t in p.threads}
             writes = {t.tid: frozenset().union(
@@ -617,6 +618,6 @@ def outer_fixpoint(p: Program,
 def analyze_program_C(p: Program,
                       settings: AnalysisSettings = AnalysisSettings(),
                       mono: bool = True) -> SchedResult:
-    """The scheduler-aware analysis (adapters call outer_fixpoint)."""
+    """The scheduler-aware analysis: outer_fixpoint in a scheduled mode."""
     return outer_fixpoint(p, settings,
                           "scheduled-mono" if mono else "scheduled-multi")

@@ -1,23 +1,24 @@
 """Sequential abstract interpreter: one pass of the engine of sched.py in
-its "seq" mode over a single thread, with no interference rounds."""
+its "seq" mode over a single thread, with no interference rounds.  Its
+SchedResult has every environment in C0 and no interferences."""
 
 from __future__ import annotations
 
 from .config import AnalysisSettings
 from .domains import BoxEnv
-from .sched import C0, AbsStateC, SchedRecorder, transfer_C, unpartitioned
-from .syntax import SYNC_TYPES, Location, Program, Record, Sid, sub_stmts
+from .sched import (
+    C0,
+    AbsStateC,
+    SchedRecorder,
+    SchedResult,
+    SchedThreadOutcome,
+    transfer_C,
+)
+from .syntax import SYNC_TYPES, Program, sub_stmts
 
 
 class MultiThreadInput(Exception):
     pass
-
-
-class SeqResult(Record):
-    omega: frozenset[Location]
-    final: BoxEnv
-    invariants: dict[Sid, BoxEnv]
-    branches: dict[Sid, tuple[bool, bool]]
 
 
 def outside_fragment(p: Program) -> str | None:
@@ -33,7 +34,7 @@ def outside_fragment(p: Program) -> str | None:
 
 def analyze_program_seq(p: Program,
                         settings: AnalysisSettings = AnalysisSettings(),
-                        ) -> SeqResult:
+                        ) -> SchedResult:
     reason = outside_fragment(p)
     if reason is not None:
         raise (MultiThreadInput if len(p.threads) != 1 else ValueError)(
@@ -43,7 +44,8 @@ def analyze_program_seq(p: Program,
     out = transfer_C(thread.body, thread.tid,
                      AbsStateC({C0: BoxEnv.initial(p)}, {}), settings,
                      mode="seq", recorder=rec)
-    return SeqResult(rec.errors, unpartitioned(out.envs),
-                     {sid: unpartitioned(envs)
-                      for sid, envs in rec.invariants.items()},
-                     rec.branches)
+    return SchedResult(
+        rec.errors, {}, [], [], 1,
+        {thread.tid: SchedThreadOutcome(out.envs, rec.invariants,
+                                        rec.branches)},
+        rec.max_env_partitions, 0, rec.warnings)

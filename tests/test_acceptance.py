@@ -17,7 +17,7 @@ from racebox.domains import BOT, INF, Interval
 from racebox.interference import analyze_program_I
 from racebox.oracle import run_interleavings, run_scheduled
 from racebox.randgen import GeneratorConfig, random_seq_program
-from racebox.sched import analyze_program_C
+from racebox.sched import C0, analyze_program_C, unpartitioned
 from racebox.transforms import negative_controls
 from reference_semantics import (
     exec_stmt, initial_state, program_locations, run_paths)
@@ -69,8 +69,9 @@ def test_criterion_1_dekker(corpus):
         p = corpus("dekker")
         r = analyze_program_I(p)
         flags = {k: v for k, v in r.interf.items()
-                 if k[1].startswith("flag")}
-        assert flags == {(1, "flag1"): iv(1, 1), (2, "flag2"): iv(1, 1)}
+                 if k[2].startswith("flag")}
+        assert flags == {(1, C0, "flag1"): iv(1, 1),
+                         (2, C0, "flag2"): iv(1, 1)}
         for tid in (1, 2):
             (branch,) = r.per_thread[tid].branches.values()
             assert branch == (True, True)
@@ -85,7 +86,7 @@ def test_criterion_2_parallel_increment(corpus):
                       " concrete y in {1,2}", 1.0):
         p = corpus("increment")
         r = analyze_program_I(p)
-        y = r.interf[(1, "y")]
+        y = r.interf[(1, C0, "y")]
         assert y.hi == INF and y.lo >= 1
         o = run_interleavings(p, unroll=0)
         assert not o.truncated
@@ -103,7 +104,7 @@ def test_criterion_3_priority_mutex(corpus):
         multi = analyze_program_C(p, mono=False)
         assert joined_final(multi, "t") == iv(-1, 1)
         interf = analyze_program_I(p)
-        assert interf.per_thread[1].final.get("t") == iv(-1, 1)
+        assert unpartitioned(interf.per_thread[1].final).get("t") == iv(-1, 1)
 
 
 def test_criterion_4_producer_consumer(corpus):

@@ -1,8 +1,10 @@
 """The explorer keeps one BFS level for deduplication: it finds exactly
 what the global-visited-set explorer of `reference_explorer` finds, every
-move and retire goes one level down, and it needs less memory."""
+move and retire goes one level down, and it needs less memory.  Its tries
+order their edges by a rule that a lazily built trie can follow."""
 
 import gc
+import pathlib
 import random
 import tracemalloc
 
@@ -10,6 +12,7 @@ import pytest
 
 import reference_explorer
 from racebox import oracle
+from racebox.concrete import paths
 from racebox.config import OracleBudget
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_program, sweep_program
@@ -110,6 +113,45 @@ def test_every_move_and_retire_goes_one_level_down(monkeypatch, run):
     assert {Lock, Unlock, Yield, IsLocked} <= kinds
     assert checked["move"] and (checked["retire"]
                                 or run is oracle.run_interleavings)
+
+
+def _least_completions(trie) -> list[int]:
+    """Per trie node, the fewest edges to a node where a path ends."""
+    least = [0] * len(trie.edges)
+    for node in reversed(range(len(trie.edges))):  # children come later
+        if not trie.ends[node]:
+            least[node] = 1 + min(least[nxt] for _, nxt in trie.edges[node])
+    return least
+
+
+def test_trie_puts_the_shorter_skip_edge_first():
+    """An if's else path is one statement shorter than any then path, and
+    a loop's exit below its unroll limit is shorter than any body path.
+    So a node has at most two edges, the first an else or exit guard with
+    the strictly shorter least completion, and no edge leaves a path's end:
+    a lazy trie can order its edges without a pass over the statements."""
+    corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+    programs = [parse_program(f.read_text())
+                for f in sorted(corpus.glob("*.conc"))]
+    programs += [sweep_program(seed) for seed in range(31_000, 31_100)]
+    # an empty block is a skip statement, so its then path is still longer
+    programs.append(parse_program("var x = [-1,1]; thread 1 { if x > 0"
+                                  " then { } while x < 0 do { } x <- 1; }"))
+    forks = 0
+    for p in programs:
+        for t in p.threads:
+            for unroll in range(4):
+                trie = oracle._Trie.build(paths(t.body, unroll).paths)
+                least = _least_completions(trie)
+                for node, edges in enumerate(trie.edges):
+                    assert len(edges) <= 2
+                    assert not (trie.ends[node] and edges)
+                    if len(edges) == 2:
+                        (skip, first), (_, second) = edges
+                        assert str(skip.sid).endswith((":else", ":exit"))
+                        assert least[first] < least[second]
+                        forks += 1
+    assert forks
 
 
 def _peak(explore, *args) -> int:

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from racebox.config import AnalysisSettings
 from racebox.domains import BOT, BoxEnv, INF, Interval
 from racebox.interference import analyze_program_I
 from racebox.parser import parse_program
+from racebox.randgen import sweep_program
 from racebox.sched import (
     C0,
     ISLOCKED_DEGRADED,
@@ -15,6 +18,7 @@ from racebox.sched import (
     sparse_join,
     sparse_widen,
     transfer_C,
+    unpartitioned,
 )
 from racebox.seq import analyze_program_seq
 from racebox.syntax import Const, Lock, Unlock, Var, Yield, sub_stmts
@@ -112,11 +116,11 @@ def test_self_interference_models_multiple_instances():
     # multi-instance feeds its own writes back and the bound diverges
     p = parse_program("thread 1 { x <- x + 1; }")
     single = analyze_program_I(p)
-    assert single.interf[(1, "x")] == iv(1, 1)
+    assert single.interf[(1, C0, "x")] == iv(1, 1)
     multi = analyze_program_I(
         p, AnalysisSettings(self_interference=frozenset({1})))
-    assert multi.interf[(1, "x")].hi == INF
-    assert multi.interf[(1, "x")].lo == 1
+    assert multi.interf[(1, C0, "x")].hi == INF
+    assert multi.interf[(1, C0, "x")].lo == 1
 
 
 def test_guard_without_interference_matches_seq():
@@ -128,8 +132,8 @@ def test_guard_without_interference_matches_seq():
 def test_dekker_flags_interference_exact(corpus):
     p = corpus("dekker")
     r = analyze_program_I(p)
-    flags = {k: v for k, v in r.interf.items() if k[1].startswith("flag")}
-    assert flags == {(1, "flag1"): iv(1, 1), (2, "flag2"): iv(1, 1)}
+    flags = {k: v for k, v in r.interf.items() if k[2].startswith("flag")}
+    assert flags == {(1, C0, "flag1"): iv(1, 1), (2, C0, "flag2"): iv(1, 1)}
     # both branches of both conditionals stay satisfiable
     for tid in (1, 2):
         (branch,) = r.per_thread[tid].branches.values()
@@ -139,7 +143,7 @@ def test_dekker_flags_interference_exact(corpus):
 def test_increment_diverges_upward(corpus):
     p = corpus("increment")
     r = analyze_program_I(p)
-    y = r.interf[(1, "y")]
+    y = r.interf[(1, C0, "y")]
     assert y.hi == INF and y.lo == 1
     assert r.omega == frozenset()
 
@@ -147,7 +151,7 @@ def test_increment_diverges_upward(corpus):
 def test_priority_mutex_only_coarse_bound(corpus):
     p = corpus("priority_mutex")
     r = analyze_program_I(p)
-    assert r.per_thread[1].final.get("t") == iv(-1, 1)
+    assert unpartitioned(r.per_thread[1].final).get("t") == iv(-1, 1)
     assert r.warnings  # sync primitives were skipped with a diagnostic
 
 
@@ -176,8 +180,7 @@ def test_outer_fixpoint_idempotent(corpus):
     p = corpus("increment")
     s = AnalysisSettings()
     r = outer_fixpoint(p, s, "interference")
-    assert analyze_program_I(p, s).interf == {
-        (t, x): v for (t, c, x), v in r.interf.items()}
+    assert analyze_program_I(p, s).interf == r.interf
     # one more full round from the stable pair changes nothing
     new_omega, joined = blind_round(p, r.omega, r.interf, s)
     assert new_omega == r.omega
@@ -196,3 +199,13 @@ def test_interference_monotone_across_rounds(corpus):
         if new_interf == interf and new_omega == omega:
             break
         omega, interf = new_omega, new_interf
+
+
+@pytest.mark.parametrize("seed", [31_002, 31_011, 31_028])
+def test_blind_cascade_publishes_only_weak_keys(seed):
+    """The cascade-to-top of a blind run writes C0 keys alone: a blind pass
+    reads no sync entry, so sync keys would only be dead weight."""
+    p = sweep_program(seed)
+    assert p.mutexes
+    r = outer_fixpoint(p, AnalysisSettings(), "interference")
+    assert r.interf and {c for _, c, _ in r.interf} == {C0}

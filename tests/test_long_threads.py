@@ -24,7 +24,7 @@ from racebox.report import (
     analyze_source,
     report_to_json,
 )
-from racebox.sched import analyze_program_C
+from racebox.sched import analyze_program_C, unpartitioned
 from racebox.seq import analyze_program_seq
 from racebox.syntax import pretty_expr, pretty_program
 from reference_semantics import exec_stmt, initial_state
@@ -47,7 +47,8 @@ def test_three_thousand_statement_thread(tmp_path):
 
     seq = analyze_program_seq(p)
     assert not seq.omega
-    assert seq.final.get("v2") == Interval.const(N // 3)
+    assert unpartitioned(seq.per_thread[1].final).get("v2") == Interval.const(
+        N // 3)
     assert not analyze_program_I(p).omega
     assert not analyze_program_C(p).omega
 
@@ -82,7 +83,8 @@ def test_deep_expression(tmp_path, shape):
     assert q == p and hash(q) == hash(p)
 
     seq = analyze_program_seq(p._replace(threads=p.threads[:1]))
-    assert not seq.omega and seq.final.get("y") == Interval.const(0)
+    assert not seq.omega
+    assert unpartitioned(seq.per_thread[1].final).get("y") == Interval.const(0)
     for analyze in (analyze_program_I, analyze_program_C):
         res = analyze(p)
         assert not res.omega

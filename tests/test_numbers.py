@@ -88,23 +88,15 @@ def _analyzer_bounds(p, seq):
             yield env.get(v).lo
             yield env.get(v).hi
 
-    if seq:
-        for env in analyze_program_seq(p).invariants.values():
-            yield from env_bounds(env)
-        return
-    ri = analyze_program_I(p)
-    for o in ri.per_thread.values():
-        for env in o.invariants.values():
-            yield from env_bounds(env)
-    for v in ri.interf.values():
-        yield from (v.lo, v.hi)
-    for mono in (True, False):
-        rc = analyze_program_C(p, mono=mono)
-        for o in rc.per_thread.values():
+    results = [analyze_program_seq(p)] if seq else [
+        analyze_program_I(p), analyze_program_C(p, mono=True),
+        analyze_program_C(p, mono=False)]
+    for r in results:
+        for o in r.per_thread.values():
             for envs in o.invariants.values():
                 for env in envs.values():
                     yield from env_bounds(env)
-        for v in rc.interf.values():
+        for v in r.interf.values():
             yield from (v.lo, v.hi)
 
 

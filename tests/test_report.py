@@ -169,6 +169,18 @@ def test_self_interference_must_name_a_thread(corpus_source):
                        RunConfig(mode="interference", self_interference=(9,)))
 
 
+@pytest.mark.parametrize("fields, flag", [
+    ({"mode": "bogus"}, "--mode"),
+    ({"mode": "oracle-interleave", "check_against": "bogus"},
+     "--check-against"),
+])
+def test_config_rejects_an_unknown_mode(fields, flag):
+    """An unknown name fails when the config is built, not after a run of
+    the oracle."""
+    with pytest.raises(ValueError, match=f"^{flag} must be one of"):
+        RunConfig(**fields)
+
+
 def test_every_analysis_setting_is_echoed():
     """A setting that can change an analyzer's result is a RunConfig
     field, so the report's `config` names it."""

@@ -7,6 +7,7 @@ from racebox.config import AnalysisSettings
 from racebox.domains import INF, Interval
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_seq_program
+from racebox.sched import unpartitioned
 from racebox.seq import MultiThreadInput, analyze_program_seq
 from reference_semantics import exec_stmt, initial_state
 
@@ -16,6 +17,10 @@ F = Fraction
 def iv(lo, hi):
     return Interval.of(F(lo) if lo != "-inf" else -INF,
                        F(hi) if hi != "inf" else INF)
+
+
+def final(r):
+    return unpartitioned(r.per_thread[1].final)
 
 
 def test_guarded_division_alarm():
@@ -28,7 +33,7 @@ def test_no_alarm_when_divisor_excludes_zero():
     p = parse_program("thread 1 { x <- [1,2]; y <- 1 / x; }")
     r = analyze_program_seq(p)
     assert r.omega == frozenset()
-    assert r.final.get("y") == iv(F(1, 2), 1)
+    assert final(r).get("y") == iv(F(1, 2), 1)
 
 
 def test_alarm_when_divisor_spans_zero():
@@ -42,7 +47,7 @@ def test_loop_default_ladder():
     # send the upper bound to 10^4, and the exit guard refines x >= 10
     p = parse_program("thread 1 { while x - 10 < 0 do { x <- x + 1; } }")
     r = analyze_program_seq(p)
-    assert r.final.get("x") == iv(10, 10_000)
+    assert final(r).get("x") == iv(10, 10_000)
 
 
 def test_loop_inclusive_guard_with_threshold():
@@ -52,16 +57,16 @@ def test_loop_inclusive_guard_with_threshold():
     p = parse_program("thread 1 { while x - 9 <= 0 do { x <- x + 1; } }")
     thr = tuple(sorted(F(t) for t in (-1, 0, 1, 10)))
     r = analyze_program_seq(p, AnalysisSettings(thresholds=thr))
-    assert r.final.get("x") == iv(9, 10)
+    assert final(r).get("x") == iv(9, 10)
 
 
 def test_decreasing_pass_tightens():
     p = parse_program("thread 1 { while x - 10 < 0 do { x <- x + 1; } }")
     base = analyze_program_seq(p)
-    assert base.final.get("x") == iv(10, 10_000)
+    assert final(base).get("x") == iv(10, 10_000)
     dec = analyze_program_seq(p, AnalysisSettings(decreasing_pass=True))
-    assert dec.final.get("x").leq(base.final.get("x"))
-    assert dec.final.get("x") == iv(10, 11)
+    assert final(dec).get("x").leq(final(base).get("x"))
+    assert final(dec).get("x") == iv(10, 11)
 
 
 def test_multi_thread_rejected():
@@ -75,18 +80,19 @@ def test_invariants_and_branches_recorded():
     r = analyze_program_seq(p)
     body = p.threads[0].body
     if_stmt = body.body[1]
-    then_ok, else_ok = r.branches[if_stmt.sid]
+    then_ok, else_ok = r.per_thread[1].branches[if_stmt.sid]
     assert then_ok and else_ok
     # invariant at the then-branch assignment has x pinned to 0
     inner = if_stmt.body
-    assert r.invariants[inner.sid].get("x") == iv(0, 0)
+    assert unpartitioned(r.per_thread[1].invariants[inner.sid]).get(
+        "x") == iv(0, 0)
 
 
 def test_branch_infeasible_else():
     p = parse_program("thread 1 { x <- 1; if x > 0 then { y <- 1; } }")
     r = analyze_program_seq(p)
     if_stmt = p.threads[0].body.body[1]
-    then_ok, else_ok = r.branches[if_stmt.sid]
+    then_ok, else_ok = r.per_thread[1].branches[if_stmt.sid]
     assert then_ok and not else_ok
 
 
@@ -101,6 +107,6 @@ def test_seq_soundness_randomized(seed):
     assert oracle.errors <= r.omega
     idx = {v: i for i, v in enumerate(p.variables)}
     for env in oracle.envs:
-        assert not r.final.is_bot
+        assert not final(r).is_bot
         for v in p.variables:
-            assert r.final.get(v).contains(env[idx[v]])
+            assert final(r).get(v).contains(env[idx[v]])
