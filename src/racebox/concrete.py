@@ -181,6 +181,10 @@ def start_envs(p: Program, n: int | None = None) -> Iterator[Env]:
 # Control paths
 
 
+class TooManyPaths(RuntimeError):
+    """A thread spawns more control paths than a state budget allows."""
+
+
 class PathSet(Record):
     paths: frozenset[ControlPath]
     truncated: bool
@@ -194,6 +198,37 @@ def paths(s: Stmt, unroll: int) -> PathSet:
         raise ValueError(f"unroll must be >= 0, got {unroll}")
     return PathSet(frozenset(_paths(s, unroll)),
                    any(isinstance(x, While) for x in sub_stmts(s)))
+
+
+def path_count(s: Stmt, unroll: int, cap: int | None = None) -> int:
+    """len(paths(s, unroll).paths), in closed form: a primitive spawns 1
+    path, a block the product of its parts' counts, an `if` its body's
+    count plus 1, and a loop whose body spawns b paths 1 + b + ... +
+    b^unroll.  With cap, any count past cap is cap + 1, so no nesting
+    makes the numbers large."""
+    if isinstance(s, Block):
+        n = 1
+        for sub in s.body:
+            n *= path_count(sub, unroll, cap)
+            if cap is not None and n > cap:
+                return cap + 1
+        return n
+    if isinstance(s, If):
+        n = path_count(s.body, unroll, cap) + 1
+    elif isinstance(s, While):
+        b = path_count(s.body, unroll, cap)
+        n = term = 1
+        if b == 1:  # no loop over a huge unroll
+            n += unroll
+        else:
+            for _ in range(unroll):
+                term *= b
+                n += term
+                if cap is not None and n > cap:
+                    return cap + 1
+    else:
+        return 1
+    return n if cap is None else min(n, cap + 1)
 
 
 def _paths(s: Stmt, unroll: int) -> list[ControlPath]:

@@ -434,19 +434,31 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     be covered by the untransformed program's interference analysis: its
     alarms, computed here unless the caller passes them.
 
-    Every trial is drawn before any is checked.  Checking never touches the
-    random generator, so the report does not depend on where the checks
-    run (see _check_trials).  The draw computes each expression node's
+    Each thread's paths are counted before any is made, and a thread with
+    more than budget.max_states of them raises TooManyPaths: the budget
+    bounds the path pool as well as each check.  Every trial is drawn
+    before any is checked.  Checking never touches the random generator,
+    so the report does not depend on where, or by which runs, the checks
+    are made (see _check_trials: large trials are judged by a run on
+    their rewritten path alone where the untransformed program's run
+    covers the rest).  The draw computes each expression node's
     variables, key and side conditions once per call, and the program's
     variable occurrences once, and of the applications a chain step finds
     it builds only the one it picks (see _applications); its memo is
     emptied before the checks."""
-    from .concrete import paths as mk_paths, sorted_paths
+    from .concrete import TooManyPaths, path_count, paths as mk_paths
+    from .concrete import sorted_paths
 
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if chain < 1:
         raise ValueError(f"chain must be >= 1, got {chain}")
+    for t in p.threads:
+        if path_count(t.body, unroll, budget.max_states) > budget.max_states:
+            raise TooManyPaths(
+                f"thread {t.tid} spawns more than {budget.max_states} control"
+                f" paths at unroll {unroll}, over the state budget of"
+                f" {budget.max_states}")
     rng = random.Random(seed)
     if alarms is None:
         alarms = frozenset(analyze_program_I(p, settings).omega)
@@ -492,10 +504,8 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     finally:
         facts.memos.clear()  # `apps` still holds builders that reference it
 
-    def explore(trial, budget: OracleBudget) -> ExploreResult:
-        return _run_swapped(p, base, *trial[:3], budget)  # tid, path0, path
-
-    outcomes = _check_trials(explore, alarms, drawn, budget)
+    outcomes = _check_trials(p, base, alarms, [d[:3] for d in drawn],
+                             budget)
     if draw_error is not None:
         raise draw_error
 
@@ -573,7 +583,7 @@ def _picklable(e: Exception) -> Exception:
 _worker_check = None
 
 
-def _run_check(i: int) -> Outcome:
+def _run_check(i: int):
     """_worker_check(i), in a forked worker; an error that would not
     reach this process intact comes as _picklable makes it."""
     try:
@@ -582,10 +592,10 @@ def _run_check(i: int) -> Outcome:
         raise _picklable(e)
 
 
-def _check_in_children(check, n: int, workers: int) -> list[Outcome]:
+def _check_in_children(check, n: int, workers: int) -> list:
     """check(i) for i in range(n), in order, run by a pool of `workers`
     forked processes that each take the next index as they finish one;
-    this process only hands out the indices and collects the outcomes.
+    this process only hands out the indices and collects the results.
     The workers inherit `check` by the fork, so it is never pickled."""
     global _worker_check
     import multiprocessing
@@ -610,48 +620,97 @@ def _check_in_children(check, n: int, workers: int) -> list[Outcome]:
         _worker_check = None
 
 
-def _check_trials(explore, alarms: frozenset[Location], trials: list,
+def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
+                  alarms: frozenset[Location], trials: list,
                   budget: OracleBudget) -> list[Outcome]:
-    """The inclusion outcome of explore(t, budget) against `alarms` for
-    every trial t, as (verdict, sorted uncovered labels), in trial order.
+    """For every trial (tid, old, new), in order, the inclusion outcome
+    against `alarms`, as (verdict, sorted uncovered labels), of its full
+    check P': _run_swapped(p, base, tid, old, new, budget).
 
     With one trial, one usable CPU, or a budget of at most
-    FORK_MIN_STATES states, this process checks every trial in order.
-    Otherwise it first probes the first trial under a budget of
-    FORK_MIN_STATES: a probe that ends within it is that trial's full run
-    (the same search, stopped only by an empty queue), and this process
-    checks the rest in order.  A probe cut off by its budget, or one that
-    raises, means large trials: then forked children, one per usable CPU
-    and at most one per trial, check every trial, the first included,
-    each pulling the next trial as it finishes one, and this process
-    checks none.
+    FORK_MIN_STATES states, this process runs every P' in order.
+    Otherwise it first probes the first trial's P' under a budget of
+    FORK_MIN_STATES: a probe that ends within it is that P' (the same
+    search, stopped only by an empty queue), and this process runs the
+    other P' in order.
 
-    Raises at the first trial, in order, that has no outcome: its own
-    exception if its check raised, or a RuntimeError if a child died
-    before it finished (a child's death loses the result of every trial
-    not finished by then, in any child).  No child outlives the call: on
-    any exception the trials not yet handed to a child are cancelled,
-    the few handed out are finished (after a death the pool terminates
-    every child instead), and every child is joined."""
+    A probe cut off by its budget, or one that raises, means large
+    trials.  Then forked children, one per usable CPU, each pulling the
+    next job as it finishes one, explore the untransformed program once
+    (run B, on the base paths of every thread) and each trial's reduced
+    run R: the base paths of every thread but tid, which has only new.
+    An execution of P' is one of R if tid is on a prefix of new, else
+    one of B, so errors(R) <= errors(P') <= errors(R) | errors(B) and
+    states(P') <= states(R) + states(B).  A trial takes R's outcome when
+    B ended within the budget with alarms alone as errors, and R ended
+    within it with states(R) + states(B) <= max_states: P' would then
+    end within the budget, with the same uncovered errors.  A trial
+    whose old was tid's only base path takes R's outcome whatever it is,
+    since its R is its P', and B is skipped when every trial is such.
+    Any other trial, and the first if its probe raised, gets its P' in a
+    second round of children.  This process runs no B, R or P' itself.
 
-    def check(i: int) -> Outcome:
-        return _outcome(explore(trials[i], budget), alarms)
+    An R or B that raises only sends trials to their P'.  The call raises
+    the error of the first P', in trial order, that raised, or a
+    RuntimeError if a child died before it finished (a child's death
+    loses the result of every job not finished by then, in any child).
+    No child outlives the call: on any exception the jobs not yet handed
+    to a child are cancelled, the few handed out are finished (after a
+    death the pool terminates every child instead), and every child is
+    joined."""
 
-    out: list[Outcome] = []
-    cpus = _usable_cpus()
-    if (len(trials) > 1 and cpus > 1
-            and budget.max_states > FORK_MIN_STATES):
+    def full(i: int) -> Outcome:
+        return _outcome(_run_swapped(p, base, *trials[i], budget), alarms)
+
+    n, cpus = len(trials), _usable_cpus()
+    if n < 2 or cpus < 2 or budget.max_states <= FORK_MIN_STATES:
+        return [full(i) for i in range(n)]
+    try:
+        probe = _run_swapped(p, base, *trials[0],
+                             budget._replace(max_states=FORK_MIN_STATES))
+    except Exception:
+        probe = None  # its P' raises the full run's error
+    if probe is not None and not probe.truncated:
+        return [_outcome(probe, alarms)] + [full(i) for i in range(1, n)]
+
+    whole = [base[tid] == {old} for tid, old, _ in trials]  # R is P'
+    # None stands for B, the largest job, so it is taken first
+    jobs = ([] if all(whole) else [None]) + [
+        i for i in range(n) if i or probe is not None]
+
+    def reduced(i: int | None):
+        """B's states, or None if it reached an error that is not an
+        alarm; R's (states, outcome); None if the run raised (its P'
+        raises it again).  A run cut off by the budget counts more than
+        max_states states, so states(R) + states(B) <= max_states also
+        means that neither was cut off."""
+        thread_paths = base
+        if i is not None:
+            tid, _, new = trials[i]
+            thread_paths = {**base, tid: frozenset((new,))}
         try:
-            probe = explore(trials[0],
-                            budget._replace(max_states=FORK_MIN_STATES))
+            res = run_interleavings(p, budget=budget,
+                                    thread_paths=thread_paths,
+                                    collect_witnesses=False)
         except Exception:
-            probe = None  # a child raises the full run's error
-        if probe is None or probe.truncated:
-            return _check_in_children(check, len(trials),
-                                      min(cpus, len(trials)))
-        out.append(_outcome(probe, alarms))
-    out += map(check, range(len(out), len(trials)))
-    return out
+            return None
+        if i is None:
+            return None if res.errors - alarms else res.states
+        return res.states, _outcome(res, alarms)
+
+    got = dict(zip(jobs, _check_in_children(
+        lambda j: reduced(jobs[j]), len(jobs), min(cpus, len(jobs)))))
+    b = got.pop(None, 0)
+    out: dict[int, Outcome] = {}
+    for i, r in got.items():
+        if r is not None and (whole[i] or b is not None
+                              and r[0] + b <= budget.max_states):
+            out[i] = r[1]
+    redo = [i for i in range(n) if i not in out]
+    if redo:
+        out.update(zip(redo, _check_in_children(
+            lambda k: full(redo[k]), len(redo), min(cpus, len(redo)))))
+    return [out[i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -192,14 +192,14 @@ def test_every_analysis_setting_is_echoed():
 # -- command line
 
 
-def run_cli(*args, color=None):
+def run_cli(*args, color=None, timeout=None):
     import os
 
     env = dict(os.environ)
     env["THESEE_MINI_COLOR"] = color if color is not None else "0"
     return subprocess.run(
         [sys.executable, "-m", "racebox.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_imports_only_what_the_mode_runs(tmp_path):
@@ -271,6 +271,22 @@ def test_cli_fuzz_inconclusive_exits_three(tmp_path, corpus_source):
                 "--budget-states", "5")
     assert r.returncode == 3, r.stdout + r.stderr
     assert " 0 violation(s), 50 inconclusive" in r.stdout
+
+
+def test_cli_fuzz_path_pool_past_the_budget_exits_three(tmp_path):
+    """A thread with more control paths than --budget-states is a budget
+    failure found before any path is made: exit 3 within seconds, naming
+    the thread and the budget.  The nested `while` shape at depth 3 has
+    621,436 paths at unroll 3, and enumerating them ran past 20 s."""
+    from report_digests import nested
+
+    f = tmp_path / "deep.conc"
+    f.write_text(nested("while", 3))
+    r = run_cli(str(f), "--mode", "fuzz", "--budget-states", "1000",
+                timeout=20)
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert ("thread 1 spawns more than 1000 control paths at unroll 3"
+            in r.stderr)
 
 
 def test_cli_fuzz_controls_keep_their_own_budget(tmp_path, corpus_source):

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from racebox.concrete import paths, sorted_paths
+from racebox.concrete import TooManyPaths, paths, sorted_paths
 from racebox import transforms
 from racebox.config import OracleBudget
+from racebox.interference import analyze_program_I
+from racebox.oracle import run_interleavings
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, fuzz_program, random_program
 from racebox.syntax import (
@@ -362,29 +364,73 @@ class _Local(Exception):
     """An error that does not pickle once its module attribute is gone."""
 
 
+def _drawn(cpus, monkeypatch, p, **kw):
+    """The base paths of every thread and the trials (tid, old path, new
+    path), in order, that fuzz_weakmem(p, **kw) checks, from a run with
+    one CPU."""
+    got = []
+    real = transforms._check_trials
+
+    def record(p, base, alarms, trials, budget):
+        got.append((base, trials))
+        return real(p, base, alarms, trials, budget)
+
+    monkeypatch.setattr(transforms, "_check_trials", record)
+    cpus(1)
+    fuzz_weakmem(p, **kw)
+    monkeypatch.setattr(transforms, "_check_trials", real)
+    (base, trials), = got
+    return base, trials
+
+
+def _reduced(base, tid, new):
+    """A trial's reduced run R: the base paths of every thread but tid,
+    which has only its new path."""
+    return {**base, tid: frozenset({new})}
+
+
+def _full(base, tid, old, new):
+    """A trial's full check P': tid's path old replaced by new."""
+    return {**base, tid: (base[tid] - {old}) | {new}}
+
+
+def _run_names(cpus, monkeypatch, p, **kw):
+    """A function that names each oracle run fuzz_weakmem(p, **kw) can
+    make, in any process, by its thread paths: "B" for the untransformed
+    program's run, on the base paths of every thread, and for trial i,
+    in trial order, "R{i}" for its reduced run R and "P{i}" for its full
+    check P'.  A trial whose R is its P' names the run "P{i}".  Also
+    returns the number of trials."""
+    base, trials = _drawn(cpus, monkeypatch, p, **kw)
+    runs = [("B", base)]
+    for i, (tid, old, new) in enumerate(trials):
+        runs.append((f"R{i}", _reduced(base, tid, new)))
+        runs.append((f"P{i}", _full(base, tid, old, new)))
+    # no two trials share a run, nor does B, so each name is one trial's
+    for name, paths_ in runs:
+        assert {n[1:] for n, q in runs if q == paths_} == {name[1:]}
+
+    def name(thread_paths) -> str:
+        return [n for n, q in runs if q == thread_paths][-1]
+
+    return name, len(trials)
+
+
 def _raise_on(cpus, monkeypatch, raising, exc=ValueError):
     """Make the oracle runs of the trials numbered in `raising` (in trial
-    order, counted in a first untouched run) raise exc("trial i").  A
-    trial is recognised by its thread paths, so the same trials raise in
-    every process."""
-    seen = []
+    order), their R as well as their P', raise exc("trial i").  A run is
+    recognised by its thread paths, so the same runs raise in every
+    process."""
+    p = fuzz_program(88_001)
+    name, n = _run_names(cpus, monkeypatch, p, trials=8, chain=4, seed=1,
+                         unroll=2)
+    assert n == 8
     real = transforms.run_interleavings
 
-    def record(p, **kw):
-        seen.append(kw["thread_paths"])
-        return real(p, **kw)
-
-    monkeypatch.setattr(transforms, "run_interleavings", record)
-    p = fuzz_program(88_001)
-    cpus(1)
-    fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
-    assert len(seen) == 8 and all(seen[i] not in seen[:i] for i in raising)
-    marked = {i: seen[i] for i in raising}
-
     def run(p, **kw):
-        for i, paths in marked.items():
-            if kw["thread_paths"] == paths:
-                raise exc(f"trial {i}")
+        run_name = name(kw["thread_paths"])
+        if run_name != "B" and int(run_name[1:]) in raising:
+            raise exc(f"trial {run_name[1:]}")
         return real(p, **kw)
 
     monkeypatch.setattr(transforms, "run_interleavings", run)
@@ -396,9 +442,9 @@ def _raise_on(cpus, monkeypatch, raising, exc=ValueError):
                                      [0, 3]])
 def test_fuzz_raises_the_first_trial_error_with_children(cpus, monkeypatch,
                                                          raising):
-    """A trial that raises, in the probe or in a child, raises what the
-    sequential check raises: the error of the first such trial in
-    order."""
+    """A trial that raises, in the probe or in a child, in its R or its
+    P', raises what the sequential check raises: the error of the first
+    such trial in order."""
     p = _raise_on(cpus, monkeypatch, raising)
     errors = []
     for k in (1, 2):
@@ -485,48 +531,31 @@ def test_fuzz_one_cpu_never_forks(cpus, monkeypatch):
     assert rep.effective > 1
 
 
-def _trial_paths(cpus, monkeypatch, p, **kw):
-    """The thread paths of each trial of fuzz_weakmem(p, **kw), in trial
-    order, from a run with one CPU."""
-    seen = []
-    real = transforms.run_interleavings
-
-    def record(p, **kw):
-        seen.append(kw["thread_paths"])
-        return real(p, **kw)
-
-    monkeypatch.setattr(transforms, "run_interleavings", record)
-    cpus(1)
-    fuzz_weakmem(p, **kw)
-    monkeypatch.setattr(transforms, "run_interleavings", real)
-    return seen
-
-
 def _log_runs(cpus, monkeypatch, log, p, **kw):
-    """Make every oracle run of a trial of fuzz_weakmem(p, **kw), in any
-    process, append a line `pid trial max_states` to the file `log`.
-    Returns the number of trials."""
-    seen = _trial_paths(cpus, monkeypatch, p, **kw)
+    """Make every oracle run of fuzz_weakmem(p, **kw), in any process,
+    append a line `pid name max_states` to the file `log`, with the name
+    _run_names gives it.  Returns the number of trials."""
+    name, n = _run_names(cpus, monkeypatch, p, **kw)
     real = transforms.run_interleavings
 
     def logged(p, **kw):
         with open(log, "a") as f:
-            f.write(f"{os.getpid()} {seen.index(kw['thread_paths'])}"
+            f.write(f"{os.getpid()} {name(kw['thread_paths'])}"
                     f" {kw['budget'].max_states}\n")
         return real(p, **kw)
 
     monkeypatch.setattr(transforms, "run_interleavings", logged)
     log.write_text("")
-    return len(seen)
+    return n
 
 
 def _runs(log):
-    """The (trial, max_states) of each logged run of this process, in
+    """The (name, max_states) of each logged run of this process, in
     order, and those of the other processes, sorted."""
     runs = [line.split() for line in log.read_text().splitlines()]
     me = str(os.getpid())
-    return ([(int(t), int(m)) for pid, t, m in runs if pid == me],
-            sorted((int(t), int(m)) for pid, t, m in runs if pid != me))
+    return ([(name, int(m)) for pid, name, m in runs if pid == me],
+            sorted((name, int(m)) for pid, name, m in runs if pid != me))
 
 
 FULL = OracleBudget().max_states
@@ -534,9 +563,9 @@ FULL = OracleBudget().max_states
 
 def test_fuzz_children_check_every_trial_once(cpus, monkeypatch, tmp_path):
     """With two CPUs and a first trial larger than FORK_MIN_STATES, this
-    process runs only the probe of the first trial, and the children
-    check every trial, the first included, exactly once, under the full
-    budget."""
+    process runs only the probe of the first trial.  The children run B
+    once and each trial's R once, the first trial's included, all under
+    the full budget, and no P': B covers every base path here."""
     log = tmp_path / "runs"
     p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
@@ -544,8 +573,8 @@ def test_fuzz_children_check_every_trial_once(cpus, monkeypatch, tmp_path):
     rep = fuzz_weakmem(p, **kw)
     _assert_no_children()
     assert len(forks) == 2 and rep.effective == n > 2
-    assert _runs(log) == ([(0, transforms.FORK_MIN_STATES)],
-                          [(t, FULL) for t in range(n)])
+    assert _runs(log) == ([("P0", transforms.FORK_MIN_STATES)],
+                          [("B", FULL)] + [(f"R{t}", FULL) for t in range(n)])
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -562,8 +591,8 @@ def test_fuzz_small_trials_are_checked_once_in_process(cpus, monkeypatch,
     _assert_no_children()
     assert not forks and rep.effective == n > 1
     probe = transforms.FORK_MIN_STATES if k == 2 else FULL
-    assert _runs(log) == ([(0, probe)] + [(t, FULL) for t in range(1, n)],
-                          [])
+    assert _runs(log) == (
+        [("P0", probe)] + [(f"P{t}", FULL) for t in range(1, n)], [])
 
 
 def test_fuzz_one_cpu_checks_each_trial_once(cpus, monkeypatch, tmp_path):
@@ -576,7 +605,7 @@ def test_fuzz_one_cpu_checks_each_trial_once(cpus, monkeypatch, tmp_path):
     rep = fuzz_weakmem(p, **kw)
     _assert_no_children()
     assert not forks and rep.effective == n
-    assert _runs(log) == ([(t, FULL) for t in range(n)], [])
+    assert _runs(log) == ([(f"P{t}", FULL) for t in range(n)], [])
 
 
 def test_fuzz_one_trial_is_checked_in_process(cpus, monkeypatch, tmp_path):
@@ -590,7 +619,7 @@ def test_fuzz_one_trial_is_checked_in_process(cpus, monkeypatch, tmp_path):
     rep = fuzz_weakmem(p, **kw)
     _assert_no_children()
     assert not forks and rep.effective == n == 1
-    assert _runs(log) == ([(0, FULL)], [])
+    assert _runs(log) == ([("P0", FULL)], [])
 
 
 @pytest.mark.parametrize("extra", [0, -1, -500])
@@ -611,20 +640,21 @@ def test_fuzz_budget_within_the_probe_never_forks(cpus, monkeypatch,
     shared = fuzz_weakmem(p, **kw)
     _assert_no_children()
     assert not forks and shared == alone and alone.inconclusive > 0
-    assert _runs(log) == ([(t, budget.max_states) for t in range(n)], [])
+    assert _runs(log) == (
+        [(f"P{t}", budget.max_states) for t in range(n)], [])
 
 
 def test_fuzz_child_that_dies_mid_run_is_an_error(cpus, monkeypatch):
-    """A child that dies while checking trial 5 loses its result, while
-    the other child checks the rest: the call raises, without waiting on
-    the lost trial, and leaves no child."""
+    """A child that dies while running trial 5's R loses its result,
+    while the other child runs the rest: the call raises, without
+    waiting on the lost run, and leaves no child."""
     p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
-    seen = _trial_paths(cpus, monkeypatch, p, **kw)
+    name, _ = _run_names(cpus, monkeypatch, p, **kw)
     real = transforms.run_interleavings
     parent = os.getpid()
 
     def die_on_trial_5(p, **kw):
-        if os.getpid() != parent and kw["thread_paths"] == seen[5]:
+        if os.getpid() != parent and name(kw["thread_paths"]) == "R5":
             os._exit(7)
         return real(p, **kw)
 
@@ -634,6 +664,104 @@ def test_fuzz_child_that_dies_mid_run_is_an_error(cpus, monkeypatch):
         fuzz_weakmem(p, **kw)
     assert len(forks) == 2
     _assert_no_children()
+
+
+@pytest.mark.parametrize("case", ["alarms", "budget", "base cut off",
+                                  "base raises"])
+def test_fuzz_children_fall_back_to_full_checks(cpus, monkeypatch, tmp_path,
+                                                case):
+    """A trial takes its R's outcome only when B ended within the budget
+    with alarms alone as errors, and R ended within it with R.states +
+    B.states within it too.  Here no trial may: the alarms miss an error
+    of B (program 88190, with no alarms), or the budget is B's own states
+    (88011), or it cuts B off (88011), or B raises (88011).  Then the
+    children run B and every R, then every P', and the report is the one
+    a single CPU gives.  Three trials of 88190 rewrite their thread's
+    only path: their R is their P', which runs once and stands whatever
+    B found."""
+    n = 190 if case == "alarms" else 11
+    p, kw = fuzz_program(88_000 + n), dict(trials=8, chain=4, seed=n,
+                                           unroll=2)
+    if case == "alarms":
+        kw["alarms"] = frozenset()
+        monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
+    base, trials = _drawn(cpus, monkeypatch, p, **kw)
+    b = run_interleavings(p, thread_paths=base, collect_witnesses=False)
+    assert not b.truncated
+    if case == "alarms":
+        assert b.errors
+    elif case == "budget":
+        kw["budget"] = OracleBudget(b.states)
+    elif case == "base cut off":
+        kw["budget"] = OracleBudget((b.states + transforms.FORK_MIN_STATES)
+                                    // 2)
+    assert b.states > transforms.FORK_MIN_STATES + 1
+    log = tmp_path / "runs"
+    _log_runs(cpus, monkeypatch, log, p, **kw)
+    if case == "base raises":
+        logged = transforms.run_interleavings
+
+        def run(p, **kw):
+            res = logged(p, **kw)
+            if kw["thread_paths"] == base:
+                raise ValueError("B")
+            return res
+
+        monkeypatch.setattr(transforms, "run_interleavings", run)
+    cpus(1)
+    alone = fuzz_weakmem(p, **kw)
+    log.write_text("")
+    forks = cpus(2)
+    shared = fuzz_weakmem(p, **kw)
+    _assert_no_children()
+    assert forks and shared == alone
+    whole = [base[tid] == {old} for tid, old, _ in trials]
+    assert len(whole) == 8 and sum(whole) == (3 if case == "alarms" else 0)
+    runs = ["B"] + [f"P{t}" for t in range(8)] + [
+        f"R{t}" for t in range(8) if not whole[t]]
+    max_states = kw.get("budget", OracleBudget()).max_states
+    assert _runs(log) == ([("P0", transforms.FORK_MIN_STATES)],
+                          sorted((run, max_states) for run in runs))
+
+
+@pytest.mark.parametrize("n", [11, 12, 25])
+def test_reduced_runs_give_the_full_checks_verdicts(cpus, monkeypatch, n):
+    """The argument that lets a trial take its R's outcome, trial by
+    trial on the block programs that reach the children: B ends within
+    its budget with alarms alone as errors, errors(R) <= errors(P') <=
+    errors(R) | errors(B), so errors(P') - alarms == errors(R) - alarms,
+    and states(P') <= states(R) + states(B)."""
+    p = fuzz_program(88_000 + n)
+    base, trials = _drawn(cpus, monkeypatch, p, trials=8, chain=4, seed=n,
+                          unroll=2)
+    alarms = frozenset(analyze_program_I(p).omega)
+
+    def run(thread_paths):
+        res = run_interleavings(p, thread_paths=thread_paths,
+                                collect_witnesses=False)
+        assert not res.truncated
+        return res
+
+    b = run(base)
+    assert b.errors <= alarms
+    for tid, old, new in trials:
+        r, full = run(_reduced(base, tid, new)), run(_full(base, tid, old,
+                                                           new))
+        assert r.errors <= full.errors <= r.errors | b.errors
+        assert full.errors - alarms == r.errors - alarms
+        assert full.states <= r.states + b.states
+
+
+def test_fuzz_refuses_a_path_pool_past_the_budget(corpus):
+    """Each thread's paths are counted before any is made: a count past
+    the state budget raises TooManyPaths, naming the thread, the bound
+    and the unroll; a count at the budget is checked as usual."""
+    dekker = corpus("dekker")  # two paths a thread
+    rep = fuzz_weakmem(dekker, trials=4, unroll=1, budget=OracleBudget(2))
+    assert rep.trials == 4
+    with pytest.raises(TooManyPaths, match="thread 1 spawns more than 1"
+                                           " control paths at unroll 1"):
+        fuzz_weakmem(dekker, trials=4, unroll=1, budget=OracleBudget(1))
 
 
 MANY = 20_000
@@ -664,14 +792,18 @@ def test_fuzz_forks_only_with_one_thread(cpus, monkeypatch, dies):
     """Every child is forked while this process has one thread, and a
     forked check that raises, by a trial error or by a dead child, leaves
     no thread behind: the next call forks again.  A pool that forked a
-    child on demand, once its own threads run, fails the first check."""
+    child on demand, once its own threads run, fails the first check.
+    Trial 5's R and P' fail in a child: a death ends the first round of
+    children, which runs B and the Rs; an error sends the trial to its
+    P', which one more child runs, and raises there."""
     p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
-    seen = _trial_paths(cpus, monkeypatch, p, **kw)
+    name, _ = _run_names(cpus, monkeypatch, p, **kw)
     real = transforms.run_interleavings
     parent = os.getpid()
 
     def fail_on_trial_5(p, **kw):
-        if os.getpid() != parent and kw["thread_paths"] == seen[5]:
+        if (os.getpid() != parent
+                and name(kw["thread_paths"]) in ("R5", "P5")):
             if dies:
                 os._exit(7)
             raise ValueError("trial 5")
@@ -682,7 +814,8 @@ def test_fuzz_forks_only_with_one_thread(cpus, monkeypatch, dies):
     with pytest.raises(RuntimeError if dies else ValueError,
                        match="exited without" if dies else "trial 5"):
         fuzz_weakmem(p, **kw)
-    assert forks == [1, 1] and threading.active_count() == 1
+    assert forks == [1] * (2 if dies else 3)
+    assert threading.active_count() == 1
     _assert_no_children()
     monkeypatch.setattr(transforms, "run_interleavings", real)
     forks = cpus(2)
