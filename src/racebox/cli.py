@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from .config import LimitReached
 from .parser import ParseError, parse_program
 from .report import (
     ANALYZER_MODES,
@@ -218,6 +219,9 @@ def main(argv: list[str] | None = None, prog_name: str = "analyze") -> None:
         rep = build_report(program, source, cfg)
     except UnknownThread as e:
         ap.error(f"argument --self-interference: {e}")
+    except LimitReached as e:  # a bound of the run: a budget failure
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(3)
     except Exception as e:  # analyzer/oracle internal failure
         print(f"internal error: {e}", file=sys.stderr)
         sys.exit(3)

@@ -18,6 +18,7 @@ import math
 from collections.abc import Iterator
 from itertools import chain, islice, product
 
+from .config import LimitReached
 from .syntax import (
     Assign,
     Block,
@@ -181,7 +182,7 @@ def start_envs(p: Program, n: int | None = None) -> Iterator[Env]:
 # Control paths
 
 
-class TooManyPaths(RuntimeError):
+class TooManyPaths(LimitReached):
     """A thread spawns more control paths than a state budget allows."""
 
 

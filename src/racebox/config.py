@@ -11,6 +11,10 @@ LOOP_ITER_CAP = 10_000  # safety bound on every loop lim
 OUTER_ROUND_CAP = 64  # safety bound on interference fixpoints
 
 
+class LimitReached(RuntimeError):
+    """A run stopped at one of its bounds: the CLI's exit 3, not a bug."""
+
+
 class AnalysisSettings(Record):
     """Tuning knobs of the abstract analyzers."""
 

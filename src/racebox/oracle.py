@@ -64,7 +64,7 @@ from collections import deque
 from typing import Optional
 
 from .concrete import compile_prim, paths, sorted_paths, start_envs
-from .config import UNROLL, OracleBudget
+from .config import UNROLL, LimitReached, OracleBudget
 from .syntax import (
     Assign,
     ControlPath,
@@ -252,7 +252,7 @@ _MASK = (1 << _SHIFT) - 1
 _FIELD = 32  # bits of one variable's value field, read per exploration
 
 
-class ValueTableFull(RuntimeError):
+class ValueTableFull(LimitReached):
     """A variable took more values in one exploration than its value
     field can number."""
 

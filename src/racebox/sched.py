@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import config
-from .config import AnalysisSettings
+from .config import AnalysisSettings, LimitReached
 from .domains import (
     BOT,
     BoxEnv,
@@ -71,7 +71,7 @@ WEAK = "weak"
 ENGINE_MODES = ("scheduled-mono", "scheduled-multi", "interference", "seq")
 
 
-class AnalysisDiverged(RuntimeError):
+class AnalysisDiverged(LimitReached):
     """A safety cap of the engine was hit: a loop lim or the outer
     interference fixpoint did not stabilize, or its final round was not
     idempotent."""

@@ -439,9 +439,7 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     bounds the path pool as well as each check.  Every trial is drawn
     before any is checked.  Checking never touches the random generator,
     so the report does not depend on where, or by which runs, the checks
-    are made (see _check_trials: large trials are judged by a run on
-    their rewritten path alone where the untransformed program's run
-    covers the rest).  The draw computes each expression node's
+    are made (see _check_trials).  The draw computes each expression node's
     variables, key and side conditions once per call, and the program's
     variable occurrences once, and of the applications a chain step finds
     it builds only the one it picks (see _applications); its memo is
@@ -533,12 +531,12 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Checking trials on every usable CPU
 
-# The probe's budget: a first trial that ends within it predicts trials
-# too small to repay a pool of children (on a 2-vCPU virtual machine
+# The probe's budget: a first job that ends within it predicts jobs too
+# small to repay a pool of children (on a 2-vCPU virtual machine
 # with Python 3.11, a fork pool of two workers that check two trivial
 # trials costs about 15 ms from start to shutdown in a 65 MB process,
 # two bare forks 7 ms, and the interleaving oracle 2-10 us per state),
-# and it is then that trial's full run, so the probe repeats no work.
+# and it is then that job's full run, so the probe repeats no work.
 FORK_MIN_STATES = 1_000
 
 Outcome = tuple[str, list[int]]  # a trial's verdict, its uncovered labels
@@ -627,90 +625,82 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
     against `alarms`, as (verdict, sorted uncovered labels), of its full
     check P': _run_swapped(p, base, tid, old, new, budget).
 
-    With one trial, one usable CPU, or a budget of at most
-    FORK_MIN_STATES states, this process runs every P' in order.
-    Otherwise it first probes the first trial's P' under a budget of
-    FORK_MIN_STATES: a probe that ends within it is that P' (the same
-    search, stopped only by an empty queue), and this process runs the
-    other P' in order.
+    The first round explores the untransformed program once (run B, on
+    the base paths of every thread) unless every trial rewrote its
+    thread's only base path, and one reduced run R per distinct (tid,
+    new): every thread's base paths, but tid has only new.  An execution
+    of P' is one of R if tid is on a prefix of new, else one of B, so
+    errors(R) <= errors(P') <= errors(R) | errors(B) and states(P') <=
+    states(R) + states(B).  A trial takes R's outcome if old was tid's
+    only base path (R is P'), or if B passed (it ended within the budget
+    with alarms alone as errors) and states(R) + states(B) <= max_states
+    (a run cut off counts more than max_states states): P' would then
+    end within the budget with the same uncovered errors.  Any other
+    trial, and any whose R or B raised, gets its P' in a second round,
+    so the call raises the error of the first P', in trial order, that
+    raised.
 
-    A probe cut off by its budget, or one that raises, means large
-    trials.  Then forked children, one per usable CPU, each pulling the
-    next job as it finishes one, explore the untransformed program once
-    (run B, on the base paths of every thread) and each trial's reduced
-    run R: the base paths of every thread but tid, which has only new.
-    An execution of P' is one of R if tid is on a prefix of new, else
-    one of B, so errors(R) <= errors(P') <= errors(R) | errors(B) and
-    states(P') <= states(R) + states(B).  A trial takes R's outcome when
-    B ended within the budget with alarms alone as errors, and R ended
-    within it with states(R) + states(B) <= max_states: P' would then
-    end within the budget, with the same uncovered errors.  A trial
-    whose old was tid's only base path takes R's outcome whatever it is,
-    since its R is its P', and B is skipped when every trial is such.
-    Any other trial, and the first if its probe raised, gets its P' in a
-    second round of children.  This process runs no B, R or P' itself.
-
-    An R or B that raises only sends trials to their P'.  The call raises
-    the error of the first P', in trial order, that raised, or a
-    RuntimeError if a child died before it finished (a child's death
-    loses the result of every job not finished by then, in any child).
-    No child outlives the call: on any exception the jobs not yet handed
-    to a child are cancelled, the few handed out are finished (after a
-    death the pool terminates every child instead), and every child is
-    joined."""
-
-    def full(i: int) -> Outcome:
-        return _outcome(_run_swapped(p, base, *trials[i], budget), alarms)
-
-    n, cpus = len(trials), _usable_cpus()
-    if n < 2 or cpus < 2 or budget.max_states <= FORK_MIN_STATES:
-        return [full(i) for i in range(n)]
-    try:
-        probe = _run_swapped(p, base, *trials[0],
-                             budget._replace(max_states=FORK_MIN_STATES))
-    except Exception:
-        probe = None  # its P' raises the full run's error
-    if probe is not None and not probe.truncated:
-        return [_outcome(probe, alarms)] + [full(i) for i in range(1, n)]
-
+    Both rounds run where one choice says.  With one usable CPU, a
+    budget of at most FORK_MIN_STATES states or fewer than two jobs,
+    this process runs every job.  Otherwise it probes the first job
+    under a budget of FORK_MIN_STATES: a probe that ends within it, or
+    raises, is that job's full run (the same search, stopped only by an
+    empty queue), and this process runs the rest.  A probe cut off means
+    large jobs, which forked children, one per usable CPU, run, each
+    pulling the next job as it finishes one.  A child's death raises a
+    RuntimeError (it loses the result of every job not finished by then,
+    in any child).  No child outlives the call: on any exception the
+    jobs not yet handed to a child are cancelled, the few handed out are
+    finished (after a death the pool terminates every child instead),
+    and every child is joined."""
     whole = [base[tid] == {old} for tid, old, _ in trials]  # R is P'
     # None stands for B, the largest job, so it is taken first
-    jobs = ([] if all(whole) else [None]) + [
-        i for i in range(n) if i or probe is not None]
+    jobs = ([] if all(whole) else [None]) + list(dict.fromkeys(
+        (tid, new) for tid, _, new in trials))
 
-    def reduced(i: int | None):
-        """B's states, or None if it reached an error that is not an
-        alarm; R's (states, outcome); None if the run raised (its P'
-        raises it again).  A run cut off by the budget counts more than
-        max_states states, so states(R) + states(B) <= max_states also
-        means that neither was cut off."""
+    def job(j: int, max_states: int = budget.max_states):
+        """Job j's (states, outcome) under max_states, or None if its run
+        raised."""
         thread_paths = base
-        if i is not None:
-            tid, _, new = trials[i]
+        if jobs[j] is not None:
+            tid, new = jobs[j]
             thread_paths = {**base, tid: frozenset((new,))}
         try:
-            res = run_interleavings(p, budget=budget,
-                                    thread_paths=thread_paths,
-                                    collect_witnesses=False)
+            res = run_interleavings(
+                p, budget=budget._replace(max_states=max_states),
+                thread_paths=thread_paths, collect_witnesses=False)
         except Exception:
             return None
-        if i is None:
-            return None if res.errors - alarms else res.states
         return res.states, _outcome(res, alarms)
 
-    got = dict(zip(jobs, _check_in_children(
-        lambda j: reduced(jobs[j]), len(jobs), min(cpus, len(jobs)))))
-    b = got.pop(None, 0)
+    cpus, forked, got = _usable_cpus(), False, []
+    if cpus > 1 and budget.max_states > FORK_MIN_STATES and len(jobs) > 1:
+        probe = job(0, FORK_MIN_STATES)
+        forked = probe is not None and probe[0] > FORK_MIN_STATES
+        got = [] if forked else [probe]
+
+    def run(check, n: int) -> list:
+        """check(k) for k in range(n), in order, where the probe chose."""
+        if forked:
+            return _check_in_children(check, n, min(cpus, n))
+        return [check(k) for k in range(n)]
+
+    done = len(got)
+    ran = dict(zip(jobs, got + run(lambda k: job(done + k),
+                                   len(jobs) - done)))
+    b = ran.get(None)
+    # the states a passing B leaves R; no R fits beside any other B
+    room = budget.max_states - b[0] if b and b[1][0] == "PASS" else -1
     out: dict[int, Outcome] = {}
-    for i, r in got.items():
-        if r is not None and (whole[i] or b is not None
-                              and r[0] + b <= budget.max_states):
+    for i, (tid, _, new) in enumerate(trials):
+        r = ran[tid, new]
+        if r is not None and (whole[i] or r[0] <= room):
             out[i] = r[1]
-    redo = [i for i in range(n) if i not in out]
+    redo = [i for i in range(len(trials)) if i not in out]
     if redo:
-        out.update(zip(redo, _check_in_children(
-            lambda k: full(redo[k]), len(redo), min(cpus, len(redo)))))
-    return [out[i] for i in range(n)]
+        out.update(zip(redo, run(lambda k: _outcome(_run_swapped(
+            p, base, *trials[redo[k]], budget), alarms), len(redo))))
+    return [out[i] for i in range(len(trials))]
 
 
 # ---------------------------------------------------------------------------

@@ -140,10 +140,10 @@ def test_islocked_writes_a_field_no_assign_touches():
     assert run_scheduled(p, unroll=0).terminal_envs == {(0, 2, 1), (0, 3, 1)}
 
 
-def test_a_full_value_field_raises(monkeypatch, tmp_path):
+def test_a_full_value_field_raises(monkeypatch, tmp_path, capsys):
     """With 2-bit fields a variable has room for four values: x takes 0
     and [1,3], or 0 and [1,4], one too many, which the CLI reports as
-    an internal error."""
+    a bound of the run, not an internal error: `error:`, exit 3."""
     monkeypatch.setattr(oracle, "_FIELD", 2)
     fits = parse_program("thread 1 { x <- [1,3]; }")
     assert run_interleavings(fits, unroll=0).terminal_values("x") == {1, 2, 3}
@@ -156,6 +156,7 @@ def test_a_full_value_field_raises(monkeypatch, tmp_path):
     with pytest.raises(SystemExit) as exit_:
         main([str(f), "--mode", "oracle-interleave"])
     assert exit_.value.code == 3
+    assert capsys.readouterr().err.startswith("error: variable x took more")
 
 
 @settings(max_examples=30, deadline=None)

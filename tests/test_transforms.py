@@ -325,10 +325,10 @@ def _fuzz_both_ways(cpus, p, **kw):
     return alone, shared
 
 
-@pytest.mark.parametrize("n", [11, 12, 25])
+@pytest.mark.parametrize("n", [11, 25, 37])
 def test_fuzz_report_equal_with_children(cpus, n):
-    """The block programs whose first trial crosses FORK_MIN_STATES give
-    the same report checked in one process and with a child."""
+    """Programs whose first job, B, crosses FORK_MIN_STATES give the same
+    report checked in one process and with children."""
     alone, shared = _fuzz_both_ways(cpus, fuzz_program(88_000 + n), trials=8,
                                     chain=4, seed=n, unroll=2)
     assert shared == alone and alone.effective > 1
@@ -398,22 +398,22 @@ def _run_names(cpus, monkeypatch, p, **kw):
     """A function that names each oracle run fuzz_weakmem(p, **kw) can
     make, in any process, by its thread paths: "B" for the untransformed
     program's run, on the base paths of every thread, and for trial i,
-    in trial order, "R{i}" for its reduced run R and "P{i}" for its full
-    check P'.  A trial whose R is its P' names the run "P{i}".  Also
-    returns the number of trials."""
+    in trial order, "P{i}" for its full check P' and "R{i}" for its
+    reduced run R.  A run that is several of these takes the first name
+    in the order B, P0, R0, P1, R1, ...: a trial whose R is its P' names
+    the run "P{i}", and trials that share a run name it by the first of
+    them.  Also returns the number of trials and of distinct runs."""
     base, trials = _drawn(cpus, monkeypatch, p, **kw)
-    runs = [("B", base)]
+    first = {}
     for i, (tid, old, new) in enumerate(trials):
-        runs.append((f"R{i}", _reduced(base, tid, new)))
-        runs.append((f"P{i}", _full(base, tid, old, new)))
-    # no two trials share a run, nor does B, so each name is one trial's
-    for name, paths_ in runs:
-        assert {n[1:] for n, q in runs if q == paths_} == {name[1:]}
+        for label, q in (("B", base), (f"P{i}", _full(base, tid, old, new)),
+                         (f"R{i}", _reduced(base, tid, new))):
+            first.setdefault(frozenset(q.items()), label)
 
     def name(thread_paths) -> str:
-        return [n for n, q in runs if q == thread_paths][-1]
+        return first[frozenset(thread_paths.items())]
 
-    return name, len(trials)
+    return name, len(trials), len(first)
 
 
 def _raise_on(cpus, monkeypatch, raising, exc=ValueError):
@@ -422,9 +422,10 @@ def _raise_on(cpus, monkeypatch, raising, exc=ValueError):
     recognised by its thread paths, so the same runs raise in every
     process."""
     p = fuzz_program(88_001)
-    name, n = _run_names(cpus, monkeypatch, p, trials=8, chain=4, seed=1,
-                         unroll=2)
-    assert n == 8
+    name, n, distinct = _run_names(cpus, monkeypatch, p, trials=8, chain=4,
+                                   seed=1, unroll=2)
+    # no two trials share a run, nor does B, so each name is one trial's
+    assert n == 8 and distinct == 2 * n + 1
     real = transforms.run_interleavings
 
     def run(p, **kw):
@@ -509,7 +510,7 @@ def test_fuzz_draw_error_waits_for_earlier_checks(cpus, monkeypatch):
     monkeypatch.setattr(transforms.random, "Random", FailsAtTrial5)
     with pytest.raises(KeyError, match="draw"):
         fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
-    assert len(runs) == 5
+    assert len(runs) == 6  # B and the five trials' R
 
     def fail(p, **kw):
         raise ValueError("check")
@@ -535,7 +536,7 @@ def _log_runs(cpus, monkeypatch, log, p, **kw):
     """Make every oracle run of fuzz_weakmem(p, **kw), in any process,
     append a line `pid name max_states` to the file `log`, with the name
     _run_names gives it.  Returns the number of trials."""
-    name, n = _run_names(cpus, monkeypatch, p, **kw)
+    name, n, _ = _run_names(cpus, monkeypatch, p, **kw)
     real = transforms.run_interleavings
 
     def logged(p, **kw):
@@ -562,10 +563,10 @@ FULL = OracleBudget().max_states
 
 
 def test_fuzz_children_check_every_trial_once(cpus, monkeypatch, tmp_path):
-    """With two CPUs and a first trial larger than FORK_MIN_STATES, this
-    process runs only the probe of the first trial.  The children run B
-    once and each trial's R once, the first trial's included, all under
-    the full budget, and no P': B covers every base path here."""
+    """With two CPUs and a first job, B, larger than FORK_MIN_STATES,
+    this process runs only the probe of B.  The children run B once and
+    each trial's R once, all under the full budget, and no P': B covers
+    every base path here."""
     log = tmp_path / "runs"
     p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
@@ -573,16 +574,17 @@ def test_fuzz_children_check_every_trial_once(cpus, monkeypatch, tmp_path):
     rep = fuzz_weakmem(p, **kw)
     _assert_no_children()
     assert len(forks) == 2 and rep.effective == n > 2
-    assert _runs(log) == ([("P0", transforms.FORK_MIN_STATES)],
+    assert _runs(log) == ([("B", transforms.FORK_MIN_STATES)],
                           [("B", FULL)] + [(f"R{t}", FULL) for t in range(n)])
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_fuzz_small_trials_are_checked_once_in_process(cpus, monkeypatch,
                                                        tmp_path, k):
-    """With one CPU there is no probe; with two, a first trial that ends
-    within FORK_MIN_STATES states is its own probe.  Either way each
-    trial is checked once, in this process, and nothing forks."""
+    """With one CPU there is no probe; with two, a first job, B, that
+    ends within FORK_MIN_STATES states is its own probe.  Either way B
+    and each trial's R run once, in this process, no P' runs, and
+    nothing forks."""
     log = tmp_path / "runs"
     p, kw = fuzz_program(88_001), dict(trials=8, chain=4, seed=1, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
@@ -592,12 +594,14 @@ def test_fuzz_small_trials_are_checked_once_in_process(cpus, monkeypatch,
     assert not forks and rep.effective == n > 1
     probe = transforms.FORK_MIN_STATES if k == 2 else FULL
     assert _runs(log) == (
-        [("P0", probe)] + [(f"P{t}", FULL) for t in range(1, n)], [])
+        [("B", probe)] + [(f"R{t}", FULL) for t in range(n)], [])
 
 
 def test_fuzz_one_cpu_checks_each_trial_once(cpus, monkeypatch, tmp_path):
-    """With one CPU even large trials are checked in order in process,
-    with no probe: `effective` oracle runs and no fork."""
+    """With one CPU even large trials are checked in process, by the
+    plan the children follow, with no probe: B once and each trial's R
+    once, in order, no P' (B covers every base path here) and no
+    fork."""
     log = tmp_path / "runs"
     p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
@@ -605,15 +609,17 @@ def test_fuzz_one_cpu_checks_each_trial_once(cpus, monkeypatch, tmp_path):
     rep = fuzz_weakmem(p, **kw)
     _assert_no_children()
     assert not forks and rep.effective == n
-    assert _runs(log) == ([(f"P{t}", FULL) for t in range(n)], [])
+    assert _runs(log) == (
+        [("B", FULL)] + [(f"R{t}", FULL) for t in range(n)], [])
 
 
 def test_fuzz_one_trial_is_checked_in_process(cpus, monkeypatch, tmp_path):
-    """A lone trial is checked in this process, with no probe, however
-    large it is: a child would only add a fork."""
+    """A lone trial that rewrites its thread's only path is one job, its
+    R, which is its P': this process runs it, with no probe, however
+    large it is, since a child would only add a fork."""
     monkeypatch.setattr(transforms, "FORK_MIN_STATES", 0)
     log = tmp_path / "runs"
-    p, kw = fuzz_program(88_011), dict(trials=1, chain=4, seed=0, unroll=2)
+    p, kw = fuzz_program(88_004), dict(trials=1, chain=4, seed=0, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
     forks = cpus(2)
     rep = fuzz_weakmem(p, **kw)
@@ -626,8 +632,9 @@ def test_fuzz_one_trial_is_checked_in_process(cpus, monkeypatch, tmp_path):
 def test_fuzz_budget_within_the_probe_never_forks(cpus, monkeypatch,
                                                   tmp_path, extra):
     """A budget of at most FORK_MIN_STATES states is no larger than the
-    probe's: every trial is checked in order in process, with no probe,
-    and the report is the one a single CPU gives."""
+    probe's: every job runs in order in process, with no probe, and the
+    report is the one a single CPU gives.  The budget cuts B off, so no
+    R's outcome stands: B and each R run, then each P'."""
     log = tmp_path / "runs"
     budget = OracleBudget(transforms.FORK_MIN_STATES + extra)
     p = fuzz_program(88_011)
@@ -640,8 +647,8 @@ def test_fuzz_budget_within_the_probe_never_forks(cpus, monkeypatch,
     shared = fuzz_weakmem(p, **kw)
     _assert_no_children()
     assert not forks and shared == alone and alone.inconclusive > 0
-    assert _runs(log) == (
-        [(f"P{t}", budget.max_states) for t in range(n)], [])
+    runs = ["B"] + [f"R{t}" for t in range(n)] + [f"P{t}" for t in range(n)]
+    assert _runs(log) == ([(run, budget.max_states) for run in runs], [])
 
 
 def test_fuzz_child_that_dies_mid_run_is_an_error(cpus, monkeypatch):
@@ -649,7 +656,7 @@ def test_fuzz_child_that_dies_mid_run_is_an_error(cpus, monkeypatch):
     while the other child runs the rest: the call raises, without
     waiting on the lost run, and leaves no child."""
     p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
-    name, _ = _run_names(cpus, monkeypatch, p, **kw)
+    name, _, _ = _run_names(cpus, monkeypatch, p, **kw)
     real = transforms.run_interleavings
     parent = os.getpid()
 
@@ -674,11 +681,12 @@ def test_fuzz_children_fall_back_to_full_checks(cpus, monkeypatch, tmp_path,
     with alarms alone as errors, and R ended within it with R.states +
     B.states within it too.  Here no trial may: the alarms miss an error
     of B (program 88190, with no alarms), or the budget is B's own states
-    (88011), or it cuts B off (88011), or B raises (88011).  Then the
-    children run B and every R, then every P', and the report is the one
-    a single CPU gives.  Three trials of 88190 rewrite their thread's
-    only path: their R is their P', which runs once and stands whatever
-    B found."""
+    (88011), or it cuts B off (88011), or B raises (88011).  Then B and
+    every R run, then every P', and the report is the one a single CPU
+    gives.  The children run them after a probe of B that is cut off;
+    a probe that raises is B's full run, and this process runs the rest.
+    Three trials of 88190 rewrite their thread's only path: their R is
+    their P', which runs once and stands whatever B found."""
     n = 190 if case == "alarms" else 11
     p, kw = fuzz_program(88_000 + n), dict(trials=8, chain=4, seed=n,
                                            unroll=2)
@@ -714,14 +722,17 @@ def test_fuzz_children_fall_back_to_full_checks(cpus, monkeypatch, tmp_path,
     forks = cpus(2)
     shared = fuzz_weakmem(p, **kw)
     _assert_no_children()
-    assert forks and shared == alone
+    assert bool(forks) != (case == "base raises") and shared == alone
     whole = [base[tid] == {old} for tid, old, _ in trials]
     assert len(whole) == 8 and sum(whole) == (3 if case == "alarms" else 0)
-    runs = ["B"] + [f"P{t}" for t in range(8)] + [
-        f"R{t}" for t in range(8) if not whole[t]]
+    # in job order: B, each R (named P if it is its trial's P'), each P'
     max_states = kw.get("budget", OracleBudget()).max_states
-    assert _runs(log) == ([("P0", transforms.FORK_MIN_STATES)],
-                          sorted((run, max_states) for run in runs))
+    runs = [(run, max_states) for run in ["B"] + [
+        f"P{t}" if whole[t] else f"R{t}" for t in range(8)] + [
+        f"P{t}" for t in range(8) if not whole[t]]]
+    probe = ("B", transforms.FORK_MIN_STATES)
+    assert _runs(log) == (([probe] + runs[1:], []) if case == "base raises"
+                          else ([probe], sorted(runs)))
 
 
 @pytest.mark.parametrize("n", [11, 12, 25])
@@ -750,6 +761,49 @@ def test_reduced_runs_give_the_full_checks_verdicts(cpus, monkeypatch, n):
         assert r.errors <= full.errors <= r.errors | b.errors
         assert full.errors - alarms == r.errors - alarms
         assert full.states <= r.states + b.states
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [4, 11, 12, 25])
+def test_check_trials_give_the_full_checks_outcomes(cpus, monkeypatch, n, k):
+    """On one CPU or two, every trial gets the outcome of the reference,
+    its full check P' run alone.  88011 and 88025 fork with two CPUs,
+    88012 runs B and a shared R, and 88004's eight trials make three
+    distinct rewrites."""
+    p = fuzz_program(88_000 + n)
+    base, trials = _drawn(cpus, monkeypatch, p, trials=8, chain=4, seed=n,
+                          unroll=2)
+    alarms, budget = frozenset(analyze_program_I(p).omega), OracleBudget()
+    reference = [transforms._outcome(transforms._run_swapped(
+        p, base, *t, budget), alarms) for t in trials]
+    forks = cpus(k)
+    assert transforms._check_trials(p, base, alarms, trials,
+                                    budget) == reference
+    assert bool(forks) == (k == 2 and n in (11, 25))
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fuzz_trials_that_share_a_rewrite_share_its_run(cpus, monkeypatch,
+                                                        tmp_path, k):
+    """88004 has one thread with one base path, and its eight trials
+    rewrite that path to three distinct paths: three runs, one R for
+    each, which is the P' of every trial that rewrites to it, and no B.
+    With two CPUs the first is its own probe."""
+    log = tmp_path / "runs"
+    p, kw = fuzz_program(88_004), dict(trials=8, chain=4, seed=4, unroll=2)
+    _, trials = _drawn(cpus, monkeypatch, p, **kw)
+    n = _log_runs(cpus, monkeypatch, log, p, **kw)
+    forks = cpus(k)
+    rep = fuzz_weakmem(p, **kw)
+    assert not forks and rep.effective == n == 8
+    first = {}
+    for i, (tid, _, new) in enumerate(trials):
+        first.setdefault((tid, new), f"P{i}")
+    runs = [(run, FULL) for run in first.values()]
+    if k == 2:
+        runs[0] = (runs[0][0], transforms.FORK_MIN_STATES)
+    assert len(runs) == 3 and _runs(log) == (runs, [])
 
 
 def test_fuzz_refuses_a_path_pool_past_the_budget(corpus):
@@ -797,7 +851,7 @@ def test_fuzz_forks_only_with_one_thread(cpus, monkeypatch, dies):
     children, which runs B and the Rs; an error sends the trial to its
     P', which one more child runs, and raises there."""
     p, kw = fuzz_program(88_011), dict(trials=8, chain=4, seed=11, unroll=2)
-    name, _ = _run_names(cpus, monkeypatch, p, **kw)
+    name, _, _ = _run_names(cpus, monkeypatch, p, **kw)
     real = transforms.run_interleavings
     parent = os.getpid()
 
