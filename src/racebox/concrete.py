@@ -46,8 +46,8 @@ from .syntax import (
 )
 
 
-class UnsupportedMode(Exception):
-    pass
+class UnsupportedMode(LimitReached):
+    """A constant the oracles cannot enumerate: an unbounded interval."""
 
 
 Env = tuple[Num, ...]  # values in the order of Program.variables
@@ -183,7 +183,7 @@ def start_envs(p: Program, n: int | None = None) -> Iterator[Env]:
 
 
 class TooManyPaths(LimitReached):
-    """A thread spawns more control paths than a state budget allows."""
+    """A statement spawns more control paths than a cap allows."""
 
 
 class PathSet(Record):
@@ -191,61 +191,45 @@ class PathSet(Record):
     truncated: bool
 
 
-def paths(s: Stmt, unroll: int) -> PathSet:
+def paths(s: Stmt, unroll: int, cap: int | None = None) -> PathSet:
     """Control paths spawned by s, with loops unrolled at most `unroll`
     times.  truncated is set when some longer unrolling exists, that is,
-    when s holds a loop."""
+    when s holds a loop.  With cap, more than cap paths raise
+    TooManyPaths before the list past cap is made."""
     if unroll < 0:
         raise ValueError(f"unroll must be >= 0, got {unroll}")
-    return PathSet(frozenset(_paths(s, unroll)),
+    cap = math.inf if cap is None else cap
+    _within(1, cap)  # every statement spawns a path
+    return PathSet(frozenset(_paths(s, unroll, cap)),
                    any(isinstance(x, While) for x in sub_stmts(s)))
 
 
-def path_count(s: Stmt, unroll: int, cap: int | None = None) -> int:
-    """len(paths(s, unroll).paths), in closed form: a primitive spawns 1
-    path, a block the product of its parts' counts, an `if` its body's
-    count plus 1, and a loop whose body spawns b paths 1 + b + ... +
-    b^unroll.  With cap, any count past cap is cap + 1, so no nesting
-    makes the numbers large."""
-    if isinstance(s, Block):
-        n = 1
-        for sub in s.body:
-            n *= path_count(sub, unroll, cap)
-            if cap is not None and n > cap:
-                return cap + 1
-        return n
-    if isinstance(s, If):
-        n = path_count(s.body, unroll, cap) + 1
-    elif isinstance(s, While):
-        b = path_count(s.body, unroll, cap)
-        n = term = 1
-        if b == 1:  # no loop over a huge unroll
-            n += unroll
-        else:
-            for _ in range(unroll):
-                term *= b
-                n += term
-                if cap is not None and n > cap:
-                    return cap + 1
-    else:
-        return 1
-    return n if cap is None else min(n, cap + 1)
+def _within(n: int, cap) -> None:
+    if n > cap:
+        raise TooManyPaths(f"more than {cap} control paths")
 
 
-def _paths(s: Stmt, unroll: int) -> list[ControlPath]:
-    """paths(s, unroll) as a list: the structure spawns each path once."""
+def _paths(s: Stmt, unroll: int, cap) -> list[ControlPath]:
+    """paths(s, unroll, cap) as a list: the structure spawns each path
+    once.  A block's product, an `if`'s body plus 1 and each unrolling of
+    a loop are counted before they are built, so no list passes cap."""
     if isinstance(s, Block):
-        subs = [_paths(sub, unroll) for sub in s.body]
+        subs = [_paths(sub, unroll, cap) for sub in s.body]
+        _within(math.prod(map(len, subs)), cap)
         # one product: a fold over the block would rebuild every prefix
         return [tuple(chain.from_iterable(combo)) for combo in product(*subs)]
     if isinstance(s, If):
+        body = _paths(s.body, unroll, cap)
+        _within(len(body) + 1, cap)
         g = then_guard(s)
-        return [(g,) + p for p in _paths(s.body, unroll)] + [(else_guard(s),)]
+        return [(g,) + p for p in body] + [(else_guard(s),)]
     if isinstance(s, While):
-        body = _paths(s.body, unroll)
+        # at unroll 0 the body spawns no path of the loop's
+        body = _paths(s.body, unroll, cap) if unroll else []
         g, x = body_guard(s), exit_guard(s)
         loops, out = [()], [(x,)]
         for _ in range(unroll):
+            _within(len(out) + len(loops) * len(body), cap)
             loops = [p + (g,) + q for p in loops for q in body]
             out += [p + (x,) for p in loops]
         # some (unroll+1)-iteration path always exists syntactically

@@ -12,7 +12,8 @@ OUTER_ROUND_CAP = 64  # safety bound on interference fixpoints
 
 
 class LimitReached(RuntimeError):
-    """A run stopped at one of its bounds: the CLI's exit 3, not a bug."""
+    """A run stopped at one of its bounds, or at an input its oracles
+    cannot enumerate: the CLI's exit 3, not a bug."""
 
 
 class AnalysisSettings(Record):

@@ -434,34 +434,35 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     be covered by the untransformed program's interference analysis: its
     alarms, computed here unless the caller passes them.
 
-    Each thread's paths are counted before any is made, and a thread with
-    more than budget.max_states of them raises TooManyPaths: the budget
-    bounds the path pool as well as each check.  Every trial is drawn
-    before any is checked.  Checking never touches the random generator,
-    so the report does not depend on where, or by which runs, the checks
-    are made (see _check_trials).  The draw computes each expression node's
-    variables, key and side conditions once per call, and the program's
-    variable occurrences once, and of the applications a chain step finds
-    it builds only the one it picks (see _applications); its memo is
-    emptied before the checks."""
-    from .concrete import TooManyPaths, path_count, paths as mk_paths
-    from .concrete import sorted_paths
+    Each thread's paths are made by a walk bounded by budget.max_states:
+    a thread with more of them raises TooManyPaths before the list past
+    the budget is made, so the budget bounds the path pool as well as
+    each check.  Every trial is drawn before any is checked.  Checking
+    never touches the random generator, so the report does not depend on
+    where, or by which runs, the checks are made (see _check_trials).
+    The draw computes each expression node's variables, key and side
+    conditions once per call, and the program's variable occurrences
+    once, and of the applications a chain step finds it builds only the
+    one it picks (see _applications); its memo is emptied before the
+    checks."""
+    from .concrete import TooManyPaths, paths as mk_paths, sorted_paths
 
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if chain < 1:
         raise ValueError(f"chain must be >= 1, got {chain}")
+    base = {}
     for t in p.threads:
-        if path_count(t.body, unroll, budget.max_states) > budget.max_states:
+        try:
+            base[t.tid] = mk_paths(t.body, unroll, budget.max_states).paths
+        except TooManyPaths:
             raise TooManyPaths(
                 f"thread {t.tid} spawns more than {budget.max_states} control"
                 f" paths at unroll {unroll}, over the state budget of"
-                f" {budget.max_states}")
+                f" {budget.max_states}") from None
     rng = random.Random(seed)
     if alarms is None:
         alarms = frozenset(analyze_program_I(p, settings).omega)
-
-    base = {t.tid: mk_paths(t.body, unroll).paths for t in p.threads}
     pools = {tid: sorted_paths(ps) for tid, ps in base.items()}
 
     per_rule = {r.value: {"applied": 0, "skipped": 0, "violations": 0}
@@ -551,17 +552,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_swapped(p: Program, base: dict[int, frozenset[ControlPath]],
-                 tid: int, old: ControlPath, new: ControlPath,
-                 budget: OracleBudget) -> ExploreResult:
-    """The interleaving oracle, without witnesses, on the `base` paths
-    of every thread, with thread tid's path `old` replaced by `new`."""
-    thread_paths = dict(base)
-    thread_paths[tid] = (base[tid] - {old}) | {new}
-    return run_interleavings(p, budget=budget, thread_paths=thread_paths,
-                             collect_witnesses=False)
-
-
 def _outcome(res: ExploreResult, alarms: frozenset[Location]) -> Outcome:
     inc = inclusion(res, alarms)
     return inc.verdict, sorted(l.label for l in inc.missing)
@@ -623,12 +613,15 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
                   budget: OracleBudget) -> list[Outcome]:
     """For every trial (tid, old, new), in order, the inclusion outcome
     against `alarms`, as (verdict, sorted uncovered labels), of its full
-    check P': _run_swapped(p, base, tid, old, new, budget).
+    check P': the interleaving oracle, without witnesses, on the base
+    paths of every thread, but tid's old path replaced by new.
 
-    The first round explores the untransformed program once (run B, on
-    the base paths of every thread) unless every trial rewrote its
-    thread's only base path, and one reduced run R per distinct (tid,
-    new): every thread's base paths, but tid has only new.  An execution
+    A run is named by the thread paths it overrides, and one function
+    explores a name: None is B, the untransformed program on the base
+    paths of every thread; (tid, {new}) is a reduced run R, in which tid
+    has only new; and (tid, base[tid] - {old} | {new}) is P'.  The first
+    round explores B once unless every trial rewrote its thread's only
+    base path, and one R per distinct (tid, new).  An execution
     of P' is one of R if tid is on a prefix of new, else one of B, so
     errors(R) <= errors(P') <= errors(R) | errors(B) and states(P') <=
     states(R) + states(B).  A trial takes R's outcome if old was tid's
@@ -636,7 +629,7 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
     with alarms alone as errors) and states(R) + states(B) <= max_states
     (a run cut off counts more than max_states states): P' would then
     end within the budget with the same uncovered errors.  Any other
-    trial, and any whose R or B raised, gets its P' in a second round,
+    trial, and any whose R or B raised, explores its P' in a second round,
     so the call raises the error of the first P', in trial order, that
     raised.
 
@@ -654,21 +647,22 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
     finished (after a death the pool terminates every child instead),
     and every child is joined."""
     whole = [base[tid] == {old} for tid, old, _ in trials]  # R is P'
-    # None stands for B, the largest job, so it is taken first
-    jobs = ([] if all(whole) else [None]) + list(dict.fromkeys(
-        (tid, new) for tid, _, new in trials))
+    reduced = [(tid, frozenset((new,))) for tid, _, new in trials]
+    # B, the largest job, is taken first
+    jobs = ([] if all(whole) else [None]) + list(dict.fromkeys(reduced))
+
+    def explore(name, max_states: int = budget.max_states) -> ExploreResult:
+        """The run `name` under max_states."""
+        return run_interleavings(
+            p, budget=budget._replace(max_states=max_states),
+            thread_paths=base if name is None else {**base, name[0]: name[1]},
+            collect_witnesses=False)
 
     def job(j: int, max_states: int = budget.max_states):
         """Job j's (states, outcome) under max_states, or None if its run
         raised."""
-        thread_paths = base
-        if jobs[j] is not None:
-            tid, new = jobs[j]
-            thread_paths = {**base, tid: frozenset((new,))}
         try:
-            res = run_interleavings(
-                p, budget=budget._replace(max_states=max_states),
-                thread_paths=thread_paths, collect_witnesses=False)
+            res = explore(jobs[j], max_states)
         except Exception:
             return None
         return res.states, _outcome(res, alarms)
@@ -692,14 +686,16 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
     # the states a passing B leaves R; no R fits beside any other B
     room = budget.max_states - b[0] if b and b[1][0] == "PASS" else -1
     out: dict[int, Outcome] = {}
-    for i, (tid, _, new) in enumerate(trials):
-        r = ran[tid, new]
+    for i, name in enumerate(reduced):
+        r = ran[name]
         if r is not None and (whole[i] or r[0] <= room):
             out[i] = r[1]
     redo = [i for i in range(len(trials)) if i not in out]
     if redo:
-        out.update(zip(redo, run(lambda k: _outcome(_run_swapped(
-            p, base, *trials[redo[k]], budget), alarms), len(redo))))
+        full = [(tid, base[tid] - {old} | {new})
+                for tid, old, new in map(trials.__getitem__, redo)]
+        out.update(zip(redo, run(lambda k: _outcome(explore(full[k]),
+                                                    alarms), len(redo))))
     return [out[i] for i in range(len(trials))]
 
 
@@ -745,20 +741,21 @@ _CONTROLS = (
 
 def negative_controls() -> list[NegativeControl]:
     """Hand-built violations of Def-style side conditions, one per row of
-    _CONTROLS.  Each one must produce at least one oracle error not
-    covered by the original program's interference analysis, proving the
-    harness has teeth."""
+    _CONTROLS, each checked as a one-trial _check_trials call, the plan
+    fuzz_weakmem runs.  Each one must produce at least one oracle error
+    not covered by the original program's interference analysis, proving
+    the harness has teeth."""
     from .concrete import paths as mk_paths
     from .parser import parse_program
 
     out: list[NegativeControl] = []
     for name, src, rewrite in _CONTROLS:
         p = parse_program(src)
-        alarms = analyze_program_I(p).omega
+        alarms = frozenset(analyze_program_I(p).omega)
         # the control programs have no loops, so no unrolling
         base = {t.tid: mk_paths(t.body, 0).paths for t in p.threads}
         path = max(base[1], key=len)
-        verdict, missing = _outcome(_run_swapped(
-            p, base, 1, path, rewrite(path), OracleBudget()), alarms)
+        (verdict, missing), = _check_trials(
+            p, base, alarms, [(1, path, rewrite(path))], OracleBudget())
         out.append(NegativeControl(name, verdict == "FAIL", missing))
     return out

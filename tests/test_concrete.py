@@ -1,10 +1,11 @@
 import pathlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from racebox.concrete import UnsupportedMode, path_count, paths, start_envs
+from racebox.concrete import TooManyPaths, UnsupportedMode, paths, start_envs
 from racebox.parser import MAX_NESTING, parse_program
 from racebox.randgen import GeneratorConfig, random_seq_program, sweep_program
 from report_digests import SHAPES, nested
@@ -210,38 +211,43 @@ def test_start_envs_first_n_are_their_prefix():
         assert list(start_envs(p, n)) == every[:n]
 
 
-def test_path_count_is_the_number_of_paths():
-    """The closed form counts the paths that paths() spawns, over the
-    corpus, sweep seeds 31000-31099 and the nested shapes at depths 1-3,
-    at unroll 0-3, wherever there are at most 10^4 of them; with a cap,
-    a larger count is cap + 1."""
+def test_paths_within_their_cap():
+    """With a cap at its path count, paths() gives the uncapped paths, and
+    one below it raises TooManyPaths, over the corpus, sweep seeds
+    31000-31099 and the nested shapes at depths 1-2, at unroll 0-3."""
     corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
     programs = [parse_program(f.read_text())
                 for f in sorted(corpus.glob("*.conc"))]
     programs += [sweep_program(seed) for seed in range(31_000, 31_100)]
     programs += [parse_program(nested(shape, depth))
-                 for shape in SHAPES for depth in (1, 2, 3)]
+                 for shape in SHAPES for depth in (1, 2)]
     compared = 0
     for p in programs:
         for t in p.threads:
             for unroll in range(4):
-                n = path_count(t.body, unroll)
-                if n <= 10_000:
-                    assert n == len(paths(t.body, unroll).paths)
-                    compared += 1
-                for cap in (0, 1, n - 1, n, n + 1):
-                    assert path_count(t.body, unroll, cap) == min(n, cap + 1)
+                every = paths(t.body, unroll)
+                n = len(every.paths)
+                assert paths(t.body, unroll, n) == every
+                with pytest.raises(TooManyPaths):
+                    paths(t.body, unroll, n - 1)
+                compared += 1
     assert compared > 900
 
 
-def test_path_count_of_deep_loops():
-    """Counts grow doubly exponentially with loop nesting, so only a cap
-    keeps them small: the `while` shape spawns 621,436 paths at depth 3
-    and unroll 3, and at MAX_NESTING its capped count comes at once."""
+def test_paths_of_deep_loops_stop_at_the_cap():
+    """Path counts grow doubly exponentially with loop nesting (the
+    `while` shape spawns more than 10^17 paths at depth 4 and unroll 3),
+    so a cap stops the walk before the lists grow: at depth 4 and at
+    MAX_NESTING, a cap of 1,000 raises at once."""
     def body(depth):
         return parse_program(nested("while", depth)).threads[0].body
 
-    assert path_count(body(3), 3) == 621_436
-    assert path_count(body(4), 3) > 10 ** 17
-    assert path_count(body(MAX_NESTING), 3, 1_000) == 1_001
-    assert path_count(body(MAX_NESTING), 1) == MAX_NESTING + 1
+    for depth in (4, MAX_NESTING):
+        start = time.perf_counter()
+        with pytest.raises(TooManyPaths, match="more than 1000"):
+            paths(body(depth), 3, 1_000)
+        assert time.perf_counter() - start < 0.5
+    assert len(paths(body(MAX_NESTING), 1, MAX_NESTING + 1).paths) == (
+        MAX_NESTING + 1)
+    with pytest.raises(TooManyPaths):
+        paths(body(MAX_NESTING), 1, MAX_NESTING)

@@ -275,9 +275,9 @@ def test_cli_fuzz_inconclusive_exits_three(tmp_path, corpus_source):
 
 def test_cli_fuzz_path_pool_past_the_budget_exits_three(tmp_path):
     """A thread with more control paths than --budget-states is a budget
-    failure found before any path is made: exit 3 within seconds, with
-    an `error:` line, not an internal error, naming the thread and the
-    budget.  The nested `while` shape at depth 3 has
+    failure found before the list past the budget is made: exit 3 within
+    seconds, with an `error:` line, not an internal error, naming the
+    thread and the budget.  The nested `while` shape at depth 3 has
     621,436 paths at unroll 3, and enumerating them ran past 20 s."""
     from report_digests import nested
 
@@ -440,6 +440,19 @@ def test_cli_exit_three_on_budget_failure(tmp_path):
                  "thread 2 { x <- [0,3]; y <- [0,3]; }")
     r = run_cli(str(f), "--mode", "oracle-interleave", "--budget-states", "5")
     assert r.returncode == 3
+
+
+@pytest.mark.parametrize("mode", ["oracle-interleave", "oracle-scheduled"])
+def test_cli_oracle_unbounded_constant_is_a_limit(tmp_path, capsys, mode):
+    """An oracle cannot enumerate the points of an unbounded constant: a
+    limit of the oracles, not a defect, so `error:`, exit 3."""
+    f = tmp_path / "p.conc"
+    f.write_text("var x = [0,inf]; thread 1 { y <- 1 / x; }")
+    with pytest.raises(SystemExit) as done:
+        main([str(f), "--mode", mode])
+    assert done.value.code == 3
+    assert capsys.readouterr().err == (
+        "error: unbounded constant [0,inf] has no finite set of points\n")
 
 
 @pytest.mark.parametrize("out", [".", "missing/rep.json"])

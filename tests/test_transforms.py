@@ -274,6 +274,36 @@ def test_negative_controls_all_detected():
     assert all(c.detected for c in controls)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_negative_controls_run_the_fuzz_plan(cpus, monkeypatch, k):
+    """Each control is one _check_trials call with one trial, the plan
+    fuzz_weakmem runs, on one CPU or two.  Control (c) rewrites one of
+    its thread's two paths: B passes, so its R's outcome stands and no
+    P' runs.  The other three rewrite their thread's only path, whose R
+    is its P'.  Runs are named as _run_names names them."""
+    calls, runs = [], []
+    real_check = transforms._check_trials
+    real_run = transforms.run_interleavings
+
+    def check_trials(p, base, alarms, trials, budget):
+        name, _ = _namer(base, trials)
+        calls.append(len(trials))
+        runs.append([])
+
+        def run(p, **kw):
+            runs[-1].append(name(kw["thread_paths"]))
+            return real_run(p, **kw)
+
+        monkeypatch.setattr(transforms, "run_interleavings", run)
+        return real_check(p, base, alarms, trials, budget)
+
+    monkeypatch.setattr(transforms, "_check_trials", check_trials)
+    forks = cpus(k)
+    assert all(c.detected for c in negative_controls())
+    assert not forks and calls == [1, 1, 1, 1]
+    assert runs == [["P0"], ["P0"], ["B", "R0"], ["P0"]]
+
+
 def test_negative_controls_pinned():
     assert [(c.name, c.detected, c.missing)
             for c in negative_controls()] == [
@@ -404,6 +434,13 @@ def _run_names(cpus, monkeypatch, p, **kw):
     the run "P{i}", and trials that share a run name it by the first of
     them.  Also returns the number of trials and of distinct runs."""
     base, trials = _drawn(cpus, monkeypatch, p, **kw)
+    name, distinct = _namer(base, trials)
+    return name, len(trials), distinct
+
+
+def _namer(base, trials):
+    """The naming function of _run_names for the runs that check
+    `trials` against `base`, and the number of distinct runs."""
     first = {}
     for i, (tid, old, new) in enumerate(trials):
         for label, q in (("B", base), (f"P{i}", _full(base, tid, old, new)),
@@ -413,7 +450,7 @@ def _run_names(cpus, monkeypatch, p, **kw):
     def name(thread_paths) -> str:
         return first[frozenset(thread_paths.items())]
 
-    return name, len(trials), len(first)
+    return name, len(first)
 
 
 def _raise_on(cpus, monkeypatch, raising, exc=ValueError):
@@ -774,8 +811,9 @@ def test_check_trials_give_the_full_checks_outcomes(cpus, monkeypatch, n, k):
     base, trials = _drawn(cpus, monkeypatch, p, trials=8, chain=4, seed=n,
                           unroll=2)
     alarms, budget = frozenset(analyze_program_I(p).omega), OracleBudget()
-    reference = [transforms._outcome(transforms._run_swapped(
-        p, base, *t, budget), alarms) for t in trials]
+    reference = [transforms._outcome(run_interleavings(
+        p, budget=budget, thread_paths=_full(base, *t),
+        collect_witnesses=False), alarms) for t in trials]
     forks = cpus(k)
     assert transforms._check_trials(p, base, alarms, trials,
                                     budget) == reference
