@@ -537,7 +537,11 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 # with Python 3.11, a fork pool of two workers that check two trivial
 # trials costs about 15 ms from start to shutdown in a 65 MB process,
 # two bare forks 7 ms, and the interleaving oracle 2-10 us per state),
-# and it is then that job's full run, so the probe repeats no work.
+# and it is then that job's full run, so the probe repeats no work.  A
+# run B that ends within it also predicts runs that cost more to start
+# than to explore (over the criterion-8 block on the same machine, runs
+# under 1,000 states take about 7 us a state, larger ones 2-3), so
+# _check_trials then checks each rewritten thread's trials in one run.
 FORK_MIN_STATES = 1_000
 
 Outcome = tuple[str, list[int]]  # a trial's verdict, its uncovered labels
@@ -619,19 +623,27 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
     A run is named by the thread paths it overrides, and one function
     explores a name: None is B, the untransformed program on the base
     paths of every thread; (tid, {new}) is a reduced run R, in which tid
-    has only new; and (tid, base[tid] - {old} | {new}) is P'.  The first
-    round explores B once unless every trial rewrote its thread's only
-    base path, and one R per distinct (tid, new).  An execution
-    of P' is one of R if tid is on a prefix of new, else one of B, so
-    errors(R) <= errors(P') <= errors(R) | errors(B) and states(P') <=
-    states(R) + states(B).  A trial takes R's outcome if old was tid's
-    only base path (R is P'), or if B passed (it ended within the budget
-    with alarms alone as errors) and states(R) + states(B) <= max_states
-    (a run cut off counts more than max_states states): P' would then
-    end within the budget with the same uncovered errors.  Any other
-    trial, and any whose R or B raised, explores its P' in a second round,
-    so the call raises the error of the first P', in trial order, that
-    raised.
+    has only new; (tid, news) is a grouped run U, in which tid has the
+    new paths of all its trials; and (tid, base[tid] - {old} | {new}) is
+    P'.  The first round explores B first, unless every trial rewrote
+    its thread's only base path.  If B ended within FORK_MIN_STATES
+    states and the budget, it then explores one U per rewritten thread,
+    which is R where the thread's trials make one new path; otherwise
+    one R per distinct (tid, new), since there a U of several paths
+    would tend to outgrow the budget and send its trials to P'.  An
+    execution of P' is one of R if tid is on a prefix of new, else one
+    of B, so errors(R) <= errors(P') <= errors(R) | errors(B) and
+    states(P') <= states(R) + states(B).  A trial takes R's outcome if
+    old was tid's only base path (R is P'), or if B passed (it ended
+    within the budget with alarms alone as errors) and states(R) +
+    states(B) <= max_states (a run cut off counts more than max_states
+    states): P' would then end within the budget with the same uncovered
+    errors.  R is a sub-run of its thread's U, so errors(R) <= errors(U)
+    and states(R) <= states(U): a U of several paths that passed passes
+    each R and speaks for every trial as R would, but a U that failed
+    cannot tell which of its trials' R failed.  Any other trial, and any
+    whose R, U or B raised, explores its P' in a second round, so the
+    call raises the error of the first P', in trial order, that raised.
 
     Both rounds run where one choice says.  With one usable CPU, a
     budget of at most FORK_MIN_STATES states or fewer than two jobs,
@@ -646,9 +658,10 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
     jobs not yet handed to a child are cancelled, the few handed out are
     finished (after a death the pool terminates every child instead),
     and every child is joined."""
+    if not trials:
+        return []
     whole = [base[tid] == {old} for tid, old, _ in trials]  # R is P'
     reduced = [(tid, frozenset((new,))) for tid, _, new in trials]
-    # B, the largest job, is taken first
     jobs = ([] if all(whole) else [None]) + list(dict.fromkeys(reduced))
 
     def explore(name, max_states: int = budget.max_states) -> ExploreResult:
@@ -658,20 +671,29 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
             thread_paths=base if name is None else {**base, name[0]: name[1]},
             collect_witnesses=False)
 
-    def job(j: int, max_states: int = budget.max_states):
-        """Job j's (states, outcome) under max_states, or None if its run
-        raised."""
+    def job(name, max_states: int = budget.max_states):
+        """The run `name`'s (states, outcome) under max_states, or None if
+        it raised."""
         try:
-            res = explore(jobs[j], max_states)
+            res = explore(name, max_states)
         except Exception:
             return None
         return res.states, _outcome(res, alarms)
 
-    cpus, forked, got = _usable_cpus(), False, []
-    if cpus > 1 and budget.max_states > FORK_MIN_STATES and len(jobs) > 1:
-        probe = job(0, FORK_MIN_STATES)
-        forked = probe is not None and probe[0] > FORK_MIN_STATES
-        got = [] if forked else [probe]
+    cpus = _usable_cpus()
+    probing = (cpus > 1 and budget.max_states > FORK_MIN_STATES
+               and len(jobs) > 1)
+    # the first job (B, unless no trial needs it) runs alone: its size
+    # chooses where the rest run and, for B, which runs they are
+    first = job(jobs[0], FORK_MIN_STATES if probing else budget.max_states)
+    forked = probing and first is not None and first[0] > FORK_MIN_STATES
+    ran = {} if forked else {jobs[0]: first}
+    b, named = ran.get(None), reduced
+    if b and b[0] <= min(FORK_MIN_STATES, budget.max_states):  # B is small
+        news = defaultdict(set)
+        for tid, _, new in trials:
+            news[tid].add(new)
+        named = [(tid, frozenset(news[tid])) for tid, _, _ in trials]
 
     def run(check, n: int) -> list:
         """check(k) for k in range(n), in order, where the probe chose."""
@@ -679,16 +701,18 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
             return _check_in_children(check, n, min(cpus, n))
         return [check(k) for k in range(n)]
 
-    done = len(got)
-    ran = dict(zip(jobs, got + run(lambda k: job(done + k),
-                                   len(jobs) - done)))
+    todo = [name for name in dict.fromkeys(jobs[:1] + named)
+            if name not in ran]
+    ran.update(zip(todo, run(lambda k: job(todo[k]), len(todo))))
     b = ran.get(None)
     # the states a passing B leaves R; no R fits beside any other B
     room = budget.max_states - b[0] if b and b[1][0] == "PASS" else -1
     out: dict[int, Outcome] = {}
-    for i, name in enumerate(reduced):
+    for i, name in enumerate(named):
         r = ran[name]
-        if r is not None and (whole[i] or r[0] <= room):
+        # a run of several new paths speaks for its trials only if it passed
+        if (r is not None and (len(name[1]) == 1 or r[1][0] == "PASS")
+                and (whole[i] or r[0] <= room)):
             out[i] = r[1]
     redo = [i for i in range(len(trials)) if i not in out]
     if redo:

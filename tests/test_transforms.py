@@ -424,15 +424,27 @@ def _full(base, tid, old, new):
     return {**base, tid: (base[tid] - {old}) | {new}}
 
 
+def _units(base, trials):
+    """Each rewritten thread's grouped run U, in the order of the
+    threads' first trials: the base paths of every thread but tid, which
+    has the new path of every trial of tid."""
+    news = {}
+    for tid, _, new in trials:
+        news.setdefault(tid, set()).add(new)
+    return {tid: {**base, tid: frozenset(ps)} for tid, ps in news.items()}
+
+
 def _run_names(cpus, monkeypatch, p, **kw):
     """A function that names each oracle run fuzz_weakmem(p, **kw) can
     make, in any process, by its thread paths: "B" for the untransformed
     program's run, on the base paths of every thread, and for trial i,
     in trial order, "P{i}" for its full check P' and "R{i}" for its
-    reduced run R.  A run that is several of these takes the first name
-    in the order B, P0, R0, P1, R1, ...: a trial whose R is its P' names
-    the run "P{i}", and trials that share a run name it by the first of
-    them.  Also returns the number of trials and of distinct runs."""
+    reduced run R, and for a rewritten thread tid, "U{tid}" for its
+    grouped run U.  A run that is several of these takes the first name
+    in the order B, P0, R0, P1, R1, ..., U: a trial whose R is its P'
+    names the run "P{i}", trials that share a run name it by the first
+    of them, and a U of one new path is that path's R.  Also returns the
+    number of trials and of distinct runs other than the Us."""
     base, trials = _drawn(cpus, monkeypatch, p, **kw)
     name, distinct = _namer(base, trials)
     return name, len(trials), distinct
@@ -446,9 +458,12 @@ def _namer(base, trials):
         for label, q in (("B", base), (f"P{i}", _full(base, tid, old, new)),
                          (f"R{i}", _reduced(base, tid, new))):
             first.setdefault(frozenset(q.items()), label)
+    units = {frozenset(q.items()): f"U{tid}"
+             for tid, q in _units(base, trials).items()}
 
     def name(thread_paths) -> str:
-        return first[frozenset(thread_paths.items())]
+        key = frozenset(thread_paths.items())
+        return first[key] if key in first else units[key]
 
     return name, len(first)
 
@@ -547,7 +562,8 @@ def test_fuzz_draw_error_waits_for_earlier_checks(cpus, monkeypatch):
     monkeypatch.setattr(transforms.random, "Random", FailsAtTrial5)
     with pytest.raises(KeyError, match="draw"):
         fuzz_weakmem(p, trials=8, chain=4, seed=1, unroll=2)
-    assert len(runs) == 6  # B and the five trials' R
+    # B, then one run for the five trials' one rewritten thread
+    assert len(runs) == 2
 
     def fail(p, **kw):
         raise ValueError("check")
@@ -620,8 +636,9 @@ def test_fuzz_small_trials_are_checked_once_in_process(cpus, monkeypatch,
                                                        tmp_path, k):
     """With one CPU there is no probe; with two, a first job, B, that
     ends within FORK_MIN_STATES states is its own probe.  Either way B
-    and each trial's R run once, in this process, no P' runs, and
-    nothing forks."""
+    runs once, then one run per rewritten thread, all in this process;
+    no P' runs and nothing forks.  88001's eight trials rewrite its one
+    thread to eight paths, which one run U1 checks."""
     log = tmp_path / "runs"
     p, kw = fuzz_program(88_001), dict(trials=8, chain=4, seed=1, unroll=2)
     n = _log_runs(cpus, monkeypatch, log, p, **kw)
@@ -630,8 +647,7 @@ def test_fuzz_small_trials_are_checked_once_in_process(cpus, monkeypatch,
     _assert_no_children()
     assert not forks and rep.effective == n > 1
     probe = transforms.FORK_MIN_STATES if k == 2 else FULL
-    assert _runs(log) == (
-        [("B", probe)] + [(f"R{t}", FULL) for t in range(n)], [])
+    assert _runs(log) == ([("B", probe), ("U1", FULL)], [])
 
 
 def test_fuzz_one_cpu_checks_each_trial_once(cpus, monkeypatch, tmp_path):
@@ -772,13 +788,18 @@ def test_fuzz_children_fall_back_to_full_checks(cpus, monkeypatch, tmp_path,
                           else ([probe], sorted(runs)))
 
 
-@pytest.mark.parametrize("n", [11, 12, 25])
+@pytest.mark.parametrize("n", [1, 11, 12, 25, 54])
 def test_reduced_runs_give_the_full_checks_verdicts(cpus, monkeypatch, n):
     """The argument that lets a trial take its R's outcome, trial by
-    trial on the block programs that reach the children: B ends within
+    trial on fuzz programs whose B reaches the children (88011, 88025)
+    or ends within FORK_MIN_STATES (88001, 88012, 88054): B ends within
     its budget with alarms alone as errors, errors(R) <= errors(P') <=
     errors(R) | errors(B), so errors(P') - alarms == errors(R) - alarms,
-    and states(P') <= states(R) + states(B)."""
+    and states(P') <= states(R) + states(B).  Where B is that small, a
+    thread's trials share its grouped run U, of which each of their R is
+    a sub-run: errors(R) <= errors(U) and states(R) <= states(U).  So
+    each R of a U that passed passes too, and fits in B's room when U
+    does.  Of those three, only 88054's runs have errors."""
     p = fuzz_program(88_000 + n)
     base, trials = _drawn(cpus, monkeypatch, p, trials=8, chain=4, seed=n,
                           unroll=2)
@@ -792,33 +813,95 @@ def test_reduced_runs_give_the_full_checks_verdicts(cpus, monkeypatch, n):
 
     b = run(base)
     assert b.errors <= alarms
+    small = b.states <= transforms.FORK_MIN_STATES
+    assert small == (n in (1, 12, 54))
+    units = ({tid: run(q) for tid, q in _units(base, trials).items()}
+             if small else {})
     for tid, old, new in trials:
         r, full = run(_reduced(base, tid, new)), run(_full(base, tid, old,
                                                            new))
         assert r.errors <= full.errors <= r.errors | b.errors
         assert full.errors - alarms == r.errors - alarms
         assert full.states <= r.states + b.states
+        if small:
+            assert r.errors <= units[tid].errors
+            assert r.states <= units[tid].states
+    assert any(u.errors for u in units.values()) == (n == 54)
+
+
+def _outcomes(check):
+    """("ok", check()), or ("raises", its message) if it raised a
+    ValueError."""
+    try:
+        return "ok", check()
+    except ValueError as e:
+        return "raises", str(e)
 
 
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("n", [4, 11, 12, 25])
-def test_check_trials_give_the_full_checks_outcomes(cpus, monkeypatch, n, k):
+@pytest.mark.parametrize("n,case", [
+    (4, "alarms"), (11, "alarms"), (12, "alarms"), (25, "alarms"),
+    (53, "no alarms"), (54, "no alarms"), (12, "U1 raises"),
+    (12, "U1, P3 and P6 raise")], ids=[
+    "4", "11", "12", "25", "53-no-alarms", "54-no-alarms",
+    "12-U1-raises", "12-U1-P3-P6-raise"])
+def test_check_trials_give_the_full_checks_outcomes(cpus, monkeypatch, n,
+                                                    case, k):
     """On one CPU or two, every trial gets the outcome of the reference,
-    its full check P' run alone.  88011 and 88025 fork with two CPUs,
-    88012 runs B and a shared R, and 88004's eight trials make three
-    distinct rewrites."""
+    its full check P' run alone, or the call raises what the first P'
+    that raises, in trial order, raises.  88011 and 88025 fork with two
+    CPUs, and 88004's eight trials make three distinct rewrites and no B.
+    B ends within FORK_MIN_STATES on the rest, so their trials are
+    checked one run per rewritten thread.  With no alarms, every such
+    run with an error fails, and its trials go to their P': in 88053
+    no trial rewrote its thread's only path, and 88054 has both kinds
+    of trial.  In 88012, thread 1's run U1 (trials 1, 3 and 6) raises,
+    alone or with the P' of trials 3 and 6: its trials get their P',
+    and trial 3's error is raised."""
     p = fuzz_program(88_000 + n)
     base, trials = _drawn(cpus, monkeypatch, p, trials=8, chain=4, seed=n,
                           unroll=2)
-    alarms, budget = frozenset(analyze_program_I(p).omega), OracleBudget()
-    reference = [transforms._outcome(run_interleavings(
+    alarms = (frozenset() if case == "no alarms"
+              else frozenset(analyze_program_I(p).omega))
+    budget = OracleBudget()
+    name, _ = _namer(base, trials)
+    raising = case.replace(",", "").split()[:-1] if "raise" in case else []
+    ran, raised = [], []
+
+    def run(p, **kw):
+        ran.append(kw["thread_paths"])
+        if name(ran[-1]) in raising:
+            raised.append(name(ran[-1]))
+            raise ValueError(raised[-1])
+        return run_interleavings(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", run)
+    reference = _outcomes(lambda: [transforms._outcome(run(
         p, budget=budget, thread_paths=_full(base, *t),
-        collect_witnesses=False), alarms) for t in trials]
+        collect_witnesses=False), alarms) for t in trials])
+    assert reference[0] == ("raises" if "P3" in raising else "ok")
+    ran.clear()
+    raised.clear()
     forks = cpus(k)
-    assert transforms._check_trials(p, base, alarms, trials,
-                                    budget) == reference
+    assert _outcomes(lambda: transforms._check_trials(
+        p, base, alarms, trials, budget)) == reference
+    assert raised[:1] == raising[:1]
     assert bool(forks) == (k == 2 and n in (11, 25))
     _assert_no_children()
+    if n in (12, 53, 54):
+        # B, one run per rewritten thread, some of several new paths,
+        # and then, unless each of those runs settled its trials, P's
+        units = _units(base, trials)
+        assert ran[:len(units) + 1] == [base] + list(units.values())
+        assert any(len(q[tid]) > 1 for tid, q in units.items())
+        assert (len(ran) > len(units) + 1) == (case != "alarms")
+    if case == "no alarms":
+        # B and every run failed: a one-path run stands for its trials
+        # only when it is their P', and the rest go to their P', in order
+        stands = {tid for tid, q in units.items()
+                  if len(base[tid]) == len(q[tid]) == 1}
+        assert ran[len(units) + 1:] == [
+            _full(base, *t) for t in trials if t[0] not in stands]
 
 
 @pytest.mark.parametrize("k", [1, 2])
