@@ -33,6 +33,7 @@ from .syntax import (
     Program,
     Record,
     Stmt,
+    Thread,
     Var,
     While,
     body_guard,
@@ -202,6 +203,17 @@ def paths(s: Stmt, unroll: int, cap: int | None = None) -> PathSet:
     _within(1, cap)  # every statement spawns a path
     return PathSet(frozenset(_paths(s, unroll, cap)),
                    any(isinstance(x, While) for x in sub_stmts(s)))
+
+
+def capped_paths(t: Thread, unroll: int, max_states: int) -> PathSet:
+    """paths(t.body, unroll, max_states): the state budget bounds every
+    thread's path walk too, and the refusal names the thread."""
+    try:
+        return paths(t.body, unroll, max_states)
+    except TooManyPaths:
+        raise TooManyPaths(f"thread {t.tid} spawns more than {max_states}"
+                           f" control paths at unroll {unroll}, over the"
+                           f" state budget of {max_states}") from None
 
 
 def _within(n: int, cap) -> None:

@@ -12,14 +12,15 @@ Two engines over integer-point environments:
   scheduler grants the mutex (highest-priority waiter first), yield blocks
   for a non-deterministic time.
 
-Both share one BFS, `_explore`, whose `_Policy` lists the moves of a
-control point: (trie node, status, held mutexes) per thread.  A state is
-one int.  Its low 32 bits hold the control point's id in a
-per-exploration table.  Variable k has a value field of _FIELD (32) bits
-at bit 32 + _FIELD * k, which holds the index of its value in a
-per-exploration value table of that variable, in first-seen order; a
-variable with more values than its field can number raises
-ValueTableFull.  Environments are decoded only for terminal_envs.
+Both share one BFS, `_explore`, over a trie of each thread's control
+paths, which concrete.capped_paths refuses past budget.max_states.  Its
+`_Policy` lists the moves of a control point: (trie node, status, held
+mutexes) per thread.  A state is one int.  Its low 32 bits hold the
+control point's id in a per-exploration table.  Variable k has a value
+field of _FIELD (32) bits at bit 32 + _FIELD * k, which holds the index
+of its value in a per-exploration value table of that variable, in
+first-seen order; a variable with more values than its field can number
+raises ValueTableFull.  Environments are decoded only for terminal_envs.
 
 States pop in exactly the order of a plain BFS over (control point,
 environment) tuples: start states in sorted environment order, then the
@@ -63,7 +64,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .concrete import compile_prim, paths, sorted_paths, start_envs
+from .concrete import capped_paths, compile_prim, sorted_paths, start_envs
 from .config import UNROLL, LimitReached, OracleBudget
 from .syntax import (
     Assign,
@@ -266,7 +267,7 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
         if thread_paths is not None and t.tid in thread_paths:
             path_set = frozenset(thread_paths[t.tid])
         else:
-            ps = paths(t.body, unroll)
+            ps = capped_paths(t, unroll, budget.max_states)
             path_set, paths_trunc = ps.paths, paths_trunc or ps.truncated
         tries.append(_Trie.build(path_set))
     policy = _Policy(p.tids, tries, scheduled)

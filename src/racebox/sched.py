@@ -16,9 +16,9 @@ degrades it to the sound multiprocessor reading X <- [0,1].
 The scheduler-blind modes erase synchronization (lock/unlock/yield are
 skips, islocked() stores [0,1], every environment stays in configuration
 C0).  "interference" lets threads in settings.self_interference read
-their own interferences; "seq" records no interferences at all.
-interference.py returns outer_fixpoint's SchedResult as it is, and seq.py
-builds one from a single pass.
+their own interferences; "seq" records no interferences at all, so
+outer_fixpoint stops after its first round.  interference.py and seq.py
+return outer_fixpoint's SchedResult as it is.
 """
 
 from __future__ import annotations
@@ -594,9 +594,10 @@ def outer_fixpoint(p: Program,
                     if y in ws:
                         for c in keys:
                             new_interf[(tid, c, y)] = Interval.top()
-        if new_omega == omega and new_interf == interf:
-            break
+        stable = new_omega == omega and new_interf == interf
         omega, interf = new_omega, new_interf
+        if stable or mode == "seq":  # seq's second round repeats its first
+            break
 
     if sparse_join(interf, joined) != interf:
         raise AnalysisDiverged("the last interference round was not"

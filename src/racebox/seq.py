@@ -1,19 +1,11 @@
-"""Sequential abstract interpreter: one pass of the engine of sched.py in
-its "seq" mode over a single thread, with no interference rounds.  Its
-SchedResult has every environment in C0 and no interferences."""
+"""Sequential abstract interpreter: sched.outer_fixpoint in its "seq" mode
+over a single thread, which stops after one round.  Its SchedResult has
+every environment in C0 and no interferences."""
 
 from __future__ import annotations
 
 from .config import AnalysisSettings
-from .domains import BoxEnv
-from .sched import (
-    C0,
-    AbsStateC,
-    SchedRecorder,
-    SchedResult,
-    SchedThreadOutcome,
-    transfer_C,
-)
+from .sched import SchedResult, outer_fixpoint
 from .syntax import SYNC_TYPES, Program, sub_stmts
 
 
@@ -39,13 +31,4 @@ def analyze_program_seq(p: Program,
     if reason is not None:
         raise (MultiThreadInput if len(p.threads) != 1 else ValueError)(
             reason)
-    thread = p.threads[0]
-    rec = SchedRecorder()
-    out = transfer_C(thread.body, thread.tid,
-                     AbsStateC({C0: BoxEnv.initial(p)}, {}), settings,
-                     mode="seq", recorder=rec)
-    return SchedResult(
-        rec.errors, {}, [], [], 1,
-        {thread.tid: SchedThreadOutcome(out.envs, rec.invariants,
-                                        rec.branches)},
-        rec.max_env_partitions, 0, rec.warnings)
+    return outer_fixpoint(p, settings, "seq")

@@ -434,32 +434,23 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     be covered by the untransformed program's interference analysis: its
     alarms, computed here unless the caller passes them.
 
-    Each thread's paths are made by a walk bounded by budget.max_states:
-    a thread with more of them raises TooManyPaths before the list past
-    the budget is made, so the budget bounds the path pool as well as
-    each check.  Every trial is drawn before any is checked.  Checking
-    never touches the random generator, so the report does not depend on
-    where, or by which runs, the checks are made (see _check_trials).
-    The draw computes each expression node's variables, key and side
-    conditions once per call, and the program's variable occurrences
-    once, and of the applications a chain step finds it builds only the
-    one it picks (see _applications); its memo is emptied before the
-    checks."""
-    from .concrete import TooManyPaths, paths as mk_paths, sorted_paths
+    Each thread's paths come from concrete.capped_paths, so the state
+    budget bounds the path pool as well as each check.  Every trial is
+    drawn before any is checked.  Checking never touches the random
+    generator, so the report does not depend on where, or by which runs,
+    the checks are made (see _check_trials).  The draw computes each
+    expression node's variables, key and side conditions once per call,
+    and the program's variable occurrences once, and of the applications
+    a chain step finds it builds only the one it picks (see
+    _applications); its memo is emptied before the checks."""
+    from .concrete import capped_paths, sorted_paths
 
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if chain < 1:
         raise ValueError(f"chain must be >= 1, got {chain}")
-    base = {}
-    for t in p.threads:
-        try:
-            base[t.tid] = mk_paths(t.body, unroll, budget.max_states).paths
-        except TooManyPaths:
-            raise TooManyPaths(
-                f"thread {t.tid} spawns more than {budget.max_states} control"
-                f" paths at unroll {unroll}, over the state budget of"
-                f" {budget.max_states}") from None
+    base = {t.tid: capped_paths(t, unroll, budget.max_states).paths
+            for t in p.threads}
     rng = random.Random(seed)
     if alarms is None:
         alarms = frozenset(analyze_program_I(p, settings).omega)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from racebox import oracle
 from racebox.cli import main
-from racebox.concrete import UnsupportedMode, paths, sorted_paths
+from racebox.concrete import (
+    TooManyPaths, UnsupportedMode, paths, sorted_paths)
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
 from racebox.oracle import (
@@ -30,6 +31,26 @@ def test_dekker_mutual_exclusion(corpus):
     res = run_interleavings(corpus("dekker"), unroll=0)
     assert res.errors == frozenset()
     assert not res.truncated
+
+
+@pytest.mark.parametrize("run", [run_interleavings, run_scheduled])
+def test_path_cap_refuses_a_run_that_fits_the_budget(run):
+    """The known cost of capping each thread's path walk at the state
+    budget: the nested `while` shape at depth 2 has 85 paths at unroll 3
+    and ends in 24 states, so every budget from 24 to 84 refuses it,
+    though its run would fit, and 85 or more completes it.  Making the
+    paths as the run reaches them would lift the refusal and flip the
+    first half of this test."""
+    from report_digests import nested
+
+    p = parse_program(nested("while", 2))
+    for n in (24, 84):
+        with pytest.raises(TooManyPaths, match="thread 1 spawns more than"
+                           f" {n} control paths"):
+            run(p, budget=OracleBudget(n))
+    for n in (85, 1_000):
+        res = run(p, budget=OracleBudget(n))
+        assert (res.states, res.truncated) == (24, False)
 
 
 def test_increment_final_values(corpus):

@@ -273,17 +273,27 @@ def test_cli_fuzz_inconclusive_exits_three(tmp_path, corpus_source):
     assert " 0 violation(s), 50 inconclusive" in r.stdout
 
 
-def test_cli_fuzz_path_pool_past_the_budget_exits_three(tmp_path):
+@pytest.mark.parametrize("mode", [
+    ("fuzz",), ("oracle-interleave",), ("oracle-scheduled",),
+    ("oracle-interleave", "--check-against", "interference")],
+    ids=["fuzz", "interleave", "scheduled", "check-against"])
+@pytest.mark.parametrize("program", ["nested", "ten-loops"])
+def test_cli_path_walk_past_the_budget_exits_three(tmp_path, mode,
+                                                   program):
     """A thread with more control paths than --budget-states is a budget
-    failure found before the list past the budget is made: exit 3 within
-    seconds, with an `error:` line, not an internal error, naming the
-    thread and the budget.  The nested `while` shape at depth 3 has
-    621,436 paths at unroll 3, and enumerating them ran past 20 s."""
+    failure, in fuzz and in every oracle mode, found before the list past
+    the budget is made: exit 3 within seconds, with an `error:` line, not
+    an internal error, naming the thread and the budget.  Both programs
+    ran past 20 s when every path was made: the nested `while` shape at
+    depth 3 (621,436 paths at unroll 3) and ten loops in sequence
+    (4^10)."""
     from report_digests import nested
 
-    f = tmp_path / "deep.conc"
-    f.write_text(nested("while", 3))
-    r = run_cli(str(f), "--mode", "fuzz", "--budget-states", "1000",
+    f = tmp_path / "p.conc"
+    f.write_text(nested("while", 3) if program == "nested" else
+                 "var x = [0,1]; thread 1 { "
+                 + "while x - 3 < 0 do { x <- x + 1; } " * 10 + "}")
+    r = run_cli(str(f), "--mode", *mode, "--budget-states", "1000",
                 timeout=20)
     assert r.returncode == 3, r.stdout + r.stderr
     assert r.stderr.startswith("error: thread 1 spawns more than 1000"

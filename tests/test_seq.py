@@ -4,10 +4,18 @@ from fractions import Fraction
 import pytest
 
 from racebox.config import AnalysisSettings
-from racebox.domains import INF, Interval
+from racebox.domains import INF, BoxEnv, Interval
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_seq_program
-from racebox.sched import unpartitioned
+from racebox.sched import (
+    C0,
+    AbsStateC,
+    SchedRecorder,
+    SchedResult,
+    SchedThreadOutcome,
+    transfer_C,
+    unpartitioned,
+)
 from racebox.seq import MultiThreadInput, analyze_program_seq
 from reference_semantics import exec_stmt, initial_state
 
@@ -73,6 +81,27 @@ def test_multi_thread_rejected():
     p = parse_program("thread 1 { x <- 1; } thread 2 { x <- 2; }")
     with pytest.raises(MultiThreadInput):
         analyze_program_seq(p)
+
+
+def test_seq_is_one_round_of_the_engine():
+    """The sequential analyzer is the engine's outer fixpoint stopped after
+    its first round: its result is one seq-mode pass of the thread, with
+    one iteration even when the pass raises alarms (a second round would
+    only repeat the first), and no interferences or races."""
+    rng = random.Random(9400)
+    progs = [random_seq_program(rng, GeneratorConfig(div_prob=0.45),
+                                loop_free=False) for _ in range(30)]
+    assert any(analyze_program_seq(p).omega for p in progs)
+    for p in progs:
+        t = p.threads[0]
+        rec = SchedRecorder()
+        st = AbsStateC({C0: BoxEnv.initial(p)}, {})
+        out = transfer_C(t.body, t.tid, st, mode="seq", recorder=rec)
+        assert analyze_program_seq(p) == SchedResult(
+            rec.errors, {}, [], [], 1,
+            {t.tid: SchedThreadOutcome(out.envs, rec.invariants,
+                                       rec.branches)},
+            rec.max_env_partitions, 0, rec.warnings)
 
 
 def test_invariants_and_branches_recorded():
