@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import chain, islice, product
+from itertools import islice, product
 
 from .config import LimitReached
 from .syntax import (
@@ -192,16 +192,55 @@ class PathSet(Record):
     truncated: bool
 
 
-def paths(s: Stmt, unroll: int, cap: int | None = None) -> PathSet:
-    """Control paths spawned by s, with loops unrolled at most `unroll`
-    times.  truncated is set when some longer unrolling exists, that is,
-    when s holds a loop.  With cap, more than cap paths raise
-    TooManyPaths before the list past cap is made."""
+def control_step(unroll: int):
+    """A thread's control flow, loops unrolled at most `unroll` times: a
+    step maps a continuation, the rest of a thread as a linked stack
+    (stmt, loop count, rest) or None at its end, to (whether a path may
+    stop here, [(primitive, next continuation)]).  Blocks are flattened;
+    an `if`, and a loop below `unroll` iterations, gives two edges, the
+    shorter else/exit guard first.  Guards are made once per stepper."""
     if unroll < 0:
         raise ValueError(f"unroll must be >= 0, got {unroll}")
-    cap = math.inf if cap is None else cap
-    _within(1, cap)  # every statement spawns a path
-    return PathSet(frozenset(_paths(s, unroll, cap)),
+    guards: dict[int, tuple[Guard, Guard]] = {}  # id(If/While) -> (skip, take)
+
+    def step(k):
+        while k is not None and isinstance(k[0], Block):
+            block, _, k = k
+            for s in reversed(block.body):
+                k = (s, 0, k)
+        if k is None:
+            return True, []
+        s, n, rest = k
+        if not isinstance(s, (If, While)):  # a primitive, or sync
+            return False, [(s, rest)]
+        skip, take = guards.get(id(s)) or guards.setdefault(id(s), (
+            (else_guard(s), then_guard(s)) if isinstance(s, If)
+            else (exit_guard(s), body_guard(s))))
+        if isinstance(s, If):
+            return False, [(skip, rest), (take, (s.body, 0, rest))]
+        if n < unroll:
+            return False, [(skip, rest),
+                           (take, (s.body, 0, (s, n + 1, rest)))]
+        return False, [(skip, rest)]  # a longer unrolling still exists
+    return step
+
+
+def paths(s: Stmt, unroll: int, cap: int | None = None) -> PathSet:
+    """The control paths of s, walked with control_step(unroll); truncated
+    when s holds a loop.  With cap, path cap + 1 raises TooManyPaths."""
+    step, out, path = control_step(unroll), [], []
+    todo: list = [(0, None, (s, 0, None))]  # (prefix length, edge, rest)
+    while todo:
+        n, stmt, k = todo.pop()
+        path[n:] = () if stmt is None else (stmt,)
+        while edges := step(k)[1]:  # first edges inline, the others wait
+            todo += [(len(path), *e) for e in edges[1:]]
+            stmt, k = edges[0]
+            path.append(stmt)
+        out.append(tuple(path))  # a structural path stops at no edge
+        if cap is not None and len(out) > cap:
+            raise TooManyPaths(f"more than {cap} control paths")
+    return PathSet(frozenset(out),
                    any(isinstance(x, While) for x in sub_stmts(s)))
 
 
@@ -214,40 +253,6 @@ def capped_paths(t: Thread, unroll: int, max_states: int) -> PathSet:
         raise TooManyPaths(f"thread {t.tid} spawns more than {max_states}"
                            f" control paths at unroll {unroll}, over the"
                            f" state budget of {max_states}") from None
-
-
-def _within(n: int, cap) -> None:
-    if n > cap:
-        raise TooManyPaths(f"more than {cap} control paths")
-
-
-def _paths(s: Stmt, unroll: int, cap) -> list[ControlPath]:
-    """paths(s, unroll, cap) as a list: the structure spawns each path
-    once.  A block's product, an `if`'s body plus 1 and each unrolling of
-    a loop are counted before they are built, so no list passes cap."""
-    if isinstance(s, Block):
-        subs = [_paths(sub, unroll, cap) for sub in s.body]
-        _within(math.prod(map(len, subs)), cap)
-        # one product: a fold over the block would rebuild every prefix
-        return [tuple(chain.from_iterable(combo)) for combo in product(*subs)]
-    if isinstance(s, If):
-        body = _paths(s.body, unroll, cap)
-        _within(len(body) + 1, cap)
-        g = then_guard(s)
-        return [(g,) + p for p in body] + [(else_guard(s),)]
-    if isinstance(s, While):
-        # at unroll 0 the body spawns no path of the loop's
-        body = _paths(s.body, unroll, cap) if unroll else []
-        g, x = body_guard(s), exit_guard(s)
-        loops, out = [()], [(x,)]
-        for _ in range(unroll):
-            _within(len(out) + len(loops) * len(body), cap)
-            loops = [p + (g,) + q for p in loops for q in body]
-            out += [p + (x,) for p in loops]
-        # some (unroll+1)-iteration path always exists syntactically
-        return out
-    # primitive statements, including synchronization
-    return [(s,)]
 
 
 def sorted_paths(path_set) -> list[ControlPath]:

@@ -13,7 +13,8 @@ Two engines over integer-point environments:
   for a non-deterministic time.
 
 Both share one BFS, `_explore`, over a trie of each thread's control
-paths, which concrete.capped_paths refuses past budget.max_states.  Its
+paths, grown by concrete.control_step (or from thread_paths) as the
+search reaches it, so the state budget bounds the tries too.  Its
 `_Policy` lists the moves of a control point: (trie node, status, held
 mutexes) per thread.  A state is one int.  Its low 32 bits hold the
 control point's id in a per-exploration table.  Variable k has a value
@@ -64,7 +65,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .concrete import capped_paths, compile_prim, sorted_paths, start_envs
+from .concrete import compile_prim, control_step, sorted_paths, start_envs
 from .config import UNROLL, LimitReached, OracleBudget
 from .syntax import (
     Assign,
@@ -77,8 +78,10 @@ from .syntax import (
     Record,
     Stmt,
     Unlock,
+    While,
     Yield,
     pretty_stmt,
+    sub_stmts,
 )
 
 READY = "ready"
@@ -92,28 +95,41 @@ DONE = "done"  # path exhausted: a finished thread no longer occupies the
 # Per-thread path tries
 
 
-class _Trie(Record):
-    edges: list[list[tuple[Stmt, int]]]  # node -> [(stmt, next node)]
-    ends: list[bool]  # node -> some complete path stops here
+class _Trie:
+    """A thread's trie, grown as the search reaches it.  Node i stands for
+    conts[i]; made[i] is its (ends, [(stmt, next node)]), None until
+    grow(i) steps it.  Each edge makes a new node: a path prefix."""
 
-    @staticmethod
-    def build(path_set: frozenset[ControlPath]) -> "_Trie":
-        edges: list[list[tuple[Stmt, int]]] = [[]]
-        ends = [False]
-        for path in sorted_paths(path_set):
-            node = 0
-            for s in path:
-                for s2, nxt in edges[node]:
-                    if s2 is s or s2 == s:
-                        node = nxt
-                        break
-                else:
-                    edges.append([])
-                    ends.append(False)
-                    edges[node].append((s, len(edges) - 1))
-                    node = len(edges) - 1
-            ends[node] = True
-        return _Trie(edges, ends)
+    def __init__(self, step, root):
+        self.step, self.conts, self.made = step, [root], [None]
+
+    def grow(self, i: int) -> tuple[bool, list[tuple[Stmt, int]]]:
+        ends, steps = self.step(self.conts[i])
+        self.conts[i] = None  # grown: only its children are stepped
+        made, edges = self.made, []
+        for s, k in steps:  # a loop: comprehensions cost a frame each
+            edges.append((s, len(made)))
+            made.append(None)
+            self.conts.append(k)
+        made[i] = ends, edges
+        return made[i]
+
+
+def _suffix_step(k):
+    """control_step for an explicit path set.  A continuation is (one
+    prefix's paths in canonical order, so the prefix first, its length);
+    they go on grouped by next statement, in order of first appearance."""
+    group, d = k
+    ends, edges = bool(group) and len(group[0]) == d, []
+    for path in group[ends:]:
+        s = path[d]
+        for s2, (more, _) in edges:
+            if s2 is s or s2 == s:
+                more.append(path)
+                break
+        else:
+            edges.append((s, ([path], d + 1)))
+    return ends, edges
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +142,7 @@ class ExploreResult(Record):
     terminal_envs: frozenset[tuple]
     vars: tuple[str, ...]
     states: int
-    paths_truncated: bool
+    paths_truncated: bool  # a longer unrolling: a stepped thread loops
     witnesses: dict[Location, list[dict]]
     sched_states: frozenset | None  # (status, held) pairs; None unscheduled
 
@@ -197,7 +213,8 @@ class _Policy:
         retire, moves = [], []
         for i, t in enumerate(self.tids):
             trie, node = self.tries[i], nodes[i]
-            if not trie.ends[node]:
+            ends, edges = trie.made[node] or trie.grow(node)
+            if not ends:
                 terminal = False
             elif sched and status[i] == READY:
                 # a ready thread whose path is complete may retire,
@@ -206,7 +223,7 @@ class _Policy:
                     (nodes, status[:i] + (DONE,) + status[i + 1:], held)))
             if sched and t != top:
                 continue
-            for stmt, nxt in trie.edges[node]:
+            for stmt, nxt in edges:
                 op, st2, hd2 = None, status, held
                 if isinstance(stmt, (Assign, Guard)):
                     op = _PRIM
@@ -262,15 +279,13 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
              thread_paths: Optional[dict[int, frozenset[ControlPath]]],
              collect_witnesses: bool, scheduled: bool) -> ExploreResult:
     """BFS over int-coded states; see the module docstring."""
-    tries, paths_trunc = [], False
-    for t in p.threads:
-        if thread_paths is not None and t.tid in thread_paths:
-            path_set = frozenset(thread_paths[t.tid])
-        else:
-            ps = capped_paths(t, unroll, budget.max_states)
-            path_set, paths_trunc = ps.paths, paths_trunc or ps.truncated
-        tries.append(_Trie.build(path_set))
-    policy = _Policy(p.tids, tries, scheduled)
+    step, own = control_step(unroll), thread_paths or {}
+    policy = _Policy(p.tids, [
+        _Trie(_suffix_step, (sorted_paths(frozenset(own[t.tid])), 0))
+        if t.tid in own else _Trie(step, (t.body, 0, None))
+        for t in p.threads], scheduled)
+    paths_trunc = any(isinstance(s, While) for t in p.threads
+                      if t.tid not in own for s in sub_stmts(t.body))
     idx = {v: i for i, v in enumerate(p.variables)}
 
     full = 1 << _FIELD

@@ -1,7 +1,9 @@
 """The oracle explorer as it was before it kept only one BFS level for
-deduplication: a global visited set and tuple witness links.  Tests
-compare racebox.oracle._explore with it field for field.  Like
-_explore, it makes at most max_states + 1 start states.
+deduplication and grew its tries lazily: a global visited set, tuple
+witness links, and each thread's trie built from its whole sorted path
+list before the first state (EagerTrie).  Tests compare
+racebox.oracle._explore with it field for field.  Like _explore, it
+makes at most max_states + 1 start states.
 
 explore(p, unroll, budget, thread_paths, collect_witnesses, scheduled)
 takes the arguments of racebox.oracle._explore."""
@@ -12,7 +14,7 @@ from collections import deque
 from typing import Optional
 
 from racebox import oracle
-from racebox.concrete import compile_prim, paths
+from racebox.concrete import compile_prim, paths, sorted_paths
 from racebox.config import OracleBudget
 from racebox.oracle import (
     _MASK,
@@ -22,10 +24,34 @@ from racebox.oracle import (
     ExploreResult,
     ValueTableFull,
     _Policy,
-    _Trie,
 )
 from racebox.syntax import ControlPath, Location, Program, Stmt
 from reference_semantics import initial_state
+
+
+class EagerTrie:
+    """A trie of a whole path set, every node made at once: the sorted
+    paths are merged in order, so a node's edges come in the order the
+    sorted list first takes them.  made[i] is node i's (ends, [(stmt,
+    next node)]), the interface _Policy reads from a lazy trie."""
+
+    def __init__(self, path_set: frozenset[ControlPath]):
+        edges: list[list[tuple[Stmt, int]]] = [[]]
+        ends = [False]
+        for path in sorted_paths(path_set):
+            node = 0
+            for s in path:
+                for s2, nxt in edges[node]:
+                    if s2 is s or s2 == s:
+                        node = nxt
+                        break
+                else:
+                    edges.append([])
+                    ends.append(False)
+                    edges[node].append((s, len(edges) - 1))
+                    node = len(edges) - 1
+            ends[node] = True
+        self.made = list(zip(ends, edges))
 
 
 def explore(p: Program, unroll: int, budget: OracleBudget,
@@ -40,7 +66,7 @@ def explore(p: Program, unroll: int, budget: OracleBudget,
         else:
             ps = paths(t.body, unroll)
             path_set, paths_trunc = ps.paths, paths_trunc or ps.truncated
-        tries.append(_Trie.build(path_set))
+        tries.append(EagerTrie(path_set))
     policy = _Policy(p.tids, tries, scheduled)
     init = initial_state(p)
     idx = init.index()

@@ -1,7 +1,9 @@
-"""The explorer keeps one BFS level for deduplication: it finds exactly
-what the global-visited-set explorer of `reference_explorer` finds, every
-move and retire goes one level down, and it needs less memory.  Its tries
-order their edges by a rule that a lazily built trie can follow."""
+"""The explorer keeps one BFS level for deduplication and grows each
+thread's trie as the search reaches it: it finds exactly what the
+global-visited-set explorer of `reference_explorer`, with tries built
+from whole path lists, finds, every move and retire goes one level down,
+and it needs less memory.  The tries of listed paths order their edges
+by the rule concrete.control_step follows."""
 
 import gc
 import pathlib
@@ -12,11 +14,12 @@ import pytest
 
 import reference_explorer
 from racebox import oracle
-from racebox.concrete import paths
+from racebox.concrete import control_step, paths, sorted_paths
 from racebox.config import OracleBudget
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_program, sweep_program
 from racebox.syntax import IsLocked, Lock, Unlock, Yield
+from reference_explorer import EagerTrie
 
 FIELDS = ("errors", "truncated", "terminal_envs", "vars", "states",
           "paths_truncated", "witnesses", "sched_states")
@@ -57,11 +60,54 @@ def test_explorer_equals_the_global_visited_set_reference(scheduled):
     assert after_retire or not scheduled
 
 
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_explicit_paths_equal_the_reference(scheduled):
+    """Tries grown from explicit thread_paths, for the first thread or
+    for every thread, give every ExploreResult field of the reference,
+    whose tries are built from the sorted path lists, on 100 random
+    programs with sync at two budgets, with and without witnesses."""
+    runs = truncated = 0
+    for seed in range(31_000, 31_100):
+        p = random_program(random.Random(seed), GeneratorConfig(max_stmts=6))
+        every = {t.tid: paths(t.body, 2).paths for t in p.threads}
+        for thread_paths in ({p.tids[0]: every[p.tids[0]]}, every):
+            for max_states in (50, 2_000):
+                for witnesses in (False, True):
+                    args = (p, 2, OracleBudget(max_states=max_states),
+                            thread_paths, witnesses, scheduled)
+                    got = oracle._explore(*args)
+                    want = reference_explorer.explore(*args)
+                    assert got == want, (seed, max_states, witnesses, [
+                        f for f in FIELDS
+                        if getattr(got, f) != getattr(want, f)])
+                    runs += 1
+                    truncated += got.truncated
+    assert runs == 800 and 0 < truncated < runs
+
+
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_structural_run_equals_its_listed_paths(scheduled):
+    """On sweep programs 31000-31099, a run that steps each thread's
+    statements equals the run over every thread's listed paths, apart
+    from paths_truncated, which explicit path sets never set."""
+    for seed in range(31_000, 31_100):
+        p = sweep_program(seed)
+        every = {t.tid: paths(t.body, 3) for t in p.threads}
+        args = (p, 3, OracleBudget(max_states=20_000))
+        got = oracle._explore(*args, None, True, scheduled)
+        want = oracle._explore(*args, {tid: ps.paths for tid, ps
+                                       in every.items()}, True, scheduled)
+        assert got._replace(paths_truncated=False) == want, seed
+        assert got.paths_truncated == any(
+            ps.truncated for ps in every.values())
+
+
 def _depths(trie) -> list[int]:
-    """Each trie node's depth (a node is made after its parent)."""
-    depth = [0] * len(trie.edges)
-    for node, edges in enumerate(trie.edges):
-        for _, nxt in edges:
+    """The depth of each trie node made so far (a node is made after its
+    parent, and a node not yet grown has no children)."""
+    depth = [0] * len(trie.made)
+    for node, made in enumerate(trie.made):
+        for _, nxt in made[1] if made else ():
             depth[nxt] = depth[node] + 1
     return depth
 
@@ -117,10 +163,11 @@ def test_every_move_and_retire_goes_one_level_down(monkeypatch, run):
 
 def _least_completions(trie) -> list[int]:
     """Per trie node, the fewest edges to a node where a path ends."""
-    least = [0] * len(trie.edges)
-    for node in reversed(range(len(trie.edges))):  # children come later
-        if not trie.ends[node]:
-            least[node] = 1 + min(least[nxt] for _, nxt in trie.edges[node])
+    least = [0] * len(trie.made)
+    for node in reversed(range(len(trie.made))):  # children come later
+        ends, edges = trie.made[node]
+        if not ends:
+            least[node] = 1 + min(least[nxt] for _, nxt in edges)
     return least
 
 
@@ -129,7 +176,8 @@ def test_trie_puts_the_shorter_skip_edge_first():
     a loop's exit below its unroll limit is shorter than any body path.
     So a node has at most two edges, the first an else or exit guard with
     the strictly shorter least completion, and no edge leaves a path's end:
-    a lazy trie can order its edges without a pass over the statements."""
+    the order concrete.control_step gives without a pass over the
+    statements."""
     corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
     programs = [parse_program(f.read_text())
                 for f in sorted(corpus.glob("*.conc"))]
@@ -141,17 +189,55 @@ def test_trie_puts_the_shorter_skip_edge_first():
     for p in programs:
         for t in p.threads:
             for unroll in range(4):
-                trie = oracle._Trie.build(paths(t.body, unroll).paths)
+                trie = EagerTrie(paths(t.body, unroll).paths)
                 least = _least_completions(trie)
-                for node, edges in enumerate(trie.edges):
+                for ends, edges in trie.made:
                     assert len(edges) <= 2
-                    assert not (trie.ends[node] and edges)
+                    assert not (ends and edges)
                     if len(edges) == 2:
                         (skip, first), (_, second) = edges
                         assert str(skip.sid).endswith((":else", ":exit"))
                         assert least[first] < least[second]
                         forks += 1
     assert forks
+
+
+def _preorder(trie) -> list[tuple[bool, list]]:
+    """Each node's (ends, edge statements) in the preorder its edges'
+    order gives, growing a lazy trie to its end: equal lists mean equal
+    tries, edge order included."""
+    out, todo = [], [0]
+    while todo:
+        node = todo.pop()
+        ends, edges = trie.made[node] or trie.grow(node)
+        out.append((ends, [s for s, _ in edges]))
+        todo += [nxt for _, nxt in reversed(edges)]
+    return out
+
+
+def test_lazy_tries_are_the_tries_of_the_sorted_paths():
+    """A thread's trie grown by control_step, and one grown from its
+    listed paths, equal the trie built from the sorted path list, node
+    for node and edge for edge, over the corpus and sweep seeds
+    31000-31099 at unroll 0-3.  With every path's first half added, a
+    path may stop at a node that has edges."""
+    corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+    programs = [parse_program(f.read_text())
+                for f in sorted(corpus.glob("*.conc"))]
+    programs += [sweep_program(seed) for seed in range(31_000, 31_100)]
+    compared = 0
+    for p in programs:
+        for t in p.threads:
+            for unroll in range(4):
+                every = paths(t.body, unroll).paths
+                want = _preorder(EagerTrie(every))
+                assert _preorder(oracle._Trie(
+                    control_step(unroll), (t.body, 0, None))) == want
+                for ps in (every, every | {q[:len(q) // 2] for q in every}):
+                    assert _preorder(oracle._Trie(oracle._suffix_step, (
+                        sorted_paths(ps), 0))) == _preorder(EagerTrie(ps))
+                compared += 1
+    assert compared == 828
 
 
 def _peak(explore, *args) -> int:

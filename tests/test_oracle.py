@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from racebox import oracle
 from racebox.cli import main
-from racebox.concrete import (
-    TooManyPaths, UnsupportedMode, paths, sorted_paths)
+from racebox.concrete import UnsupportedMode, paths, sorted_paths
 from racebox.config import OracleBudget
 from racebox.interference import analyze_program_I
 from racebox.oracle import (
@@ -35,22 +34,45 @@ def test_dekker_mutual_exclusion(corpus):
 
 @pytest.mark.parametrize("run", [run_interleavings, run_scheduled])
 def test_path_cap_refuses_a_run_that_fits_the_budget(run):
-    """The known cost of capping each thread's path walk at the state
-    budget: the nested `while` shape at depth 2 has 85 paths at unroll 3
-    and ends in 24 states, so every budget from 24 to 84 refuses it,
-    though its run would fit, and 85 or more completes it.  Making the
-    paths as the run reaches them would lift the refusal and flip the
-    first half of this test."""
+    """A run that fits the state budget completes, whatever its thread's
+    path count, since the tries grow as the run reaches them and no path
+    count is checked (the name is from the path cap that refused budgets
+    24 to 84 here): the nested `while` shape at depth 2 has 85 paths at
+    unroll 3 and ends in 24 states at every budget from 24 on, and at
+    depth 3 (621,436 paths) the default budget's run ends within a
+    second."""
     from report_digests import nested
 
     p = parse_program(nested("while", 2))
-    for n in (24, 84):
-        with pytest.raises(TooManyPaths, match="thread 1 spawns more than"
-                           f" {n} control paths"):
-            run(p, budget=OracleBudget(n))
-    for n in (85, 1_000):
+    for n in (24, 84, 85, 1_000):
         res = run(p, budget=OracleBudget(n))
         assert (res.states, res.truncated) == (24, False)
+    start = time.perf_counter()
+    res = run(parse_program(nested("while", 3)))
+    assert time.perf_counter() - start < 1.0
+    assert res.states < 30 and not res.truncated
+
+
+@pytest.mark.parametrize("run", [run_interleavings, run_scheduled])
+def test_one_compile_per_primitive(monkeypatch, run):
+    """One exploration compiles each distinct Assign/Guard once, though
+    the search meets each guard of an `if` and a loop at many trie nodes:
+    the tries share one guard object per branch, on which the oracle's
+    transition memo is keyed."""
+    compiled = []
+    real = oracle.compile_prim
+
+    def compile_prim(s, idx):
+        compiled.append(s.sid)
+        return real(s, idx)
+
+    monkeypatch.setattr(oracle, "compile_prim", compile_prim)
+    p = parse_program("var x = [0,2]; thread 1 { while x - 3 < 0 do {"
+                      " if x - 1 = 0 then { x <- x + 1; } x <- x + 1; } }"
+                      " thread 2 { if x > 0 then { x <- x - 1; } }")
+    res = run(p, unroll=3, collect_witnesses=False)
+    assert not res.truncated
+    assert len(compiled) == len(set(compiled)) == 9, compiled
 
 
 def test_increment_final_values(corpus):

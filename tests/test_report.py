@@ -277,27 +277,36 @@ def test_cli_fuzz_inconclusive_exits_three(tmp_path, corpus_source):
     ("fuzz",), ("oracle-interleave",), ("oracle-scheduled",),
     ("oracle-interleave", "--check-against", "interference")],
     ids=["fuzz", "interleave", "scheduled", "check-against"])
-@pytest.mark.parametrize("program", ["nested", "ten-loops"])
+@pytest.mark.parametrize("program", ["nested", "nested-4", "ten-loops",
+                                     "twelve-loops"])
 def test_cli_path_walk_past_the_budget_exits_three(tmp_path, mode,
                                                    program):
-    """A thread with more control paths than --budget-states is a budget
-    failure, in fuzz and in every oracle mode, found before the list past
-    the budget is made: exit 3 within seconds, with an `error:` line, not
-    an internal error, naming the thread and the budget.  Both programs
-    ran past 20 s when every path was made: the nested `while` shape at
-    depth 3 (621,436 paths at unroll 3) and ten loops in sequence
-    (4^10)."""
+    """Threads with more control paths than --budget-states: the nested
+    `while` shape at depths 3 and 4 (621,436 and about 2.4 * 10^17 paths
+    at unroll 3) and ten or twelve loops in sequence (4^10, 4^12).  Every
+    oracle mode, and --check-against, grows the tries as the run reaches
+    them and completes within the budget in seconds (19-38 states), exit
+    0.  Fuzz lists each thread's paths as its pool, so it stops before
+    the list past the budget is made: exit 3 within seconds, with an
+    `error:` line, not an internal error, naming the thread and the
+    budget.  Every mode ran past 20 s when every path was made."""
     from report_digests import nested
 
     f = tmp_path / "p.conc"
-    f.write_text(nested("while", 3) if program == "nested" else
-                 "var x = [0,1]; thread 1 { "
-                 + "while x - 3 < 0 do { x <- x + 1; } " * 10 + "}")
+    loops = {"ten-loops": 10, "twelve-loops": 12}.get(program)
+    f.write_text(nested("while", 4 if program == "nested-4" else 3)
+                 if loops is None else "var x = [0,1]; thread 1 { "
+                 + "while x - 3 < 0 do { x <- x + 1; } " * loops + "}")
     r = run_cli(str(f), "--mode", *mode, "--budget-states", "1000",
-                timeout=20)
-    assert r.returncode == 3, r.stdout + r.stderr
-    assert r.stderr.startswith("error: thread 1 spawns more than 1000"
-                               " control paths at unroll 3")
+                "--json", timeout=20)
+    if mode == ("fuzz",):
+        assert r.returncode == 3, r.stdout + r.stderr
+        assert r.stderr.startswith("error: thread 1 spawns more than 1000"
+                                   " control paths at unroll 3")
+        return
+    assert r.returncode == 0, r.stdout + r.stderr
+    oracle = json.loads(r.stdout)["oracle"]
+    assert not oracle["truncated"] and oracle["states"] <= 1_000
 
 
 def test_cli_fuzz_controls_keep_their_own_budget(tmp_path, corpus_source):
