@@ -3,8 +3,9 @@
 Intervals abstract sets of reals (bottom, or closed bounds that may be
 infinite); boxes map every program variable to a non-bottom interval, with
 an explicit bottom element.  Bounds are exact rationals so soundness tests
-never hinge on rounding.  Guard transfer refines variable bounds with a
-single HC4-style backward sweep.
+never hinge on rounding.  Expressions are evaluated from a post-order
+tape (compile_tape), and guard transfer refines variable bounds with a
+single HC4-style backward sweep over the same tape; neither recurses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Iterable, NamedTuple, Optional
 from .syntax import (
     INF,
     NEG_INF,
-    BinOp,
     Const,
     Expr,
     Ext,
@@ -24,10 +24,10 @@ from .syntax import (
     Program,
     Var,
     fmt_ext,
-    fold_expr,
     is_finite,
     num,
     ratdiv,
+    sub_exprs,
 )
 
 
@@ -275,6 +275,12 @@ class BoxEnv:
         m[var] = v
         return BoxEnv(m)
 
+    def join_at(self, vals: dict[str, Interval]) -> "BoxEnv":
+        """self with each variable of vals joined with its value there."""
+        m = self._m
+        return self if m is None else BoxEnv(
+            {**m, **{x: m[x].join(v) for x, v in vals.items()}})
+
     def join(self, other: "BoxEnv") -> "BoxEnv":
         if self.is_bot:
             return other
@@ -317,77 +323,129 @@ _BOT_ENV = BoxEnv(None)
 # Transfer functions
 
 
-def eval_abs(e: Expr, env: BoxEnv,
-             memo: Optional[dict[int, Interval]] = None,
-             ) -> tuple[Interval, frozenset[Location]]:
-    """Bottom-up interval evaluation; `memo` (id -> interval) feeds the
-    backward guard sweep."""
-    errs: set[Location] = set()
+class Tape(NamedTuple):
+    """An expression's nodes in post-order, as (op, a, b, loc): "var" reads
+    variable a, "const" is interval a, "neg" negates slot a, and an
+    operator combines slots a and b.  `names` are the variables read, and
+    `expr` lives as long as the tape, so id-keyed tapes never collide."""
 
-    def ev(x: Expr, *subs: Interval) -> Interval:
+    expr: Expr
+    code: tuple[tuple, ...]
+    names: tuple[str, ...]
+
+
+def compile_tape(e: Expr) -> Tape:
+    code: list[tuple] = []
+    slots: list[int] = []  # operands not yet consumed, the left one on top
+    for x in reversed(sub_exprs(e)):
         if isinstance(x, Var):
-            v = env.get(x.name)
+            code.append(("var", x.name, None, None))
         elif isinstance(x, Const):
-            v = Interval.of(x.lo, x.hi)
+            code.append(("const", Interval.of(x.lo, x.hi), None, None))
         elif isinstance(x, Neg):
-            v = -subs[0]
+            code.append(("neg", slots.pop(), None, None))
         else:
-            l, r = subs
-            if x.op == "+":
-                v = l.add(r)
-            elif x.op == "-":
-                v = l.sub(r)
-            elif x.op == "*":
-                v = l.mul(r)
-            else:
-                v, had_zero = l.div(r)
-                if had_zero and not l.is_bot:
-                    errs.add(x.loc)
-        if memo is not None:
-            memo[id(x)] = v
-        return v
-
-    return fold_expr(e, ev), frozenset(errs)
+            left = slots.pop()
+            code.append((x.op, left, slots.pop(), x.loc))
+        slots.append(len(code) - 1)
+    names = dict.fromkeys(a for op, a, _, _ in code if op == "var")
+    return Tape(e, tuple(code), tuple(names))
 
 
-def _refine(e: Expr, target: Interval, memo: dict[int, Interval],
-            bounds: dict[str, Interval]) -> bool:
-    """One backward HC4 sweep from the root, narrowing `bounds` in place,
-    over a stack of (node, target) pairs.  Returns False on contradiction
-    (the guard is unsatisfiable through some node)."""
-    stack = [(e, target)]
+def run_tape(tape: Tape, env: BoxEnv,
+             ) -> tuple[list[Interval], frozenset[Location]]:
+    """Bottom-up interval evaluation: every node's value, in tape order
+    (the root last), and the divisions that may divide by zero."""
+    get = env.get
+    vals: list[Interval] = []
+    errs: set[Location] = set()
+    for op, a, b, loc in tape.code:
+        if op == "var":
+            v = get(a)
+        elif op == "const":
+            v = a
+        elif op == "neg":
+            v = -vals[a]
+        elif op == "+":
+            v = vals[a].add(vals[b])
+        elif op == "-":
+            v = vals[a].sub(vals[b])
+        elif op == "*":
+            v = vals[a].mul(vals[b])
+        else:
+            l = vals[a]
+            v, had_zero = l.div(vals[b])
+            if had_zero and not l.is_bot:
+                errs.add(loc)
+        vals.append(v)
+    return vals, frozenset(errs)
+
+
+def eval_abs(e: Expr, env: BoxEnv) -> tuple[Interval, frozenset[Location]]:
+    """The interval of e in env, and its divisions that may divide by 0."""
+    vals, errs = run_tape(compile_tape(e), env)
+    return vals[-1], errs
+
+
+def _refine(tape: Tape, target: Interval, vals: list[Interval],
+            bounds: dict[str, Interval], fixed: frozenset[str]) -> bool:
+    """One backward HC4 sweep from the root, narrowing `bounds` in place
+    (but not the variables in `fixed`), over a stack of (slot, target)
+    pairs.  Returns False on contradiction (the guard is unsatisfiable
+    through some node)."""
+    code = tape.code
+    stack = [(len(code) - 1, target)]
     while stack:
-        e, target = stack.pop()
-        target = target.meet(memo[id(e)])
+        i, target = stack.pop()
+        target = target.meet(vals[i])
         if target.is_bot:
             return False
-        if isinstance(e, Var):
-            newv = bounds[e.name].meet(target)
-            if newv.is_bot:
-                return False
-            bounds[e.name] = newv
-        elif isinstance(e, Neg):
-            stack.append((e.sub, -target))
-        elif isinstance(e, BinOp):
+        op, a, b, _ = code[i]
+        if op == "var":
+            if a not in fixed:
+                newv = bounds[a].meet(target)
+                if newv.is_bot:
+                    return False
+                bounds[a] = newv
+        elif op == "neg":
+            stack.append((a, -target))
+        elif op != "const":  # a constant needs nothing: its meet was checked
             # push the right operand first: the left one is narrowed first
-            l, r = memo[id(e.left)], memo[id(e.right)]
-            if e.op == "+":
-                stack += ((e.right, target.sub(l)), (e.left, target.sub(r)))
-            elif e.op == "-":
-                stack += ((e.right, l.sub(target)), (e.left, target.add(r)))
-            elif e.op == "*":
+            l, r = vals[a], vals[b]
+            if op == "+":
+                stack += ((b, target.sub(l)), (a, target.sub(r)))
+            elif op == "-":
+                stack += ((b, l.sub(target)), (a, target.add(r)))
+            elif op == "*":
                 if not l.contains(0):
-                    stack.append((e.right, target.div(l)[0]))
+                    stack.append((b, target.div(l)[0]))
                 if not r.contains(0):
-                    stack.append((e.left, target.div(r)[0]))
+                    stack.append((a, target.div(r)[0]))
             else:
                 # division: left = target * right is exact for the
                 # contributing pairs
                 if not target.contains(0):
-                    stack.append((e.right, l.div(target)[0]))
-                stack.append((e.left, target.mul(r)))
-        # a Const needs nothing: its non-empty meet was checked above
+                    stack.append((b, l.div(target)[0]))
+                stack.append((a, target.mul(r)))
     return True
+
+
+def guard_in(tape: Tape, cmp: str, env: BoxEnv, seen: BoxEnv,
+             fixed: frozenset[str], errors: frozenset[Location],
+             ) -> tuple[BoxEnv, frozenset[Location]]:
+    """Guard `tape cmp 0` on env, evaluated in `seen`; the variables in
+    `fixed` (those `seen` widened) are not refined."""
+    if env.is_bot:
+        return env, errors
+    vals, errs = run_tape(tape, seen)
+    errors = errors | errs
+    val = vals[-1]
+    if val.is_bot or not val.sat(cmp):
+        return BoxEnv.bot(), errors
+    bounds = dict(env._m)
+    if not _refine(tape, val.refine_cmp(cmp), vals, bounds, fixed):
+        return BoxEnv.bot(), errors
+    return BoxEnv(bounds), errors
 
 
 def transfer_assign(var: str, e: Expr, env: BoxEnv,
@@ -402,14 +460,4 @@ def transfer_assign(var: str, e: Expr, env: BoxEnv,
 def transfer_guard(e: Expr, cmp: str, env: BoxEnv,
                    errors: frozenset[Location],
                    ) -> tuple[BoxEnv, frozenset[Location]]:
-    if env.is_bot:
-        return env, errors
-    memo: dict[int, Interval] = {}
-    val, errs = eval_abs(e, env, memo)
-    errors = errors | errs
-    if val.is_bot or not val.sat(cmp):
-        return BoxEnv.bot(), errors
-    bounds = {v: env.get(v) for v in env.variables}
-    if not _refine(e, val.refine_cmp(cmp), memo, bounds):
-        return BoxEnv.bot(), errors
-    return BoxEnv(bounds), errors
+    return guard_in(compile_tape(e), cmp, env, env, frozenset(), errors)

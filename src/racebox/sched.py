@@ -1,7 +1,11 @@
 """The abstract analyzer engine: one structural interpreter (recursive
 iteration, widening at loop heads) and one outer interference fixpoint.
 A loop iterates from its input, and a loop reached again in a pass with
-the same input returns its last result.
+the same input returns its last result.  A read (read_env) evaluates its
+expression's tape, compiled once per outer_fixpoint call, in the
+partition's environment with each variable carrying compatible
+interference joined with it; a guard refines only the other variables.
+substitute renders such a read as an expression.
 
 Environments and interferences are partitioned by scheduler configurations
 (l = mutexes held by the thread, u = mutexes known free system-wide, and a
@@ -23,7 +27,7 @@ return outer_fixpoint's SchedResult as it is.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import config
 from .config import AnalysisSettings, LimitReached
@@ -31,9 +35,11 @@ from .domains import (
     BOT,
     BoxEnv,
     Interval,
+    Tape,
     as_expr,
-    transfer_assign,
-    transfer_guard,
+    compile_tape,
+    guard_in,
+    run_tape,
 )
 from .syntax import (
     Assign,
@@ -119,6 +125,7 @@ InterferenceView = tuple[dict[str, Interval],
 
 SYNC_SKIPPED = ("synchronization primitives are no-ops in this analysis;"
                 " use the scheduled analyzer for mutex precision")
+ZERO_ONE = Const(0, 1)  # what islocked() stores when degraded
 ISLOCKED_DEGRADED = ("islocked() degrades to [0,1] in this analysis;"
                      " use the scheduled analyzer for mutex precision")
 
@@ -177,28 +184,37 @@ def interference_view(t: int, c: SchedConfig, interf: InterferenceMap,
     return by_var, writers
 
 
+def read_env(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
+             names: Iterable[str],
+             ) -> tuple[BoxEnv, frozenset[str], list[ReadEvent]]:
+    """What a read of the variables `names` by thread t under c sees: env,
+    with each variable that carries interference joined with it; the set
+    of those variables; and the writes the read saw, as read events."""
+    by_var, writers = view
+    hit = {x: by_var[x] for x in names
+           if x in by_var and not by_var[x].is_bot}
+    if not hit:
+        return env, frozenset(), []
+    events = [(t, t2, x, c, c2) for x in hit for t2, c2 in writers[x]]
+    return env.join_at(hit), frozenset(hit), events
+
+
 def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
                e: Expr, read_log: set[ReadEvent] | None = None) -> Expr:
-    """Replace each variable carrying interference by a constant interval
-    covering its environment and interference values (others stay, so
-    guards still refine them); optionally log which writes each read saw."""
-    by_var, writers = view
-    if not by_var:
+    """read_env's read of e rendered as an expression: each variable
+    carrying interference becomes a constant interval covering its
+    environment and interference values (others stay, so guards still
+    refine them); optionally log which writes each read saw."""
+    _, fixed, events = read_env(t, c, env, view, vars_of_expr(e))
+    if read_log is not None:
+        read_log.update(events)
+    if not fixed:
         return e
-    consts: dict[str, Expr] = {}  # per variable, made at its first read
+    consts = {x: as_expr(view[0][x].join(env.get(x))) for x in fixed}
 
     def go(x: Expr, *subs: Expr) -> Expr:
         if isinstance(x, Var):
-            if x.name in consts:
-                return consts[x.name]
-            v = by_var.get(x.name, BOT)
-            if v.is_bot:
-                return x
-            if read_log is not None:
-                for t2, c2 in writers[x.name]:
-                    read_log.add((t, t2, x.name, c, c2))
-            consts[x.name] = as_expr(v.join(env.get(x.name)))
-            return consts[x.name]
+            return consts.get(x.name, x)
         if isinstance(x, Const):
             return x
         # an operator whose operands came back unchanged is kept as it is
@@ -296,12 +312,15 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
                settings: AnalysisSettings = AnalysisSettings(),
                lock_sets: dict[int, frozenset[str]] | None = None,
                mode: str = "scheduled-mono",
-               recorder: SchedRecorder | None = None) -> AbsStateC:
+               recorder: SchedRecorder | None = None,
+               tapes: dict[int, Tape] | None = None) -> AbsStateC:
     """Abstract transfer of thread t for any statement form in `mode`, one
     of ENGINE_MODES (see the module docstring).  st.interf is the round's
     map and is only read; the pass carries, and returns, t's own entries
     alone, the only ones it can change.  The error labels the pass meets
-    are collected in recorder.errors."""
+    are collected in recorder.errors.  `tapes` holds each expression's
+    compiled tape by id; the caller that owns it may share it between
+    passes."""
     if mode not in ENGINE_MODES:
         raise ValueError(f"unknown engine mode {mode!r}")
     blind = mode in ("interference", "seq")
@@ -309,6 +328,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     rec = recorder if recorder is not None else SchedRecorder()
     locks = lock_sets if lock_sets is not None else {}
     own = mode == "interference" and t in settings.self_interference
+    tapes = {} if tapes is None else tapes
     views: dict[SchedConfig, InterferenceView] = {}
     # each loop's last (input, result), per node: hand-built sids repeat
     last_run: dict[While, tuple[AbsStateC, AbsStateC]] = {}
@@ -318,7 +338,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         if k[1].tag != WEAK:
             syncs.setdefault(k[1].tag[1], {})[k] = v
 
-    def read(c: SchedConfig, x: AbsStateC, e: Expr) -> Expr:
+    def read(c: SchedConfig, x: AbsStateC, e: Expr,
+             ) -> tuple[Tape, BoxEnv, frozenset[str]]:
         # foreign entries are fixed during a pass, so their view is
         # computed once per configuration
         if own:  # t reads its own live entries too
@@ -328,7 +349,13 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             view = views[c]
         else:
             view = views[c] = interference_view(t, c, st.interf)
-        return substitute(t, c, x.envs[c], view, e, rec.read_log)
+        tape = tapes.get(id(e))
+        if tape is None:
+            tape = tapes[id(e)] = compile_tape(e)
+        env, fixed, events = read_env(t, c, x.envs[c], view, tape.names)
+        if rec.read_log is not None:
+            rec.read_log.update(events)
+        return tape, env, fixed
 
     def seen(x: AbsStateC) -> AbsStateC:
         if len(x.envs) > config.PARTITION_CAP:
@@ -344,8 +371,10 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         envs: PartitionedEnv = {}
         interf = dict(x.interf) if publish else x.interf
         for c, env in x.envs.items():
-            env, rec.errors = transfer_assign(var, read(c, x, e), env,
-                                              rec.errors)
+            tape, widened, _ = read(c, x, e)
+            vals, errs = run_tape(tape, widened)
+            env = env.set(var, vals[-1])
+            rec.errors |= errs
             if env.is_bot:
                 continue
             envs[c] = env
@@ -357,8 +386,9 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
         rec.invariants[g.sid] = x.envs
         envs: PartitionedEnv = {}
         for c, env in x.envs.items():
-            env, rec.errors = transfer_guard(read(c, x, g.expr), g.cmp, env,
-                                             rec.errors)
+            tape, widened, fixed = read(c, x, g.expr)
+            env, rec.errors = guard_in(tape, g.cmp, env, widened, fixed,
+                                       rec.errors)
             if not env.is_bot:
                 envs[c] = env
         return seen(AbsStateC(envs, x.interf))
@@ -394,20 +424,18 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     def islocked(sid: Sid, var: str, m: str, x: AbsStateC) -> AbsStateC:
         # the degraded route fixes the recorded interferences ({0,1}) and
         # the fallback environments
-        degraded = assign(sid, var, Const(0, 1), x)
+        degraded = assign(sid, var, ZERO_ONE, x)
         precise = mode == "scheduled-mono" and not any(
             m in locks.get(t2, frozenset()) for t2 in locks if t2 > t)
         if not precise:
             return degraded
         envs: PartitionedEnv = {}
         for c, env in x.envs.items():
-            env0, _ = transfer_assign(
-                var, Const(0, 0),
-                in_sharp(t, c.held, c.free, m, env, syncs.get(m, {})),
-                frozenset())
+            env0 = in_sharp(t, c.held, c.free, m, env,
+                            syncs.get(m, {})).set(var, Interval(0, 0))
             if not env0.is_bot:
                 put(envs, SchedConfig(c.held, c.free | {m}, WEAK), env0)
-            env1, _ = transfer_assign(var, Const(1, 1), env, frozenset())
+            env1 = env.set(var, Interval(1, 1))
             if not env1.is_bot:
                 put(envs, SchedConfig(c.held, c.free - {m}, WEAK), env1)
         return seen(AbsStateC(envs, degraded.interf))
@@ -478,7 +506,7 @@ class Race(Record):
 def extract_races(p: Program, interf: InterferenceMap,
                   read_log: set[ReadEvent]) -> tuple[list[Race], list[Race]]:
     """Write/write races straight from the interference map; read/write
-    races from the reads the substitution actually applied."""
+    races from the reads that took interference."""
     writes: dict[str, list[tuple[int, SchedConfig]]] = {}
     for (t, c, x), v in interf.items():
         if c.tag == WEAK and not v.is_bot:
@@ -546,6 +574,7 @@ def outer_fixpoint(p: Program,
     r0: PartitionedEnv = {C0: BoxEnv.initial(p)}
     omega: frozenset[Location] = frozenset()
     interf: InterferenceMap = {}
+    tapes: dict[int, Tape] = {}  # compiled once for all rounds
     rounds = 0
     while True:
         rounds += 1
@@ -562,7 +591,7 @@ def outer_fixpoint(p: Program,
         for t in p.threads:
             rec = SchedRecorder(read_log=read_log, warnings=warnings)
             out = transfer_C(t.body, t.tid, AbsStateC(r0, interf),
-                             settings, locks, mode, rec)
+                             settings, locks, mode, rec, tapes)
             per_thread[t.tid] = SchedThreadOutcome(out.envs, rec.invariants,
                                                    rec.branches)
             max_parts = max(max_parts, rec.max_env_partitions)

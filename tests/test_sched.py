@@ -1,15 +1,27 @@
+import gc
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from racebox import config
 from racebox.config import AnalysisSettings
-from racebox.domains import BOT, BoxEnv, INF, Interval
+from racebox.domains import (
+    BOT,
+    INF,
+    BoxEnv,
+    Interval,
+    compile_tape,
+    guard_in,
+    run_tape,
+    transfer_assign,
+    transfer_guard,
+)
 from racebox.interference import analyze_program_I
 from racebox.parser import parse_program
 from racebox.report import RunConfig, analyze_source
@@ -22,8 +34,11 @@ from racebox.sched import (
     analyze_program_C,
     apply_sched,
     in_sharp,
+    interference_view,
     intf,
     out_sharp,
+    outer_fixpoint,
+    read_env,
     sync,
     transfer_C,
     unpartitioned,
@@ -31,12 +46,19 @@ from racebox.sched import (
 from racebox.randgen import GeneratorConfig, random_program
 from racebox.seq import analyze_program_seq
 from racebox.syntax import (
+    Assign,
     Const,
     Guard,
+    If,
     Lock,
     Var,
+    While,
+    body_guard,
     collect_lock_sets,
+    else_guard,
+    exit_guard,
     sub_stmts,
+    then_guard,
 )
 
 F = Fraction
@@ -106,6 +128,91 @@ def test_apply_ignores_sync_entries():
     envs = {cfg(): BoxEnv({"y": iv(0, 0)})}
     interf = {(1, cfg(tag=sync("m")), "y"): iv(7, 7)}
     assert apply_sched(2, cfg(), envs, interf, Var("y")) == Var("y")
+
+
+def test_guard_leaves_interfered_variables_unrefined():
+    # the guard reads y as [3,6], t2's write joined in; narrowing t1's own
+    # y = [6,6] by it would empty the branch and lose the division by
+    # z = 0 at label 2
+    src = ("var y = [6,6]; var z; thread 1 { if y - 5 < 0 then"
+           " { z <- 1 / z; } } thread 2 { y <- 3; }")
+    p = parse_program(src)
+    for mode in ("interference", "scheduled-mono", "scheduled-multi"):
+        res = outer_fixpoint(p, AnalysisSettings(), mode)
+        assert [loc.label for loc in res.omega] == [2], mode
+        assert res.per_thread[1].invariants[2][C0].get("y") == iv(6, 6)
+    rep = analyze_source(src, RunConfig(mode="oracle-interleave",
+                                        check_against="interference"))
+    assert rep["check"]["verdict"] == "PASS"
+
+
+def _reads(p):
+    """Every (thread, sid, expression, assigned variable or guard cmp) of
+    p's Assigns and its Ifs' and Whiles' guards."""
+    for t in p.threads:
+        for s in sub_stmts(t.body):
+            if isinstance(s, Assign):
+                yield t.tid, s.sid, s.expr, s.var, None
+            elif isinstance(s, (If, While)):
+                pair = ((then_guard, else_guard) if isinstance(s, If)
+                        else (body_guard, exit_guard))
+                for g in (make(s) for make in pair):
+                    yield t.tid, g.sid, g.expr, None, g.cmp
+
+
+def test_engine_reads_match_the_substitution():
+    # the engine's read (read_env, then run_tape or guard_in on the
+    # widened environment) and the kept substitution (apply_sched, then
+    # transfer_assign or transfer_guard) agree at every partition of
+    # every read of random programs: value, refined env, errors, and the
+    # read events, which both must draw from the compatible foreign writes
+    reads = interfered = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        p = random_program(rng, GeneratorConfig(div_prob=0.5, n_vars=3,
+                                                max_branching=3))
+        for mode in ("interference", "scheduled-mono", "scheduled-multi"):
+            res = outer_fixpoint(p, AnalysisSettings(), mode)
+            for tid, sid, e, var, cmp in _reads(p):
+                envs = res.per_thread[tid].invariants.get(sid, {})
+                tape = compile_tape(e)
+                for c, env in envs.items():
+                    log = set()
+                    e2 = apply_sched(tid, c, envs, res.interf, e, log)
+                    view = interference_view(tid, c, res.interf)
+                    seen, fixed, events = read_env(tid, c, env, view,
+                                                   tape.names)
+                    if var is not None:
+                        vals, errs = run_tape(tape, seen)
+                        got = env.set(var, vals[-1]), errs
+                        want = transfer_assign(var, e2, env, frozenset())
+                    else:
+                        got = guard_in(tape, cmp, env, seen, fixed,
+                                       frozenset())
+                        want = transfer_guard(e2, cmp, env, frozenset())
+                    assert got == want, (seed, mode, sid, str(c))
+                    # the writes a read sees, from the round's map itself
+                    saw = {(tid, t2, x, c, c2)
+                           for (t2, c2, x) in res.interf
+                           if t2 != tid and intf(c, c2) and x in tape.names}
+                    assert set(events) == log == saw
+                    assert fixed == {x for _, _, x, _, _ in saw}
+                    reads += 1
+                    interfered += bool(fixed)
+    assert reads > 1000 and interfered > 300
+
+
+def test_an_analysis_keeps_no_expression_alive():
+    # the tapes an analysis compiles die with it: nothing outlives the
+    # call that holds a program's expressions
+    p = parse_program("var x = [0,3]; thread 1 { while x - 10 < 0 do"
+                      " { x <- x + 1 / x; } }")
+    ref = weakref.ref(p.threads[0].body.expr)
+    results = [analyze_program_seq(p), analyze_program_I(p),
+               analyze_program_C(p)]
+    del p
+    gc.collect()
+    assert ref() is None and all(r.omega for r in results)
 
 
 # -- in/out
