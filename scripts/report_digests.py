@@ -3,6 +3,7 @@
 the analyzers or the oracles keeps every report byte for byte.
 
 Usage: report_digests.py OUT.json [N] [BASE_SEED]
+       report_digests.py --diff A.json B.json
 
 Writes {program/config: sha256 of report_to_json} as JSON to OUT.json,
 over the corpus, the nested loop shapes of SHAPES at depths 1-7, N
@@ -12,7 +13,8 @@ of CONFIGS and every oracle configuration of ORACLE_CONFIGS, and over
 the corpus and the nested shapes alone in the fuzzer's configuration
 FUZZ.  A program that a configuration rejects digests to the name of the
 exception.  To compare two versions, run the script in a checkout of
-each and `cmp` the two files.
+each and `--diff` the two files: it prints every key whose digest differs
+or that one file lacks, and exits 1 if there is any.
 """
 
 import hashlib
@@ -132,7 +134,24 @@ def configs(name: str) -> dict[str, RunConfig]:
     return out
 
 
+def diff(a: str, b: str) -> int:
+    """Print every key whose digest differs between the digest files a and
+    b, or that only one of them has; 1 if there is any, else 0."""
+    left, right = (json.loads(pathlib.Path(f).read_text()) for f in (a, b))
+    keys = left.keys() | right.keys()
+    moved = sorted(k for k in keys if left.get(k) != right.get(k))
+    for k in moved:
+        print(k, "differs" if k in left and k in right
+              else f"only in {a if k in left else b}")
+    print(f"{len(moved)} of {len(keys)} keys differ")
+    return 1 if moved else 0
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["--diff"]:
+        if len(sys.argv) != 4:
+            sys.exit("usage: report_digests.py --diff A.json B.json")
+        sys.exit(diff(*sys.argv[2:]))
     out = sys.argv[1]
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 300
     base = int(sys.argv[3]) if len(sys.argv) > 3 else 70_000

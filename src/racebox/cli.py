@@ -206,11 +206,7 @@ def main(argv: list[str] | None = None, prog_name: str = "analyze") -> None:
         print(f"internal error: {e}", file=sys.stderr)
         sys.exit(3)
 
-    # before any analysis or oracle; fuzz judges trials by its alarms
-    if cfg.self_interference and not (cfg.mode in ("interference", "fuzz")
-                                      or cfg.check_against == "interference"):
-        ap.error("argument --self-interference: only the interference"
-                 " analyzer reads it")
+    # before any analysis or oracle
     for flag in ("mode", "check_against"):
         reason = getattr(cfg, flag) == "seq" and outside_fragment(program)
         if reason:

@@ -1,5 +1,9 @@
-"""Concrete semantics for the oracles: compiled primitives, start states
-and control paths.
+"""Concrete semantics for the oracles: primitives, start states and
+control paths.
+
+A primitive's expression runs as the analyzers' post-order tape
+(domains.compile_tape), evaluated over sets of values instead of
+intervals, so one module decides how an expression becomes flat code.
 
 States are finite sets of exact rational environments plus an error set.
 To keep the state sets finite, constant intervals enumerate only their
@@ -19,27 +23,23 @@ from collections.abc import Iterator
 from itertools import islice, product
 
 from .config import LimitReached
+from .domains import compile_tape
 from .syntax import (
     Assign,
     Block,
-    Const,
     ControlPath,
-    Expr,
     Guard,
     If,
     Location,
-    Neg,
     Num,
     Program,
     Record,
     Stmt,
     Thread,
-    Var,
     While,
     body_guard,
     else_guard,
     exit_guard,
-    fold_expr,
     is_finite,
     ratdiv,
     sub_stmts,
@@ -67,12 +67,6 @@ _HOLDS = {
 
 _NOERR: frozenset[Location] = frozenset()
 
-_ARITH = {
-    "+": lambda v1, v2: frozenset(a + b for a in v1 for b in v2),
-    "-": lambda v1, v2: frozenset(a - b for a in v1 for b in v2),
-    "*": lambda v1, v2: frozenset(a * b for a in v1 for b in v2),
-}
-
 
 def const_points(lo, hi, n: int | None = None) -> list[Num]:
     """The integer points and the endpoints of a constant interval, in
@@ -87,62 +81,22 @@ def const_points(lo, hi, n: int | None = None) -> list[Num]:
     return sorted({lo, hi, *ints})[:n]
 
 
-def _operator(x: Expr):
-    """x's outcome as a function of its operands' outcomes."""
-    if isinstance(x, Neg):
-        return lambda a: (frozenset(-v for v in a[0]), a[1])
-    if x.op in _ARITH:
-        arith = _ARITH[x.op]
-        return lambda a, b: (arith(a[0], b[0]), a[1] | b[1])
-    div0 = frozenset({x.loc})
-    return lambda a, b: (
-        frozenset(ratdiv(u, v) for u in a[0] for v in b[0] if v != 0),
-        a[1] | b[1] | (div0 if 0 in b[0] else _NOERR))
-
-
-def _compile(e: Expr, slots: VarIndex):
-    """Compile e once into a closure env -> (set of values, error labels),
-    where env[slots[v]] is v's value.  A variable that slots lacks gets
-    the next slot.
-
-    The closure runs a flat tape of (arity, function) steps on a value
-    stack, so no expression depth makes it recurse.  Subtrees that read no
-    variable are folded into one constant step here, and constant points
-    are enumerated here, so an unbounded constant raises UnsupportedMode at
-    compile time."""
-    tape: list = []  # in fold order: a right operand's steps come first
-
-    def emit(x: Expr, *consts):
-        """Append x's step; return x's outcome if it reads no variable."""
-        if isinstance(x, Var):
-            k = slots.setdefault(x.name, len(slots))
-            tape.append((0, lambda env: (frozenset((env[k],)), _NOERR)))
-            return None
-        if isinstance(x, Const):
-            c = frozenset(const_points(x.lo, x.hi)), _NOERR
-        elif None in consts:
-            tape.append((len(consts), _operator(x)))
-            return None
-        else:
-            del tape[-len(consts):]  # the operands' constant steps
-            c = _operator(x)(*consts)
-        tape.append((0, lambda env: c))
-        return c
-
-    fold_expr(e, emit)
-
-    def run(env):
-        vals = []
-        for arity, f in tape:
-            if arity == 0:
-                vals.append(f(env))
-            elif arity == 1:
-                vals[-1] = f(vals[-1])
-            else:
-                left = vals.pop()
-                vals[-1] = f(left, vals[-1])
-        return vals[0]
-    return run
+def _step(op: str, loc: Location | None, a, b):
+    """A tape node's outcome, (set of values, error labels), from its
+    operands' outcomes a and b; a negation reads only a."""
+    (u, ea), (w, eb) = a, b
+    if op == "neg":
+        return frozenset(-x for x in u), ea
+    if op == "/":
+        return (frozenset(ratdiv(x, y) for x in u for y in w if y != 0),
+                ea | eb | (frozenset((loc,)) if 0 in w else _NOERR))
+    if op == "+":
+        out = frozenset(x + y for x in u for y in w)
+    elif op == "-":
+        out = frozenset(x - y for x in u for y in w)
+    else:
+        out = frozenset(x * y for x in u for y in w)
+    return out, ea | eb
 
 
 def compile_prim(s: Stmt, idx: VarIndex):
@@ -150,12 +104,41 @@ def compile_prim(s: Stmt, idx: VarIndex):
     of the variables it reads; the index of the variable it writes, None
     for a Guard; and outcome(values of reads), which is (the written
     values in value order, error labels) for an Assign and (whether the
-    guard holds, error labels) for a Guard."""
+    guard holds, error labels) for a Guard.
+
+    The expression runs as its post-order tape (domains.compile_tape)
+    over sets of values.  Nodes that read no variable are evaluated here,
+    once, so an unbounded constant raises UnsupportedMode here."""
     if not isinstance(s, (Assign, Guard)):
         raise TypeError(f"not an assign/guard: {s}")
-    slots: VarIndex = {}
-    ev = _compile(s.expr, slots)
-    reads = tuple(map(idx.__getitem__, slots))
+    tape = compile_tape(s.expr)
+    fixed: list = []  # each node's outcome; None where it reads a variable
+    steps = []  # (node, op, a, b, loc) of the nodes that read one
+    for i, (op, a, b, loc) in enumerate(tape.code):
+        if op == "var":
+            a = tape.names.index(a)
+        elif op == "const":
+            if a.is_bot:
+                raise UnsupportedMode("unbounded constant [inf,inf] or"
+                                      " [-inf,-inf] has no point")
+            fixed.append((frozenset(const_points(a.lo, a.hi)), _NOERR))
+            continue
+        else:
+            b = a if b is None else b
+            if fixed[a] is not None and fixed[b] is not None:
+                fixed.append(_step(op, loc, fixed[a], fixed[b]))
+                continue
+        fixed.append(None)
+        steps.append((i, op, a, b, loc))
+
+    def ev(vals: tuple):
+        out = fixed.copy()
+        for i, op, a, b, loc in steps:
+            out[i] = ((frozenset((vals[a],)), _NOERR) if op == "var"
+                      else _step(op, loc, out[a], out[b]))
+        return out[-1]
+
+    reads = tuple(map(idx.__getitem__, tape.names))
     if isinstance(s, Assign):
         def assign(vals: tuple) -> tuple[list[Num], frozenset[Location]]:
             out, errs = ev(vals)

@@ -97,6 +97,12 @@ class RunConfig(Record):
         if self.check_against and self.mode not in CHECK_MODES:
             raise ValueError("--check-against needs --mode "
                              + " or ".join(CHECK_MODES))
+        # fuzz judges its trials by the interference analyzer's alarms
+        if self.self_interference and not (
+                self.mode in ("interference", "fuzz")
+                or self.check_against == "interference"):
+            raise ValueError("argument --self-interference: only the"
+                             " interference analyzer reads it")
         for name, low in (("unroll", 0), ("widening_delay", 0),
                           ("budget_states", 1)):
             if getattr(self, name) < low:

@@ -4,30 +4,36 @@ and the analyzers are checked against.  No racebox run uses it."""
 
 from __future__ import annotations
 
+import operator
+
 from racebox.concrete import (
     Env,
     PathSet,
     VarIndex,
-    _compile,
     compile_prim,
+    const_points,
     start_envs,
 )
 from racebox.syntax import (
     Assign,
     Block,
+    Const,
     Expr,
     Guard,
     If,
     Location,
+    Neg,
     Num,
     Program,
     Record,
     Stmt,
+    Var,
     While,
     body_guard,
     else_guard,
     exit_guard,
     expr_locations,
+    ratdiv,
     stmt_exprs,
     then_guard,
 )
@@ -69,12 +75,34 @@ def to_json(st: ConcreteState) -> dict:
     }
 
 
+# the reference's own operator tables: it shares no compiled form with the
+# oracles and the analyzers that it checks
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+HOLDS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+         ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
 def eval_concrete(e: Expr, rho: dict[str, Num]
                   ) -> tuple[frozenset[Num], frozenset[Location]]:
-    """Values and error labels of e in one dict-based environment."""
-    names = tuple(sorted(rho))
-    ev = _compile(e, {v: i for i, v in enumerate(names)})
-    return ev(tuple(rho[v] for v in names))
+    """Values and error labels of e in one dict-based environment, by
+    structural recursion over e."""
+    if isinstance(e, Var):
+        return frozenset((rho[e.name],)), frozenset()
+    if isinstance(e, Const):
+        return frozenset(const_points(e.lo, e.hi)), frozenset()
+    if isinstance(e, Neg):
+        vals, errs = eval_concrete(e.sub, rho)
+        return frozenset(-v for v in vals), errs
+    lvals, lerrs = eval_concrete(e.left, rho)
+    rvals, rerrs = eval_concrete(e.right, rho)
+    errs = lerrs | rerrs
+    if e.op != "/":
+        f = _ARITH[e.op]
+        return frozenset(f(a, b) for a in lvals for b in rvals), errs
+    if 0 in rvals:
+        errs |= {e.loc}
+    return (frozenset(ratdiv(a, b) for a in lvals for b in rvals if b != 0),
+            errs)
 
 
 def _prim(s: Stmt, st: ConcreteState) -> ConcreteState:

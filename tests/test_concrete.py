@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from racebox.concrete import TooManyPaths, UnsupportedMode, paths, start_envs
+from racebox.concrete import (
+    TooManyPaths, UnsupportedMode, compile_prim, paths, start_envs)
 from racebox.parser import MAX_NESTING, parse_program
-from racebox.randgen import GeneratorConfig, random_seq_program, sweep_program
+from racebox.randgen import (
+    GeneratorConfig, random_expr, random_seq_program, sweep_program)
 from report_digests import SHAPES, nested
-from racebox.syntax import Assign, Guard, sub_exprs
+from racebox.syntax import CMP_OPS, INF, Assign, Const, Guard, sub_exprs
 from reference_semantics import (
+    HOLDS,
     ConcreteState,
     FixpointBudgetExceeded,
     eval_concrete,
@@ -68,6 +71,65 @@ def test_division_keeps_exact_rationals():
     p = parse_program("thread 1 { y <- 1 / 3; }")
     vals, _ = eval_concrete(p.threads[0].body.expr, env(y=0))
     assert vals == frozenset({Fraction(1, 3)})
+
+
+def check_compiled(e, envs):
+    """`y <- e` and every `e cmp 0`, each compiled once by compile_prim,
+    give eval_concrete's values in value order, its error labels and
+    whether some value passes the guard, in every environment of envs."""
+    names = sorted(envs[0])
+    idx = {v: i for i, v in enumerate([*names, "y"])}
+    reads, w, assign = compile_prim(Assign(0, "y", e), idx)
+    assert w == idx["y"]
+    guards = {cmp: compile_prim(Guard(0, e, cmp), idx) for cmp in CMP_OPS}
+    for rho in envs:
+        vals, errs = eval_concrete(e, rho)
+        state = (*(rho[v] for v in names), 0)
+        key = tuple(state[k] for k in reads)
+        assert assign(key) == (sorted(vals), errs), (e, rho)
+        for cmp, (greads, gw, guard) in guards.items():
+            assert (greads, gw) == (reads, None)
+            holds = any(HOLDS[cmp](v, 0) for v in vals)
+            assert guard(key) == (holds, errs), (e, cmp, rho)
+
+
+def test_compiled_outcomes_match_the_reference_bulk():
+    """compile_prim evaluates the analyzers' tape over point sets; the
+    reference folds the expression itself.  2,000 (expression,
+    environment) pairs: each expression is compiled once and run in five
+    environments, so a node that reads a variable but is evaluated only
+    once shows."""
+    rng = random.Random(20261020)
+    cfg = GeneratorConfig(div_prob=0.5, wide_const_prob=0.4)
+    names = ["a", "b", "c"]
+    points = [*range(-3, 4), Fraction(1, 2), Fraction(-3, 2)]
+    for _ in range(400):
+        check_compiled(random_expr(rng, names, cfg, depth=3), [
+            {n: rng.choice(points) for n in names} for _ in range(5)])
+
+
+@pytest.mark.parametrize("expr", [
+    "[0,50] * [0,50]",  # a wide constant product, evaluated at compile time
+    "x + [0,50] * [0,50]",
+    "x * (x - 1 / [0,0] * 2)",  # a constant subtree that divides by zero
+    "- - x",
+    "-(x / (x - 1))",
+])
+def test_compiled_outcomes_match_the_reference(expr):
+    e = parse_program(f"thread 1 {{ y <- {expr}; }}").threads[0].body.expr
+    check_compiled(e, [{"x": v} for v in (-2, 0, 1, Fraction(1, 2), 3)])
+
+
+def test_compile_prim_refuses_an_unbounded_constant_subtree():
+    # the variable-free subtree is evaluated at compile time, so the
+    # refusal needs no outcome call
+    p = parse_program("thread 1 { y <- x + [-inf,0] * 2; }")
+    s = p.threads[0].body
+    with pytest.raises(UnsupportedMode):
+        compile_prim(s, {"x": 0, "y": 1})
+    # no program parses to [inf,inf], which holds no real number either
+    with pytest.raises(UnsupportedMode):
+        compile_prim(Assign(0, "y", Const(INF, INF)), {"y": 0})
 
 
 def test_exec_assign_enumerates_interval():

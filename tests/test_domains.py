@@ -1,4 +1,3 @@
-import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -20,7 +19,7 @@ from racebox.domains import (
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_expr
 from racebox.syntax import CMP_OPS, INF, NEG_INF, Const, Var
-from reference_semantics import eval_concrete
+from reference_semantics import HOLDS, eval_concrete
 
 F = Fraction
 
@@ -229,10 +228,6 @@ def test_abstract_soundness_bulk():
         checked += 1
 
 
-_HOLDS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-          ">": operator.gt, "<=": operator.le, ">=": operator.ge}
-
-
 def test_guard_refinement_soundness_bulk():
     """The backward HC4 sweep drops no integer point of the box at which
     some concrete value of e satisfies `e cmp 0`; so a bottom result means
@@ -254,7 +249,7 @@ def test_guard_refinement_soundness_bulk():
         for cmp in CMP_OPS:
             out, _ = transfer_guard(e, cmp, env, frozenset())
             for rho, vals in zip(points, values):
-                if any(_HOLDS[cmp](v, 0) for v in vals):
+                if any(HOLDS[cmp](v, 0) for v in vals):
                     assert not out.is_bot, (e, cmp, rho)
                     assert all(out.get(n).contains(rho[n]) for n in names), \
                         (e, cmp, rho, str(out))

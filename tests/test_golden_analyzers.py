@@ -43,13 +43,15 @@ def _blocks():
     return {"sweep": sweep, "seq": seq, "large": large}
 
 
-def _settings(p):
-    return {
+def _settings(p, mode):
+    out = {
         "default": {},
-        "self": dict(self_interference=(p.threads[0].tid,)),
         "decreasing": dict(decreasing_pass=True),
         "delay0": dict(widening_delay=0),
     }
+    if mode == "interference":  # the one analyzer that reads it
+        out["self"] = dict(self_interference=(p.threads[0].tid,))
+    return out
 
 
 def golden_digests() -> dict[str, str]:
@@ -64,7 +66,7 @@ def golden_digests() -> dict[str, str]:
             for mode, base in MODES.items():
                 if block == "seq" and mode.startswith("scheduled"):
                     continue
-                for name, extra in _settings(p).items():
+                for name, extra in _settings(p, mode).items():
                     h = hashes.setdefault(f"{block}/{mode}/{name}",
                                           hashlib.sha256())
                     try:
@@ -83,15 +85,12 @@ GOLDEN = {
     "large/scheduled-no-mono/decreasing": "c0ce814dd3bd15c0",
     "large/scheduled-no-mono/default": "434ef28fc45d6abf",
     "large/scheduled-no-mono/delay0": "72151df79ceb2841",
-    "large/scheduled-no-mono/self": "d9576c7adfb5b991",
     "large/scheduled/decreasing": "ddc11b4480c5741c",
     "large/scheduled/default": "a347a06361e53ac2",
     "large/scheduled/delay0": "55a43c12ce7ad94c",
-    "large/scheduled/self": "788b747faa53167e",
     "large/seq/decreasing": "3da66e85409222a9",
     "large/seq/default": "b19a899c21c32df9",
     "large/seq/delay0": "03c1091da7e13af1",
-    "large/seq/self": "d3766863b805b03f",
     "seq/interference/decreasing": "4e7175e521d3bb72",
     "seq/interference/default": "a08c87d7273274b0",
     "seq/interference/delay0": "e03588e7a7d9628f",
@@ -99,7 +98,6 @@ GOLDEN = {
     "seq/seq/decreasing": "e7ee59a3de200c25",
     "seq/seq/default": "98a82a4be9afcb00",
     "seq/seq/delay0": "4cc746cd2327524e",
-    "seq/seq/self": "a02fc97a612ea62f",
     "sweep/interference/decreasing": "c8310786bdc515bc",
     "sweep/interference/default": "d6c28526b691832f",
     "sweep/interference/delay0": "3b844a69c864efe0",
@@ -107,15 +105,12 @@ GOLDEN = {
     "sweep/scheduled-no-mono/decreasing": "122c885f4666f98d",
     "sweep/scheduled-no-mono/default": "33ab5302dfb6c631",
     "sweep/scheduled-no-mono/delay0": "8d7914405b25a05c",
-    "sweep/scheduled-no-mono/self": "d9c396d0d43a6075",
     "sweep/scheduled/decreasing": "506232dd90efebc6",
     "sweep/scheduled/default": "1c6af02532cdb68b",
     "sweep/scheduled/delay0": "ea8e2d45a6565c7f",
-    "sweep/scheduled/self": "ad01b626c8e9b860",
     "sweep/seq/decreasing": "e637ee75f60a831f",
     "sweep/seq/default": "0e7f963b4693537a",
     "sweep/seq/delay0": "06ba53e4e742e219",
-    "sweep/seq/self": "f72d8cd40fcb9bef",
 }
 
 

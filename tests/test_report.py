@@ -169,6 +169,31 @@ def test_self_interference_must_name_a_thread(corpus_source):
                        RunConfig(mode="interference", self_interference=(9,)))
 
 
+@pytest.mark.parametrize("fields, refused", [
+    ({"mode": "seq"}, True),
+    ({"mode": "scheduled"}, True),
+    ({"mode": "scheduled", "mono": False}, True),
+    ({"mode": "oracle-interleave"}, True),
+    ({"mode": "oracle-scheduled", "check_against": "scheduled"}, True),
+    ({"mode": "interference"}, False),
+    ({"mode": "fuzz"}, False),
+    ({"mode": "oracle-interleave", "check_against": "interference"}, False),
+    ({"mode": "oracle-scheduled", "check_against": "interference"}, False),
+])
+def test_config_self_interference_needs_the_interference_analyzer(
+        fields, refused):
+    """Only the interference analyzer reads --self-interference; every
+    other mode refuses it when the config is built, so no report echoes a
+    setting that its analysis ignored."""
+    if refused:
+        with pytest.raises(ValueError, match="^argument --self-interference:"
+                           " only the interference analyzer reads it$"):
+            RunConfig(**fields, self_interference=(1,))
+    else:
+        cfg = RunConfig(**fields, self_interference=(1,))
+        assert cfg.settings().self_interference == frozenset({1})
+
+
 @pytest.mark.parametrize("fields, flag", [
     ({"mode": "bogus"}, "--mode"),
     ({"mode": "oracle-interleave", "check_against": "bogus"},

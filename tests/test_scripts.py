@@ -1,11 +1,14 @@
 """The sweep and fuzz scripts' stdout on a small block, seconds masked,
-equals lines recorded before criteria 6 and 8 shared their loops."""
+equals lines recorded before criteria 6 and 8 shared their loops; and
+report_digests.py --diff lists the digests that moved."""
 
+import json
 import re
 
 import pytest
 
 import fuzz_transforms
+import report_digests
 import soundness_sweep
 
 SWEEP_20 = """\
@@ -45,3 +48,18 @@ def test_script_lines(main, argv, want, monkeypatch, capsys):
         main()
     assert exit_.value.code == 0
     assert re.sub(r"\d+\.\ds", "_s", capsys.readouterr().out) == want
+
+
+def test_report_digests_diff(tmp_path, monkeypatch, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"p/seq": "1", "p/fuzz": "2", "q/seq": "3"}))
+    b.write_text(json.dumps({"p/seq": "1", "p/fuzz": "9", "r/seq": "4"}))
+    for argv, code, out in [
+        ([a, a], 0, "0 of 3 keys differ\n"),
+        ([a, b], 1, f"p/fuzz differs\nq/seq only in {a}\n"
+                    f"r/seq only in {b}\n3 of 4 keys differ\n")]:
+        monkeypatch.setattr("sys.argv", ["script", "--diff", *map(str, argv)])
+        with pytest.raises(SystemExit) as exit_:
+            report_digests.main()
+        assert exit_.value.code == code
+        assert capsys.readouterr().out == out
