@@ -40,8 +40,6 @@ class BotNotRepresentable(Exception):
 
 
 def _add(a: Ext, b: Ext) -> Ext:
-    if is_finite(a) and is_finite(b):
-        return a + b
     if a == NEG_INF or b == NEG_INF:
         return NEG_INF
     if a == INF or b == INF:
@@ -64,7 +62,8 @@ def _mul(a: Ext, b: Ext) -> Ext:
 
 class Interval(NamedTuple):
     """Either bottom (lo is None) or [lo, hi] with lo <= hi.  A tuple, so
-    that equality and hashing run without Python calls."""
+    that equality and hashing run without Python calls; the operations
+    build theirs with _new, not the named tuple's Python-level __new__."""
 
     lo: Optional[Ext]
     hi: Optional[Ext]
@@ -92,18 +91,23 @@ class Interval(NamedTuple):
         return not self.is_bot and self.lo <= v <= self.hi
 
     def join(self, other: "Interval") -> "Interval":
-        lo, hi = self
-        olo, ohi = other
+        (lo, hi), (olo, ohi) = self, other
         if olo is None or lo is not None and lo <= olo and ohi <= hi:
             return self  # other is bottom or lies inside self
         if lo is None:
             return other
-        return Interval(olo if olo < lo else lo, ohi if ohi > hi else hi)
+        return _new(Interval, (olo if olo < lo else lo,
+                               ohi if ohi > hi else hi))
 
     def meet(self, other: "Interval") -> "Interval":
-        if self.is_bot or other.is_bot:
+        (lo, hi), (olo, ohi) = self, other
+        if lo is None or olo is None:
             return BOT
-        return Interval.of(max(self.lo, other.lo), min(self.hi, other.hi))
+        # on a tie, self's bound, as max and min keep their first argument
+        lo, hi = (olo if olo > lo else lo), (ohi if ohi < hi else hi)
+        if lo > hi or lo == INF or hi == NEG_INF:
+            return BOT
+        return _new(Interval, (lo, hi))
 
     def leq(self, other: "Interval") -> bool:
         if self.is_bot:
@@ -117,34 +121,41 @@ class Interval(NamedTuple):
         """Unstable bounds jump to the nearest covering threshold, then to
         infinity; guarantees stabilization in #thresholds + 2 steps per
         bound."""
-        if self.is_bot:
+        (lo, hi), (olo, ohi) = self, other
+        if lo is None:
             return other
-        if other.is_bot:
-            return self
-        lo = self.lo
-        if other.lo < self.lo:
-            below = [t for t in thresholds if t <= other.lo]
+        if olo is None or lo <= olo and ohi <= hi:
+            return self  # stable
+        if olo < lo:
+            below = [t for t in thresholds if t <= olo]
             lo = max(below) if below else NEG_INF
-        hi = self.hi
-        if other.hi > self.hi:
-            above = [t for t in thresholds if t >= other.hi]
+        if ohi > hi:
+            above = [t for t in thresholds if t >= ohi]
             hi = min(above) if above else INF
-        return Interval(lo, hi)
+        return _new(Interval, (lo, hi))
 
-    # arithmetic
+    # arithmetic: a float bound is infinite, and only then does _add run
 
     def __neg__(self) -> "Interval":
-        if self.is_bot:
-            return BOT
-        return Interval(-self.hi, -self.lo)  # float negation maps inf to -inf
+        lo, hi = self  # float negation maps inf to -inf
+        return BOT if lo is None else _new(Interval, (-hi, -lo))
 
     def add(self, other: "Interval") -> "Interval":
-        if self.is_bot or other.is_bot:
+        (lo, hi), (olo, ohi) = self, other
+        if lo is None or olo is None:
             return BOT
-        return Interval(_add(self.lo, other.lo), _add(self.hi, other.hi))
+        if float in (lo.__class__, hi.__class__, olo.__class__, ohi.__class__):
+            return _new(Interval, (_add(lo, olo), _add(hi, ohi)))
+        return _new(Interval, (lo + olo, hi + ohi))
 
     def sub(self, other: "Interval") -> "Interval":
-        return self.add(-other)
+        """self.add(-other), without building -other."""
+        (lo, hi), (olo, ohi) = self, other
+        if lo is None or olo is None:
+            return BOT
+        if float in (lo.__class__, hi.__class__, olo.__class__, ohi.__class__):
+            return _new(Interval, (_add(lo, -ohi), _add(hi, -olo)))
+        return _new(Interval, (lo - ohi, hi - olo))
 
     def mul(self, other: "Interval") -> "Interval":
         if self.is_bot or other.is_bot:
@@ -220,6 +231,7 @@ class Interval(NamedTuple):
         return f"[{fmt_ext(self.lo)},{fmt_ext(self.hi)}]"
 
 
+_new = tuple.__new__
 BOT = Interval(None, None)
 
 

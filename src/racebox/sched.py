@@ -32,7 +32,6 @@ from typing import Iterable, NamedTuple
 from . import config
 from .config import AnalysisSettings, LimitReached
 from .domains import (
-    BOT,
     BoxEnv,
     Interval,
     Tape,
@@ -122,6 +121,7 @@ ReadEvent = tuple[int, int, str, SchedConfig, SchedConfig]  # reader, writer
 # per variable: the joined interference a read may see, and its writers
 InterferenceView = tuple[dict[str, Interval],
                          dict[str, set[tuple[int, SchedConfig]]]]
+ByConfig = dict[SchedConfig, list[tuple[int, str, Interval]]]
 
 SYNC_SKIPPED = ("synchronization primitives are no-ops in this analysis;"
                 " use the scheduled analyzer for mutex precision")
@@ -169,19 +169,35 @@ def unpartitioned(envs: PartitionedEnv) -> BoxEnv:
     return envs.get(C0, BoxEnv.bot())
 
 
+def _by_config(interf: InterferenceMap, skip: int | None = None) -> ByConfig:
+    """interf's entries that thread `skip` did not write, grouped by
+    configuration as (writer, variable, value)."""
+    groups: ByConfig = {}
+    for (t2, c2, x), v in interf.items():
+        if t2 != skip:
+            groups.setdefault(c2, []).append((t2, x, v))
+    return groups
+
+
+def _view_of(c: SchedConfig, groups: ByConfig) -> InterferenceView:
+    """What a read under c may see of the grouped entries: intf is asked
+    once per configuration."""
+    by_var: dict[str, Interval] = {}
+    writers: dict[str, set[tuple[int, SchedConfig]]] = {}
+    for c2, entries in groups.items():
+        if intf(c, c2):
+            for t2, x, v in entries:
+                put(by_var, x, v)
+                writers.setdefault(x, set()).add((t2, c2))
+    return by_var, writers
+
+
 def interference_view(t: int, c: SchedConfig, interf: InterferenceMap,
                       self_threads: frozenset[int] = frozenset(),
                       ) -> InterferenceView:
     """What a read by thread t under c may see: the interferences of other
     threads (and its own if t is in self_threads) at compatible configs."""
-    by_var: dict[str, Interval] = {}
-    writers: dict[str, set[tuple[int, SchedConfig]]] = {}
-    own = t in self_threads
-    for (t2, c2, x), v in interf.items():
-        if (own or t2 != t) and intf(c, c2):
-            by_var[x] = by_var.get(x, BOT).join(v)
-            writers.setdefault(x, set()).add((t2, c2))
-    return by_var, writers
+    return _view_of(c, _by_config(interf, None if t in self_threads else t))
 
 
 def read_env(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
@@ -329,6 +345,7 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     locks = lock_sets if lock_sets is not None else {}
     own = mode == "interference" and t in settings.self_interference
     tapes = {} if tapes is None else tapes
+    foreign = _by_config(st.interf, t)  # fixed during the pass
     views: dict[SchedConfig, InterferenceView] = {}
     # each loop's last (input, result), per node: hand-built sids repeat
     last_run: dict[While, tuple[AbsStateC, AbsStateC]] = {}
@@ -340,15 +357,12 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
 
     def read(c: SchedConfig, x: AbsStateC, e: Expr,
              ) -> tuple[Tape, BoxEnv, frozenset[str]]:
-        # foreign entries are fixed during a pass, so their view is
-        # computed once per configuration
         if own:  # t reads its own live entries too
-            view = interference_view(t, c, {**st.interf, **x.interf},
-                                     frozenset({t}))
+            view = _view_of(c, _by_config({**st.interf, **x.interf}))
         elif c in views:
             view = views[c]
         else:
-            view = views[c] = interference_view(t, c, st.interf)
+            view = views[c] = _view_of(c, foreign)
         tape = tapes.get(id(e))
         if tape is None:
             tape = tapes[id(e)] = compile_tape(e)

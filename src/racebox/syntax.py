@@ -83,9 +83,11 @@ class Record:
     result records.  A subclass's fields are its own annotations, in
     order, and its class-level values are their defaults.  One __init__
     takes the fields by position or by name (then calls __post_init__ if
-    the class has one).  Records are immutable, equal when of the same
-    class with equal compared fields (all of them unless the class names
-    them with `compare=`), and hash as the tuple of those fields."""
+    the class has one); a subclass that builds many records gets its own
+    (_counting_init), which takes the calls with every field by position.
+    Records are immutable, equal when of the same class with equal
+    compared fields (all of them unless the class names them with
+    `compare=`), and hash as the tuple of those fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -103,6 +105,7 @@ class Record:
         cls._key = staticmethod(get if len(names) != 1
                                 else lambda x: (get(x),))
         cls._post_init = hasattr(cls, "__post_init__")
+        cls.__init__ = _counting_init(cls)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -140,6 +143,44 @@ class Record:
     def __repr__(self) -> str:
         fields = (f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+
+# records a class builds through the generic __init__ before it compiles
+# its own: the compile (about 90 us) costs what the compiled one saves
+# over about as many
+COMPILE_AFTER = 256
+
+
+def _counting_init(cls: type[Record]) -> Callable[..., None]:
+    """cls's __init__ until it has built COMPILE_AFTER records: the generic
+    one, counting; then cls's own (_positional_init) replaces it.  A run
+    that builds few records of a class, as a cold CLI start does, never
+    pays the compile."""
+    built = 0
+
+    def __init__(self, *args, **kwargs) -> None:
+        nonlocal built
+        built += 1
+        if built == COMPILE_AFTER:
+            cls.__init__ = _positional_init(cls)
+        Record.__init__(self, *args, **kwargs)
+    return __init__
+
+
+def _positional_init(cls: type[Record]) -> Callable[..., None]:
+    """cls's constructor, generated as a dataclass's __init__ is: it sets
+    every field given by position directly, and passes other calls on."""
+    fields = cls._fields
+    src = (f"def __init__(self, *args, **kwargs):\n"
+           f"    if kwargs or len(args) != {len(fields)}:\n"
+           f"        return _generic(self, *args, **kwargs)\n"
+           f"    ({''.join(f'a{i}, ' for i in range(len(fields)))}) = args\n"
+           + "".join(f"    _set(self, {n!r}, a{i})\n"
+                     for i, n in enumerate(fields))
+           + ("    self.__post_init__()\n" if cls._post_init else ""))
+    ns = {"_set": _set, "_generic": Record.__init__}
+    exec(src, ns)
+    return ns["__init__"]
 
 
 class Location(Record, compare=("label",)):

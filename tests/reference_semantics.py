@@ -6,14 +6,7 @@ from __future__ import annotations
 
 import operator
 
-from racebox.concrete import (
-    Env,
-    PathSet,
-    VarIndex,
-    compile_prim,
-    const_points,
-    start_envs,
-)
+from racebox.concrete import Env, PathSet, VarIndex, const_points, start_envs
 from racebox.syntax import (
     Assign,
     Block,
@@ -36,6 +29,7 @@ from racebox.syntax import (
     ratdiv,
     stmt_exprs,
     then_guard,
+    vars_of_expr,
 )
 
 
@@ -106,23 +100,29 @@ def eval_concrete(e: Expr, rho: dict[str, Num]
 
 
 def _prim(s: Stmt, st: ConcreteState) -> ConcreteState:
+    """An Assign or a Guard on every environment, through eval_concrete:
+    not through the oracles' compiled primitives, which this checks."""
     if not st.envs:
         return st
-    reads, w, outcome = compile_prim(s, st.index())
-    memo: dict = {}  # outcome per values of the variables s reads
+    idx = st.index()
+    names = tuple(vars_of_expr(s.expr))
+    reads = [idx[x] for x in names]
+    w = idx[s.var] if isinstance(s, Assign) else None
+    memo: dict = {}  # eval_concrete per values of the variables s reads
     envs: set[Env] = set()
     errors = set(st.errors)
     for env in st.envs:
-        key = tuple(env[k] for k in reads)
+        key = tuple(env[i] for i in reads)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = outcome(key)
-        errors |= out[1]
+            out = memo[key] = eval_concrete(s.expr, dict(zip(names, key)))
+        vals, errs = out
+        errors |= errs
         if w is None:
-            if out[0]:
+            if any(HOLDS[s.cmp](v, 0) for v in vals):
                 envs.add(env)
         else:
-            envs.update(env[:w] + (v,) + env[w + 1:] for v in out[0])
+            envs.update(env[:w] + (v,) + env[w + 1:] for v in vals)
     return ConcreteState(st.vars, frozenset(envs), frozenset(errors))
 
 

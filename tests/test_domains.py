@@ -126,6 +126,100 @@ def test_interval_arithmetic_sound_hypothesis(a, b, c, d, u, v):
         assert had0 == y.contains(0)
 
 
+# -- the direct-tuple kernels against their former definitions, which went
+# through is_bot, Interval.of, is_finite and the named tuple's __new__
+
+
+def _ref_add_ext(a, b):
+    if not isinstance(a, float) and not isinstance(b, float):
+        return a + b
+    if a == NEG_INF or b == NEG_INF:
+        return NEG_INF
+    return INF if a == INF or b == INF else a + b
+
+
+def _ref_mul_ext(a, b):
+    if a == 0 or b == 0:
+        return 0
+    if not isinstance(a, float) and not isinstance(b, float):
+        return a * b
+    return NEG_INF if (a < 0) != (b < 0) else INF
+
+
+def _ref_neg(x):
+    return BOT if x.is_bot else Interval(-x.hi, -x.lo)
+
+
+def _ref_add(x, y):
+    if x.is_bot or y.is_bot:
+        return BOT
+    return Interval(_ref_add_ext(x.lo, y.lo), _ref_add_ext(x.hi, y.hi))
+
+
+REFERENCE_KERNELS = {
+    "join": lambda x, y: (
+        x if y.is_bot or not x.is_bot and x.lo <= y.lo and y.hi <= x.hi
+        else y if x.is_bot
+        else Interval(y.lo if y.lo < x.lo else x.lo,
+                      y.hi if y.hi > x.hi else x.hi)),
+    "meet": lambda x, y: (
+        BOT if x.is_bot or y.is_bot
+        else Interval.of(max(x.lo, y.lo), min(x.hi, y.hi))),
+    "add": _ref_add,
+    "sub": lambda x, y: _ref_add(x, _ref_neg(y)),
+    "mul": lambda x, y: BOT if x.is_bot or y.is_bot else Interval(
+        min(c := [_ref_mul_ext(a, b) for a in x for b in y]), max(c)),
+}
+
+
+def _ref_widen(x, y, thresholds):
+    if x.is_bot:
+        return y
+    if y.is_bot:
+        return x
+    lo, hi = x
+    if y.lo < x.lo:
+        below = [t for t in thresholds if t <= y.lo]
+        lo = max(below) if below else NEG_INF
+    if y.hi > x.hi:
+        above = [t for t in thresholds if t >= y.hi]
+        hi = min(above) if above else INF
+    return Interval(lo, hi)
+
+
+# ints, Fractions (F(4, 2) is an integral Fraction, equal to the int 2) and
+# an int too large to convert to a float, so that finite + inf must not
+BOUNDS = (-3, -1, 0, 1, 2, 5, F(1, 2), F(-7, 3), F(4, 2), F(0), 10 ** 400)
+
+
+def _random_interval(rng: random.Random) -> Interval:
+    if rng.random() < 0.1:
+        return BOT
+    lo, hi = sorted(rng.sample(BOUNDS, 2)) if rng.random() < 0.8 else \
+        [rng.choice(BOUNDS)] * 2
+    return Interval(NEG_INF if rng.random() < 0.2 else lo,
+                    INF if rng.random() < 0.2 else hi)
+
+
+def _typed(x: Interval) -> tuple:
+    """x's bounds with their types: 2 and F(2) are equal, not the same."""
+    return type(x), tuple((type(b), b) for b in x)
+
+
+def test_interval_kernels_match_their_reference_definitions():
+    rng = random.Random(20261020)
+    for _ in range(4000):
+        x, y = _random_interval(rng), _random_interval(rng)
+        for name, ref in REFERENCE_KERNELS.items():
+            assert _typed(getattr(x, name)(y)) == _typed(ref(x, y)), \
+                (name, x, y)
+        assert _typed(-x) == _typed(_ref_neg(x)), x
+        thresholds = tuple(sorted(rng.sample(BOUNDS, rng.randint(0, 4))))
+        for thr in ((), thresholds):
+            assert _typed(x.widen(y, thr)) == _typed(_ref_widen(x, y, thr)), \
+                (x, y, thr)
+
+
 # -- get / as_expr
 
 
