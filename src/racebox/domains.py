@@ -10,7 +10,7 @@ single HC4-style backward sweep over the same tape; neither recurses.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .syntax import (
     INF,
@@ -226,9 +226,8 @@ class Interval(NamedTuple):
         return self  # != : holes are not representable
 
     def __str__(self) -> str:
-        if self.is_bot:
-            return "⊥"
-        return f"[{fmt_ext(self.lo)},{fmt_ext(self.hi)}]"
+        lo, hi = self
+        return "⊥" if lo is None else f"[{fmt_ext(lo)},{fmt_ext(hi)}]"
 
 
 _new = tuple.__new__
@@ -281,17 +280,11 @@ class BoxEnv:
         return self._m[var]
 
     def set(self, var: str, v: Interval) -> "BoxEnv":
-        if self._m is None or v.is_bot:
+        if self._m is None or v.lo is None:
             return _BOT_ENV
         m = dict(self._m)
         m[var] = v
         return BoxEnv(m)
-
-    def join_at(self, vals: dict[str, Interval]) -> "BoxEnv":
-        """self with each variable of vals joined with its value there."""
-        m = self._m
-        return self if m is None else BoxEnv(
-            {**m, **{x: m[x].join(v) for x, v in vals.items()}})
 
     def join(self, other: "BoxEnv") -> "BoxEnv":
         if self.is_bot:
@@ -321,11 +314,15 @@ class BoxEnv:
             return NotImplemented
         return self._m == other._m
 
-    def __str__(self) -> str:
-        if self.is_bot:
+    def show(self, text: Callable[[Interval], str] = str) -> str:
+        """The environment with its variables in order, each value
+        written by text."""
+        m = self._m
+        if m is None:
             return "⊥"
-        return "{" + ", ".join(f"{v}: {self._m[v]}"
-                               for v in sorted(self._m)) + "}"
+        return "{" + ", ".join([f"{v}: {text(m[v])}" for v in sorted(m)]) + "}"
+
+    __str__ = show
 
 
 _BOT_ENV = BoxEnv(None)
@@ -387,7 +384,7 @@ def run_tape(tape: Tape, env: BoxEnv,
         else:
             l = vals[a]
             v, had_zero = l.div(vals[b])
-            if had_zero and not l.is_bot:
+            if had_zero and l.lo is not None:
                 errs.add(loc)
         vals.append(v)
     return vals, frozenset(errs)
@@ -410,13 +407,13 @@ def _refine(tape: Tape, target: Interval, vals: list[Interval],
     while stack:
         i, target = stack.pop()
         target = target.meet(vals[i])
-        if target.is_bot:
+        if target.lo is None:
             return False
         op, a, b, _ = code[i]
         if op == "var":
             if a not in fixed:
                 newv = bounds[a].meet(target)
-                if newv.is_bot:
+                if newv.lo is None:
                     return False
                 bounds[a] = newv
         elif op == "neg":
@@ -447,12 +444,12 @@ def guard_in(tape: Tape, cmp: str, env: BoxEnv, seen: BoxEnv,
              ) -> tuple[BoxEnv, frozenset[Location]]:
     """Guard `tape cmp 0` on env, evaluated in `seen`; the variables in
     `fixed` (those `seen` widened) are not refined."""
-    if env.is_bot:
+    if env._m is None:
         return env, errors
     vals, errs = run_tape(tape, seen)
     errors = errors | errs
     val = vals[-1]
-    if val.is_bot or not val.sat(cmp):
+    if val.lo is None or not val.sat(cmp):
         return BoxEnv.bot(), errors
     bounds = dict(env._m)
     if not _refine(tape, val.refine_cmp(cmp), vals, bounds, fixed):

@@ -2,9 +2,10 @@
 
 Numeric literals are exact rationals (decimal or p/q syntax inside interval
 brackets); a scalar constant c is sugar for [c,c].  `#` starts a line
-comment.  Operator labels and statement ids are assigned canonically
-(depth-first, left-to-right) after parsing, so pretty-printed programs
-reparse to identical ASTs.
+comment.  The parser reads the tokens into plain tuples; once the threads
+are sorted by id, it builds each record once, with its canonical operator
+label and statement id (depth-first, left-to-right), so pretty-printed
+programs reparse to identical ASTs.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from .syntax import (
     CMP_OPS,
     INF,
     NEG_INF,
+    SKIP,
     Assign,
     BinOp,
+    Block,
     Const,
     Expr,
     Ext,
+    Guard,
     If,
     IsLocked,
     Location,
@@ -29,16 +33,15 @@ from .syntax import (
     Neg,
     Num,
     Program,
+    Record,
     Stmt,
     Thread,
     Unlock,
     Var,
     While,
     Yield,
-    block,
     num,
     ratdiv,
-    relabel_program,
 )
 
 
@@ -61,22 +64,18 @@ class DuplicateThreadId(ParseError):
     pass
 
 
-_KEYWORDS = {
+_KEYWORDS = frozenset({
     "var", "mutex", "thread", "if", "then", "while", "do",
     "lock", "unlock", "yield", "islocked", "inf",
-}
+})
+_PUNCTS = frozenset({"<-", "<=", ">=", "!=", *"{}()[],;=<>+*/-"})
 
-# one alternation, tried left to right at each position: runs of
-# whitespace and `#` comments, ASCII-only numbers (str.isdigit also accepts
-# digits that num refuses), words, punctuation longest first, and
-# any other character
-_TOKEN = re.compile("|".join([
-    r"(?P<space>(?:\s|#[^\n]*)+)",
-    r"(?P<num>[0-9]+(?:\.[0-9]+)?)",
-    r"(?P<word>\w+)",
-    r"(?P<punct><-|<=|>=|!=|[{}()\[\],;=<>+*/-])",
-    r"(?P<bad>.)",
-]), re.DOTALL)
+# one match per token of a line: the run of whitespace and `#` comment
+# before it, then the token, tried left to right: an ASCII-only number
+# (str.isdigit also accepts digits that num refuses), a word, a
+# two-character operator, or any one character (punctuation, or else an
+# error).  The token is optional, so trailing space ends a line's matches.
+_TOKEN = re.compile(r"(?:\s|#.*)*([0-9]+(?:\.[0-9]+)?|\w+|<-|<=|>=|!=|.)?")
 
 
 class _Tok(NamedTuple):
@@ -86,29 +85,56 @@ class _Tok(NamedTuple):
     col: int
 
 
+def _kind(word: str, line: int, col: int) -> str:
+    if word in _PUNCTS:
+        return "punct"
+    c = word[0]
+    if "0" <= c <= "9":
+        return "num"
+    # a word may only start with a letter or `_`; \w also holds digits
+    if c.isalpha() or c == "_":
+        return "kw" if word in _KEYWORDS else "ident"
+    raise ParseError(f"unexpected character {c!r}", line, col)
+
+
 def _tokenize(text: str) -> list[_Tok]:
+    """The tokens of text, line by line (only a newline starts a line;
+    other line breaks are whitespace), each kind worked out once per
+    text."""
     toks: list[_Tok] = []
-    line, bol = 1, 0  # bol: offset of the current line's first character
-    for m in _TOKEN.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        if kind == "space":
-            if "\n" in word:
-                line += word.count("\n")
-                bol = m.start() + word.rindex("\n") + 1
-            continue
-        col = m.start() - bol + 1
-        # a word may only start with a letter or `_`; \w also holds digits
-        if kind == "bad" or (kind == "word" and not (
-                word[0].isalpha() or word[0] == "_")):
-            raise ParseError(f"unexpected character {word[0]!r}", line, col)
-        if kind == "word":
-            kind = "kw" if word in _KEYWORDS else "ident"
-        toks.append(_Tok(kind, word, line, col))
-    toks.append(_Tok("eof", "", line, len(text) - bol + 1))
+    kinds: dict[str, str] = {}
+    new = tuple.__new__
+    for line, ln in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(ln):
+            word = m[1]
+            if word is None:
+                continue
+            col = m.start(1) + 1
+            kind = kinds.get(word)
+            if kind is None:
+                kind = kinds[word] = _kind(word, line, col)
+            toks.append(new(_Tok, (kind, word, line, col)))
+    toks.append(new(_Tok, ("eof", "", line, len(ln) + 1)))
     return toks
 
 
+def _number(text: str) -> Num:
+    return int(text) if "." not in text else num(text)
+
+
+# A parsed statement is a tuple (record class, fields but the sid...),
+# with a Block's statements in a list and SKIP as (Guard,); a parsed
+# operator is (op, line, col, operand) for a negation, whose op is "-u",
+# and (op, line, col, left, right) for a binary one.  Variables and
+# constants carry no label, so they are records from the start.
+_SKIP = (Guard,)
+
+
 class _Parser:
+    """Parses the tokens into tuples, then builds each record once, in
+    thread id order, with its canonical sid and labels (the numbering
+    syntax._Labeler defines)."""
+
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.pos = 0
@@ -117,250 +143,309 @@ class _Parser:
         self.declared_mutexes: list[str] = []
         self.used_vars: list[str] = []
         self.used_mutexes: list[str] = []
+        self.sid = 1  # the next statement id and operator label to build
+        self.label = 1
 
     # -- token helpers
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
+    def expect(self, text: str) -> _Tok:
+        """The next token, which must read text (a keyword or punctuation:
+        their texts name their kinds)."""
         t = self.toks[self.pos]
+        if t.text != text:
+            raise self.unexpected(text)
         self.pos += 1
         return t
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+    def expect_kind(self, kind: str) -> _Tok:
+        t = self.toks[self.pos]
+        if t.kind != kind:
+            raise self.unexpected(kind)
+        self.pos += 1
+        return t
 
-    def expect(self, kind: str, text: str | None = None) -> _Tok:
-        t = self.peek()
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}",
-                             t.line, t.col)
-        return self.next()
+    def unexpected(self, want: str) -> ParseError:
+        t = self.toks[self.pos]
+        return ParseError(f"expected {want!r}, found {t.text or t.kind!r}",
+                          t.line, t.col)
 
     def err(self, msg: str) -> ParseError:
-        t = self.peek()
+        t = self.toks[self.pos]
         return ParseError(msg, t.line, t.col)
 
     # -- program structure
 
     def program(self) -> Program:
-        while self.at("kw", "var") or self.at("kw", "mutex"):
+        toks = self.toks
+        while toks[self.pos].text in ("var", "mutex"):
             self.decl()
-        threads: list[Thread] = []
+        threads: list[tuple[int, tuple]] = []
         seen: set[int] = set()
-        while self.at("kw", "thread"):
-            t = self.thread()
-            if t.tid in seen:
-                tok = self.toks[self.pos - 1]
-                raise DuplicateThreadId(f"duplicate thread id {t.tid}",
+        while toks[self.pos].text == "thread":
+            tid, body = self.thread()
+            if tid in seen:
+                tok = toks[self.pos - 1]
+                raise DuplicateThreadId(f"duplicate thread id {tid}",
                                         tok.line, tok.col)
-            seen.add(t.tid)
-            threads.append(t)
+            seen.add(tid)
+            threads.append((tid, body))
         if not threads:
             raise self.err("program needs at least one thread")
-        self.expect("eof")
+        self.expect_kind("eof")
         n = len(threads)
         if seen != set(range(1, n + 1)):
             raise ParseError(
                 f"thread ids must be exactly 1..{n}, got {sorted(seen)}", 1, 1)
-        threads.sort(key=lambda t: t.tid)
+        threads.sort(key=lambda t: t[0])
 
         variables = sorted(set(self.declared_vars) | set(self.used_vars))
         initial = tuple(
             (v, iv) for v, iv in sorted(self.declared_vars.items())
             if iv is not None)
         mutexes = tuple(sorted(set(self.declared_mutexes) | set(self.used_mutexes)))
-        prog = Program(
-            threads=tuple(threads),
-            mutexes=mutexes,
-            variables=tuple(variables),
-            initial=initial,
-        )
-        return relabel_program(prog)
+        return Program(
+            tuple(Thread(tid, self.build(body)) for tid, body in threads),
+            mutexes, tuple(variables), initial)
 
     def decl(self) -> None:
-        if self.at("kw", "var"):
-            self.next()
-            tok = self.expect("ident")
+        if self.toks[self.pos].text == "var":
+            self.pos += 1
+            tok = self.expect_kind("ident")
             if tok.text in self.declared_vars:
                 raise ParseError(f"variable {tok.text} declared twice",
                                  tok.line, tok.col)
             init: tuple[Ext, Ext] | None = None
-            if self.at("punct", "="):
-                self.next()
+            if self.toks[self.pos].text == "=":
+                self.pos += 1
                 init = self.interval_literal()
-            self.expect("punct", ";")
+            self.expect(";")
             self.declared_vars[tok.text] = init
         else:
-            self.expect("kw", "mutex")
-            name = self.expect("ident").text
-            self.expect("punct", ";")
+            self.expect("mutex")
+            name = self.expect_kind("ident").text
+            self.expect(";")
             self.declared_mutexes.append(name)
 
-    def thread(self) -> Thread:
-        self.expect("kw", "thread")
-        tok = self.expect("num")
+    def thread(self) -> tuple[int, tuple]:
+        self.expect("thread")
+        tok = self.expect_kind("num")
         if "." in tok.text:
             raise ParseError("thread id must be an integer", tok.line, tok.col)
         tid = int(tok.text)
         if tid <= 0:
             raise ParseError("thread id must be positive", tok.line, tok.col)
-        body = self.block()
-        return Thread(tid, body)
+        return tid, self.block()
 
-    def block(self) -> Stmt:
-        tok = self.expect("punct", "{")
+    def block(self) -> tuple:
+        tok = self.expect("{")
         if self.depth > MAX_NESTING:
             raise ParseError(f"blocks nested more than {MAX_NESTING} deep",
                              tok.line, tok.col)
         self.depth += 1
-        stmts: list[Stmt] = []
-        while not self.at("punct", "}"):
+        stmts: list[tuple] = []
+        toks = self.toks
+        while toks[self.pos].text != "}":
             stmts.append(self.stmt())
-        self.expect("punct", "}")
+        self.pos += 1
         self.depth -= 1
-        return block(stmts)
+        if len(stmts) < 2:
+            return stmts[0] if stmts else _SKIP
+        return (Block, stmts)
 
-    def stmt(self) -> Stmt:
-        if self.at("punct", "{"):
-            return self.block()
-        if self.at("kw", "if"):
-            self.next()
-            e, cmp = self.condition()
-            self.expect("kw", "then")
-            return If(0, e, cmp, self.block())
-        if self.at("kw", "while"):
-            self.next()
-            e, cmp = self.condition()
-            self.expect("kw", "do")
-            return While(0, e, cmp, self.block())
-        if self.at("kw", "lock") or self.at("kw", "unlock"):
-            kw = self.next().text
-            self.expect("punct", "(")
-            m = self.mutex_name()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return Lock(0, m) if kw == "lock" else Unlock(0, m)
-        if self.at("kw", "yield"):
-            self.next()
-            self.expect("punct", ";")
-            return Yield(0)
-        if self.at("ident"):
-            name = self.var_name()
-            self.expect("punct", "<-")
-            if self.at("kw", "islocked"):
-                self.next()
-                self.expect("punct", "(")
+    def stmt(self) -> tuple:
+        t = self.toks[self.pos]
+        text = t.text
+        if t.kind == "ident":
+            self.pos += 1
+            self.used_vars.append(text)
+            self.expect("<-")
+            if self.toks[self.pos].text == "islocked":
+                self.pos += 1
+                self.expect("(")
                 m = self.mutex_name()
-                self.expect("punct", ")")
-                self.expect("punct", ";")
-                return IsLocked(0, name, m)
+                self.expect(")")
+                self.expect(";")
+                return (IsLocked, text, m)
             e = self.expr()
-            self.expect("punct", ";")
-            return Assign(0, name, e)
+            self.expect(";")
+            return (Assign, text, e)
+        if text == "{":
+            return self.block()
+        if text == "if" or text == "while":
+            self.pos += 1
+            e, cmp = self.condition()
+            self.expect("then" if text == "if" else "do")
+            return (If if text == "if" else While, e, cmp, self.block())
+        if text == "lock" or text == "unlock":
+            self.pos += 1
+            self.expect("(")
+            m = self.mutex_name()
+            self.expect(")")
+            self.expect(";")
+            return (Lock if text == "lock" else Unlock, m)
+        if text == "yield":
+            self.pos += 1
+            self.expect(";")
+            return (Yield,)
         raise self.err("expected a statement")
 
-    def condition(self) -> tuple[Expr, str]:
+    def condition(self) -> tuple[tuple | Expr, str]:
         e = self.expr()
-        t = self.peek()
-        if t.kind == "punct" and t.text in CMP_OPS:
-            self.next()
-        else:
+        t = self.toks[self.pos]
+        if t.text not in CMP_OPS:
             raise self.err("expected a comparison operator")
-        zero = self.expect("num")
+        self.pos += 1
+        zero = self.expect_kind("num")
         if zero.text != "0":
             raise ParseError("comparisons are against 0", zero.line, zero.col)
         return e, t.text
 
-    def var_name(self) -> str:
-        t = self.expect("ident")
-        self.used_vars.append(t.text)
-        return t.text
-
     def mutex_name(self) -> str:
-        t = self.expect("ident")
-        self.used_mutexes.append(t.text)
-        return t.text
+        name = self.expect_kind("ident").text
+        self.used_mutexes.append(name)
+        return name
 
     # -- expressions
 
-    def expr(self) -> Expr:
+    def expr(self) -> tuple | Expr:
         """Operator precedence over explicit stacks, so that no nesting of
         prefix `-` or parentheses makes the parser recurse: `-` binds
         tightest, then `*` `/`, then `+` `-`, all left-associative."""
-        ops: list[tuple[int, _Tok] | None] = []  # None marks an open `(`
-        vals: list[Expr] = []
+        toks = self.toks
+        pos = self.pos
+        # pending operators as (precedence, op, line, col); None marks an
+        # open `(`
+        ops: list[tuple | None] = []
+        vals: list = []
         while True:
-            while self.at("punct", "-") or self.at("punct", "("):
-                t = self.next()
-                ops.append((3, t) if t.text == "-" else None)
-            vals.append(self.atom())
+            t = toks[pos]
+            while t.text == "-" or t.text == "(":
+                ops.append((3, "-u", t.line, t.col) if t.text == "-" else None)
+                pos += 1
+                t = toks[pos]
+            if t.kind == "ident":
+                self.used_vars.append(t.text)
+                vals.append(Var(t.text))
+            elif t.kind == "num":
+                c = _number(t.text)
+                vals.append(Const(c, c))
+            else:
+                self.pos = pos
+                if t.text != "[":
+                    raise self.err("expected an expression")
+                vals.append(Const(*self.interval_literal()))
+                pos = self.pos - 1
+            pos += 1
             while True:  # after an operand: reduce, then close a `(`
-                t = self.peek()
-                prec = BIN_PREC.get(t.text, 0) if t.kind == "punct" else 0
+                t = toks[pos]
+                prec = BIN_PREC.get(t.text, 0)
                 while ops and ops[-1] is not None and ops[-1][0] >= prec:
-                    p, op = ops.pop()
+                    p, op, line, col = ops.pop()
                     if p == 3:
-                        loc = Location(0, op.line, op.col, "-u")
-                        vals[-1] = Neg(loc, vals[-1])
+                        vals[-1] = (op, line, col, vals[-1])
                     else:
-                        loc = Location(0, op.line, op.col, op.text)
                         right = vals.pop()
-                        vals[-1] = BinOp(op.text, loc, vals[-1], right)
+                        vals[-1] = (op, line, col, vals[-1], right)
                 if prec or not ops:
                     break
-                self.expect("punct", ")")
+                if t.text != ")":
+                    self.pos = pos
+                    raise self.unexpected(")")
+                pos += 1
                 ops.pop()
             if not prec:
+                self.pos = pos
                 return vals[0]
-            ops.append((prec, self.next()))
-
-    def atom(self) -> Expr:
-        if self.at("punct", "["):
-            return Const(*self.interval_literal())
-        if self.at("num"):
-            c = self.number()
-            return Const(c, c)
-        if self.at("ident"):
-            return Var(self.var_name())
-        raise self.err("expected an expression")
-
-    def number(self) -> Num:
-        return num(self.expect("num").text)
+            ops.append((prec, t.text, t.line, t.col))
+            pos += 1
 
     def endpoint(self) -> Ext:
         neg = False
-        if self.at("punct", "-"):
-            self.next()
+        if self.toks[self.pos].text == "-":
+            self.pos += 1
             neg = True
-        if self.at("kw", "inf"):
-            self.next()
+        if self.toks[self.pos].text == "inf":
+            self.pos += 1
             return NEG_INF if neg else INF
-        c = self.number()
+        c = _number(self.expect_kind("num").text)
         # p/q rational syntax is only available inside interval brackets
-        if self.at("punct", "/"):
-            self.next()
-            d = self.number()
+        if self.toks[self.pos].text == "/":
+            self.pos += 1
+            t = self.expect_kind("num")
+            d = _number(t.text)
             if d == 0:
-                t = self.toks[self.pos - 1]
                 raise ParseError("zero denominator in rational literal",
                                  t.line, t.col)
             c = ratdiv(c, d)
         return -c if neg else c
 
     def interval_literal(self) -> tuple[Ext, Ext]:
-        tok = self.expect("punct", "[")
+        tok = self.expect("[")
         lo = self.endpoint()
-        self.expect("punct", ",")
+        self.expect(",")
         hi = self.endpoint()
-        self.expect("punct", "]")
+        self.expect("]")
         # [inf,inf] and [-inf,-inf] hold no real number either
         if lo > hi or lo == INF or hi == NEG_INF:
             raise ParseError(f"empty interval [{lo},{hi}]", tok.line, tok.col)
         return lo, hi
+
+    # -- the records, built once
+
+    def build(self, s: tuple) -> Stmt:
+        """The record of the parsed statement s, numbered from the next
+        sid and label as syntax._Labeler numbers it."""
+        cls = s[0]
+        sid = self.sid
+        self.sid += 1
+        if cls is Assign:
+            return Assign(sid, s[1], self.build_expr(s[2]))
+        if cls is If or cls is While:
+            e = self.build_expr(s[1])
+            return cls(sid, e, s[2], self.build(s[3]))
+        if cls is Block:
+            # one sid before each statement but the last, the first being
+            # the block's own: the numbering of a right-nested binary chain
+            body, last = s[1], len(s[1]) - 1
+            out = []
+            for i, sub in enumerate(body):
+                if 0 < i < last:
+                    self.sid += 1
+                out.append(self.build(sub))
+            return Block(sid, tuple(out))
+        if cls is Guard:
+            return Guard(sid, SKIP.expr, SKIP.cmp)
+        return cls(sid, *s[1:])
+
+    def build_expr(self, e: tuple | Expr) -> Expr:
+        """The record of the parsed expression e, its operators labelled
+        in pre-order from the next label, without recursion: Locations go
+        in pre-order, then the operators in reverse pre-order, where each
+        comes after its operands."""
+        if e.__class__ is not tuple:
+            return e
+        label = self.label
+        nodes: list[Record] = []
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            if x.__class__ is tuple:
+                nodes.append(Location(label, x[1], x[2], x[0]))
+                label += 1
+                stack += x[:2:-1]  # the left operand on top
+            else:
+                nodes.append(x)
+        self.label = label
+        vals: list[Expr] = []
+        for x in reversed(nodes):
+            if x.__class__ is not Location:
+                vals.append(x)
+            elif x.op == "-u":
+                vals[-1] = Neg(x, vals[-1])
+            else:
+                left = vals.pop()
+                vals[-1] = BinOp(x.op, x, left, vals[-1])
+        return vals[0]
 
 
 def parse_program(text: str) -> Program:

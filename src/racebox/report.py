@@ -15,9 +15,18 @@ from .config import UNROLL, AnalysisSettings, OracleBudget
 from .domains import BOT, BoxEnv, Interval
 from .interference import analyze_program_I
 from .parser import parse_program
-from .sched import analyze_program_C, unpartitioned
+from .sched import SchedConfig, analyze_program_C, unpartitioned
 from .seq import analyze_program_seq
-from .syntax import Location, Num, Program, Record, location_thread
+from .syntax import (
+    BinOp,
+    Location,
+    Neg,
+    Num,
+    Program,
+    Record,
+    stmt_exprs,
+    sub_exprs,
+)
 
 # `oracle` and `transforms` are imported by the modes that run them, so an
 # analyzer run, such as a cold CLI call, does not load them
@@ -131,42 +140,82 @@ class UnknownThread(Exception):
     """The config names a thread the program does not have."""
 
 
-def _alarm(loc: Location, p: Program) -> dict:
-    tid = location_thread(p, loc)
-    return {
-        "label": loc.label,
-        "line": loc.line,
-        "col": loc.col,
-        "kind": "div-by-zero",
-        "context": f"thread {tid}, operator {loc.op!r}" if tid else loc.op,
-    }
-
-
 def _alarms(omega, p: Program) -> list[dict]:
-    return [_alarm(l, p)
-            for l in sorted(omega, key=lambda l: l.sort_key())]
-
-
-def _join_var(envs: list[BoxEnv], var: str) -> Interval:
-    out = BOT
-    for env in envs:
-        out = out.join(env.get(var))
+    if not omega:
+        return []
+    thread_of: dict[int, int] = {}  # label -> the first thread that has it
+    for t in p.threads:
+        for e in stmt_exprs(t.body):
+            for x in sub_exprs(e):
+                if x.__class__ is BinOp or x.__class__ is Neg:
+                    thread_of.setdefault(x.loc.label, t.tid)
+    out = []
+    for loc in sorted(omega, key=Location.sort_key):
+        tid = thread_of.get(loc.label)
+        out.append({
+            "label": loc.label,
+            "line": loc.line,
+            "col": loc.col,
+            "kind": "div-by-zero",
+            "context": f"thread {tid}, operator {loc.op!r}" if tid else loc.op,
+        })
     return out
 
 
-def _var_ranges(p: Program, per_thread, hull_of_invariants: bool) -> dict:
+class _Text:
+    """The strings of one report: each distinct interval, configuration
+    and environment is formatted once."""
+
+    def __init__(self):
+        self.memo: dict = {}  # interval or configuration -> its str
+        self.envs: dict[tuple, str] = {}  # environment items -> its str
+
+    def __call__(self, x: Interval | SchedConfig) -> str:
+        s = self.memo.get(x)
+        if s is None:
+            s = self.memo[x] = str(x)
+        return s
+
+    def env(self, env: BoxEnv) -> str:
+        m = env._m
+        if m is None:
+            return "⊥"
+        key = tuple(m.items())
+        s = self.envs.get(key)
+        if s is None:
+            s = self.envs[key] = env.show(self)
+        return s
+
+
+def _hull(envs, variables: tuple[str, ...]) -> dict[str, Interval]:
+    """Per variable, the join of its distinct values in envs."""
+    maps = [m for m in {id(env): env._m for env in envs}.values()
+            if m is not None]
+    out = {}
+    for v in variables:
+        hull = BOT
+        for iv in {m[v] for m in maps}:
+            hull = hull.join(iv)
+        out[v] = hull
+    return out
+
+
+def _var_ranges(p: Program, per_thread, hull_of_invariants: bool,
+                text: _Text) -> dict:
     finals = [env for res in per_thread.values() for env in res.final.values()]
     reached = finals + [
         env for res in per_thread.values() if hull_of_invariants
         for envs in res.invariants.values() for env in envs.values()]
-    return {v: {"final": str(_join_var(finals, v)),
-                "hull": str(_join_var(reached, v))} for v in p.variables}
+    final, hull = _hull(finals, p.variables), _hull(reached, p.variables)
+    return {v: {"final": text(final[v]), "hull": text(hull[v])}
+            for v in p.variables}
 
 
-def _invariant_dump(per_thread, blind: bool) -> dict:
+def _invariant_dump(per_thread, blind: bool, text: _Text) -> dict:
     """A blind mode's environments are in C0 alone and print as one."""
-    show = ((lambda envs: str(unpartitioned(envs))) if blind else
-            (lambda envs: {str(c): str(env) for c, env in envs.items()}))
+    env = text.env
+    show = ((lambda envs: env(unpartitioned(envs))) if blind else
+            (lambda envs: {text(c): env(e) for c, e in envs.items()}))
     return {f"t{tid}": {str(sid): show(envs)
                         for sid, envs in res.invariants.items()}
             for tid, res in per_thread.items()}
@@ -276,19 +325,21 @@ def _analysis_fields(p: Program, cfg: RunConfig) -> dict:
     """The report fields an analyzer mode fills in."""
     res = _analyze(p, cfg.mode, cfg)
     blind = cfg.mode != "scheduled"
+    text = _Text()
     out: dict = {
         "alarms": _alarms(res.omega, p),
         # seq reports its final range as its hull
-        "var_ranges": _var_ranges(p, res.per_thread, cfg.mode != "seq"),
-        "invariants": _invariant_dump(res.per_thread, blind),
+        "var_ranges": _var_ranges(p, res.per_thread, cfg.mode != "seq",
+                                  text),
+        "invariants": _invariant_dump(res.per_thread, blind, text),
         "iterations": res.iterations,
         "warnings": list(res.warnings),
     }
     if blind:  # every interference is in C0
-        out["interferences"] = {f"t{t}/{x}": str(v)
+        out["interferences"] = {f"t{t}/{x}": text(v)
                                 for (t, _, x), v in res.interf.items()}
         return out
-    out["interferences"] = {f"t{t}/{c}/{x}": str(v)
+    out["interferences"] = {f"t{t}/{text(c)}/{x}": text(v)
                             for (t, c, x), v in res.interf.items()}
     out["races"] = {
         kind: [{"kind": r.kind, "threads": list(r.threads), "var": r.var,

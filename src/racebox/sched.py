@@ -203,16 +203,22 @@ def interference_view(t: int, c: SchedConfig, interf: InterferenceMap,
 def read_env(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
              names: Iterable[str],
              ) -> tuple[BoxEnv, frozenset[str], list[ReadEvent]]:
-    """What a read of the variables `names` by thread t under c sees: env,
-    with each variable that carries interference joined with it; the set
-    of those variables; and the writes the read saw, as read events."""
+    """What a read of the distinct variables `names` by thread t under c
+    sees: env, with each variable that carries interference joined with
+    it; the set of those variables; and the writes the read saw, as read
+    events."""
     by_var, writers = view
-    hit = {x: by_var[x] for x in names
-           if x in by_var and not by_var[x].is_bot}
+    hit = [x for x in names if x in by_var and by_var[x].lo is not None]
     if not hit:
         return env, frozenset(), []
+    m = env._m
+    if m is not None:
+        m = dict(m)
+        for x in hit:
+            m[x] = m[x].join(by_var[x])
+        env = BoxEnv(m)
     events = [(t, t2, x, c, c2) for x in hit for t2, c2 in writers[x]]
-    return env.join_at(hit), frozenset(hit), events
+    return env, frozenset(hit), events
 
 
 def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 # The one number format: exact rationals, written as an int whenever the
 # value is integral and as a Fraction otherwise (Fraction arithmetic may
@@ -259,7 +259,10 @@ def _same_node(x: Record, y: Record) -> bool:
         return (x.sid, x.expr, x.cmp) == (y.sid, y.expr, y.cmp)
     if isinstance(x, Block):
         return x.sid == y.sid and len(x.body) == len(y.body)
-    return x.loc == y.loc if isinstance(x, Neg) else x == y
+    if isinstance(x, Neg):
+        return x.loc == y.loc
+    # any other tree is the fieldless _Op, for which `==` would come back
+    return Record.__eq__(x, y) if isinstance(x, _Tree) else x == y
 
 
 class _Op(_Tree, Expr):
@@ -483,14 +486,6 @@ def vars_of_stmt(s: Stmt) -> frozenset[str]:
 
 def expr_locations(e: Expr) -> frozenset[Location]:
     return frozenset(x.loc for x in sub_exprs(e) if isinstance(x, (Neg, BinOp)))
-
-
-def location_thread(p: Program, loc: Location) -> Optional[int]:
-    for t in p.threads:
-        for e in stmt_exprs(t.body):
-            if loc in expr_locations(e):
-                return t.tid
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racebox.parser import (
+    MAX_NESTING,
     DuplicateThreadId,
     ParseError,
     _tokenize,
@@ -19,7 +20,9 @@ from racebox.syntax import (
     Const,
     Guard,
     If,
+    Location,
     Neg,
+    Record,
     Var,
     collect_lock_sets,
     pretty_program,
@@ -233,8 +236,125 @@ def test_token_positions(src, toks):
     ("thread 1 { x <- 1; # end", "expected a statement", 1, 25),
     ("var x = [1,2]; var x;\nthread 1 { y <- x; }",
      "variable x declared twice", 1, 20),
+    # thread ids: a duplicate is named at the end of its thread, ids that
+    # are not 1..n at the start of the source
+    ("thread 1 { x <- 1; }\nthread 1 { y <- 1; }",
+     "duplicate thread id 1", 2, 20),
+    ("thread 2 { x <- 1; }\nthread 3 { y <- 1; }",
+     "thread ids must be exactly 1..2, got [2, 3]", 1, 1),
+    ("thread 0 { x <- 1; }", "thread id must be positive", 1, 8),
+    ("thread -1 { x <- 1; }", "expected 'num', found '-'", 1, 8),
+    ("thread 1.5 { x <- 1; }", "thread id must be an integer", 1, 8),
+    # literals: an empty interval at its `[`, a zero denominator at the 0
+    ("thread 1 {\n  x <- [2, 1];\n}", "empty interval [2,1]", 2, 8),
+    ("var x = [inf,inf]; thread 1 { }", "empty interval [inf,inf]", 1, 9),
+    ("var x = [1/0,2]; thread 1 { }",
+     "zero denominator in rational literal", 1, 12),
+    ("thread 1 { x <- [0, 3/0]; }",
+     "zero denominator in rational literal", 1, 23),
+    # conditions compare against the literal 0
+    ("thread 1 { if x < 1 then { } }", "comparisons are against 0", 1, 19),
+    ("thread 1 { while x + 1 >= 0.0 do { } }",
+     "comparisons are against 0", 1, 27),
+    ("thread 1 { if x then { } }", "expected a comparison operator", 1, 17),
+    # the first `{` past MAX_NESTING
+    ("thread 1 " + "{ " * (MAX_NESTING + 2) + "}" * (MAX_NESTING + 2),
+     f"blocks nested more than {MAX_NESTING} deep", 1,
+     10 + 2 * (MAX_NESTING + 1)),
+    ("thread 1 {\n" + "{\n" * (MAX_NESTING + 5) + "}" * (MAX_NESTING + 6),
+     f"blocks nested more than {MAX_NESTING} deep", MAX_NESTING + 2, 1),
 ])
 def test_parse_error_positions(src, msg, line, col):
     with pytest.raises(ParseError) as e:
         parse_program(src)
     assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)
+    assert isinstance(e.value, DuplicateThreadId) == msg.startswith(
+        "duplicate")
+
+
+def _operators_in_place(src: str) -> int:
+    """Checks that every operator Location of src's program points at its
+    operator in src (`-` for a negation), that no two share a position,
+    and that positions follow the tree's infix order: a negation before
+    its operand, a binary operator between its operands.  Returns the
+    number of operators."""
+    lines = src.split("\n")
+    spans = []  # every operator's position
+    for t in parse_program(src).threads:
+        for e in stmt_exprs(t.body):
+            for x in sub_exprs(e):
+                if not isinstance(x, (BinOp, Neg)):
+                    continue
+                loc = x.loc
+                assert lines[loc.line - 1][loc.col - 1] == \
+                    ("-" if isinstance(x, Neg) else x.op), (loc, src)
+                assert loc.op == ("-u" if isinstance(x, Neg) else x.op)
+                pos = (loc.line, loc.col)
+                subs = ([("", x.sub)] if isinstance(x, Neg)
+                        else [("<", x.left), (">", x.right)])
+                for side, sub in subs:
+                    for y in sub_exprs(sub):
+                        if isinstance(y, (BinOp, Neg)):
+                            ypos = (y.loc.line, y.loc.col)
+                            assert (ypos > pos if side != "<"
+                                    else ypos < pos), (loc, y.loc, src)
+                spans.append(pos)
+    assert len(spans) == len(set(spans))
+    return len(spans)
+
+
+def test_operator_locations_point_at_their_operators(corpus_source):
+    for name in ("dekker", "increment", "priority_flow", "priority_mutex",
+                 "producer_consumer"):
+        _operators_in_place(corpus_source(name))
+    rng = random.Random(36_000)
+    big = GeneratorConfig(max_threads=4, max_stmts=24, n_vars=12,
+                          n_mutexes=4, sync_prob=0.35, max_branching=4)
+    n = sum(_operators_in_place(pretty_program(random_program(
+        rng, big if i % 2 else GeneratorConfig()))) for i in range(200))
+    assert n > 1000
+    # threads out of id order, comments, a sign and a p/q inside brackets
+    # (not operators) next to a negation and divisions outside them
+    src = ("# thread 2 comes first\n"
+           "var x = [-1, 1/2];  # - / here are literal syntax\n"
+           "thread 2 {\n"
+           "  y <- -x * (x - 1/2);  # x - 1 / 2\n"
+           "\tif - - y + 1 >= 0 then { z <- y / [-3/4, 3]; }\n"
+           "}\n"
+           "thread 1 { x <- x*-x-(-x); }  # x * (-x) - (-x)\n")
+    assert _operators_in_place(src) == 12
+    p = parse_program(src)
+    assert [t.tid for t in p.threads] == [1, 2]
+    # thread 1's operators are labelled first, in pre-order
+    first = p.threads[0].body.expr
+    assert [(x.loc.label, x.loc.col) for x in sub_exprs(first)
+            if isinstance(x, (BinOp, Neg))] == [
+        (1, 21), (2, 18), (3, 19), (4, 23)]
+
+
+def test_parse_builds_each_operator_once(monkeypatch):
+    """parse_program constructs one BinOp, Neg and Location per operator
+    of the program it returns, each with its final label: nothing is
+    built and then relabelled."""
+    built = []
+
+    def counting(cls):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            Record.__init__(self, *args, **kwargs)
+        return __init__
+
+    q = random_program(random.Random(36_001), GeneratorConfig(
+        max_threads=4, max_stmts=96, n_vars=12, n_mutexes=4,
+        sync_prob=0.35, max_branching=4))
+    last = f"thread {len(q.threads) + 1} {{ x <- -(-(1 + 2) * 3); }}"
+    for cls in (BinOp, Neg, Location):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    p = parse_program(pretty_program(q) + last)
+    monkeypatch.undo()
+    ops = [x for t in p.threads for e in stmt_exprs(t.body)
+           for x in sub_exprs(e) if isinstance(x, (BinOp, Neg))]
+    assert len(ops) > 40
+    nodes = ops + [x.loc for x in ops]
+    assert len(built) == len(nodes)
+    assert {id(x) for x in built} == {id(x) for x in nodes}

@@ -16,14 +16,17 @@ from racebox.syntax import (
     SKIP,
     BinOp,
     Const,
+    Expr,
     Location,
     Lock,
     Neg,
     Program,
     Record,
+    Stmt,
     Unlock,
     Var,
     Yield,
+    _Op,
     _positional_init,
     stmt_exprs,
     sub_exprs,
@@ -99,16 +102,15 @@ def test_keyword_default_and_positional_construction():
 
 
 def _record_classes() -> list[type]:
-    """Every Record subclass with fields that a racebox module defines
-    (the others, Expr, Stmt and _Op, are abstract bases)."""
+    """Every Record subclass that a racebox module defines, the fieldless
+    abstract bases Expr, Stmt and _Op too."""
     for m in pkgutil.iter_modules(racebox.__path__):
         importlib.import_module(f"racebox.{m.name}")
     out, todo = [], [Record]
     while todo:
         for sub in todo.pop().__subclasses__():
             todo.append(sub)
-            if (sub.__module__.startswith("racebox.") and sub._fields
-                    and sub not in out):
+            if sub.__module__.startswith("racebox.") and sub not in out:
                 out.append(sub)
     return out
 
@@ -135,7 +137,8 @@ def test_every_record_constructor_keeps_the_generic_contract():
     classes = _record_classes()
     assert {"Program", "Location", "BinOp", "Block", "RunConfig",
             "SchedResult", "ExploreResult", "FuzzReport", "PathSet",
-            "GeneratorConfig"} <= {c.__name__ for c in classes}
+            "GeneratorConfig", "Expr", "Stmt", "_Op"} <= {
+        c.__name__ for c in classes}
     for cls in classes:
         fields, defaults = cls._fields, cls._defaults
         # distinct increasing tuples: hashable, iterable and ordered, so
@@ -194,3 +197,16 @@ def test_a_class_compiles_its_constructor_after_many_records():
 
     assert Tagged(1, 2, 3).tag == 3 and Tagged(1, tag=4).tag == 4
     assert _refused(Probe, 1, 2, 3) == "Probe takes the fields ('a', 'b')"
+
+
+def test_fieldless_bases_compare_as_records():
+    """The abstract bases have no fields: two of a class are equal and
+    hash alike, whether or not the class is a tree (_Op is one), and
+    never equal a node of another class."""
+    loc = Location(1, 1, 1, "-u")
+    for cls in (Expr, Stmt, _Op):
+        for make in (cls, _compiled(cls)):
+            a, b = make(), make()
+            assert a == b and hash(a) == hash(b) == hash(()), cls
+            assert a != Neg(loc, Var("x")) and a != Var("x")
+    assert _Op() != Expr() and len({_Op(), _Op(), Expr(), Stmt()}) == 3
