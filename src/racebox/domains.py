@@ -165,11 +165,13 @@ class Interval(NamedTuple):
         return Interval(min(corners), max(corners))
 
     def div(self, other: "Interval") -> tuple["Interval", bool]:
-        """Quotient and whether the divisor may be zero.  The quotient is
-        computed against the divisor with 0 excluded (split at zero)."""
-        if self.is_bot or other.is_bot:
-            return BOT, False
+        """Quotient and whether the divisor may be zero, which holds even
+        when the dividend is bottom, as in the concrete semantics.  The
+        quotient is computed against the divisor with 0 excluded (split
+        at zero)."""
         had_zero = other.contains(0)
+        if self.is_bot or other.is_bot:
+            return BOT, had_zero
         parts: list[Interval] = []
         if other.hi > 0:  # positive part (max(lo,0), hi], open at zero
             parts.append(self._div_pos(max(other.lo, 0), other.hi))
@@ -382,9 +384,8 @@ def run_tape(tape: Tape, env: BoxEnv,
         elif op == "*":
             v = vals[a].mul(vals[b])
         else:
-            l = vals[a]
-            v, had_zero = l.div(vals[b])
-            if had_zero and l.lo is not None:
+            v, had_zero = vals[a].div(vals[b])
+            if had_zero:
                 errs.add(loc)
         vals.append(v)
     return vals, frozenset(errs)

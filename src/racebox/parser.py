@@ -2,10 +2,11 @@
 
 Numeric literals are exact rationals (decimal or p/q syntax inside interval
 brackets); a scalar constant c is sugar for [c,c].  `#` starts a line
-comment.  The parser reads the tokens into plain tuples; once the threads
-are sorted by id, it builds each record once, with its canonical operator
-label and statement id (depth-first, left-to-right), so pretty-printed
-programs reparse to identical ASTs.
+comment.  The parser reads the tokens into the plain tuple trees of
+`syntax.Builder`; once the threads are sorted by id, the builder builds
+each record once, with its canonical operator label and statement id
+(depth-first, left-to-right), so pretty-printed programs reparse to
+identical ASTs.
 """
 
 from __future__ import annotations
@@ -18,24 +19,17 @@ from .syntax import (
     CMP_OPS,
     INF,
     NEG_INF,
-    SKIP,
     Assign,
-    BinOp,
     Block,
+    Builder,
     Const,
     Expr,
     Ext,
-    Guard,
     If,
     IsLocked,
-    Location,
     Lock,
-    Neg,
     Num,
     Program,
-    Record,
-    Stmt,
-    Thread,
     Unlock,
     Var,
     While,
@@ -46,7 +40,7 @@ from .syntax import (
 
 
 # The deepest nesting of blocks inside a thread's body.  The statement
-# walkers of a run (parser, labeler, engine, path builder) recurse once or
+# walkers of a run (parser, builder, engine, path builder) recurse once or
 # twice per level, so this keeps every mode within the default recursion
 # limit.
 MAX_NESTING = 256
@@ -122,18 +116,9 @@ def _number(text: str) -> Num:
     return int(text) if "." not in text else num(text)
 
 
-# A parsed statement is a tuple (record class, fields but the sid...),
-# with a Block's statements in a list and SKIP as (Guard,); a parsed
-# operator is (op, line, col, operand) for a negation, whose op is "-u",
-# and (op, line, col, left, right) for a binary one.  Variables and
-# constants carry no label, so they are records from the start.
-_SKIP = (Guard,)
-
-
 class _Parser:
-    """Parses the tokens into tuples, then builds each record once, in
-    thread id order, with its canonical sid and labels (the numbering
-    syntax._Labeler defines)."""
+    """Parses the tokens into the trees of syntax.Builder, which builds
+    the records once the threads are sorted by id."""
 
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
@@ -143,8 +128,6 @@ class _Parser:
         self.declared_mutexes: list[str] = []
         self.used_vars: list[str] = []
         self.used_mutexes: list[str] = []
-        self.sid = 1  # the next statement id and operator label to build
-        self.label = 1
 
     # -- token helpers
 
@@ -203,9 +186,8 @@ class _Parser:
             (v, iv) for v, iv in sorted(self.declared_vars.items())
             if iv is not None)
         mutexes = tuple(sorted(set(self.declared_mutexes) | set(self.used_mutexes)))
-        return Program(
-            tuple(Thread(tid, self.build(body)) for tid, body in threads),
-            mutexes, tuple(variables), initial)
+        return Builder().program([body for _, body in threads], mutexes,
+                                 tuple(variables), initial)
 
     def decl(self) -> None:
         if self.toks[self.pos].text == "var":
@@ -248,8 +230,6 @@ class _Parser:
             stmts.append(self.stmt())
         self.pos += 1
         self.depth -= 1
-        if len(stmts) < 2:
-            return stmts[0] if stmts else _SKIP
         return (Block, stmts)
 
     def stmt(self) -> tuple:
@@ -389,63 +369,6 @@ class _Parser:
         if lo > hi or lo == INF or hi == NEG_INF:
             raise ParseError(f"empty interval [{lo},{hi}]", tok.line, tok.col)
         return lo, hi
-
-    # -- the records, built once
-
-    def build(self, s: tuple) -> Stmt:
-        """The record of the parsed statement s, numbered from the next
-        sid and label as syntax._Labeler numbers it."""
-        cls = s[0]
-        sid = self.sid
-        self.sid += 1
-        if cls is Assign:
-            return Assign(sid, s[1], self.build_expr(s[2]))
-        if cls is If or cls is While:
-            e = self.build_expr(s[1])
-            return cls(sid, e, s[2], self.build(s[3]))
-        if cls is Block:
-            # one sid before each statement but the last, the first being
-            # the block's own: the numbering of a right-nested binary chain
-            body, last = s[1], len(s[1]) - 1
-            out = []
-            for i, sub in enumerate(body):
-                if 0 < i < last:
-                    self.sid += 1
-                out.append(self.build(sub))
-            return Block(sid, tuple(out))
-        if cls is Guard:
-            return Guard(sid, SKIP.expr, SKIP.cmp)
-        return cls(sid, *s[1:])
-
-    def build_expr(self, e: tuple | Expr) -> Expr:
-        """The record of the parsed expression e, its operators labelled
-        in pre-order from the next label, without recursion: Locations go
-        in pre-order, then the operators in reverse pre-order, where each
-        comes after its operands."""
-        if e.__class__ is not tuple:
-            return e
-        label = self.label
-        nodes: list[Record] = []
-        stack = [e]
-        while stack:
-            x = stack.pop()
-            if x.__class__ is tuple:
-                nodes.append(Location(label, x[1], x[2], x[0]))
-                label += 1
-                stack += x[:2:-1]  # the left operand on top
-            else:
-                nodes.append(x)
-        self.label = label
-        vals: list[Expr] = []
-        for x in reversed(nodes):
-            if x.__class__ is not Location:
-                vals.append(x)
-            elif x.op == "-u":
-                vals[-1] = Neg(x, vals[-1])
-            else:
-                left = vals.pop()
-                vals[-1] = BinOp(x.op, x, left, vals[-1])
-        return vals[0]
 
 
 def parse_program(text: str) -> Program:

@@ -14,24 +14,19 @@ import random
 from .syntax import (
     CMP_OPS,
     Assign,
-    BinOp,
+    Block,
+    Builder,
     Const,
     Expr,
     If,
     IsLocked,
-    Location,
     Lock,
-    Neg,
     Program,
     Record,
-    Stmt,
-    Thread,
     Unlock,
     Var,
     While,
     Yield,
-    block,
-    relabel_program,
 )
 
 CONST_LO, CONST_HI = -3, 3  # the range of constant endpoints
@@ -47,10 +42,6 @@ class GeneratorConfig(Record):
     max_branching: int = 2  # if/while statements per thread
     n_vars: int = 4
     n_mutexes: int = 2
-
-
-def _loc() -> Location:
-    return Location(0, 0, 0, "?")
 
 
 def random_const(rng: random.Random, cfg: GeneratorConfig) -> Const:
@@ -75,28 +66,30 @@ def _divisor(rng: random.Random, names: list[str],
 
 
 def random_expr(rng: random.Random, names: list[str], cfg: GeneratorConfig,
-                depth: int = 2) -> Expr:
+                depth: int = 2) -> tuple | Expr:
+    """A random expression tree of syntax.Builder."""
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.5:
             return Var(rng.choice(names))
         return random_const(rng, cfg)
     r = rng.random()
     if r < 0.12:
-        return BinOp("/", _loc(), random_expr(rng, names, cfg, depth - 1),
-                     _divisor(rng, names, cfg)) \
+        return ("/", 0, 0, random_expr(rng, names, cfg, depth - 1),
+                _divisor(rng, names, cfg)) \
             if rng.random() < cfg.div_prob else \
             Var(rng.choice(names))
     if r < 0.24:
-        return Neg(_loc(), random_expr(rng, names, cfg, depth - 1))
+        return ("-u", 0, 0, random_expr(rng, names, cfg, depth - 1))
     op = rng.choice(["+", "+", "-", "-", "*"])
-    return BinOp(op, _loc(), random_expr(rng, names, cfg, depth - 1),
-                 random_expr(rng, names, cfg, depth - 1))
+    return (op, 0, 0, random_expr(rng, names, cfg, depth - 1),
+            random_expr(rng, names, cfg, depth - 1))
 
 
 def random_stmts(rng: random.Random, names: list[str],
                  mutexes: list[str], cfg: GeneratorConfig,
-                 budget: int, branching: int, sync: bool) -> list[Stmt]:
-    out: list[Stmt] = []
+                 budget: int, branching: int, sync: bool) -> list[tuple]:
+    """Random statement trees of syntax.Builder."""
+    out: list[tuple] = []
     while budget > 0:
         r = rng.random()
         if branching > 0 and r < cfg.loop_prob and budget >= 3:
@@ -104,39 +97,36 @@ def random_stmts(rng: random.Random, names: list[str],
             bound = rng.randint(1, 3)
             inner = random_stmts(rng, names, mutexes, cfg,
                                  min(budget - 3, 2), 0, sync)
-            body = block([Assign(0, v, BinOp("+", _loc(), Var(v),
-                                             Const(1, 1)))]
-                         + inner)
-            guard_expr = BinOp("-", _loc(), Var(v),
-                               Const(bound, bound))
-            out.append(While(0, guard_expr, "<", body))
+            step = (Assign, v, ("+", 0, 0, Var(v), Const(1, 1)))
+            guard_expr = ("-", 0, 0, Var(v), Const(bound, bound))
+            out.append((While, guard_expr, "<", (Block, [step, *inner])))
             budget -= 2 + len(inner) + 1
             branching -= 1
         elif branching > 0 and r < cfg.loop_prob + 0.2 and budget >= 2:
             inner = random_stmts(rng, names, mutexes, cfg,
                                  min(budget - 1, 3), branching - 1, sync)
             cmp = rng.choice(CMP_OPS)
-            out.append(If(0, random_expr(rng, names, cfg, 1), cmp,
-                          block(inner)))
+            out.append((If, random_expr(rng, names, cfg, 1), cmp,
+                        (Block, inner)))
             budget -= 1 + len(inner)
             branching -= 1
         elif sync and mutexes and r > 1 - cfg.sync_prob:
             kind = rng.randrange(4)
             m = rng.choice(mutexes)
             if kind == 0:
-                out.append(Lock(0, m))
+                out.append((Lock, m))
             elif kind == 1:
-                out.append(Unlock(0, m))
+                out.append((Unlock, m))
             elif kind == 2:
-                out.append(Yield(0))
+                out.append((Yield,))
             else:
-                out.append(IsLocked(0, rng.choice(names), m))
+                out.append((IsLocked, rng.choice(names), m))
             budget -= 1
         else:
             v = rng.choice(names)
-            out.append(Assign(0, v, random_expr(rng, names, cfg)))
+            out.append((Assign, v, random_expr(rng, names, cfg)))
             budget -= 1
-    return out or [Assign(0, names[0], random_const(rng, cfg))]
+    return out or [(Assign, names[0], random_const(rng, cfg))]
 
 
 def random_program(rng: random.Random,
@@ -147,20 +137,13 @@ def random_program(rng: random.Random,
     names = [f"v{i}" for i in range(n_vars)]
     mutexes = [f"m{i}" for i in range(rng.randint(0, cfg.n_mutexes))] \
         if sync else []
-    threads = []
-    for tid in range(1, n_threads + 1):
-        budget = rng.randint(1, cfg.max_stmts)
-        body = block(random_stmts(rng, names, mutexes, cfg, budget,
-                                  cfg.max_branching, sync))
-        threads.append(Thread(tid, body))
+    bodies = [(Block, random_stmts(rng, names, mutexes, cfg,
+                                   rng.randint(1, cfg.max_stmts),
+                                   cfg.max_branching, sync))
+              for _ in range(n_threads)]
     variables = sorted(names + ["spare"])  # unused: fresh for the fuzzer
-    prog = Program(
-        threads=tuple(threads),
-        mutexes=tuple(sorted(mutexes)),
-        variables=tuple(variables),
-        initial=(),
-    )
-    return relabel_program(prog)
+    return Builder().program(bodies, tuple(sorted(mutexes)),
+                             tuple(variables), ())
 
 
 def random_seq_program(rng: random.Random,
@@ -171,15 +154,9 @@ def random_seq_program(rng: random.Random,
     n_vars = rng.randint(2, local.n_vars)
     names = [f"v{i}" for i in range(n_vars)]
     budget = rng.randint(1, local.max_stmts)
-    body = block(random_stmts(rng, names, [], local, budget,
-                              local.max_branching, False))
-    prog = Program(
-        threads=(Thread(1, body),),
-        mutexes=(),
-        variables=tuple(sorted(names)),
-        initial=(),
-    )
-    return relabel_program(prog)
+    body = (Block, random_stmts(rng, names, [], local, budget,
+                                local.max_branching, False))
+    return Builder().program([body], (), tuple(sorted(names)), ())
 
 
 def sweep_program(seed: int) -> Program:

@@ -27,6 +27,7 @@ return outer_fixpoint's SchedResult as it is.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from . import config
@@ -527,6 +528,7 @@ def extract_races(p: Program, interf: InterferenceMap,
                   read_log: set[ReadEvent]) -> tuple[list[Race], list[Race]]:
     """Write/write races straight from the interference map; read/write
     races from the reads that took interference."""
+    show = cache(str)  # each configuration is formatted once per call
     writes: dict[str, list[tuple[int, SchedConfig]]] = {}
     for (t, c, x), v in interf.items():
         if c.tag == WEAK and not v.is_bot:
@@ -536,10 +538,10 @@ def extract_races(p: Program, interf: InterferenceMap,
         for t1, c1 in ws:
             for t2, c2 in ws:
                 if t1 < t2 and intf(c1, c2):
-                    ww.setdefault((t1, t2, x), set()).add((str(c1), str(c2)))
+                    ww.setdefault((t1, t2, x), set()).add((show(c1), show(c2)))
     rw: dict[tuple[int, int, str], set[tuple[str, str]]] = {}
     for (reader, writer, x, c, c2) in read_log:
-        rw.setdefault((reader, writer, x), set()).add((str(c), str(c2)))
+        rw.setdefault((reader, writer, x), set()).add((show(c), show(c2)))
     mk = lambda kind, d: [
         Race(kind, (a, b), x, tuple(sorted(cfgs)))
         for (a, b, x), cfgs in sorted(d.items())]

@@ -357,13 +357,6 @@ class IsLocked(Stmt):
 SKIP = Guard(0, Const(0, 0), "=")
 
 
-def block(stmts: list[Stmt]) -> Stmt:
-    """stmts in order: SKIP for none, the statement itself for one."""
-    if not stmts:
-        return SKIP
-    return stmts[0] if len(stmts) == 1 else Block(0, tuple(stmts))
-
-
 def _is_skip(s: Stmt) -> bool:
     return isinstance(s, Guard) and (s.expr, s.cmp) == (SKIP.expr, SKIP.cmp)
 
@@ -489,69 +482,93 @@ def expr_locations(e: Expr) -> frozenset[Location]:
 
 
 # ---------------------------------------------------------------------------
-# Canonical labeling
+# Canonical labeling: the one builder of labeled programs
 
 # Labels are assigned 1,2,3,... walking threads in id order, statements in
 # program order, expressions depth-first left-to-right.  Reparsing pretty
 # printed output therefore reproduces the labels exactly.
+#
+# The builder reads trees of plain tuples.  A statement tree is (record
+# class, fields but the sid...), with a Block's statements in a list; an
+# operator tree is (op, line, col, operand) for a negation, whose op is
+# "-u", and (op, line, col, left, right) for a binary one.  Variables and
+# constants carry no label, so they are records in the tree.
 
 
-class _Labeler:
+class Builder:
+    """Builds each record of a tree once, with its canonical sid and
+    labels, numbered on from the last tree it built."""
+
     def __init__(self):
-        self.next_label = 1
-        self.next_sid = 1
+        self.sid = 1  # the next statement id and operator label to build
+        self.label = 1
 
-    def expr(self, e: Expr) -> Expr:
-        # labels go in pre-order, and the fold meets operators in reverse
-        # pre-order: count down
-        self.next_label += sum(isinstance(x, _Op) for x in sub_exprs(e))
-        label = self.next_label
+    def program(self, bodies: list[tuple], mutexes: tuple[str, ...],
+                variables: tuple[str, ...],
+                initial: tuple[tuple[str, tuple[Ext, Ext]], ...]) -> Program:
+        """The program whose threads 1..n have the statement trees
+        bodies, in order."""
+        threads = tuple(Thread(tid, self.stmt(body))
+                        for tid, body in enumerate(bodies, 1))
+        return Program(threads, mutexes, variables, initial)
 
-        def relabel(x: Expr, *subs: Expr) -> Expr:
-            nonlocal label
-            if not subs:
-                return x
-            label -= 1
-            loc = Location(label, x.loc.line, x.loc.col, x.loc.op)
-            return (Neg(loc, *subs) if isinstance(x, Neg)
-                    else BinOp(x.op, loc, *subs))
-        return fold_expr(e, relabel)
-
-    def stmt(self, s: Stmt) -> Stmt:
-        sid = self.next_sid
-        self.next_sid += 1
-        if isinstance(s, Assign):
-            return Assign(sid, s.var, self.expr(s.expr))
-        if isinstance(s, Guard):
-            return Guard(sid, self.expr(s.expr), s.cmp)
-        if isinstance(s, If):
-            return If(sid, self.expr(s.expr), s.cmp, self.stmt(s.body))
-        if isinstance(s, While):
-            return While(sid, self.expr(s.expr), s.cmp, self.stmt(s.body))
-        if isinstance(s, Block):
+    def stmt(self, s: tuple) -> Stmt:
+        """The record of the statement tree s.  A Block runs its
+        statements in order: one of none is SKIP, one of one statement
+        is that statement."""
+        while s[0] is Block and len(s[1]) == 1:
+            s = s[1][0]
+        cls = s[0]
+        sid = self.sid
+        self.sid += 1
+        if cls is Assign:
+            return Assign(sid, s[1], self.expr(s[2]))
+        if cls is If or cls is While:
+            e = self.expr(s[1])
+            return cls(sid, e, s[2], self.stmt(s[3]))
+        if cls is Block:
+            if not s[1]:
+                return Guard(sid, SKIP.expr, SKIP.cmp)
             # one sid before each statement but the last, the first being
             # the block's own: the numbering of a right-nested binary chain
-            body = []
-            for i, sub in enumerate(s.body):
-                if 0 < i < len(s.body) - 1:
-                    self.next_sid += 1
-                body.append(self.stmt(sub))
-            return Block(sid, tuple(body))
-        if isinstance(s, Lock):
-            return Lock(sid, s.mutex)
-        if isinstance(s, Unlock):
-            return Unlock(sid, s.mutex)
-        if isinstance(s, Yield):
-            return Yield(sid)
-        if isinstance(s, IsLocked):
-            return IsLocked(sid, s.var, s.mutex)
-        raise TypeError(s)
+            body, last = s[1], len(s[1]) - 1
+            out = []
+            for i, sub in enumerate(body):
+                if 0 < i < last:
+                    self.sid += 1
+                out.append(self.stmt(sub))
+            return Block(sid, tuple(out))
+        return cls(sid, *s[1:])
 
-
-def relabel_program(p: Program) -> Program:
-    lab = _Labeler()
-    threads = tuple(Thread(t.tid, lab.stmt(t.body)) for t in p.threads)
-    return p._replace(threads=threads)
+    def expr(self, e: tuple | Expr) -> Expr:
+        """The record of the expression tree e, its operators labelled in
+        pre-order from the next label, without recursion: Locations go in
+        pre-order, then the operators in reverse pre-order, where each
+        comes after its operands."""
+        if e.__class__ is not tuple:
+            return e
+        label = self.label
+        nodes: list[Record] = []
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            if x.__class__ is tuple:
+                nodes.append(Location(label, x[1], x[2], x[0]))
+                label += 1
+                stack += x[:2:-1]  # the left operand on top
+            else:
+                nodes.append(x)
+        self.label = label
+        vals: list[Expr] = []
+        for x in reversed(nodes):
+            if x.__class__ is not Location:
+                vals.append(x)
+            elif x.op == "-u":
+                vals[-1] = Neg(x, vals[-1])
+            else:
+                left = vals.pop()
+                vals[-1] = BinOp(x.op, x, left, vals[-1])
+        return vals[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from racebox.parser import MAX_NESTING, parse_program
 from racebox.randgen import (
     GeneratorConfig, random_expr, random_seq_program, sweep_program)
 from report_digests import SHAPES, nested
-from racebox.syntax import CMP_OPS, INF, Assign, Const, Guard, sub_exprs
+from racebox.syntax import (
+    CMP_OPS, INF, Assign, Builder, Const, Guard, sub_exprs)
 from reference_semantics import (
     HOLDS,
     ConcreteState,
@@ -104,7 +105,7 @@ def test_compiled_outcomes_match_the_reference_bulk():
     names = ["a", "b", "c"]
     points = [*range(-3, 4), Fraction(1, 2), Fraction(-3, 2)]
     for _ in range(400):
-        check_compiled(random_expr(rng, names, cfg, depth=3), [
+        check_compiled(Builder().expr(random_expr(rng, names, cfg, depth=3)), [
             {n: rng.choice(points) for n in names} for _ in range(5)])
 
 

@@ -18,7 +18,7 @@ from racebox.domains import (
 )
 from racebox.parser import parse_program
 from racebox.randgen import GeneratorConfig, random_expr
-from racebox.syntax import CMP_OPS, INF, NEG_INF, Const, Var
+from racebox.syntax import CMP_OPS, INF, NEG_INF, Builder, Const, Var
 from reference_semantics import HOLDS, eval_concrete
 
 F = Fraction
@@ -275,6 +275,18 @@ def test_assign_definite_zero_divisor_blocks():
     assert len(errs) == 1
 
 
+def test_division_of_bottom_alarms_when_the_divisor_holds_zero():
+    # as in the concrete semantics, which adds the label whenever 0 is a
+    # divisor value, whether or not the dividend has one
+    assert iv(1, 2).div(BOT) == (BOT, False)
+    assert BOT.div(iv(-1, 0)) == (BOT, True)
+    p = parse_program("var c = [-2,-2]; thread 1 { x <- c / 0 / [-1,0]; }")
+    e = p.threads[0].body.expr
+    val, errs = eval_abs(e, BoxEnv.initial(p))
+    assert val.is_bot and errs == {e.loc, e.left.loc}
+    assert eval_concrete(e, {"c": F(-2)})[1] == errs
+
+
 def test_guard_clamps_bound():
     env = BoxEnv({"x": iv(-5, 10)})
     out, errs = transfer_guard(Var("x"), "<=", env, frozenset())
@@ -311,7 +323,7 @@ def test_abstract_soundness_bulk():
     names = ["a", "b", "c"]
     checked = 0
     while checked < 10_000:
-        e = random_expr(rng, names, cfg, depth=2)
+        e = Builder().expr(random_expr(rng, names, cfg, depth=2))
         rho = {n: F(rng.randint(-4, 4)) for n in names}
         cvals, cerrs = eval_concrete(e, rho)
         box = BoxEnv({n: Interval.const(v) for n, v in rho.items()})
@@ -331,7 +343,7 @@ def test_guard_refinement_soundness_bulk():
     names = ["a", "b", "c"]
     kept = 0
     for _ in range(300):
-        e = random_expr(rng, names, cfg, depth=3)
+        e = Builder().expr(random_expr(rng, names, cfg, depth=3))
         box = {}
         for n in names:
             lo = rng.randint(-3, 3)

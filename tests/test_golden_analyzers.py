@@ -78,36 +78,36 @@ def golden_digests() -> dict[str, str]:
 
 
 GOLDEN = {
-    "large/interference/decreasing": "3c06af3b6d26277d",
-    "large/interference/default": "2dfd650d7db40e9f",
-    "large/interference/delay0": "7f6a7b5a592ffe17",
-    "large/interference/self": "5b4ef9b3f4d8c9ac",
-    "large/scheduled-no-mono/decreasing": "c0ce814dd3bd15c0",
-    "large/scheduled-no-mono/default": "434ef28fc45d6abf",
-    "large/scheduled-no-mono/delay0": "72151df79ceb2841",
-    "large/scheduled/decreasing": "ddc11b4480c5741c",
-    "large/scheduled/default": "a347a06361e53ac2",
-    "large/scheduled/delay0": "55a43c12ce7ad94c",
-    "large/seq/decreasing": "3da66e85409222a9",
-    "large/seq/default": "b19a899c21c32df9",
-    "large/seq/delay0": "03c1091da7e13af1",
-    "seq/interference/decreasing": "4e7175e521d3bb72",
-    "seq/interference/default": "a08c87d7273274b0",
-    "seq/interference/delay0": "e03588e7a7d9628f",
-    "seq/interference/self": "e8806b878a79f879",
-    "seq/seq/decreasing": "e7ee59a3de200c25",
-    "seq/seq/default": "98a82a4be9afcb00",
-    "seq/seq/delay0": "4cc746cd2327524e",
-    "sweep/interference/decreasing": "c8310786bdc515bc",
-    "sweep/interference/default": "d6c28526b691832f",
-    "sweep/interference/delay0": "3b844a69c864efe0",
-    "sweep/interference/self": "b0c15c865147c50c",
-    "sweep/scheduled-no-mono/decreasing": "122c885f4666f98d",
-    "sweep/scheduled-no-mono/default": "33ab5302dfb6c631",
-    "sweep/scheduled-no-mono/delay0": "8d7914405b25a05c",
-    "sweep/scheduled/decreasing": "506232dd90efebc6",
-    "sweep/scheduled/default": "1c6af02532cdb68b",
-    "sweep/scheduled/delay0": "ea8e2d45a6565c7f",
+    "large/interference/decreasing": "c41ef08a06656547",
+    "large/interference/default": "60fb931d96a1d82a",
+    "large/interference/delay0": "2228c6efeda6baae",
+    "large/interference/self": "a15fcfcf27b27dc5",
+    "large/scheduled-no-mono/decreasing": "b14a00ede33beb4e",
+    "large/scheduled-no-mono/default": "2547aad7c1797d06",
+    "large/scheduled-no-mono/delay0": "33f72bbc9ae907f4",
+    "large/scheduled/decreasing": "54d9b76b06fdc07c",
+    "large/scheduled/default": "781e41be0ebf022a",
+    "large/scheduled/delay0": "4f1644381147fea7",
+    "large/seq/decreasing": "86551006a5391673",
+    "large/seq/default": "3213285c1f217c88",
+    "large/seq/delay0": "7780ecf1f83d89ac",
+    "seq/interference/decreasing": "eec5d1fd88a6af1c",
+    "seq/interference/default": "fa47c13636c423b8",
+    "seq/interference/delay0": "23b13e6d83447542",
+    "seq/interference/self": "5ca6de54d776bcc8",
+    "seq/seq/decreasing": "5c43a7b415e3307f",
+    "seq/seq/default": "7ac09315987fed67",
+    "seq/seq/delay0": "f5cf82a996db1f11",
+    "sweep/interference/decreasing": "ae7baa0dfd731d9c",
+    "sweep/interference/default": "1b48805ce49db7ec",
+    "sweep/interference/delay0": "27a6ba9b49f05a3f",
+    "sweep/interference/self": "f10737b2b02f3b79",
+    "sweep/scheduled-no-mono/decreasing": "8150ffa47b323852",
+    "sweep/scheduled-no-mono/default": "2ac8cdad3d81f94d",
+    "sweep/scheduled-no-mono/delay0": "e26a8b070115aefc",
+    "sweep/scheduled/decreasing": "8f3a95475bc9803b",
+    "sweep/scheduled/default": "cd49e83d72ffd596",
+    "sweep/scheduled/delay0": "c5366ef4bb0e4c2d",
     "sweep/seq/decreasing": "e637ee75f60a831f",
     "sweep/seq/default": "0e7f963b4693537a",
     "sweep/seq/delay0": "06ba53e4e742e219",

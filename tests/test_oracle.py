@@ -21,6 +21,7 @@ from racebox.oracle import (
 from racebox.parser import parse_program
 from racebox.randgen import (
     fuzz_program, random_program, random_seq_program, sweep_program)
+from racebox.sched import analyze_program_C
 from reference_semantics import exec_stmt, initial_state
 
 F = Fraction
@@ -302,6 +303,18 @@ def test_inclusion_pass(corpus):
     alarms = analyze_program_I(p).omega
     rep = inclusion(run_interleavings(p, unroll=0), alarms)
     assert rep.verdict == "PASS"
+
+
+def test_inclusion_of_a_division_of_nothing_by_zero():
+    """c / 0 has no value, yet dividing it by [-1,0] may divide by zero:
+    the oracles report both divisions, and so must every analyzer."""
+    p = parse_program("var c = [-2,-2]; thread 1 { x <- c / 0 / [-1,0]; }")
+    e = p.threads[0].body.expr
+    for run in (run_interleavings(p), run_scheduled(p)):
+        assert run.errors == {e.loc, e.left.loc}
+        for res in (analyze_program_I(p), analyze_program_C(p),
+                    analyze_program_C(p, mono=False)):
+            assert inclusion(run, res.omega).verdict == "PASS"
 
 
 def test_inclusion_vacuous_on_trivial_program():

@@ -140,6 +140,17 @@ def test_labels_deterministic_left_to_right():
     assert labels == sorted(labels) == [1, 2, 3]
 
 
+def test_sids_number_statements_with_the_block_rule_gaps():
+    """A block of several statements takes one sid before each statement
+    but its last, the first being its own; a block of one statement is
+    that statement and an empty one is SKIP, a Guard with its own sid."""
+    p = parse_program("thread 1 { a <- 1; { b <- 2; c <- 3; d <- 4; }"
+                      " if a < 0 then { } }")
+    body = p.threads[0].body
+    assert [s.sid for s in sub_stmts(body)] == [1, 2, 4, 5, 7, 8, 9, 10]
+    assert isinstance(body.body[2].body, Guard)
+
+
 def test_collect_lock_sets_priority_example(corpus):
     p = corpus("priority_mutex")
     ls = collect_lock_sets(p)
@@ -333,9 +344,9 @@ def test_operator_locations_point_at_their_operators(corpus_source):
 
 
 def test_parse_builds_each_operator_once(monkeypatch):
-    """parse_program constructs one BinOp, Neg and Location per operator
-    of the program it returns, each with its final label: nothing is
-    built and then relabelled."""
+    """parse_program and the generator construct one BinOp, Neg and
+    Location per operator of the program they return, each with its final
+    label: nothing is built and then relabelled."""
     built = []
 
     def counting(cls):
@@ -344,17 +355,22 @@ def test_parse_builds_each_operator_once(monkeypatch):
             Record.__init__(self, *args, **kwargs)
         return __init__
 
-    q = random_program(random.Random(36_001), GeneratorConfig(
-        max_threads=4, max_stmts=96, n_vars=12, n_mutexes=4,
-        sync_prob=0.35, max_branching=4))
+    def check(make):
+        built.clear()
+        for cls in (BinOp, Neg, Location):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        p = make()
+        monkeypatch.undo()
+        ops = [x for t in p.threads for e in stmt_exprs(t.body)
+               for x in sub_exprs(e) if isinstance(x, (BinOp, Neg))]
+        assert len(ops) > 40
+        nodes = ops + [x.loc for x in ops]
+        assert len(built) == len(nodes)
+        assert {id(x) for x in built} == {id(x) for x in nodes}
+
+    cfg = GeneratorConfig(max_threads=4, max_stmts=96, n_vars=12,
+                          n_mutexes=4, sync_prob=0.35, max_branching=4)
+    q = random_program(random.Random(36_001), cfg)
     last = f"thread {len(q.threads) + 1} {{ x <- -(-(1 + 2) * 3); }}"
-    for cls in (BinOp, Neg, Location):
-        monkeypatch.setattr(cls, "__init__", counting(cls))
-    p = parse_program(pretty_program(q) + last)
-    monkeypatch.undo()
-    ops = [x for t in p.threads for e in stmt_exprs(t.body)
-           for x in sub_exprs(e) if isinstance(x, (BinOp, Neg))]
-    assert len(ops) > 40
-    nodes = ops + [x.loc for x in ops]
-    assert len(built) == len(nodes)
-    assert {id(x) for x in built} == {id(x) for x in nodes}
+    check(lambda: parse_program(pretty_program(q) + last))
+    check(lambda: random_program(random.Random(36_001), cfg))
