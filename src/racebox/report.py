@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from json.encoder import encode_basestring_ascii as _escape
 
 from .config import UNROLL, AnalysisSettings, OracleBudget
 from .domains import BOT, BoxEnv, Interval
@@ -364,7 +365,41 @@ def _analyze(p: Program, mode: str, cfg: RunConfig):
 
 
 def report_to_json(rep: dict) -> str:
-    return json.dumps(rep, sort_keys=True, indent=2) + "\n"
+    """json.dumps(rep, sort_keys=True, indent=2) and a newline, written
+    here: with an indent the stdlib runs its pure-Python encoder, which
+    builds a closure cycle on every call."""
+    out: list[str] = []
+    _write(rep, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(v, nl: str, out: list[str]) -> None:
+    """Append v as JSON whose lines after the first begin with nl; a
+    scalar or an empty container as json.dumps(v) writes it."""
+    if v.__class__ is str:
+        out.append(_escape(v))
+    elif v.__class__ is int:
+        out.append(int.__repr__(v))
+    elif isinstance(v, dict) and v:
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, x in sorted(v.items()):
+            # an int, float, bool or None key as json converts it
+            out.append(sep + _escape(k if isinstance(k, str)
+                                     else json.dumps(k)) + ": ")
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(v, (list, tuple)) and v:
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(v))
 
 
 def analyze_source(source: str, cfg: RunConfig) -> dict:

@@ -1,11 +1,12 @@
 """The abstract analyzer engine: one structural interpreter (recursive
-iteration, widening at loop heads) and one outer interference fixpoint.
-A loop iterates from its input, and a loop reached again in a pass with
-the same input returns its last result.  A read (read_env) evaluates its
-expression's tape, compiled once per outer_fixpoint call, in the
-partition's environment with each variable carrying compatible
-interference joined with it; a guard refines only the other variables.
-substitute renders such a read as an expression.
+iteration, widening at loop heads) and one outer interference fixpoint.  A
+loop iterates from its input, and a loop reached again in a pass with the
+same input returns its last result.  A pass keeps no reference to itself
+once it returns, so reference counting frees its working set.  A read
+(read_env) evaluates its expression's tape, compiled once per
+outer_fixpoint call, in the partition's environment with each variable
+carrying compatible interference joined with it; a guard refines only the
+other variables.  substitute renders such a read as an expression.
 
 Environments and interferences are partitioned by scheduler configurations
 (l = mutexes held by the thread, u = mutexes known free system-wide, and a
@@ -342,8 +343,8 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
     map and is only read; the pass carries, and returns, t's own entries
     alone, the only ones it can change.  The error labels the pass meets
     are collected in recorder.errors.  `tapes` holds each expression's
-    compiled tape by id; the caller that owns it may share it between
-    passes."""
+    compiled tape by id, which the caller that owns it may share between
+    passes; nothing else of a pass's working set outlives its return."""
     if mode not in ENGINE_MODES:
         raise ValueError(f"unknown engine mode {mode!r}")
     blind = mode in ("interference", "seq")
@@ -513,8 +514,13 @@ def transfer_C(s: Stmt, t: int, st: AbsStateC,
             return islocked(s.sid, s.var, s.mutex, x)
         raise TypeError(s)
 
-    return go(s, AbsStateC(st.envs,
-                           {k: v for k, v in st.interf.items() if k[0] == t}))
+    try:
+        return go(s, AbsStateC(st.envs, {k: v for k, v in st.interf.items()
+                                         if k[0] == t}))
+    finally:
+        # go reaches itself through its cell: unbound, the pass's working
+        # set is freed on return by reference counting, not left in a cycle
+        go = None
 
 
 class Race(Record):

@@ -1,3 +1,4 @@
+import gc
 import pathlib
 import sys
 
@@ -24,3 +25,20 @@ def corpus_source():
         return (CORPUS / f"{name}.conc").read_text()
 
     return load
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """Run a callable with the cycle collector off and return the objects
+    that one collection then frees: what it left in reference cycles."""
+
+    def count(run) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    return count

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from racebox.cli import main
 from racebox.config import AnalysisSettings
 from racebox.parser import MAX_NESTING
+from regen_fixtures import CORPUS
 
 from racebox.report import (
     REPORT_SCHEMA,
@@ -47,6 +48,62 @@ def test_reports_byte_deterministic():
     cfg2 = RunConfig(mode="fuzz", seed=3)
     assert (report_to_json(analyze_source(SRC_CLEAN, cfg2))
             == report_to_json(analyze_source(SRC_CLEAN, cfg2)))
+
+
+# both oracles with a check, so with witnesses; no corpus fuzz run forks
+GARBAGE_RUNS = [
+    RunConfig(mode="interference"), RunConfig(mode="scheduled"),
+    RunConfig(mode="scheduled", mono=False),
+    RunConfig(mode="oracle-interleave", check_against="interference"),
+    RunConfig(mode="oracle-scheduled", check_against="scheduled"),
+    RunConfig(mode="fuzz")]
+
+
+def test_a_run_leaves_no_cyclic_garbage(cyclic_garbage):
+    """Reference counting alone frees what a run and its JSON build: a
+    thread pass drops its working set on return."""
+    import racebox.transforms  # noqa: F401 (pickle's import leaves cycles)
+
+    sources = [f.read_text() for f in sorted(CORPUS.glob("*.conc"))]
+
+    def run():
+        for src in sources:
+            for cfg in GARBAGE_RUNS:
+                report_to_json(analyze_source(src, cfg))
+        report_to_json(analyze_source(
+            "var x = [0,3]; thread 1 { while x - 10 < 0 do"
+            " { x <- x + 1 / x; } }", RunConfig(mode="seq")))
+
+    assert cyclic_garbage(run) == 0
+
+
+_TEXT = st.text(st.sampled_from('ab⊥"\\/\n\t\x00\x1f\x7fé'), max_size=6)
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.floats() | _TEXT
+    | st.integers() | st.sampled_from([2**70, -(2**64) - 1, -0.0]),
+    lambda tree: (st.lists(tree, max_size=4)
+                  | st.lists(tree, max_size=4).map(tuple)
+                  | st.dictionaries(_TEXT, tree, max_size=4)
+                  | st.dictionaries(st.integers(), tree, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_LIKE)
+def test_report_to_json_writes_what_json_dumps_writes(v):
+    assert report_to_json(v) == json.dumps(v, sort_keys=True, indent=2) + "\n"
+
+
+def test_an_oracle_report_with_witnesses_writes_as_json_dumps():
+    # thread 1 divides by zero once thread 2 has set x back to 0: the
+    # witness's scheduler status maps are keyed by thread id, an int
+    src = "var x; thread 1 { x <- 1 / x; } thread 2 { x <- 1; yield; x <- 0; }"
+    rep = analyze_source(src, RunConfig(mode="oracle-scheduled",
+                                        check_against="scheduled"))
+    status = rep["oracle"]["witnesses"]["1"][0]["pre-scheduler"]["status"]
+    assert list(status) == [1, 2]
+    assert report_to_json(rep) == json.dumps(rep, sort_keys=True,
+                                             indent=2) + "\n"
 
 
 def test_alarm_reports_sorted_by_position():

@@ -1,4 +1,3 @@
-import gc
 import os
 import pathlib
 import random
@@ -202,17 +201,19 @@ def test_engine_reads_match_the_substitution():
     assert reads > 1000 and interfered > 300
 
 
-def test_an_analysis_keeps_no_expression_alive():
-    # the tapes an analysis compiles die with it: nothing outlives the
-    # call that holds a program's expressions
-    p = parse_program("var x = [0,3]; thread 1 { while x - 10 < 0 do"
-                      " { x <- x + 1 / x; } }")
-    ref = weakref.ref(p.threads[0].body.expr)
-    results = [analyze_program_seq(p), analyze_program_I(p),
-               analyze_program_C(p)]
-    del p
-    gc.collect()
-    assert ref() is None and all(r.omega for r in results)
+def test_an_analysis_keeps_no_expression_alive(cyclic_garbage):
+    # the tapes an analysis compiles die with it, by reference counting
+    # alone: nothing outlives the call that holds a program's expressions
+    def run():
+        p = parse_program("var x = [0,3]; thread 1 { while x - 10 < 0 do"
+                          " { x <- x + 1 / x; } }")
+        ref = weakref.ref(p.threads[0].body.expr)
+        results = [analyze_program_seq(p), analyze_program_I(p),
+                   analyze_program_C(p)]
+        del p
+        assert ref() is None and all(r.omega for r in results)
+
+    assert cyclic_garbage(run) == 0
 
 
 # -- in/out
