@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .config import LimitReached
@@ -96,23 +97,26 @@ def _human(rep: dict, color: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the list options' items, with numbers written as the parser reads them
+_RATIONAL = re.compile(r"-?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?")
+_THREAD_ID = re.compile(r"t?[0-9]+")
+
+
 def _parse_thresholds(text: str) -> tuple[Num, ...]:
     """An empty list means the default thresholds."""
-    try:
-        return tuple(sorted(num(x.strip()) for x in text.split(",")
-                            if x.strip())) or RunConfig.thresholds
-    except (ValueError, ZeroDivisionError):
+    parts = [x.strip() for x in text.split(",") if x.strip()]
+    if not all(map(_RATIONAL.fullmatch, parts)):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of rationals")
+    return tuple(sorted(map(num, parts))) or RunConfig.thresholds
 
 
 def _parse_threads(text: str) -> tuple[int, ...]:
-    parts = (part.strip().lstrip("t") for part in text.split(","))
-    try:
-        return tuple(int(part) for part in parts if part)
-    except ValueError:
+    parts = [x.strip() for x in text.split(",") if x.strip()]
+    if not all(map(_THREAD_ID.fullmatch, parts)):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of thread ids")
+    return tuple(int(part.lstrip("t")) for part in parts)
 
 
 class _Formatter(argparse.ArgumentDefaultsHelpFormatter):

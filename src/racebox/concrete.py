@@ -35,7 +35,6 @@ from .syntax import (
     Program,
     Record,
     Stmt,
-    Thread,
     While,
     body_guard,
     else_guard,
@@ -225,17 +224,6 @@ def paths(s: Stmt, unroll: int, cap: int | None = None) -> PathSet:
             raise TooManyPaths(f"more than {cap} control paths")
     return PathSet(frozenset(out),
                    any(isinstance(x, While) for x in sub_stmts(s)))
-
-
-def capped_paths(t: Thread, unroll: int, max_states: int) -> PathSet:
-    """paths(t.body, unroll, max_states): the state budget bounds every
-    thread's path walk too, and the refusal names the thread."""
-    try:
-        return paths(t.body, unroll, max_states)
-    except TooManyPaths:
-        raise TooManyPaths(f"thread {t.tid} spawns more than {max_states}"
-                           f" control paths at unroll {unroll}, over the"
-                           f" state budget of {max_states}") from None
 
 
 def sorted_paths(path_set) -> list[ControlPath]:

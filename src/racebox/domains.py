@@ -10,7 +10,7 @@ single HC4-style backward sweep over the same tape; neither recurses.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .syntax import (
     INF,
@@ -25,14 +25,9 @@ from .syntax import (
     Var,
     fmt_ext,
     is_finite,
-    num,
     ratdiv,
     sub_exprs,
 )
-
-
-class BotNotRepresentable(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +68,6 @@ class Interval(NamedTuple):
         if lo > hi or lo == INF or hi == NEG_INF:
             return BOT
         return Interval(lo, hi)
-
-    @staticmethod
-    def const(v) -> "Interval":
-        v = num(v)
-        return Interval(v, v)
 
     @staticmethod
     def top() -> "Interval":
@@ -236,13 +226,6 @@ _new = tuple.__new__
 BOT = Interval(None, None)
 
 
-def as_expr(v: Interval) -> Expr:
-    """Constant expression whose evaluation covers the interval exactly."""
-    if v.is_bot:
-        raise BotNotRepresentable("bottom has no constant expression")
-    return Const(v.lo, v.hi)
-
-
 # ---------------------------------------------------------------------------
 # Box environments
 
@@ -258,10 +241,6 @@ class BoxEnv:
     @staticmethod
     def bot() -> "BoxEnv":
         return _BOT_ENV
-
-    @staticmethod
-    def top(variables: Iterable[str]) -> "BoxEnv":
-        return BoxEnv({v: Interval.top() for v in variables})
 
     @staticmethod
     def initial(p: Program) -> "BoxEnv":
@@ -303,13 +282,6 @@ class BoxEnv:
             return self
         return BoxEnv({v: self._m[v].widen(other._m[v], thresholds)
                        for v in self._m})
-
-    def leq(self, other: "BoxEnv") -> bool:
-        if self.is_bot:
-            return True
-        if other.is_bot:
-            return False
-        return all(self._m[v].leq(other._m[v]) for v in self._m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BoxEnv):

@@ -6,7 +6,9 @@ once it returns, so reference counting frees its working set.  A read
 (read_env) evaluates its expression's tape, compiled once per
 outer_fixpoint call, in the partition's environment with each variable
 carrying compatible interference joined with it; a guard refines only the
-other variables.  substitute renders such a read as an expression.
+other variables.  apply_sched renders such a read as an expression; no
+analysis runs it, but perfbench's probes time it and the tests compare
+the engine's reads against it.
 
 Environments and interferences are partitioned by scheduler configurations
 (l = mutexes held by the thread, u = mutexes known free system-wide, and a
@@ -37,7 +39,6 @@ from .domains import (
     BoxEnv,
     Interval,
     Tape,
-    as_expr,
     compile_tape,
     guard_in,
     run_tape,
@@ -194,14 +195,6 @@ def _view_of(c: SchedConfig, groups: ByConfig) -> InterferenceView:
     return by_var, writers
 
 
-def interference_view(t: int, c: SchedConfig, interf: InterferenceMap,
-                      self_threads: frozenset[int] = frozenset(),
-                      ) -> InterferenceView:
-    """What a read by thread t under c may see: the interferences of other
-    threads (and its own if t is in self_threads) at compatible configs."""
-    return _view_of(c, _by_config(interf, None if t in self_threads else t))
-
-
 def read_env(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
              names: Iterable[str],
              ) -> tuple[BoxEnv, frozenset[str], list[ReadEvent]]:
@@ -223,18 +216,25 @@ def read_env(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
     return env, frozenset(hit), events
 
 
-def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
-               e: Expr, read_log: set[ReadEvent] | None = None) -> Expr:
-    """read_env's read of e rendered as an expression: each variable
-    carrying interference becomes a constant interval covering its
+def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,
+                interf: InterferenceMap, e: Expr,
+                read_log: set[ReadEvent] | None = None,
+                self_threads: frozenset[int] = frozenset()) -> Expr:
+    """read_env's read of e by thread t under c rendered as an expression:
+    each variable carrying interference compatible with c (its own too if
+    t is in self_threads) becomes a constant interval covering its
     environment and interference values (others stay, so guards still
     refine them); optionally log which writes each read saw."""
+    env = envs[c]
+    view = _view_of(c, _by_config(interf, None if t in self_threads else t))
     _, fixed, events = read_env(t, c, env, view, vars_of_expr(e))
     if read_log is not None:
         read_log.update(events)
     if not fixed:
         return e
-    consts = {x: as_expr(view[0][x].join(env.get(x))) for x in fixed}
+    # read_env fixes only variables with non-bottom interference, so no
+    # joined value is bottom
+    consts = {x: Const(*view[0][x].join(env.get(x))) for x in fixed}
 
     def go(x: Expr, *subs: Expr) -> Expr:
         if isinstance(x, Var):
@@ -249,17 +249,6 @@ def substitute(t: int, c: SchedConfig, env: BoxEnv, view: InterferenceView,
         return BinOp(x.op, x.loc, *subs)
 
     return fold_expr(e, go)
-
-
-def apply_sched(t: int, c: SchedConfig, envs: PartitionedEnv,
-                interf: InterferenceMap, e: Expr,
-                read_log: set[ReadEvent] | None = None,
-                self_threads: frozenset[int] = frozenset()) -> Expr:
-    """Interference substitution restricted to configurations compatible
-    with c."""
-    return substitute(t, c, envs[c],
-                      interference_view(t, c, interf, self_threads), e,
-                      read_log)
 
 
 def in_sharp(t: int, l: frozenset[str], u: frozenset[str], m: str,

@@ -198,9 +198,6 @@ class Location(Record, compare=("label",)):
     def sort_key(self) -> tuple:
         return (self.line, self.col, self.label)
 
-    def __str__(self) -> str:
-        return f"L{self.label}@{self.line}:{self.col}({self.op})"
-
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -382,12 +379,6 @@ class Program(Record):
     variables: tuple[str, ...]  # sorted lexicographically
     initial: tuple[tuple[str, tuple[Ext, Ext]], ...]  # var -> initial interval
 
-    def thread(self, tid: int) -> Thread:
-        for t in self.threads:
-            if t.tid == tid:
-                return t
-        raise KeyError(tid)
-
     @property
     def tids(self) -> tuple[int, ...]:
         return tuple(t.tid for t in self.threads)
@@ -475,10 +466,6 @@ def vars_of_stmt(s: Stmt) -> frozenset[str]:
         if isinstance(sub, (Assign, Guard, If, While)):
             out |= vars_of_expr(sub.expr)
     return frozenset(out)
-
-
-def expr_locations(e: Expr) -> frozenset[Location]:
-    return frozenset(x.loc for x in sub_exprs(e) if isinstance(x, (Neg, BinOp)))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,8 @@ _OCCURRENCE_CAP = 4  # occurrence-subset enumeration bound per statement
 
 
 def _top_env(e: Expr) -> BoxEnv:
-    return BoxEnv.top(sorted(vars_of_expr(e)) or ["_"])
+    return BoxEnv({v: Interval.top()
+                   for v in sorted(vars_of_expr(e)) or ["_"]})
 
 
 def check_noerror(e: Expr) -> bool:
@@ -412,10 +413,6 @@ class FuzzReport(Record):
     violations: list[FuzzViolation]
     inconclusive: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _pretty_path(path: ControlPath) -> list[str]:
     from .syntax import pretty_stmt
@@ -434,23 +431,31 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     be covered by the untransformed program's interference analysis: its
     alarms, computed here unless the caller passes them.
 
-    Each thread's paths come from concrete.capped_paths, so the state
-    budget bounds the path pool as well as each check.  Every trial is
-    drawn before any is checked.  Checking never touches the random
-    generator, so the report does not depend on where, or by which runs,
-    the checks are made (see _check_trials).  The draw computes each
+    Each thread's paths come from concrete.paths, capped by the state
+    budget, so the budget bounds the path pool as well as each check; a
+    refusal names the thread.  Every trial is drawn before any is
+    checked.  Checking never touches the random generator, so the report
+    does not depend on where, or by which runs, the checks are made (see
+    _check_trials).  The draw computes each
     expression node's variables, key and side conditions once per call,
     and the program's variable occurrences once, and of the applications
     a chain step finds it builds only the one it picks (see
     _applications); its memo is emptied before the checks."""
-    from .concrete import capped_paths, sorted_paths
+    from .concrete import TooManyPaths, paths, sorted_paths
 
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if chain < 1:
         raise ValueError(f"chain must be >= 1, got {chain}")
-    base = {t.tid: capped_paths(t, unroll, budget.max_states).paths
-            for t in p.threads}
+    base = {}
+    for t in p.threads:
+        try:
+            base[t.tid] = paths(t.body, unroll, budget.max_states).paths
+        except TooManyPaths:
+            raise TooManyPaths(
+                f"thread {t.tid} spawns more than {budget.max_states}"
+                f" control paths at unroll {unroll}, over the state budget"
+                f" of {budget.max_states}") from None
     rng = random.Random(seed)
     if alarms is None:
         alarms = frozenset(analyze_program_I(p, settings).omega)

@@ -9,6 +9,7 @@ import operator
 from racebox.concrete import Env, PathSet, VarIndex, const_points, start_envs
 from racebox.syntax import (
     Assign,
+    BinOp,
     Block,
     Const,
     Expr,
@@ -25,9 +26,9 @@ from racebox.syntax import (
     body_guard,
     else_guard,
     exit_guard,
-    expr_locations,
     ratdiv,
     stmt_exprs,
+    sub_exprs,
     then_guard,
     vars_of_expr,
 )
@@ -170,6 +171,11 @@ def run_paths(path_set, st: ConcreteState) -> ConcreteState:
             cur = _prim(prim, cur)
         out = join(out, cur)
     return out
+
+
+def expr_locations(e: Expr) -> frozenset[Location]:
+    """The operator locations of e."""
+    return frozenset(x.loc for x in sub_exprs(e) if isinstance(x, (Neg, BinOp)))
 
 
 def program_locations(p: Program) -> frozenset[Location]:

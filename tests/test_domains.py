@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from racebox.domains import (
     BOT,
-    BotNotRepresentable,
     BoxEnv,
     Interval,
-    as_expr,
     eval_abs,
     transfer_assign,
     transfer_guard,
@@ -220,7 +218,7 @@ def test_interval_kernels_match_their_reference_definitions():
                 (x, y, thr)
 
 
-# -- get / as_expr
+# -- get, and constants
 
 
 def test_get_on_box():
@@ -234,16 +232,9 @@ def test_get_initial_defaults_to_zero():
     assert BoxEnv.initial(p).get("x") == iv(0, 0)
 
 
-def test_as_expr_roundtrip():
-    assert as_expr(iv(0, 5)) == Const(F(0), F(5))
-    assert as_expr(iv("-inf", 3)) == Const(NEG_INF, F(3))
-    with pytest.raises(BotNotRepresentable):
-        as_expr(BOT)
-
-
 def test_as_expr_concrete_coverage():
-    # concrete evaluation of the synthesized constant covers the interval
-    vals, errs = eval_concrete(as_expr(iv(-2, 2)), {"x": F(0)})
+    # concrete evaluation of a constant interval covers the interval
+    vals, errs = eval_concrete(Const(-2, 2), {"x": F(0)})
     assert errs == frozenset()
     assert {F(-2), F(0), F(2)} <= vals
 
@@ -326,7 +317,7 @@ def test_abstract_soundness_bulk():
         e = Builder().expr(random_expr(rng, names, cfg, depth=2))
         rho = {n: F(rng.randint(-4, 4)) for n in names}
         cvals, cerrs = eval_concrete(e, rho)
-        box = BoxEnv({n: Interval.const(v) for n, v in rho.items()})
+        box = BoxEnv({n: Interval(v, v) for n, v in rho.items()})
         aval, aerrs = eval_abs(e, box)
         for v in cvals:
             assert aval.contains(v), (e, rho, v, str(aval))

@@ -47,8 +47,8 @@ def test_three_thousand_statement_thread(tmp_path):
 
     seq = analyze_program_seq(p)
     assert not seq.omega
-    assert unpartitioned(seq.per_thread[1].final).get("v2") == Interval.const(
-        N // 3)
+    assert unpartitioned(seq.per_thread[1].final).get("v2") == Interval(
+        N // 3, N // 3)
     assert not analyze_program_I(p).omega
     assert not analyze_program_C(p).omega
 
@@ -84,7 +84,7 @@ def test_deep_expression(tmp_path, shape):
 
     seq = analyze_program_seq(p._replace(threads=p.threads[:1]))
     assert not seq.omega
-    assert unpartitioned(seq.per_thread[1].final).get("y") == Interval.const(0)
+    assert unpartitioned(seq.per_thread[1].final).get("y") == Interval(0, 0)
     for analyze in (analyze_program_I, analyze_program_C):
         res = analyze(p)
         assert not res.omega

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racebox.cli import main
+from racebox.cli import _parse_threads, _parse_thresholds, main
 from racebox.config import AnalysisSettings
 from racebox.parser import MAX_NESTING
 from regen_fixtures import CORPUS
@@ -584,10 +585,18 @@ def test_cli_exit_two_on_deep_nesting(tmp_path):
                                         ("--widening-delay", "-3"),
                                         ("--thresholds", "abc"),
                                         ("--thresholds", "1/0"),
+                                        # only the parser's number syntax
+                                        ("--thresholds", "\u0663"),
+                                        ("--thresholds", "1e3"),
+                                        ("--thresholds", "1_0"),
                                         ("--self-interference", "foo"),
                                         ("--self-interference", "9"),
                                         ("--self-interference", "0"),
                                         ("--self-interference", "-1"),
+                                        ("--self-interference", "t"),
+                                        ("--self-interference", "tt1"),
+                                        ("--self-interference", "\u0663"),
+                                        ("--self-interference", "1_0"),
                                         ("--mode", "oracle-interference")])
 def test_cli_rejects_out_of_range_bounds(tmp_path, corpus_source, flag,
                                          value):
@@ -659,6 +668,24 @@ def test_cli_self_interference_runs_with_the_interference_analyzer(
     assert rep["config"]["self_interference"] == [1]
     if rep["mode"] != "oracle-interleave":  # the alarm the flag makes
         assert [a["label"] for a in rep["alarms"]] == [1]
+
+
+def test_cli_list_options_take_only_the_language_numerals():
+    # int and Fraction also read other digits, `_` and exponents; on a
+    # two-thread program `--self-interference 1_0` then names no thread,
+    # so the CLI case above exits 2 either way
+    assert _parse_thresholds("-1,0,1,10") == (-1, 0, 1, 10)
+    assert _parse_thresholds(" 1/2 , 0.5,4/2") == (F(1, 2), F(1, 2), 2)
+    assert _parse_thresholds("") == RunConfig.thresholds
+    assert _parse_threads("t1,t2") == _parse_threads("1, 2,") == (1, 2)
+    assert _parse_threads("") == ()
+    for parse, text in [(_parse_thresholds, "\u0663"),
+                        (_parse_thresholds, "1e3"),
+                        (_parse_thresholds, "1_0"),
+                        (_parse_threads, "t"), (_parse_threads, "tt1"),
+                        (_parse_threads, "\u0663"), (_parse_threads, "1_0")]:
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse(text)
 
 
 def test_cli_thresholds_flag(tmp_path, corpus_source):

@@ -31,9 +31,10 @@ from racebox.sched import (
     SchedConfig,
     WEAK,
     analyze_program_C,
+    _by_config,
+    _view_of,
     apply_sched,
     in_sharp,
-    interference_view,
     intf,
     out_sharp,
     outer_fixpoint,
@@ -178,7 +179,7 @@ def test_engine_reads_match_the_substitution():
                 for c, env in envs.items():
                     log = set()
                     e2 = apply_sched(tid, c, envs, res.interf, e, log)
-                    view = interference_view(tid, c, res.interf)
+                    view = _view_of(c, _by_config(res.interf, tid))
                     seen, fixed, events = read_env(tid, c, env, view,
                                                    tape.names)
                     if var is not None:
