@@ -133,7 +133,9 @@ class RunConfig(Record):
     def echo(self) -> dict:
         """The report's `config`: every field that can change the result."""
         out = {n: getattr(self, n) for n in self._fields if n != "timing"}
-        out["thresholds"] = [str(t) for t in self.thresholds]
+        # neither setting depends on the order or repeats of its items
+        out["thresholds"] = [str(t) for t in sorted(set(self.thresholds))]
+        out["self_interference"] = sorted(set(self.self_interference))
         return out
 
 

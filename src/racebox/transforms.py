@@ -433,33 +433,32 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 
     Each thread's paths come from concrete.paths, capped by the state
     budget, so the budget bounds the path pool as well as each check; a
-    refusal names the thread.  Every trial is drawn before any is
-    checked.  Checking never touches the random generator, so the report
-    does not depend on where, or by which runs, the checks are made (see
-    _check_trials).  The draw computes each
-    expression node's variables, key and side conditions once per call,
-    and the program's variable occurrences once, and of the applications
-    a chain step finds it builds only the one it picks (see
-    _applications); its memo is emptied before the checks."""
+    refusal names the thread.  A check lists its trial's thread alone: the
+    others step structurally at `unroll`.  Every trial is drawn before any
+    is checked.  Checking never touches the random generator, so the
+    report does not depend on where, or by which runs, the checks are made
+    (see _check_trials).  The draw computes each expression node's
+    variables, key and side conditions once per call, and the program's
+    variable occurrences once, and of the applications a chain step finds
+    it builds only the one it picks (see _applications); its memo is
+    emptied before the checks."""
     from .concrete import TooManyPaths, paths, sorted_paths
 
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if chain < 1:
         raise ValueError(f"chain must be >= 1, got {chain}")
-    base = {}
+    pools, cap = {}, budget.max_states
     for t in p.threads:
         try:
-            base[t.tid] = paths(t.body, unroll, budget.max_states).paths
+            pools[t.tid] = sorted_paths(paths(t.body, unroll, cap).paths)
         except TooManyPaths:
             raise TooManyPaths(
-                f"thread {t.tid} spawns more than {budget.max_states}"
-                f" control paths at unroll {unroll}, over the state budget"
-                f" of {budget.max_states}") from None
+                f"thread {t.tid} spawns more than {cap} control paths at"
+                f" unroll {unroll}, over the state budget of {cap}") from None
     rng = random.Random(seed)
     if alarms is None:
         alarms = frozenset(analyze_program_I(p, settings).omega)
-    pools = {tid: sorted_paths(ps) for tid, ps in base.items()}
 
     per_rule = {r.value: {"applied": 0, "skipped": 0, "violations": 0}
                 for r in RuleId}
@@ -499,8 +498,8 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     finally:
         facts.memos.clear()  # `apps` still holds builders that reference it
 
-    outcomes = _check_trials(p, base, alarms, [d[:3] for d in drawn],
-                             budget)
+    outcomes = _check_trials(p, pools, alarms, [d[:3] for d in drawn],
+                             budget, unroll)
     if draw_error is not None:
         raise draw_error
 
@@ -608,21 +607,21 @@ def _check_in_children(check, n: int, workers: int) -> list:
         _worker_check = None
 
 
-def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
+def _check_trials(p: Program, pools: dict[int, list[ControlPath]],
                   alarms: frozenset[Location], trials: list,
-                  budget: OracleBudget) -> list[Outcome]:
+                  budget: OracleBudget, unroll: int) -> list[Outcome]:
     """For every trial (tid, old, new), in order, the inclusion outcome
     against `alarms`, as (verdict, sorted uncovered labels), of its full
-    check P': the interleaving oracle, without witnesses, on the base
-    paths of every thread, but tid's old path replaced by new.
+    check P': the interleaving oracle, without witnesses, on tid's pool
+    with old replaced by new and the other threads stepped at `unroll`.
 
-    A run is named by the thread paths it overrides, and one function
-    explores a name: None is B, the untransformed program on the base
-    paths of every thread; (tid, {new}) is a reduced run R, in which tid
+    A run is named by the one thread's paths it lists, and one function
+    explores a name: None is B, the program's own run: every thread
+    steps structurally; (tid, {new}) is a reduced run R, in which tid
     has only new; (tid, news) is a grouped run U, in which tid has the
-    new paths of all its trials; and (tid, base[tid] - {old} | {new}) is
-    P'.  The first round explores B first, unless every trial rewrote
-    its thread's only base path.  If B ended within FORK_MIN_STATES
+    new paths of all its trials; and (tid, pools[tid] - {old} | {new})
+    is P'.  The first round explores B first, unless every trial
+    rewrote its thread's only path.  If B ended within FORK_MIN_STATES
     states and the budget, it then explores one U per rewritten thread,
     which is R where the thread's trials make one new path; otherwise
     one R per distinct (tid, new), since there a U of several paths
@@ -630,12 +629,12 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
     execution of P' is one of R if tid is on a prefix of new, else one
     of B, so errors(R) <= errors(P') <= errors(R) | errors(B) and
     states(P') <= states(R) + states(B).  A trial takes R's outcome if
-    old was tid's only base path (R is P'), or if B passed (it ended
-    within the budget with alarms alone as errors) and states(R) +
-    states(B) <= max_states (a run cut off counts more than max_states
-    states): P' would then end within the budget with the same uncovered
-    errors.  R is a sub-run of its thread's U, so errors(R) <= errors(U)
-    and states(R) <= states(U): a U of several paths that passed passes
+    old was tid's only path (R is P'), or if B passed (it ended within
+    the budget with alarms alone as errors) and states(R) + states(B) <=
+    max_states (a run cut off counts more than max_states states): P'
+    would then end within the budget with the same uncovered errors.  R
+    is a sub-run of its thread's U, so errors(R) <= errors(U) and
+    states(R) <= states(U): a U of several paths that passed passes
     each R and speaks for every trial as R would, but a U that failed
     cannot tell which of its trials' R failed.  Any other trial, and any
     whose R, U or B raised, explores its P' in a second round, so the
@@ -656,16 +655,15 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
     and every child is joined."""
     if not trials:
         return []
-    whole = [base[tid] == {old} for tid, old, _ in trials]  # R is P'
+    whole = [len(pools[tid]) == 1 for tid, _, _ in trials]  # R is P'
     reduced = [(tid, frozenset((new,))) for tid, _, new in trials]
     jobs = ([] if all(whole) else [None]) + list(dict.fromkeys(reduced))
 
     def explore(name, max_states: int = budget.max_states) -> ExploreResult:
         """The run `name` under max_states."""
         return run_interleavings(
-            p, budget=budget._replace(max_states=max_states),
-            thread_paths=base if name is None else {**base, name[0]: name[1]},
-            collect_witnesses=False)
+            p, unroll=unroll, budget=budget._replace(max_states=max_states),
+            thread_paths=dict([name] if name else []), collect_witnesses=False)
 
     def job(name, max_states: int = budget.max_states):
         """The run `name`'s (states, outcome) under max_states, or None if
@@ -712,7 +710,7 @@ def _check_trials(p: Program, base: dict[int, frozenset[ControlPath]],
             out[i] = r[1]
     redo = [i for i in range(len(trials)) if i not in out]
     if redo:
-        full = [(tid, base[tid] - {old} | {new})
+        full = [(tid, frozenset(pools[tid]) - {old} | {new})
                 for tid, old, new in map(trials.__getitem__, redo)]
         out.update(zip(redo, run(lambda k: _outcome(explore(full[k]),
                                                     alarms), len(redo))))
@@ -762,10 +760,10 @@ _CONTROLS = (
 def negative_controls() -> list[NegativeControl]:
     """Hand-built violations of Def-style side conditions, one per row of
     _CONTROLS, each checked as a one-trial _check_trials call, the plan
-    fuzz_weakmem runs.  Each one must produce at least one oracle error
-    not covered by the original program's interference analysis, proving
-    the harness has teeth."""
-    from .concrete import paths as mk_paths
+    fuzz_weakmem runs, which lists thread 1's paths alone.  Each one must
+    produce at least one oracle error not covered by the original
+    program's interference analysis, proving the harness has teeth."""
+    from .concrete import paths, sorted_paths
     from .parser import parse_program
 
     out: list[NegativeControl] = []
@@ -773,9 +771,9 @@ def negative_controls() -> list[NegativeControl]:
         p = parse_program(src)
         alarms = frozenset(analyze_program_I(p).omega)
         # the control programs have no loops, so no unrolling
-        base = {t.tid: mk_paths(t.body, 0).paths for t in p.threads}
-        path = max(base[1], key=len)
+        pools = {1: sorted_paths(paths(p.threads[0].body, 0).paths)}
+        path = max(pools[1], key=len)
         (verdict, missing), = _check_trials(
-            p, base, alarms, [(1, path, rewrite(path))], OracleBudget())
+            p, pools, alarms, [(1, path, rewrite(path))], OracleBudget(), 0)
         out.append(NegativeControl(name, verdict == "FAIL", missing))
     return out

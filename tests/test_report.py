@@ -670,6 +670,22 @@ def test_cli_self_interference_runs_with_the_interference_analyzer(
         assert [a["label"] for a in rep["alarms"]] == [1]
 
 
+@pytest.mark.parametrize("flag,spellings", [
+    ("--self-interference", ["1", "1,1", "t1,1"]),
+    ("--self-interference", ["1,2", "2,1"]),
+    ("--thresholds", ["1,10", "10,1,1"]),
+], ids=["thread-repeats", "thread-order", "threshold-repeats"])
+def test_cli_list_spellings_write_one_report(tmp_path, corpus_source, flag,
+                                             spellings):
+    """Neither list option depends on the order or repeats of its items,
+    so every spelling of one setting writes the same bytes."""
+    f = tmp_path / "p.conc"
+    f.write_text(corpus_source("dekker"))
+    outs = {run_cli(str(f), "--mode", "interference", flag, text,
+                    "--json").stdout for text in spellings}
+    assert len(outs) == 1 and json.loads(outs.pop())["config"]
+
+
 def test_cli_list_options_take_only_the_language_numerals():
     # int and Fraction also read other digits, `_` and exponents; on a
     # two-thread program `--self-interference 1_0` then names no thread,

@@ -285,8 +285,8 @@ def test_negative_controls_run_the_fuzz_plan(cpus, monkeypatch, k):
     real_check = transforms._check_trials
     real_run = transforms.run_interleavings
 
-    def check_trials(p, base, alarms, trials, budget):
-        name, _ = _namer(base, trials)
+    def check_trials(p, pools, alarms, trials, budget, unroll):
+        name, _ = _namer(pools, trials)
         calls.append(len(trials))
         runs.append([])
 
@@ -295,7 +295,7 @@ def test_negative_controls_run_the_fuzz_plan(cpus, monkeypatch, k):
             return real_run(p, **kw)
 
         monkeypatch.setattr(transforms, "run_interleavings", run)
-        return real_check(p, base, alarms, trials, budget)
+        return real_check(p, pools, alarms, trials, budget, unroll)
 
     monkeypatch.setattr(transforms, "_check_trials", check_trials)
     forks = cpus(k)
@@ -312,6 +312,71 @@ def test_negative_controls_pinned():
         ("assign-before-guard with shared X2", True, [1]),
         ("expr-simplify without containment", True, [1]),
     ]
+
+
+# thread 2 has 16,384 paths at unroll 3
+SEVEN_LOOPS = ("var x; var a; var b; var c;\n"
+               "thread 1 { a <- 1; b <- 2; c <- 3; }\n"
+               "thread 2 { " + "while x - 3 < 0 do { x <- x + 1; } " * 7
+               + "}\n")
+
+
+def test_runs_list_only_the_thread_they_rewrite(cpus, monkeypatch):
+    """B lists no thread, and every other run lists only the thread its
+    trials rewrote: the rest step structurally.  Of the seven-loop
+    program's 50 trials, B passes and each thread's trials share one run
+    U; each negative control lists at most thread 1."""
+    p = parse_program(SEVEN_LOOPS)
+    listed = []
+    real = transforms.run_interleavings
+
+    def run(p, **kw):
+        listed.append(sorted(kw["thread_paths"]))
+        return real(p, **kw)
+
+    monkeypatch.setattr(transforms, "run_interleavings", run)
+    cpus(1)
+    rep = fuzz_weakmem(p, trials=50, seed=0, unroll=3)
+    assert rep.effective and listed == [[], [2], [1]]
+    listed.clear()
+    assert all(c.detected for c in negative_controls())
+    assert listed and all(tids in ([], [1]) for tids in listed)
+
+
+def test_stepped_runs_equal_their_listed_runs(cpus, monkeypatch):
+    """Every run of the criterion-8 programs at unroll 2, of 88054 with no
+    alarms (so that P's run too) and of three looping fuzz programs at
+    unroll 3 gives the ExploreResult of the same run with every thread it
+    does not list listed through concrete.paths, bar paths_truncated,
+    which no verdict reads.  88013 is left out for time: its nine runs
+    take 466,000 states."""
+    real = transforms.run_interleavings
+    seen = []
+
+    def replay(p, **kw):
+        res, own = real(p, **kw), kw["thread_paths"]
+        listed = real(p, **{**kw, "thread_paths": {
+            t.tid: own[t.tid] if t.tid in own
+            else paths(t.body, kw["unroll"]).paths for t in p.threads}})
+        assert ({f: getattr(res, f) for f in res._fields
+                 if f != "paths_truncated"}
+                == {f: getattr(listed, f) for f in res._fields
+                    if f != "paths_truncated"})
+        seen.append(len(own))
+        return res
+
+    monkeypatch.setattr(transforms, "run_interleavings", replay)
+    cpus(1)
+    for n in range(28):
+        if n != 13:
+            fuzz_weakmem(fuzz_program(88_000 + n), trials=8, chain=4,
+                         seed=n, unroll=2)
+    fuzz_weakmem(fuzz_program(88_054), trials=8, chain=4, seed=54,
+                 unroll=2, alarms=frozenset())
+    for n in (7, 25, 37):
+        fuzz_weakmem(fuzz_program(88_000 + n), trials=8, chain=4, seed=n,
+                     unroll=3)
+    assert set(seen) == {0, 1} and len(seen) > 100
 
 
 # -- checking trials in forked children
@@ -395,49 +460,49 @@ class _Local(Exception):
 
 
 def _drawn(cpus, monkeypatch, p, **kw):
-    """The base paths of every thread and the trials (tid, old path, new
-    path), in order, that fuzz_weakmem(p, **kw) checks, from a run with
-    one CPU."""
+    """The base paths of every thread, as the set of its pool, and the
+    trials (tid, old path, new path), in order, that fuzz_weakmem(p, **kw)
+    checks, from a run with one CPU."""
     got = []
     real = transforms._check_trials
 
-    def record(p, base, alarms, trials, budget):
-        got.append((base, trials))
-        return real(p, base, alarms, trials, budget)
+    def record(p, pools, alarms, trials, budget, unroll):
+        got.append((pools, trials))
+        return real(p, pools, alarms, trials, budget, unroll)
 
     monkeypatch.setattr(transforms, "_check_trials", record)
     cpus(1)
     fuzz_weakmem(p, **kw)
     monkeypatch.setattr(transforms, "_check_trials", real)
-    (base, trials), = got
-    return base, trials
+    (pools, trials), = got
+    return {tid: frozenset(pool) for tid, pool in pools.items()}, trials
 
 
-def _reduced(base, tid, new):
-    """A trial's reduced run R: the base paths of every thread but tid,
-    which has only its new path."""
-    return {**base, tid: frozenset({new})}
+def _reduced(tid, new):
+    """A trial's reduced run R: tid has only its new path, and every other
+    thread steps structurally."""
+    return {tid: frozenset({new})}
 
 
 def _full(base, tid, old, new):
     """A trial's full check P': tid's path old replaced by new."""
-    return {**base, tid: (base[tid] - {old}) | {new}}
+    return {tid: (frozenset(base[tid]) - {old}) | {new}}
 
 
-def _units(base, trials):
+def _units(trials):
     """Each rewritten thread's grouped run U, in the order of the
-    threads' first trials: the base paths of every thread but tid, which
-    has the new path of every trial of tid."""
+    threads' first trials: tid has the new path of every trial of tid,
+    and every other thread steps structurally."""
     news = {}
     for tid, _, new in trials:
         news.setdefault(tid, set()).add(new)
-    return {tid: {**base, tid: frozenset(ps)} for tid, ps in news.items()}
+    return {tid: {tid: frozenset(ps)} for tid, ps in news.items()}
 
 
 def _run_names(cpus, monkeypatch, p, **kw):
     """A function that names each oracle run fuzz_weakmem(p, **kw) can
-    make, in any process, by its thread paths: "B" for the untransformed
-    program's run, on the base paths of every thread, and for trial i,
+    make, in any process, by the thread paths it lists: "B" for the
+    untransformed program's run, which lists none, and for trial i,
     in trial order, "P{i}" for its full check P' and "R{i}" for its
     reduced run R, and for a rewritten thread tid, "U{tid}" for its
     grouped run U.  A run that is several of these takes the first name
@@ -455,11 +520,11 @@ def _namer(base, trials):
     `trials` against `base`, and the number of distinct runs."""
     first = {}
     for i, (tid, old, new) in enumerate(trials):
-        for label, q in (("B", base), (f"P{i}", _full(base, tid, old, new)),
-                         (f"R{i}", _reduced(base, tid, new))):
+        for label, q in (("B", {}), (f"P{i}", _full(base, tid, old, new)),
+                         (f"R{i}", _reduced(tid, new))):
             first.setdefault(frozenset(q.items()), label)
     units = {frozenset(q.items()): f"U{tid}"
-             for tid, q in _units(base, trials).items()}
+             for tid, q in _units(trials).items()}
 
     def name(thread_paths) -> str:
         key = frozenset(thread_paths.items())
@@ -764,7 +829,7 @@ def test_fuzz_children_fall_back_to_full_checks(cpus, monkeypatch, tmp_path,
 
         def run(p, **kw):
             res = logged(p, **kw)
-            if kw["thread_paths"] == base:
+            if kw["thread_paths"] == {}:
                 raise ValueError("B")
             return res
 
@@ -806,20 +871,19 @@ def test_reduced_runs_give_the_full_checks_verdicts(cpus, monkeypatch, n):
     alarms = frozenset(analyze_program_I(p).omega)
 
     def run(thread_paths):
-        res = run_interleavings(p, thread_paths=thread_paths,
+        res = run_interleavings(p, unroll=2, thread_paths=thread_paths,
                                 collect_witnesses=False)
         assert not res.truncated
         return res
 
-    b = run(base)
+    b = run({})
     assert b.errors <= alarms
     small = b.states <= transforms.FORK_MIN_STATES
     assert small == (n in (1, 12, 54))
-    units = ({tid: run(q) for tid, q in _units(base, trials).items()}
+    units = ({tid: run(q) for tid, q in _units(trials).items()}
              if small else {})
     for tid, old, new in trials:
-        r, full = run(_reduced(base, tid, new)), run(_full(base, tid, old,
-                                                           new))
+        r, full = run(_reduced(tid, new)), run(_full(base, tid, old, new))
         assert r.errors <= full.errors <= r.errors | b.errors
         assert full.errors - alarms == r.errors - alarms
         assert full.states <= r.states + b.states
@@ -877,22 +941,22 @@ def test_check_trials_give_the_full_checks_outcomes(cpus, monkeypatch, n,
 
     monkeypatch.setattr(transforms, "run_interleavings", run)
     reference = _outcomes(lambda: [transforms._outcome(run(
-        p, budget=budget, thread_paths=_full(base, *t),
+        p, unroll=2, budget=budget, thread_paths=_full(base, *t),
         collect_witnesses=False), alarms) for t in trials])
     assert reference[0] == ("raises" if "P3" in raising else "ok")
     ran.clear()
     raised.clear()
     forks = cpus(k)
     assert _outcomes(lambda: transforms._check_trials(
-        p, base, alarms, trials, budget)) == reference
+        p, base, alarms, trials, budget, 2)) == reference
     assert raised[:1] == raising[:1]
     assert bool(forks) == (k == 2 and n in (11, 25))
     _assert_no_children()
     if n in (12, 53, 54):
         # B, one run per rewritten thread, some of several new paths,
         # and then, unless each of those runs settled its trials, P's
-        units = _units(base, trials)
-        assert ran[:len(units) + 1] == [base] + list(units.values())
+        units = _units(trials)
+        assert ran[:len(units) + 1] == [{}] + list(units.values())
         assert any(len(q[tid]) > 1 for tid, q in units.items())
         assert (len(ran) > len(units) + 1) == (case != "alarms")
     if case == "no alarms":
