@@ -17,11 +17,13 @@ paths, grown by concrete.control_step (or from thread_paths) as the
 search reaches it, so the state budget bounds the tries too.  Its
 `_Policy` lists the moves of a control point: (trie node, status, held
 mutexes) per thread.  A state is one int.  Its low 32 bits hold the
-control point's id in a per-exploration table.  Variable k has a value
-field of _FIELD (32) bits at bit 32 + _FIELD * k, which holds the index
-of its value in a per-exploration value table of that variable, in
-first-seen order; a variable with more values than its field can number
-raises ValueTableFull.  Environments are decoded only for terminal_envs.
+control point's id in a per-exploration table; a run that reaches more
+control points than they can number raises ControlTableFull.  Variable
+k has a value field of _FIELD (32) bits at bit 32 + _FIELD * k, which
+holds the index of its value in a per-exploration value table of that
+variable, in first-seen order; a variable with more values than its
+field can number raises ValueTableFull.  Environments are decoded only
+for terminal_envs.
 
 States pop in exactly the order of a plain BFS over (control point,
 environment) tuples: start states in sorted environment order, then the
@@ -38,16 +40,18 @@ of DONE threads.  A move advances one thread by one trie edge, and a
 retire makes one more thread DONE, which no step undoes; so each step
 goes one level down, all paths to a state have the same length, and a
 state found again is in the level being built.  The explorer therefore
-keeps, to drop repeats, only the set of that level, started afresh when
-the first state of the level before it pops, and counts the states of
-the older levels in an int.  Without witnesses a state is then held
-only while it is queued or in the set of the level being built.  With
+builds each level as one insertion-ordered dict, which both drops
+repeats and queues the level: a state found again keeps its first
+place, and each successor is stored once.  The level pops through a
+deque made from that dict, which lets each state go as it pops, and the
+states of the older levels are counted in an int.  Without witnesses a
+state is then held only while its level is being built or popped.  With
 witnesses, one dict maps each state found to the state that found it;
 a witness step is rebuilt by re-running the parent's moves in order up
 to the first that reaches the child, and a retire adds no step.
 A scheduled run's sched_states are the (status, held) pairs of the
-control points expanded and of the states still queued; an interleaving
-run has None.
+control points expanded and of the states still queued: the rest of the
+popped level, then the level being built.  An interleaving run has None.
 
 Cached for one exploration: each control point's moves, from its first
 pop, and one memo per statement, keyed by the fields of the variables it
@@ -275,6 +279,11 @@ class ValueTableFull(LimitReached):
     field can number."""
 
 
+class ControlTableFull(LimitReached):
+    """One exploration reached more control points than a state's low
+    _SHIFT bits can number."""
+
+
 def _explore(p: Program, unroll: int, budget: OracleBudget,
              thread_paths: Optional[dict[int, frozenset[ControlPath]]],
              collect_witnesses: bool, scheduled: bool) -> ExploreResult:
@@ -311,7 +320,11 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
     def ctl_id(ctl: tuple) -> int:
         i = ctl_codes.get(ctl)
         if i is None:
-            i = ctl_codes[ctl] = len(ctl_list)
+            i = len(ctl_list)
+            if i > _MASK:
+                raise ControlTableFull(f"the run reached more than"
+                                       f" {_MASK + 1} control points")
+            ctl_codes[ctl] = i
             ctl_list.append(ctl)
         return i
 
@@ -340,7 +353,6 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
     c0 = ctl_id(((0,) * n, (READY,) * n, (frozenset(),) * n))
     start = [sum(map(code, idx.values(), env)) | c0
              for env in start_envs(p, budget.max_states + 1)]
-    queue = deque(start)
     # state -> the state that first found it (None for a start state)
     parents: dict | None = dict.fromkeys(start) if collect_witnesses else None
     errors: dict[Location, list[dict]] = {}
@@ -367,18 +379,20 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
         steps.reverse()
         return steps
 
-    popleft, push = queue.popleft, queue.append
     max_states = budget.max_states
     found = 0  # states in the levels before the one being built
-    seen = set(start)  # the level being built
-    while queue and found + len(seen) <= max_states:
-        # the queue holds one level, whose successors make the next
-        found += len(seen)
+    nxt = dict.fromkeys(start)  # the level being built, in first-seen order
+    queue: deque = deque()  # the popped level's states not yet popped
+    while nxt and found + len(nxt) <= max_states:
+        # the popped level drains through a deque, which frees each state as
+        # it pops; its successors make the next level
+        found += len(nxt)
         room = max_states - found
-        seen = set()
-        add = seen.add
+        queue = deque(nxt)
+        nxt = {}
+        popleft = queue.popleft
         for _ in range(len(queue)):
-            if len(seen) > room:
+            if len(nxt) > room:
                 break
             state = popleft()
             c = state & _MASK
@@ -392,11 +406,9 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
                 terminal.add(e)
             for c2 in retire:
                 s2 = e | c2
-                if s2 not in seen:
-                    add(s2)
-                    if parents is not None:
-                        parents[s2] = state
-                    push(s2)
+                nxt[s2] = None  # a repeat keeps its first place
+                if parents is not None:
+                    parents.setdefault(s2, state)
             for t, stmt, (memo, rmask, keep, prim), targets in moves:
                 key = e & rmask
                 fields = memo.get(key)
@@ -420,21 +432,20 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
                     e2 = base | f if f else base
                     for c2 in targets:
                         s2 = e2 | c2
-                        if s2 not in seen:
-                            add(s2)
-                            if parents is not None:
-                                parents[s2] = state
-                            push(s2)
+                        nxt[s2] = None
+                        if parents is not None:
+                            parents.setdefault(s2, state)
 
     # positional: a Record built by keyword costs three times as much
     return ExploreResult(
-        frozenset(errors), bool(queue),  # truncated: stopped by the budget
+        frozenset(errors), bool(nxt),  # truncated: stopped by the budget
         frozenset(tuple([vs[e >> k & fmask] for vs, k in zip(values, shifts)])
                   for e in terminal),
-        p.variables, found + len(seen), paths_trunc, errors,
-        # the control points expanded and those of the states still queued
-        frozenset(ctl_list[c][1:]
-                  for c in infos.keys() | {s & _MASK for s in queue})
+        p.variables, found + len(nxt), paths_trunc, errors,
+        # the control points expanded and those of the states still queued:
+        # the rest of the popped level, then the level being built
+        frozenset(ctl_list[c][1:] for c in infos.keys()
+                  | {s & _MASK for q in (queue, nxt) for s in q})
         if scheduled else None)
 
 

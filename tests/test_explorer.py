@@ -9,6 +9,8 @@ import gc
 import pathlib
 import random
 import tracemalloc
+from collections import deque
+from itertools import accumulate
 
 import pytest
 
@@ -58,6 +60,52 @@ def test_explorer_equals_the_global_visited_set_reference(scheduled):
     # oracle witnesses that run past a retire
     assert runs == 808 and 0 < truncated < runs and witnessed
     assert after_retire or not scheduled
+
+
+def _level_sizes(monkeypatch, p, scheduled, max_states) -> list[int]:
+    """The sizes of the BFS levels popped by a run under max_states: each
+    level is popped through one deque built from it."""
+    sizes = []
+
+    def level_deque(*level):
+        sizes.extend(map(len, level))
+        return deque(*level)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "deque", level_deque)
+        oracle._explore(p, 3, OracleBudget(max_states=max_states), None,
+                        False, scheduled)
+    return sizes
+
+
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_explorer_equals_the_reference_at_level_boundaries(monkeypatch,
+                                                           scheduled):
+    """Sweep programs 31000, 31006, 31011 and 31238, and WIDE_START, with
+    and without witnesses, at the budgets Σk - 1, Σk and Σk + 1, Σk being
+    the number of states in the first k levels: a run stops at the end of
+    a level or while it pops one, and every ExploreResult field equals the
+    reference's at each edge."""
+    runs = at_end = mid_level = 0
+    programs = [(seed, sweep_program(seed))
+                for seed in (31_000, 31_006, 31_011, 31_238)]
+    for name, p in programs + [("WIDE_START", parse_program(WIDE_START))]:
+        sums = list(accumulate(_level_sizes(monkeypatch, p, scheduled,
+                                            3_000)))
+        bounds = {b for s in sums for b in (s - 1, s, s + 1)} - {0}
+        for max_states in sorted(bounds):
+            for witnesses in (False, True):
+                args = (p, 3, OracleBudget(max_states=max_states), None,
+                        witnesses, scheduled)
+                got = oracle._explore(*args)
+                want = reference_explorer.explore(*args)
+                assert got == want, (name, max_states, witnesses, [
+                    f for f in FIELDS if getattr(got, f) != getattr(want, f)])
+                runs += 1
+                # a run stopped between levels holds whole levels
+                at_end += got.truncated and got.states in sums
+                mid_level += got.truncated and got.states not in sums
+    assert at_end and mid_level and at_end + mid_level < runs
 
 
 @pytest.mark.parametrize("scheduled", [False, True])

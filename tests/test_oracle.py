@@ -203,6 +203,29 @@ def test_a_full_value_field_raises(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: variable x took more")
 
 
+def test_a_full_control_table_raises(monkeypatch, tmp_path, capsys):
+    """With 2-bit control ids a run has room for four control points: one
+    thread of three assignments has four, and of four, five, one too
+    many, whose id would spill into x's value field.  The scheduled run
+    of four adds a retired point.  Both raise, and the CLI reports a
+    bound of the run: `error:`, exit 3."""
+    monkeypatch.setattr(oracle, "_SHIFT", 2)
+    monkeypatch.setattr(oracle, "_MASK", 3)
+    fits = parse_program("thread 1 { x <- 1; x <- 2; x <- 3; }")
+    assert run_interleavings(fits, unroll=0).terminal_values("x") == {3}
+    src = "thread 1 { x <- 1; x <- 2; x <- 3; x <- 4; }"
+    for run in (run_interleavings, run_scheduled):
+        with pytest.raises(oracle.ControlTableFull):
+            run(parse_program(src), unroll=0)
+    f = tmp_path / "p.conc"
+    f.write_text(src)
+    with pytest.raises(SystemExit) as exit_:
+        main([str(f), "--mode", "oracle-interleave"])
+    assert exit_.value.code == 3
+    assert capsys.readouterr().err.startswith(
+        "error: the run reached more than 4 control points")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_explorer_matches_structural_semantics(seed):

@@ -128,6 +128,42 @@ def test_guard_before_assign():
     assert swapped
 
 
+def _swap_misses(src):
+    """apply_rule's context for thread 1 of src, its longest path at
+    unroll 0, and the outcome of the check fuzz_weakmem runs on the trial
+    that swaps that path's first two statements."""
+    p, path = path_of(src)
+    pools = {1: sorted_paths(paths(p.threads[0].body, 0).paths)}
+    alarms = frozenset(analyze_program_I(p).omega)
+    swap = (path[1], path[0]) + path[2:]
+    outcome, = transforms._check_trials(p, pools, alarms, [(1, path, swap)],
+                                        OracleBudget(), 0)
+    return context_for(p, 1), path, outcome
+
+
+def test_reorder_guards_requires_noerror():
+    """Hoisting a guard that may divide by zero above a guard that never
+    holds reaches an error the program cannot: without check_noerror(b)
+    ReorderGuards would offer exactly that swap."""
+    c, path, outcome = _swap_misses(
+        "var flag = [1,1]; var x; var y; thread 1 {"
+        " if flag = 0 then { if 1 / x < 0 then { y <- 1; } } }")
+    assert apply_rule(RuleId.ReorderGuards, path, c) == []
+    assert outcome == ("FAIL", [1])
+
+
+def test_guard_before_assign_requires_nonblock_or_noerror():
+    """Hoisting a guard that may divide by zero above an assignment that
+    always blocks reaches an error the program cannot: without its
+    nonblock(a) or noerror(b) clause GuardBeforeAssign would offer
+    exactly that swap."""
+    c, path, outcome = _swap_misses(
+        "var x; var y; thread 1 {"
+        " y <- 1 / [0,0]; if 1 / x < 0 then { y <- 2; } }")
+    assert apply_rule(RuleId.GuardBeforeAssign, path, c) == []
+    assert outcome == ("FAIL", [2])
+
+
 def test_assign_before_guard_requires_local():
     src = "thread 1 { if y = 0 then { x <- 1; } }"
     _, path = path_of(src)
