@@ -54,14 +54,17 @@ control points expanded and of the states still queued: the rest of the
 popped level, then the level being built.  An interleaving run has None.
 
 Cached for one exploration: each control point's moves, from its first
-pop, and one memo per statement, keyed by the fields of the variables it
+pop; each trie node's edges, classified when a thread first steps from
+it; and one memo per statement, keyed by the fields of the variables it
 reads (state & read mask).  An Assign's memo holds the written
 variable's field codes in value order, a Guard's (0,) when it holds and
 () when not, and islocked's one prefilled code; the successor
 environments are (env & keep) | code.  An Assign/Guard is compiled when
-the first control point that can take it is expanded, and its errors
+the first control point that can take it is expanded, unless an earlier
+run that shared the caller's `prims` table compiled it, and its errors
 are recorded on a memo miss: they depend only on the values it reads, so
-the first pop to meet them is the miss.
+the first pop to meet them is the miss.  The memos' codes belong to one
+exploration and are never shared.
 """
 
 from __future__ import annotations
@@ -174,6 +177,9 @@ class _Policy:
         self.tids = tids
         self.tries = tries
         self.scheduled = scheduled
+        # per thread: trie node -> its edges as (stmt, next node, kind,
+        # transition), made when the thread first steps from the node
+        self.classified: list[dict] = [{} for _ in tries]
 
     def sched(self, status: tuple, held: tuple) -> list[tuple[tuple, tuple]]:
         """Grant free mutexes to their highest-priority waiters, then wake
@@ -203,6 +209,26 @@ class _Policy:
             out.append((tuple(st3), tuple(held2)))
         return out
 
+    @staticmethod
+    def classify(edges: list[tuple[Stmt, int]], transition) -> list[tuple]:
+        """A trie node's edges as (stmt, next node, kind, transition): kind
+        is _PRIM for an Assign/Guard, else the statement's class; the
+        transition is transition(stmt, _PRIM) for a primitive, None for
+        islocked, whose outcome reads the held mutexes, and
+        transition(stmt, None) for the rest."""
+        out = []
+        for stmt, nxt in edges:
+            if isinstance(stmt, (Assign, Guard)):
+                out.append((stmt, nxt, _PRIM, transition(stmt, _PRIM)))
+            elif isinstance(stmt, IsLocked):
+                out.append((stmt, nxt, IsLocked, None))
+            elif isinstance(stmt, (Lock, Unlock, Yield)):
+                out.append((stmt, nxt, stmt.__class__,
+                            transition(stmt, None)))
+            else:  # pragma: no cover
+                raise TypeError(stmt)
+        return out
+
     def expand(self, ctl: tuple, ctl_id, transition):
         """(terminal, retire, moves): terminal when every thread may stop
         here; retire holds the ids of control points reached without a
@@ -227,11 +253,15 @@ class _Policy:
                     (nodes, status[:i] + (DONE,) + status[i + 1:], held)))
             if sched and t != top:
                 continue
-            for stmt, nxt in edges:
-                op, st2, hd2 = None, status, held
-                if isinstance(stmt, (Assign, Guard)):
-                    op = _PRIM
-                elif isinstance(stmt, Lock):
+            known = self.classified[i]
+            classified = known.get(node)
+            if classified is None:
+                classified = known[node] = self.classify(edges, transition)
+            for stmt, nxt, kind, tr in classified:
+                st2, hd2 = status, held
+                if kind is _PRIM:
+                    pass
+                elif kind is Lock:
                     m = stmt.mutex
                     if sched:
                         st2 = status[:i] + (("wait", m),) + status[i + 1:]
@@ -239,18 +269,16 @@ class _Policy:
                         continue
                     else:
                         hd2 = held[:i] + (held[i] | {m},) + held[i + 1:]
-                elif isinstance(stmt, Unlock):
+                elif kind is Unlock:
                     hd2 = held[:i] + (held[i] - {stmt.mutex},) + held[i + 1:]
-                elif isinstance(stmt, Yield):
+                elif kind is Yield:
                     if sched:
                         st2 = status[:i] + (YIELDING,) + status[i + 1:]
-                elif isinstance(stmt, IsLocked):
-                    op = (stmt.var,
-                          1 if any(stmt.mutex in h for h in held) else 0)
-                else:  # pragma: no cover
-                    raise TypeError(stmt)
+                else:  # islocked
+                    tr = transition(stmt, (stmt.var, 1 if any(
+                        stmt.mutex in h for h in held) else 0))
                 new_nodes = nodes[:i] + (nxt,) + nodes[i + 1:]
-                moves.append((t, stmt, transition(stmt, op), tuple([
+                moves.append((t, stmt, tr, tuple([
                     ctl_id((new_nodes,) + o) for o in self.sched(st2, hd2)])
                     if sched else (ctl_id((new_nodes, st2, hd2)),)))
         return terminal, retire, moves
@@ -286,7 +314,8 @@ class ControlTableFull(LimitReached):
 
 def _explore(p: Program, unroll: int, budget: OracleBudget,
              thread_paths: Optional[dict[int, frozenset[ControlPath]]],
-             collect_witnesses: bool, scheduled: bool) -> ExploreResult:
+             collect_witnesses: bool, scheduled: bool,
+             prims: Optional[dict] = None) -> ExploreResult:
     """BFS over int-coded states; see the module docstring."""
     step, own = control_step(unroll), thread_paths or {}
     policy = _Policy(p.tids, [
@@ -331,18 +360,28 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
     infos: dict[int, tuple] = {}  # ctl_id -> expanded moves, once popped
     # env_op -> (memo, read mask, keep mask, compiled Assign/Guard or None);
     # keep, the fields a write leaves, is positive (& is slower on negative
-    # ints) and 0 when nothing is written
+    # ints) and 0 when nothing is written.  The memo's codes belong to this
+    # exploration; the rest of a primitive's entry comes from `prims`
     every = (1 << shifts.stop) - 1
     transitions: dict = {None: ({0: (0,)}, 0, 0, None)}
+    prims = {} if prims is None else prims
 
     def transition(stmt: Stmt, op) -> tuple:
         key = id(stmt) if op is _PRIM else op
         if key not in transitions:
             if op is _PRIM:
-                prim = reads, w, _ = compile_prim(stmt, idx)
-                transitions[key] = (
-                    {}, sum([fmask << shifts[k] for k in reads]),
-                    0 if w is None else every ^ fmask << shifts[w], prim)
+                # a primitive is its expression and its written variable or
+                # comparison (the guards of one If or While share its expr);
+                # its entry holds the expr, so that no id is reused
+                pkey = ((id(stmt.expr), stmt.var) if isinstance(stmt, Assign)
+                        else (id(stmt.expr), None, stmt.cmp))
+                hit = prims.get(pkey)
+                if hit is None:
+                    prim = reads, w, _ = compile_prim(stmt, idx)
+                    hit = prims[pkey] = (
+                        stmt.expr, sum([fmask << shifts[k] for k in reads]),
+                        0 if w is None else every ^ fmask << shifts[w], prim)
+                transitions[key] = ({},) + hit[1:]
             else:  # islocked: one outcome, whatever the env
                 k = idx[op[0]]
                 transitions[key] = ({0: (code(k, op[1]),)}, 0,
@@ -452,14 +491,17 @@ def _explore(p: Program, unroll: int, budget: OracleBudget,
 def run_interleavings(p: Program, unroll: int = UNROLL,
                       budget: OracleBudget = OracleBudget(),
                       thread_paths: Optional[dict[int, frozenset[ControlPath]]] = None,
-                      collect_witnesses: bool = True) -> ExploreResult:
+                      collect_witnesses: bool = True,
+                      prims: Optional[dict] = None) -> ExploreResult:
     """Union of errors over all interleavings of per-thread control paths.
 
     Mutexes block and exclude; islocked reads the actual mutex state;
     yield is a pause any interleaving can realize anyway.  Threads step in
-    any order (no priorities)."""
+    any order (no priorities).  Runs of one program that pass one dict as
+    `prims` compile each primitive once among them; the dict must serve
+    no other program."""
     return _explore(p, unroll, budget, thread_paths, collect_witnesses,
-                    scheduled=False)
+                    scheduled=False, prims=prims)
 
 
 def run_scheduled(p: Program, unroll: int = UNROLL,

@@ -104,22 +104,42 @@ def check_deterministic(e: Expr) -> bool:
 
 
 class _Facts:
-    """A memo of what the rules ask of expression and statement nodes:
-    fact(e) for a fact such as vars_of_expr, strip or a side-condition
-    check, computed once per node.  Entries are keyed by node identity,
-    not by structure, whose equality walks the tree, and each holds its
-    node, so no id is reused while the memo lives.  One memo serves one
-    apply_rule or fuzz_weakmem call."""
+    """A memo of what the rules ask of expression and statement nodes, one
+    view per fact: facts.vars(e) is vars_of_expr(e), facts.key(e) is
+    strip(e), facts.noerror(e) is check_noerror(e), and so on, each
+    computed once per node.  Entries are keyed by node identity, not by
+    structure, whose equality walks the tree, and each holds its node, so
+    no id is reused while the memo lives.  One memo serves one apply_rule
+    or fuzz_weakmem call; fuzz_weakmem also keeps in `scans`, per pool
+    path, the path's rule context and its applications per rule."""
 
     def __init__(self) -> None:
-        self.memos: dict = defaultdict(dict)  # fact -> id -> (node, value)
+        self.memos: dict = {}  # fact -> id -> (node, value)
+        self.scans: dict = {}  # (tid, pool index) -> (context, name -> apps)
+        self.vars = self._view(vars_of_expr)
+        self.stmt_vars = self._view(vars_of_stmt)
+        self.key = self._view(strip)
+        self.nonblock = self._view(check_nonblock)
+        self.noerror = self._view(check_noerror)
+        self.deterministic = self._view(check_deterministic)
+        self.operators = self._view(_operators)
+        self.simplifications = self._view(_simplifications)
 
-    def __call__(self, fact, e):
-        memo = self.memos[fact]
-        hit = memo.get(id(e))
-        if hit is None:
-            hit = memo[id(e)] = (e, fact(e))
-        return hit[1]
+    def _view(self, fact):
+        memo = self.memos[fact] = {}
+
+        def view(e):
+            hit = memo.get(id(e))
+            if hit is None:
+                hit = memo[id(e)] = (e, fact(e))
+            return hit[1]
+        return view
+
+    def clear(self) -> None:
+        """Empty every table; the views stay usable."""
+        for memo in self.memos.values():
+            memo.clear()
+        self.scans.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +157,7 @@ def _matches(e: Expr, key, facts: _Facts) -> list[bool]:
     """Per node of e, in pre-order: whether it matches key.  A flat
     pre-order key spans exactly its own subtree, so a slice of e's key
     decides a match."""
-    flat = facts(strip, e)
+    flat = facts.key(e)
     return [flat[i:i + len(key)] == key for i in range(len(flat))]
 
 
@@ -176,11 +196,23 @@ def _subst_stmt(s: Stmt, key, chosen: frozenset[int], replacement: Expr,
     return s
 
 
-def _occurrence_subsets(n: int) -> list[frozenset[int]]:
-    n = min(n, _OCCURRENCE_CAP)
-    out: list[frozenset[int]] = []
-    for r in range(1, n + 1):
-        out += [frozenset(c) for c in itertools.combinations(range(n), r)]
+# per occurrence count n: the non-empty subsets of the first
+# min(n, _OCCURRENCE_CAP) occurrences, by size, then lexicographically
+_SUBSETS = [[frozenset(c) for r in range(1, n + 1)
+             for c in itertools.combinations(range(n), r)]
+            for n in range(_OCCURRENCE_CAP + 1)]
+
+
+def _operators(e: Expr) -> list[tuple[tuple, Expr, frozenset[str]]]:
+    """e's operator nodes with their keys and variables, in pre-order, the
+    first of each key."""
+    out, seen = [], set()
+    for x in sub_exprs(e):
+        if isinstance(x, (Neg, BinOp)):
+            k = strip(x)
+            if k not in seen:
+                seen.add(k)
+                out.append((k, x, vars_of_expr(x)))
     return out
 
 
@@ -215,7 +247,8 @@ def apply_rule(rule: RuleId, path: ControlPath,
     `path` whose side conditions verify, in position order.  Windows never
     contain synchronization primitives (the statement shapes only match
     assignments and guards)."""
-    return [build() for build in _applications(rule, path, ctx, _Facts())]
+    return [build()
+            for build in _applications(_SCANS[rule], path, ctx, _Facts())]
 
 
 def _splice(path: ControlPath, pos: int, span: int, make, *args,
@@ -235,112 +268,149 @@ def _rewrite(s: Stmt, key, chosen: frozenset[int], replacement: Expr,
     return (_subst_stmt(s, key, chosen, replacement, [0], facts),)
 
 
-def _eliminate(window: ControlPath, x: str, pos: int, epat: Expr,
+def _eliminate(window: ControlPath, x: str, pos: int, epat: Expr, key,
                facts: _Facts) -> tuple[Stmt, ...]:
     """x <- epat, then the window with the first _OCCURRENCE_CAP
-    occurrences of epat replaced by x."""
-    key, repl, counter = facts(strip, epat), Var(x), [0]
+    occurrences of epat, whose key is `key`, replaced by x."""
+    repl, counter = Var(x), [0]
     every = frozenset(range(_OCCURRENCE_CAP))
     return (Assign(f"cse:{x}:{pos}", x, epat),) + tuple(
         _subst_stmt(s, key, every, repl, counter, facts) for s in window)
 
 
-def _applications(rule: RuleId, path: ControlPath, ctx: TransformContext,
+# One scan per rule: scan(path, ctx, facts, emit) calls emit(pos, span,
+# make, *args) for each application, in position order
+
+
+def _redundant_store(path, ctx, facts, emit) -> None:
+    vars_, nonblock = facts.vars, facts.nonblock
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        if (isinstance(a, Assign) and isinstance(b, Assign)
+                and a.var == b.var and a.var not in vars_(b.expr)
+                and nonblock(a.expr)):
+            emit(i, 2, _stmts, b)
+
+
+def _identity_store(path, ctx, facts, emit) -> None:
+    for i, a in enumerate(path):
+        if (isinstance(a, Assign) and isinstance(a.expr, Var)
+                and a.expr.name == a.var):
+            emit(i, 1, _stmts)
+
+
+def _reorder_assigns(path, ctx, facts, emit) -> None:
+    vars_, nonblock = facts.vars, facts.nonblock
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        if (isinstance(a, Assign) and isinstance(b, Assign)
+                and a.var != b.var and a.var not in vars_(b.expr)
+                and b.var not in vars_(a.expr) and nonblock(a.expr)):
+            emit(i, 2, _stmts, b, a)
+
+
+def _reorder_guards(path, ctx, facts, emit) -> None:
+    noerror = facts.noerror
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        if isinstance(a, Guard) and isinstance(b, Guard) and noerror(b.expr):
+            emit(i, 2, _stmts, b, a)
+
+
+def _guard_before_assign(path, ctx, facts, emit) -> None:
+    vars_, nonblock, noerror = facts.vars, facts.nonblock, facts.noerror
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        if (isinstance(a, Assign) and isinstance(b, Guard)
+                and a.var not in vars_(b.expr)
+                and (nonblock(a.expr) or noerror(b.expr))):
+            emit(i, 2, _stmts, b, a)
+
+
+def _assign_before_guard(path, ctx, facts, emit) -> None:
+    vars_, noerror = facts.vars, facts.noerror
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        if (isinstance(a, Guard) and isinstance(b, Assign)
+                and b.var not in vars_(a.expr) and b.var in ctx.local
+                and noerror(b.expr)):
+            emit(i, 2, _stmts, b, a)
+
+
+def _assign_propagation(path, ctx, facts, emit) -> None:
+    vars_, keys, deterministic = facts.vars, facts.key, facts.deterministic
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        if isinstance(a, Assign) and isinstance(b, (Assign, Guard)):
+            va = vars_(a.expr)
+            if (a.var not in va and va <= ctx.local
+                    and deterministic(a.expr)):
+                key = (("var", a.var),)  # strip(Var(a.var))
+                cnt = min(keys(b.expr).count(key[0]), _OCCURRENCE_CAP)
+                for chosen in _SUBSETS[cnt]:
+                    emit(i + 1, 1, _rewrite, b, key, chosen, a.expr, facts)
+
+
+def _subexpr_elim(path, ctx, facts, emit) -> None:
+    """Per position, per window of up to three assignments and guards
+    from it: each of the window's operators, one per key, that reads no
+    variable the window writes and cannot raise an error, computed into
+    the least fresh variable."""
+    if not ctx.fresh:
+        return
+    fresh = min(ctx.fresh)  # one fresh variable is as good as another
+    operators, noerror = facts.operators, facts.noerror
+    for i in range(len(path)):
+        lvals: frozenset[str] = frozenset()
+        cands: list = []  # the window's (key, operator, its variables)
+        seen_keys = set()
+        for span, s in enumerate(path[i:i + 3], 1):
+            if not isinstance(s, (Assign, Guard)):
+                break  # a sync primitive would enter the window
+            lvals |= lvals_of_stmt(s)
+            for cand in operators(s.expr):
+                if cand[0] not in seen_keys:
+                    seen_keys.add(cand[0])
+                    cands.append(cand)
+            # lvals only grows: a rejected operator stays rejected
+            cands = [c for c in cands if not c[2] & lvals and noerror(c[1])]
+            window = path[i:i + span]
+            for k, epat, _ in cands:
+                emit(i, span, _eliminate, window, fresh, i, epat, k, facts)
+
+
+def _expr_simplify(path, ctx, facts, emit) -> None:
+    vars_, keys = facts.vars, facts.key
+    for i, a in enumerate(path):
+        if isinstance(a, (Assign, Guard)):
+            for e_old, e_new in facts.simplifications(a.expr):
+                if not (vars_(e_old) | vars_(e_new)) <= ctx.local:
+                    continue
+                key = keys(e_old)
+                cnt = min(sum(_matches(a.expr, key, facts)), _OCCURRENCE_CAP)
+                for chosen in _SUBSETS[cnt]:
+                    emit(i, 1, _rewrite, a, key, chosen, e_new, facts)
+
+
+_SCANS = {
+    RuleId.RedundantStore: _redundant_store,
+    RuleId.IdentityStore: _identity_store,
+    RuleId.ReorderAssigns: _reorder_assigns,
+    RuleId.ReorderGuards: _reorder_guards,
+    RuleId.GuardBeforeAssign: _guard_before_assign,
+    RuleId.AssignBeforeGuard: _assign_before_guard,
+    RuleId.AssignPropagation: _assign_propagation,
+    RuleId.SubexprElim: _subexpr_elim,
+    RuleId.ExprSimplify: _expr_simplify,
+}
+
+
+def _applications(scan, path: ControlPath, ctx: TransformContext,
                   facts: _Facts) -> list:
-    """apply_rule's applications, in its order, as builders: calling one
-    makes its path.  Each changes its path: even an ExprSimplify rewrite
-    replaces an operator node by a strict subterm or a constant."""
+    """apply_rule's applications of the rule whose scan is `scan`, in its
+    order, as builders: calling one makes its path.  Each changes its
+    path: even an ExprSimplify rewrite replaces an operator node by a
+    strict subterm or a constant."""
     out: list = []
 
     def emit(pos: int, span: int, make, *args) -> None:
         out.append(partial(_splice, path, pos, span, make, *args))
 
-    n = len(path)
-    for i in range(n):
-        a = path[i]
-        b = path[i + 1] if i + 1 < n else None
-
-        if rule is RuleId.RedundantStore and b is not None:
-            if (isinstance(a, Assign) and isinstance(b, Assign)
-                    and a.var == b.var
-                    and a.var not in facts(vars_of_expr, b.expr)
-                    and facts(check_nonblock, a.expr)):
-                emit(i, 2, _stmts, b)
-
-        elif rule is RuleId.IdentityStore:
-            if (isinstance(a, Assign) and isinstance(a.expr, Var)
-                    and a.expr.name == a.var):
-                emit(i, 1, _stmts)
-
-        elif rule is RuleId.ReorderAssigns and b is not None:
-            if (isinstance(a, Assign) and isinstance(b, Assign)
-                    and a.var != b.var
-                    and a.var not in facts(vars_of_expr, b.expr)
-                    and b.var not in facts(vars_of_expr, a.expr)
-                    and facts(check_nonblock, a.expr)):
-                emit(i, 2, _stmts, b, a)
-
-        elif rule is RuleId.ReorderGuards and b is not None:
-            if (isinstance(a, Guard) and isinstance(b, Guard)
-                    and facts(check_noerror, b.expr)):
-                emit(i, 2, _stmts, b, a)
-
-        elif rule is RuleId.GuardBeforeAssign and b is not None:
-            if (isinstance(a, Assign) and isinstance(b, Guard)
-                    and a.var not in facts(vars_of_expr, b.expr)
-                    and (facts(check_nonblock, a.expr)
-                         or facts(check_noerror, b.expr))):
-                emit(i, 2, _stmts, b, a)
-
-        elif rule is RuleId.AssignBeforeGuard and b is not None:
-            if (isinstance(a, Guard) and isinstance(b, Assign)
-                    and b.var not in facts(vars_of_expr, a.expr)
-                    and b.var in ctx.local
-                    and facts(check_noerror, b.expr)):
-                emit(i, 2, _stmts, b, a)
-
-        elif rule is RuleId.AssignPropagation and b is not None:
-            if (isinstance(a, Assign) and isinstance(b, (Assign, Guard))
-                    and a.var not in facts(vars_of_expr, a.expr)
-                    and facts(vars_of_expr, a.expr) <= ctx.local
-                    and facts(check_deterministic, a.expr)):
-                key = strip(Var(a.var))
-                cnt = sum(_matches(b.expr, key, facts))
-                for chosen in _occurrence_subsets(cnt):
-                    emit(i + 1, 1, _rewrite, b, key, chosen, a.expr, facts)
-
-        elif rule is RuleId.SubexprElim and ctx.fresh:
-            fresh = min(ctx.fresh)  # one fresh variable is as good as another
-            lvals: frozenset[str] = frozenset()
-            cands: list[Expr] = []  # the window's operators, one per key
-            seen_keys = set()
-            for span, s in enumerate(path[i:i + 3], 1):
-                if not isinstance(s, (Assign, Guard)):
-                    break  # a sync primitive would enter the window
-                lvals |= lvals_of_stmt(s)
-                for x in facts(sub_exprs, s.expr):
-                    if isinstance(x, (Neg, BinOp)):
-                        k = facts(strip, x)
-                        if k not in seen_keys:
-                            seen_keys.add(k)
-                            cands.append(x)
-                for epat in cands:
-                    if (not facts(vars_of_expr, epat) & lvals
-                            and facts(check_noerror, epat)):
-                        emit(i, span, _eliminate, path[i:i + span], fresh,
-                             i, epat, facts)
-
-        elif rule is RuleId.ExprSimplify:
-            if isinstance(a, (Assign, Guard)):
-                for e_old, e_new in facts(_simplifications, a.expr):
-                    if not (facts(vars_of_expr, e_old)
-                            | facts(vars_of_expr, e_new)) <= ctx.local:
-                        continue
-                    key = facts(strip, e_old)
-                    cnt = sum(_matches(a.expr, key, facts))
-                    for chosen in _occurrence_subsets(cnt):
-                        emit(i, 1, _rewrite, a, key, chosen, e_new, facts)
-
+    scan(path, ctx, facts, emit)
     return out
 
 
@@ -438,10 +508,12 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     is checked.  Checking never touches the random generator, so the
     report does not depend on where, or by which runs, the checks are made
     (see _check_trials).  The draw computes each expression node's
-    variables, key and side conditions once per call, and the program's
-    variable occurrences once, and of the applications a chain step finds
-    it builds only the one it picks (see _applications); its memo is
-    emptied before the checks."""
+    variables, key, operators and side conditions once per call, and the
+    program's variable occurrences once; a chain step scans the path once
+    per rule it tries, and of the applications it finds it builds only
+    the one it picks (see _applications).  A first step reuses its pool
+    path's context and scans from the call's earlier trials.  The draw's
+    tables are emptied before the checks."""
     from .concrete import TooManyPaths, paths, sorted_paths
 
     if trials < 0:
@@ -467,36 +539,49 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
     draw_error: Exception | None = None
     facts = _Facts()
     occ = var_threads(p)
+    # shuffled afresh at each chain step
+    rules = [(_SCANS[r], r.value, per_rule[r.value]) for r in RuleId]
+
+    def context(tid: int, path: ControlPath) -> TransformContext:
+        return context_for(p, tid, {
+            v for s in path for v in facts.stmt_vars(s)}, occ)
 
     try:
         for _ in range(trials):
             tid = rng.choice(p.tids)
             pool = pools[tid]
-            path0 = pool[rng.randrange(len(pool))]
-            path = path0
+            k = rng.randrange(len(pool))
+            path = path0 = pool[k]
+            # a pool path's context and scans serve every trial that draws it
+            scanned = facts.scans.get((tid, k))
+            if scanned is None:
+                scanned = facts.scans[tid, k] = context(tid, path0), {}
+            ctx, scans = scanned
             used: list[str] = []
-            for _ in range(rng.randint(1, chain)):
-                ctx = context_for(p, tid, {
-                    v for s in path for v in facts(vars_of_stmt, s)}, occ)
-                order = list(RuleId)
+            for step in range(rng.randint(1, chain)):
+                if step:
+                    ctx, scans = context(tid, path), {}
+                order = rules.copy()
                 rng.shuffle(order)
-                apps: list = []
-                for rule in order:
-                    apps = _applications(rule, path, ctx, facts)
+                for scan, name, counts in order:
+                    apps = scans.get(name)
+                    if apps is None:
+                        apps = scans[name] = _applications(scan, path, ctx,
+                                                           facts)
                     if apps:
                         break
-                    per_rule[rule.value]["skipped"] += 1
-                if not apps:
+                    counts["skipped"] += 1
+                else:
                     break  # nothing applies anywhere on this path
                 path = apps[rng.randrange(len(apps))]()
-                per_rule[rule.value]["applied"] += 1
-                used.append(rule.value)
+                counts["applied"] += 1
+                used.append(name)
             if used:
                 drawn.append((tid, path0, path, used))
     except Exception as e:
         draw_error = e  # raised after the trials drawn before it are checked
     finally:
-        facts.memos.clear()  # `apps` still holds builders that reference it
+        facts.clear()  # `apps` still holds builders that reference it
 
     outcomes = _check_trials(p, pools, alarms, [d[:3] for d in drawn],
                              budget, unroll)
@@ -533,10 +618,13 @@ def fuzz_weakmem(p: Program, trials: int = 50, chain: int = 4, seed: int = 0,
 # trials costs about 15 ms from start to shutdown in a 65 MB process,
 # two bare forks 7 ms, and the interleaving oracle 2-10 us per state),
 # and it is then that job's full run, so the probe repeats no work.  A
-# run B that ends within it also predicts runs that cost more to start
-# than to explore (over the criterion-8 block on the same machine, runs
-# under 1,000 states take about 7 us a state, larger ones 2-3), so
-# _check_trials then checks each rewritten thread's trials in one run.
+# first run (B, or the first R when no trial needs B) that ends within it
+# also predicts runs that cost more to start than to explore (over the
+# criterion-8 block on the same machine, runs under 1,000 states take
+# about 7 us a state, larger ones 2-3), so _check_trials then checks each
+# rewritten thread's trials in one run.  Grouping without this guard
+# makes --mode fuzz 1.4-2.2 times slower on fuzz program 88013, whose
+# grouped runs are large (ROADMAP has the figures).
 FORK_MIN_STATES = 1_000
 
 Outcome = tuple[str, list[int]]  # a trial's verdict, its uncovered labels
@@ -621,8 +709,9 @@ def _check_trials(p: Program, pools: dict[int, list[ControlPath]],
     has only new; (tid, news) is a grouped run U, in which tid has the
     new paths of all its trials; and (tid, pools[tid] - {old} | {new})
     is P'.  The first round explores B first, unless every trial
-    rewrote its thread's only path.  If B ended within FORK_MIN_STATES
-    states and the budget, it then explores one U per rewritten thread,
+    rewrote its thread's only path; then it explores the first trial's
+    R first.  If that first run ended within FORK_MIN_STATES states and
+    the budget, the round then explores one U per rewritten thread,
     which is R where the thread's trials make one new path; otherwise
     one R per distinct (tid, new), since there a U of several paths
     would tend to outgrow the budget and send its trials to P'.  An
@@ -639,6 +728,10 @@ def _check_trials(p: Program, pools: dict[int, list[ControlPath]],
     cannot tell which of its trials' R failed.  Any other trial, and any
     whose R, U or B raised, explores its P' in a second round, so the
     call raises the error of the first P', in trial order, that raised.
+    Every run of the call shares one table of compiled primitives, so
+    each Assign and guard is compiled once (see run_interleavings); the
+    table goes with the call.  Each run keeps its own value memos, whose
+    codes belong to it, and its own tries.
 
     Both rounds run where one choice says.  With one usable CPU, a
     budget of at most FORK_MIN_STATES states or fewer than two jobs,
@@ -658,12 +751,14 @@ def _check_trials(p: Program, pools: dict[int, list[ControlPath]],
     whole = [len(pools[tid]) == 1 for tid, _, _ in trials]  # R is P'
     reduced = [(tid, frozenset((new,))) for tid, _, new in trials]
     jobs = ([] if all(whole) else [None]) + list(dict.fromkeys(reduced))
+    prims: dict = {}  # every run's compiled primitives
 
     def explore(name, max_states: int = budget.max_states) -> ExploreResult:
         """The run `name` under max_states."""
         return run_interleavings(
             p, unroll=unroll, budget=budget._replace(max_states=max_states),
-            thread_paths=dict([name] if name else []), collect_witnesses=False)
+            thread_paths=dict([name] if name else []), collect_witnesses=False,
+            prims=prims)
 
     def job(name, max_states: int = budget.max_states):
         """The run `name`'s (states, outcome) under max_states, or None if
@@ -682,8 +777,9 @@ def _check_trials(p: Program, pools: dict[int, list[ControlPath]],
     first = job(jobs[0], FORK_MIN_STATES if probing else budget.max_states)
     forked = probing and first is not None and first[0] > FORK_MIN_STATES
     ran = {} if forked else {jobs[0]: first}
-    b, named = ran.get(None), reduced
-    if b and b[0] <= min(FORK_MIN_STATES, budget.max_states):  # B is small
+    named = reduced
+    if first is not None and first[0] <= min(FORK_MIN_STATES,
+                                             budget.max_states):
         news = defaultdict(set)
         for tid, _, new in trials:
             news[tid].add(new)

@@ -128,16 +128,20 @@ def test_guard_before_assign():
     assert swapped
 
 
-def _swap_misses(src):
+def _swap(path):
+    """path with its first two statements swapped."""
+    return (path[1], path[0]) + path[2:]
+
+
+def _hand_rewrite_misses(src, rewrite=_swap):
     """apply_rule's context for thread 1 of src, its longest path at
     unroll 0, and the outcome of the check fuzz_weakmem runs on the trial
-    that swaps that path's first two statements."""
+    that rewrites that path by `rewrite`."""
     p, path = path_of(src)
     pools = {1: sorted_paths(paths(p.threads[0].body, 0).paths)}
     alarms = frozenset(analyze_program_I(p).omega)
-    swap = (path[1], path[0]) + path[2:]
-    outcome, = transforms._check_trials(p, pools, alarms, [(1, path, swap)],
-                                        OracleBudget(), 0)
+    outcome, = transforms._check_trials(
+        p, pools, alarms, [(1, path, rewrite(path))], OracleBudget(), 0)
     return context_for(p, 1), path, outcome
 
 
@@ -145,7 +149,7 @@ def test_reorder_guards_requires_noerror():
     """Hoisting a guard that may divide by zero above a guard that never
     holds reaches an error the program cannot: without check_noerror(b)
     ReorderGuards would offer exactly that swap."""
-    c, path, outcome = _swap_misses(
+    c, path, outcome = _hand_rewrite_misses(
         "var flag = [1,1]; var x; var y; thread 1 {"
         " if flag = 0 then { if 1 / x < 0 then { y <- 1; } } }")
     assert apply_rule(RuleId.ReorderGuards, path, c) == []
@@ -157,10 +161,43 @@ def test_guard_before_assign_requires_nonblock_or_noerror():
     always blocks reaches an error the program cannot: without its
     nonblock(a) or noerror(b) clause GuardBeforeAssign would offer
     exactly that swap."""
-    c, path, outcome = _swap_misses(
+    c, path, outcome = _hand_rewrite_misses(
         "var x; var y; thread 1 {"
         " y <- 1 / [0,0]; if 1 / x < 0 then { y <- 2; } }")
     assert apply_rule(RuleId.GuardBeforeAssign, path, c) == []
+    assert outcome == ("FAIL", [2])
+
+
+def test_reorder_assigns_requires_independent_writes():
+    """Moving y <- 0 above x <- y, which reads y, makes x 0 where the
+    program keeps it 1, so 1 / x divides by zero: without its b.var not
+    in vars(a.expr) clause ReorderAssigns would offer exactly that swap
+    on the first two statements."""
+    c, path, outcome = _hand_rewrite_misses(
+        "var x; var y = [1,1]; var z; thread 1 {"
+        " x <- y; y <- 0; z <- 1 / x; }")
+    assert apply_rule(RuleId.ReorderAssigns, path[:2], c) == []
+    assert outcome == ("FAIL", [1])
+
+
+def test_assign_propagation_requires_local_reads():
+    """Propagating x <- y into the guard x - 1 = 0 reads y again, after
+    thread 2 may have changed it: the guard can then hold while x is 0,
+    and 1 / x divides by zero.  y is not local to thread 1, so without
+    its vars(a.expr) <= local clause AssignPropagation would offer
+    exactly that rewrite of the guard."""
+    def propagate(path):
+        g = path[1]
+        return (path[0], Guard(g.sid, BinOp(g.expr.op, g.expr.loc, Var("y"),
+                                            g.expr.right), g.cmp)) + path[2:]
+
+    c, path, outcome = _hand_rewrite_misses(
+        "var x; var y = [1,1]; var z; thread 1 {"
+        " x <- y; if x - 1 = 0 then { z <- 1 / x; } }"
+        " thread 2 { y <- 0; y <- 1; }", propagate)
+    assert [pretty_stmt(s).strip() for s in propagate(path)[:2]] == [
+        "x <- y;", "y - 1 = 0 ?"]
+    assert apply_rule(RuleId.AssignPropagation, path[:2], c) == []
     assert outcome == ("FAIL", [2])
 
 
@@ -288,20 +325,44 @@ def test_fuzz_rejects_negative_trials_and_empty_chains(corpus, monkeypatch,
 
 
 def test_fuzz_memo_is_empty_before_the_checks(monkeypatch):
-    """The draw's memo of expression facts does not reach the checks,
-    which may fork."""
-    real = transforms._check_trials
-    live = []
+    """The draw's tables, its memo of expression facts and its pool
+    paths' scans, are empty before the checks, which may fork.  The
+    checks compile each primitive once for all their runs, into one
+    table that does not outlive them."""
+    from racebox import oracle
+
+    real, real_run = transforms._check_trials, transforms.run_interleavings
+    real_compile = oracle.compile_prim
+    live, tables, compiled = [], [], []
 
     def check_trials(*a):
         live.extend(o for o in gc.get_objects()
-                    if isinstance(o, transforms._Facts) and o.memos)
-        return real(*a)
+                    if isinstance(o, transforms._Facts)
+                    and (any(o.memos.values()) or o.scans))
+        out = real(*a)
+        # held by `tables` alone: not by a closure, a cycle or a global
+        assert gc.get_referrers(tables[0]) == [tables]
+        return out
+
+    def run(p, **kw):
+        if not any(t is kw["prims"] for t in tables):
+            tables.append(kw["prims"])
+        return real_run(p, **kw)
+
+    def compile_prim(s, idx):
+        compiled.append((id(s.expr), getattr(s, "var", None),
+                         getattr(s, "cmp", None)))
+        return real_compile(s, idx)
 
     monkeypatch.setattr(transforms, "_check_trials", check_trials)
+    monkeypatch.setattr(transforms, "run_interleavings", run)
+    monkeypatch.setattr(oracle, "compile_prim", compile_prim)
     rep = fuzz_weakmem(fuzz_program(88_000), trials=8, chain=4, seed=0,
                        unroll=2)
     assert rep.effective and not live
+    # B and the grouped runs, all with one table, each primitive once
+    assert len(tables) == 1 and compiled
+    assert len(set(compiled)) == len(compiled)
 
 
 def test_negative_controls_all_detected():
@@ -938,24 +999,32 @@ def _outcomes(check):
         return "raises", str(e)
 
 
+# the criterion-8 programs whose every trial rewrites its thread's only
+# path: they run no B
+SINGLE_PATH = (4, 6, 10, 16, 19, 23, 26)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("n,case", [
-    (4, "alarms"), (11, "alarms"), (12, "alarms"), (25, "alarms"),
+    (11, "alarms"), (12, "alarms"), (25, "alarms"),
     (53, "no alarms"), (54, "no alarms"), (12, "U1 raises"),
-    (12, "U1, P3 and P6 raise")], ids=[
-    "4", "11", "12", "25", "53-no-alarms", "54-no-alarms",
-    "12-U1-raises", "12-U1-P3-P6-raise"])
+    (12, "U1, P3 and P6 raise")] + [(n, "alarms") for n in SINGLE_PATH],
+    ids=["11", "12", "25", "53-no-alarms", "54-no-alarms", "12-U1-raises",
+         "12-U1-P3-P6-raise"] + [str(n) for n in SINGLE_PATH])
 def test_check_trials_give_the_full_checks_outcomes(cpus, monkeypatch, n,
                                                     case, k):
     """On one CPU or two, every trial gets the outcome of the reference,
     its full check P' run alone, or the call raises what the first P'
     that raises, in trial order, raises.  88011 and 88025 fork with two
-    CPUs, and 88004's eight trials make three distinct rewrites and no B.
-    B ends within FORK_MIN_STATES on the rest, so their trials are
-    checked one run per rewritten thread.  With no alarms, every such
-    run with an error fails, and its trials go to their P': in 88053
-    no trial rewrote its thread's only path, and 88054 has both kinds
-    of trial.  In 88012, thread 1's run U1 (trials 1, 3 and 6) raises,
+    CPUs.  In the SINGLE_PATH programs every trial rewrites its thread's
+    only path, so its R is its P' and no B runs: the first job is trial
+    0's R, and since it ends within FORK_MIN_STATES states, one grouped
+    run per rewritten thread then checks every trial, as each trial's
+    own R would.  B ends within FORK_MIN_STATES on the rest, so their
+    trials are checked one run per rewritten thread.  With no alarms,
+    every such run with an error fails, and its trials go to their P':
+    in 88053 no trial rewrote its thread's only path, and 88054 has both
+    kinds of trial.  In 88012, thread 1's run U1 (trials 1, 3 and 6) raises,
     alone or with the P' of trials 3 and 6: its trials get their P',
     and trial 3's error is raised."""
     p = fuzz_program(88_000 + n)
@@ -988,6 +1057,12 @@ def test_check_trials_give_the_full_checks_outcomes(cpus, monkeypatch, n,
     assert raised[:1] == raising[:1]
     assert bool(forks) == (k == 2 and n in (11, 25))
     _assert_no_children()
+    if n in SINGLE_PATH:
+        # trial 0's R, then the grouped runs that are not that R
+        r0 = _reduced(trials[0][0], trials[0][2])
+        units = [q for q in _units(trials).values() if q != r0]
+        assert all(len(base[tid]) == 1 for tid, _, _ in trials)
+        assert units and ran == [r0] + units
     if n in (12, 53, 54):
         # B, one run per rewritten thread, some of several new paths,
         # and then, unless each of those runs settled its trials, P's
@@ -1008,8 +1083,9 @@ def test_check_trials_give_the_full_checks_outcomes(cpus, monkeypatch, n,
 def test_fuzz_trials_that_share_a_rewrite_share_its_run(cpus, monkeypatch,
                                                         tmp_path, k):
     """88004 has one thread with one base path, and its eight trials
-    rewrite that path to three distinct paths: three runs, one R for
-    each, which is the P' of every trial that rewrites to it, and no B.
+    rewrite that path to three distinct paths, so no B runs.  The first
+    job is trial 0's R, which is its P'; it ends within FORK_MIN_STATES
+    states, so one grouped run U1 of the three paths checks every trial.
     With two CPUs the first is its own probe."""
     log = tmp_path / "runs"
     p, kw = fuzz_program(88_004), dict(trials=8, chain=4, seed=4, unroll=2)
@@ -1018,13 +1094,9 @@ def test_fuzz_trials_that_share_a_rewrite_share_its_run(cpus, monkeypatch,
     forks = cpus(k)
     rep = fuzz_weakmem(p, **kw)
     assert not forks and rep.effective == n == 8
-    first = {}
-    for i, (tid, _, new) in enumerate(trials):
-        first.setdefault((tid, new), f"P{i}")
-    runs = [(run, FULL) for run in first.values()]
-    if k == 2:
-        runs[0] = (runs[0][0], transforms.FORK_MIN_STATES)
-    assert len(runs) == 3 and _runs(log) == (runs, [])
+    assert len({new for _, _, new in trials}) == 3
+    probe = transforms.FORK_MIN_STATES if k == 2 else FULL
+    assert _runs(log) == ([("P0", probe), ("U1", FULL)], [])
 
 
 def test_fuzz_refuses_a_path_pool_past_the_budget(corpus):
@@ -1161,3 +1233,23 @@ def test_fuzz_reports_pinned():
     assert all(applied.values()), applied
     assert h.hexdigest() == (
         "a52ab039ee572d0e82aff350987626c1cb76a6051d607c95abae14d10f36bfe1")
+
+
+def test_fuzz_draws_pinned(monkeypatch):
+    """One sha256 over the trials fuzz_weakmem draws on the criterion-8
+    block, programs 88000-88027 at its settings, in order: each trial's
+    thread, rules and pretty-printed paths before and after.  The checks
+    are stubbed out to fail every trial, which puts each effective trial
+    in the report's violations, so the draw alone is pinned."""
+    monkeypatch.setattr(
+        transforms, "_check_trials",
+        lambda p, pools, alarms, trials, budget, unroll:
+        [("FAIL", [])] * len(trials))
+    h = hashlib.sha256()
+    for n in range(28):
+        rep = fuzz_weakmem(fuzz_program(88_000 + n), trials=8, chain=4,
+                           seed=n, unroll=2, alarms=frozenset())
+        h.update(repr([(v.thread, v.rules, v.path_before, v.path_after)
+                       for v in rep.violations]).encode())
+    assert h.hexdigest() == (
+        "517d5b5275b68f055abdb937bc884bc670cbf8e5622b0280cabba37db3b57f56")
